@@ -8,7 +8,7 @@
 #include "analysis/structural.hpp"
 #include "graph/algorithms.hpp"
 #include "ft/ft_debruijn.hpp"
-#include "sim/routing.hpp"
+#include "sim/router.hpp"
 #include "topology/debruijn.hpp"
 
 namespace {
@@ -65,7 +65,7 @@ FTDB_BENCH(routing_table_h9, "perf_graph_core/routing_table_b2_h9") {
   const ftdb::Graph g = ftdb::debruijn_base2(9);
   std::size_t reachable = 0;
   for (int i = 0; i < kIterations; ++i) {
-    const ftdb::sim::RoutingTable table(g);
+    const ftdb::sim::TableRouter table(g);
     reachable = table.reachable(0, static_cast<ftdb::NodeId>(g.num_nodes() - 1)) ? 1 : 0;
   }
   ctx.report("iterations", kIterations);

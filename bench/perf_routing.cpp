@@ -59,8 +59,10 @@ FTDB_BENCH(build_compressed, "perf_routing/build_compressed_b2_h10") {
 }
 
 FTDB_BENCH(build_implicit, "perf_routing/build_implicit_b2_h10") {
-  // Auto selection: the cost here is the shape detection plus an O(1) object.
-  build_bench(ctx, RouterOptions::Backend::Auto, 5);
+  // Forced implicit: the cost here is the shape detection plus an O(1)
+  // object. (Auto would pick the table at this size — see
+  // RouterOptions::implicit_min_nodes.)
+  build_bench(ctx, RouterOptions::Backend::Implicit, 5);
 }
 
 /// Destination-sharded build: same bit-identical table, build_threads-way

@@ -1,50 +1,33 @@
 #include "campaign/elastic/blocklog.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
 
 #include "analysis/bench_json.hpp"
-#include "serve/journal.hpp"  // ftdb::serve::crc32 — one CRC for every log format
 
 namespace ftdb::campaign::elastic {
 namespace {
 
 using analysis::JsonValue;
 using analysis::JsonWriter;
-using serve::crc32;
 
-constexpr char kMagic[8] = {'F', 'T', 'D', 'B', 'B', 'L', 'K', '1'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 24;
-constexpr std::size_t kFrameOverhead = 1 + 4 + 4;  // type + payload_len + crc
+constexpr std::size_t kPrefixBytes = 1 + 4;  // type + payload_len
 constexpr std::uint8_t kRecordBlock = 1;
 
-void put_u32(unsigned char* out, std::uint32_t v) {
-  out[0] = static_cast<unsigned char>(v);
-  out[1] = static_cast<unsigned char>(v >> 8);
-  out[2] = static_cast<unsigned char>(v >> 16);
-  out[3] = static_cast<unsigned char>(v >> 24);
+std::uint32_t payload_length(const unsigned char* prefix) {
+  return static_cast<std::uint32_t>(prefix[1]) | (static_cast<std::uint32_t>(prefix[2]) << 8) |
+         (static_cast<std::uint32_t>(prefix[3]) << 16) |
+         (static_cast<std::uint32_t>(prefix[4]) << 24);
 }
 
-std::uint32_t get_u32(const unsigned char* in) {
-  return static_cast<std::uint32_t>(in[0]) | (static_cast<std::uint32_t>(in[1]) << 8) |
-         (static_cast<std::uint32_t>(in[2]) << 16) | (static_cast<std::uint32_t>(in[3]) << 24);
-}
+constexpr serve::FramedLog::Format kFormat{
+    "BlockLog", {'F', 'T', 'D', 'B', 'B', 'L', 'K', '1'}, kPrefixBytes,
+    [](const unsigned char* prefix) -> std::size_t {
+      return kPrefixBytes + payload_length(prefix);
+    }};
 
-void encode_header(unsigned char* out, std::uint64_t fingerprint) {
-  std::memcpy(out, kMagic, 8);
-  put_u32(out + 8, kVersion);
-  put_u32(out + 12, static_cast<std::uint32_t>(fingerprint));
-  put_u32(out + 16, static_cast<std::uint32_t>(fingerprint >> 32));
-  put_u32(out + 20, crc32(out, 20));
-}
-
-std::string encode_payload(const BlockRecord& r) {
+std::vector<unsigned char> encode(const BlockRecord& r) {
   JsonWriter w;
   w.begin_object();
   w.key("cell");
@@ -54,11 +37,21 @@ std::string encode_payload(const BlockRecord& r) {
   w.key("partial");
   write_scenario_result(w, r.partial);
   w.end_object();
-  return w.str();
+  const std::string payload = w.str();
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  std::vector<unsigned char> body(kPrefixBytes + payload.size());
+  body[0] = kRecordBlock;
+  for (int i = 0; i < 4; ++i) body[1 + i] = static_cast<unsigned char>(len >> (8 * i));
+  std::memcpy(body.data() + kPrefixBytes, payload.data(), payload.size());
+  return body;
 }
 
-BlockRecord decode_payload(const std::string& text) {
-  const JsonValue doc = analysis::json_parse(text);
+BlockRecord decode(std::span<const unsigned char> body) {
+  if (body[0] != kRecordBlock) {
+    throw std::runtime_error("unknown record type " + std::to_string(body[0]));
+  }
+  const JsonValue doc = analysis::json_parse(std::string(
+      reinterpret_cast<const char*>(body.data()) + kPrefixBytes, body.size() - kPrefixBytes));
   BlockRecord r;
   r.cell = static_cast<std::uint64_t>(doc.at("cell").number);
   r.block = static_cast<std::uint64_t>(doc.at("block").number);
@@ -66,186 +59,24 @@ BlockRecord decode_payload(const std::string& text) {
   return r;
 }
 
-std::vector<unsigned char> encode_frame(const BlockRecord& r) {
-  const std::string payload = encode_payload(r);
-  std::vector<unsigned char> frame(kFrameOverhead + payload.size());
-  frame[0] = kRecordBlock;
-  put_u32(frame.data() + 1, static_cast<std::uint32_t>(payload.size()));
-  std::memcpy(frame.data() + 5, payload.data(), payload.size());
-  put_u32(frame.data() + 5 + payload.size(), crc32(frame.data(), 5 + payload.size()));
-  return frame;
-}
-
-void write_all(int fd, const unsigned char* data, std::size_t len, const std::string& path) {
-  while (len > 0) {
-    const ssize_t w = ::write(fd, data, len);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("BlockLog: write failed for " + path + ": " +
-                               std::strerror(errno));
-    }
-    data += w;
-    len -= static_cast<std::size_t>(w);
-  }
-}
-
-std::vector<unsigned char> read_whole_file(int fd, const std::string& path) {
-  std::vector<unsigned char> bytes;
-  unsigned char buf[1 << 16];
-  for (;;) {
-    const ssize_t r = ::read(fd, buf, sizeof buf);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("BlockLog: read failed for " + path + ": " +
-                               std::strerror(errno));
-    }
-    if (r == 0) return bytes;
-    bytes.insert(bytes.end(), buf, buf + r);
-  }
-}
-
-void fsync_or_throw(int fd, const std::string& path) {
-  if (::fsync(fd) != 0) {
-    throw std::runtime_error("BlockLog: fsync failed for " + path + ": " +
-                             std::strerror(errno));
-  }
-}
-
-void check_header(const std::vector<unsigned char>& bytes, std::uint64_t fingerprint,
-                  const std::string& path) {
-  if (bytes.size() < kHeaderBytes || std::memcmp(bytes.data(), kMagic, 8) != 0 ||
-      get_u32(bytes.data() + 20) != crc32(bytes.data(), 20)) {
-    throw std::runtime_error("BlockLog: corrupt header in " + path);
-  }
-  if (get_u32(bytes.data() + 8) != kVersion) {
-    throw std::runtime_error("BlockLog: unsupported version in " + path);
-  }
-  const std::uint64_t file_fp = static_cast<std::uint64_t>(get_u32(bytes.data() + 12)) |
-                                (static_cast<std::uint64_t>(get_u32(bytes.data() + 16)) << 32);
-  if (file_fp != fingerprint) {
-    throw std::runtime_error("BlockLog: spec fingerprint mismatch in " + path +
-                             " (log belongs to a different campaign)");
-  }
-}
-
-/// Decodes intact frames starting at the header's end; returns the offset of
-/// the first byte past the last intact frame (everything after is torn).
-std::size_t decode_frames(const std::vector<unsigned char>& bytes, const std::string& path,
-                          std::vector<BlockRecord>& out) {
-  std::size_t off = kHeaderBytes;
-  while (bytes.size() - off >= kFrameOverhead) {
-    const unsigned char* f = bytes.data() + off;
-    const std::size_t payload_len = get_u32(f + 1);
-    if (f[0] != kRecordBlock) break;
-    if (bytes.size() - off < kFrameOverhead + payload_len) break;
-    if (get_u32(f + 5 + payload_len) != crc32(f, 5 + payload_len)) break;
-    const std::string payload(reinterpret_cast<const char*>(f + 5), payload_len);
-    try {
-      out.push_back(decode_payload(payload));
-    } catch (const std::exception& e) {
-      // A CRC-clean frame whose JSON does not parse is corruption, not a
-      // torn append — refuse the log rather than silently dropping data.
-      throw std::runtime_error("BlockLog: undecodable record in " + path + ": " + e.what());
-    }
-    off += kFrameOverhead + payload_len;
-  }
-  return off;
-}
-
 }  // namespace
 
 BlockLog::BlockLog(std::string path, std::uint64_t fingerprint, bool fsync_writes)
-    : path_(std::move(path)), fingerprint_(fingerprint), fsync_(fsync_writes) {
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd_ < 0) {
-    throw std::runtime_error("BlockLog: cannot open " + path_ + ": " + std::strerror(errno));
-  }
-  try {
-    const std::vector<unsigned char> bytes = read_whole_file(fd_, path_);
-    if (bytes.empty()) {
-      unsigned char header[kHeaderBytes];
-      encode_header(header, fingerprint_);
-      write_all(fd_, header, sizeof header, path_);
-      if (fsync_) fsync_or_throw(fd_, path_);
-      size_bytes_ = kHeaderBytes;
-      return;
-    }
-    check_header(bytes, fingerprint_, path_);
-    const std::size_t off = decode_frames(bytes, path_, recovered_);
-    truncated_ = bytes.size() - off;
-    num_records_ = recovered_.size();
-    size_bytes_ = off;
-    if (truncated_ > 0 && ::ftruncate(fd_, static_cast<off_t>(off)) != 0) {
-      throw std::runtime_error("BlockLog: cannot truncate torn tail of " + path_);
-    }
-    if (::lseek(fd_, static_cast<off_t>(off), SEEK_SET) < 0) {
-      throw std::runtime_error("BlockLog: seek failed for " + path_);
-    }
-  } catch (...) {
-    ::close(fd_);
-    fd_ = -1;
-    throw;
-  }
-}
+    : log_(kFormat, std::move(path), fingerprint, fsync_writes,
+           [this](std::span<const unsigned char> body) { recovered_.push_back(decode(body)); }) {}
 
-BlockLog::~BlockLog() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void BlockLog::append(const BlockRecord& record) {
-  if (fd_ < 0) {
-    throw std::runtime_error("BlockLog: " + path_ +
-                             " is poisoned by an earlier failed append; reopen to recover");
-  }
-  const std::vector<unsigned char> frame = encode_frame(record);
-  const off_t before = static_cast<off_t>(size_bytes_);
-  try {
-    write_all(fd_, frame.data(), frame.size(), path_);
-    if (fsync_) fsync_or_throw(fd_, path_);
-  } catch (...) {
-    // Roll the file back to its pre-append length; if that fails, poison the
-    // handle so later appends cannot silently diverge from the file.
-    if (::ftruncate(fd_, before) != 0 || ::lseek(fd_, before, SEEK_SET) < 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    throw;
-  }
-  size_bytes_ += frame.size();
-  ++num_records_;
-}
+void BlockLog::append(const BlockRecord& record) { log_.append(encode(record)); }
 
 void BlockLog::truncate_all() {
-  if (fd_ < 0) {
-    throw std::runtime_error("BlockLog: " + path_ + " is poisoned; reopen to recover");
-  }
-  if (::ftruncate(fd_, static_cast<off_t>(kHeaderBytes)) != 0 ||
-      ::lseek(fd_, static_cast<off_t>(kHeaderBytes), SEEK_SET) < 0) {
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("BlockLog: cannot truncate " + path_);
-  }
-  if (fsync_) fsync_or_throw(fd_, path_);
+  log_.rewrite({});
   recovered_.clear();
-  num_records_ = 0;
-  size_bytes_ = kHeaderBytes;
 }
 
 std::vector<BlockRecord> BlockLog::read(const std::string& path, std::uint64_t fingerprint) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    throw std::runtime_error("BlockLog: cannot open " + path + ": " + std::strerror(errno));
-  }
   std::vector<BlockRecord> records;
-  try {
-    const std::vector<unsigned char> bytes = read_whole_file(fd, path);
-    check_header(bytes, fingerprint, path);
-    decode_frames(bytes, path, records);  // torn tail silently ignored, never truncated
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
+  serve::FramedLog::scan(kFormat, path, fingerprint, [&](std::span<const unsigned char> body) {
+    records.push_back(decode(body));
+  });
   return records;
 }
 

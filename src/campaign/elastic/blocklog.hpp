@@ -5,18 +5,12 @@
 // worker that dies loses at most the block it was computing, and crash
 // replay is bounded by the blocks appended since the last compaction.
 //
-// On-disk format "ftdb-campaign-blocklog-v1" (all integers little-endian),
-// the same framing discipline as the serve journal (serve/journal.cpp):
+// On-disk format "ftdb-campaign-blocklog-v1": a serve/framed_log.hpp log
+// (all integers little-endian; the same implementation as the serve
+// journal) with magic "FTDBBLK1", the campaign's spec_fingerprint in the
+// header, and variable-length frames:
 //
-//   header (24 bytes):
-//     magic        8 bytes  "FTDBBLK1"
-//     version      u32      1
-//     fingerprint  u64      spec_fingerprint of the campaign — a log replayed
-//                           against a different spec would silently diverge,
-//                           so mismatches are refused
-//     crc          u32      CRC-32 of the preceding 20 bytes
-//
-//   record (variable length):
+//   record:
 //     type         u8       1 (completed trial block)
 //     payload_len  u32      byte length of the JSON payload
 //     payload      bytes    {"cell": c, "block": b, "partial": {...}} where
@@ -28,8 +22,9 @@
 // A crash can only tear the final record (appends are sequential). The
 // *owning* open truncates a torn tail; the read-only scan used on other
 // workers' logs never truncates — a torn tail there is usually an append in
-// flight on a live worker. Appends roll back on failure and poison the
-// handle (journal discipline), so the file length is always frame-aligned.
+// flight on a live worker. A CRC-clean record that does not decode is
+// corruption, refused with serve::CorruptLogError. Appends roll back on
+// failure and poison the handle, so the file length is always frame-aligned.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +33,7 @@
 #include <vector>
 
 #include "campaign/runner.hpp"
+#include "serve/framed_log.hpp"
 
 namespace ftdb::campaign::elastic {
 
@@ -55,27 +51,24 @@ class BlockLog {
   /// truncated away. Throws std::runtime_error on I/O failure, corruption,
   /// or fingerprint mismatch.
   BlockLog(std::string path, std::uint64_t fingerprint, bool fsync_writes);
-  ~BlockLog();
-
-  BlockLog(const BlockLog&) = delete;
-  BlockLog& operator=(const BlockLog&) = delete;
 
   /// Records recovered from the existing file at open time.
   const std::vector<BlockRecord>& recovered() const { return recovered_; }
 
   /// Bytes dropped from a torn tail at open time (0 for a clean log).
-  std::size_t truncated_bytes() const { return truncated_; }
+  std::size_t truncated_bytes() const { return log_.truncated_bytes(); }
 
   /// Appends one record (and fsyncs, when enabled). Durable when it returns.
   void append(const BlockRecord& record);
 
-  /// Drops every record but keeps the header — what compaction does to its
-  /// own log once the records are folded into the compacted checkpoint.
+  /// Drops every record but keeps the header (atomically, by renaming a
+  /// header-only copy over the log) — what compaction does to its own log
+  /// once the records are folded into the compacted checkpoint.
   void truncate_all();
 
-  std::size_t num_records() const { return num_records_; }
-  std::size_t size_bytes() const { return size_bytes_; }
-  const std::string& path() const { return path_; }
+  std::size_t num_records() const { return log_.num_frames(); }
+  std::size_t size_bytes() const { return log_.size_bytes(); }
+  const std::string& path() const { return log_.path(); }
 
   /// Read-only scan of a (possibly live) log: validates the header, returns
   /// every intact record, and NEVER truncates the file. Throws on a missing
@@ -83,14 +76,8 @@ class BlockLog {
   static std::vector<BlockRecord> read(const std::string& path, std::uint64_t fingerprint);
 
  private:
-  std::string path_;
-  std::uint64_t fingerprint_ = 0;
-  bool fsync_ = true;
-  int fd_ = -1;
-  std::vector<BlockRecord> recovered_;
-  std::size_t truncated_ = 0;
-  std::size_t num_records_ = 0;
-  std::size_t size_bytes_ = 0;
+  std::vector<BlockRecord> recovered_;  // filled while log_ opens
+  serve::FramedLog log_;
 };
 
 }  // namespace ftdb::campaign::elastic

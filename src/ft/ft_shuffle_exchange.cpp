@@ -1,8 +1,5 @@
 #include "ft/ft_shuffle_exchange.hpp"
 
-#include <map>
-#include <mutex>
-#include <shared_mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -16,27 +13,7 @@
 namespace ftdb {
 
 std::optional<Embedding> find_se_in_debruijn(unsigned h, const EmbeddingSearchOptions& options) {
-  // The embedding search is expensive and its result depends only on `h`, so
-  // it is memoized process-wide. The cache is hit concurrently by the
-  // multi-threaded bench runner: reads take a shared lock (the common case
-  // once warm), and only a successful search takes the exclusive lock.
-  // Failed searches are not cached — a later caller with a larger step
-  // budget must be allowed to retry.
-  static std::shared_mutex mutex;
-  static std::map<unsigned, Embedding> cache;
-  {
-    std::shared_lock lock(mutex);
-    auto it = cache.find(h);
-    if (it != cache.end()) return it->second;
-  }
-  const Graph se = shuffle_exchange_graph(h);
-  const Graph db = debruijn_base2(h);
-  auto embedding = find_subgraph_embedding(se, db, options);
-  if (embedding.has_value()) {
-    std::unique_lock lock(mutex);
-    cache.emplace(h, *embedding);
-  }
-  return embedding;
+  return find_subgraph_embedding(shuffle_exchange_graph(h), debruijn_base2(h), options);
 }
 
 FtShuffleExchange ft_shuffle_exchange_via_debruijn(unsigned h, unsigned k,

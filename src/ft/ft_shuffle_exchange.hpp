@@ -31,7 +31,8 @@
 namespace ftdb {
 
 /// Route 1: searches for the Feldmann–Unger containment SE_h -> B_{2,h} with
-/// the VF2 engine. Results are memoized per h. Practical for h <= 6.
+/// the VF2 engine (graph/embedding.hpp). Deterministic in h; practical for
+/// h <= 6 (SE_6 takes 654,086 search steps).
 std::optional<Embedding> find_se_in_debruijn(unsigned h,
                                              const EmbeddingSearchOptions& options = {});
 

@@ -1,9 +1,8 @@
 #include "graph/embedding.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cassert>
 #include <cstddef>
+#include <utility>
 
 namespace ftdb {
 
@@ -27,9 +26,7 @@ namespace {
 // Pattern-node visit order: start from the max-degree node, then repeatedly
 // pick the unvisited node with the most already-visited neighbors (ties by
 // degree, then label). This keeps the partial match connected so edge
-// constraints prune early. Shared by the reference and the pruned search so
-// both explore assignments in the same sequence and return the same first
-// solution.
+// constraints prune early.
 std::vector<NodeId> matching_order(const Graph& pattern) {
   const std::size_t n = pattern.num_nodes();
   std::vector<NodeId> order;
@@ -118,238 +115,11 @@ struct Vf2State {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Pruned search.
-//
-// Same search tree as Vf2State, but each (pattern node, host node) pair is
-// first checked against a statically precomputed candidate set, and every
-// tentative assignment runs a one-step lookahead over the not-yet-mapped
-// pattern neighbors. All filters are *necessary* conditions for a
-// monomorphism extending the current partial map, so the pruned search visits
-// a subtree of the reference search tree and — because assignments are tried
-// in the same ascending host order at every depth — returns the exact same
-// first embedding whenever one exists.
-// ---------------------------------------------------------------------------
-
-// Per-node structural signature used to build the static candidate sets.
-// pattern node p can only map to host node h if h's signature dominates p's:
-//   * degree(h) >= degree(p)
-//   * |ball_r(h)| >= |ball_r(p)| for r = 2, 3 (radius-1 is the degree check)
-//   * the sorted-descending neighbor degree sequence of h dominates p's
-//     pointwise (greedy matching of the injection promised by the embedding)
-struct NodeSignature {
-  std::size_t degree = 0;
-  std::array<std::uint32_t, 2> ball = {0, 0};  // |ball_2|, |ball_3|
-  std::vector<std::uint32_t> neighbor_degrees;  // sorted descending
-};
-
-std::vector<NodeSignature> compute_signatures(const Graph& g) {
-  const std::size_t n = g.num_nodes();
-  std::vector<NodeSignature> sig(n);
-  std::vector<std::uint32_t> stamp(n, 0);
-  std::vector<NodeId> frontier;
-  std::vector<NodeId> next;
-  std::uint32_t epoch = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    NodeSignature& s = sig[v];
-    s.degree = g.degree(static_cast<NodeId>(v));
-    s.neighbor_degrees.reserve(s.degree);
-    for (NodeId w : g.neighbors(static_cast<NodeId>(v))) {
-      s.neighbor_degrees.push_back(static_cast<std::uint32_t>(g.degree(w)));
-    }
-    std::sort(s.neighbor_degrees.begin(), s.neighbor_degrees.end(),
-              std::greater<std::uint32_t>());
-
-    // Truncated BFS to radius 3; balls in bounded-degree graphs are tiny.
-    ++epoch;
-    std::uint32_t count = 1;
-    stamp[v] = epoch;
-    frontier.assign(1, static_cast<NodeId>(v));
-    for (int radius = 1; radius <= 3; ++radius) {
-      next.clear();
-      for (NodeId u : frontier) {
-        for (NodeId w : g.neighbors(u)) {
-          if (stamp[w] == epoch) continue;
-          stamp[w] = epoch;
-          ++count;
-          next.push_back(w);
-        }
-      }
-      frontier.swap(next);
-      if (radius >= 2) s.ball[static_cast<std::size_t>(radius - 2)] = count;
-    }
-  }
-  return sig;
-}
-
-bool signature_dominates(const NodeSignature& pat, const NodeSignature& host) {
-  if (host.degree < pat.degree) return false;
-  if (host.ball[0] < pat.ball[0] || host.ball[1] < pat.ball[1]) return false;
-  // Both sequences sorted descending and |host| >= |pat|: an injection mapping
-  // each pattern-neighbor degree to a >= host-neighbor degree exists iff the
-  // greedy largest-to-largest pairing works.
-  for (std::size_t i = 0; i < pat.neighbor_degrees.size(); ++i) {
-    if (host.neighbor_degrees[i] < pat.neighbor_degrees[i]) return false;
-  }
-  return true;
-}
-
-// Arc-consistency refinement of the candidate sets: h stays in C(p) only if
-// p's neighbors can be *injectively* matched into h's neighbors respecting
-// the current candidate sets — a necessary condition for phi(p) = h in any
-// monomorphism, so refinement never discards a value that appears in a
-// solution. Degrees are tiny in the graphs this library builds, so a plain
-// Kuhn augmenting-path matching per (p, h) pair is cheap. Iterates to a
-// fixpoint; returns false when some pattern node loses its last candidate.
-bool refine_candidates(const Graph& pattern, const Graph& host,
-                       std::vector<std::vector<bool>>& candidate) {
-  const std::size_t np = pattern.num_nodes();
-  std::vector<NodeId> match;       // host-neighbor slot -> pattern-neighbor index
-  std::vector<bool> on_path;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t p = 0; p < np; ++p) {
-      const auto pn = pattern.neighbors(static_cast<NodeId>(p));
-      if (pn.empty()) continue;
-      for (std::size_t h = 0; h < host.num_nodes(); ++h) {
-        if (!candidate[p][h]) continue;
-        const auto hn = host.neighbors(static_cast<NodeId>(h));
-        match.assign(hn.size(), kInvalidNode);
-        bool ok = true;
-        for (std::size_t qi = 0; qi < pn.size() && ok; ++qi) {
-          on_path.assign(hn.size(), false);
-          // Kuhn: find an augmenting path for pattern neighbor qi.
-          auto augment = [&](auto&& self, std::size_t q) -> bool {
-            for (std::size_t ci = 0; ci < hn.size(); ++ci) {
-              if (on_path[ci] || !candidate[pn[q]][hn[ci]]) continue;
-              on_path[ci] = true;
-              if (match[ci] == kInvalidNode || self(self, match[ci])) {
-                match[ci] = static_cast<NodeId>(q);
-                return true;
-              }
-            }
-            return false;
-          };
-          ok = augment(augment, qi);
-        }
-        if (!ok) {
-          candidate[p][h] = false;
-          changed = true;
-        }
-      }
-      if (std::find(candidate[p].begin(), candidate[p].end(), true) == candidate[p].end()) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-struct PrunedState {
-  const Graph& pattern;
-  const Graph& host;
-  const std::vector<NodeId>& order;
-  const EmbeddingSearchOptions& options;
-  EmbeddingSearchStats& stats;
-  const std::vector<std::vector<bool>>& candidate;  // candidate[p][h]
-  const std::vector<std::vector<NodeId>>& holders;  // holders[h]: {p : h in C(p)}
-  Embedding phi;
-  std::vector<bool> host_used;
-  // avail[q] = number of currently unused host nodes in C(q), maintained
-  // incrementally for unmapped q. Mapping a host node that is the last free
-  // candidate of some unmapped pattern node is an immediate dead end.
-  std::vector<std::uint32_t> avail;
-
-  bool feasible(NodeId p, NodeId h) const {
-    for (NodeId q : pattern.neighbors(p)) {
-      if (phi[q] != kInvalidNode && !host.has_edge(h, phi[q])) return false;
-    }
-    return true;
-  }
-
-  // After tentatively mapping p -> h: every unmapped pattern neighbor q of p
-  // must still have at least one unused host candidate adjacent to h (its
-  // image has to land in N(h)). Necessary for any completion, so pruning on
-  // it cannot change which embedding is found first.
-  bool lookahead(NodeId p, NodeId h) const {
-    for (NodeId q : pattern.neighbors(p)) {
-      if (phi[q] != kInvalidNode) continue;
-      bool open = false;
-      for (NodeId c : host.neighbors(h)) {
-        if (!host_used[c] && candidate[q][c]) {
-          open = true;
-          break;
-        }
-      }
-      if (!open) return false;
-    }
-    return true;
-  }
-
-  bool search(std::size_t depth) {
-    if (depth == order.size()) return true;
-    const NodeId p = order[depth];
-
-    // Anchor on the mapped neighbor whose image has the fewest host
-    // neighbors. Feasible candidates are exactly the ascending intersection
-    // of all mapped-neighbor adjacency lists, so any anchor yields the same
-    // candidate sequence — the smallest list is just cheapest to scan.
-    NodeId anchor = kInvalidNode;
-    std::size_t anchor_degree = static_cast<std::size_t>(-1);
-    for (NodeId q : pattern.neighbors(p)) {
-      if (phi[q] == kInvalidNode) continue;
-      const std::size_t d = host.degree(phi[q]);
-      if (d < anchor_degree) {
-        anchor_degree = d;
-        anchor = phi[q];
-      }
-    }
-
-    auto try_candidate = [&](NodeId h) -> int {
-      if (host_used[h]) return 0;
-      ++stats.steps;
-      if (options.max_steps != 0 && stats.steps > options.max_steps) {
-        stats.aborted = true;
-        return -1;
-      }
-      if (!candidate[p][h]) return 0;
-      if (!feasible(p, h)) return 0;
-      phi[p] = h;
-      host_used[h] = true;
-      bool wiped = false;
-      for (NodeId q : holders[h]) {
-        if (phi[q] == kInvalidNode && --avail[q] == 0) wiped = true;
-      }
-      if (!wiped && lookahead(p, h) && search(depth + 1)) return 1;
-      for (NodeId q : holders[h]) {
-        if (phi[q] == kInvalidNode) ++avail[q];
-      }
-      phi[p] = kInvalidNode;
-      host_used[h] = false;
-      return 0;
-    };
-
-    if (anchor != kInvalidNode) {
-      for (NodeId h : host.neighbors(anchor)) {
-        int r = try_candidate(h);
-        if (r != 0) return r == 1;
-      }
-    } else {
-      for (std::size_t h = 0; h < host.num_nodes(); ++h) {
-        int r = try_candidate(static_cast<NodeId>(h));
-        if (r != 0) return r == 1;
-      }
-    }
-    return false;
-  }
-};
-
 }  // namespace
 
-std::optional<Embedding> find_subgraph_embedding_reference(
-    const Graph& pattern, const Graph& host, const EmbeddingSearchOptions& options,
-    EmbeddingSearchStats* stats) {
+std::optional<Embedding> find_subgraph_embedding(const Graph& pattern, const Graph& host,
+                                                 const EmbeddingSearchOptions& options,
+                                                 EmbeddingSearchStats* stats) {
   EmbeddingSearchStats local_stats;
   EmbeddingSearchStats& st = stats != nullptr ? *stats : local_stats;
   st = EmbeddingSearchStats{};
@@ -361,55 +131,6 @@ std::optional<Embedding> find_subgraph_embedding_reference(
                  order,   options,
                  st,      Embedding(pattern.num_nodes(), kInvalidNode),
                  std::vector<bool>(host.num_nodes(), false)};
-  if (state.search(0)) return state.phi;
-  return std::nullopt;
-}
-
-std::optional<Embedding> find_subgraph_embedding(const Graph& pattern, const Graph& host,
-                                                 const EmbeddingSearchOptions& options,
-                                                 EmbeddingSearchStats* stats) {
-  EmbeddingSearchStats local_stats;
-  EmbeddingSearchStats& st = stats != nullptr ? *stats : local_stats;
-  st = EmbeddingSearchStats{};
-  if (pattern.num_nodes() > host.num_nodes()) return std::nullopt;
-  if (pattern.num_nodes() == 0) return Embedding{};
-
-  const std::size_t np = pattern.num_nodes();
-  const std::size_t nh = host.num_nodes();
-  const auto pat_sig = compute_signatures(pattern);
-  const auto host_sig = compute_signatures(host);
-
-  std::vector<std::vector<bool>> candidate(np, std::vector<bool>(nh, false));
-  for (std::size_t p = 0; p < np; ++p) {
-    bool any = false;
-    for (std::size_t h = 0; h < nh; ++h) {
-      if (signature_dominates(pat_sig[p], host_sig[h])) {
-        candidate[p][h] = true;
-        any = true;
-      }
-    }
-    if (!any) return std::nullopt;  // some pattern node has no possible image
-  }
-  if (!refine_candidates(pattern, host, candidate)) return std::nullopt;
-
-  std::vector<std::vector<NodeId>> holders(nh);
-  std::vector<std::uint32_t> avail(np, 0);
-  for (std::size_t p = 0; p < np; ++p) {
-    for (std::size_t h = 0; h < nh; ++h) {
-      if (candidate[p][h]) {
-        holders[h].push_back(static_cast<NodeId>(p));
-        ++avail[p];
-      }
-    }
-  }
-
-  auto order = matching_order(pattern);
-  PrunedState state{pattern, host,
-                    order,   options,
-                    st,      candidate,
-                    holders, Embedding(np, kInvalidNode),
-                    std::vector<bool>(nh, false),
-                    std::move(avail)};
   if (state.search(0)) return state.phi;
   return std::nullopt;
 }

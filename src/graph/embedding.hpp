@@ -34,26 +34,15 @@ struct EmbeddingSearchStats {
 };
 
 /// Finds an embedding (subgraph monomorphism) of `pattern` into `host`, or
-/// nullopt if none exists / the step budget is exhausted. Deterministic:
-/// pattern nodes are matched in a connectivity-first order, host candidates in
-/// increasing label order.
-///
-/// The search prunes with statically precomputed candidate sets (degree,
-/// sorted neighbor-degree-sequence dominance, radius-2/3 ball sizes) plus a
-/// one-step lookahead over unmapped pattern neighbors. Every filter is a
-/// necessary condition for a monomorphism, and assignments are tried in the
-/// same order as the unpruned reference below, so whenever an embedding
-/// exists both searches return the identical one.
+/// nullopt if none exists / the step budget is exhausted. A VF2-style
+/// backtracking search: pattern nodes are matched in a connectivity-first
+/// order, host candidates in increasing label order (only host neighbors of
+/// an already-mapped pattern neighbor's image once one exists), each checked
+/// for degree and edge consistency. Deterministic: the same inputs always
+/// return the same embedding and the same `stats->steps`.
 std::optional<Embedding> find_subgraph_embedding(const Graph& pattern, const Graph& host,
                                                  const EmbeddingSearchOptions& options = {},
                                                  EmbeddingSearchStats* stats = nullptr);
-
-/// The original unpruned VF2-style search, retained as the correctness oracle
-/// for `find_subgraph_embedding`: on any input where it terminates within the
-/// step budget, the pruned search must return the same result.
-std::optional<Embedding> find_subgraph_embedding_reference(
-    const Graph& pattern, const Graph& host, const EmbeddingSearchOptions& options = {},
-    EmbeddingSearchStats* stats = nullptr);
 
 /// Composes two embeddings: (g ∘ f)(x) = g[f[x]]. Requires f's image to lie in
 /// g's domain.

@@ -1,240 +1,57 @@
 #include "serve/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <array>
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 namespace ftdb::serve {
 namespace {
 
-constexpr char kMagic[8] = {'F', 'T', 'D', 'B', 'J', 'R', 'N', '1'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 24;
-constexpr std::size_t kRecordBytes = 13;
+constexpr std::size_t kBodyBytes = 9;  // op + a + b
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
+constexpr FramedLog::Format kFormat{
+    "Journal", {'F', 'T', 'D', 'B', 'J', 'R', 'N', '1'}, 0,
+    [](const unsigned char*) { return kBodyBytes; }};
+
+std::array<unsigned char, kBodyBytes> encode(const JournalRecord& r) {
+  std::array<unsigned char, kBodyBytes> body{static_cast<unsigned char>(r.op)};
+  for (int i = 0; i < 4; ++i) {
+    body[1 + i] = static_cast<unsigned char>(r.a >> (8 * i));
+    body[5 + i] = static_cast<unsigned char>(r.b >> (8 * i));
   }
-  return table;
+  return body;
 }
 
-void put_u32(unsigned char* out, std::uint32_t v) {
-  out[0] = static_cast<unsigned char>(v);
-  out[1] = static_cast<unsigned char>(v >> 8);
-  out[2] = static_cast<unsigned char>(v >> 16);
-  out[3] = static_cast<unsigned char>(v >> 24);
-}
-
-std::uint32_t get_u32(const unsigned char* in) {
-  return static_cast<std::uint32_t>(in[0]) | (static_cast<std::uint32_t>(in[1]) << 8) |
-         (static_cast<std::uint32_t>(in[2]) << 16) | (static_cast<std::uint32_t>(in[3]) << 24);
-}
-
-void encode_header(unsigned char* out, std::uint64_t fingerprint) {
-  std::memcpy(out, kMagic, 8);
-  put_u32(out + 8, kVersion);
-  put_u32(out + 12, static_cast<std::uint32_t>(fingerprint));
-  put_u32(out + 16, static_cast<std::uint32_t>(fingerprint >> 32));
-  put_u32(out + 20, crc32(out, 20));
-}
-
-void encode_record(unsigned char* out, const JournalRecord& r) {
-  out[0] = static_cast<unsigned char>(r.op);
-  put_u32(out + 1, r.a);
-  put_u32(out + 5, r.b);
-  put_u32(out + 9, crc32(out, 9));
-}
-
-void write_all(int fd, const unsigned char* data, std::size_t len, const std::string& path) {
-  while (len > 0) {
-    const ssize_t w = ::write(fd, data, len);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("Journal: write failed for " + path + ": " +
-                               std::strerror(errno));
-    }
-    data += w;
-    len -= static_cast<std::size_t>(w);
+JournalRecord decode(std::span<const unsigned char> body) {
+  const std::uint8_t op = body[0];
+  if (op < static_cast<std::uint8_t>(JournalOp::kFaultNode) ||
+      op > static_cast<std::uint8_t>(JournalOp::kRepair)) {
+    throw std::runtime_error("unknown op " + std::to_string(op));
   }
-}
-
-std::vector<unsigned char> read_all(int fd, const std::string& path) {
-  std::vector<unsigned char> bytes;
-  unsigned char buf[4096];
-  for (;;) {
-    const ssize_t r = ::read(fd, buf, sizeof buf);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("Journal: read failed for " + path + ": " + std::strerror(errno));
-    }
-    if (r == 0) return bytes;
-    bytes.insert(bytes.end(), buf, buf + r);
+  JournalRecord r{static_cast<JournalOp>(op), 0, 0};
+  for (int i = 0; i < 4; ++i) {
+    r.a |= static_cast<std::uint32_t>(body[1 + i]) << (8 * i);
+    r.b |= static_cast<std::uint32_t>(body[5 + i]) << (8 * i);
   }
-}
-
-void fsync_or_throw(int fd, const std::string& path) {
-  if (::fsync(fd) != 0) {
-    throw std::runtime_error("Journal: fsync failed for " + path + ": " + std::strerror(errno));
-  }
-}
-
-// Best-effort durability for the rename itself.
-void fsync_parent_dir(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
+  return r;
 }
 
 }  // namespace
 
-std::uint32_t crc32(const void* data, std::size_t len) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
-
 Journal::Journal(std::string path, std::uint64_t fingerprint, bool fsync_writes)
-    : path_(std::move(path)), fingerprint_(fingerprint), fsync_(fsync_writes) {
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd_ < 0) {
-    throw std::runtime_error("Journal: cannot open " + path_ + ": " + std::strerror(errno));
-  }
-  const std::vector<unsigned char> bytes = read_all(fd_, path_);
+    : log_(kFormat, std::move(path), fingerprint, fsync_writes,
+           [this](std::span<const unsigned char> body) { recovered_.push_back(decode(body)); }) {}
 
-  if (bytes.empty()) {
-    unsigned char header[kHeaderBytes];
-    encode_header(header, fingerprint_);
-    write_all(fd_, header, sizeof header, path_);
-    if (fsync_) fsync_or_throw(fd_, path_);
-    return;
-  }
-
-  if (bytes.size() < kHeaderBytes || std::memcmp(bytes.data(), kMagic, 8) != 0 ||
-      get_u32(bytes.data() + 20) != crc32(bytes.data(), 20)) {
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("Journal: corrupt header in " + path_);
-  }
-  if (get_u32(bytes.data() + 8) != kVersion) {
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("Journal: unsupported version in " + path_);
-  }
-  const std::uint64_t file_fp = static_cast<std::uint64_t>(get_u32(bytes.data() + 12)) |
-                                (static_cast<std::uint64_t>(get_u32(bytes.data() + 16)) << 32);
-  if (file_fp != fingerprint_) {
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("Journal: config fingerprint mismatch in " + path_ +
-                             " (journal belongs to a different machine shape)");
-  }
-
-  // Replay complete, CRC-clean frames; anything after the first bad one is a
-  // torn tail from an interrupted append.
-  std::size_t off = kHeaderBytes;
-  while (bytes.size() - off >= kRecordBytes) {
-    const unsigned char* f = bytes.data() + off;
-    if (get_u32(f + 9) != crc32(f, 9)) break;
-    const std::uint8_t op = f[0];
-    if (op < static_cast<std::uint8_t>(JournalOp::kFaultNode) ||
-        op > static_cast<std::uint8_t>(JournalOp::kRepair)) {
-      break;
-    }
-    recovered_.push_back(
-        {static_cast<JournalOp>(op), get_u32(f + 1), get_u32(f + 5)});
-    off += kRecordBytes;
-  }
-  truncated_ = bytes.size() - off;
-  num_records_ = recovered_.size();
-  if (truncated_ > 0 && ::ftruncate(fd_, static_cast<off_t>(off)) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("Journal: cannot truncate torn tail of " + path_);
-  }
-  if (::lseek(fd_, 0, SEEK_END) < 0) {
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("Journal: seek failed for " + path_);
-  }
-}
-
-Journal::~Journal() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void Journal::append(const JournalRecord& record) {
-  if (fd_ < 0) {
-    throw std::runtime_error("Journal: " + path_ +
-                             " is poisoned by an earlier failed append; restart and recover");
-  }
-  unsigned char frame[kRecordBytes];
-  encode_record(frame, record);
-  // The file length always equals size_bytes() here: construction truncates
-  // any torn tail, and a failed append rolls back (or poisons fd_).
-  const off_t before = static_cast<off_t>(size_bytes());
-  try {
-    write_all(fd_, frame, sizeof frame, path_);
-    if (fsync_) fsync_or_throw(fd_, path_);
-  } catch (...) {
-    // Bytes may have reached the file before the failure; the caller observes
-    // a failed mutation, so a post-crash replay must not see this record.
-    // Roll the file back to its pre-append length. If the rollback itself
-    // fails, poison the journal — every later append throws, forcing a
-    // restart-and-recover instead of silently diverging from the log.
-    if (::ftruncate(fd_, before) != 0 || ::lseek(fd_, before, SEEK_SET) < 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    throw;
-  }
-  ++num_records_;
-}
+void Journal::append(const JournalRecord& record) { log_.append(encode(record)); }
 
 void Journal::rewrite(const std::vector<JournalRecord>& records) {
-  const std::string tmp = path_ + ".tmp";
-  const int tmp_fd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (tmp_fd < 0) {
-    throw std::runtime_error("Journal: cannot open " + tmp + ": " + std::strerror(errno));
+  std::vector<std::vector<unsigned char>> bodies;
+  bodies.reserve(records.size());
+  for (const JournalRecord& r : records) {
+    const auto body = encode(r);
+    bodies.emplace_back(body.begin(), body.end());
   }
-  try {
-    std::vector<unsigned char> body(kHeaderBytes + records.size() * kRecordBytes);
-    encode_header(body.data(), fingerprint_);
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      encode_record(body.data() + kHeaderBytes + i * kRecordBytes, records[i]);
-    }
-    write_all(tmp_fd, body.data(), body.size(), tmp);
-    fsync_or_throw(tmp_fd, tmp);
-    if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-      throw std::runtime_error("Journal: rename " + tmp + " -> " + path_ + " failed: " +
-                               std::strerror(errno));
-    }
-  } catch (...) {
-    ::close(tmp_fd);
-    throw;
-  }
-  fsync_parent_dir(path_);
-  // After the rename, tmp_fd refers to the inode now linked at path_.
-  ::close(fd_);
-  fd_ = tmp_fd;
-  num_records_ = records.size();
-}
-
-std::size_t Journal::size_bytes() const {
-  return kHeaderBytes + num_records_ * kRecordBytes;
+  log_.rewrite(bodies);
 }
 
 }  // namespace ftdb::serve

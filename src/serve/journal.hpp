@@ -6,17 +6,10 @@
 // reconfiguration pipeline reconstructs the exact pre-crash machine state —
 // embedding, retired set, and incrementally-patched router alike.
 //
-// On-disk format (all integers little-endian):
+// On-disk format: a serve/framed_log.hpp log (all integers little-endian)
+// with magic "FTDBJRN1", the ServeConfig fingerprint in the header, and
+// fixed 13-byte frames:
 //
-//   header (24 bytes):
-//     magic     8 bytes  "FTDBJRN1"
-//     version   u32      1
-//     config    u64      fingerprint of the ServeConfig that owns this log —
-//                        a journal replayed against a different machine shape
-//                        would silently diverge, so mismatches are refused
-//     crc       u32      CRC-32 of the preceding 20 bytes
-//
-//   record (13 bytes each):
 //     op        u8       JournalOp
 //     a         u32      primary node (fault victim / bus driver / repair)
 //     b         u32      secondary node (link's second endpoint; else 0)
@@ -24,8 +17,10 @@
 //
 // A crash can only tear the final record (appends are sequential); open()
 // truncates any tail whose frame is short or whose CRC fails and reports the
-// dropped byte count. Each append is optionally fsync'd, which bounds loss to
-// events the caller was never told were durable.
+// dropped byte count. A CRC-clean frame with an unknown op is corruption:
+// open() throws serve::CorruptLogError and leaves the file untouched. Each
+// append is optionally fsync'd, which bounds loss to events the caller was
+// never told were durable.
 //
 // `rewrite()` implements checkpoint compaction: the full log is replaced by
 // an equivalent minimal one (temp file + fsync + atomic rename), so the log's
@@ -37,10 +32,9 @@
 #include <string>
 #include <vector>
 
-namespace ftdb::serve {
+#include "serve/framed_log.hpp"
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `len` bytes.
-std::uint32_t crc32(const void* data, std::size_t len);
+namespace ftdb::serve {
 
 enum class JournalOp : std::uint8_t {
   kFaultNode = 1,
@@ -60,20 +54,17 @@ struct JournalRecord {
 class Journal {
  public:
   /// Opens (creating if absent) the journal at `path`. An existing file must
-  /// carry a valid header with this `fingerprint`; records after a torn or
-  /// corrupt frame are truncated away. Throws std::runtime_error on I/O
-  /// failure, header corruption, or fingerprint mismatch.
+  /// carry a valid header with this `fingerprint`; a torn tail is truncated
+  /// away. Throws std::runtime_error on I/O failure or fingerprint mismatch,
+  /// and CorruptLogError (a std::runtime_error) on a corrupt header or a
+  /// CRC-clean record it cannot decode.
   Journal(std::string path, std::uint64_t fingerprint, bool fsync_writes);
-  ~Journal();
-
-  Journal(const Journal&) = delete;
-  Journal& operator=(const Journal&) = delete;
 
   /// Records recovered from the existing file at open time.
   const std::vector<JournalRecord>& recovered() const { return recovered_; }
 
   /// Bytes dropped from a torn tail at open time (0 for a clean log).
-  std::size_t truncated_bytes() const { return truncated_; }
+  std::size_t truncated_bytes() const { return log_.truncated_bytes(); }
 
   /// Appends one record (and fsyncs, when enabled). The record is durable
   /// when this returns.
@@ -85,21 +76,16 @@ class Journal {
   void rewrite(const std::vector<JournalRecord>& records);
 
   /// Records currently in the file (recovered + appended - compacted away).
-  std::size_t num_records() const { return num_records_; }
+  std::size_t num_records() const { return log_.num_frames(); }
 
   /// Current file size in bytes.
-  std::size_t size_bytes() const;
+  std::size_t size_bytes() const { return log_.size_bytes(); }
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
  private:
-  std::string path_;
-  std::uint64_t fingerprint_ = 0;
-  bool fsync_ = true;
-  int fd_ = -1;
-  std::vector<JournalRecord> recovered_;
-  std::size_t truncated_ = 0;
-  std::size_t num_records_ = 0;
+  std::vector<JournalRecord> recovered_;  // filled while log_ opens
+  FramedLog log_;
 };
 
 }  // namespace ftdb::serve

@@ -120,6 +120,26 @@ bool subgraph_of_shape(const Graph& g, NeighborsOf&& neighbors_of) {
   return true;
 }
 
+/// Auto-sized (build_threads == 0) destination-sharded builds claim a thread
+/// only per this many destinations: below it, thread spawn + join overhead
+/// makes the "parallel" build *lose* to serial (as
+/// perf_routing/build_compressed_b2_h10_threads0 once showed).
+constexpr std::size_t kMinDestsPerBuildThread = 256;
+
+/// Thread count for a destination-sharded build over n destinations:
+/// `requested` (0 = hardware concurrency), floored by the min-work rule when
+/// auto-sized, and never more than n. Both sharded builders (TableRouter,
+/// CompressedRouter) route through this so the policy stays in one place;
+/// the result is bit-identical for any value.
+unsigned sharded_build_threads(unsigned requested, std::size_t n) {
+  std::size_t threads =
+      requested == 0 ? std::max(1u, std::thread::hardware_concurrency()) : requested;
+  if (requested == 0) {
+    threads = std::min(threads, std::max<std::size_t>(n / kMinDestsPerBuildThread, 1));
+  }
+  return static_cast<unsigned>(std::min(threads, std::max<std::size_t>(n, 1)));
+}
+
 /// Runs fn(chunk_index, dest_lo, dest_hi) over `chunks` contiguous
 /// destination ranges, on `chunks` threads when more than one. Exceptions
 /// propagate (first one wins).
@@ -149,6 +169,47 @@ void for_each_dest_chunk(std::size_t n, unsigned chunks, Fn&& fn) {
 }
 
 }  // namespace
+
+TableRouter::TableRouter(const Graph& g, unsigned build_threads)
+    : n_(g.num_nodes()), table_(n_ * n_, kInvalidNode), dist_(n_ * n_, kNoPath) {
+  // BFS from each destination, writing straight into this destination's slab
+  // row, then one canonical-descent pass assigning every node its lowest-id
+  // closer neighbor. Each destination touches only its own slab row, so the
+  // build shards over contiguous destination ranges with per-thread frontier
+  // scratch and stays bit-identical for any thread count.
+  for_each_dest_chunk(n_, sharded_build_threads(build_threads, n_),
+                      [&](unsigned, std::size_t dest_lo, std::size_t dest_hi) {
+    std::vector<NodeId> cur, next;
+    for (std::size_t dest = dest_lo; dest < dest_hi; ++dest) {
+      const std::size_t base = dest * n_;
+      dist_[base + dest] = 0;
+      table_[base + dest] = static_cast<NodeId>(dest);
+      cur.assign(1, static_cast<NodeId>(dest));
+      std::uint16_t level = 0;
+      while (!cur.empty()) {
+        if (level == kNoPath - 1) {
+          throw std::length_error("TableRouter: distance exceeds the uint16 slab");
+        }
+        ++level;
+        next.clear();
+        for (const NodeId u : cur) {
+          for (const NodeId v : g.neighbors(u)) {
+            if (dist_[base + v] == kNoPath) {
+              dist_[base + v] = level;
+              next.push_back(v);
+            }
+          }
+        }
+        cur.swap(next);
+      }
+      const auto dist_of = [&](NodeId w) { return static_cast<std::uint32_t>(dist_[base + w]); };
+      for (std::size_t v = 0; v < n_; ++v) {
+        if (v == dest || dist_[base + v] == kNoPath) continue;
+        table_[base + v] = canonical_descent_step(g, static_cast<NodeId>(v), dist_of);
+      }
+    }
+  });
+}
 
 CompressedRouter::CompressedRouter(const Graph& g, unsigned build_threads) : n_(g.num_nodes()) {
   // Reference-shape search: any (m, h >= 2) factorization of N whose B_{m,h}

@@ -31,10 +31,10 @@
 //                       With no reference shape the full canonical next-hop
 //                       matrix is kept, run-length encoded per node over
 //                       destination id. Exact on any graph either way.
-//  * TableRouter      — O(N^2) memory, O(1) next-hop. The uint16-slab BFS
-//                       table of sim/routing.hpp, kept as the general
-//                       fallback and the oracle the others are tested
-//                       against.
+//  * TableRouter      — O(N^2) memory, O(1) next-hop. A per-destination BFS
+//                       next-hop slab with uint16 distances, kept as the
+//                       general fallback and the oracle the others are
+//                       tested against.
 //
 // make_router() picks automatically: implicit when the graph *is* a de
 // Bruijn / shuffle-exchange shape (shape detection is O(N * m)), compressed
@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "sim/routing.hpp"
 #include "topology/debruijn.hpp"
 
 namespace ftdb::sim {
@@ -127,29 +126,47 @@ class Router {
   virtual std::vector<NodeId> path(NodeId from, NodeId dest) const;
 };
 
-/// The uint16-slab BFS table (general fallback and test oracle).
+/// Dense next-hop tables (general fallback and test oracle): next_hop(dest,
+/// node) is read straight out of an N^2 slab, filled by one BFS per
+/// destination plus a canonical-descent pass. Memory is N^2; intended for the
+/// simulator's N <= a few thousand. Distances live in a uint16 slab (half the
+/// N^2 footprint of the next-hop slab): hop counts on these machines are
+/// tiny, and the constructor throws std::length_error if a graph ever
+/// exceeds 65534 hops rather than wrapping.
 class TableRouter final : public Router {
  public:
-  /// `build_threads` shards the per-destination BFS table build (see
-  /// RoutingTable); the resulting table is bit-identical to a serial build.
-  explicit TableRouter(const Graph& g, unsigned build_threads = 1)
-      : table_(g, build_threads) {}
+  /// `build_threads` shards the per-destination BFS across that many threads
+  /// (0 = hardware concurrency): destinations write into disjoint slab rows,
+  /// so the table is bit-identical to a serial build. 1 (the default) builds
+  /// inline with no thread spawn.
+  explicit TableRouter(const Graph& g, unsigned build_threads = 1);
 
   RouterBackend backend() const override { return RouterBackend::Table; }
-  std::size_t num_nodes() const override { return table_.num_nodes(); }
-  NodeId next_hop(NodeId dest, NodeId node) const override { return table_.next_hop(dest, node); }
+  std::size_t num_nodes() const override { return n_; }
+  NodeId next_hop(NodeId dest, NodeId node) const override { return table_[index(dest, node)]; }
+  /// Hop count, or uint32(-1) when unreachable (the sentinel is widened from
+  /// the internal uint16).
   std::uint32_t distance(NodeId dest, NodeId node) const override {
-    return table_.distance(dest, node);
+    const std::uint16_t d = dist_[index(dest, node)];
+    return d == kNoPath ? static_cast<std::uint32_t>(-1) : d;
   }
-  bool reachable(NodeId dest, NodeId node) const override { return table_.reachable(dest, node); }
+  bool reachable(NodeId dest, NodeId node) const override {
+    return dist_[index(dest, node)] != kNoPath;
+  }
   std::size_t memory_bytes() const override {
-    return table_.num_nodes() * table_.num_nodes() * (sizeof(NodeId) + sizeof(std::uint16_t));
+    return n_ * n_ * (sizeof(NodeId) + sizeof(std::uint16_t));
   }
-
-  const RoutingTable& table() const { return table_; }
 
  private:
-  RoutingTable table_;
+  static constexpr std::uint16_t kNoPath = 0xffff;
+
+  std::size_t index(NodeId dest, NodeId node) const {
+    return static_cast<std::size_t>(dest) * n_ + node;
+  }
+
+  std::size_t n_;
+  std::vector<NodeId> table_;
+  std::vector<std::uint16_t> dist_;
 };
 
 /// Exact canonical routing with destination-class sharing. Two internal

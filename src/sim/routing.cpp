@@ -1,88 +1,10 @@
 #include "sim/routing.hpp"
 
-#include <algorithm>
-#include <exception>
 #include <stdexcept>
-#include <thread>
 
-#include "graph/algorithms.hpp"
 #include "topology/labels.hpp"
 
 namespace ftdb::sim {
-
-RoutingTable::RoutingTable(const Graph& g, unsigned build_threads)
-    : n_(g.num_nodes()), table_(n_ * n_, kInvalidNode), dist_(n_ * n_, kNoPath) {
-  // BFS from each destination, writing straight into this destination's slab
-  // row, then one canonical-descent pass assigning every node its lowest-id
-  // closer neighbor. Each destination touches only its own slab row, so the
-  // build shards over contiguous destination ranges with per-thread frontier
-  // scratch and stays bit-identical for any thread count.
-  auto build_range = [&](std::size_t dest_lo, std::size_t dest_hi) {
-    std::vector<NodeId> cur, next;
-    for (std::size_t dest = dest_lo; dest < dest_hi; ++dest) {
-      const std::size_t base = dest * n_;
-      dist_[base + dest] = 0;
-      table_[base + dest] = static_cast<NodeId>(dest);
-      cur.assign(1, static_cast<NodeId>(dest));
-      std::uint16_t level = 0;
-      while (!cur.empty()) {
-        if (level == kNoPath - 1) {
-          throw std::length_error("RoutingTable: distance exceeds the uint16 slab");
-        }
-        ++level;
-        next.clear();
-        for (const NodeId u : cur) {
-          for (const NodeId v : g.neighbors(u)) {
-            if (dist_[base + v] == kNoPath) {
-              dist_[base + v] = level;
-              next.push_back(v);
-            }
-          }
-        }
-        cur.swap(next);
-      }
-      const auto dist_of = [&](NodeId w) { return static_cast<std::uint32_t>(dist_[base + w]); };
-      for (std::size_t v = 0; v < n_; ++v) {
-        if (v == dest || dist_[base + v] == kNoPath) continue;
-        table_[base + v] = canonical_descent_step(g, static_cast<NodeId>(v), dist_of);
-      }
-    }
-  };
-
-  const unsigned threads = sharded_build_threads(build_threads, n_);
-  if (threads <= 1) {
-    build_range(0, n_);
-    return;
-  }
-  const std::size_t per = (n_ + threads - 1) / threads;
-  std::vector<std::exception_ptr> errors(threads);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      try {
-        build_range(std::min(n_, t * per), std::min(n_, (t + 1) * per));
-      } catch (...) {
-        errors[t] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-}
-
-std::vector<NodeId> RoutingTable::path(NodeId from, NodeId dest) const {
-  if (!reachable(dest, from)) return {};
-  std::vector<NodeId> route{from};
-  NodeId cur = from;
-  while (cur != dest) {
-    cur = next_hop(dest, cur);
-    route.push_back(cur);
-  }
-  return route;
-}
 
 std::vector<NodeId> debruijn_shift_route(std::uint64_t m, unsigned h, NodeId src, NodeId dst) {
   const std::uint64_t n = labels::ipow_checked(m, h);

@@ -1,7 +1,6 @@
-// Routing on the simulated machine.
+// Label-algebra routes on the simulated machine. (Next-hop routing over an
+// arbitrary graph lives behind sim::Router in sim/router.hpp.)
 //
-//  * Table routing: per-destination BFS next-hop tables over any graph — the
-//    general mechanism, used on degraded (faulty, non-reconfigured) machines.
 //  * de Bruijn shift routing: the classic shift-register route that appends
 //    the destination's digits; shortened by the longest overlap between the
 //    source's suffix and the destination's prefix. Works on B_{m,h} without
@@ -10,79 +9,12 @@
 //    (rotate) steps, at most 2h hops.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace ftdb::sim {
-
-/// Auto-sized (build_threads == 0) destination-sharded builds claim a thread
-/// only per this many destinations: below it, thread spawn + join overhead
-/// makes the "parallel" build *lose* to serial (BENCH_pr8's
-/// build_compressed_b2_h10_threads0 regression).
-inline constexpr std::size_t kMinDestsPerBuildThread = 256;
-
-/// Thread count for a destination-sharded build over n destinations:
-/// `requested` (0 = hardware concurrency), floored by the min-work rule when
-/// auto-sized, and never more than n. Both sharded builders (RoutingTable,
-/// CompressedRouter) route through this so the policy stays in one place;
-/// the result is bit-identical for any value.
-inline unsigned sharded_build_threads(unsigned requested, std::size_t n) {
-  std::size_t threads =
-      requested == 0 ? std::max(1u, std::thread::hardware_concurrency()) : requested;
-  if (requested == 0) {
-    threads = std::min(threads, std::max<std::size_t>(n / kMinDestsPerBuildThread, 1));
-  }
-  return static_cast<unsigned>(std::min(threads, std::max<std::size_t>(n, 1)));
-}
-
-/// Dense next-hop tables: next_hop(dest, node) = the *lowest-id* neighbor of
-/// `node` one step closer to `dest` (the library's canonical shortest-path
-/// policy — see graph/algorithms.hpp:canonical_descent_step), or kInvalidNode
-/// when unreachable. The canonical tie-break is what makes these tables
-/// hop-for-hop interchangeable with the other sim::Router backends. Memory is
-/// N^2; intended for the simulator's N <= a few thousand. Distances live in a
-/// uint16 slab (half the N^2 footprint of the next-hop table): hop counts on
-/// these machines are tiny, and the constructor throws if a graph ever
-/// exceeds 65534 hops rather than wrapping.
-class RoutingTable {
- public:
-  /// `build_threads` shards the per-destination BFS across that many threads
-  /// (0 = hardware concurrency): destinations write into disjoint slab rows,
-  /// so the table is bit-identical to a serial build. 1 (the default) builds
-  /// inline with no thread spawn.
-  explicit RoutingTable(const Graph& g, unsigned build_threads = 1);
-
-  NodeId next_hop(NodeId dest, NodeId node) const { return table_[index(dest, node)]; }
-
-  /// Hop count, or uint32(-1) when unreachable (the BFS convention callers
-  /// compare against; the sentinel is widened from the internal uint16).
-  std::uint32_t distance(NodeId dest, NodeId node) const {
-    const std::uint16_t d = dist_[index(dest, node)];
-    return d == kNoPath ? static_cast<std::uint32_t>(-1) : d;
-  }
-
-  bool reachable(NodeId dest, NodeId node) const { return dist_[index(dest, node)] != kNoPath; }
-
-  std::size_t num_nodes() const { return n_; }
-
-  /// Full path node -> dest (inclusive); empty when unreachable.
-  std::vector<NodeId> path(NodeId from, NodeId dest) const;
-
- private:
-  static constexpr std::uint16_t kNoPath = 0xffff;
-
-  std::size_t index(NodeId dest, NodeId node) const {
-    return static_cast<std::size_t>(dest) * n_ + node;
-  }
-  std::size_t n_;
-  std::vector<NodeId> table_;
-  std::vector<std::uint16_t> dist_;
-};
 
 /// Shift-register route in B_{m,h} from src to dst, as a node sequence
 /// (src ... dst). Uses the longest-overlap shortening, so its length is

@@ -141,53 +141,12 @@ TEST_P(SeInDeBruijnTest, ShuffleExchangeEmbedsInDeBruijn) {
 
 INSTANTIATE_TEST_SUITE_P(SmallH, SeInDeBruijnTest, ::testing::Values(3, 4, 5));
 
-// --- pruned search vs the unpruned reference oracle --------------------------
-
-TEST(PrunedEmbedding, MatchesTheReferenceOnMixedSmallInstances) {
-  // The pruned search tries assignments in the same order as the reference,
-  // and every filter is a necessary condition — so both must return the
-  // *identical* embedding (or both nullopt), not merely equivalent ones.
-  const Graph triangle = make_graph(3, {{0, 1}, {1, 2}, {0, 2}});
-  const Graph k4 = make_graph(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}});
-  const std::vector<std::pair<Graph, Graph>> cases = {
-      {triangle, k4},
-      {triangle, cycle_graph(4)},             // infeasible: bipartite host
-      {cycle_graph(8), hypercube_graph(3)},   // Hamiltonian cycle
-      {cycle_graph(7), hypercube_graph(4)},   // infeasible: odd cycle
-      {make_graph(4, {{0, 1}, {2, 3}}), cycle_graph(6)},  // disconnected pattern
-  };
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const auto& [pattern, host] = cases[i];
-    const auto pruned = find_subgraph_embedding(pattern, host);
-    const auto reference = find_subgraph_embedding_reference(pattern, host);
-    ASSERT_EQ(pruned.has_value(), reference.has_value()) << "case " << i;
-    if (pruned.has_value()) EXPECT_EQ(*pruned, *reference) << "case " << i;
-  }
-}
-
-TEST(PrunedEmbedding, MatchesTheReferenceOnTheShuffleExchangeGrid) {
-  for (unsigned h : {3u, 4u, 5u}) {
-    const Graph se = shuffle_exchange_graph(h);
-    const Graph db = debruijn_base2(h);
-    EmbeddingSearchStats pruned_stats, ref_stats;
-    const auto pruned = find_subgraph_embedding(se, db, {}, &pruned_stats);
-    const auto reference = find_subgraph_embedding_reference(se, db, {}, &ref_stats);
-    ASSERT_TRUE(pruned.has_value()) << "h=" << h;
-    ASSERT_TRUE(reference.has_value()) << "h=" << h;
-    EXPECT_EQ(*pruned, *reference) << "h=" << h;
-    EXPECT_FALSE(pruned_stats.aborted);
-    // The filters only ever discard work: the pruned search must not take
-    // more candidate-pair steps than the oracle it replaces.
-    EXPECT_LE(pruned_stats.steps, ref_stats.steps) << "h=" << h;
-  }
-}
-
-TEST(PrunedEmbedding, SolvesSeSixWithinTheStepBudget) {
-  // SE_6 into B_{2,6} (64 nodes) is what the pruning buys: the candidate
-  // filters keep the search well under a ceiling an order of magnitude below
-  // the default 50M budget. (Measured ~585k steps; the margin guards against
-  // regressing the filters, not against host-machine noise — step counts are
-  // deterministic.)
+TEST(FindSubgraphEmbedding, SolvesSeSixWithinTheStepBudget) {
+  // SE_6 into B_{2,6} (64 nodes), the largest containment the FT
+  // shuffle-exchange construction asks for, stays well under a ceiling an
+  // order of magnitude below the default 50M budget. (Measured 654,086
+  // steps; step counts are deterministic, so the margin guards against
+  // regressing the search order, not against host-machine noise.)
   const Graph se = shuffle_exchange_graph(6);
   const Graph db = debruijn_base2(6);
   EmbeddingSearchOptions options;
@@ -200,16 +159,18 @@ TEST(PrunedEmbedding, SolvesSeSixWithinTheStepBudget) {
   EXPECT_LE(stats.steps, options.max_steps);
 }
 
-TEST(PrunedEmbedding, ReferenceHonorsItsStepBudget) {
-  // The retained oracle keeps the same abort contract as the pruned search.
+TEST(FindSubgraphEmbedding, HonorsItsStepBudget) {
+  // A feasible search cut off by its budget reports the abort and returns
+  // nothing rather than a partial map.
   const Graph se = shuffle_exchange_graph(5);
   const Graph db = debruijn_base2(5);
   EmbeddingSearchOptions options;
   options.max_steps = 50;
   EmbeddingSearchStats stats;
-  const auto phi = find_subgraph_embedding_reference(se, db, options, &stats);
+  const auto phi = find_subgraph_embedding(se, db, options, &stats);
   EXPECT_FALSE(phi.has_value());
   EXPECT_TRUE(stats.aborted);
+  EXPECT_GT(stats.steps, options.max_steps);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 #include "graph/embedding.hpp"
 #include "graph/graph.hpp"
 #include "sim/network.hpp"
-#include "sim/routing.hpp"
+#include "sim/router.hpp"
 #include "topology/debruijn.hpp"
 
 namespace ftdb {
@@ -95,7 +95,7 @@ TEST(RandomizedOracle, RoutingTableMatchesFloydWarshall) {
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t n = 4 + rng() % 16;
     const Graph g = random_graph(n, 0.35, rng);
-    const sim::RoutingTable table(g);
+    const sim::TableRouter table(g);
     for (std::size_t s = 0; s < n; ++s) {
       const auto bfs = bfs_distances(g, static_cast<NodeId>(s));
       for (std::size_t t = 0; t < n; ++t) {

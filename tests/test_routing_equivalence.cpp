@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/router.hpp"
 #include "sim/routing.hpp"
 #include "topology/debruijn.hpp"
 
@@ -34,7 +35,7 @@ TEST_P(RoutingEquivalence, ShiftAndTableRoutesAgreeOnValidity) {
   const std::size_t n = g.num_nodes();
   ASSERT_EQ(n, debruijn_num_nodes({.base = m, .digits = h}));
 
-  const sim::RoutingTable table(g);
+  const sim::TableRouter table(g);
 
   for (NodeId src = 0; src < n; ++src) {
     for (NodeId dst = 0; dst < n; ++dst) {

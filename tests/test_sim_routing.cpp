@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
+#include "sim/router.hpp"
 #include "sim/routing.hpp"
 #include "topology/debruijn.hpp"
 #include "topology/shuffle_exchange.hpp"
@@ -12,7 +13,7 @@ namespace {
 
 TEST(RoutingTable, PathsAreShortest) {
   const Graph g = debruijn_base2(4);
-  const RoutingTable table(g);
+  const TableRouter table(g);
   for (NodeId s = 0; s < 16; ++s) {
     const auto dist = bfs_distances(g, s);
     for (NodeId d = 0; d < 16; ++d) {
@@ -27,7 +28,7 @@ TEST(RoutingTable, PathsAreShortest) {
 
 TEST(RoutingTable, UnreachableReported) {
   const Graph g = make_graph(4, {{0, 1}, {2, 3}});
-  const RoutingTable table(g);
+  const TableRouter table(g);
   EXPECT_FALSE(table.reachable(2, 0));
   EXPECT_TRUE(table.path(0, 2).empty());
   EXPECT_TRUE(table.reachable(1, 0));
@@ -35,7 +36,7 @@ TEST(RoutingTable, UnreachableReported) {
 
 TEST(RoutingTable, SelfPath) {
   const Graph g = debruijn_base2(3);
-  const RoutingTable table(g);
+  const TableRouter table(g);
   const auto path = table.path(5, 5);
   ASSERT_EQ(path.size(), 1u);
   EXPECT_EQ(path[0], 5u);

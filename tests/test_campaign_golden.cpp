@@ -1,0 +1,143 @@
+// Golden campaign artifacts: the JSON, CSV and markdown reports and the final
+// checkpoint of one small all-metric campaign, compared against committed
+// bytes in tests/golden/. The thread-count, resume and shard tests only
+// compare the code with itself; these fixtures pin the bytes themselves, so
+// a refactor of the serializers cannot drift the on-disk formats unnoticed.
+//
+// The grid avoids the `uniform` and `hotspot_burst` traffic patterns: they
+// draw through std:: distributions whose algorithms differ between standard
+// libraries. Every draw here comes from the counter-based splitmix64 streams.
+//
+// To regenerate after a deliberate format change:
+//   FTDB_UPDATE_GOLDEN=1 ./build/tests/test_campaign_golden
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <string>
+
+#include "analysis/bench_json.hpp"
+#include "campaign/report.hpp"
+#include "campaign/runner.hpp"
+#include "campaign/scenario.hpp"
+
+#ifndef FTDB_GOLDEN_DIR
+#error "FTDB_GOLDEN_DIR must point at tests/golden"
+#endif
+
+namespace ftdb::campaign {
+namespace {
+
+/// B_{2,3}, SE_3 and the h=3 bus machine; k=1; iid, weibull and bus_iid;
+/// 300 trials (a full block and a short one); all five metrics.
+ScenarioSpec golden_spec() {
+  return parse_scenario_spec(R"({
+    "name": "golden",
+    "seed": 4242,
+    "trials": 300,
+    "topologies": [
+      {"family": "debruijn", "base": 2, "digits": 3},
+      {"family": "shuffle_exchange", "digits": 3},
+      {"family": "bus", "digits": 3}
+    ],
+    "spares": [1],
+    "fault_models": [
+      {"kind": "iid", "p": 0.08},
+      {"kind": "weibull", "shape": 1.5, "scale": 40.0, "horizon": 12.0},
+      {"kind": "bus_iid", "p": 0.06}
+    ],
+    "metrics": ["diameter", "stretch", "mttf", "collective", "traffic"],
+    "stretch_sample_pairs": 6,
+    "collective_schedule": "all_to_all_bruck",
+    "traffic": {"pattern": "zipf", "theta": 0.9, "packets_per_node": 2}
+  })");
+}
+
+std::string golden_path(const std::string& leaf) {
+  return std::string(FTDB_GOLDEN_DIR) + "/" + leaf;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Compares `actual` with the committed fixture, or rewrites the fixture
+/// when FTDB_UPDATE_GOLDEN is set.
+void expect_golden(const std::string& leaf, const std::string& actual) {
+  const std::string path = golden_path(leaf);
+  if (std::getenv("FTDB_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << actual;
+    return;
+  }
+  std::ifstream probe(path, std::ios::binary);
+  ASSERT_TRUE(probe.good()) << "missing fixture " << path;
+  EXPECT_EQ(actual, slurp(path)) << "bytes differ from " << path;
+}
+
+struct GoldenRun {
+  CampaignResult result;
+  std::string checkpoint;
+};
+
+const GoldenRun& golden_run() {
+  static const GoldenRun run = [] {
+    // Per-process path: ctest runs each test of this binary as its own process.
+    const std::string ckpt_path =
+        ::testing::TempDir() + "/ftdb_golden_" + std::to_string(::getpid()) + ".ckpt";
+    std::remove(ckpt_path.c_str());
+    CampaignOptions options;
+    options.threads = 2;
+    options.checkpoint_path = ckpt_path;
+    GoldenRun r{run_campaign(golden_spec(), options), ""};
+    r.checkpoint = slurp(ckpt_path);
+    std::remove(ckpt_path.c_str());
+    return r;
+  }();
+  return run;
+}
+
+TEST(CampaignGolden, ReportJsonMatchesFixture) {
+  expect_golden("report.json", campaign_report_json(golden_run().result));
+}
+
+TEST(CampaignGolden, ReportCsvMatchesFixture) {
+  expect_golden("report.csv", campaign_report_csv(golden_run().result));
+}
+
+TEST(CampaignGolden, ReportMarkdownMatchesFixture) {
+  expect_golden("report.md", campaign_report_markdown(golden_run().result));
+}
+
+TEST(CampaignGolden, FinalCheckpointMatchesFixture) {
+  ASSERT_FALSE(golden_run().checkpoint.empty());
+  expect_golden("checkpoint.json", golden_run().checkpoint);
+}
+
+TEST(CampaignGolden, ReportRoundTripsThroughParseAndWrite) {
+  const std::string text = slurp(golden_path("report.json"));
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(validate_campaign_report(text), 9u);
+  const analysis::JsonValue doc = analysis::json_parse(text);
+  CampaignResult reparsed;
+  reparsed.spec = golden_spec();
+  for (const analysis::JsonValue& s : doc.at("scenarios").array) {
+    reparsed.scenarios.push_back(parse_scenario_result(s));
+  }
+  EXPECT_EQ(campaign_report_json(reparsed), text);
+  EXPECT_EQ(campaign_report_csv(reparsed), slurp(golden_path("report.csv")));
+  EXPECT_EQ(campaign_report_markdown(reparsed), slurp(golden_path("report.md")));
+}
+
+TEST(CampaignGolden, CheckpointRoundTripsThroughParseAndWrite) {
+  const std::string text = slurp(golden_path("checkpoint.json"));
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(checkpoint_to_json(golden_spec(), parse_checkpoint(text)), text);
+}
+
+}  // namespace
+}  // namespace ftdb::campaign

@@ -77,7 +77,7 @@ void JsonWriter::end_array() {
   out_ += ']';
 }
 
-void JsonWriter::key(const std::string& k) {
+JsonWriter& JsonWriter::key(const std::string& k) {
   if (stack_.empty() || stack_.back().kind != 'o' || stack_.back().key_pending) {
     throw std::logic_error("JsonWriter: key outside object");
   }
@@ -86,6 +86,7 @@ void JsonWriter::key(const std::string& k) {
   top.has_entries = true;
   top.key_pending = true;
   raw('"' + json_escape(k) + "\":");
+  return *this;
 }
 
 void JsonWriter::value(const std::string& v) {
@@ -325,5 +326,23 @@ class JsonParser {
 }  // namespace
 
 JsonValue json_parse(const std::string& text) { return JsonParser(text).parse_document(); }
+
+double json_number(const JsonValue& v, const std::string& what) {
+  if (v.kind != JsonValue::Kind::Number) throw std::runtime_error(what + " must be a number");
+  return v.number;
+}
+
+std::uint64_t json_uint(const JsonValue& v, const std::string& what) {
+  const double d = json_number(v, what);
+  // 2^64 is exactly representable; every double below it casts exactly.
+  if (!(d >= 0.0) || d != std::floor(d) || d >= 18446744073709551616.0) {
+    throw std::runtime_error(what + " must be a non-negative integer below 2^64");
+  }
+  return static_cast<std::uint64_t>(d);
+}
+
+std::uint64_t json_uint_at(const JsonValue& obj, const std::string& key) {
+  return json_uint(obj.at(key), "\"" + key + "\"");
+}
 
 }  // namespace ftdb::analysis

@@ -20,7 +20,8 @@ class JsonWriter {
   void end_object();
   void begin_array();
   void end_array();
-  void key(const std::string& k);
+  /// Returns *this, so a member reads `w.key("k").value(v);`.
+  JsonWriter& key(const std::string& k);
   void value(const std::string& v);
   void value(const char* v);
   void value(double v);       // NaN/Inf are emitted as null (JSON has neither)
@@ -72,5 +73,16 @@ struct JsonValue {
 /// no trailing commas; \uXXXX escapes are passed through for ASCII and
 /// rejected beyond it). Throws std::runtime_error with an offset on errors.
 JsonValue json_parse(const std::string& text);
+
+/// Checked number readers for untrusted documents. `what` names the value in
+/// the error. json_number throws std::runtime_error unless `v` is a number;
+/// json_uint additionally requires a non-negative integer below 2^64 — the
+/// values a bare static_cast of the double would turn into undefined
+/// behaviour or a silently wrong count.
+double json_number(const JsonValue& v, const std::string& what);
+std::uint64_t json_uint(const JsonValue& v, const std::string& what);
+
+/// json_uint of the member `key` (throws naming the key when it is absent).
+std::uint64_t json_uint_at(const JsonValue& obj, const std::string& key);
 
 }  // namespace ftdb::analysis

@@ -30,10 +30,8 @@ constexpr serve::FramedLog::Format kFormat{
 std::vector<unsigned char> encode(const BlockRecord& r) {
   JsonWriter w;
   w.begin_object();
-  w.key("cell");
-  w.value(r.cell);
-  w.key("block");
-  w.value(r.block);
+  w.key("cell").value(r.cell);
+  w.key("block").value(r.block);
   w.key("partial");
   write_scenario_result(w, r.partial);
   w.end_object();
@@ -53,8 +51,8 @@ BlockRecord decode(std::span<const unsigned char> body) {
   const JsonValue doc = analysis::json_parse(std::string(
       reinterpret_cast<const char*>(body.data()) + kPrefixBytes, body.size() - kPrefixBytes));
   BlockRecord r;
-  r.cell = static_cast<std::uint64_t>(doc.at("cell").number);
-  r.block = static_cast<std::uint64_t>(doc.at("block").number);
+  r.cell = analysis::json_uint_at(doc, "cell");
+  r.block = analysis::json_uint_at(doc, "block");
   r.partial = parse_scenario_result(doc.at("partial"));
   return r;
 }

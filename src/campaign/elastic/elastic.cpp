@@ -1,21 +1,17 @@
 #include "campaign/elastic/elastic.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -25,54 +21,6 @@ namespace ftdb::campaign::elastic {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("elastic: cannot read " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-/// tmp + write + fsync + rename: the file at `path` is either the old
-/// version or the complete new one, never a torn mix.
-void write_file_durably(const std::string& path, const std::string& text, bool fsync) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    throw std::runtime_error("elastic: cannot open " + tmp + ": " + std::strerror(errno));
-  }
-  const char* data = text.data();
-  std::size_t len = text.size();
-  while (len > 0) {
-    const ssize_t w = ::write(fd, data, len);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      throw std::runtime_error("elastic: write failed for " + tmp + ": " + std::strerror(errno));
-    }
-    data += w;
-    len -= static_cast<std::size_t>(w);
-  }
-  if (fsync && ::fsync(fd) != 0) {
-    ::close(fd);
-    throw std::runtime_error("elastic: fsync failed for " + tmp + ": " + std::strerror(errno));
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("elastic: rename " + tmp + " -> " + path + " failed: " +
-                             std::strerror(errno));
-  }
-  if (fsync) {
-    const auto slash = path.find_last_of('/');
-    const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
-    if (dfd >= 0) {
-      ::fsync(dfd);
-      ::close(dfd);
-    }
-  }
-}
 
 std::string spec_path(const std::string& dir) { return dir + "/spec.json"; }
 std::string ckpt_path(const std::string& dir) { return dir + "/compacted.ckpt"; }
@@ -128,7 +76,7 @@ void ensure_elastic_dir(const ScenarioSpec& spec, const std::string& dir) {
   }
   // Two workers racing here both write the canonical serialization of the
   // same spec, so last-rename-wins is byte-identical either way.
-  write_file_durably(spec_path(dir), canonical, true);
+  write_file_atomically(spec_path(dir), canonical, true);
 }
 
 ScenarioSpec load_elastic_spec(const std::string& dir) {
@@ -169,27 +117,10 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::strin
         throw std::runtime_error("elastic: checkpoint cell " +
                                  std::to_string(cp.scenario_index) + " is outside the grid");
       }
-      if (cp.prefix_blocks > total_blocks) {
-        throw std::runtime_error("elastic: checkpoint cell " +
-                                 std::to_string(cp.scenario_index) + " claims " +
-                                 std::to_string(cp.prefix_blocks) + " of " +
-                                 std::to_string(total_blocks) + " blocks");
-      }
-      if (cp.prefix.trials != trials_in_prefix(spec.trials, cp.prefix_blocks)) {
-        throw std::runtime_error("elastic: checkpoint cell " +
-                                 std::to_string(cp.scenario_index) +
-                                 " carries a trial count inconsistent with its block count");
-      }
+      check_cell_progress(cp, spec.trials, "elastic: " + ckpt_path(dir));
       progress.cells[cp.scenario_index] = cp;
       progress.finalized[cp.scenario_index] = cp.prefix_blocks == total_blocks ? 1 : 0;
-      for (const auto& [block, partial] : cp.extra) {
-        if (block < cp.prefix_blocks || block >= total_blocks) {
-          throw std::runtime_error("elastic: checkpoint cell " +
-                                   std::to_string(cp.scenario_index) +
-                                   " has an out-of-range extra block");
-        }
-        extras[cp.scenario_index].emplace(block, partial);
-      }
+      extras[cp.scenario_index].insert(cp.extra.begin(), cp.extra.end());
       progress.cells[cp.scenario_index].extra.clear();  // re-drained below
     }
   }
@@ -259,7 +190,7 @@ bool compact_elastic_dir(const ScenarioSpec& spec, const std::string& dir,
   // Write the new snapshot BEFORE truncating any log: a crash between the
   // two leaves duplicate records, which dedup makes harmless; the reverse
   // order could lose blocks.
-  write_file_durably(ckpt_path(dir), checkpoint_to_json(spec, ckpt), fsync);
+  write_file_atomically(ckpt_path(dir), checkpoint_to_json(spec, ckpt), fsync);
   if (own_log != nullptr) own_log->truncate_all();
   lock.release();
   return true;

@@ -87,16 +87,11 @@ std::uint64_t lease_now_secs() {
 std::string lease_stamp_json(const LeaseStamp& stamp) {
   JsonWriter w;
   w.begin_object();
-  w.key("worker");
-  w.value(stamp.worker);
-  w.key("pid");
-  w.value(static_cast<std::uint64_t>(stamp.pid < 0 ? 0 : stamp.pid));
-  w.key("host");
-  w.value(stamp.host);
-  w.key("heartbeat_secs");
-  w.value(stamp.heartbeat_secs);
-  w.key("ttl_secs");
-  w.value(stamp.ttl_secs);
+  w.key("worker").value(stamp.worker);
+  w.key("pid").value(static_cast<std::uint64_t>(stamp.pid < 0 ? 0 : stamp.pid));
+  w.key("host").value(stamp.host);
+  w.key("heartbeat_secs").value(stamp.heartbeat_secs);
+  w.key("ttl_secs").value(stamp.ttl_secs);
   w.end_object();
   return w.str();
 }
@@ -110,10 +105,10 @@ std::optional<LeaseStamp> read_lease(const std::string& path) {
     const JsonValue doc = analysis::json_parse(text.str());
     LeaseStamp stamp;
     stamp.worker = doc.at("worker").string;
-    stamp.pid = static_cast<std::int64_t>(doc.at("pid").number);
+    stamp.pid = static_cast<std::int64_t>(analysis::json_uint_at(doc, "pid"));
     stamp.host = doc.at("host").string;
-    stamp.heartbeat_secs = static_cast<std::uint64_t>(doc.at("heartbeat_secs").number);
-    stamp.ttl_secs = static_cast<std::uint64_t>(doc.at("ttl_secs").number);
+    stamp.heartbeat_secs = analysis::json_uint_at(doc, "heartbeat_secs");
+    stamp.ttl_secs = analysis::json_uint_at(doc, "ttl_secs");
     return stamp;
   } catch (const std::exception&) {
     return std::nullopt;  // garbled stamp: treated like a stale lease by claimants

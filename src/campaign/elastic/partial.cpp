@@ -65,41 +65,28 @@ std::string partial_elastic_report_json(const ScenarioSpec& spec, const std::str
 
   JsonWriter w;
   w.begin_object();
-  w.key("schema");
-  w.value("ftdb-campaign-v1");
-  w.key("partial");
-  w.value(true);
-  w.key("coverage");
-  w.begin_object();
-  w.key("completed_trials");
-  w.value(completed_trials);
-  w.key("total_trials");
-  w.value(total_trials);
+  w.key("schema").value("ftdb-campaign-v1");
+  w.key("partial").value(true);
+  w.key("coverage").begin_object();
+  w.key("completed_trials").value(completed_trials);
+  w.key("total_trials").value(total_trials);
   w.key("fraction");
   w.value(total_trials == 0 ? 0.0
                             : static_cast<double>(completed_trials) /
                                   static_cast<double>(total_trials));
-  w.key("cells_complete");
-  w.value(cells_complete);
-  w.key("cells_total");
-  w.value(static_cast<std::uint64_t>(cells.size()));
-  w.key("cells");
-  w.begin_array();
+  w.key("cells_complete").value(cells_complete);
+  w.key("cells_total").value(static_cast<std::uint64_t>(cells.size()));
+  w.key("cells").begin_array();
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellProgress& cp = progress.cells[i];
     std::uint64_t cell_trials = cp.prefix.trials;
     for (const auto& [block, partial] : cp.extra) cell_trials += partial.trials;
     w.begin_object();
-    w.key("scenario_index");
-    w.value(static_cast<std::uint64_t>(i));
-    w.key("completed_trials");
-    w.value(cell_trials);
-    w.key("total_trials");
-    w.value(spec.trials);
-    w.key("completed_blocks");
-    w.value(cp.prefix_blocks + static_cast<std::uint64_t>(cp.extra.size()));
-    w.key("total_blocks");
-    w.value(total_blocks);
+    w.key("scenario_index").value(static_cast<std::uint64_t>(i));
+    w.key("completed_trials").value(cell_trials);
+    w.key("total_trials").value(spec.trials);
+    w.key("completed_blocks").value(cp.prefix_blocks + static_cast<std::uint64_t>(cp.extra.size()));
+    w.key("total_blocks").value(total_blocks);
     w.end_object();
   }
   w.end_array();
@@ -112,8 +99,7 @@ std::string partial_elastic_report_json(const ScenarioSpec& spec, const std::str
   // report. Only the merged prefix is reported; out-of-order extra blocks
   // count toward coverage but stay out of the accumulators (they would make
   // the "which trials" story ambiguous).
-  w.key("scenarios");
-  w.begin_array();
+  w.key("scenarios").begin_array();
   for (const CellProgress& cp : progress.cells) write_scenario_result(w, cp.prefix);
   w.end_array();
   w.end_object();

@@ -44,6 +44,66 @@ std::string csv_num(double v) {
   return buf;
 }
 
+/// A StreamingStats mean or max; empty when it saw no samples.
+std::string csv_mean(const StreamingStats& s) { return s.count == 0 ? "" : csv_num(s.mean); }
+std::string csv_max(const StreamingStats& s) { return s.count == 0 ? "" : csv_num(s.max); }
+
+/// The slowdown-vs-fault-count curve as one cell: "f:mean" pairs joined
+/// with ';' ("f:-" when every run at that fault count was unreachable).
+std::string csv_slowdown_curve(const ScenarioResult& r) {
+  std::string curve;
+  for (const SlowdownPoint& p : r.slowdown_curve) {
+    if (!curve.empty()) curve += ';';
+    curve += std::to_string(p.faults) + ':';
+    curve += p.trials > p.unreachable ? csv_num(p.mean_slowdown()) : "-";
+  }
+  return csv_quote(curve);
+}
+
+/// One CSV column: its header and how a scenario renders into it.
+struct CsvColumn {
+  const char* header;
+  std::string (*cell)(const ScenarioResult&);
+};
+
+using R = ScenarioResult;
+using std::to_string;
+const CsvColumn kCsvColumns[] = {
+    {"scenario_index", [](const R& r) { return to_string(r.scenario_index); }},
+    {"label", [](const R& r) { return csv_quote(r.label); }},
+    {"target_nodes", [](const R& r) { return to_string(r.target_nodes); }},
+    {"fabric_nodes", [](const R& r) { return to_string(r.fabric_nodes); }},
+    {"target_diameter", [](const R& r) { return to_string(r.target_diameter); }},
+    {"trials", [](const R& r) { return to_string(r.trials); }},
+    {"reconfig_success", [](const R& r) { return to_string(r.reconfig_success); }},
+    {"success_rate", [](const R& r) { return csv_num(r.success_rate()); }},
+    {"wilson95_lo", [](const R& r) { return csv_num(r.success_ci().lo); }},
+    {"wilson95_hi", [](const R& r) { return csv_num(r.success_ci().hi); }},
+    {"analytic_survival", [](const R& r) { return csv_num(r.analytic_survival); }},
+    {"over_budget", [](const R& r) { return to_string(r.over_budget); }},
+    {"mean_faults", [](const R& r) { return csv_num(r.fault_count.mean); }},
+    {"reconfigured_diameter_mean", [](const R& r) { return csv_mean(r.reconfigured_diameter); }},
+    {"degraded_diameter_mean", [](const R& r) { return csv_mean(r.degraded_diameter); }},
+    {"degraded_disconnected", [](const R& r) { return to_string(r.degraded_disconnected); }},
+    {"route_stretch_max", [](const R& r) { return csv_max(r.route_stretch); }},
+    {"mttf_mean", [](const R& r) { return csv_mean(r.mttf); }},
+    {"analytic_mttf", [](const R& r) { return csv_num(r.analytic_mttf); }},
+    {"mttf_censored", [](const R& r) { return to_string(r.mttf_censored); }},
+    {"collective_rounds", [](const R& r) { return to_string(r.collective_rounds); }},
+    {"collective_baseline_cycles",
+     [](const R& r) { return to_string(r.collective_baseline_cycles); }},
+    {"collective_slowdown_mean", [](const R& r) { return csv_mean(r.collective_slowdown); }},
+    {"collective_unreachable", [](const R& r) { return to_string(r.collective_unreachable); }},
+    {"collective_hop_cycles_mean", [](const R& r) { return csv_mean(r.collective_hop_cycles); }},
+    {"collective_congestion_max", [](const R& r) { return csv_max(r.collective_congestion); }},
+    {"bus_fault_mean", [](const R& r) { return csv_mean(r.bus_fault_count); }},
+    {"traffic_delivered_mean", [](const R& r) { return csv_mean(r.traffic_delivered); }},
+    {"traffic_latency_mean", [](const R& r) { return csv_mean(r.traffic_latency); }},
+    {"traffic_congestion_max", [](const R& r) { return csv_max(r.traffic_congestion); }},
+    {"traffic_timed_out", [](const R& r) { return to_string(r.traffic_timed_out); }},
+    {"slowdown_by_faults", csv_slowdown_curve},
+};
+
 }  // namespace
 
 CampaignResult merge_checkpoints(const ScenarioSpec& spec,
@@ -89,14 +149,9 @@ CampaignResult merge_checkpoints(const ScenarioSpec& spec,
                                  std::to_string(cp.prefix_blocks) + "/" +
                                  std::to_string(total_blocks) + " blocks)");
       }
-      if (cp.prefix.trials != spec.trials) {
-        // A cell can claim all its blocks yet carry a truncated accumulator
-        // (torn write, hand-mangled file); the same invariant resume checks.
-        throw std::runtime_error("campaign merge: " + who + " cell " +
-                                 std::to_string(cp.scenario_index) + " carries " +
-                                 std::to_string(cp.prefix.trials) + " trials, expected " +
-                                 std::to_string(spec.trials));
-      }
+      // A cell can claim all its blocks yet carry a truncated accumulator
+      // (torn write, hand-mangled file); the same invariants resume checks.
+      check_cell_progress(cp, spec.trials, "campaign merge: " + who);
       seen[cp.scenario_index] = true;
       result.scenarios[cp.scenario_index] = cp.prefix;
     }
@@ -113,15 +168,13 @@ CampaignResult merge_checkpoints(const ScenarioSpec& spec,
 std::string campaign_report_json(const CampaignResult& result) {
   JsonWriter w;
   w.begin_object();
-  w.key("schema");
-  w.value("ftdb-campaign-v1");
+  w.key("schema").value("ftdb-campaign-v1");
   w.key("spec");
   write_scenario_spec(w, result.spec);
   // Run telemetry (thread count, resumed-scenario count) stays out of the
   // document on purpose: the report must be byte-identical across thread
   // counts and checkpoint/resume boundaries.
-  w.key("scenarios");
-  w.begin_array();
+  w.key("scenarios").begin_array();
   for (const ScenarioResult& r : result.scenarios) write_scenario_result(w, r);
   w.end_array();
   w.end_object();
@@ -129,48 +182,19 @@ std::string campaign_report_json(const CampaignResult& result) {
 }
 
 std::string campaign_report_csv(const CampaignResult& result) {
-  std::ostringstream out;
-  out << "scenario_index,label,target_nodes,fabric_nodes,target_diameter,trials,"
-         "reconfig_success,success_rate,wilson95_lo,wilson95_hi,analytic_survival,"
-         "over_budget,mean_faults,reconfigured_diameter_mean,degraded_diameter_mean,"
-         "degraded_disconnected,route_stretch_max,mttf_mean,analytic_mttf,mttf_censored,"
-         "collective_rounds,collective_baseline_cycles,collective_slowdown_mean,"
-         "collective_unreachable,collective_hop_cycles_mean,collective_congestion_max,"
-         "bus_fault_mean,traffic_delivered_mean,traffic_latency_mean,"
-         "traffic_congestion_max,traffic_timed_out,slowdown_by_faults\n";
-  for (const ScenarioResult& r : result.scenarios) {
-    const WilsonInterval ci = r.success_ci();
-    // The slowdown-vs-fault-count curve as one cell: "f:mean" pairs joined
-    // with ';' ("f:-" when every run at that fault count was unreachable).
-    std::string curve;
-    for (const SlowdownPoint& p : r.slowdown_curve) {
-      if (!curve.empty()) curve += ';';
-      curve += std::to_string(p.faults) + ':';
-      curve += p.trials > p.unreachable ? csv_num(p.mean_slowdown()) : "-";
+  std::string out;
+  const auto row = [&](const auto& text_of) {
+    for (const CsvColumn& c : kCsvColumns) {
+      if (&c != kCsvColumns) out += ',';
+      out += text_of(c);
     }
-    out << r.scenario_index << ',' << csv_quote(r.label) << ',' << r.target_nodes << ','
-        << r.fabric_nodes << ',' << r.target_diameter << ',' << r.trials << ','
-        << r.reconfig_success << ',' << csv_num(r.success_rate()) << ',' << csv_num(ci.lo)
-        << ',' << csv_num(ci.hi) << ',' << csv_num(r.analytic_survival) << ','
-        << r.over_budget << ',' << csv_num(r.fault_count.mean) << ','
-        << (r.reconfigured_diameter.count ? csv_num(r.reconfigured_diameter.mean) : "") << ','
-        << (r.degraded_diameter.count ? csv_num(r.degraded_diameter.mean) : "") << ','
-        << r.degraded_disconnected << ','
-        << (r.route_stretch.count ? csv_num(r.route_stretch.max) : "") << ','
-        << (r.mttf.count ? csv_num(r.mttf.mean) : "") << ',' << csv_num(r.analytic_mttf)
-        << ',' << r.mttf_censored << ',' << r.collective_rounds << ','
-        << r.collective_baseline_cycles << ','
-        << (r.collective_slowdown.count ? csv_num(r.collective_slowdown.mean) : "") << ','
-        << r.collective_unreachable << ','
-        << (r.collective_hop_cycles.count ? csv_num(r.collective_hop_cycles.mean) : "") << ','
-        << (r.collective_congestion.count ? csv_num(r.collective_congestion.max) : "") << ','
-        << (r.bus_fault_count.count ? csv_num(r.bus_fault_count.mean) : "") << ','
-        << (r.traffic_delivered.count ? csv_num(r.traffic_delivered.mean) : "") << ','
-        << (r.traffic_latency.count ? csv_num(r.traffic_latency.mean) : "") << ','
-        << (r.traffic_congestion.count ? csv_num(r.traffic_congestion.max) : "") << ','
-        << r.traffic_timed_out << ',' << csv_quote(curve) << '\n';
+    out += '\n';
+  };
+  row([](const CsvColumn& c) { return std::string(c.header); });
+  for (const ScenarioResult& r : result.scenarios) {
+    row([&](const CsvColumn& c) { return c.cell(r); });
   }
-  return out.str();
+  return out;
 }
 
 std::string campaign_report_markdown(const CampaignResult& result) {
@@ -271,11 +295,11 @@ std::size_t validate_campaign_report(const std::string& json_text) {
     if (coll_unreachable != r.collective_unreachable) {
       throw std::runtime_error("slowdown curve unreachable count does not match the total");
     }
-    if (r.bus_fault_count.count > r.trials) {
-      throw std::runtime_error("bus fault stats cover more trials than the scenario ran");
-    }
-    if (r.traffic_delivered.count > r.trials) {
-      throw std::runtime_error("traffic stats cover more trials than the scenario ran");
+    for (const ResultField& f : result_fields()) {
+      if (f.kind == ResultField::Kind::Stats && (r.*f.stats).count > r.trials) {
+        throw std::runtime_error(std::string(f.key) +
+                                 " stats cover more trials than the scenario ran");
+      }
     }
     if (r.traffic_latency.count > r.traffic_delivered.count) {
       throw std::runtime_error("traffic latency samples exceed the trials that ran traffic");

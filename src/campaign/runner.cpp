@@ -1,15 +1,22 @@
 #include "campaign/runner.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -96,74 +103,91 @@ WilsonInterval ScenarioResult::success_ci(double z) const {
   return wilson_interval(reconfig_success, trials, z);
 }
 
-void ScenarioResult::merge(const ScenarioResult& other) {
-  trials += other.trials;
-  reconfig_success += other.reconfig_success;
-  over_budget += other.over_budget;
-  fault_count.merge(other.fault_count);
-  reconfigured_diameter.merge(other.reconfigured_diameter);
-  degraded_diameter.merge(other.degraded_diameter);
-  degraded_disconnected += other.degraded_disconnected;
-  route_stretch.merge(other.route_stretch);
-  mttf.merge(other.mttf);
-  mttf_censored += other.mttf_censored;
-  collective_slowdown.merge(other.collective_slowdown);
-  collective_hop_cycles.merge(other.collective_hop_cycles);
-  collective_congestion.merge(other.collective_congestion);
-  collective_unreachable += other.collective_unreachable;
-  bus_fault_count.merge(other.bus_fault_count);
-  traffic_delivered.merge(other.traffic_delivered);
-  traffic_latency.merge(other.traffic_latency);
-  traffic_congestion.merge(other.traffic_congestion);
-  traffic_timed_out += other.traffic_timed_out;
-  // Merge the sorted sparse slowdown curves (the runner merges blocks in
-  // order, so the slowdown_sum additions happen in a fixed order and the
-  // doubles come out bit-identical for any thread count or shard split).
-  std::vector<SlowdownPoint> merged_slowdown;
-  merged_slowdown.reserve(slowdown_curve.size() + other.slowdown_curve.size());
-  {
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < slowdown_curve.size() || j < other.slowdown_curve.size()) {
-      if (j == other.slowdown_curve.size() ||
-          (i < slowdown_curve.size() &&
-           slowdown_curve[i].faults < other.slowdown_curve[j].faults)) {
-        merged_slowdown.push_back(slowdown_curve[i++]);
-      } else if (i == slowdown_curve.size() ||
-                 other.slowdown_curve[j].faults < slowdown_curve[i].faults) {
-        merged_slowdown.push_back(other.slowdown_curve[j++]);
-      } else {
-        SlowdownPoint p = slowdown_curve[i++];
-        p.trials += other.slowdown_curve[j].trials;
-        p.unreachable += other.slowdown_curve[j].unreachable;
-        p.slowdown_sum += other.slowdown_curve[j].slowdown_sum;
-        ++j;
-        merged_slowdown.push_back(p);
-      }
-    }
-  }
-  slowdown_curve = std::move(merged_slowdown);
-  // Merge the sorted sparse survival curves.
-  std::vector<SurvivalPoint> merged;
-  merged.reserve(survival_curve.size() + other.survival_curve.size());
+namespace {
+
+using Kind = ResultField::Kind;
+
+constexpr ResultField counter(const char* key, std::uint64_t ScenarioResult::*m) {
+  return {key, Kind::Counter, m, nullptr};
+}
+constexpr ResultField cell_constant(const char* key, std::uint64_t ScenarioResult::*m) {
+  return {key, Kind::CellConstant, m, nullptr};
+}
+constexpr ResultField stats(const char* key, StreamingStats ScenarioResult::*m) {
+  return {key, Kind::Stats, nullptr, m};
+}
+
+constexpr ResultField kResultFields[] = {
+    counter("trials", &ScenarioResult::trials),
+    counter("reconfig_success", &ScenarioResult::reconfig_success),
+    counter("over_budget", &ScenarioResult::over_budget),
+    stats("fault_count", &ScenarioResult::fault_count),
+    stats("reconfigured_diameter", &ScenarioResult::reconfigured_diameter),
+    stats("degraded_diameter", &ScenarioResult::degraded_diameter),
+    counter("degraded_disconnected", &ScenarioResult::degraded_disconnected),
+    stats("route_stretch", &ScenarioResult::route_stretch),
+    stats("mttf", &ScenarioResult::mttf),
+    counter("mttf_censored", &ScenarioResult::mttf_censored),
+    cell_constant("collective_rounds", &ScenarioResult::collective_rounds),
+    cell_constant("collective_baseline_cycles", &ScenarioResult::collective_baseline_cycles),
+    stats("collective_slowdown", &ScenarioResult::collective_slowdown),
+    stats("collective_hop_cycles", &ScenarioResult::collective_hop_cycles),
+    stats("collective_congestion", &ScenarioResult::collective_congestion),
+    counter("collective_unreachable", &ScenarioResult::collective_unreachable),
+    stats("bus_fault_count", &ScenarioResult::bus_fault_count),
+    stats("traffic_delivered", &ScenarioResult::traffic_delivered),
+    stats("traffic_latency", &ScenarioResult::traffic_latency),
+    stats("traffic_congestion", &ScenarioResult::traffic_congestion),
+    counter("traffic_timed_out", &ScenarioResult::traffic_timed_out),
+};
+
+/// Merges two curves sorted by fault count; points at the same count fold
+/// through `add(into, from)`. The runner merges blocks in order, so the
+/// double additions happen in a fixed order and come out bit-identical for
+/// any thread count or shard split.
+template <class Point, class Add>
+std::vector<Point> merge_curves(const std::vector<Point>& a, const std::vector<Point>& b,
+                                Add add) {
+  std::vector<Point> out;
+  out.reserve(a.size() + b.size());
   std::size_t i = 0;
   std::size_t j = 0;
-  while (i < survival_curve.size() || j < other.survival_curve.size()) {
-    if (j == other.survival_curve.size() ||
-        (i < survival_curve.size() && survival_curve[i].faults < other.survival_curve[j].faults)) {
-      merged.push_back(survival_curve[i++]);
-    } else if (i == survival_curve.size() ||
-               other.survival_curve[j].faults < survival_curve[i].faults) {
-      merged.push_back(other.survival_curve[j++]);
+  while (i < a.size() || j < b.size()) {
+    if (j == b.size() || (i < a.size() && a[i].faults < b[j].faults)) {
+      out.push_back(a[i++]);
+    } else if (i == a.size() || b[j].faults < a[i].faults) {
+      out.push_back(b[j++]);
     } else {
-      SurvivalPoint p = survival_curve[i++];
-      p.trials += other.survival_curve[j].trials;
-      p.survived += other.survival_curve[j].survived;
-      ++j;
-      merged.push_back(p);
+      out.push_back(a[i++]);
+      add(out.back(), b[j++]);
     }
   }
-  survival_curve = std::move(merged);
+  return out;
+}
+
+}  // namespace
+
+std::span<const ResultField> result_fields() { return kResultFields; }
+
+void ScenarioResult::merge(const ScenarioResult& other) {
+  for (const ResultField& f : kResultFields) {
+    switch (f.kind) {
+      case Kind::Counter: this->*f.counter += other.*f.counter; break;
+      case Kind::Stats: (this->*f.stats).merge(other.*f.stats); break;
+      case Kind::CellConstant: break;
+    }
+  }
+  slowdown_curve = merge_curves(slowdown_curve, other.slowdown_curve,
+                                [](SlowdownPoint& p, const SlowdownPoint& q) {
+                                  p.trials += q.trials;
+                                  p.unreachable += q.unreachable;
+                                  p.slowdown_sum += q.slowdown_sum;
+                                });
+  survival_curve = merge_curves(survival_curve, other.survival_curve,
+                                [](SurvivalPoint& p, const SurvivalPoint& q) {
+                                  p.trials += q.trials;
+                                  p.survived += q.survived;
+                                });
 }
 
 // --- scenario execution ------------------------------------------------------
@@ -523,24 +547,6 @@ void fold_histogram(ScenarioResult& acc, const BlockScratch& scratch) {
   }
 }
 
-/// Runs one complete trial block of a cell and returns its partial
-/// accumulator — the unit both the work-stealing scheduler and the elastic
-/// CellRunner execute. Reads the context only, so any number of threads can
-/// run different blocks of the same cell concurrently.
-ScenarioResult run_one_block(const ScenarioContext& ctx, std::uint64_t total_trials,
-                             std::uint64_t block) {
-  ScenarioResult partial;
-  partial.scenario_index = ctx.cell.index;
-  BlockScratch scratch;
-  const std::uint64_t lo = block * kTrialBlock;
-  const std::uint64_t hi = std::min(total_trials, lo + kTrialBlock);
-  for (std::uint64_t t = lo; t < hi; ++t) {
-    run_trial(ctx, t, partial, scratch);
-  }
-  fold_histogram(partial, scratch);
-  return partial;
-}
-
 /// Exact E[time of the (k+1)-st failure] when all n fabric nodes fail
 /// independently with probability p per step: summing the survival function,
 /// E = sum_{t >= 0} P[at most k of n failed by step t], with per-node
@@ -566,90 +572,54 @@ double exact_iid_mttf(std::uint64_t n, unsigned spares, double p) {
   return std::numeric_limits<double>::quiet_NaN();
 }
 
-/// Fills the cell-level metadata and analytic companions on a fully-merged
-/// accumulator — shared by the scheduler's cell finalization and the elastic
-/// runner/merge paths (which must produce byte-identical reports).
-void finalize_result(const ScenarioContext& ctx, const ScenarioCase& cell, ScenarioResult& r) {
-  r.scenario_index = cell.index;
-  r.label = cell.label();
-  r.target_nodes = ctx.target.num_nodes();
-  r.fabric_nodes = ctx.fabric.num_nodes();
-  r.target_diameter = ctx.target_diameter;
-  if (ctx.schedule) {
-    r.collective_rounds = ctx.schedule->rounds();
-    r.collective_baseline_cycles = ctx.collective_baseline_cycles;
-  }
-  const FaultModelSpec& model = cell.fault_model;
-  if (model.kind == FaultModelKind::IidBernoulli) {
-    r.analytic_survival = static_cast<double>(survival_probability(
-        r.target_nodes, cell.spares, static_cast<long double>(model.p)));
-    r.analytic_mttf = exact_iid_mttf(r.fabric_nodes, cell.spares, model.p);
-  } else if (model.kind == FaultModelKind::BusIid) {
-    // One bus per fabric node, each driver's clock an iid geometric(p) — the
-    // node-model closed forms apply verbatim (Section V: a bus fault is its
-    // driver's fault).
-    r.analytic_survival = static_cast<double>(survival_probability(
-        r.target_nodes, cell.spares, static_cast<long double>(model.p)));
-    r.analytic_mttf = exact_iid_mttf(r.fabric_nodes, cell.spares, model.p);
-  } else if (model.kind == FaultModelKind::Weibull) {
-    // The model draws full lifetimes, so the empirical MTTF column is exactly
-    // the (k+1)-st order statistic this closed form computes.
-    r.analytic_mttf = weibull_mttf(r.fabric_nodes, cell.spares, model.shape, model.scale);
-  }
-}
-
-void write_file_atomically(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("campaign: cannot write " + tmp);
-    out << content;
-    if (!out.flush()) throw std::runtime_error("campaign: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("campaign: cannot rename " + tmp + " to " + path);
-  }
-}
-
 // --- result (de)serialization ------------------------------------------------
 
 void write_stats(JsonWriter& w, const StreamingStats& s) {
   w.begin_object();
-  w.key("count");
-  w.value(s.count);
-  w.key("mean");
-  w.value(s.mean);
-  w.key("m2");
-  w.value(s.m2);
+  w.key("count").value(s.count);
+  w.key("mean").value(s.mean);
+  w.key("m2").value(s.m2);
   if (s.count > 0) {
-    w.key("min");
-    w.value(s.min);
-    w.key("max");
-    w.value(s.max);
+    w.key("min").value(s.min);
+    w.key("max").value(s.max);
   }
   w.end_object();
 }
 
-double number_or_nan(const JsonValue& obj, const std::string& key) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->is_null()) return std::numeric_limits<double>::quiet_NaN();
-  return v->number;
-}
-
-std::uint64_t uint_of(const JsonValue& obj, const std::string& key) {
-  return static_cast<std::uint64_t>(obj.at(key).number);
-}
-
-StreamingStats parse_stats(const JsonValue& obj) {
+StreamingStats parse_stats(const JsonValue& obj, const std::string& key) {
+  const auto path = [&](const char* field) { return "\"" + key + "." + field + "\""; };
+  const auto member = [&](const char* field) -> const JsonValue& {
+    const JsonValue* v = obj.find(field);
+    if (v == nullptr) throw std::runtime_error("campaign: missing " + path(field));
+    return *v;
+  };
+  const auto number = [&](const char* field) {
+    return analysis::json_number(member(field), path(field));
+  };
   StreamingStats s;
-  s.count = uint_of(obj, "count");
-  s.mean = obj.at("mean").number;
-  s.m2 = obj.at("m2").number;
+  s.count = analysis::json_uint(member("count"), path("count"));
+  s.mean = number("mean");
+  s.m2 = number("m2");
   if (s.count > 0) {
-    s.min = obj.at("min").number;
-    s.max = obj.at("max").number;
+    s.min = number("min");
+    s.max = number("max");
   }
   return s;
+}
+
+/// A required member that may be null (NaN) — the analytic companions.
+double number_or_nan(const JsonValue& obj, const std::string& key) {
+  const JsonValue& v = obj.at(key);
+  return v.is_null() ? std::numeric_limits<double>::quiet_NaN()
+                     : analysis::json_number(v, "\"" + key + "\"");
+}
+
+std::uint32_t uint32_at(const JsonValue& obj, const std::string& key) {
+  const std::uint64_t v = analysis::json_uint_at(obj, key);
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::runtime_error("campaign: \"" + key + "\" is out of range");
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 std::string fingerprint_hex(std::uint64_t fp) {
@@ -663,157 +633,75 @@ std::string fingerprint_hex(std::uint64_t fp) {
 // Exposed through runner.hpp for report.cpp's use as well.
 void write_scenario_result(JsonWriter& w, const ScenarioResult& r) {
   w.begin_object();
-  w.key("scenario_index");
-  w.value(static_cast<std::uint64_t>(r.scenario_index));
-  w.key("label");
-  w.value(r.label);
-  w.key("target_nodes");
-  w.value(r.target_nodes);
-  w.key("fabric_nodes");
-  w.value(r.fabric_nodes);
-  w.key("target_diameter");
-  w.value(static_cast<std::uint64_t>(r.target_diameter));
-  w.key("trials");
-  w.value(r.trials);
-  w.key("reconfig_success");
-  w.value(r.reconfig_success);
-  w.key("over_budget");
-  w.value(r.over_budget);
-  w.key("fault_count");
-  write_stats(w, r.fault_count);
-  w.key("reconfigured_diameter");
-  write_stats(w, r.reconfigured_diameter);
-  w.key("degraded_diameter");
-  write_stats(w, r.degraded_diameter);
-  w.key("degraded_disconnected");
-  w.value(r.degraded_disconnected);
-  w.key("route_stretch");
-  write_stats(w, r.route_stretch);
-  w.key("mttf");
-  write_stats(w, r.mttf);
-  w.key("mttf_censored");
-  w.value(r.mttf_censored);
-  w.key("collective_rounds");
-  w.value(r.collective_rounds);
-  w.key("collective_baseline_cycles");
-  w.value(r.collective_baseline_cycles);
-  w.key("collective_slowdown");
-  write_stats(w, r.collective_slowdown);
-  w.key("collective_hop_cycles");
-  write_stats(w, r.collective_hop_cycles);
-  w.key("collective_congestion");
-  write_stats(w, r.collective_congestion);
-  w.key("collective_unreachable");
-  w.value(r.collective_unreachable);
-  w.key("bus_fault_count");
-  write_stats(w, r.bus_fault_count);
-  w.key("traffic_delivered");
-  write_stats(w, r.traffic_delivered);
-  w.key("traffic_latency");
-  write_stats(w, r.traffic_latency);
-  w.key("traffic_congestion");
-  write_stats(w, r.traffic_congestion);
-  w.key("traffic_timed_out");
-  w.value(r.traffic_timed_out);
-  w.key("survival_curve");
-  w.begin_array();
+  w.key("scenario_index").value(static_cast<std::uint64_t>(r.scenario_index));
+  w.key("label").value(r.label);
+  w.key("target_nodes").value(r.target_nodes);
+  w.key("fabric_nodes").value(r.fabric_nodes);
+  w.key("target_diameter").value(static_cast<std::uint64_t>(r.target_diameter));
+  for (const ResultField& f : kResultFields) {
+    w.key(f.key);
+    if (f.kind == Kind::Stats) {
+      write_stats(w, r.*f.stats);
+    } else {
+      w.value(r.*f.counter);
+    }
+  }
+  w.key("survival_curve").begin_array();
   for (const SurvivalPoint& p : r.survival_curve) {
     w.begin_object();
-    w.key("faults");
-    w.value(p.faults);
-    w.key("trials");
-    w.value(p.trials);
-    w.key("survived");
-    w.value(p.survived);
+    w.key("faults").value(p.faults);
+    w.key("trials").value(p.trials);
+    w.key("survived").value(p.survived);
     w.end_object();
   }
   w.end_array();
-  w.key("slowdown_curve");
-  w.begin_array();
+  w.key("slowdown_curve").begin_array();
   for (const SlowdownPoint& p : r.slowdown_curve) {
     w.begin_object();
-    w.key("faults");
-    w.value(p.faults);
-    w.key("trials");
-    w.value(p.trials);
-    w.key("unreachable");
-    w.value(p.unreachable);
-    w.key("slowdown_sum");
-    w.value(p.slowdown_sum);
+    w.key("faults").value(p.faults);
+    w.key("trials").value(p.trials);
+    w.key("unreachable").value(p.unreachable);
+    w.key("slowdown_sum").value(p.slowdown_sum);
     w.end_object();
   }
   w.end_array();
-  w.key("analytic_survival");
-  w.value(r.analytic_survival);  // NaN -> null
-  w.key("analytic_mttf");
-  w.value(r.analytic_mttf);
+  w.key("analytic_survival").value(r.analytic_survival);  // NaN -> null
+  w.key("analytic_mttf").value(r.analytic_mttf);
   // Derived convenience fields (ignored by parse_scenario_result).
   const WilsonInterval ci = r.success_ci();
-  w.key("success_rate");
-  w.value(r.success_rate());
-  w.key("success_ci95_lo");
-  w.value(ci.lo);
-  w.key("success_ci95_hi");
-  w.value(ci.hi);
+  w.key("success_rate").value(r.success_rate());
+  w.key("success_ci95_lo").value(ci.lo);
+  w.key("success_ci95_hi").value(ci.hi);
   w.end_object();
 }
 
 ScenarioResult parse_scenario_result(const JsonValue& obj) {
+  using analysis::json_uint_at;
   ScenarioResult r;
-  r.scenario_index = uint_of(obj, "scenario_index");
-  r.label = obj.at("label").string;
-  r.target_nodes = uint_of(obj, "target_nodes");
-  r.fabric_nodes = uint_of(obj, "fabric_nodes");
-  r.target_diameter = static_cast<std::uint32_t>(uint_of(obj, "target_diameter"));
-  r.trials = uint_of(obj, "trials");
-  r.reconfig_success = uint_of(obj, "reconfig_success");
-  r.over_budget = uint_of(obj, "over_budget");
-  r.fault_count = parse_stats(obj.at("fault_count"));
-  r.reconfigured_diameter = parse_stats(obj.at("reconfigured_diameter"));
-  r.degraded_diameter = parse_stats(obj.at("degraded_diameter"));
-  r.degraded_disconnected = uint_of(obj, "degraded_disconnected");
-  r.route_stretch = parse_stats(obj.at("route_stretch"));
-  r.mttf = parse_stats(obj.at("mttf"));
-  r.mttf_censored = uint_of(obj, "mttf_censored");
-  // Collective fields parse leniently: pre-collective documents (earlier
-  // checkpoints/reports) simply leave the defaults in place.
-  if (const JsonValue* v = obj.find("collective_rounds")) {
-    r.collective_rounds = static_cast<std::uint64_t>(v->number);
+  r.scenario_index = json_uint_at(obj, "scenario_index");
+  const JsonValue& label = obj.at("label");
+  if (label.kind != JsonValue::Kind::String) {
+    throw std::runtime_error("campaign: \"label\" must be a string");
   }
-  if (const JsonValue* v = obj.find("collective_baseline_cycles")) {
-    r.collective_baseline_cycles = static_cast<std::uint64_t>(v->number);
-  }
-  if (const JsonValue* v = obj.find("collective_slowdown")) {
-    r.collective_slowdown = parse_stats(*v);
-  }
-  if (const JsonValue* v = obj.find("collective_hop_cycles")) {
-    r.collective_hop_cycles = parse_stats(*v);
-  }
-  if (const JsonValue* v = obj.find("collective_congestion")) {
-    r.collective_congestion = parse_stats(*v);
-  }
-  if (const JsonValue* v = obj.find("collective_unreachable")) {
-    r.collective_unreachable = static_cast<std::uint64_t>(v->number);
-  }
-  // Likewise lenient: pre-PR-10 documents carry neither bus nor traffic stats.
-  if (const JsonValue* v = obj.find("bus_fault_count")) r.bus_fault_count = parse_stats(*v);
-  if (const JsonValue* v = obj.find("traffic_delivered")) r.traffic_delivered = parse_stats(*v);
-  if (const JsonValue* v = obj.find("traffic_latency")) r.traffic_latency = parse_stats(*v);
-  if (const JsonValue* v = obj.find("traffic_congestion")) {
-    r.traffic_congestion = parse_stats(*v);
-  }
-  if (const JsonValue* v = obj.find("traffic_timed_out")) {
-    r.traffic_timed_out = static_cast<std::uint64_t>(v->number);
+  r.label = label.string;
+  r.target_nodes = json_uint_at(obj, "target_nodes");
+  r.fabric_nodes = json_uint_at(obj, "fabric_nodes");
+  r.target_diameter = uint32_at(obj, "target_diameter");
+  for (const ResultField& f : kResultFields) {
+    if (f.kind == Kind::Stats) {
+      r.*f.stats = parse_stats(obj.at(f.key), f.key);
+    } else {
+      r.*f.counter = json_uint_at(obj, f.key);
+    }
   }
   for (const JsonValue& p : obj.at("survival_curve").array) {
-    r.survival_curve.push_back({uint_of(p, "faults"), uint_of(p, "trials"),
-                                uint_of(p, "survived")});
+    r.survival_curve.push_back(
+        {json_uint_at(p, "faults"), json_uint_at(p, "trials"), json_uint_at(p, "survived")});
   }
-  if (const JsonValue* curve = obj.find("slowdown_curve")) {
-    for (const JsonValue& p : curve->array) {
-      r.slowdown_curve.push_back({uint_of(p, "faults"), uint_of(p, "trials"),
-                                  uint_of(p, "unreachable"), p.at("slowdown_sum").number});
-    }
+  for (const JsonValue& p : obj.at("slowdown_curve").array) {
+    r.slowdown_curve.push_back({json_uint_at(p, "faults"), json_uint_at(p, "trials"),
+                                json_uint_at(p, "unreachable"),
+                                analysis::json_number(p.at("slowdown_sum"), "\"slowdown_sum\"")});
   }
   r.analytic_survival = number_or_nan(obj, "analytic_survival");
   r.analytic_mttf = number_or_nan(obj, "analytic_mttf");
@@ -825,44 +713,32 @@ ScenarioResult parse_scenario_result(const JsonValue& obj) {
 std::string checkpoint_to_json(const ScenarioSpec& spec, const Checkpoint& ckpt) {
   JsonWriter w;
   w.begin_object();
-  w.key("schema");
-  w.value("ftdb-campaign-checkpoint-v2");
+  w.key("schema").value("ftdb-campaign-checkpoint-v2");
   // Hex strings, not JSON numbers: 64-bit fingerprints do not survive the
   // parser's double representation.
-  w.key("fingerprint");
-  w.value(fingerprint_hex(spec_fingerprint(spec)));
-  w.key("shard");
-  w.begin_object();
-  w.key("index");
-  w.value(static_cast<std::uint64_t>(ckpt.shard.index));
-  w.key("count");
-  w.value(static_cast<std::uint64_t>(ckpt.shard.count));
-  w.key("fingerprint");
-  w.value(fingerprint_hex(shard_fingerprint(spec, ckpt.shard)));
+  w.key("fingerprint").value(fingerprint_hex(spec_fingerprint(spec)));
+  w.key("shard").begin_object();
+  w.key("index").value(static_cast<std::uint64_t>(ckpt.shard.index));
+  w.key("count").value(static_cast<std::uint64_t>(ckpt.shard.count));
+  w.key("fingerprint").value(fingerprint_hex(shard_fingerprint(spec, ckpt.shard)));
   w.end_object();
   // The block size the partials were cut with: partials from a different
   // partition cannot be merged in order, so parse rejects a mismatch.
-  w.key("trial_block");
-  w.value(kTrialBlock);
-  w.key("cells");
-  w.begin_array();
+  w.key("trial_block").value(kTrialBlock);
+  w.key("cells").begin_array();
   for (const CellProgress& c : ckpt.cells) {
     w.begin_object();
-    w.key("scenario_index");
-    w.value(static_cast<std::uint64_t>(c.scenario_index));
-    w.key("prefix_blocks");
-    w.value(c.prefix_blocks);
+    w.key("scenario_index").value(static_cast<std::uint64_t>(c.scenario_index));
+    w.key("prefix_blocks").value(c.prefix_blocks);
     if (c.prefix_blocks > 0) {
       w.key("prefix");
       write_scenario_result(w, c.prefix);
     }
     if (!c.extra.empty()) {
-      w.key("extra");
-      w.begin_array();
+      w.key("extra").begin_array();
       for (const auto& [block, partial] : c.extra) {
         w.begin_object();
-        w.key("block");
-        w.value(block);
+        w.key("block").value(block);
         w.key("partial");
         write_scenario_result(w, partial);
         w.end_object();
@@ -876,26 +752,8 @@ std::string checkpoint_to_json(const ScenarioSpec& spec, const Checkpoint& ckpt)
   return w.str();
 }
 
-std::string checkpoint_to_json(const ScenarioSpec& spec,
-                               const std::vector<ScenarioResult>& completed) {
-  // fingerprint/shard_stamp stay default: the serializer derives both stamps
-  // from the spec itself, never from the struct (no forgeable fields).
-  Checkpoint ckpt;
-  for (const ScenarioResult& r : completed) {
-    CellProgress cell;
-    cell.scenario_index = r.scenario_index;
-    cell.prefix_blocks = num_trial_blocks(spec.trials);
-    cell.prefix = r;
-    ckpt.cells.push_back(std::move(cell));
-  }
-  std::sort(ckpt.cells.begin(), ckpt.cells.end(),
-            [](const CellProgress& a, const CellProgress& b) {
-              return a.scenario_index < b.scenario_index;
-            });
-  return checkpoint_to_json(spec, ckpt);
-}
-
 Checkpoint parse_checkpoint(const std::string& json_text) {
+  using analysis::json_uint_at;
   const JsonValue doc = analysis::json_parse(json_text);
   const JsonValue* schema = doc.find("schema");
   if (schema == nullptr || schema->string != "ftdb-campaign-checkpoint-v2") {
@@ -903,31 +761,31 @@ Checkpoint parse_checkpoint(const std::string& json_text) {
         "campaign: not an ftdb-campaign-checkpoint-v2 document (v1 checkpoints are "
         "scenario-granular; rerun the campaign to produce a v2 checkpoint)");
   }
-  if (uint_of(doc, "trial_block") != kTrialBlock) {
+  if (json_uint_at(doc, "trial_block") != kTrialBlock) {
     throw std::runtime_error("campaign: checkpoint was cut with a different trial block size");
   }
   Checkpoint ckpt;
   ckpt.fingerprint = std::strtoull(doc.at("fingerprint").string.c_str(), nullptr, 16);
   const JsonValue& shard = doc.at("shard");
-  ckpt.shard.index = static_cast<std::uint32_t>(uint_of(shard, "index"));
-  ckpt.shard.count = static_cast<std::uint32_t>(uint_of(shard, "count"));
+  ckpt.shard.index = uint32_at(shard, "index");
+  ckpt.shard.count = uint32_at(shard, "count");
   ckpt.shard_stamp = std::strtoull(shard.at("fingerprint").string.c_str(), nullptr, 16);
   std::size_t last_index = 0;
   bool first = true;
   for (const JsonValue& c : doc.at("cells").array) {
     CellProgress cell;
-    cell.scenario_index = uint_of(c, "scenario_index");
+    cell.scenario_index = json_uint_at(c, "scenario_index");
     if (!first && cell.scenario_index <= last_index) {
       throw std::runtime_error("campaign: checkpoint cells out of order or duplicated");
     }
     first = false;
     last_index = cell.scenario_index;
-    cell.prefix_blocks = uint_of(c, "prefix_blocks");
+    cell.prefix_blocks = json_uint_at(c, "prefix_blocks");
     if (cell.prefix_blocks > 0) cell.prefix = parse_scenario_result(c.at("prefix"));
     if (const JsonValue* extra = c.find("extra")) {
       std::uint64_t last_block = 0;
       for (const JsonValue& e : extra->array) {
-        const std::uint64_t block = uint_of(e, "block");
+        const std::uint64_t block = json_uint_at(e, "block");
         if (block < cell.prefix_blocks ||
             (!cell.extra.empty() && block <= last_block)) {
           throw std::runtime_error("campaign: checkpoint extra blocks out of order");
@@ -939,6 +797,67 @@ Checkpoint parse_checkpoint(const std::string& json_text) {
     ckpt.cells.push_back(std::move(cell));
   }
   return ckpt;
+}
+
+void check_cell_progress(const CellProgress& cp, std::uint64_t trials, const std::string& where) {
+  const std::uint64_t blocks = num_trial_blocks(trials);
+  const auto fail = [&](const std::string& what) {
+    throw std::runtime_error(where + " cell " + std::to_string(cp.scenario_index) + " " + what);
+  };
+  if (cp.prefix_blocks > blocks) fail("claims more blocks than the cell has");
+  if (cp.prefix.trials != trials_in_prefix(trials, cp.prefix_blocks)) {
+    fail("carries a prefix trial count inconsistent with its block count");
+  }
+  for (const auto& [block, partial] : cp.extra) {
+    if (block < cp.prefix_blocks || block >= blocks) fail("has an out-of-range extra block");
+    if (partial.trials != trials_in_block(trials, block)) {
+      fail("has an extra block with an inconsistent trial count");
+    }
+  }
+}
+
+// --- whole-file I/O ------------------------------------------------------------
+
+std::string read_text_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("campaign: cannot read " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+void write_file_atomically(const std::string& path, const std::string& text, bool fsync) {
+  const std::string tmp = path + ".tmp";
+  const auto fail = [&](const std::string& what, int fd) {
+    const std::string why = std::strerror(errno);
+    if (fd >= 0) ::close(fd);
+    throw std::runtime_error("campaign: " + what + ": " + why);
+  };
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) fail("cannot open " + tmp, -1);
+  const char* data = text.data();
+  std::size_t len = text.size();
+  while (len > 0) {
+    const ssize_t n = ::write(fd, data, len);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      fail("write failed for " + tmp, fd);
+    }
+    data += n;
+    len -= static_cast<std::size_t>(n);
+  }
+  if (fsync && ::fsync(fd) != 0) fail("fsync failed for " + tmp, fd);
+  ::close(fd);
+  if (::rename(tmp.c_str(), path.c_str()) != 0) fail("rename " + tmp + " -> " + path, -1);
+  if (fsync) {
+    const auto slash = path.find_last_of('/');
+    const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
+    const int dfd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
+    if (dfd >= 0) {
+      ::fsync(dfd);
+      ::close(dfd);
+    }
+  }
 }
 
 // --- the work-stealing campaign scheduler ------------------------------------
@@ -1016,14 +935,14 @@ class StealDeque {
 };
 
 /// Mutable per-cell reduction state. `mu` guards everything below it; the
-/// context is built lazily on the first block that touches the cell and freed
+/// runner is built lazily on the first block that touches the cell and freed
 /// on finalization.
 struct CellState {
   ScenarioCase cell;
   std::uint64_t num_blocks = 0;
 
-  std::once_flag ctx_once;
-  std::unique_ptr<ScenarioContext> ctx;
+  std::once_flag runner_once;
+  std::optional<CellRunner> runner;
 
   std::mutex mu;
   ScenarioResult prefix;                          // merged blocks [0, merged_blocks)
@@ -1033,13 +952,13 @@ struct CellState {
 };
 
 /// Fills the cell-level metadata and analytic companions once every block has
-/// merged. Requires the context (rebuilt if the cell completed purely from
-/// checkpointed blocks).
+/// merged (building the runner if the cell completed purely from
+/// checkpointed blocks), then drops the runner: the graphs are the heavy part.
 void finalize_cell(const ScenarioSpec& spec, CellState& st) {
-  if (st.ctx == nullptr) st.ctx = std::make_unique<ScenarioContext>(build_context(spec, st.cell));
-  finalize_result(*st.ctx, st.cell, st.prefix);
+  if (!st.runner) st.runner.emplace(spec, st.cell);
+  st.runner->finalize(st.prefix);
   st.finalized = true;
-  st.ctx.reset();  // the graphs are the heavy part; drop them as cells finish
+  st.runner.reset();
 }
 
 }  // namespace
@@ -1068,11 +987,9 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
 
   // --- resume: seed the reduction states from the checkpoint ----------------
   if (options.resume && !options.checkpoint_path.empty()) {
-    std::ifstream in(options.checkpoint_path, std::ios::binary);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      const Checkpoint ckpt = parse_checkpoint(buf.str());
+    std::error_code ec;
+    if (std::filesystem::exists(options.checkpoint_path, ec)) {
+      const Checkpoint ckpt = parse_checkpoint(read_text_file(options.checkpoint_path));
       if (ckpt.fingerprint != spec_fingerprint(spec)) {
         throw std::runtime_error(
             "campaign: checkpoint was produced by a different spec (fingerprint mismatch)");
@@ -1091,27 +1008,13 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
                                    " is not owned by this shard");
         }
         CellState& st = **it;
-        if (cp.prefix_blocks > st.num_blocks) {
-          throw std::runtime_error("campaign: checkpoint prefix exceeds the block count");
-        }
+        check_cell_progress(cp, spec.trials, "campaign: checkpoint");
         if (cp.prefix_blocks > 0) {
-          if (cp.prefix.trials != trials_in_prefix(spec.trials, cp.prefix_blocks)) {
-            throw std::runtime_error("campaign: checkpoint prefix trial count is inconsistent");
-          }
           st.prefix = cp.prefix;
           st.merged_blocks = cp.prefix_blocks;
-          result.resumed_blocks += cp.prefix_blocks;
         }
-        for (const auto& [block, partial] : cp.extra) {
-          if (block >= st.num_blocks) {
-            throw std::runtime_error("campaign: checkpoint block index out of range");
-          }
-          if (partial.trials != trials_in_block(spec.trials, block)) {
-            throw std::runtime_error("campaign: checkpoint block trial count is inconsistent");
-          }
-          st.pending.emplace(block, partial);
-          ++result.resumed_blocks;
-        }
+        st.pending.insert(cp.extra.begin(), cp.extra.end());
+        result.resumed_blocks += cp.prefix_blocks + cp.extra.size();
         // Drain any contiguity the snapshot (or a hand-edited file) left.
         while (!st.pending.empty() && st.pending.begin()->first == st.merged_blocks) {
           st.prefix.merge(st.pending.begin()->second);
@@ -1173,10 +1076,10 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
 
   auto run_unit = [&](const WorkUnit& u) {
     CellState& st = *states[u.slot];
-    std::call_once(st.ctx_once, [&] {
-      if (st.ctx == nullptr) st.ctx = std::make_unique<ScenarioContext>(build_context(spec, st.cell));
+    std::call_once(st.runner_once, [&] {
+      if (!st.runner) st.runner.emplace(spec, st.cell);
     });
-    ScenarioResult partial = run_one_block(*st.ctx, spec.trials, u.block);
+    ScenarioResult partial = st.runner->run_block(u.block);
 
     bool completed_cell = false;
     {
@@ -1290,7 +1193,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
           // joinable pool — that would std::terminate. Record it like a
           // worker failure, drain the workers, and rethrow after the join.
           try {
-            write_file_atomically(options.checkpoint_path, snapshot_checkpoint());
+            write_file_atomically(options.checkpoint_path, snapshot_checkpoint(), false);
             checkpointed_blocks = done;
             last_checkpoint = now;
           } catch (...) {
@@ -1315,7 +1218,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
 
   const std::uint64_t done = blocks_completed.load();
   if (checkpointing && (done > checkpointed_blocks || (options.stop_after_blocks != 0 && done > 0))) {
-    write_file_atomically(options.checkpoint_path, snapshot_checkpoint());
+    write_file_atomically(options.checkpoint_path, snapshot_checkpoint(), false);
   }
   if (options.stop_after_blocks != 0 && stop.load()) {
     const bool all_done = std::all_of(states.begin(), states.end(),
@@ -1338,12 +1241,11 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
 
 struct CellRunner::Impl {
   std::uint64_t trials;
-  ScenarioCase cell;
   ScenarioContext ctx;
 };
 
 CellRunner::CellRunner(const ScenarioSpec& spec, const ScenarioCase& cell)
-    : impl_(new Impl{spec.trials, cell, build_context(spec, cell)}) {}
+    : impl_(new Impl{spec.trials, build_context(spec, cell)}) {}
 
 CellRunner::~CellRunner() = default;
 CellRunner::CellRunner(CellRunner&&) noexcept = default;
@@ -1353,11 +1255,44 @@ std::uint64_t CellRunner::num_blocks() const { return num_trial_blocks(impl_->tr
 
 ScenarioResult CellRunner::run_block(std::uint64_t block) const {
   if (block >= num_blocks()) throw std::out_of_range("CellRunner::run_block: block out of range");
-  return run_one_block(impl_->ctx, impl_->trials, block);
+  // Reads the context only, so any number of threads can run different
+  // blocks of the same cell concurrently.
+  const ScenarioContext& ctx = impl_->ctx;
+  ScenarioResult partial;
+  partial.scenario_index = ctx.cell.index;
+  BlockScratch scratch;
+  const std::uint64_t lo = block * kTrialBlock;
+  const std::uint64_t hi = std::min(impl_->trials, lo + kTrialBlock);
+  for (std::uint64_t t = lo; t < hi; ++t) run_trial(ctx, t, partial, scratch);
+  fold_histogram(partial, scratch);
+  return partial;
 }
 
 void CellRunner::finalize(ScenarioResult& r) const {
-  finalize_result(impl_->ctx, impl_->cell, r);
+  const ScenarioContext& ctx = impl_->ctx;
+  const ScenarioCase& cell = ctx.cell;
+  r.scenario_index = cell.index;
+  r.label = cell.label();
+  r.target_nodes = ctx.target.num_nodes();
+  r.fabric_nodes = ctx.fabric.num_nodes();
+  r.target_diameter = ctx.target_diameter;
+  if (ctx.schedule) {
+    r.collective_rounds = ctx.schedule->rounds();
+    r.collective_baseline_cycles = ctx.collective_baseline_cycles;
+  }
+  const FaultModelSpec& model = cell.fault_model;
+  if (model.kind == FaultModelKind::IidBernoulli || model.kind == FaultModelKind::BusIid) {
+    // bus_iid: one bus per fabric node, each driver's clock an iid
+    // geometric(p) — the node-model closed forms apply verbatim (Section V:
+    // a bus fault is its driver's fault).
+    r.analytic_survival = static_cast<double>(survival_probability(
+        r.target_nodes, cell.spares, static_cast<long double>(model.p)));
+    r.analytic_mttf = exact_iid_mttf(r.fabric_nodes, cell.spares, model.p);
+  } else if (model.kind == FaultModelKind::Weibull) {
+    // The model draws full lifetimes, so the empirical MTTF column is exactly
+    // the (k+1)-st order statistic this closed form computes.
+    r.analytic_mttf = weibull_mttf(r.fabric_nodes, cell.spares, model.shape, model.scale);
+  }
 }
 
 }  // namespace ftdb::campaign

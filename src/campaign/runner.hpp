@@ -30,6 +30,7 @@
 #include <limits>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -200,6 +201,25 @@ struct ScenarioResult {
   void merge(const ScenarioResult& other);
 };
 
+/// One row of the accumulator table: every counter and StreamingStats member
+/// of ScenarioResult, in report key order. merge, the JSON writer and parser
+/// and the report validator are loops over this table, so a new streaming
+/// metric is one member, one row, and the run_trial code that feeds it.
+struct ResultField {
+  enum class Kind {
+    Counter,       ///< summed on merge
+    Stats,         ///< StreamingStats, Chan-merged
+    CellConstant,  ///< set once when the cell is finalized; merge leaves it alone
+  };
+  const char* key;
+  Kind kind;
+  std::uint64_t ScenarioResult::*counter = nullptr;  ///< Counter / CellConstant rows
+  StreamingStats ScenarioResult::*stats = nullptr;   ///< Stats rows
+};
+
+/// The table, in the key order write_scenario_result emits.
+std::span<const ResultField> result_fields();
+
 struct CampaignOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency() (min 1).
   unsigned threads = 0;
@@ -293,6 +313,12 @@ struct CellProgress {
   std::vector<std::pair<std::uint64_t, ScenarioResult>> extra;  ///< sorted by block
 };
 
+/// Throws std::runtime_error (prefixed with `where`) unless `cp` fits a cell
+/// of `trials` trials: the prefix holds at most every block and exactly the
+/// trials of its blocks, and each extra block lies past the prefix, inside
+/// the cell, with exactly one block's trials.
+void check_cell_progress(const CellProgress& cp, std::uint64_t trials, const std::string& where);
+
 /// "ftdb-campaign-checkpoint-v2": block-granular progress of one shard.
 struct Checkpoint {
   std::uint64_t fingerprint = 0;        ///< spec_fingerprint of the producing spec
@@ -303,13 +329,18 @@ struct Checkpoint {
 
 std::string checkpoint_to_json(const ScenarioSpec& spec, const Checkpoint& ckpt);
 
-/// Convenience form for whole-cell checkpoints (each result a completed
-/// cell), the shape the scenario-granular v1 engine produced.
-std::string checkpoint_to_json(const ScenarioSpec& spec,
-                               const std::vector<ScenarioResult>& completed);
-
 /// Parses a checkpoint document; throws std::runtime_error when malformed or
 /// when the trial-block size it was produced with differs from kTrialBlock.
 Checkpoint parse_checkpoint(const std::string& json_text);
+
+// --- whole-file I/O (shared with campaign/elastic/) ----------------------------
+
+/// The file's bytes; throws std::runtime_error when it cannot be read.
+std::string read_text_file(const std::string& path);
+
+/// Writes `path` through a temp file and rename(2), so readers see either
+/// the old bytes or the complete new ones, never a torn mix. With `fsync`,
+/// the data and the rename are also flushed to stable storage.
+void write_file_atomically(const std::string& path, const std::string& text, bool fsync);
 
 }  // namespace ftdb::campaign

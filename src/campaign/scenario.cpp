@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 
 #include "analysis/bench_json.hpp"
@@ -27,22 +28,25 @@ std::string fmt_g(double v) {
   throw std::runtime_error("campaign spec: " + what);
 }
 
-double number_field(const JsonValue& obj, const std::string& key, double fallback,
-                    bool required = false) {
+double number_field(const JsonValue& obj, const std::string& key, double fallback) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr) {
-    if (required) bad_spec("missing required field \"" + key + "\"");
-    return fallback;
-  }
+  if (v == nullptr) return fallback;
   if (v->kind != JsonValue::Kind::Number) bad_spec("field \"" + key + "\" must be a number");
   return v->number;
 }
 
-std::uint64_t uint_field(const JsonValue& obj, const std::string& key, std::uint64_t fallback,
-                         bool required = false) {
-  const double d = number_field(obj, key, static_cast<double>(fallback), required);
-  if (d < 0 || d != std::floor(d)) bad_spec("field \"" + key + "\" must be a non-negative integer");
-  return static_cast<std::uint64_t>(d);
+/// analysis::json_uint with the spec's error prefix.
+std::uint64_t checked_uint(const JsonValue& v, const std::string& key) {
+  try {
+    return analysis::json_uint(v, "field \"" + key + "\"");
+  } catch (const std::runtime_error& e) {
+    bad_spec(e.what());
+  }
+}
+
+std::uint64_t uint_field(const JsonValue& obj, const std::string& key, std::uint64_t fallback) {
+  const JsonValue* v = obj.find(key);
+  return v == nullptr ? fallback : checked_uint(*v, key);
 }
 
 /// A grid dimension given either as one number or as an array of numbers.
@@ -55,18 +59,11 @@ std::vector<std::uint64_t> uint_list_field(const JsonValue& obj, const std::stri
     return fallback;
   }
   std::vector<std::uint64_t> out;
-  const auto take = [&](const JsonValue& item) {
-    if (item.kind != JsonValue::Kind::Number || item.number < 0 ||
-        item.number != std::floor(item.number)) {
-      bad_spec("field \"" + key + "\" must hold non-negative integers");
-    }
-    out.push_back(static_cast<std::uint64_t>(item.number));
-  };
   if (v->kind == JsonValue::Kind::Array) {
     if (v->array.empty()) bad_spec("field \"" + key + "\" must not be empty");
-    for (const JsonValue& item : v->array) take(item);
+    for (const JsonValue& item : v->array) out.push_back(checked_uint(item, key));
   } else {
-    take(*v);
+    out.push_back(checked_uint(*v, key));
   }
   return out;
 }
@@ -90,6 +87,19 @@ FaultModelKind parse_kind(const std::string& s) {
            "\" (expected iid, clustered, weibull, adversarial, block, bus_iid or "
            "bus_clustered)");
 }
+
+/// The spec's "metrics" names, in canonical-form order.
+struct MetricFlag {
+  const char* name;
+  bool MetricSet::*enabled;
+};
+constexpr MetricFlag kMetricFlags[] = {
+    {"diameter", &MetricSet::diameter},
+    {"stretch", &MetricSet::stretch},
+    {"mttf", &MetricSet::mttf},
+    {"collective", &MetricSet::collective},
+    {"traffic", &MetricSet::traffic},
+};
 
 void check_probability(double p, const std::string& context) {
   if (!(p > 0.0) || !(p < 1.0)) bad_spec(context + ": p must be in (0, 1)");
@@ -286,25 +296,19 @@ ScenarioSpec parse_scenario_spec(const std::string& json_text) {
 
   if (const JsonValue* metrics = doc.find("metrics")) {
     if (metrics->kind != JsonValue::Kind::Array) bad_spec("\"metrics\" must be an array");
-    spec.metrics.diameter = false;
-    spec.metrics.stretch = false;
-    spec.metrics.mttf = false;
+    for (const MetricFlag& f : kMetricFlags) spec.metrics.*f.enabled = false;
     for (const JsonValue& m : metrics->array) {
       if (m.kind != JsonValue::Kind::String) bad_spec("metric names must be strings");
-      if (m.string == "diameter") {
-        spec.metrics.diameter = true;
-      } else if (m.string == "stretch") {
-        spec.metrics.stretch = true;
-      } else if (m.string == "mttf") {
-        spec.metrics.mttf = true;
-      } else if (m.string == "collective") {
-        spec.metrics.collective = true;
-      } else if (m.string == "traffic") {
-        spec.metrics.traffic = true;
-      } else {
-        bad_spec("unknown metric \"" + m.string +
-                 "\" (expected diameter, stretch, mttf, collective or traffic)");
+      const auto* f = std::find_if(std::begin(kMetricFlags), std::end(kMetricFlags),
+                                   [&](const MetricFlag& flag) { return m.string == flag.name; });
+      if (f == std::end(kMetricFlags)) {
+        std::string names;
+        for (const MetricFlag& flag : kMetricFlags) {
+          names += std::string(names.empty() ? "" : ", ") + flag.name;
+        }
+        bad_spec("unknown metric \"" + m.string + "\" (expected one of " + names + ")");
       }
+      spec.metrics.*f->enabled = true;
     }
   }
   spec.metrics.stretch_sample_pairs = uint_field(doc, "stretch_sample_pairs", 0);
@@ -385,99 +389,63 @@ std::string scenario_spec_to_json(const ScenarioSpec& spec) {
 
 void write_scenario_spec(JsonWriter& w, const ScenarioSpec& spec) {
   w.begin_object();
-  w.key("name");
-  w.value(spec.name);
-  w.key("seed");
-  w.value(spec.seed);
-  w.key("trials");
-  w.value(spec.trials);
-  w.key("topologies");
-  w.begin_array();
+  w.key("name").value(spec.name);
+  w.key("seed").value(spec.seed);
+  w.key("trials").value(spec.trials);
+  w.key("topologies").begin_array();
   for (const TopologySpec& t : spec.topologies) {
     w.begin_object();
-    w.key("family");
-    w.value(topology_family_name(t.family));
-    if (t.family == TopologyFamily::DeBruijn) {
-      w.key("base");
-      w.value(t.base);
-    }
-    w.key("digits");
-    w.value(static_cast<std::uint64_t>(t.digits));
+    w.key("family").value(topology_family_name(t.family));
+    if (t.family == TopologyFamily::DeBruijn) w.key("base").value(t.base);
+    w.key("digits").value(static_cast<std::uint64_t>(t.digits));
     w.end_object();
   }
   w.end_array();
-  w.key("spares");
-  w.begin_array();
+  w.key("spares").begin_array();
   for (const unsigned k : spec.spares) w.value(static_cast<std::uint64_t>(k));
   w.end_array();
-  w.key("fault_models");
-  w.begin_array();
+  w.key("fault_models").begin_array();
   for (const FaultModelSpec& m : spec.fault_models) {
     w.begin_object();
-    w.key("kind");
-    w.value(fault_model_kind_name(m.kind));
+    w.key("kind").value(fault_model_kind_name(m.kind));
     if (m.kind == FaultModelKind::Weibull) {
-      w.key("shape");
-      w.value(m.shape);
-      w.key("scale");
-      w.value(m.scale);
-      w.key("horizon");
-      w.value(m.horizon);
+      w.key("shape").value(m.shape);
+      w.key("scale").value(m.scale);
+      w.key("horizon").value(m.horizon);
     } else {
-      w.key("p");
-      w.value(m.p);
-      if (m.kind == FaultModelKind::Block) {
-        w.key("width");
-        w.value(m.width);
-      }
+      w.key("p").value(m.p);
+      if (m.kind == FaultModelKind::Block) w.key("width").value(m.width);
     }
     w.end_object();
   }
   w.end_array();
-  w.key("metrics");
-  w.begin_array();
-  if (spec.metrics.diameter) w.value("diameter");
-  if (spec.metrics.stretch) w.value("stretch");
-  if (spec.metrics.mttf) w.value("mttf");
-  if (spec.metrics.collective) w.value("collective");
-  if (spec.metrics.traffic) w.value("traffic");
+  w.key("metrics").begin_array();
+  for (const MetricFlag& f : kMetricFlags) {
+    if (spec.metrics.*f.enabled) w.value(f.name);
+  }
   w.end_array();
   // Only a set knob enters the canonical form, so pre-knob specs keep their
   // fingerprints (and checkpoints) unchanged.
   if (spec.metrics.stretch_sample_pairs != 0) {
-    w.key("stretch_sample_pairs");
-    w.value(spec.metrics.stretch_sample_pairs);
+    w.key("stretch_sample_pairs").value(spec.metrics.stretch_sample_pairs);
   }
   if (spec.metrics.collective) {
-    w.key("collective_schedule");
-    w.value(spec.metrics.collective_schedule);
+    w.key("collective_schedule").value(spec.metrics.collective_schedule);
   }
   if (spec.metrics.traffic) {
     const TrafficSpec& ts = spec.metrics.traffic_spec;
-    w.key("traffic");
-    w.begin_object();
-    w.key("pattern");
-    w.value(ts.pattern);
+    w.key("traffic").begin_object();
+    w.key("pattern").value(ts.pattern);
     // Pattern-irrelevant knobs stay out of the canonical form so they cannot
     // silently change a fingerprint.
-    if (ts.pattern == "zipf") {
-      w.key("theta");
-      w.value(ts.theta);
-    }
+    if (ts.pattern == "zipf") w.key("theta").value(ts.theta);
     if (ts.pattern == "hotspot_burst") {
-      w.key("hotspots");
-      w.value(ts.hotspots);
-      w.key("fraction_hot");
-      w.value(ts.fraction_hot);
-      w.key("burst_cycles");
-      w.value(ts.burst_cycles);
+      w.key("hotspots").value(ts.hotspots);
+      w.key("fraction_hot").value(ts.fraction_hot);
+      w.key("burst_cycles").value(ts.burst_cycles);
     }
-    w.key("packets_per_node");
-    w.value(ts.packets_per_node);
-    if (ts.pattern == "trace") {
-      w.key("trace");
-      w.value(ts.trace);
-    }
+    w.key("packets_per_node").value(ts.packets_per_node);
+    if (ts.pattern == "trace") w.key("trace").value(ts.trace);
     w.end_object();
   }
   w.end_object();

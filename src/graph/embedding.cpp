@@ -97,7 +97,7 @@ struct Vf2State {
       if (search(depth + 1)) return 1;
       phi[p] = kInvalidNode;
       host_used[h] = false;
-      return 0;
+      return stats.aborted ? -1 : 0;  // an abort unwinds every depth at once
     };
 
     if (anchor != kInvalidNode) {

@@ -164,8 +164,15 @@ FramedLog::FramedLog(const Format& format, std::string path, std::uint64_t finge
     if (bytes.empty()) {
       unsigned char header[kHeaderBytes];
       encode_header(header, format_, fingerprint_);
-      write_all(fd_, header, sizeof header, format_, path_);
-      if (fsync_) fsync_or_throw(fd_, format_, path_);
+      try {
+        write_all(fd_, header, sizeof header, format_, path_);
+        if (fsync_) fsync_or_throw(fd_, format_, path_);
+      } catch (...) {
+        // Leave the file empty, not a partial header every later open would
+        // refuse as corrupt: the create stays retryable.
+        (void)::ftruncate(fd_, 0);
+        throw;
+      }
       size_bytes_ = kHeaderBytes;
       return;
     }

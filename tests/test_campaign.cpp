@@ -8,6 +8,7 @@
 #include <cmath>
 #include <fstream>
 #include <random>
+#include <regex>
 
 #include "campaign/fault_models.hpp"
 #include "campaign/report.hpp"
@@ -149,6 +150,23 @@ TEST(ScenarioSpec, RejectsMalformedInput) {
     "topologies": [{"family": "debruijn", "digits": 3}],
     "spares": [1], "fault_models": [{"kind": "iid", "p": 0.1}],
     "metrics": ["latency"]
+  })"),
+               std::runtime_error);
+  // Counts a bare cast would mangle: out of range, negative, fractional.
+  for (const char* trials : {"1e30", "18446744073709551616", "-3", "2.5", "\"many\""}) {
+    try {
+      parse_scenario_spec(std::string(R"({"trials": )") + trials + R"(,
+        "topologies": [{"family": "debruijn", "digits": 3}],
+        "spares": [1], "fault_models": [{"kind": "iid", "p": 0.1}]})");
+      ADD_FAILURE() << "accepted trials " << trials;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("\"trials\""), std::string::npos) << e.what();
+      EXPECT_EQ(std::string(e.what()).find("must be positive"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(parse_scenario_spec(R"({
+    "topologies": [{"family": "debruijn", "digits": [3, 1e30]}],
+    "spares": [1], "fault_models": [{"kind": "iid", "p": 0.1}]
   })"),
                std::runtime_error);
   // "base" on a base-2-only family must be rejected, not silently dropped.
@@ -436,7 +454,14 @@ TEST(Campaign, ResumeFromCheckpointReproducesTheFullReport) {
   ASSERT_EQ(full.scenarios.size(), 8u);
 
   // Craft a mid-campaign checkpoint: only the first three scenarios done.
-  const std::vector<ScenarioResult> partial(full.scenarios.begin(), full.scenarios.begin() + 3);
+  Checkpoint partial;
+  for (std::size_t i = 0; i < 3; ++i) {
+    CellProgress cell;
+    cell.scenario_index = i;
+    cell.prefix_blocks = num_trial_blocks(spec.trials);
+    cell.prefix = full.scenarios[i];
+    partial.cells.push_back(std::move(cell));
+  }
   const std::string ckpt_path = ::testing::TempDir() + "/ftdb_campaign_ckpt.json";
   {
     std::ofstream out(ckpt_path, std::ios::binary | std::ios::trunc);
@@ -460,7 +485,7 @@ TEST(Campaign, CheckpointFingerprintMismatchIsRejected) {
   const std::string ckpt_path = ::testing::TempDir() + "/ftdb_campaign_ckpt2.json";
   {
     std::ofstream out(ckpt_path, std::ios::binary | std::ios::trunc);
-    out << checkpoint_to_json(other, std::vector<ScenarioResult>{});
+    out << checkpoint_to_json(other, Checkpoint{});
   }
   CampaignOptions opts;
   opts.threads = 1;
@@ -761,6 +786,33 @@ TEST(CampaignReport, ValidateAcceptsOwnOutputAndRejectsGarbage) {
   EXPECT_EQ(validate_campaign_report(json), result.scenarios.size());
   EXPECT_THROW(validate_campaign_report("{}"), std::runtime_error);
   EXPECT_THROW(validate_campaign_report(R"({"schema": "ftdb-bench-v1"})"), std::runtime_error);
+
+  // Hostile numbers and missing fields: every edit of the valid report must
+  // be refused with an error that names the offending field.
+  const auto rejects = [&](const std::string& pattern, const std::string& replacement,
+                           const std::string& named) {
+    const std::string bad = std::regex_replace(json, std::regex(pattern), replacement,
+                                               std::regex_constants::format_first_only);
+    ASSERT_NE(bad, json) << pattern;
+    try {
+      validate_campaign_report(bad);
+      ADD_FAILURE() << "accepted " << pattern << " -> " << replacement;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos) << e.what();
+    }
+  };
+  rejects(R"("fault_count":\{"count":\d+)", R"("fault_count":{"count":"sixty-four")",
+          "fault_count.count");
+  rejects(R"("mttf_censored":\d+)", R"("mttf_censored":-5)", "mttf_censored");
+  rejects(R"("target_diameter":(\d+),"trials":\d+)", R"("target_diameter":$1,"trials":1e30)",
+          "trials");
+  rejects(R"("over_budget":\d+)", R"("over_budget":2.5)", "over_budget");
+  rejects(R"("traffic_timed_out":\d+,)", "", "traffic_timed_out");
+  rejects(R"("fault_count":\{"count":(\d+),"mean":[^,]+)", R"("fault_count":{"count":$1)",
+          "fault_count.mean");
+  // Every statistic is bounded by the trials, not just the two checked before.
+  rejects(R"("reconfigured_diameter":\{"count":\d+)",
+          R"("reconfigured_diameter":{"count":999999)", "reconfigured_diameter");
 }
 
 // --- collective metric -------------------------------------------------------

@@ -170,7 +170,7 @@ TEST(FindSubgraphEmbedding, HonorsItsStepBudget) {
   const auto phi = find_subgraph_embedding(se, db, options, &stats);
   EXPECT_FALSE(phi.has_value());
   EXPECT_TRUE(stats.aborted);
-  EXPECT_GT(stats.steps, options.max_steps);
+  EXPECT_EQ(stats.steps, options.max_steps + 1);  // the aborting step, nothing after it
 }
 
 }  // namespace

@@ -323,6 +323,49 @@ TEST(FramedLog, FailedConstructionClosesItsDescriptor) {
   EXPECT_TRUE(journal_threw);
   EXPECT_TRUE(block_log_threw);
   EXPECT_EQ(open_fds(), before);
+
+  // The failed create left an empty file, not a partial header, so once the
+  // limit is lifted a reopen creates the log as if it never failed.
+  const Journal j(dir.sub("j.jrn"), kJournalFingerprint, false);
+  EXPECT_TRUE(j.recovered().empty());
+  EXPECT_EQ(fs::file_size(dir.sub("j.jrn")), 24u);
+  const BlockLog log(dir.sub("b.blk"), kBlockLogFingerprint, false);
+  EXPECT_TRUE(log.recovered().empty());
+  EXPECT_EQ(fs::file_size(dir.sub("b.blk")), 24u);
+}
+
+TEST(BlockLog, HostileNumbersInACleanFrameAreCorruption) {
+  // CRC-clean frames (written through a FramedLog with the block log's
+  // layout) whose payload numbers no static_cast may touch: each must be a
+  // typed error that names the field, never undefined behaviour.
+  const ScratchDir dir("hostile");
+  const FramedLog::Format format{
+      "BlockLog", {'F', 'T', 'D', 'B', 'B', 'L', 'K', '1'}, 5,
+      [](const unsigned char* p) -> std::size_t {
+        return 5 + (static_cast<std::size_t>(p[1]) | static_cast<std::size_t>(p[2]) << 8);
+      }};
+  const std::vector<std::string> payloads = {
+      R"({"cell":-1,"block":0,"partial":{}})",
+      R"({"cell":1e30,"block":0,"partial":{}})",
+      R"({"cell":0.5,"block":0,"partial":{}})",
+      R"({"cell":0,"block":"zero","partial":{}})",
+  };
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    const std::string path = dir.sub("h" + std::to_string(i) + ".blk");
+    {
+      FramedLog raw(format, path, kBlockLogFingerprint, false, [](auto) {});
+      Bytes body = {1, static_cast<unsigned char>(payloads[i].size()), 0, 0, 0};
+      body.insert(body.end(), payloads[i].begin(), payloads[i].end());
+      raw.append(body);
+    }
+    try {
+      BlockLog::read(path, kBlockLogFingerprint);
+      ADD_FAILURE() << "accepted " << payloads[i];
+    } catch (const serve::CorruptLogError& e) {
+      const std::string field = i < 3 ? "\"cell\"" : "\"block\"";
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(FramedLog, FailedAppendRollsBackToTheAcknowledgedRecords) {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -65,10 +64,13 @@ struct EngineOptions {
 };
 
 /// Reusable simulation context for one machine: the live logical graph, its
-/// router, and the per-link queue slab are built once and reused across
+/// router, and the in-flight packet slab are built once and reused across
 /// run() calls. This is what collective-schedule execution leans on — a
 /// log-round schedule steps the same machine many times, and rebuilding the
 /// router per round would dominate the measurement.
+///
+/// The simulator copies what it needs from the Machine (the per-logical
+/// liveness), so it may outlive the Machine it was built from.
 class PacketSimulator {
  public:
   PacketSimulator(const Machine& machine, const Graph& target,
@@ -76,19 +78,32 @@ class PacketSimulator {
 
   /// Runs one batch of logical packets to completion (or to max_cycles).
   /// Queues are drained/reset between runs, so successive batches are
-  /// independent synchronous phases.
+  /// independent synchronous phases. Throws std::length_error for a batch
+  /// of 2^32 - 1 packets or more (the slab is indexed by 32-bit slots).
   SimStats run(const std::vector<Packet>& packets, std::uint64_t max_cycles = 0);
 
   const Graph& live_graph() const { return live_; }
   const Router& router() const { return *router_; }
-  std::size_t num_logical() const { return machine_->num_logical(); }
+  std::size_t num_logical() const { return logical_live_.size(); }
 
  private:
+  using Slot = std::uint32_t;
+  static constexpr Slot kNoSlot = ~Slot{0};
+
+  /// One packet in the slab. `next` chains it behind its link's FIFO tail,
+  /// or onto the free list once delivered.
   struct InFlight {
-    std::uint64_t id = 0;
     NodeId dst = 0;
-    std::uint64_t inject_cycle = 0;
     std::uint32_t hops = 0;
+    std::uint64_t inject_cycle = 0;
+    Slot next = kNoSlot;
+  };
+
+  /// FIFO of one directed link, threaded through the slab.
+  struct LinkQueue {
+    Slot head = kNoSlot;
+    Slot tail = kNoSlot;
+    std::uint32_t size = 0;
   };
 
   /// Directed link id of the (from -> to) live edge. Fails loudly (assert in
@@ -96,19 +111,41 @@ class PacketSimulator {
   /// `from` — a misrouted hop must never silently corrupt a sibling queue.
   std::size_t link_id(NodeId from, NodeId to) const;
 
-  bool node_live(NodeId logical) const;
+  bool node_live(NodeId logical) const {
+    return logical < logical_live_.size() && logical_live_[logical] != 0;
+  }
 
-  const Machine* machine_ = nullptr;
+  Slot allocate(const InFlight& pkt);
+  void release(Slot slot);
+  /// Appends `slot` to the link's FIFO and returns the new queue length.
+  std::uint32_t push(std::size_t link, Slot slot);
+  Slot pop(std::size_t link);
+  /// Routes every gathered (node, slot) one hop with a single route_many
+  /// call and appends each to its next link in gathering order; returns the
+  /// longest queue any append produced.
+  std::uint32_t flush_enqueues();
+
+  std::vector<std::uint8_t> logical_live_;  // per logical node: 1 when its host is alive
   Graph live_;
   std::unique_ptr<Router> router_;
+  // Directed link ids: node u's links to its sorted neighbors are
+  // link_base_[u] .. link_base_[u + 1] - 1; link_to_ holds each link's head.
   std::vector<std::size_t> link_base_;
-  std::vector<std::deque<InFlight>> queues_;
-  // Per-cycle batched-routing scratch: the injection wave and the phase-2
-  // arrival wave each gather their (dst, at) queries and resolve them with
-  // one route_many call, preserving enqueue order exactly — hop-for-hop the
-  // stats match the scalar loop, but the implicit backend amortizes its
-  // incremental state across the whole wave.
-  std::vector<std::pair<NodeId, InFlight>> route_batch_;
+  std::vector<NodeId> link_to_;
+  std::vector<LinkQueue> queues_;
+  // One bit per link, set while its queue is non-empty: a cycle visits the
+  // busy links in ascending id — the order a full scan would — without
+  // touching the idle ones.
+  std::vector<std::uint64_t> busy_;
+  std::vector<InFlight> slab_;
+  Slot free_ = kNoSlot;
+  // Per-cycle scratch, kept across runs. Each wave (the injections, then
+  // the forwarded arrivals) gathers its (node, slot) pairs and resolves them
+  // with one route_many call, enqueuing in gathering order — hop-for-hop
+  // the stats match a scalar next_hop loop, while the implicit backend
+  // amortizes its incremental state across the wave.
+  std::vector<std::pair<NodeId, Slot>> arrivals_;
+  std::vector<std::pair<NodeId, Slot>> route_batch_;
   std::vector<NodeId> route_dests_;
   std::vector<NodeId> route_nodes_;
   std::vector<NodeId> route_hops_;

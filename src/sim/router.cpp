@@ -1133,35 +1133,44 @@ std::vector<NodeId> ImplicitRouter::path(NodeId from, NodeId dest) const {
 
 // --- construction ------------------------------------------------------------
 
+namespace {
+
+/// The implicit router for a recognized B_{m,h} / SE_h shape, else null.
+std::unique_ptr<Router> implicit_router_for(const Graph& g) {
+  if (const auto db = debruijn_shape_of(g)) {
+    return std::make_unique<ImplicitRouter>(ImplicitRouter::for_debruijn(*db));
+  }
+  if (const auto se_h = shuffle_exchange_shape_of(g)) {
+    return std::make_unique<ImplicitRouter>(ImplicitRouter::for_shuffle_exchange(*se_h));
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 std::unique_ptr<Router> make_router(const Graph& g, const RouterOptions& options) {
   using Backend = RouterOptions::Backend;
-  if (options.backend == Backend::Auto || options.backend == Backend::Implicit) {
-    // Size-aware policy (Auto only): below the threshold the N^2 slab is
-    // cheap and its O(1) lookup beats the O(h^2) label algebra, so small
-    // shaped machines get the table — the canonical hops are identical
-    // either way. A forced Backend::Implicit skips the size check.
-    const bool implicit_fits =
-        options.backend == Backend::Implicit || options.implicit_min_nodes == 0 ||
-        g.num_nodes() >= options.implicit_min_nodes;
-    if (const auto db = debruijn_shape_of(g)) {
-      if (implicit_fits) {
-        return std::make_unique<ImplicitRouter>(ImplicitRouter::for_debruijn(*db));
-      }
+  switch (options.backend) {
+    case Backend::Table:
       return std::make_unique<TableRouter>(g, options.build_threads);
-    }
-    if (const auto se_h = shuffle_exchange_shape_of(g)) {
-      if (implicit_fits) {
-        return std::make_unique<ImplicitRouter>(ImplicitRouter::for_shuffle_exchange(*se_h));
-      }
-      return std::make_unique<TableRouter>(g, options.build_threads);
-    }
-    if (options.backend == Backend::Implicit) {
+    case Backend::Compressed:
+      return std::make_unique<CompressedRouter>(g, options.build_threads);
+    case Backend::Implicit:
+      if (auto implicit = implicit_router_for(g)) return implicit;
       throw std::invalid_argument(
           "make_router: graph is neither de Bruijn- nor shuffle-exchange-shaped");
-    }
+    case Backend::Auto:
+      break;
   }
-  if (options.backend == Backend::Compressed ||
-      (options.backend == Backend::Auto && g.max_degree() <= options.compressed_max_degree)) {
+  // Size-aware policy: below the threshold the N^2 slab is cheap, builds
+  // faster than the compressed router and answers in O(1), so every small
+  // graph — shaped, degraded or neither — gets the table. The canonical
+  // hops are identical whichever backend answers.
+  if (options.implicit_min_nodes != 0 && g.num_nodes() < options.implicit_min_nodes) {
+    return std::make_unique<TableRouter>(g, options.build_threads);
+  }
+  if (auto implicit = implicit_router_for(g)) return implicit;
+  if (g.max_degree() <= options.compressed_max_degree) {
     return std::make_unique<CompressedRouter>(g, options.build_threads);
   }
   return std::make_unique<TableRouter>(g, options.build_threads);

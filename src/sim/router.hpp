@@ -36,9 +36,10 @@
 //                       general fallback and the oracle the others are
 //                       tested against.
 //
-// make_router() picks automatically: implicit when the graph *is* a de
-// Bruijn / shuffle-exchange shape (shape detection is O(N * m)), compressed
-// when the degree stays constant-ish, table otherwise.
+// make_router() picks automatically: the table for any graph below
+// RouterOptions::implicit_min_nodes; at or above it, implicit when the graph
+// *is* a de Bruijn / shuffle-exchange shape (shape detection is O(N * m)),
+// compressed when the degree stays constant-ish, table otherwise.
 #pragma once
 
 #include <cstdint>
@@ -337,11 +338,13 @@ struct RouterOptions {
   /// degree stays within this bound (the constant-degree regime where the
   /// run-length encoding provably has something to share).
   std::size_t compressed_max_degree = 16;
-  /// Size-aware auto policy: the implicit backend's O(h^2) label algebra only
-  /// pays off where the table slab would hurt, so Auto picks the table (60 ns
-  /// lookups, identical canonical hops) for *shaped* graphs below this node
-  /// count and the O(1)-memory algebra at or above it. 0 restores
-  /// shape-implies-implicit. Forcing a backend bypasses the policy entirely.
+  /// Size-aware auto policy: below this node count the table slab is cheap,
+  /// so Auto picks the table (O(1) lookups, identical canonical hops) for
+  /// *every* graph — shaped, degraded or neither. On a degraded B_{2,h} the
+  /// table also builds over 2x faster than the compressed router. At or
+  /// above it, shaped graphs get the O(1)-memory algebra and the rest the
+  /// degree-based compressed/table choice. 0 turns the size rule off.
+  /// Forcing a backend bypasses the policy entirely.
   std::size_t implicit_min_nodes = std::size_t{1} << 12;
   /// Threads for the compressed/table build's destination-sharded BFS scans
   /// (0 = hardware concurrency). The built router is bit-identical for any
@@ -350,11 +353,11 @@ struct RouterOptions {
   unsigned build_threads = 1;
 };
 
-/// Builds the right router for `g`. Auto order: for a recognized B_{m,h} /
-/// SE_h shape, implicit at or above options.implicit_min_nodes and the table
-/// below it (same canonical hops, O(1) lookups, affordable slab); otherwise
-/// compressed (constant-ish degree), else table. Forcing Backend::Implicit on
-/// a graph of neither shape throws std::invalid_argument.
+/// Builds the right router for `g`. Auto order: the table below
+/// options.implicit_min_nodes (same canonical hops, O(1) lookups, affordable
+/// slab); otherwise implicit for a recognized B_{m,h} / SE_h shape,
+/// compressed for constant-ish degree, else table. Forcing Backend::Implicit
+/// on a graph of neither shape throws std::invalid_argument.
 std::unique_ptr<Router> make_router(const Graph& g, const RouterOptions& options = {});
 
 }  // namespace ftdb::sim

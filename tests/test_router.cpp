@@ -291,11 +291,19 @@ TEST(MakeRouter, SizeAwarePolicyPrefersTableBelowThreshold) {
   EXPECT_EQ(make_router(big, forced(RouterOptions::Backend::Table))->backend(),
             RouterBackend::Table);
 
-  // The policy only reroutes *shaped* graphs; unshaped graphs keep the
-  // degree-based compressed/table choice regardless of the threshold.
+  // Below the threshold the table serves unshaped graphs too; with the size
+  // rule off they keep the degree-based compressed/table choice.
   const Graph ft = ft_debruijn_base2(4, 2);
-  EXPECT_EQ(make_router(ft)->backend(), RouterBackend::Compressed);
+  EXPECT_EQ(make_router(ft)->backend(), RouterBackend::Table);
   EXPECT_EQ(make_router(ft, off)->backend(), RouterBackend::Compressed);
+
+  // A degraded machine is no longer shaped, but small: the table again.
+  const Graph target = debruijn_base2(6);
+  const Machine degraded = Machine::direct_with_faults(target, FaultSet(64, {5, 22, 41}));
+  const Graph live = degraded.live_logical_graph(target);
+  ASSERT_FALSE(debruijn_shape_of(live).has_value());
+  EXPECT_EQ(make_router(live)->backend(), RouterBackend::Table);
+  EXPECT_EQ(make_router(live, off)->backend(), RouterBackend::Compressed);
 }
 
 TEST(MakeRouter, FtGraphIsNotMistakenForItsTarget) {

@@ -114,6 +114,22 @@ TEST(Engine, SimulatorReusableAcrossTruncatedRuns) {
   EXPECT_EQ(full.total_latency, oracle.total_latency);
 }
 
+TEST(Engine, SimulatorOutlivesTheMachineItWasBuiltFrom) {
+  // The simulator copies the machine's liveness, so building it from a
+  // temporary is safe: run() must not reach back into the dead Machine.
+  const Graph target = debruijn_base2(4);
+  PacketSimulator sim(Machine::direct_with_faults(target, FaultSet(16, {1, 8})), target);
+  EXPECT_EQ(sim.num_logical(), 16u);
+  const auto packets = uniform_traffic(16, 300, 2, 7);
+  const SimStats stats = sim.run(packets);
+  const Machine degraded = Machine::direct_with_faults(target, FaultSet(16, {1, 8}));
+  const SimStats oracle = run_packets(degraded, target, packets);
+  EXPECT_GT(stats.undeliverable, 0u);
+  EXPECT_EQ(stats.undeliverable, oracle.undeliverable);
+  EXPECT_EQ(stats.delivered, oracle.delivered);
+  EXPECT_EQ(stats.total_latency, oracle.total_latency);
+}
+
 TEST(Engine, FaultyBareMachineDropsTraffic) {
   // PERF2 shape, small scale: faults on the bare target make some packets
   // undeliverable and lengthen surviving routes.

@@ -1,8 +1,14 @@
 // Golden campaign artifacts: the JSON, CSV and markdown reports and the final
-// checkpoint of one small all-metric campaign, compared against committed
-// bytes in tests/golden/. The thread-count, resume and shard tests only
-// compare the code with itself; these fixtures pin the bytes themselves, so
-// a refactor of the serializers cannot drift the on-disk formats unnoticed.
+// checkpoint of two campaigns, compared against committed bytes in
+// tests/golden/. The thread-count, resume and shard tests only compare the
+// code with itself; these fixtures pin the bytes themselves, so a refactor of
+// the serializers or of the trial pipeline cannot drift the results
+// unnoticed.
+//
+// The first campaign is small and runs all five metrics at N = 8. The second
+// runs the four simulator metrics at N = 64 and 81, where failed trials'
+// degraded and survivor-baseline runs congest enough to tell one engine
+// input from another.
 //
 // The grid avoids the `uniform` and `hotspot_burst` traffic patterns: they
 // draw through std:: distributions whose algorithms differ between standard
@@ -14,6 +20,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -57,6 +64,30 @@ ScenarioSpec golden_spec() {
   })");
 }
 
+/// B_{2,6}, SE_6 and B_{3,4}; k=2; iid and clustered; 64 trials; the four
+/// simulator metrics with a Bruck all-to-all and zipf traffic.
+ScenarioSpec sim_golden_spec() {
+  return parse_scenario_spec(R"({
+    "name": "golden_sim",
+    "seed": 515,
+    "trials": 64,
+    "topologies": [
+      {"family": "debruijn", "base": 2, "digits": 6},
+      {"family": "shuffle_exchange", "digits": 6},
+      {"family": "debruijn", "base": 3, "digits": 4}
+    ],
+    "spares": [2],
+    "fault_models": [
+      {"kind": "iid", "p": 0.02},
+      {"kind": "clustered", "p": 0.01}
+    ],
+    "metrics": ["diameter", "stretch", "collective", "traffic"],
+    "stretch_sample_pairs": 16,
+    "collective_schedule": "all_to_all_bruck",
+    "traffic": {"pattern": "zipf", "theta": 1.0, "packets_per_node": 4}
+  })");
+}
+
 std::string golden_path(const std::string& leaf) {
   return std::string(FTDB_GOLDEN_DIR) + "/" + leaf;
 }
@@ -84,20 +115,27 @@ struct GoldenRun {
   std::string checkpoint;
 };
 
+GoldenRun run_golden(const ScenarioSpec& spec) {
+  // Per-process path: ctest runs each test of this binary as its own process.
+  const std::string ckpt_path = ::testing::TempDir() + "/ftdb_" + spec.name + "_" +
+                                std::to_string(::getpid()) + ".ckpt";
+  std::remove(ckpt_path.c_str());
+  CampaignOptions options;
+  options.threads = 2;
+  options.checkpoint_path = ckpt_path;
+  GoldenRun r{run_campaign(spec, options), ""};
+  r.checkpoint = slurp(ckpt_path);
+  std::remove(ckpt_path.c_str());
+  return r;
+}
+
 const GoldenRun& golden_run() {
-  static const GoldenRun run = [] {
-    // Per-process path: ctest runs each test of this binary as its own process.
-    const std::string ckpt_path =
-        ::testing::TempDir() + "/ftdb_golden_" + std::to_string(::getpid()) + ".ckpt";
-    std::remove(ckpt_path.c_str());
-    CampaignOptions options;
-    options.threads = 2;
-    options.checkpoint_path = ckpt_path;
-    GoldenRun r{run_campaign(golden_spec(), options), ""};
-    r.checkpoint = slurp(ckpt_path);
-    std::remove(ckpt_path.c_str());
-    return r;
-  }();
+  static const GoldenRun run = run_golden(golden_spec());
+  return run;
+}
+
+const GoldenRun& sim_golden_run() {
+  static const GoldenRun run = run_golden(sim_golden_spec());
   return run;
 }
 
@@ -137,6 +175,41 @@ TEST(CampaignGolden, CheckpointRoundTripsThroughParseAndWrite) {
   const std::string text = slurp(golden_path("checkpoint.json"));
   ASSERT_FALSE(text.empty());
   EXPECT_EQ(checkpoint_to_json(golden_spec(), parse_checkpoint(text)), text);
+}
+
+TEST(CampaignGolden, SimScaleReportJsonMatchesFixture) {
+  expect_golden("sim_report.json", campaign_report_json(sim_golden_run().result));
+}
+
+TEST(CampaignGolden, SimScaleReportCsvMatchesFixture) {
+  expect_golden("sim_report.csv", campaign_report_csv(sim_golden_run().result));
+}
+
+TEST(CampaignGolden, SimScaleReportMarkdownMatchesFixture) {
+  expect_golden("sim_report.md", campaign_report_markdown(sim_golden_run().result));
+}
+
+TEST(CampaignGolden, SimScaleFinalCheckpointMatchesFixture) {
+  ASSERT_FALSE(sim_golden_run().checkpoint.empty());
+  expect_golden("sim_checkpoint.json", sim_golden_run().checkpoint);
+}
+
+TEST(CampaignGolden, SimScaleFixtureExercisesEveryTrialPath) {
+  // The fixture is only worth its bytes if it reaches each simulator path:
+  // successful trials, failed trials that still run the degraded collective
+  // and traffic, and degraded runs that congest.
+  const std::string text = slurp(golden_path("sim_report.json"));
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(validate_campaign_report(text), 6u);
+  const analysis::JsonValue doc = analysis::json_parse(text);
+  std::uint64_t failed_with_collective = 0;
+  for (const analysis::JsonValue& s : doc.at("scenarios").array) {
+    const ScenarioResult r = parse_scenario_result(s);
+    EXPECT_GT(r.reconfig_success, 0u) << r.label;
+    EXPECT_EQ(r.collective_slowdown.count + r.collective_unreachable, r.trials) << r.label;
+    failed_with_collective += r.collective_slowdown.count - r.reconfig_success;
+  }
+  EXPECT_GT(failed_with_collective, 0u);
 }
 
 }  // namespace

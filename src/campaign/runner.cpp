@@ -205,14 +205,13 @@ struct ScenarioContext {
   std::uint64_t seed = 0;
   MetricSet metrics;
 
-  // collective metric: the full-N schedule, its identity rank map, the
-  // healthy-machine baseline it is compared against, and the healthy machine
-  // itself (reused per failed trial to price the survivors' own baseline) —
-  // point-to-point families only.
+  // collective metric: the full-N schedule, its identity rank map, and its
+  // run on the healthy target — the baseline every slowdown is priced
+  // against, and the exact result of every trial whose machine presents the
+  // target — point-to-point families only.
   std::optional<sim::Schedule> schedule;
   std::vector<NodeId> identity_ranks;
-  std::uint64_t collective_baseline_cycles = 0;
-  std::optional<sim::Machine> healthy_machine;
+  sim::ScheduleRunResult healthy_collective;
 
   // bus-fault models: the cell draws bus faults that must be resolved onto
   // the realized graph (bus-family cells) before the survival check.
@@ -265,17 +264,14 @@ ScenarioContext build_context(const ScenarioSpec& spec, const ScenarioCase& cell
   ctx.target_diameter = diameter(ctx.target);
   if (spec.metrics.collective && cell.topology.family != TopologyFamily::Bus) {
     // Compile the schedule once per cell and price the healthy machine — the
-    // denominator of every trial's slowdown. A reconfigured dilation-1
-    // machine re-runs the *same* schedule object.
+    // denominator of every trial's slowdown.
     ctx.schedule = sim::build_schedule(
         sim::schedule_kind_from_name(spec.metrics.collective_schedule),
         static_cast<std::uint32_t>(ctx.target.num_nodes()));
     ctx.identity_ranks.resize(ctx.target.num_nodes());
     for (NodeId v = 0; v < ctx.target.num_nodes(); ++v) ctx.identity_ranks[v] = v;
-    ctx.healthy_machine.emplace(sim::Machine::direct(ctx.target));
-    const sim::ScheduleRunResult healthy = sim::execute_schedule(
-        *ctx.healthy_machine, ctx.target, *ctx.schedule, ctx.identity_ranks);
-    ctx.collective_baseline_cycles = healthy.total_cycles;
+    ctx.healthy_collective = sim::execute_schedule(sim::Machine::direct(ctx.target), ctx.target,
+                                                   *ctx.schedule, ctx.identity_ranks);
   }
   if (spec.metrics.traffic && cell.topology.family != TopologyFamily::Bus) {
     ctx.traffic = true;
@@ -311,6 +307,14 @@ struct BlockScratch {
   std::vector<std::uint64_t> coll_trials;     // collective runs by fault count
   std::vector<std::uint64_t> coll_unreachable;
   std::vector<double> coll_slowdown_sum;
+
+  /// The block's simulator of the healthy target, built on first use (a
+  /// cell whose trials run no collective or traffic never builds it).
+  sim::PacketSimulator& healthy(const ScenarioContext& ctx) {
+    if (!healthy_sim) healthy_sim.emplace(sim::Machine::direct(ctx.target), ctx.target);
+    return *healthy_sim;
+  }
+  std::optional<sim::PacketSimulator> healthy_sim;
 };
 
 /// Runs one trial and folds it straight into `acc`.
@@ -417,48 +421,66 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
     }
   }
 
+  // The simulator the collective and the traffic run on. A successful
+  // machine that presents the target is indistinguishable from the healthy
+  // target to the engine (Machine::presents), so it borrows the block's
+  // healthy simulator; any other successful machine gets its own. A failed
+  // trial's bare target with its faults marked dead gets its own, unless
+  // every target node died — then nothing runs.
+  const std::uint64_t n_nodes = ctx.target.num_nodes();
+  std::optional<sim::PacketSimulator> own_sim;
+  sim::PacketSimulator* engine = nullptr;
+  bool presents = false;
+  if (want_collective || ctx.traffic) {
+    if (success) {
+      presents = reconfigured->presents(ctx.target);
+      engine = presents ? &scratch.healthy(ctx) : &own_sim.emplace(*reconfigured, ctx.target);
+    } else {
+      std::vector<NodeId> hit;
+      for (const NodeId f : draw.faults.nodes()) {
+        if (f < n_nodes) hit.push_back(f);
+      }
+      if (hit.size() < n_nodes) {
+        engine = &own_sim.emplace(
+            sim::Machine::direct_with_faults(ctx.target, FaultSet(n_nodes, std::move(hit))),
+            ctx.target);
+      }
+    }
+  }
+
   if (want_collective) {
     // Run the collective through the packet engine: the reconfigured machine
-    // re-runs the full-N schedule against the cell's healthy baseline (the
-    // operational dilation-1 claim — the slowdown is exactly 1.0); a degraded
-    // bare target runs a schedule compiled over its survivors, priced against
-    // the *same survivors' schedule on the healthy target* so the slowdown
-    // isolates the rerouting cost instead of crediting the smaller job.
+    // runs the full-N schedule against the cell's healthy baseline (the
+    // operational dilation-1 claim — the slowdown is exactly 1.0, and when
+    // the machine presents the target the run *is* the baseline run); a
+    // degraded bare target runs a schedule compiled over its survivors,
+    // priced against the *same survivors' schedule on the healthy target* so
+    // the slowdown isolates the rerouting cost instead of crediting the
+    // smaller job.
     sim::ScheduleRunResult run;
-    std::uint64_t baseline_cycles = ctx.collective_baseline_cycles;
-    bool ran = false;
-    if (success) {
-      run = sim::execute_schedule(*reconfigured, ctx.target, *ctx.schedule, ctx.identity_ranks);
-      ran = true;
-    } else {
+    std::uint64_t baseline_cycles = ctx.healthy_collective.total_cycles;
+    if (presents) {
+      run = ctx.healthy_collective;
+    } else if (success) {
+      run = sim::execute_schedule(*engine, *ctx.schedule, ctx.identity_ranks);
+    } else if (engine != nullptr) {
       std::vector<NodeId> survivors;
-      for (NodeId v = 0; v < ctx.target.num_nodes(); ++v) {
+      for (NodeId v = 0; v < n_nodes; ++v) {
         if (!draw.faults.is_faulty(v)) survivors.push_back(v);
       }
-      if (!survivors.empty()) {
-        std::vector<NodeId> hit;
-        for (const NodeId f : draw.faults.nodes()) {
-          if (f < ctx.target.num_nodes()) hit.push_back(f);
-        }
-        const sim::Machine degraded = sim::Machine::direct_with_faults(
-            ctx.target, FaultSet(ctx.target.num_nodes(), std::move(hit)));
-        const sim::Schedule sched = sim::build_schedule(
-            ctx.schedule->kind, static_cast<std::uint32_t>(survivors.size()));
-        run = sim::execute_schedule(degraded, ctx.target, sched, survivors);
-        baseline_cycles =
-            sim::execute_schedule(*ctx.healthy_machine, ctx.target, sched, survivors)
-                .total_cycles;
-        ran = true;
-      }
-      // else: every target node dead — counted unreachable below.
+      const sim::Schedule sched = sim::build_schedule(
+          ctx.schedule->kind, static_cast<std::uint32_t>(survivors.size()));
+      run = sim::execute_schedule(*engine, sched, survivors);
+      baseline_cycles = sim::execute_schedule(scratch.healthy(ctx), sched, survivors).total_cycles;
     }
+    // else: every target node dead — counted unreachable below.
     if (scratch.coll_trials.size() <= faults) {
       scratch.coll_trials.resize(faults + 1, 0);
       scratch.coll_unreachable.resize(faults + 1, 0);
       scratch.coll_slowdown_sum.resize(faults + 1, 0.0);
     }
     ++scratch.coll_trials[faults];
-    if (ran && run.completed()) {
+    if (engine != nullptr && run.completed()) {
       const double slowdown =
           baseline_cycles == 0
               ? 1.0
@@ -479,7 +501,6 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
     // fixed function of the spec — the byte-identity invariant.
     const std::uint64_t traffic_seed = rng.next_u64();
     const TrafficSpec& ts = ctx.metrics.traffic_spec;
-    const std::uint64_t n_nodes = ctx.target.num_nodes();
     std::vector<sim::Packet> packets;
     if (ts.pattern == "trace") {
       packets = ctx.trace_packets;
@@ -498,30 +519,14 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
     } else {
       packets = sim::uniform_traffic(n_nodes, ctx.traffic_packets, 0, traffic_seed);
     }
-    std::optional<sim::SimStats> stats;
-    if (success) {
-      stats = sim::run_packets(*reconfigured, ctx.target, packets,
-                               {.max_cycles = ctx.traffic_max_cycles});
+    if (engine != nullptr) {
+      const sim::SimStats stats = engine->run(packets, ctx.traffic_max_cycles);
+      acc.traffic_delivered.add(stats.delivered_fraction());
+      if (stats.delivered > 0) acc.traffic_latency.add(stats.average_latency());
+      acc.traffic_congestion.add(static_cast<double>(stats.max_queue_depth));
+      acc.traffic_timed_out += stats.timed_out;
     } else {
-      std::vector<NodeId> hit;
-      for (const NodeId f : draw.faults.nodes()) {
-        if (f < n_nodes) hit.push_back(f);
-      }
-      if (hit.size() < n_nodes) {
-        const sim::Machine degraded = sim::Machine::direct_with_faults(
-            ctx.target, FaultSet(n_nodes, std::move(hit)));
-        stats = sim::run_packets(degraded, ctx.target, packets,
-                                 {.max_cycles = ctx.traffic_max_cycles});
-      }
-      // else: every target node dead — nothing can inject; scored below.
-    }
-    if (stats) {
-      acc.traffic_delivered.add(stats->delivered_fraction());
-      if (stats->delivered > 0) acc.traffic_latency.add(stats->average_latency());
-      acc.traffic_congestion.add(static_cast<double>(stats->max_queue_depth));
-      acc.traffic_timed_out += stats->timed_out;
-    } else {
-      acc.traffic_delivered.add(0.0);
+      acc.traffic_delivered.add(0.0);  // every target node dead: nothing can inject
     }
   }
 
@@ -1278,7 +1283,7 @@ void CellRunner::finalize(ScenarioResult& r) const {
   r.target_diameter = ctx.target_diameter;
   if (ctx.schedule) {
     r.collective_rounds = ctx.schedule->rounds();
-    r.collective_baseline_cycles = ctx.collective_baseline_cycles;
+    r.collective_baseline_cycles = ctx.healthy_collective.total_cycles;
   }
   const FaultModelSpec& model = cell.fault_model;
   if (model.kind == FaultModelKind::IidBernoulli || model.kind == FaultModelKind::BusIid) {

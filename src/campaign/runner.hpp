@@ -153,11 +153,13 @@ struct ScenarioResult {
   /// denominator of every per-trial slowdown (set at cell finalization).
   std::uint64_t collective_baseline_cycles = 0;
   /// Per-trial completion-time slowdown of the collective (trials whose
-  /// collective completed). Successful trials re-run the full-N schedule on
+  /// collective completed). Successful trials run the full-N schedule on
   /// the reconfigured machine against the cell baseline — dilation-1 lands at
-  /// exactly 1.0. Failed trials run the survivors' schedule on the degraded
-  /// target against the same schedule on the *healthy* target, so the ratio
-  /// measures pure rerouting/congestion cost, not the smaller job.
+  /// exactly 1.0 (a machine that presents the target takes the baseline run
+  /// itself, which the engine reproduces exactly). Failed trials run the
+  /// survivors' schedule on the degraded target against the same schedule
+  /// on the *healthy* target, so the ratio measures pure
+  /// rerouting/congestion cost, not the smaller job.
   StreamingStats collective_slowdown;
   /// Per-trial total hop-cycles and max per-link congestion of the run.
   StreamingStats collective_hop_cycles;

@@ -57,9 +57,10 @@ struct EngineOptions {
   /// injected == delivered + undeliverable + timed_out holds unconditionally.
   std::uint64_t max_cycles = 0;
   /// Routing backend selection for the live logical graph. The default Auto
-  /// routes healthy (and dilation-1 reconfigured) de Bruijn / shuffle-exchange
-  /// machines through the O(1)-memory implicit router, so simulations scale
-  /// to N where a table slab would be gigabytes.
+  /// sends every graph below RouterOptions::implicit_min_nodes to the table
+  /// router; at or above it, healthy (and dilation-1 reconfigured) de Bruijn /
+  /// shuffle-exchange machines take the O(1)-memory implicit router, so
+  /// simulations scale to N where a table slab would be gigabytes.
   RouterOptions router;
 };
 

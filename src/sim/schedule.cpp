@@ -454,14 +454,12 @@ void verify_schedule_functional(const Schedule& schedule) {
 
 // ---- operational execution --------------------------------------------------
 
-ScheduleRunResult execute_schedule(const Machine& machine, const Graph& target,
-                                   const Schedule& schedule,
+ScheduleRunResult execute_schedule(PacketSimulator& sim, const Schedule& schedule,
                                    const std::vector<NodeId>& rank_to_logical,
-                                   const ScheduleRunOptions& options) {
+                                   std::uint64_t max_cycles_per_step) {
   if (rank_to_logical.size() != schedule.num_ranks) {
     throw std::invalid_argument("execute_schedule: rank map size != num_ranks");
   }
-  PacketSimulator sim(machine, target, options.router);
   ScheduleRunResult result;
   result.rounds = schedule.rounds();
   std::vector<Packet> packets;
@@ -476,7 +474,7 @@ ScheduleRunResult execute_schedule(const Machine& machine, const Graph& target,
       }
     }
     if (packets.empty()) continue;
-    const SimStats stats = sim.run(packets, options.max_cycles_per_step);
+    const SimStats stats = sim.run(packets, max_cycles_per_step);
     result.total_cycles += stats.cycles;
     result.total_hop_cycles += stats.total_hops;
     result.max_link_congestion = std::max(result.max_link_congestion, stats.max_queue_depth);
@@ -486,6 +484,14 @@ ScheduleRunResult execute_schedule(const Machine& machine, const Graph& target,
     result.timed_out += stats.timed_out;
   }
   return result;
+}
+
+ScheduleRunResult execute_schedule(const Machine& machine, const Graph& target,
+                                   const Schedule& schedule,
+                                   const std::vector<NodeId>& rank_to_logical,
+                                   const ScheduleRunOptions& options) {
+  PacketSimulator sim(machine, target, options.router);
+  return execute_schedule(sim, schedule, rank_to_logical, options.max_cycles_per_step);
 }
 
 CollectiveRunResult execute_collective(const Machine& machine, const Graph& target,

@@ -137,11 +137,19 @@ struct ScheduleRunResult {
   bool completed() const { return undeliverable == 0 && timed_out == 0; }
 };
 
-/// Executes the schedule on the machine's live logical graph: rank r lives at
-/// logical node rank_to_logical[r], each step's transfers become one packet
-/// per key injected at cycle 0, and the step runs to drain (or to the per-step
-/// budget). Throws std::invalid_argument when rank_to_logical does not match
+/// Executes the schedule on the simulator's live logical graph: rank r lives
+/// at logical node rank_to_logical[r], each step's transfers become one
+/// packet per key injected at cycle 0, and the step runs to drain (or to
+/// max_cycles_per_step; 0 = drain). Every run() is independent, so one
+/// simulator can serve any number of schedules and traffic batches. Throws
+/// std::invalid_argument when rank_to_logical does not match
 /// schedule.num_ranks.
+ScheduleRunResult execute_schedule(PacketSimulator& sim, const Schedule& schedule,
+                                   const std::vector<NodeId>& rank_to_logical,
+                                   std::uint64_t max_cycles_per_step = 0);
+
+/// Builds a simulator on the machine's live logical graph and runs the
+/// schedule on it (the overload above).
 ScheduleRunResult execute_schedule(const Machine& machine, const Graph& target,
                                    const Schedule& schedule,
                                    const std::vector<NodeId>& rank_to_logical,

@@ -1,8 +1,9 @@
 // Pins of the packet engine's observable behaviour: every SimStats field on
 // fixed workloads, the end-of-cycle queue-depth semantics, inject-order
-// handling of unsorted batches, and reuse after a truncated run. The golden
-// rows were produced by the per-link deque engine, so any queueing rewrite
-// has to reproduce them hop for hop.
+// handling of unsorted batches, and reuse of one simulator across truncated
+// runs, traffic batches and schedule steps. The golden rows were produced by
+// the per-link deque engine, so any queueing rewrite has to reproduce them
+// hop for hop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,6 +127,44 @@ TEST(EnginePins, TruncatedThenFullRunEqualsFreshRun) {
   const SimStats full = reused.run(packets);
   PacketSimulator fresh(m, target);
   expect_same(full, fresh.run(packets), "reused after truncation vs fresh");
+}
+
+TEST(EnginePins, OneSimulatorServesTrafficAndScheduleStepsLikeFreshOnes) {
+  // The campaign runner keeps one simulator per machine and feeds it a
+  // trial's collective steps and traffic in turn (and a block's healthy
+  // simulator serves many trials). Every run must match a simulator built
+  // for it alone, whatever ran before it.
+  const Graph target = debruijn_base2(6);
+  const Machine degraded = Machine::direct_with_faults(target, FaultSet(64, {5, 22, 41}));
+  std::vector<NodeId> survivors;
+  for (NodeId v = 0; v < 64; ++v) {
+    if (v != 5 && v != 22 && v != 41) survivors.push_back(v);
+  }
+  const Schedule schedule =
+      build_schedule(ScheduleKind::AllToAllBruck, static_cast<std::uint32_t>(survivors.size()));
+  std::vector<std::vector<Packet>> steps;
+  for (const ScheduleStep& step : schedule.steps) {
+    std::vector<Packet> packets;
+    std::uint64_t id = 0;
+    for (const Transfer& t : step.transfers) {
+      for (std::size_t k = 0; k < t.keys.size(); ++k) {
+        packets.push_back({id++, survivors[t.src], survivors[t.dst], 0});
+      }
+    }
+    steps.push_back(std::move(packets));
+  }
+  const std::vector<Packet> truncated = zipf_traffic(64, 512, 1.2, 99, /*packets_per_cycle=*/64);
+  const std::vector<Packet> full = zipf_traffic(64, 256, 1.0, 4, /*packets_per_cycle=*/16);
+
+  PacketSimulator reused(degraded, target);
+  const SimStats cut = reused.run(truncated, /*max_cycles=*/6);
+  ASSERT_GT(cut.timed_out, 0u);
+  expect_same(cut, PacketSimulator(degraded, target).run(truncated, 6), "truncated zipf");
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    expect_same(reused.run(steps[i]), PacketSimulator(degraded, target).run(steps[i]),
+                "survivors' Bruck step " + std::to_string(i));
+  }
+  expect_same(reused.run(full), PacketSimulator(degraded, target).run(full), "full zipf");
 }
 
 // Columns: injected, delivered, undeliverable, timed_out, cycles,

@@ -207,8 +207,8 @@ struct ScenarioContext {
 
   // collective metric: the full-N schedule, its identity rank map, and its
   // run on the healthy target — the baseline every slowdown is priced
-  // against, and the exact result of every trial whose machine presents the
-  // target — point-to-point families only.
+  // against, and the exact result of every successful trial — point-to-point
+  // families only.
   std::optional<sim::Schedule> schedule;
   std::vector<NodeId> identity_ranks;
   sim::ScheduleRunResult healthy_collective;
@@ -364,16 +364,11 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
       ctx.metrics.stretch && success &&
       (ctx.cell.topology.family == TopologyFamily::DeBruijn || se_family);
   const bool want_collective = ctx.schedule.has_value();
-  std::optional<sim::Machine> reconfigured;
-  if (success && ((ctx.metrics.diameter) || want_stretch || want_collective || ctx.traffic)) {
-    // One reconfigured machine serves all post-fault metrics (Machine copies
-    // the fabric CSR, so building it repeatedly per trial would multiply the
-    // cost of the hot loop).
-    reconfigured.emplace(
-        sim::Machine::reconfigured(ctx.fabric, draw.faults, ctx.target.num_nodes()));
-  }
   if (success && (ctx.metrics.diameter || want_stretch)) {
-    const sim::Machine& machine = *reconfigured;
+    // One reconfigured machine serves both metrics (Machine copies the fabric
+    // CSR, so building it twice per trial would double that cost).
+    const sim::Machine machine =
+        sim::Machine::reconfigured(ctx.fabric, draw.faults, ctx.target.num_nodes());
     if (ctx.metrics.diameter) {
       // Measure (not assume) the paper's claim: the reconfigured machine
       // presents the intact target, so its logical diameter must equal the
@@ -421,27 +416,26 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
     }
   }
 
-  // The simulator the collective and the traffic run on. A successful
-  // machine that presents the target is indistinguishable from the healthy
-  // target to the engine (Machine::presents), so it borrows the block's
-  // healthy simulator; any other successful machine gets its own. A failed
-  // trial's bare target with its faults marked dead gets its own, unless
-  // every target node died — then nothing runs.
+  // The simulator the collective and the traffic run on. A successful trial
+  // passed monotone_embedding_survives: every target node sits on a live
+  // host and every target edge on a live link, so the live logical graph is
+  // the target and the engine cannot tell the reconfigured machine from the
+  // healthy target — the trial borrows the block's healthy simulator. A
+  // failed trial's bare target with its faults marked dead gets its own,
+  // unless every target node died — then nothing runs.
   const std::uint64_t n_nodes = ctx.target.num_nodes();
-  std::optional<sim::PacketSimulator> own_sim;
+  std::optional<sim::PacketSimulator> degraded_sim;
   sim::PacketSimulator* engine = nullptr;
-  bool presents = false;
   if (want_collective || ctx.traffic) {
     if (success) {
-      presents = reconfigured->presents(ctx.target);
-      engine = presents ? &scratch.healthy(ctx) : &own_sim.emplace(*reconfigured, ctx.target);
+      engine = &scratch.healthy(ctx);
     } else {
       std::vector<NodeId> hit;
       for (const NodeId f : draw.faults.nodes()) {
         if (f < n_nodes) hit.push_back(f);
       }
       if (hit.size() < n_nodes) {
-        engine = &own_sim.emplace(
+        engine = &degraded_sim.emplace(
             sim::Machine::direct_with_faults(ctx.target, FaultSet(n_nodes, std::move(hit))),
             ctx.target);
       }
@@ -450,19 +444,16 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
 
   if (want_collective) {
     // Run the collective through the packet engine: the reconfigured machine
-    // runs the full-N schedule against the cell's healthy baseline (the
-    // operational dilation-1 claim — the slowdown is exactly 1.0, and when
-    // the machine presents the target the run *is* the baseline run); a
-    // degraded bare target runs a schedule compiled over its survivors,
-    // priced against the *same survivors' schedule on the healthy target* so
-    // the slowdown isolates the rerouting cost instead of crediting the
-    // smaller job.
+    // runs the full-N schedule exactly as the healthy target does (the
+    // operational dilation-1 claim — the slowdown is exactly 1.0), so it
+    // takes the cell's healthy run; a degraded bare target runs a schedule
+    // compiled over its survivors, priced against the *same survivors'
+    // schedule on the healthy target* so the slowdown isolates the rerouting
+    // cost instead of crediting the smaller job.
     sim::ScheduleRunResult run;
     std::uint64_t baseline_cycles = ctx.healthy_collective.total_cycles;
-    if (presents) {
+    if (success) {
       run = ctx.healthy_collective;
-    } else if (success) {
-      run = sim::execute_schedule(*engine, *ctx.schedule, ctx.identity_ranks);
     } else if (engine != nullptr) {
       std::vector<NodeId> survivors;
       for (NodeId v = 0; v < n_nodes; ++v) {

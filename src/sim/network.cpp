@@ -65,17 +65,6 @@ Graph Machine::live_logical_graph(const Graph& target) const {
   return builder.build();
 }
 
-bool Machine::presents(const Graph& target) const {
-  if (num_logical() != target.num_nodes()) return false;
-  for (const NodeId p : to_physical) {
-    if (dead[p]) return false;
-  }
-  for (const Edge& e : target.edges()) {
-    if (!logical_link_up(e.u, e.v)) return false;
-  }
-  return true;
-}
-
 std::vector<NodeId> edge_faults_to_node_faults(const Graph& g,
                                                const std::vector<Edge>& bad_edges) {
   (void)g;

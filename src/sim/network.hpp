@@ -41,16 +41,11 @@ struct Machine {
   bool logical_link_up(NodeId u, NodeId v) const;
 
   /// The logical connectivity actually available: edges between live logical
-  /// nodes whose physical images are adjacent. When presents(target) holds
-  /// this is all of `target`.
+  /// nodes whose physical images are adjacent. For a reconfigured FT machine
+  /// whose fault set passes monotone_embedding_survives this is all of
+  /// `target`, and every logical node is live: a PacketSimulator built on it
+  /// behaves exactly like one built on Machine::direct(target).
   Graph live_logical_graph(const Graph& target) const;
-
-  /// True when the machine presents the intact target: it has one logical
-  /// node per target node, every logical node's host is alive, and every
-  /// target edge is a live logical link. Then live_logical_graph(target) is
-  /// `target` and every logical node is live, so a PacketSimulator built on
-  /// this machine behaves exactly like one built on Machine::direct(target).
-  bool presents(const Graph& target) const;
 };
 
 /// Edge faults are handled in the paper by declaring one incident node faulty

@@ -875,9 +875,9 @@ TEST(Collective, SlowdownIsExactlyOneOnEverySuccessfulTrial) {
   // presents the identical logical graph, so the collective completes in
   // exactly the healthy baseline cycles — slowdown 1.0 with zero variance.
   // The runner takes the cell's healthy run for such trials; the engine-level
-  // proof that this is exact is the Presents suite in test_sim_network.cpp
-  // (Machine::presents holds on every within-budget draw, and the engine
-  // then reproduces the healthy Bruck and traffic runs field for field).
+  // proof that this is exact is the SuccessfulReconfiguration suite in
+  // test_sim_network.cpp (on every within-budget draw the engine reproduces
+  // the healthy Bruck and traffic runs field for field).
   ScenarioSpec spec = collective_spec();
   spec.trials = 300;
   spec.topologies = {{TopologyFamily::DeBruijn, 2, 4}};

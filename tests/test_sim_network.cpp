@@ -105,14 +105,14 @@ std::vector<NodeId> identity_ranks(std::size_t n) {
   return ranks;
 }
 
-/// The engine-level form of the paper's claim: after any within-budget fault
-/// set, the reconfigured machine presents the target, and the packet engine
-/// cannot tell it from the healthy target — the Bruck all-to-all and a zipf
-/// batch produce the healthy machine's results field for field. The
-/// campaign runner leans on exactly this to reuse one healthy simulator and
-/// the cell's healthy collective run for every successful trial.
-void expect_presents_like_healthy(const Graph& target, const Graph& ft, unsigned spares,
-                                  const std::string& what) {
+/// The engine-level form of the paper's claim: after any fault set that
+/// passes monotone_embedding_survives, the packet engine cannot tell the
+/// reconfigured machine from the healthy target — the Bruck all-to-all and a
+/// zipf batch produce the healthy machine's results field for field. The
+/// campaign runner leans on exactly this to give every successful trial the
+/// cell's healthy collective run and the block's healthy simulator.
+void expect_success_runs_like_healthy(const Graph& target, const Graph& ft, unsigned spares,
+                                      const std::string& what) {
   const std::size_t n = target.num_nodes();
   const Schedule bruck =
       build_schedule(ScheduleKind::AllToAllBruck, static_cast<std::uint32_t>(n));
@@ -125,7 +125,6 @@ void expect_presents_like_healthy(const Graph& target, const Graph& ft, unsigned
     const FaultSet faults = FaultSet::random(ft.num_nodes(), rng() % (spares + 1), rng);
     ASSERT_TRUE(monotone_embedding_survives(target, ft, faults)) << what << " draw " << draw;
     const Machine m = Machine::reconfigured(ft, faults, n);
-    ASSERT_TRUE(m.presents(target)) << what << " draw " << draw;
     EXPECT_EQ(fields(execute_schedule(m, target, bruck, ranks)), fields(healthy_run))
         << what << " draw " << draw;
     const std::vector<Packet> packets = zipf_traffic(n, 4 * n, 1.0, draw, 16);
@@ -134,83 +133,21 @@ void expect_presents_like_healthy(const Graph& target, const Graph& ft, unsigned
   }
 }
 
-TEST(Presents, ReconfiguredDeBruijnB26RunsLikeTheHealthyTarget) {
-  expect_presents_like_healthy(debruijn_graph({.base = 2, .digits = 6}),
-                               ft_debruijn_graph({.base = 2, .digits = 6, .spares = 2}), 2,
-                               "B_{2,6}");
+TEST(SuccessfulReconfiguration, DeBruijnB26RunsLikeTheHealthyTarget) {
+  expect_success_runs_like_healthy(debruijn_graph({.base = 2, .digits = 6}),
+                                   ft_debruijn_graph({.base = 2, .digits = 6, .spares = 2}), 2,
+                                   "B_{2,6}");
 }
 
-TEST(Presents, ReconfiguredShuffleExchangeSE6RunsLikeTheHealthyTarget) {
-  expect_presents_like_healthy(shuffle_exchange_graph(6),
-                               ft_shuffle_exchange_natural(6, 2).ft_graph, 2, "SE_6");
+TEST(SuccessfulReconfiguration, ShuffleExchangeSE6RunsLikeTheHealthyTarget) {
+  expect_success_runs_like_healthy(shuffle_exchange_graph(6),
+                                   ft_shuffle_exchange_natural(6, 2).ft_graph, 2, "SE_6");
 }
 
-TEST(Presents, ReconfiguredDeBruijnB34RunsLikeTheHealthyTarget) {
-  expect_presents_like_healthy(debruijn_graph({.base = 3, .digits = 4}),
-                               ft_debruijn_graph({.base = 3, .digits = 4, .spares = 2}), 2,
-                               "B_{3,4}");
-}
-
-TEST(Presents, FalseForABareTargetWithOneFault) {
-  // A dead logical node is not the intact target: the machine falls back to
-  // its own engine run, which prices the lost node.
-  const Graph target = debruijn_base2(6);
-  const Machine m = Machine::direct_with_faults(target, FaultSet(64, {22}));
-  EXPECT_TRUE(Machine::direct(target).presents(target));
-  EXPECT_FALSE(m.presents(target));
-  const std::vector<Packet> packets = zipf_traffic(64, 256, 1.0, 3, 16);
-  PacketSimulator healthy(Machine::direct(target), target);
-  const SimStats degraded = run_packets(m, target, packets);
-  EXPECT_GT(degraded.undeliverable, 0u);
-  EXPECT_NE(fields(degraded), fields(healthy.run(packets)));
-
-  // A dead isolated node breaks no edge but still cannot send or receive.
-  const Graph sparse = make_graph(3, {{0, 1}});
-  const Machine lost = Machine::direct_with_faults(sparse, FaultSet(3, {2}));
-  EXPECT_TRUE(lost.live_logical_graph(sparse).same_structure(sparse));
-  EXPECT_FALSE(lost.presents(sparse));
-  EXPECT_EQ(run_packets(lost, sparse, {{0, 2, 2, 0}}).undeliverable, 1u);
-}
-
-TEST(Presents, FalseWhenATargetImageEdgeIsMissing) {
-  // Reconfigure around one fault on an FT graph that lacks the physical
-  // image of one target edge: every logical node is alive, but the live
-  // logical graph is one edge short, so the engine must run on it.
-  const Graph target = debruijn_base2(6);
-  const Graph ft = ft_debruijn_base2(6, 2);
-  const FaultSet faults(ft.num_nodes(), {9});
-  const Machine intact = Machine::reconfigured(ft, faults, 64);
-  ASSERT_TRUE(intact.presents(target));
-  // Link 0 - 1 carries Bruck's first round (rank i sends to rank i + 1).
-  const Edge cut{0, 1};
-  ASSERT_TRUE(target.has_edge(cut.u, cut.v));
-  const NodeId pu = intact.to_physical[cut.u];
-  const NodeId pv = intact.to_physical[cut.v];
-  GraphBuilder builder(ft.num_nodes());
-  for (const Edge& e : ft.edges()) {
-    if (!((e.u == pu && e.v == pv) || (e.u == pv && e.v == pu))) builder.add_edge(e.u, e.v);
-  }
-  const Machine m = Machine::reconfigured(builder.build(), faults, 64);
-  EXPECT_FALSE(m.presents(target));
-  EXPECT_EQ(m.live_logical_graph(target).num_edges(), target.num_edges() - 1);
-
-  // The engine routes around the missing link: a packet across it takes a
-  // detour instead of the healthy target's single hop.
-  const std::vector<Packet> across{{0, cut.u, cut.v, 0}};
-  EXPECT_EQ(run_packets(Machine::direct(target), target, across).total_hops, 1u);
-  const SimStats detour = run_packets(m, target, across);
-  EXPECT_EQ(detour.delivered, 1u);
-  EXPECT_GT(detour.total_hops, 1u);
-  const Schedule bruck = build_schedule(ScheduleKind::AllToAllBruck, 64);
-  const std::vector<NodeId> ranks = identity_ranks(64);
-  EXPECT_NE(fields(execute_schedule(m, target, bruck, ranks)),
-            fields(execute_schedule(Machine::direct(target), target, bruck, ranks)));
-}
-
-TEST(Presents, FalseWhenTheLogicalSizeDiffers) {
-  const Graph target = debruijn_base2(4);
-  EXPECT_FALSE(Machine::reconfigured(ft_debruijn_base2(4, 1), FaultSet(17, {}), 17)
-                   .presents(target));
+TEST(SuccessfulReconfiguration, DeBruijnB34RunsLikeTheHealthyTarget) {
+  expect_success_runs_like_healthy(debruijn_graph({.base = 3, .digits = 4}),
+                                   ft_debruijn_graph({.base = 3, .digits = 4, .spares = 2}), 2,
+                                   "B_{3,4}");
 }
 
 TEST(EdgeFaults, ConvertedToCoveringNodeFaults) {

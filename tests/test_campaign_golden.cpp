@@ -8,7 +8,10 @@
 // The first campaign is small and runs all five metrics at N = 8. The second
 // runs the four simulator metrics at N = 64 and 81, where failed trials'
 // degraded and survivor-baseline runs congest enough to tell one engine
-// input from another.
+// input from another. The third runs survival and MTTF alone at N = 256 to
+// 1024 under every clocked fault model, pinning each trial's fault set and
+// spare-exhaustion clock where the fabrics are large enough for the clocks
+// to spread.
 //
 // The grid avoids the `uniform` and `hotspot_burst` traffic patterns: they
 // draw through std:: distributions whose algorithms differ between standard
@@ -88,6 +91,30 @@ ScenarioSpec sim_golden_spec() {
   })");
 }
 
+/// B_{2,10}, SE_9 and the h=8 bus machine; k in {1, 3}; iid, clustered,
+/// weibull, bus_iid and bus_clustered; 300 trials; mttf only.
+ScenarioSpec survival_golden_spec() {
+  return parse_scenario_spec(R"({
+    "name": "golden_survival",
+    "seed": 9091,
+    "trials": 300,
+    "topologies": [
+      {"family": "debruijn", "base": 2, "digits": 10},
+      {"family": "shuffle_exchange", "digits": 9},
+      {"family": "bus", "digits": 8}
+    ],
+    "spares": [1, 3],
+    "fault_models": [
+      {"kind": "iid", "p": 0.003},
+      {"kind": "clustered", "p": 0.0008},
+      {"kind": "weibull", "shape": 1.5, "scale": 100.0, "horizon": 2.0},
+      {"kind": "bus_iid", "p": 0.003},
+      {"kind": "bus_clustered", "p": 0.0006}
+    ],
+    "metrics": ["mttf"]
+  })");
+}
+
 std::string golden_path(const std::string& leaf) {
   return std::string(FTDB_GOLDEN_DIR) + "/" + leaf;
 }
@@ -136,6 +163,11 @@ const GoldenRun& golden_run() {
 
 const GoldenRun& sim_golden_run() {
   static const GoldenRun run = run_golden(sim_golden_spec());
+  return run;
+}
+
+const GoldenRun& survival_golden_run() {
+  static const GoldenRun run = run_golden(survival_golden_spec());
   return run;
 }
 
@@ -210,6 +242,38 @@ TEST(CampaignGolden, SimScaleFixtureExercisesEveryTrialPath) {
     failed_with_collective += r.collective_slowdown.count - r.reconfig_success;
   }
   EXPECT_GT(failed_with_collective, 0u);
+}
+
+TEST(CampaignGolden, SurvivalScaleReportJsonMatchesFixture) {
+  expect_golden("survival_report.json", campaign_report_json(survival_golden_run().result));
+}
+
+TEST(CampaignGolden, SurvivalScaleReportCsvMatchesFixture) {
+  expect_golden("survival_report.csv", campaign_report_csv(survival_golden_run().result));
+}
+
+TEST(CampaignGolden, SurvivalScaleReportMarkdownMatchesFixture) {
+  expect_golden("survival_report.md", campaign_report_markdown(survival_golden_run().result));
+}
+
+TEST(CampaignGolden, SurvivalScaleFinalCheckpointMatchesFixture) {
+  ASSERT_FALSE(survival_golden_run().checkpoint.empty());
+  expect_golden("survival_checkpoint.json", survival_golden_run().checkpoint);
+}
+
+TEST(CampaignGolden, SurvivalScaleFixtureSpreadsEveryClock) {
+  // Every cell must see both outcomes and finite exhaustion clocks, or the
+  // fixture would pin a degenerate draw.
+  const std::string text = slurp(golden_path("survival_report.json"));
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(validate_campaign_report(text), 30u);
+  const analysis::JsonValue doc = analysis::json_parse(text);
+  for (const analysis::JsonValue& s : doc.at("scenarios").array) {
+    const ScenarioResult r = parse_scenario_result(s);
+    EXPECT_GT(r.reconfig_success, 0u) << r.label;
+    EXPECT_LT(r.reconfig_success, r.trials) << r.label;
+    EXPECT_GT(r.mttf.count, 0u) << r.label;
+  }
 }
 
 }  // namespace

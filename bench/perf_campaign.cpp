@@ -3,14 +3,20 @@
 // The campaign runner is the production workload multiplier (every scenario
 // re-runs construction, fault drawing, reconfiguration checks and survivor
 // metrics thousands of times), so its per-trial cost is the number to watch.
+#include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "analysis/bench_registry.hpp"
+#include "campaign/fault_models.hpp"
 #include "campaign/report.hpp"
+#include "campaign/rng.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
+#include "ft/ft_debruijn.hpp"
 
 namespace {
 
@@ -72,6 +78,77 @@ FTDB_BENCH(campaign_grid, "perf_campaign/grid_2topo_x3k_x2models") {
     successes += static_cast<double>(r.reconfig_success);
   }
   ctx.report("total_successes", successes);
+}
+
+// --- fault draws ---------------------------------------------------------------
+
+/// Per-draw cost of the clocked fault models on B^4_{2,12} (4100 nodes), at
+/// the campaign_survival parameters. A draw takes one uniform per node, so
+/// next_unit_n4096 (4100 bare TrialRng::next_unit() calls) is its floor; CI
+/// holds each draw within a fixed multiple of that floor, measured in the
+/// same process so host load cancels.
+constexpr unsigned kDrawH = 12;
+constexpr unsigned kDrawSpares = 4;
+constexpr int kDrawIterations = 2000;
+
+double elapsed_ns(std::chrono::steady_clock::time_point start) {
+  return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count());
+}
+
+void draw_bench(BenchContext& ctx, const FaultModelSpec& spec) {
+  const ftdb::Graph fabric = ftdb::ft_debruijn_base2(kDrawH, kDrawSpares);
+  const auto model = make_fault_model(spec);
+  model->prepare(fabric, kDrawSpares);
+  double faults = 0.0;
+  double clock_sum = 0.0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kDrawIterations; ++i) {
+    TrialRng rng = TrialRng::for_trial(99, 0, static_cast<std::uint64_t>(i));
+    const FaultDraw draw = model->draw(fabric, kDrawSpares, rng);
+    faults += static_cast<double>(draw.faults.count());
+    if (std::isfinite(draw.spare_exhaustion_time)) clock_sum += draw.spare_exhaustion_time;
+  }
+  ctx.report("ns_per_iteration", elapsed_ns(start) / kDrawIterations);
+  ctx.report("nodes", static_cast<double>(fabric.num_nodes()));
+  ctx.report("mean_faults", faults / kDrawIterations);
+  ctx.report("mean_exhaustion_time", clock_sum / kDrawIterations);
+}
+
+FTDB_BENCH(draw_iid, "perf_campaign/draw_iid_n4096") {
+  draw_bench(ctx, {FaultModelKind::IidBernoulli, 0.001, 1.0, 100.0, 1.0});
+}
+
+FTDB_BENCH(draw_clustered, "perf_campaign/draw_clustered_n4096") {
+  draw_bench(ctx, {FaultModelKind::Clustered, 0.0003, 1.0, 100.0, 1.0});
+}
+
+FTDB_BENCH(draw_weibull, "perf_campaign/draw_weibull_n4096") {
+  draw_bench(ctx, {FaultModelKind::Weibull, 0.0, 2.0, 100.0, 3.5});
+}
+
+FTDB_BENCH(draw_bus_iid, "perf_campaign/draw_bus_iid_n4096") {
+  draw_bench(ctx, {FaultModelKind::BusIid, 0.001, 1.0, 100.0, 1.0});
+}
+
+FTDB_BENCH(draw_bus_clustered, "perf_campaign/draw_bus_clustered_n4096") {
+  draw_bench(ctx, {FaultModelKind::BusClustered, 0.0003, 1.0, 100.0, 1.0});
+}
+
+FTDB_BENCH(next_unit, "perf_campaign/next_unit_n4096") {
+  const std::size_t n = std::size_t{1} << kDrawH;
+  std::vector<double> u(n + kDrawSpares);
+  double checksum = 0.0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kDrawIterations; ++i) {
+    TrialRng rng = TrialRng::for_trial(99, 0, static_cast<std::uint64_t>(i));
+    for (double& x : u) x = rng.next_unit();
+    checksum += u[static_cast<std::size_t>(i) % u.size()];
+  }
+  ctx.report("ns_per_iteration", elapsed_ns(start) / kDrawIterations);
+  ctx.report("calls_per_iteration", static_cast<double>(u.size()));
+  ctx.report("checksum", checksum);
 }
 
 // --- work-stealing scheduler ------------------------------------------------

@@ -3,23 +3,83 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace ftdb::campaign {
+
+// --- order-statistic clocks ---------------------------------------------------
+//
+// Every clocked model maps each node's (or bus's) uniform u to a clock c(u)
+// that is nondecreasing in exact arithmetic, and reports the (k+1)-st
+// smallest clock. Computed clocks are nondecreasing only up to rounding, so
+// the draw leans on a weaker, provable fact, the slack invariant: whenever
+// u2 >= u1 * (1 + kClockSlack), the computed clocks satisfy c(u2) >= c(u1).
+//
+//  * Geometric step floor(log1p(-u) / log1p(-p)) + 1. x(u) = -log(1 - u)
+//    has x(u)/u nondecreasing, so x(u2)/x(u1) >= u2/u1 >= 1 + 2^-20, while
+//    log1p is accurate to a few ulps (relative 2^-50), so the computed
+//    log1p values keep their order. Dividing both by the same log1p(-p) and
+//    flooring are monotone (correctly rounded division), so the steps do too.
+//  * Weibull life scale * pow(-log1p(-u), 1/shape). The gap of x passes
+//    through pow as a relative gap of at least (1/shape) * 2^-21, which beats
+//    pow's error (< 1 ulp) by a factor of 2^20 or more while
+//    shape <= 2^10. Multiplying by scale is monotone. Below shape = 2^-4 the
+//    power could underflow into the subnormals, where relative error bounds
+//    no longer hold.
+//
+// Given the invariant, no uniform above T * (1 + kClockSlack), T the (k+1)-st
+// smallest uniform, can undercut the k+1 smallest, so only those candidates
+// need their clock (see clock_candidates). Fault thresholds work the same
+// way: a clock threshold maps to a threshold on u, and only uniforms inside
+// a relative band of kClockSlack around it evaluate the clock (Band below).
+// Outside the Weibull range above no band is sound, so that model widens its
+// slack to +inf, which makes every uniform a candidate and every fault test
+// exact.
+
+namespace detail {
+
+std::vector<std::uint32_t> clock_candidates(const std::vector<double>& u, std::size_t rank,
+                                            double slack) {
+  std::vector<std::uint32_t> out;
+  if (rank >= u.size()) return out;
+  // Bounded selection in one pass: a max-heap holds the rank+1 smallest
+  // uniforms so far, and `out` collects every index within the slack of the
+  // heap's top when it was seen. The top only falls, so the final band is
+  // inside every earlier one and one last filter trims `out` to it. A
+  // uniform enters either with probability about (rank+1)/v, so the scan is
+  // one compare per uniform.
+  const double widen = 1.0 + slack;
+  std::vector<double> heap(u.begin(), u.begin() + static_cast<std::ptrdiff_t>(rank) + 1);
+  std::make_heap(heap.begin(), heap.end());
+  double top = heap.front();
+  for (std::size_t v = 0; v <= rank; ++v) out.push_back(static_cast<std::uint32_t>(v));
+  for (std::size_t v = rank + 1; v < u.size(); ++v) {
+    const double x = u[v];
+    if (x < top) {
+      std::pop_heap(heap.begin(), heap.end());
+      heap.back() = x;
+      std::push_heap(heap.begin(), heap.end());
+      top = heap.front();
+    }
+    // `!(x > band)` rather than `x <= band`: with an infinite slack the
+    // band edge is +inf, or NaN when the top is 0, and either way x is in.
+    if (!(x > top * widen)) out.push_back(static_cast<std::uint32_t>(v));
+  }
+  const double bound = top * widen;
+  std::erase_if(out, [&](std::uint32_t v) { return u[v] > bound; });
+  return out;
+}
+
+}  // namespace detail
+
 namespace {
 
-constexpr double kNever = std::numeric_limits<double>::infinity();
+using detail::kClockSlack;
 
-/// Time of the (k+1)-st failure given every node's failure time; +inf when
-/// fewer than k+1 entries are finite.
-double exhaustion_time(std::vector<double>& times, unsigned spares) {
-  const std::size_t rank = spares;  // 0-based index of the (k+1)-st smallest
-  if (rank >= times.size()) return kNever;
-  std::nth_element(times.begin(), times.begin() + static_cast<std::ptrdiff_t>(rank),
-                   times.end());
-  return times[rank];
-}
+constexpr double kNever = std::numeric_limits<double>::infinity();
 
 /// Geometric first-failure step from one uniform draw: P[T <= t] = 1-(1-p)^t,
 /// T >= 1. The same draw decides the step-1 fault set ({U < p} iff T == 1),
@@ -28,86 +88,178 @@ double geometric_step(double u, double p) {
   return std::floor(std::log1p(-u) / std::log1p(-p)) + 1.0;
 }
 
-class IidBernoulliModel final : public FaultModel {
- public:
-  explicit IidBernoulliModel(double p) : p_(p) {}
+/// A threshold on the uniform standing for a threshold on its clock: u < lo
+/// is below it and u > hi is not; only a u inside [lo, hi] pays for the
+/// exact clock test. With an infinite slack lo and hi are infinite or NaN,
+/// and every u takes the exact test.
+struct Band {
+  Band(double edge, double slack) : lo(edge * (1.0 - slack)), hi(edge * (1.0 + slack)) {}
 
-  std::string name() const override { return "iid"; }
-
-  FaultDraw draw(const Graph& fabric, unsigned spares, TrialRng& rng) const override {
-    const std::size_t n = fabric.num_nodes();
-    std::vector<NodeId> faulty;
-    std::vector<double> times(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      const double u = rng.next_unit();
-      if (u < p_) faulty.push_back(static_cast<NodeId>(v));
-      times[v] = geometric_step(u, p_);
-    }
-    FaultDraw out;
-    out.faults = FaultSet(n, std::move(faulty));
-    out.spare_exhaustion_time = exhaustion_time(times, spares);
-    return out;
+  template <class Exact>
+  bool below(double u, Exact exact) const {
+    if (u < lo) return true;
+    if (u > hi) return false;
+    return exact(u);
   }
 
- private:
-  double p_;
+  double lo;
+  double hi;
 };
 
-class ClusteredModel final : public FaultModel {
- public:
-  explicit ClusteredModel(double p) : p_(p) {}
+/// The time of the (spares+1)-st failure, +inf when there are at most
+/// `spares` units. Unit v's seed clock is clock(u[v]); a seed firing at t
+/// also takes every unit of takes_down(v) down at t + 1, so v dies at
+/// min(clock(u[v]), clock(u[a]) + 1 over the a that take v down).
+///
+/// Only the candidates' clocks are evaluated. That is exact: a unit outside
+/// them has a seed clock no smaller than any of the k+1 lowest uniforms'
+/// (slack invariant), so every death before their largest clock B comes
+/// from a candidate's seed or its cascade, and at least k+1 deaths come no
+/// later than B.
+template <class Clock, class TakesDown>
+double exhaustion_time(const std::vector<double>& u, unsigned spares, double slack, Clock clock,
+                       TakesDown takes_down) {
+  const std::vector<std::uint32_t> candidates = detail::clock_candidates(u, spares, slack);
+  if (candidates.empty()) return kNever;
+  std::vector<std::pair<NodeId, double>> deaths;
+  for (const std::uint32_t v : candidates) {
+    const double seed = clock(u[v]);
+    deaths.emplace_back(static_cast<NodeId>(v), seed);
+    for (const NodeId w : takes_down(static_cast<NodeId>(v))) deaths.emplace_back(w, seed + 1.0);
+  }
+  // Sorted by unit and then time, each unit's first entry is its death.
+  std::sort(deaths.begin(), deaths.end());
+  std::vector<double> times;
+  for (std::size_t i = 0; i < deaths.size(); ++i) {
+    if (i == 0 || deaths[i].first != deaths[i - 1].first) times.push_back(deaths[i].second);
+  }
+  const auto rank = times.begin() + static_cast<std::ptrdiff_t>(spares);
+  std::nth_element(times.begin(), rank, times.end());
+  return *rank;
+}
 
-  std::string name() const override { return "clustered"; }
+/// No cascade: every unit dies at its own clock.
+std::span<const NodeId> no_cascade(NodeId) { return {}; }
+
+/// iid and bus_iid. In both the bus machine (node i drives bus i) and the
+/// point-to-point degeneration, bus ids coincide with driver node ids, so a
+/// set of failed buses *is* a set of silenced drivers.
+class IidModel final : public FaultModel {
+ public:
+  IidModel(double p, bool buses) : p_(p), buses_(buses) {}
+
+  std::string name() const override { return buses_ ? "bus_iid" : "iid"; }
 
   FaultDraw draw(const Graph& fabric, unsigned spares, TrialRng& rng) const override {
-    const std::size_t n = fabric.num_nodes();
-    // Seed clock per node; a seed firing at time t takes its neighborhood
-    // down at t+1, so a node dies at min(own seed, earliest neighbor seed+1).
-    std::vector<double> seed_time(n);
-    for (std::size_t v = 0; v < n; ++v) seed_time[v] = geometric_step(rng.next_unit(), p_);
-    std::vector<double> times(n);
+    const std::size_t n = fabric.num_nodes();  // one bus per driver node
+    std::vector<double> u(n);
     std::vector<NodeId> faulty;
     for (std::size_t v = 0; v < n; ++v) {
-      double t = seed_time[v];
-      bool neighbor_seed_now = false;
-      for (const NodeId u : fabric.neighbors(static_cast<NodeId>(v))) {
-        t = std::min(t, seed_time[u] + 1.0);
-        neighbor_seed_now = neighbor_seed_now || seed_time[u] == 1.0;
-      }
-      times[v] = t;
-      // Snapshot fault set: step-1 seeds plus their whole neighborhoods.
-      if (seed_time[v] == 1.0 || neighbor_seed_now) faulty.push_back(static_cast<NodeId>(v));
+      u[v] = rng.next_unit();
+      if (u[v] < p_) faulty.push_back(static_cast<NodeId>(v));
     }
     FaultDraw out;
     out.faults = FaultSet(n, std::move(faulty));
-    out.spare_exhaustion_time = exhaustion_time(times, spares);
+    if (buses_) out.bus_faults.assign(out.faults.nodes().begin(), out.faults.nodes().end());
+    out.spare_exhaustion_time = exhaustion_time(
+        u, spares, kClockSlack, [this](double x) { return geometric_step(x, p_); }, no_cascade);
     return out;
   }
 
  private:
   double p_;
+  bool buses_;
+};
+
+/// clustered and bus_clustered. Every node (bus) has a geometric seed clock;
+/// a seed firing at time t takes the units it cascades to down at t + 1.
+/// The snapshot is the step-1 seeds plus everything they cascade to.
+/// clustered cascades along fabric adjacency; so does bus_clustered on a
+/// point-to-point fabric (the bus of node v spans v's adjacency), while on
+/// the realized bus machine a seed bus takes down the buses driven by its
+/// members (a shorted bus stresses every transceiver hanging on it).
+class ClusteredModel final : public FaultModel {
+ public:
+  ClusteredModel(double p, bool buses) : p_(p), buses_(buses) {}
+
+  std::string name() const override { return buses_ ? "bus_clustered" : "clustered"; }
+
+  void prepare_bus(const BusGraph& bus, unsigned /*spares*/) override {
+    if (!buses_) return;
+    // Bus a's members are the nodes listening on it, and each member m
+    // drives bus m, so a seed failure of a takes down every bus a member of
+    // a drives.
+    takes_down_.assign(bus.num_buses(), {});
+    for (std::size_t a = 0; a < bus.num_buses(); ++a) {
+      for (const NodeId m : bus.bus(a).members) {
+        if (m != bus.bus(a).driver) takes_down_[a].push_back(m);
+      }
+    }
+  }
+
+  FaultDraw draw(const Graph& fabric, unsigned spares, TrialRng& rng) const override {
+    const std::size_t n = fabric.num_nodes();
+    if (!takes_down_.empty() && takes_down_.size() != n) {
+      throw std::logic_error("ClusteredModel: draw() on a fabric other than the prepared bus");
+    }
+    const auto takes_down = [&](NodeId v) -> std::span<const NodeId> {
+      return takes_down_.empty() ? fabric.neighbors(v) : std::span<const NodeId>(takes_down_[v]);
+    };
+    const auto clock = [this](double x) { return geometric_step(x, p_); };
+    const Band first_step(p_, kClockSlack);
+    std::vector<double> u(n);
+    std::vector<NodeId> faulty;
+    for (std::size_t v = 0; v < n; ++v) {
+      u[v] = rng.next_unit();
+      if (first_step.below(u[v], [&](double x) { return clock(x) == 1.0; })) {
+        faulty.push_back(static_cast<NodeId>(v));
+        for (const NodeId w : takes_down(static_cast<NodeId>(v))) faulty.push_back(w);
+      }
+    }
+    FaultDraw out;
+    out.faults = FaultSet(n, std::move(faulty));
+    if (buses_) out.bus_faults.assign(out.faults.nodes().begin(), out.faults.nodes().end());
+    out.spare_exhaustion_time = exhaustion_time(u, spares, kClockSlack, clock, takes_down);
+    return out;
+  }
+
+ private:
+  double p_;
+  bool buses_;
+  std::vector<std::vector<NodeId>> takes_down_;  // bus machine only: a -> buses a takes down
 };
 
 class WeibullModel final : public FaultModel {
  public:
   WeibullModel(double shape, double scale, double horizon)
-      : shape_(shape), scale_(scale), horizon_(horizon) {}
+      : shape_(shape),
+        scale_(scale),
+        horizon_(horizon),
+        // The slack invariant holds for shape in [2^-4, 2^10] (see the top
+        // of this file); elsewhere every clock is evaluated.
+        slack_(shape >= 0x1p-4 && shape <= 0x1p10 ? kClockSlack : kNever),
+        // life(u) <= horizon  iff  u <= 1 - exp(-(horizon/scale)^shape).
+        dead_by_horizon_(-std::expm1(-std::pow(horizon / scale, shape)), slack_) {}
 
   std::string name() const override { return "weibull"; }
 
   FaultDraw draw(const Graph& fabric, unsigned spares, TrialRng& rng) const override {
     const std::size_t n = fabric.num_nodes();
-    std::vector<double> times(n);
+    const auto life = [this](double x) {
+      // Inverse-CDF sample of Weibull(shape, scale).
+      return scale_ * std::pow(-std::log1p(-x), 1.0 / shape_);
+    };
+    std::vector<double> u(n);
     std::vector<NodeId> faulty;
     for (std::size_t v = 0; v < n; ++v) {
-      // Inverse-CDF sample of Weibull(shape, scale).
-      const double t = scale_ * std::pow(-std::log1p(-rng.next_unit()), 1.0 / shape_);
-      times[v] = t;
-      if (t <= horizon_) faulty.push_back(static_cast<NodeId>(v));
+      u[v] = rng.next_unit();
+      if (dead_by_horizon_.below(u[v], [&](double x) { return life(x) <= horizon_; })) {
+        faulty.push_back(static_cast<NodeId>(v));
+      }
     }
     FaultDraw out;
     out.faults = FaultSet(n, std::move(faulty));
-    out.spare_exhaustion_time = exhaustion_time(times, spares);
+    out.spare_exhaustion_time = exhaustion_time(u, spares, slack_, life, no_cascade);
     return out;
   }
 
@@ -115,6 +267,8 @@ class WeibullModel final : public FaultModel {
   double shape_;
   double scale_;
   double horizon_;
+  double slack_;
+  Band dead_by_horizon_;
 };
 
 class AdversarialModel final : public FaultModel {
@@ -197,109 +351,14 @@ class BlockModel final : public FaultModel {
   std::uint64_t max_width_;
 };
 
-// In both the bus machine (node i drives bus i) and the point-to-point
-// degeneration, bus ids coincide with driver node ids, so a set of failed
-// buses *is* a set of silenced drivers.
-class BusIidModel final : public FaultModel {
- public:
-  explicit BusIidModel(double p) : p_(p) {}
-
-  std::string name() const override { return "bus_iid"; }
-
-  FaultDraw draw(const Graph& fabric, unsigned spares, TrialRng& rng) const override {
-    const std::size_t n = fabric.num_nodes();  // one bus per driver node
-    FaultDraw out;
-    std::vector<NodeId> faulty;
-    std::vector<double> times(n);
-    for (std::size_t b = 0; b < n; ++b) {
-      const double u = rng.next_unit();
-      if (u < p_) {
-        out.bus_faults.push_back(static_cast<std::uint32_t>(b));
-        faulty.push_back(static_cast<NodeId>(b));
-      }
-      times[b] = geometric_step(u, p_);
-    }
-    out.faults = FaultSet(n, std::move(faulty));
-    out.spare_exhaustion_time = exhaustion_time(times, spares);
-    return out;
-  }
-
- private:
-  double p_;
-};
-
-class BusClusteredModel final : public FaultModel {
- public:
-  explicit BusClusteredModel(double p) : p_(p) {}
-
-  std::string name() const override { return "bus_clustered"; }
-
-  void prepare(const Graph& fabric, unsigned /*spares*/) override {
-    // Point-to-point degeneration: the bus of node v spans v's adjacency, so
-    // bus b is carried by (fails one step after) the buses of b's neighbors.
-    const std::size_t n = fabric.num_nodes();
-    carriers_.assign(n, {});
-    for (std::size_t b = 0; b < n; ++b) {
-      const auto nb = fabric.neighbors(static_cast<NodeId>(b));
-      carriers_[b].assign(nb.begin(), nb.end());
-    }
-  }
-
-  void prepare_bus(const BusGraph& bus, unsigned /*spares*/) override {
-    // True bus structure: bus a's members are the nodes listening on it, and
-    // each member m drives bus m — so a seed failure of a cascades to every
-    // bus driven by a member. carriers_[b] = buses whose member set holds b.
-    carriers_.assign(bus.num_buses(), {});
-    for (std::size_t a = 0; a < bus.num_buses(); ++a) {
-      for (NodeId m : bus.bus(a).members) {
-        if (m != bus.bus(a).driver) carriers_[m].push_back(static_cast<NodeId>(a));
-      }
-    }
-  }
-
-  FaultDraw draw(const Graph& fabric, unsigned spares, TrialRng& rng) const override {
-    const std::size_t n = fabric.num_nodes();
-    if (carriers_.size() != n) {
-      throw std::logic_error("BusClusteredModel: draw() before prepare()");
-    }
-    // Seed clock per bus; a seed firing at time t takes the buses it carries
-    // down at t + 1 (mirrors ClusteredModel on nodes).
-    std::vector<double> seed_time(n);
-    for (std::size_t b = 0; b < n; ++b) seed_time[b] = geometric_step(rng.next_unit(), p_);
-    std::vector<double> times(n);
-    FaultDraw out;
-    std::vector<NodeId> faulty;
-    for (std::size_t b = 0; b < n; ++b) {
-      double t = seed_time[b];
-      bool carrier_seed_now = false;
-      for (const NodeId a : carriers_[b]) {
-        t = std::min(t, seed_time[a] + 1.0);
-        carrier_seed_now = carrier_seed_now || seed_time[a] == 1.0;
-      }
-      times[b] = t;
-      if (seed_time[b] == 1.0 || carrier_seed_now) {
-        out.bus_faults.push_back(static_cast<std::uint32_t>(b));
-        faulty.push_back(static_cast<NodeId>(b));
-      }
-    }
-    out.faults = FaultSet(n, std::move(faulty));
-    out.spare_exhaustion_time = exhaustion_time(times, spares);
-    return out;
-  }
-
- private:
-  double p_;
-  std::vector<std::vector<NodeId>> carriers_;  // carriers_[b]: buses that take b down
-};
-
 }  // namespace
 
 std::unique_ptr<FaultModel> make_fault_model(const FaultModelSpec& spec) {
   switch (spec.kind) {
     case FaultModelKind::IidBernoulli:
-      return std::make_unique<IidBernoulliModel>(spec.p);
+      return std::make_unique<IidModel>(spec.p, false);
     case FaultModelKind::Clustered:
-      return std::make_unique<ClusteredModel>(spec.p);
+      return std::make_unique<ClusteredModel>(spec.p, false);
     case FaultModelKind::Weibull:
       return std::make_unique<WeibullModel>(spec.shape, spec.scale, spec.horizon);
     case FaultModelKind::Adversarial:
@@ -307,9 +366,9 @@ std::unique_ptr<FaultModel> make_fault_model(const FaultModelSpec& spec) {
     case FaultModelKind::Block:
       return std::make_unique<BlockModel>(spec.p, spec.width);
     case FaultModelKind::BusIid:
-      return std::make_unique<BusIidModel>(spec.p);
+      return std::make_unique<IidModel>(spec.p, true);
     case FaultModelKind::BusClustered:
-      return std::make_unique<BusClusteredModel>(spec.p);
+      return std::make_unique<ClusteredModel>(spec.p, true);
   }
   throw std::runtime_error("make_fault_model: unknown kind");
 }

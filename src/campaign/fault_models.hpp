@@ -45,10 +45,28 @@
 //                    nodes at t + 1 (a shorted bus stresses every transceiver
 //                    hanging on it). The snapshot is the step-1 seeds plus
 //                    their member-driven buses.
+//
+// Cost model. The clocked models (iid, bus_iid, weibull, clustered,
+// bus_clustered) take exactly one rng.next_unit() per node or bus, in
+// order, so a trial's stream never depends on what was drawn. They then pay
+// O(n) compares plus O(k) clock evaluations, not one log1p (or pow) per
+// node: only the (k+1)-st smallest clock is read, so only the uniforms that
+// can reach it are turned into clocks (detail::clock_candidates), and fault
+// thresholds are decided on the uniform itself except inside a thin band
+// around the threshold. Both rest on the slack invariant: a uniform at
+// least (1 + detail::kClockSlack) times another never gets the smaller
+// computed clock. fault_models.cpp derives it from the rounding error of
+// log1p and pow; where it cannot hold (Weibull shape outside [2^-4, 2^10])
+// the model evaluates every clock instead. Either way the draw is
+// bit-identical to evaluating every node's clock and selecting the
+// (k+1)-st.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "campaign/rng.hpp"
 #include "campaign/scenario.hpp"
@@ -100,6 +118,22 @@ class FaultModel {
   /// a pure function of its arguments and the rng stream.
   virtual FaultDraw draw(const Graph& fabric, unsigned spares, TrialRng& rng) const = 0;
 };
+
+namespace detail {
+
+/// Relative slack of the clock bands: 2^-20 dwarfs the few-ulp (2^-50)
+/// rounding error of log1p and pow, so computed clocks of uniforms this far
+/// apart keep their exact-arithmetic order.
+inline constexpr double kClockSlack = 0x1p-20;
+
+/// The uniforms whose clock can reach the (rank+1)-st order statistic: the
+/// ascending indices v with u[v] <= T * (1 + slack), T the (rank+1)-st
+/// smallest entry of u. Empty when rank >= u.size(); every index when
+/// slack is +inf.
+std::vector<std::uint32_t> clock_candidates(const std::vector<double>& u, std::size_t rank,
+                                            double slack);
+
+}  // namespace detail
 
 /// Factory from the declarative spec. Throws std::runtime_error on
 /// parameters the parser's validation should have rejected.

@@ -329,15 +329,16 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
   const bool within_budget = faults <= ctx.cell.spares;
   bool success = false;
   if (within_budget) {
+    // On bus cells the fabric is the realized graph: an edge joins exactly
+    // the pairs some bus lets communicate (driver <-> member), so the one
+    // survival check serves every family.
     if (ctx.bus && !draw.bus_faults.empty()) {
       // Section V discipline: bus faults resolve to driver-node faults on the
       // realized graph, and the merged set must still fit the spare budget.
       const std::optional<FaultSet> resolved = resolve_bus_faults(
           *ctx.bus, ctx.cell.spares, draw.faults.nodes(), draw.bus_faults);
       success = resolved.has_value() &&
-                bus_monotone_embedding_survives(ctx.target, *ctx.bus, *resolved);
-    } else if (ctx.bus) {
-      success = bus_monotone_embedding_survives(ctx.target, *ctx.bus, draw.faults);
+                monotone_embedding_survives(ctx.target, ctx.fabric, *resolved);
     } else {
       success = monotone_embedding_survives(ctx.target, ctx.fabric, draw.faults);
     }
@@ -843,16 +844,17 @@ void write_file_atomically(const std::string& path, const std::string& text, boo
     len -= static_cast<std::size_t>(n);
   }
   if (fsync && ::fsync(fd) != 0) fail("fsync failed for " + tmp, fd);
-  ::close(fd);
+  // close() can report a deferred write error; the fd is released either way.
+  if (::close(fd) != 0) fail("close failed for " + tmp, -1);
   if (::rename(tmp.c_str(), path.c_str()) != 0) fail("rename " + tmp + " -> " + path, -1);
   if (fsync) {
+    // The rename is durable only once the directory entry is.
     const auto slash = path.find_last_of('/');
     const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
     const int dfd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
-    if (dfd >= 0) {
-      ::fsync(dfd);
-      ::close(dfd);
-    }
+    if (dfd < 0) fail("cannot open directory " + dir, -1);
+    if (::fsync(dfd) != 0) fail("fsync failed for directory " + dir, dfd);
+    if (::close(dfd) != 0) fail("close failed for directory " + dir, -1);
   }
 }
 

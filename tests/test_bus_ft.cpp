@@ -1,6 +1,10 @@
 // Tests for the Section V bus implementations: structure, degree 2k+3,
-// tolerance under the restricted bus discipline, and bus-fault conversion.
+// tolerance under the restricted bus discipline, bus-fault conversion, and
+// the equivalence of the bus survival check with the point-to-point one on
+// the realized graph.
 #include <gtest/gtest.h>
+
+#include <random>
 
 #include "ft/bus_ft.hpp"
 #include "ft/ft_debruijn.hpp"
@@ -147,6 +151,90 @@ TEST(BusFaults, DuplicateDriverAndNodeFaultCollapses) {
   const auto faults = resolve_bus_faults(fabric, 1, {4}, {4});
   ASSERT_TRUE(faults.has_value());
   EXPECT_EQ(faults->count(), 1u);
+}
+
+// The campaign runner checks bus cells with monotone_embedding_survives on
+// the realized graph. That is sound only if the realized graph has an edge
+// exactly where the restricted driver<->member discipline lets two nodes
+// communicate. B_{2,h} survives every within-budget fault set, so it only
+// fails for want of survivors; the second target adds the edges
+// {x, 2x+2 mod 2^h}, which a bus carries for some fault sets and not for
+// others, so there the edge test itself decides.
+Graph debruijn_with_wide_edges(unsigned h) {
+  const Graph base = debruijn_base2(h);
+  const std::size_t n = base.num_nodes();
+  GraphBuilder builder(n);
+  for (const Edge& e : base.edges()) builder.add_edge(e.u, e.v);
+  for (std::size_t x = 0; x < n; ++x) {
+    builder.add_edge(static_cast<NodeId>(x), static_cast<NodeId>((2 * x + 2) % n));
+  }
+  return builder.build();
+}
+
+struct SurvivalTally {
+  std::size_t survived = 0;
+  std::size_t failed_within_budget = 0;  ///< failures the edge test decided
+  std::size_t failed_over_budget = 0;
+};
+
+void expect_same_survival(const Graph& target, const BusGraph& bus, const Graph& realized,
+                          unsigned k, const FaultSet& faults, SurvivalTally& tally) {
+  const bool on_bus = bus_monotone_embedding_survives(target, bus, faults);
+  ASSERT_EQ(on_bus, monotone_embedding_survives(target, realized, faults))
+      << faults.count() << " faults, first " << (faults.count() ? faults.nodes()[0] : 0);
+  if (on_bus) {
+    ++tally.survived;
+  } else {
+    ++(faults.count() <= k ? tally.failed_within_budget : tally.failed_over_budget);
+  }
+}
+
+/// Both targets must show both outcomes; only the wide one may fail within
+/// the budget (B_{2,h} survives any k faults on B^k_{2,h}'s buses).
+void expect_both_outcomes(const SurvivalTally& b2h, const SurvivalTally& wide) {
+  EXPECT_GT(b2h.survived, 0u);
+  EXPECT_GT(b2h.failed_over_budget, 0u);
+  EXPECT_EQ(b2h.failed_within_budget, 0u);
+  EXPECT_GT(wide.survived, 0u);
+  EXPECT_GT(wide.failed_within_budget, 0u);
+}
+
+TEST(BusSurvival, MatchesRealizedGraphCheckOnEverySmallFaultSet) {
+  const unsigned h = 4;
+  const unsigned k = 2;
+  const BusGraph bus = bus_ft_debruijn_base2(h, k);
+  const Graph realized = bus.realized_graph();
+  const Graph targets[] = {debruijn_base2(h), debruijn_with_wide_edges(h)};
+  SurvivalTally tally[2];
+  for (int t = 0; t < 2; ++t) {
+    for (unsigned size = 0; size <= k + 1; ++size) {
+      for_each_fault_set(bus.num_nodes(), size, [&](const std::vector<NodeId>& subset) {
+        expect_same_survival(targets[t], bus, realized, k, FaultSet(bus.num_nodes(), subset),
+                             tally[t]);
+        return !::testing::Test::HasFatalFailure();
+      });
+    }
+  }
+  expect_both_outcomes(tally[0], tally[1]);
+}
+
+TEST(BusSurvival, MatchesRealizedGraphCheckOnSeededFaultSets) {
+  const unsigned h = 8;
+  const unsigned k = 4;
+  const BusGraph bus = bus_ft_debruijn_base2(h, k);
+  const Graph realized = bus.realized_graph();
+  std::mt19937_64 rng(2718);
+  const Graph targets[] = {debruijn_base2(h), debruijn_with_wide_edges(h)};
+  SurvivalTally tally[2];
+  for (int t = 0; t < 2; ++t) {
+    for (int i = 0; i < 10000; ++i) {
+      const std::size_t size = rng() % (k + 2);  // 0 .. k+1 faults
+      expect_same_survival(targets[t], bus, realized, k,
+                           FaultSet::random(bus.num_nodes(), size, rng), tally[t]);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "set " << i;
+    }
+  }
+  expect_both_outcomes(tally[0], tally[1]);
 }
 
 }  // namespace

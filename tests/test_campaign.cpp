@@ -4,9 +4,16 @@
 // survival back to the paper's binomial tail (ft/spares.hpp).
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <regex>
 
@@ -19,6 +26,7 @@
 #include "ft/ft_debruijn.hpp"
 #include "ft/spares.hpp"
 #include "topology/debruijn.hpp"
+#include "topology/shuffle_exchange.hpp"
 
 namespace ftdb::campaign {
 namespace {
@@ -1289,6 +1297,505 @@ TEST(ScenarioSpec, FullExampleCoversEveryFamilyModelAndMetric) {
   const std::string canon = scenario_spec_to_json(spec);
   EXPECT_EQ(canon, scenario_spec_to_json(parse_scenario_spec(canon)));
   EXPECT_EQ(spec_fingerprint(spec), spec_fingerprint(parse_scenario_spec(canon)));
+}
+
+// --- reference draws ----------------------------------------------------------
+//
+// The per-node draw loops the clocked models used before they learned to
+// evaluate only the clocks that can reach the (k+1)-st order statistic:
+// every node's clock is computed and the (k+1)-st is selected from all n.
+// Kept verbatim as the oracle; the models must reproduce them bit for bit.
+namespace reference {
+
+constexpr double kNever = std::numeric_limits<double>::infinity();
+
+double exhaustion_time(std::vector<double>& times, unsigned spares) {
+  const std::size_t rank = spares;  // 0-based index of the (k+1)-st smallest
+  if (rank >= times.size()) return kNever;
+  std::nth_element(times.begin(), times.begin() + static_cast<std::ptrdiff_t>(rank),
+                   times.end());
+  return times[rank];
+}
+
+double geometric_step(double u, double p) {
+  return std::floor(std::log1p(-u) / std::log1p(-p)) + 1.0;
+}
+
+FaultDraw iid(double p_, const Graph& fabric, unsigned spares, TrialRng& rng) {
+  const std::size_t n = fabric.num_nodes();
+  std::vector<NodeId> faulty;
+  std::vector<double> times(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    const double u = rng.next_unit();
+    if (u < p_) faulty.push_back(static_cast<NodeId>(v));
+    times[v] = geometric_step(u, p_);
+  }
+  FaultDraw out;
+  out.faults = FaultSet(n, std::move(faulty));
+  out.spare_exhaustion_time = exhaustion_time(times, spares);
+  return out;
+}
+
+FaultDraw clustered(double p_, const Graph& fabric, unsigned spares, TrialRng& rng) {
+  const std::size_t n = fabric.num_nodes();
+  std::vector<double> seed_time(n);
+  for (std::size_t v = 0; v < n; ++v) seed_time[v] = geometric_step(rng.next_unit(), p_);
+  std::vector<double> times(n);
+  std::vector<NodeId> faulty;
+  for (std::size_t v = 0; v < n; ++v) {
+    double t = seed_time[v];
+    bool neighbor_seed_now = false;
+    for (const NodeId u : fabric.neighbors(static_cast<NodeId>(v))) {
+      t = std::min(t, seed_time[u] + 1.0);
+      neighbor_seed_now = neighbor_seed_now || seed_time[u] == 1.0;
+    }
+    times[v] = t;
+    if (seed_time[v] == 1.0 || neighbor_seed_now) faulty.push_back(static_cast<NodeId>(v));
+  }
+  FaultDraw out;
+  out.faults = FaultSet(n, std::move(faulty));
+  out.spare_exhaustion_time = exhaustion_time(times, spares);
+  return out;
+}
+
+FaultDraw weibull(double shape_, double scale_, double horizon_, const Graph& fabric,
+                  unsigned spares, TrialRng& rng) {
+  const std::size_t n = fabric.num_nodes();
+  std::vector<double> times(n);
+  std::vector<NodeId> faulty;
+  for (std::size_t v = 0; v < n; ++v) {
+    const double t = scale_ * std::pow(-std::log1p(-rng.next_unit()), 1.0 / shape_);
+    times[v] = t;
+    if (t <= horizon_) faulty.push_back(static_cast<NodeId>(v));
+  }
+  FaultDraw out;
+  out.faults = FaultSet(n, std::move(faulty));
+  out.spare_exhaustion_time = exhaustion_time(times, spares);
+  return out;
+}
+
+FaultDraw bus_iid(double p_, const Graph& fabric, unsigned spares, TrialRng& rng) {
+  const std::size_t n = fabric.num_nodes();
+  FaultDraw out;
+  std::vector<NodeId> faulty;
+  std::vector<double> times(n);
+  for (std::size_t b = 0; b < n; ++b) {
+    const double u = rng.next_unit();
+    if (u < p_) {
+      out.bus_faults.push_back(static_cast<std::uint32_t>(b));
+      faulty.push_back(static_cast<NodeId>(b));
+    }
+    times[b] = geometric_step(u, p_);
+  }
+  out.faults = FaultSet(n, std::move(faulty));
+  out.spare_exhaustion_time = exhaustion_time(times, spares);
+  return out;
+}
+
+/// carriers_[b]: buses that take b down (the point-to-point degeneration
+/// when `bus` is null, the true bus membership otherwise).
+std::vector<std::vector<NodeId>> carriers(const Graph& fabric, const BusGraph* bus) {
+  std::vector<std::vector<NodeId>> carriers_;
+  if (bus == nullptr) {
+    const std::size_t n = fabric.num_nodes();
+    carriers_.assign(n, {});
+    for (std::size_t b = 0; b < n; ++b) {
+      const auto nb = fabric.neighbors(static_cast<NodeId>(b));
+      carriers_[b].assign(nb.begin(), nb.end());
+    }
+    return carriers_;
+  }
+  carriers_.assign(bus->num_buses(), {});
+  for (std::size_t a = 0; a < bus->num_buses(); ++a) {
+    for (NodeId m : bus->bus(a).members) {
+      if (m != bus->bus(a).driver) carriers_[m].push_back(static_cast<NodeId>(a));
+    }
+  }
+  return carriers_;
+}
+
+FaultDraw bus_clustered(double p_, const std::vector<std::vector<NodeId>>& carriers_,
+                        const Graph& fabric, unsigned spares, TrialRng& rng) {
+  const std::size_t n = fabric.num_nodes();
+  std::vector<double> seed_time(n);
+  for (std::size_t b = 0; b < n; ++b) seed_time[b] = geometric_step(rng.next_unit(), p_);
+  std::vector<double> times(n);
+  FaultDraw out;
+  std::vector<NodeId> faulty;
+  for (std::size_t b = 0; b < n; ++b) {
+    double t = seed_time[b];
+    bool carrier_seed_now = false;
+    for (const NodeId a : carriers_[b]) {
+      t = std::min(t, seed_time[a] + 1.0);
+      carrier_seed_now = carrier_seed_now || seed_time[a] == 1.0;
+    }
+    times[b] = t;
+    if (seed_time[b] == 1.0 || carrier_seed_now) {
+      out.bus_faults.push_back(static_cast<std::uint32_t>(b));
+      faulty.push_back(static_cast<NodeId>(b));
+    }
+  }
+  out.faults = FaultSet(n, std::move(faulty));
+  out.spare_exhaustion_time = exhaustion_time(times, spares);
+  return out;
+}
+
+}  // namespace reference
+
+std::uint64_t bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+/// A fabric for the oracle, with the bus machine behind it when there is one.
+struct OracleFabric {
+  std::string name;
+  Graph graph;
+  std::optional<BusGraph> bus;
+};
+
+std::vector<OracleFabric> oracle_fabrics() {
+  std::vector<OracleFabric> out;
+  out.push_back({"B_{2,6}", debruijn_base2(6), std::nullopt});
+  out.push_back({"SE_6", shuffle_exchange_graph(6), std::nullopt});
+  out.push_back({"B_{2,12}", debruijn_base2(12), std::nullopt});
+  BusGraph bus = bus_ft_debruijn_base2(5, 2);
+  Graph realized = bus.realized_graph();
+  out.push_back({"bus(h=5,k=2)", std::move(realized), std::move(bus)});
+  return out;
+}
+
+/// Spare budgets: none, small, large, and at or past the node count (the
+/// clock is then +inf).
+std::vector<unsigned> oracle_spares(std::size_t n) {
+  return {0, 1, 3, 8, static_cast<unsigned>(n), static_cast<unsigned>(n) + 5};
+}
+
+/// Runs `trials` seeded trials of `model` against `ref` and counts the
+/// finite clocks seen, so a grid that only ever produced +inf would show.
+template <class Reference>
+std::size_t expect_matches_reference(const FaultModel& model, const OracleFabric& f,
+                                     unsigned spares, std::uint64_t cell, int trials,
+                                     Reference ref) {
+  std::size_t finite = 0;
+  for (int t = 0; t < trials; ++t) {
+    TrialRng a = TrialRng::for_trial(2024, cell, static_cast<std::uint64_t>(t));
+    TrialRng b = a;
+    const FaultDraw got = model.draw(f.graph, spares, a);
+    const FaultDraw want = ref(f.graph, spares, b);
+    EXPECT_EQ(got.faults.nodes(), want.faults.nodes())
+        << model.name() << " on " << f.name << " k=" << spares << " trial " << t;
+    EXPECT_EQ(got.bus_faults, want.bus_faults)
+        << model.name() << " on " << f.name << " k=" << spares << " trial " << t;
+    EXPECT_EQ(bits(got.spare_exhaustion_time), bits(want.spare_exhaustion_time))
+        << model.name() << " on " << f.name << " k=" << spares << " trial " << t << ": "
+        << got.spare_exhaustion_time << " vs " << want.spare_exhaustion_time;
+    // Both draws consumed the same stream.
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+    if (std::isfinite(want.spare_exhaustion_time)) ++finite;
+  }
+  return finite;
+}
+
+int oracle_trials(const OracleFabric& f) { return f.graph.num_nodes() > 1000 ? 12 : 40; }
+
+const double kOracleP[] = {1e-4, 0.02, 0.5, 0.999};
+
+/// Prepares a model for a fabric the way the runner does.
+std::unique_ptr<FaultModel> prepared(const FaultModelSpec& spec, const OracleFabric& f,
+                                     unsigned spares) {
+  auto model = make_fault_model(spec);
+  model->prepare(f.graph, spares);
+  if (f.bus) model->prepare_bus(*f.bus, spares);
+  return model;
+}
+
+TEST(FaultModelOracle, GeometricModelsMatchThePerNodeReference) {
+  std::uint64_t cell = 0;
+  for (const FaultModelKind kind :
+       {FaultModelKind::IidBernoulli, FaultModelKind::Clustered, FaultModelKind::BusIid,
+        FaultModelKind::BusClustered}) {
+    std::size_t trials = 0;
+    std::size_t finite = 0;
+    for (const OracleFabric& f : oracle_fabrics()) {
+      const auto carriers =
+          reference::carriers(f.graph, kind == FaultModelKind::BusClustered && f.bus
+                                           ? &*f.bus
+                                           : nullptr);
+      for (const unsigned k : oracle_spares(f.graph.num_nodes())) {
+        for (const double p : kOracleP) {
+          const auto model = prepared({kind, p, 1.0, 1.0, 1.0}, f, k);
+          const auto ref = [&](const Graph& g, unsigned spares, TrialRng& rng) {
+            switch (kind) {
+              case FaultModelKind::IidBernoulli: return reference::iid(p, g, spares, rng);
+              case FaultModelKind::Clustered: return reference::clustered(p, g, spares, rng);
+              case FaultModelKind::BusIid: return reference::bus_iid(p, g, spares, rng);
+              default: return reference::bus_clustered(p, carriers, g, spares, rng);
+            }
+          };
+          finite += expect_matches_reference(*model, f, k, ++cell, oracle_trials(f), ref);
+          trials += static_cast<std::size_t>(oracle_trials(f));
+          ASSERT_FALSE(HasFailure()) << fault_model_kind_name(kind) << " p=" << p;
+        }
+      }
+    }
+    EXPECT_GE(trials, 2000u) << fault_model_kind_name(kind);
+    EXPECT_GT(finite, trials / 2) << fault_model_kind_name(kind);
+  }
+}
+
+TEST(FaultModelOracle, WeibullMatchesThePerNodeReference) {
+  // 2^-4 and 2^10 are the edges of the banded range; 0.05, 1e6 and 1e15
+  // fall outside it and evaluate every clock. At 1e15 rounding alone orders
+  // the clocks (every life is 100 to within a few ulps), so a band there
+  // would pick the wrong order statistic.
+  const double shapes[] = {0.5, 1.5, 2.0, 1e6, 1e15, 0x1p10, 0x1p-4, 0.05};
+  std::uint64_t cell = 1000;
+  std::size_t trials = 0;
+  std::size_t finite = 0;
+  for (const OracleFabric& f : oracle_fabrics()) {
+    for (const unsigned k : oracle_spares(f.graph.num_nodes())) {
+      for (const double shape : shapes) {
+        for (const double horizon : {3.0, 100.0}) {
+          FaultModelSpec spec{FaultModelKind::Weibull, 0.0, shape, 100.0, horizon};
+          const auto model = prepared(spec, f, k);
+          const auto ref = [&](const Graph& g, unsigned spares, TrialRng& rng) {
+            return reference::weibull(shape, 100.0, horizon, g, spares, rng);
+          };
+          const int n = oracle_trials(f) / 2;
+          finite += expect_matches_reference(*model, f, k, ++cell, n, ref);
+          trials += static_cast<std::size_t>(n);
+          ASSERT_FALSE(HasFailure()) << "shape=" << shape << " horizon=" << horizon;
+        }
+      }
+    }
+  }
+  EXPECT_GE(trials, 2000u);
+  EXPECT_GT(finite, trials / 2);
+}
+
+/// x ^ (x >> shift), inverted.
+std::uint64_t unxorshift(std::uint64_t y, int shift) {
+  std::uint64_t x = y;
+  for (int i = 0; i < 64 / shift + 1; ++i) x = y ^ (x >> shift);
+  return x;
+}
+
+/// Inverse of an odd multiplier mod 2^64 (Newton's iteration).
+std::uint64_t odd_inverse(std::uint64_t c) {
+  std::uint64_t x = c;
+  for (int i = 0; i < 6; ++i) x *= 2 - c * x;
+  return x;
+}
+
+/// A generator whose first next_unit() is the largest multiple of 2^-53 at
+/// or below `u`: splitmix64_mix is a bijection, so its input can be solved
+/// for. Lets a one-node fabric put one chosen uniform through a model.
+TrialRng rng_starting_at(double u) {
+  const auto m = static_cast<std::uint64_t>(std::ldexp(u, 53));
+  std::uint64_t z = unxorshift(m << 11, 31);
+  z = unxorshift(z * odd_inverse(0x94d049bb133111ebull), 27);
+  z = unxorshift(z * odd_inverse(0xbf58476d1ce4e5b9ull), 30);
+  return TrialRng(z - 0x9e3779b97f4a7c15ull);
+}
+
+/// The uniforms a few grid steps (2^-53) around `x`, inside [0, 1).
+std::vector<double> grid_around(double x) {
+  std::vector<double> out;
+  const double m = std::floor(std::ldexp(x, 53));
+  for (double d = -3; d <= 3; ++d) {
+    const double g = std::ldexp(m + d, -53);
+    if (g >= 0.0 && g < 1.0) out.push_back(g);
+  }
+  return out;
+}
+
+/// The largest grid uniform with pred(u) true, for pred true at 0 and false
+/// near 1 — where a clock crosses its threshold.
+template <class Pred>
+double crossing(Pred pred) {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = (std::uint64_t{1} << 53) - 1;
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (pred(std::ldexp(static_cast<double>(mid), -53)) ? lo : hi) = mid;
+  }
+  return std::ldexp(static_cast<double>(lo), -53);
+}
+
+TEST(FaultModelOracle, UniformsOnTheBandEdgesMatchTheReference) {
+  // One node, one uniform, pinned at the clock's threshold crossing and at
+  // both edges of the slack band around it: every path of the threshold
+  // test runs (below the band, inside it, above it), and each must agree
+  // with the reference on the fault and on the clock.
+  const OracleFabric one{"one node", GraphBuilder(1).build(), std::nullopt};
+  const auto no_carriers = reference::carriers(one.graph, nullptr);
+  const double slack = detail::kClockSlack;
+  const auto check = [&](const FaultModel& model, double u, auto ref) {
+    for (const unsigned k : {0u, 1u}) {
+      TrialRng a = rng_starting_at(u);
+      TrialRng b = a;
+      const FaultDraw got = model.draw(one.graph, k, a);
+      const FaultDraw want = ref(one.graph, k, b);
+      EXPECT_EQ(got.faults.nodes(), want.faults.nodes()) << model.name() << " u=" << u;
+      EXPECT_EQ(got.bus_faults, want.bus_faults) << model.name() << " u=" << u;
+      EXPECT_EQ(bits(got.spare_exhaustion_time), bits(want.spare_exhaustion_time))
+          << model.name() << " u=" << u;
+    }
+  };
+  for (const double p : kOracleP) {
+    const double flip = crossing([&](double u) { return reference::geometric_step(u, p) == 1.0; });
+    std::vector<double> probes = grid_around(flip);
+    for (const double edge : {p * (1.0 - slack), p, p * (1.0 + slack)}) {
+      for (const double g : grid_around(edge)) probes.push_back(g);
+    }
+    for (const double u : probes) {
+      TrialRng probe = rng_starting_at(u);
+      ASSERT_EQ(probe.next_unit(), u);
+      const auto ref_p = [p](auto draw) {
+        return [p, draw](const Graph& g, unsigned k, TrialRng& rng) { return draw(p, g, k, rng); };
+      };
+      check(*make_fault_model({FaultModelKind::IidBernoulli, p, 1.0, 1.0, 1.0}), u,
+            ref_p(reference::iid));
+      check(*make_fault_model({FaultModelKind::BusIid, p, 1.0, 1.0, 1.0}), u,
+            ref_p(reference::bus_iid));
+      check(*make_fault_model({FaultModelKind::Clustered, p, 1.0, 1.0, 1.0}), u,
+            ref_p(reference::clustered));
+      check(*make_fault_model({FaultModelKind::BusClustered, p, 1.0, 1.0, 1.0}), u,
+            [&](const Graph& g, unsigned k, TrialRng& rng) {
+              return reference::bus_clustered(p, no_carriers, g, k, rng);
+            });
+    }
+  }
+  for (const double shape : {0.5, 1.5, 2.0, 0x1p10, 1e6, 1e15}) {
+    const double scale = 100.0;
+    const double horizon = 37.0;
+    const auto life = [&](double u) { return scale * std::pow(-std::log1p(-u), 1.0 / shape); };
+    const double edge = -std::expm1(-std::pow(horizon / scale, shape));
+    const double flip = crossing([&](double u) { return life(u) <= horizon; });
+    std::vector<double> probes = grid_around(flip);
+    for (const double e : {edge * (1.0 - slack), edge, edge * (1.0 + slack)}) {
+      for (const double g : grid_around(e)) probes.push_back(g);
+    }
+    const auto model = make_fault_model({FaultModelKind::Weibull, 0.0, shape, scale, horizon});
+    for (const double u : probes) {
+      check(*model, u, [&](const Graph& g, unsigned k, TrialRng& rng) {
+        return reference::weibull(shape, scale, horizon, g, k, rng);
+      });
+    }
+  }
+}
+
+TEST(ClockCandidates, KeepsEveryUniformWithinTheSlackOfTheOrderStatistic) {
+  using detail::clock_candidates;
+  using detail::kClockSlack;
+  const std::vector<double> u = {0.5, 0.25, 0.75, 0.25, 0.125, 0.5};
+  // T = 0.125, 0.25 (tied), 0.25, 0.5 (tied) ...
+  EXPECT_EQ(clock_candidates(u, 0, kClockSlack), (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(clock_candidates(u, 1, kClockSlack), (std::vector<std::uint32_t>{1, 3, 4}));
+  EXPECT_EQ(clock_candidates(u, 2, kClockSlack), (std::vector<std::uint32_t>{1, 3, 4}));
+  EXPECT_EQ(clock_candidates(u, 3, kClockSlack), (std::vector<std::uint32_t>{0, 1, 3, 4, 5}));
+  EXPECT_EQ(clock_candidates(u, 5, kClockSlack),
+            (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
+  // Rank past the end: no order statistic, no candidates.
+  EXPECT_TRUE(clock_candidates(u, 6, kClockSlack).empty());
+  EXPECT_TRUE(clock_candidates({}, 0, kClockSlack).empty());
+}
+
+TEST(ClockCandidates, BandEdgeIsInclusive) {
+  using detail::clock_candidates;
+  using detail::kClockSlack;
+  const double t = 0.3;
+  const double edge = t * (1.0 + kClockSlack);
+  const double past = std::nextafter(edge, 1.0);
+  const std::vector<double> u = {past, 0.9, edge, t, 0.1, std::nextafter(t, 0.0)};
+  // rank 2: the three smallest are 0.1, t-, t; the band reaches exactly
+  // `edge` and no further.
+  EXPECT_EQ(clock_candidates(u, 2, kClockSlack), (std::vector<std::uint32_t>{2, 3, 4, 5}));
+  // A zero order statistic admits only zeros.
+  const std::vector<double> zeros = {0.0, 0x1p-53, 0.0, 0.5};
+  EXPECT_EQ(clock_candidates(zeros, 1, kClockSlack), (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(clock_candidates(zeros, 2, kClockSlack), (std::vector<std::uint32_t>{0, 1, 2}));
+}
+
+TEST(ClockCandidates, InfiniteSlackAdmitsEveryUniform) {
+  using detail::clock_candidates;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> u = {0.5, 0.0, 0.25};
+  EXPECT_EQ(clock_candidates(u, 0, inf), (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(clock_candidates(u, 2, inf), (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_TRUE(clock_candidates(u, 3, inf).empty());
+}
+
+// --- write_file_atomically ---------------------------------------------------
+
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(WriteFileAtomically, ReplacesTheFileAndLeavesNoTemporary) {
+  const std::string path =
+      ::testing::TempDir() + "ftdb_atomic_" + std::to_string(::getpid()) + ".json";
+  for (const bool fsync : {false, true}) {
+    write_file_atomically(path, "old", fsync);
+    write_file_atomically(path, "new bytes", fsync);
+    EXPECT_EQ(read_text_file(path), "new bytes");
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(WriteFileAtomically, MissingDirectoryThrowsWithoutLeakingAnFd) {
+  const std::size_t before = open_fd_count();
+  EXPECT_THROW(write_file_atomically(::testing::TempDir() + "ftdb_no_such_dir/x.json", "x", true),
+               std::runtime_error);
+  EXPECT_EQ(open_fd_count(), before);
+}
+
+TEST(WriteFileAtomically, DurableWriteFailsWhenTheDirectoryCannotBeSynced) {
+  // A directory its writer may write and search but not read: the data
+  // file is created and renamed, but the directory cannot be opened to
+  // flush the rename. A durable write must say so; a plain one needs no
+  // directory handle and succeeds. Root ignores permission bits, so the
+  // check runs in a child that drops to an unprivileged uid when it can.
+  const std::string dir = ::testing::TempDir() + "ftdb_wx_only_" + std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  ASSERT_EQ(::chmod(dir.c_str(), 0333), 0);
+  const pid_t child = ::fork();
+  if (child == 0) {
+    if (::geteuid() == 0 && ::setuid(65534) != 0) ::_exit(2);
+    const std::size_t before = open_fd_count();
+    int code = 0;
+    try {
+      write_file_atomically(dir + "/plain.json", "x", false);
+    } catch (const std::exception&) {
+      code = 3;
+    }
+    if (code == 0) {
+      try {
+        write_file_atomically(dir + "/durable.json", "y", true);
+        code = 4;
+      } catch (const std::runtime_error& e) {
+        code = std::string(e.what()).find("directory") != std::string::npos ? 0 : 5;
+      }
+    }
+    if (code == 0 && open_fd_count() != before) code = 6;
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ::chmod(dir.c_str(), 0755);
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(WIFEXITED(status));
+  if (WEXITSTATUS(status) == 2) GTEST_SKIP() << "cannot drop root privileges here";
+  // 3: the plain write failed; 4: the durable write claimed success;
+  // 5: it threw without naming the directory; 6: an fd leaked.
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace

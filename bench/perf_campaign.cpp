@@ -7,6 +7,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <vector>
 
@@ -17,6 +18,8 @@
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
 #include "ft/ft_debruijn.hpp"
+#include "ft/tolerance.hpp"
+#include "topology/debruijn.hpp"
 
 namespace {
 
@@ -149,6 +152,48 @@ FTDB_BENCH(next_unit, "perf_campaign/next_unit_n4096") {
   ctx.report("ns_per_iteration", elapsed_ns(start) / kDrawIterations);
   ctx.report("calls_per_iteration", static_cast<double>(u.size()));
   ctx.report("checksum", checksum);
+}
+
+// --- survival: one scan per trial vs one proof per cell -----------------------
+
+/// One monotone_embedding_survives scan against one check_tolerance_pairwise
+/// proof on B^8_{2,12} (4104 nodes), a campaign_survival cell. The proof
+/// covers every fault set of at most 8 faults, so a proven cell pays it once
+/// instead of one scan per trial; CI holds it within 16x one scan, measured
+/// in the same process so host load cancels.
+constexpr unsigned kProofH = 12;
+constexpr unsigned kProofSpares = 8;
+
+FTDB_BENCH(survives_scan, "perf_campaign/survives_b2h12_k8") {
+  const ftdb::Graph target = ftdb::debruijn_base2(kProofH);
+  const ftdb::Graph fabric = ftdb::ft_debruijn_base2(kProofH, kProofSpares);
+  std::mt19937_64 rng(99);
+  std::vector<ftdb::FaultSet> sets;
+  for (int i = 0; i < 64; ++i) {
+    sets.push_back(ftdb::FaultSet::random(fabric.num_nodes(), kProofSpares, rng));
+  }
+  constexpr int kIterations = 2000;
+  double survived = 0.0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kIterations; ++i) {
+    const ftdb::FaultSet& faults = sets[static_cast<std::size_t>(i) % sets.size()];
+    if (ftdb::monotone_embedding_survives(target, fabric, faults)) survived += 1.0;
+  }
+  ctx.report("ns_per_iteration", elapsed_ns(start) / kIterations);
+  ctx.report("survived_fraction", survived / kIterations);
+}
+
+FTDB_BENCH(tolerance_proof, "perf_campaign/tolerance_proof_b2h12_k8") {
+  const ftdb::Graph target = ftdb::debruijn_base2(kProofH);
+  const ftdb::Graph fabric = ftdb::ft_debruijn_base2(kProofH, kProofSpares);
+  constexpr int kIterations = 200;
+  double tolerant = 0.0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kIterations; ++i) {
+    if (ftdb::check_tolerance_pairwise(target, fabric, kProofSpares).tolerant) tolerant += 1.0;
+  }
+  ctx.report("ns_per_iteration", elapsed_ns(start) / kIterations);
+  ctx.report("tolerant_fraction", tolerant / kIterations);
 }
 
 // --- work-stealing scheduler ------------------------------------------------

@@ -177,13 +177,14 @@ bool compact_elastic_dir(const ScenarioSpec& spec, const std::string& dir,
   ElasticProgress progress = load_elastic_progress(spec, dir);
 
   Checkpoint ckpt;  // whole-campaign shard; stamps derived by the serializer
+  TargetTable targets(spec, cells);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     CellProgress& cp = progress.cells[i];
     if (cp.prefix_blocks == 0 && cp.extra.empty()) continue;
     if (cp.prefix_blocks == total_blocks && progress.finalized[i] == 0) {
       // A checkpointed complete prefix is finalized by convention; cells
       // completed by log records still carry raw accumulators.
-      CellRunner(spec, cells[i]).finalize(cp.prefix);
+      CellRunner(spec, cells[i], targets).finalize(cp.prefix);
     }
     ckpt.cells.push_back(std::move(cp));
   }

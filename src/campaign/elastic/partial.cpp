@@ -16,6 +16,7 @@ CampaignResult merge_elastic(const ScenarioSpec& spec, const std::string& dir) {
   CampaignResult result;
   result.spec = spec;
   result.scenarios.resize(cells.size());
+  TargetTable targets(spec, cells);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     CellProgress& cp = progress.cells[i];
     if (cp.prefix_blocks != total_blocks) {
@@ -32,7 +33,7 @@ CampaignResult merge_elastic(const ScenarioSpec& spec, const std::string& dir) {
     }
     // Cells whose last blocks arrived after the final compaction (or when no
     // compaction ran at all) still carry raw accumulators.
-    if (progress.finalized[i] == 0) CellRunner(spec, cells[i]).finalize(cp.prefix);
+    if (progress.finalized[i] == 0) CellRunner(spec, cells[i], targets).finalize(cp.prefix);
     result.scenarios[i] = std::move(cp.prefix);
   }
   return result;
@@ -45,6 +46,7 @@ std::string partial_elastic_report_json(const ScenarioSpec& spec, const std::str
 
   std::uint64_t completed_trials = 0;
   std::uint64_t cells_complete = 0;
+  TargetTable targets(spec, cells);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     CellProgress& cp = progress.cells[i];
     completed_trials += cp.prefix.trials;
@@ -52,7 +54,7 @@ std::string partial_elastic_report_json(const ScenarioSpec& spec, const std::str
     if (cp.prefix_blocks == total_blocks) {
       ++cells_complete;
       // Emit completed cells exactly as the final report will: finalized.
-      if (progress.finalized[i] == 0) CellRunner(spec, cells[i]).finalize(cp.prefix);
+      if (progress.finalized[i] == 0) CellRunner(spec, cells[i], targets).finalize(cp.prefix);
     } else {
       // Incomplete cells: raw accumulators over the completed prefix, plus
       // the cheap identity fields (no graphs get built for a live snapshot).

@@ -192,26 +192,59 @@ void ScenarioResult::merge(const ScenarioResult& other) {
 
 // --- scenario execution ------------------------------------------------------
 
+struct TopologyTarget {
+  Graph graph;
+  std::uint32_t diameter = 0;
+  // collective metric (point-to-point families only): the full-N schedule
+  // and its run on the healthy target — the baseline every slowdown is
+  // priced against, and the exact result of every successful trial.
+  std::optional<sim::Schedule> schedule;
+  sim::ScheduleRunResult healthy_collective;
+};
+
 namespace {
+
+TopologyTarget build_target(const MetricSet& metrics, const TopologySpec& topology) {
+  TopologyTarget t;
+  switch (topology.family) {
+    case TopologyFamily::DeBruijn:
+      t.graph = debruijn_graph({.base = topology.base, .digits = topology.digits});
+      break;
+    case TopologyFamily::ShuffleExchange:
+      t.graph = shuffle_exchange_graph(topology.digits);
+      break;
+    case TopologyFamily::Bus:
+      t.graph = debruijn_base2(topology.digits);
+      break;
+  }
+  t.diameter = diameter(t.graph);
+  if (metrics.collective && topology.family != TopologyFamily::Bus) {
+    // Compile the schedule once and price the healthy machine — the
+    // denominator of every trial's slowdown.
+    const auto n = static_cast<std::uint32_t>(t.graph.num_nodes());
+    t.schedule = sim::build_schedule(sim::schedule_kind_from_name(metrics.collective_schedule), n);
+    std::vector<NodeId> identity_ranks(n);
+    for (NodeId v = 0; v < n; ++v) identity_ranks[v] = v;
+    t.healthy_collective = sim::execute_schedule(sim::Machine::direct(t.graph), t.graph,
+                                                 *t.schedule, identity_ranks);
+  }
+  return t;
+}
 
 /// Immutable per-scenario state shared (read-only) by all worker threads.
 struct ScenarioContext {
   ScenarioCase cell;
-  Graph target;
+  std::shared_ptr<const TopologyTarget> topo;  // shared by the topology's cells
   Graph fabric;                     // point-to-point FT graph / realized bus graph
   std::optional<BusGraph> bus;      // set for the bus family
   std::unique_ptr<FaultModel> model;
-  std::uint32_t target_diameter = 0;
   std::uint64_t seed = 0;
   MetricSet metrics;
 
-  // collective metric: the full-N schedule, its identity rank map, and its
-  // run on the healthy target — the baseline every slowdown is priced
-  // against, and the exact result of every successful trial — point-to-point
-  // families only.
-  std::optional<sim::Schedule> schedule;
-  std::vector<NodeId> identity_ranks;
-  sim::ScheduleRunResult healthy_collective;
+  // check_tolerance_pairwise proved that the monotone embedding survives
+  // every fault set of at most `spares` faults on this fabric, so a
+  // within-budget draw needs no scan.
+  bool proven = false;
 
   // bus-fault models: the cell draws bus faults that must be resolved onto
   // the realized graph (bus-family cells) before the survival check.
@@ -225,34 +258,33 @@ struct ScenarioContext {
   std::vector<sim::Packet> trace_packets;
   std::uint64_t traffic_packets = 0;
   std::uint64_t traffic_max_cycles = 0;
+
+  const Graph& target() const { return topo->graph; }
 };
 
-ScenarioContext build_context(const ScenarioSpec& spec, const ScenarioCase& cell) {
+ScenarioContext build_context(const ScenarioSpec& spec, const ScenarioCase& cell,
+                              std::shared_ptr<const TopologyTarget> topo) {
   ScenarioContext ctx;
   ctx.cell = cell;
+  ctx.topo = std::move(topo);
   ctx.seed = spec.seed;
   ctx.metrics = spec.metrics;
   const unsigned h = cell.topology.digits;
   const unsigned k = cell.spares;
   switch (cell.topology.family) {
     case TopologyFamily::DeBruijn:
-      ctx.target = debruijn_graph({.base = cell.topology.base, .digits = h});
       ctx.fabric = ft_debruijn_graph({.base = cell.topology.base, .digits = h, .spares = k});
       break;
-    case TopologyFamily::ShuffleExchange: {
+    case TopologyFamily::ShuffleExchange:
       // Route 2 (natural labeling): self-contained, no VF2 search needed.
-      ctx.target = shuffle_exchange_graph(h);
       ctx.fabric = ft_shuffle_exchange_natural(h, k).ft_graph;
       break;
-    }
-    case TopologyFamily::Bus: {
+    case TopologyFamily::Bus:
       ctx.bus = bus_ft_debruijn_base2(h, k);
-      ctx.target = debruijn_base2(h);
       // Fault models and graph metrics act on the point-to-point connectivity
       // the restricted driver<->member discipline realizes.
       ctx.fabric = ctx.bus->realized_graph();
       break;
-    }
   }
   ctx.model = make_fault_model(cell.fault_model);
   ctx.model->prepare(ctx.fabric, k);
@@ -261,18 +293,7 @@ ScenarioContext build_context(const ScenarioSpec& spec, const ScenarioCase& cell
   if (ctx.bus) ctx.model->prepare_bus(*ctx.bus, k);
   ctx.bus_model = cell.fault_model.kind == FaultModelKind::BusIid ||
                   cell.fault_model.kind == FaultModelKind::BusClustered;
-  ctx.target_diameter = diameter(ctx.target);
-  if (spec.metrics.collective && cell.topology.family != TopologyFamily::Bus) {
-    // Compile the schedule once per cell and price the healthy machine — the
-    // denominator of every trial's slowdown.
-    ctx.schedule = sim::build_schedule(
-        sim::schedule_kind_from_name(spec.metrics.collective_schedule),
-        static_cast<std::uint32_t>(ctx.target.num_nodes()));
-    ctx.identity_ranks.resize(ctx.target.num_nodes());
-    for (NodeId v = 0; v < ctx.target.num_nodes(); ++v) ctx.identity_ranks[v] = v;
-    ctx.healthy_collective = sim::execute_schedule(sim::Machine::direct(ctx.target), ctx.target,
-                                                   *ctx.schedule, ctx.identity_ranks);
-  }
+  ctx.proven = check_tolerance_pairwise(ctx.target(), ctx.fabric, k).tolerant;
   if (spec.metrics.traffic && cell.topology.family != TopologyFamily::Bus) {
     ctx.traffic = true;
     const TrafficSpec& ts = spec.metrics.traffic_spec;
@@ -280,13 +301,13 @@ ScenarioContext build_context(const ScenarioSpec& spec, const ScenarioCase& cell
     if (ts.pattern == "trace") {
       // Parsed once per cell; endpoints are range-checked against this cell's
       // target (the spec parser only checked the grid's largest family).
-      ctx.trace_packets = sim::trace_traffic(ts.trace, ctx.target.num_nodes());
+      ctx.trace_packets = sim::trace_traffic(ts.trace, ctx.target().num_nodes());
       ctx.traffic_packets = ctx.trace_packets.size();
       for (const sim::Packet& p : ctx.trace_packets) {
         horizon = std::max(horizon, p.inject_cycle);
       }
     } else {
-      ctx.traffic_packets = ts.packets_per_node * ctx.target.num_nodes();
+      ctx.traffic_packets = ts.packets_per_node * ctx.target().num_nodes();
     }
     // Generous but bounded: even a single-sink hotspot drains at >= 1
     // packet/cycle once the queues form, so 4x the packet count past the
@@ -311,7 +332,7 @@ struct BlockScratch {
   /// The block's simulator of the healthy target, built on first use (a
   /// cell whose trials run no collective or traffic never builds it).
   sim::PacketSimulator& healthy(const ScenarioContext& ctx) {
-    if (!healthy_sim) healthy_sim.emplace(sim::Machine::direct(ctx.target), ctx.target);
+    if (!healthy_sim) healthy_sim.emplace(sim::Machine::direct(ctx.target()), ctx.target());
     return *healthy_sim;
   }
   std::optional<sim::PacketSimulator> healthy_sim;
@@ -331,16 +352,17 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
   if (within_budget) {
     // On bus cells the fabric is the realized graph: an edge joins exactly
     // the pairs some bus lets communicate (driver <-> member), so the one
-    // survival check serves every family.
+    // survival check serves every family. On a proven cell every fault set
+    // within the budget survives, so only unproven fabrics scan.
     if (ctx.bus && !draw.bus_faults.empty()) {
       // Section V discipline: bus faults resolve to driver-node faults on the
       // realized graph, and the merged set must still fit the spare budget.
       const std::optional<FaultSet> resolved = resolve_bus_faults(
           *ctx.bus, ctx.cell.spares, draw.faults.nodes(), draw.bus_faults);
       success = resolved.has_value() &&
-                monotone_embedding_survives(ctx.target, ctx.fabric, *resolved);
+                (ctx.proven || monotone_embedding_survives(ctx.target(), ctx.fabric, *resolved));
     } else {
-      success = monotone_embedding_survives(ctx.target, ctx.fabric, draw.faults);
+      success = ctx.proven || monotone_embedding_survives(ctx.target(), ctx.fabric, draw.faults);
     }
   }
 
@@ -364,17 +386,17 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
   const bool want_stretch =
       ctx.metrics.stretch && success &&
       (ctx.cell.topology.family == TopologyFamily::DeBruijn || se_family);
-  const bool want_collective = ctx.schedule.has_value();
+  const bool want_collective = ctx.topo->schedule.has_value();
   if (success && (ctx.metrics.diameter || want_stretch)) {
     // One reconfigured machine serves both metrics (Machine copies the fabric
     // CSR, so building it twice per trial would double that cost).
     const sim::Machine machine =
-        sim::Machine::reconfigured(ctx.fabric, draw.faults, ctx.target.num_nodes());
+        sim::Machine::reconfigured(ctx.fabric, draw.faults, ctx.target().num_nodes());
     if (ctx.metrics.diameter) {
       // Measure (not assume) the paper's claim: the reconfigured machine
       // presents the intact target, so its logical diameter must equal the
       // target's.
-      const std::uint32_t d = diameter(machine.live_logical_graph(ctx.target));
+      const std::uint32_t d = diameter(machine.live_logical_graph(ctx.target()));
       if (d != kUnreachable) acc.reconfigured_diameter.add(static_cast<double>(d));
     }
     if (want_stretch) {
@@ -389,7 +411,7 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
         // (after the fault draw), so the report stays byte-identical across
         // thread counts and checkpoint/resume. Self-pairs are dropped rather
         // than redrawn to keep the stream consumption fixed.
-        const std::uint64_t n_nodes = ctx.target.num_nodes();
+        const std::uint64_t n_nodes = ctx.target().num_nodes();
         std::vector<std::pair<NodeId, NodeId>> pairs;
         pairs.reserve(ctx.metrics.stretch_sample_pairs);
         for (std::uint64_t i = 0; i < ctx.metrics.stretch_sample_pairs; ++i) {
@@ -418,13 +440,14 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
   }
 
   // The simulator the collective and the traffic run on. A successful trial
-  // passed monotone_embedding_survives: every target node sits on a live
-  // host and every target edge on a live link, so the live logical graph is
-  // the target and the engine cannot tell the reconfigured machine from the
-  // healthy target — the trial borrows the block's healthy simulator. A
-  // failed trial's bare target with its faults marked dead gets its own,
-  // unless every target node died — then nothing runs.
-  const std::uint64_t n_nodes = ctx.target.num_nodes();
+  // passes monotone_embedding_survives (checked, or proven for the cell):
+  // every target node sits on a live host and every target edge on a live
+  // link, so the live logical graph is the target and the engine cannot tell
+  // the reconfigured machine from the healthy target — the trial borrows the
+  // block's healthy simulator. A failed trial's bare target with its faults
+  // marked dead gets its own, unless every target node died — then nothing
+  // runs.
+  const std::uint64_t n_nodes = ctx.target().num_nodes();
   std::optional<sim::PacketSimulator> degraded_sim;
   sim::PacketSimulator* engine = nullptr;
   if (want_collective || ctx.traffic) {
@@ -437,8 +460,8 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
       }
       if (hit.size() < n_nodes) {
         engine = &degraded_sim.emplace(
-            sim::Machine::direct_with_faults(ctx.target, FaultSet(n_nodes, std::move(hit))),
-            ctx.target);
+            sim::Machine::direct_with_faults(ctx.target(), FaultSet(n_nodes, std::move(hit))),
+            ctx.target());
       }
     }
   }
@@ -452,16 +475,16 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
     // schedule on the healthy target* so the slowdown isolates the rerouting
     // cost instead of crediting the smaller job.
     sim::ScheduleRunResult run;
-    std::uint64_t baseline_cycles = ctx.healthy_collective.total_cycles;
+    std::uint64_t baseline_cycles = ctx.topo->healthy_collective.total_cycles;
     if (success) {
-      run = ctx.healthy_collective;
+      run = ctx.topo->healthy_collective;
     } else if (engine != nullptr) {
       std::vector<NodeId> survivors;
       for (NodeId v = 0; v < n_nodes; ++v) {
         if (!draw.faults.is_faulty(v)) survivors.push_back(v);
       }
       const sim::Schedule sched = sim::build_schedule(
-          ctx.schedule->kind, static_cast<std::uint32_t>(survivors.size()));
+          ctx.topo->schedule->kind, static_cast<std::uint32_t>(survivors.size()));
       run = sim::execute_schedule(*engine, sched, survivors);
       baseline_cycles = sim::execute_schedule(scratch.healthy(ctx), sched, survivors).total_cycles;
     }
@@ -951,12 +974,14 @@ struct CellState {
 
 /// Fills the cell-level metadata and analytic companions once every block has
 /// merged (building the runner if the cell completed purely from
-/// checkpointed blocks), then drops the runner: the graphs are the heavy part.
-void finalize_cell(const ScenarioSpec& spec, CellState& st) {
-  if (!st.runner) st.runner.emplace(spec, st.cell);
+/// checkpointed blocks), then drops the runner and the cell's claim on its
+/// topology's target: the graphs are the heavy part.
+void finalize_cell(const ScenarioSpec& spec, TargetTable& targets, CellState& st) {
+  if (!st.runner) st.runner.emplace(spec, st.cell, targets);
   st.runner->finalize(st.prefix);
   st.finalized = true;
   st.runner.reset();
+  targets.release(st.cell);
 }
 
 }  // namespace
@@ -982,6 +1007,9 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
     st->prefix.scenario_index = cell.index;
     states.push_back(std::move(st));
   }
+  std::vector<ScenarioCase> owned_cells;
+  for (const auto& st : states) owned_cells.push_back(st->cell);
+  TargetTable targets(spec, owned_cells);
 
   // --- resume: seed the reduction states from the checkpoint ----------------
   if (options.resume && !options.checkpoint_path.empty()) {
@@ -1023,8 +1051,9 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
           if (cp.prefix_blocks == st.num_blocks) {
             st.prefix = cp.prefix;  // already finalized by the producing run
             st.finalized = true;
+            targets.release(st.cell);
           } else {
-            finalize_cell(spec, st);
+            finalize_cell(spec, targets, st);
           }
           ++result.resumed_scenarios;
         }
@@ -1075,7 +1104,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
   auto run_unit = [&](const WorkUnit& u) {
     CellState& st = *states[u.slot];
     std::call_once(st.runner_once, [&] {
-      if (!st.runner) st.runner.emplace(spec, st.cell);
+      if (!st.runner) st.runner.emplace(spec, st.cell, targets);
     });
     ScenarioResult partial = st.runner->run_block(u.block);
 
@@ -1094,7 +1123,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
         st.pending.emplace(u.block, std::move(partial));
       }
       if (st.merged_blocks == st.num_blocks && !st.finalized) {
-        finalize_cell(spec, st);
+        finalize_cell(spec, targets, st);
         completed_cell = true;
       }
     }
@@ -1235,6 +1264,55 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
   return result;
 }
 
+// --- TargetTable ------------------------------------------------------------
+
+struct TargetTable::Entry {
+  TopologySpec topology;
+  std::mutex mu;  // guards the two members below
+  std::size_t unreleased = 0;  // counted cells not yet released
+  std::shared_ptr<const TopologyTarget> target;
+};
+
+TargetTable::TargetTable(const ScenarioSpec& spec, std::span<const ScenarioCase> cells)
+    : metrics_(spec.metrics) {
+  for (const ScenarioCase& cell : cells) {
+    std::unique_ptr<Entry>& e = entries_[cell.topology.label()];
+    if (!e) {
+      e = std::make_unique<Entry>();
+      e->topology = cell.topology;
+    }
+    ++e->unreleased;
+  }
+}
+
+TargetTable::~TargetTable() = default;
+
+TargetTable::Entry& TargetTable::entry(const ScenarioCase& cell) const {
+  const auto it = entries_.find(cell.topology.label());
+  if (it == entries_.end()) {
+    throw std::logic_error("TargetTable: cell " + std::to_string(cell.index) +
+                           " was not counted");
+  }
+  return *it->second;
+}
+
+std::shared_ptr<const TopologyTarget> TargetTable::acquire(const ScenarioCase& cell) {
+  Entry& e = entry(cell);
+  // Built under the entry's lock: the topology's other cells wait for this
+  // one build instead of racing their own; other topologies proceed.
+  const std::lock_guard<std::mutex> lock(e.mu);
+  if (!e.target) {
+    e.target = std::make_shared<const TopologyTarget>(build_target(metrics_, e.topology));
+  }
+  return e.target;
+}
+
+void TargetTable::release(const ScenarioCase& cell) {
+  Entry& e = entry(cell);
+  const std::lock_guard<std::mutex> lock(e.mu);
+  if (e.unreleased > 0 && --e.unreleased == 0) e.target.reset();
+}
+
 // --- CellRunner -------------------------------------------------------------
 
 struct CellRunner::Impl {
@@ -1243,7 +1321,13 @@ struct CellRunner::Impl {
 };
 
 CellRunner::CellRunner(const ScenarioSpec& spec, const ScenarioCase& cell)
-    : impl_(new Impl{spec.trials, build_context(spec, cell)}) {}
+    : impl_(new Impl{spec.trials,
+                     build_context(spec, cell,
+                                   std::make_shared<const TopologyTarget>(
+                                       build_target(spec.metrics, cell.topology)))}) {}
+
+CellRunner::CellRunner(const ScenarioSpec& spec, const ScenarioCase& cell, TargetTable& targets)
+    : impl_(new Impl{spec.trials, build_context(spec, cell, targets.acquire(cell))}) {}
 
 CellRunner::~CellRunner() = default;
 CellRunner::CellRunner(CellRunner&&) noexcept = default;
@@ -1271,12 +1355,12 @@ void CellRunner::finalize(ScenarioResult& r) const {
   const ScenarioCase& cell = ctx.cell;
   r.scenario_index = cell.index;
   r.label = cell.label();
-  r.target_nodes = ctx.target.num_nodes();
+  r.target_nodes = ctx.target().num_nodes();
   r.fabric_nodes = ctx.fabric.num_nodes();
-  r.target_diameter = ctx.target_diameter;
-  if (ctx.schedule) {
-    r.collective_rounds = ctx.schedule->rounds();
-    r.collective_baseline_cycles = ctx.healthy_collective.total_cycles;
+  r.target_diameter = ctx.topo->diameter;
+  if (ctx.topo->schedule) {
+    r.collective_rounds = ctx.topo->schedule->rounds();
+    r.collective_baseline_cycles = ctx.topo->healthy_collective.total_cycles;
   }
   const FaultModelSpec& model = cell.fault_model;
   if (model.kind == FaultModelKind::IidBernoulli || model.kind == FaultModelKind::BusIid) {

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <span>
@@ -267,16 +268,54 @@ struct CampaignAborted : std::runtime_error {
 /// stop_after_blocks hook fires.
 CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& options = {});
 
+/// The part of a cell's context that depends only on its topology and the
+/// spec's metrics: the target graph, its diameter and the collective's
+/// healthy baseline. Defined in runner.cpp.
+struct TopologyTarget;
+
+/// The targets of one call's cells, one per distinct topology, each built on
+/// first use and shared by every cell of that topology. A table lives inside
+/// one call (run_campaign, an elastic merge or compaction); nothing is cached
+/// across calls. Safe to use from many threads.
+class TargetTable {
+ public:
+  /// `cells` are the cells this call may build runners for; each counts
+  /// towards its topology's release().
+  TargetTable(const ScenarioSpec& spec, std::span<const ScenarioCase> cells);
+  ~TargetTable();
+  TargetTable(const TargetTable&) = delete;
+  TargetTable& operator=(const TargetTable&) = delete;
+
+  /// The shared target of `cell`'s topology, built on first use.
+  std::shared_ptr<const TopologyTarget> acquire(const ScenarioCase& cell);
+
+  /// Marks `cell` finalized. The table drops its topology's target once
+  /// every counted cell of the topology has been released (runners still
+  /// holding it keep it alive).
+  void release(const ScenarioCase& cell);
+
+ private:
+  struct Entry;
+  Entry& entry(const ScenarioCase& cell) const;
+
+  MetricSet metrics_;
+  std::map<std::string, std::unique_ptr<Entry>> entries_;  // by TopologySpec::label()
+};
+
 /// Executes one grid cell's trial blocks outside the full scheduler — the
 /// unit the elastic campaign service (campaign/elastic/) leases and runs.
-/// The scenario context (graphs, fault model, collective baseline) is built
-/// once in the constructor; run_block only reads it, so one CellRunner can
-/// serve many threads concurrently. Blocks produced here are bit-identical
-/// to the ones run_campaign's scheduler folds, because every trial's
-/// randomness is counter-based.
+/// The scenario context (graphs, fault model, collective baseline, and the
+/// pairwise proof that every within-budget draw survives) is built once in
+/// the constructor; run_block only reads it, so one CellRunner can serve many
+/// threads concurrently. Blocks produced here are bit-identical to the ones
+/// run_campaign's scheduler folds, because every trial's randomness is
+/// counter-based.
 class CellRunner {
  public:
+  /// Builds the cell's own target.
   CellRunner(const ScenarioSpec& spec, const ScenarioCase& cell);
+  /// Shares the target of the cell's topology through `targets`.
+  CellRunner(const ScenarioSpec& spec, const ScenarioCase& cell, TargetTable& targets);
   ~CellRunner();
   CellRunner(CellRunner&&) noexcept;
   CellRunner& operator=(CellRunner&&) noexcept;

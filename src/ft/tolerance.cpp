@@ -138,6 +138,50 @@ ToleranceReport check_tolerance_monte_carlo(const Graph& target, const Graph& ft
   return report;
 }
 
+ToleranceReport check_tolerance_pairwise(const Graph& target, const Graph& ft_graph,
+                                         unsigned k) {
+  ToleranceReport report;
+  const std::size_t n = target.num_nodes();
+  if (ft_graph.num_nodes() < n + k) {
+    // The smallest fault set that leaves fewer than N survivors.
+    const std::size_t size = ft_graph.num_nodes() < n ? 0 : ft_graph.num_nodes() - n + 1;
+    report.tolerant = false;
+    for (std::size_t v = 0; v < size; ++v) {
+      report.counterexample_faults.push_back(static_cast<NodeId>(v));
+    }
+    report.violated_edge = Edge{kInvalidNode, kInvalidNode};
+    return report;
+  }
+  for (NodeId x = 0; x < n; ++x) {
+    const auto nb = target.neighbors(x);
+    const auto above = std::upper_bound(nb.begin(), nb.end(), x);
+    for (unsigned a = 0; a <= k; ++a) {
+      // Graphs are simple, so the neighbours of x + a strictly increase: the
+      // entry k - a places past the first one >= y + a is y + k exactly when
+      // the whole run y + a .. y + k is present. The runs ascend with y, so
+      // each search starts where the last one ended.
+      const auto ft_nb = ft_graph.neighbors(x + a);
+      auto first = ft_nb.begin();
+      for (auto it = above; it != nb.end(); ++it) {
+        const NodeId y = *it;
+        first = std::lower_bound(first, ft_nb.end(), y + a);
+        const std::size_t last = static_cast<std::size_t>(first - ft_nb.begin()) + (k - a);
+        if (last < ft_nb.size() && ft_nb[last] == y + k) continue;
+        // Witness: the first missing y + b (b <= k), hit by the faults
+        // {0..a-1} and {x+a+1..x+b}.
+        NodeId b = a;
+        while (std::binary_search(ft_nb.begin(), ft_nb.end(), y + b)) ++b;
+        report.tolerant = false;
+        for (NodeId v = 0; v < a; ++v) report.counterexample_faults.push_back(v);
+        for (NodeId v = x + a + 1; v <= x + b; ++v) report.counterexample_faults.push_back(v);
+        report.violated_edge = Edge{x, y};
+        return report;
+      }
+    }
+  }
+  return report;
+}
+
 ToleranceReport check_tolerance_exhaustive_vf2(const Graph& target, const Graph& ft_graph,
                                                unsigned k,
                                                const EmbeddingSearchOptions& options) {

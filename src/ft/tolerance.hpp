@@ -5,9 +5,22 @@
 // constructions the witness embedding is always the monotone rank embedding,
 // so the check is: for every fault set F (|F| <= k) and every edge (x, y) of
 // G, (phi(x), phi(y)) must be an edge of G'. We provide an exhaustive checker
-// (all C(N+k, k) fault sets) for small instances and a seeded Monte Carlo
-// checker for large ones, plus a general checker that uses VF2 search instead
-// of the monotone witness (for baselines with different reconfiguration).
+// (all C(N+k, k) fault sets) for small instances, a seeded Monte Carlo
+// checker for large ones, a pairwise proof that covers every fault set at
+// once, and a general checker that uses VF2 search instead of the monotone
+// witness (for baselines with different reconfiguration).
+//
+// The pairwise proof. Let G' have at least N + k nodes and take a target edge
+// (x, y) with x < y and a fault set F with |F| <= k. The witness maps
+// phi(x) = x + a and phi(y) = y + b with 0 <= a <= b <= k, because the
+// offsets count the faults below the image and never decrease. Every such
+// pair occurs: the faults {0..a-1} and {x+a+1..x+b} (b faults in all) give
+// exactly phi(x) = x + a and phi(y) = y + b. So the witness survives every
+// fault set of size <= k iff, for every target edge (x, y) and every
+// a in [0, k], the neighbours of x + a in G' contain the whole run
+// y + a, ..., y + k. Sorted, duplicate-free adjacency makes each (edge, a)
+// one lower_bound and one indexed compare: O(|E| k log d) for all C(N+k, k)
+// fault sets together.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +62,15 @@ ToleranceReport check_tolerance_exhaustive(const Graph& target, const Graph& ft_
 ToleranceReport check_tolerance_monte_carlo(const Graph& target, const Graph& ft_graph,
                                             unsigned k, std::uint64_t trials,
                                             std::uint64_t seed);
+
+/// The pairwise proof (see the header comment): decides, without enumerating
+/// fault sets, whether the monotone witness survives every fault set of size
+/// <= k. `tolerant` equals check_tolerance_exhaustive(target, ft_graph, k,
+/// true).tolerant. On failure the counterexample has at most k faults and
+/// maps `violated_edge` onto a non-edge (or, when G' has fewer than N + k
+/// nodes, leaves fewer than N survivors and reports {kInvalidNode,
+/// kInvalidNode}). fault_sets_checked stays 0: no fault set is enumerated.
+ToleranceReport check_tolerance_pairwise(const Graph& target, const Graph& ft_graph, unsigned k);
 
 /// Generic tolerance check via subgraph-monomorphism search (no assumption on
 /// the reconfiguration strategy). Exponential in the worst case; used for the

@@ -25,6 +25,7 @@
 #include "ft/bus_ft.hpp"
 #include "ft/ft_debruijn.hpp"
 #include "ft/spares.hpp"
+#include "graph/algorithms.hpp"
 #include "topology/debruijn.hpp"
 #include "topology/shuffle_exchange.hpp"
 
@@ -735,6 +736,110 @@ TEST(Shard, ResumingUnderTheWrongShardCoordinatesIsRejected) {
   EXPECT_THROW(run_campaign(spec, wrong), std::runtime_error);
   wrong.shard = {0, 1};  // a whole-campaign run can't adopt a shard checkpoint either
   EXPECT_THROW(run_campaign(spec, wrong), std::runtime_error);
+}
+
+// --- one target per topology ------------------------------------------------
+
+CampaignOptions with_threads(unsigned n) {
+  CampaignOptions options;
+  options.threads = n;
+  return options;
+}
+
+/// 4 topologies x 3 spare budgets x 2 models, 3 blocks per cell: six cells
+/// share each topology's target, and the collective baseline with it.
+ScenarioSpec shared_target_spec() {
+  ScenarioSpec spec;
+  spec.name = "shared_targets";
+  spec.seed = 41;
+  spec.trials = 600;
+  spec.topologies = {{TopologyFamily::DeBruijn, 2, 4},
+                     {TopologyFamily::ShuffleExchange, 2, 4},
+                     {TopologyFamily::Bus, 2, 3},
+                     {TopologyFamily::DeBruijn, 3, 2}};
+  spec.spares = {0, 1, 3};
+  spec.fault_models = {{FaultModelKind::IidBernoulli, 0.04, 1.0, 100.0, 1.0},
+                       {FaultModelKind::Clustered, 0.02, 1.0, 100.0, 1.0}};
+  spec.metrics.diameter = true;
+  spec.metrics.mttf = true;
+  spec.metrics.collective = true;
+  return spec;
+}
+
+TEST(SharedTargets, EveryCellCarriesItsTargetsDiameter) {
+  const ScenarioSpec spec = shared_target_spec();
+  const CampaignResult result = run_campaign(spec, with_threads(2));
+  const std::vector<ScenarioCase> cells = expand_grid(spec);
+  ASSERT_EQ(result.scenarios.size(), 24u);
+  for (const ScenarioCase& cell : cells) {
+    const TopologySpec& t = cell.topology;
+    const Graph target = t.family == TopologyFamily::ShuffleExchange
+                             ? shuffle_exchange_graph(t.digits)
+                             : debruijn_graph({.base = t.base, .digits = t.digits});
+    const ScenarioResult& r = result.scenarios[cell.index];
+    EXPECT_EQ(r.target_diameter, diameter(target)) << cell.label();
+    EXPECT_EQ(r.target_nodes, target.num_nodes()) << cell.label();
+    EXPECT_EQ(r.trials, spec.trials) << cell.label();
+  }
+}
+
+TEST(SharedTargets, OneTargetPerTopologyDroppedWithItsLastCell) {
+  const ScenarioSpec spec = shared_target_spec();
+  const std::vector<ScenarioCase> cells = expand_grid(spec);
+  TargetTable table(spec, cells);
+  // Grid order is topology-major: cells [0, 6) share the first topology.
+  std::shared_ptr<const TopologyTarget> first = table.acquire(cells[0]);
+  EXPECT_EQ(table.acquire(cells[5]), first);
+  EXPECT_NE(table.acquire(cells[6]), first);
+  const std::weak_ptr<const TopologyTarget> watch = first;
+  first.reset();
+  for (std::size_t i = 0; i < 5; ++i) table.release(cells[i]);
+  EXPECT_FALSE(watch.expired());  // one cell of the topology is still open
+  table.release(cells[5]);
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(SharedTargets, ReportMatchesRunnersThatBuildTheirOwnTargets) {
+  // The public constructor builds the cell's own target; folding its blocks
+  // in order must give the shared-target campaign's bytes.
+  const ScenarioSpec spec = shared_target_spec();
+  CampaignResult own;
+  own.spec = spec;
+  for (const ScenarioCase& cell : expand_grid(spec)) {
+    const CellRunner runner(spec, cell);
+    ScenarioResult r;
+    for (std::uint64_t b = 0; b < runner.num_blocks(); ++b) r.merge(runner.run_block(b));
+    runner.finalize(r);
+    own.scenarios.push_back(std::move(r));
+  }
+  EXPECT_EQ(campaign_report_json(run_campaign(spec, with_threads(3))), campaign_report_json(own));
+}
+
+TEST(SharedTargets, ReportIsByteIdenticalAcrossThreadsShardsAndResume) {
+  const ScenarioSpec spec = shared_target_spec();
+  const std::string reference = campaign_report_json(run_campaign(spec, with_threads(1)));
+  for (const unsigned threads : {2u, 8u}) {
+    EXPECT_EQ(campaign_report_json(run_campaign(spec, with_threads(threads))), reference)
+        << threads << " threads";
+  }
+
+  const Checkpoint s0 = run_shard(spec, {0, 2}, 2, "shared0");
+  const Checkpoint s1 = run_shard(spec, {1, 2}, 3, "shared1");
+  EXPECT_EQ(campaign_report_json(merge_checkpoints(spec, {s0, s1})), reference);
+
+  CampaignOptions crash;
+  crash.threads = 2;
+  crash.checkpoint_path = ::testing::TempDir() + "/ftdb_shared_targets.ckpt";
+  std::filesystem::remove(crash.checkpoint_path);
+  crash.stop_after_blocks = 20;  // several cells done, several mid-flight
+  EXPECT_THROW(run_campaign(spec, crash), CampaignAborted);
+  CampaignOptions resume = crash;
+  resume.threads = 4;
+  resume.stop_after_blocks = 0;
+  resume.resume = true;
+  const CampaignResult resumed = run_campaign(spec, resume);
+  EXPECT_GE(resumed.resumed_blocks, 20u);
+  EXPECT_EQ(campaign_report_json(resumed), reference);
 }
 
 TEST(Checkpoint, BlockGranularProgressRoundTripsThroughJson) {

@@ -402,6 +402,41 @@ TEST(PartialReport, CompletedCellsAreByteIdenticalToTheFinalReport) {
   EXPECT_EQ(complete_cells, 1u);
 }
 
+TEST(ElasticMerge, LogOnlyCellsFinalizeThroughSharedTargetsByteForByte) {
+  // Every block lands in a worker log and no compaction runs, so the merge,
+  // the partial report and the compaction each finalize all six cells —
+  // through one target per topology.
+  const ScratchDir dir("merge-shared-targets");
+  ScenarioSpec spec = tiny_spec();
+  spec.topologies = {{TopologyFamily::DeBruijn, 2, 3}, {TopologyFamily::ShuffleExchange, 2, 3}};
+  spec.spares = {0, 1, 2};
+  spec.metrics.collective = true;
+  ensure_elastic_dir(spec, dir.str());
+  {
+    BlockLog log(dir.sub("logs/writer.blk"), spec_fingerprint(spec), false);
+    for (const ScenarioCase& cell : expand_grid(spec)) {
+      const CellRunner runner(spec, cell);
+      for (std::uint64_t b = 0; b < runner.num_blocks(); ++b) {
+        log.append({cell.index, b, runner.run_block(b)});
+      }
+    }
+  }
+  const std::string serial = campaign_report_json(run_campaign(spec, {}));
+  EXPECT_EQ(campaign_report_json(merge_elastic(spec, dir.str())), serial);
+
+  const analysis::JsonValue pdoc =
+      analysis::json_parse(partial_elastic_report_json(spec, dir.str()));
+  ASSERT_EQ(pdoc.at("scenarios").array.size(), 6u);
+  for (const analysis::JsonValue& cell : pdoc.at("scenarios").array) {
+    analysis::JsonWriter w;
+    write_scenario_result(w, parse_scenario_result(cell));
+    EXPECT_NE(serial.find(w.str()), std::string::npos);
+  }
+
+  ASSERT_TRUE(compact_elastic_dir(spec, dir.str(), "compactor", nullptr, 60, false));
+  EXPECT_EQ(campaign_report_json(merge_elastic(spec, dir.str())), serial);
+}
+
 TEST(PartialReport, EmptyDirectoryIsAllZeroCoverage) {
   const ScratchDir dir("partial-empty");
   const ScenarioSpec spec = tiny_spec();

@@ -4,12 +4,15 @@
 // the same way perf_construction pins the builders: each benchmark runs a
 // fixed iteration count and reports it, so per-op time is
 // wall_seconds / iterations.
+#include <chrono>
+
 #include "analysis/bench_registry.hpp"
 #include "analysis/structural.hpp"
 #include "graph/algorithms.hpp"
 #include "ft/ft_debruijn.hpp"
 #include "sim/router.hpp"
 #include "topology/debruijn.hpp"
+#include "topology/shuffle_exchange.hpp"
 
 namespace {
 
@@ -49,15 +52,39 @@ FTDB_BENCH(all_pairs_ft_h10_k8, "perf_graph_core/all_pairs_ft_b2_h10_k8") {
   ctx.report("average_distance", s.average_distance);
 }
 
-FTDB_BENCH(diameter_h11, "perf_graph_core/diameter_b2_h11") {
-  constexpr int kIterations = 2;
-  const ftdb::Graph g = ftdb::debruijn_base2(11);
+// Exact diameter through the push/pull multi-source BFS: B_{2,11} and SE_12
+// (a campaign target) spend their middle levels pulling, the 4096-node cycle
+// (diameter 2048) stays push nearly throughout. CI asserts the cycle costs at
+// most 16x SE_12, which a pull-only kernel would break.
+void diameter_bench(BenchContext& ctx, const ftdb::Graph& g, int iterations) {
   std::uint32_t d = 0;
-  for (int i = 0; i < kIterations; ++i) {
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < iterations; ++i) {
     d = ftdb::diameter(g);
   }
-  ctx.report("iterations", kIterations);
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  ctx.report("iterations", iterations);
+  ctx.report("nodes", static_cast<double>(g.num_nodes()));
   ctx.report("diameter", d);
+  ctx.report("ns_per_iteration", elapsed.count() / iterations);
+}
+
+FTDB_BENCH(diameter_h11, "perf_graph_core/diameter_b2_h11") {
+  diameter_bench(ctx, ftdb::debruijn_base2(11), 2);
+}
+
+FTDB_BENCH(diameter_se_h12, "perf_graph_core/diameter_se_h12") {
+  diameter_bench(ctx, ftdb::shuffle_exchange_graph(12), 5);
+}
+
+FTDB_BENCH(diameter_cycle_n4096, "perf_graph_core/diameter_cycle_n4096") {
+  constexpr std::size_t kNodes = 4096;
+  ftdb::GraphBuilder b(kNodes);
+  for (std::size_t v = 0; v < kNodes; ++v) {
+    b.add_edge(static_cast<ftdb::NodeId>(v), static_cast<ftdb::NodeId>((v + 1) % kNodes));
+  }
+  diameter_bench(ctx, b.build(), 2);
 }
 
 FTDB_BENCH(routing_table_h9, "perf_graph_core/routing_table_b2_h9") {

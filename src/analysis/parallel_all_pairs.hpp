@@ -5,10 +5,11 @@
 // production-scale along two independent axes:
 //
 //  * Bit-parallelism: sources are processed in batches of 64, one bit per
-//    source. A level-synchronous BFS propagates 64 frontiers at once with
-//    word-wide ORs over the CSR, so the edge-relaxation cost is paid once per
-//    batch per level instead of once per source — a large constant-factor win
-//    on the small-diameter expander-like graphs of the paper.
+//    source. MultiSourceBfs (graph/multi_source_bfs.hpp) advances 64
+//    frontiers at once with word-wide ORs, pushing from sparse frontiers and
+//    pulling into the still-open nodes once the frontier is dense — a large
+//    constant-factor win on the small-diameter expander-like graphs of the
+//    paper.
 //  * Thread-parallelism: batches are independent, so they are sharded across
 //    a worker pool (the same plain std::thread pool discipline bench_runner
 //    uses). Per-batch partial results are stored by batch index and reduced

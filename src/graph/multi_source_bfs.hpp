@@ -1,13 +1,32 @@
-// Bit-parallel multi-source BFS kernel.
+// Bit-parallel, direction-optimizing multi-source BFS kernel.
 //
-// Processes up to 64 BFS sources simultaneously, one bit per source: a
-// level-synchronous traversal propagates all frontiers at once with
-// word-wide ORs over the CSR, so each adjacency list is walked once per
-// batch per level instead of once per source. On the small-diameter
-// expander-like graphs of the paper this turns V scalar traversals into
-// ~V/64 word traversals — the core of both the serial `diameter()` and the
-// threaded `analysis::all_pairs_summary` engine (batches are independent,
-// so callers may shard them across threads; one kernel instance per thread).
+// Up to 64 BFS sources run at once, one bit per source (Then et al., "The
+// More the Merrier", VLDB 2014). Each node keeps a 64-bit `visited` mask (the
+// sources that reached it) and a `frontier` mask (the sources that reached it
+// on the current level); one level-synchronous loop advances all 64 searches
+// with word-wide ORs over the CSR. Each level runs in one of two directions
+// (Beamer/Asanovic/Patterson, "Direction-Optimizing BFS", SC 2012):
+//
+//   * push — every frontier node ORs its mask into its neighbours'
+//     next-level words, touching only the frontier's arcs. Cheap while the
+//     frontier is sparse (long paths and cycles push on nearly every level).
+//   * pull — every node whose `visited` mask is not yet full ORs its
+//     neighbours' frontier words into its own; full nodes are skipped. Cheap
+//     once the frontier is dense, which on the paper's expander-like graphs
+//     is most of the middle levels.
+//
+// The direction is chosen per level from the graph and the frontier alone:
+// pull once the frontier's arcs exceed half of the arcs of the open nodes
+// (those some source has not reached yet), push otherwise. Both directions
+// compute the same fresh bits, so distances and aggregates are exact either
+// way.
+//
+// The batch aggregates (BatchStats) come from popcount of each level's fresh
+// words times the level; the per-source bit loop runs only when the caller
+// asks for whole distance rows. This is the core of the serial `diameter()`,
+// the threaded `analysis::all_pairs_summary` (batches are independent, so
+// callers may shard them across threads; one kernel instance per thread),
+// the route-stretch audits and the embedding metrics.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +50,8 @@ class MultiSourceBfs {
     bool all_reach_all = true;              ///< every source reached every node
   };
 
+  /// Sizes the kernel for graphs of at most `num_nodes` nodes; running it on
+  /// a larger graph throws std::invalid_argument.
   explicit MultiSourceBfs(std::size_t num_nodes)
       : visited_(num_nodes, 0), frontier_bits_(num_nodes, 0), next_bits_(num_nodes, 0) {}
 
@@ -43,17 +64,18 @@ class MultiSourceBfs {
   /// (*distances)[i * num_nodes + v] = d(sources[i], v), kUnreachable when
   /// unreached. This is the batch counterpart of BfsWorkspace::distances —
   /// callers that need whole rows of the distance matrix (route-stretch
-  /// audits, embedding metrics) get 64 rows per CSR sweep instead of one.
+  /// audits, embedding metrics) get 64 rows per traversal instead of one.
   BatchStats run_batch(const Graph& g, std::span<const NodeId> sources,
                        std::vector<std::uint32_t>* distances = nullptr);
 
  private:
-  std::vector<std::uint64_t> visited_;        // mask of sources that reached v
-  std::vector<std::uint64_t> frontier_bits_;  // masks for the current frontier
-  std::vector<std::uint64_t> next_bits_;      // masks accumulated for the next level
-  std::vector<NodeId> frontier_;
-  std::vector<NodeId> next_frontier_;
-  std::vector<NodeId> touched_;
+  // Outside run_batch, frontier_bits_ and next_bits_ are all zero.
+  std::vector<std::uint64_t> visited_;        // sources that reached v
+  std::vector<std::uint64_t> frontier_bits_;  // sources that reached v on this level
+  std::vector<std::uint64_t> next_bits_;      // words gathered for the next level
+  std::vector<NodeId> frontier_;              // the frontier's nodes
+  std::vector<NodeId> next_frontier_;         // push: touched nodes, then the next frontier
+  std::vector<NodeId> open_;                  // pull: nodes that may still be open
 };
 
 }  // namespace ftdb

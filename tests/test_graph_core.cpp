@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
 #include <random>
 #include <vector>
@@ -444,6 +445,175 @@ TEST(MultiSourceBatchDistances, ContiguousRunStillMatchesAggregates) {
   EXPECT_EQ(stats.total_distance, total);
   EXPECT_EQ(stats.max_finite_distance, ecc);
   EXPECT_TRUE(stats.all_reach_all);
+}
+
+// ---------------------------------------------------------------------------
+// Every push/pull regime of the kernel vs the queue BFS oracle
+// ---------------------------------------------------------------------------
+
+Graph path_graph(std::size_t n) {
+  GraphBuilder b(n);
+  for (std::size_t v = 0; v + 1 < n; ++v) {
+    b.add_edge(static_cast<NodeId>(v), static_cast<NodeId>(v + 1));
+  }
+  return b.build();
+}
+
+Graph cycle_graph(std::size_t n) {
+  GraphBuilder b(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    b.add_edge(static_cast<NodeId>(v), static_cast<NodeId>((v + 1) % n));
+  }
+  return b.build();
+}
+
+Graph star_graph(std::size_t n) {
+  GraphBuilder b(n);
+  for (std::size_t v = 1; v < n; ++v) b.add_edge(0, static_cast<NodeId>(v));
+  return b.build();
+}
+
+Graph complete_graph(std::size_t n) {
+  GraphBuilder b(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = u + 1; v < n; ++v) {
+      b.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
+    }
+  }
+  return b.build();
+}
+
+// Checks run() aggregates and run_batch() distance rows batch by batch (the
+// last batch may be short), then diameter() and all_pairs_summary on 1 and 3
+// threads, all against per-source queue BFS.
+void expect_kernel_matches_oracle(const Graph& g, const char* label) {
+  SCOPED_TRACE(label);
+  const std::size_t n = g.num_nodes();
+  ASSERT_GT(n, 0u);
+  std::vector<std::vector<std::uint32_t>> oracle(n);
+  for (std::size_t s = 0; s < n; ++s) oracle[s] = queue_bfs_distances(g, static_cast<NodeId>(s));
+
+  MultiSourceBfs scan(n);
+  std::vector<std::uint32_t> dist;
+  std::vector<NodeId> batch;
+  bool connected = true;
+  std::uint32_t diam = 0;
+  for (std::size_t base = 0; base < n; base += MultiSourceBfs::kBatchWidth) {
+    const std::size_t width = std::min(MultiSourceBfs::kBatchWidth, n - base);
+    MultiSourceBfs::BatchStats ref;
+    for (std::size_t s = base; s < base + width; ++s) {
+      std::uint64_t reached = 0;
+      for (const std::uint32_t d : oracle[s]) {
+        if (d == kUnreachable) continue;
+        ++reached;
+        ref.total_distance += d;
+        ref.max_finite_distance = std::max(ref.max_finite_distance, d);
+      }
+      ref.reachable_pairs += reached - 1;
+      ref.all_reach_all = ref.all_reach_all && reached == n;
+    }
+    const auto stats = scan.run(g, static_cast<NodeId>(base));
+    EXPECT_EQ(stats.reachable_pairs, ref.reachable_pairs) << "batch " << base;
+    EXPECT_EQ(stats.total_distance, ref.total_distance) << "batch " << base;
+    EXPECT_EQ(stats.max_finite_distance, ref.max_finite_distance) << "batch " << base;
+    EXPECT_EQ(stats.all_reach_all, ref.all_reach_all) << "batch " << base;
+    connected = connected && ref.all_reach_all;
+    diam = std::max(diam, ref.max_finite_distance);
+
+    // Sources in reverse order ride the bits in the opposite direction.
+    batch.clear();
+    for (std::size_t s = base + width; s-- > base;) batch.push_back(static_cast<NodeId>(s));
+    const auto batch_stats = scan.run_batch(g, batch, &dist);
+    EXPECT_EQ(batch_stats.total_distance, ref.total_distance) << "batch " << base;
+    ASSERT_EQ(dist.size(), width * n);
+    for (std::size_t i = 0; i < width; ++i) {
+      const auto row = dist.begin() + static_cast<std::ptrdiff_t>(i * n);
+      ASSERT_TRUE(std::equal(row, row + static_cast<std::ptrdiff_t>(n), oracle[batch[i]].begin()))
+          << "source " << batch[i];
+    }
+  }
+  EXPECT_EQ(diameter(g), connected ? diam : kUnreachable);
+  const auto ref_summary = reference_all_pairs(g);
+  expect_summary_eq(ftdb::analysis::all_pairs_summary(g, {.threads = 1}), ref_summary);
+  expect_summary_eq(ftdb::analysis::all_pairs_summary(g, {.threads = 3}), ref_summary);
+}
+
+TEST(MultiSourceRegimes, LongPathsAndCyclesStaySparse) {
+  expect_kernel_matches_oracle(path_graph(1000), "path 1000");
+  expect_kernel_matches_oracle(cycle_graph(640), "cycle 640");
+  expect_kernel_matches_oracle(cycle_graph(331), "cycle 331");  // short last batch
+}
+
+TEST(MultiSourceRegimes, StarsAndCompleteGraphsAreDenseFromLevelOne) {
+  expect_kernel_matches_oracle(star_graph(2050), "star 2050");  // sharded on 3 threads
+  expect_kernel_matches_oracle(complete_graph(130), "complete 130");
+  expect_kernel_matches_oracle(complete_graph(1), "complete 1");
+  expect_kernel_matches_oracle(complete_graph(2), "complete 2");
+}
+
+TEST(MultiSourceRegimes, DisconnectedGraphsWithIsolatedNodes) {
+  // A cycle, a clique, a path and isolated nodes, interleaved by a fixed
+  // relabelling so every batch mixes components.
+  constexpr std::size_t kNodes = 310;
+  std::vector<NodeId> label(kNodes);
+  std::iota(label.begin(), label.end(), NodeId{0});
+  std::shuffle(label.begin(), label.end(), std::mt19937_64(31));
+  GraphBuilder b(kNodes);
+  for (NodeId v = 0; v < 150; ++v) b.add_edge(label[v], label[(v + 1) % 150]);
+  for (NodeId u = 150; u < 170; ++u) {
+    for (NodeId v = u + 1; v < 170; ++v) b.add_edge(label[u], label[v]);
+  }
+  for (NodeId v = 170; v + 1 < 300; ++v) b.add_edge(label[v], label[v + 1]);
+  expect_kernel_matches_oracle(b.build(), "mixed components");
+  expect_kernel_matches_oracle(make_graph(70, {}), "isolated nodes only");
+}
+
+TEST(MultiSourceRegimes, SelfLoopsAndMultiEdgesAreIgnored) {
+  std::mt19937_64 rng(909);
+  std::uniform_int_distribution<NodeId> node(0, 199);
+  GraphBuilder b(200);
+  for (int i = 0; i < 300; ++i) {
+    const NodeId u = node(rng);
+    const NodeId v = node(rng);
+    b.add_edge(u, v);
+    b.add_edge(v, u);  // parallel copy in the other endpoint order
+    b.add_edge(u, u);  // self-loop
+  }
+  expect_kernel_matches_oracle(b.build(), "random multigraph");
+  expect_kernel_matches_oracle(debruijn_base2(8), "B_{2,8}");
+  expect_kernel_matches_oracle(shuffle_exchange_graph(8), "SE_8");
+}
+
+TEST(MultiSourceRegimes, GraphLargerThanTheKernelThrows) {
+  const Graph small = cycle_graph(20);
+  const Graph large = cycle_graph(21);
+  MultiSourceBfs scan(small.num_nodes());
+  EXPECT_THROW(scan.run(large, 0), std::invalid_argument);
+  EXPECT_THROW(scan.run_batch(large, std::vector<NodeId>{0, 1}), std::invalid_argument);
+  // The kernel stays usable, and a smaller graph than its size is fine.
+  EXPECT_EQ(scan.run(small, 0).max_finite_distance, 10u);
+  MultiSourceBfs roomy(100);
+  std::vector<std::uint32_t> dist;
+  roomy.run_batch(small, std::vector<NodeId>{3}, &dist);
+  EXPECT_EQ(dist, queue_bfs_distances(small, 3));
+  EXPECT_EQ(roomy.run(path_graph(40), 0).max_finite_distance, 39u);
+}
+
+// ---------------------------------------------------------------------------
+// Closed-form diameters of the campaign targets
+// ---------------------------------------------------------------------------
+
+TEST(TargetDiameters, DeBruijnIsH) {
+  for (unsigned h = 2; h <= 12; ++h) EXPECT_EQ(diameter(debruijn_base2(h)), h) << "h=" << h;
+  for (unsigned h = 2; h <= 7; ++h) {
+    EXPECT_EQ(diameter(debruijn_graph({.base = 3, .digits = h})), h) << "h=" << h;
+  }
+}
+
+TEST(TargetDiameters, ShuffleExchangeIsTwoHMinusOne) {
+  for (unsigned h = 2; h <= 12; ++h) {
+    EXPECT_EQ(diameter(shuffle_exchange_graph(h)), 2 * h - 1) << "h=" << h;
+  }
 }
 
 }  // namespace

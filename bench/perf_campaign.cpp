@@ -196,6 +196,31 @@ FTDB_BENCH(tolerance_proof, "perf_campaign/tolerance_proof_b2h12_k8") {
   ctx.report("tolerant_fraction", tolerant / kIterations);
 }
 
+// --- cell setup ----------------------------------------------------------------
+
+/// One public CellRunner constructor on SE_12 with k = 8, mttf only: the
+/// target, the fabric, the prepared fault model and the tolerance proof.
+/// The target's diameter is a closed form, so CI holds this within half of
+/// perf_graph_core/diameter_se_h12, measured in the same process: a BFS
+/// that creeps back into cell setup fails it.
+FTDB_BENCH(cell_setup_se_h12, "perf_campaign/cell_setup_se_h12_k8") {
+  ScenarioSpec spec = base_spec(1);
+  spec.topologies = {{TopologyFamily::ShuffleExchange, 2, 12}};
+  spec.spares = {8};
+  spec.fault_models = {{FaultModelKind::IidBernoulli, 0.001, 1.0, 100.0, 1.0}};
+  spec.metrics.diameter = false;
+  const ScenarioCase cell = expand_grid(spec).front();
+  constexpr int kIterations = 5;
+  double blocks = 0.0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kIterations; ++i) {
+    const CellRunner runner(spec, cell);
+    blocks += static_cast<double>(runner.num_blocks());
+  }
+  ctx.report("ns_per_iteration", elapsed_ns(start) / kIterations);
+  ctx.report("blocks", blocks / kIterations);
+}
+
 // --- work-stealing scheduler ------------------------------------------------
 
 /// A 12-cell grid of 1024-trial cells: 48 blocks through the global deques.

@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/clock_scan.hpp"
+
 namespace ftdb::campaign {
 
 // --- order-statistic clocks ---------------------------------------------------
@@ -32,48 +34,12 @@ namespace ftdb::campaign {
 //
 // Given the invariant, no uniform above T * (1 + kClockSlack), T the (k+1)-st
 // smallest uniform, can undercut the k+1 smallest, so only those candidates
-// need their clock (see clock_candidates). Fault thresholds work the same
-// way: a clock threshold maps to a threshold on u, and only uniforms inside
-// a relative band of kClockSlack around it evaluate the clock (Band below).
-// Outside the Weibull range above no band is sound, so that model widens its
-// slack to +inf, which makes every uniform a candidate and every fault test
-// exact.
-
-namespace detail {
-
-std::vector<std::uint32_t> clock_candidates(const std::vector<double>& u, std::size_t rank,
-                                            double slack) {
-  std::vector<std::uint32_t> out;
-  if (rank >= u.size()) return out;
-  // Bounded selection in one pass: a max-heap holds the rank+1 smallest
-  // uniforms so far, and `out` collects every index within the slack of the
-  // heap's top when it was seen. The top only falls, so the final band is
-  // inside every earlier one and one last filter trims `out` to it. A
-  // uniform enters either with probability about (rank+1)/v, so the scan is
-  // one compare per uniform.
-  const double widen = 1.0 + slack;
-  std::vector<double> heap(u.begin(), u.begin() + static_cast<std::ptrdiff_t>(rank) + 1);
-  std::make_heap(heap.begin(), heap.end());
-  double top = heap.front();
-  for (std::size_t v = 0; v <= rank; ++v) out.push_back(static_cast<std::uint32_t>(v));
-  for (std::size_t v = rank + 1; v < u.size(); ++v) {
-    const double x = u[v];
-    if (x < top) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.back() = x;
-      std::push_heap(heap.begin(), heap.end());
-      top = heap.front();
-    }
-    // `!(x > band)` rather than `x <= band`: with an infinite slack the
-    // band edge is +inf, or NaN when the top is 0, and either way x is in.
-    if (!(x > top * widen)) out.push_back(static_cast<std::uint32_t>(v));
-  }
-  const double bound = top * widen;
-  std::erase_if(out, [&](std::uint32_t v) { return u[v] > bound; });
-  return out;
-}
-
-}  // namespace detail
+// need their clock (detail::scan_clocks finds them). Fault thresholds work
+// the same way: a clock threshold maps to a threshold on u, and only
+// uniforms inside a relative band of kClockSlack around it evaluate the
+// clock (Band below). Outside the Weibull range above no band is sound, so
+// that model widens its slack to +inf, which makes every uniform a
+// candidate and every fault test exact.
 
 namespace {
 
@@ -106,26 +72,36 @@ struct Band {
   double hi;
 };
 
-/// The time of the (spares+1)-st failure, +inf when there are at most
-/// `spares` units. Unit v's seed clock is clock(u[v]); a seed firing at t
-/// also takes every unit of takes_down(v) down at t + 1, so v dies at
-/// min(clock(u[v]), clock(u[a]) + 1 over the a that take v down).
+/// The time of the (spares+1)-st failure among the units of one scan, +inf
+/// when there are at most `spares` units. Unit v's seed clock is clock(u);
+/// a seed firing at t also takes every unit of takes_down(v) down at t + 1,
+/// so v dies at min(its seed clock, the seed clock + 1 of every unit that
+/// takes it down).
 ///
 /// Only the candidates' clocks are evaluated. That is exact: a unit outside
 /// them has a seed clock no smaller than any of the k+1 lowest uniforms'
 /// (slack invariant), so every death before their largest clock B comes
 /// from a candidate's seed or its cascade, and at least k+1 deaths come no
-/// later than B.
+/// later than B. For the same reason no death after B is listed.
 template <class Clock, class TakesDown>
-double exhaustion_time(const std::vector<double>& u, unsigned spares, double slack, Clock clock,
-                       TakesDown takes_down) {
-  const std::vector<std::uint32_t> candidates = detail::clock_candidates(u, spares, slack);
+double exhaustion_time(const std::vector<detail::Candidate>& candidates, unsigned spares,
+                       Clock clock, TakesDown takes_down) {
   if (candidates.empty()) return kNever;
+  std::vector<double> seeds;
+  for (const detail::Candidate& c : candidates) seeds.push_back(clock(c.u));
+  // A nonempty scan holds more than `spares` candidates.
+  std::vector<double> order = seeds;
+  const auto kth = order.begin() + static_cast<std::ptrdiff_t>(spares);
+  std::nth_element(order.begin(), kth, order.end());
+  const double bound = *kth;
   std::vector<std::pair<NodeId, double>> deaths;
-  for (const std::uint32_t v : candidates) {
-    const double seed = clock(u[v]);
-    deaths.emplace_back(static_cast<NodeId>(v), seed);
-    for (const NodeId w : takes_down(static_cast<NodeId>(v))) deaths.emplace_back(w, seed + 1.0);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (seeds[i] > bound) continue;
+    deaths.emplace_back(static_cast<NodeId>(candidates[i].unit), seeds[i]);
+    if (seeds[i] + 1.0 > bound) continue;
+    for (const NodeId w : takes_down(static_cast<NodeId>(candidates[i].unit))) {
+      deaths.emplace_back(w, seeds[i] + 1.0);
+    }
   }
   // Sorted by unit and then time, each unit's first entry is its death.
   std::sort(deaths.begin(), deaths.end());
@@ -136,6 +112,28 @@ double exhaustion_time(const std::vector<double>& u, unsigned spares, double sla
   const auto rank = times.begin() + static_cast<std::ptrdiff_t>(spares);
   std::nth_element(times.begin(), rank, times.end());
   return *rank;
+}
+
+/// One trial of a clocked model over n units: a unit is a fault when
+/// is_fault(u) holds, and a fault takes takes_down(v) with it. No uniform
+/// above `fault_edge` may be a fault. With `buses` the fault set doubles as
+/// the failed bus ids (bus ids coincide with driver node ids).
+template <class IsFault, class Clock, class TakesDown>
+FaultDraw draw_clocked(TrialRng& rng, std::size_t n, unsigned spares, double slack,
+                       double fault_edge, IsFault is_fault, Clock clock, TakesDown takes_down,
+                       bool buses) {
+  std::vector<NodeId> faulty;
+  const std::vector<detail::Candidate> candidates =
+      detail::scan_clocks(rng, n, spares, slack, fault_edge, [&](std::uint32_t v, double u) {
+        if (!is_fault(u)) return;
+        faulty.push_back(static_cast<NodeId>(v));
+        for (const NodeId w : takes_down(static_cast<NodeId>(v))) faulty.push_back(w);
+      });
+  FaultDraw out;
+  out.faults = FaultSet(n, std::move(faulty));
+  if (buses) out.bus_faults.assign(out.faults.nodes().begin(), out.faults.nodes().end());
+  out.spare_exhaustion_time = exhaustion_time(candidates, spares, clock, takes_down);
+  return out;
 }
 
 /// No cascade: every unit dies at its own clock.
@@ -151,19 +149,10 @@ class IidModel final : public FaultModel {
   std::string name() const override { return buses_ ? "bus_iid" : "iid"; }
 
   FaultDraw draw(const Graph& fabric, unsigned spares, TrialRng& rng) const override {
-    const std::size_t n = fabric.num_nodes();  // one bus per driver node
-    std::vector<double> u(n);
-    std::vector<NodeId> faulty;
-    for (std::size_t v = 0; v < n; ++v) {
-      u[v] = rng.next_unit();
-      if (u[v] < p_) faulty.push_back(static_cast<NodeId>(v));
-    }
-    FaultDraw out;
-    out.faults = FaultSet(n, std::move(faulty));
-    if (buses_) out.bus_faults.assign(out.faults.nodes().begin(), out.faults.nodes().end());
-    out.spare_exhaustion_time = exhaustion_time(
-        u, spares, kClockSlack, [this](double x) { return geometric_step(x, p_); }, no_cascade);
-    return out;
+    const auto fails_now = [this](double u) { return u < p_; };
+    const auto clock = [this](double u) { return geometric_step(u, p_); };
+    return draw_clocked(rng, fabric.num_nodes(), spares, kClockSlack, p_, fails_now, clock,
+                        no_cascade, buses_);
   }
 
  private:
@@ -207,20 +196,11 @@ class ClusteredModel final : public FaultModel {
     };
     const auto clock = [this](double x) { return geometric_step(x, p_); };
     const Band first_step(p_, kClockSlack);
-    std::vector<double> u(n);
-    std::vector<NodeId> faulty;
-    for (std::size_t v = 0; v < n; ++v) {
-      u[v] = rng.next_unit();
-      if (first_step.below(u[v], [&](double x) { return clock(x) == 1.0; })) {
-        faulty.push_back(static_cast<NodeId>(v));
-        for (const NodeId w : takes_down(static_cast<NodeId>(v))) faulty.push_back(w);
-      }
-    }
-    FaultDraw out;
-    out.faults = FaultSet(n, std::move(faulty));
-    if (buses_) out.bus_faults.assign(out.faults.nodes().begin(), out.faults.nodes().end());
-    out.spare_exhaustion_time = exhaustion_time(u, spares, kClockSlack, clock, takes_down);
-    return out;
+    const auto seeds_now = [&](double u) {
+      return first_step.below(u, [&](double x) { return clock(x) == 1.0; });
+    };
+    return draw_clocked(rng, n, spares, kClockSlack, first_step.hi, seeds_now, clock, takes_down,
+                        buses_);
   }
 
  private:
@@ -244,23 +224,15 @@ class WeibullModel final : public FaultModel {
   std::string name() const override { return "weibull"; }
 
   FaultDraw draw(const Graph& fabric, unsigned spares, TrialRng& rng) const override {
-    const std::size_t n = fabric.num_nodes();
     const auto life = [this](double x) {
       // Inverse-CDF sample of Weibull(shape, scale).
       return scale_ * std::pow(-std::log1p(-x), 1.0 / shape_);
     };
-    std::vector<double> u(n);
-    std::vector<NodeId> faulty;
-    for (std::size_t v = 0; v < n; ++v) {
-      u[v] = rng.next_unit();
-      if (dead_by_horizon_.below(u[v], [&](double x) { return life(x) <= horizon_; })) {
-        faulty.push_back(static_cast<NodeId>(v));
-      }
-    }
-    FaultDraw out;
-    out.faults = FaultSet(n, std::move(faulty));
-    out.spare_exhaustion_time = exhaustion_time(u, spares, slack_, life, no_cascade);
-    return out;
+    const auto dead = [&](double u) {
+      return dead_by_horizon_.below(u, [&](double x) { return life(x) <= horizon_; });
+    };
+    return draw_clocked(rng, fabric.num_nodes(), spares, slack_, dead_by_horizon_.hi, dead, life,
+                        no_cascade, false);
   }
 
  private:

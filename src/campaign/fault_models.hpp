@@ -47,18 +47,25 @@
 //                    their member-driven buses.
 //
 // Cost model. The clocked models (iid, bus_iid, weibull, clustered,
-// bus_clustered) take exactly one rng.next_unit() per node or bus, in
-// order, so a trial's stream never depends on what was drawn. They then pay
-// O(n) compares plus O(k) clock evaluations, not one log1p (or pow) per
-// node: only the (k+1)-st smallest clock is read, so only the uniforms that
-// can reach it are turned into clocks (detail::clock_candidates), and fault
-// thresholds are decided on the uniform itself except inside a thin band
-// around the threshold. Both rest on the slack invariant: a uniform at
-// least (1 + detail::kClockSlack) times another never gets the smaller
-// computed clock. fault_models.cpp derives it from the rounding error of
-// log1p and pow; where it cannot hold (Weibull shape outside [2^-4, 2^10])
-// the model evaluates every clock instead. Either way the draw is
-// bit-identical to evaluating every node's clock and selecting the
+// bus_clustered) share one pass over the units (detail::scan_clocks in clock_scan.hpp). Each
+// node or bus takes exactly one rng.next_u64(), in order, so a trial's
+// stream never depends on what was drawn. The pass compares each draw's
+// 53-bit mantissa, as an integer, against a running cut and skips every
+// uniform above it; nothing is stored per unit. The cut is the larger of
+// two edges: the fault test's (no uniform above it is a fault) and the
+// order-statistic band's (no uniform above it can reach the (k+1)-st
+// smallest clock). Only the few uniforms at or below the cut run the
+// double-precision work: the fault test, a bounded heap of the k+1
+// smallest uniforms, and the band check. Only the survivors of the final
+// band are turned into clocks, O(k) log1p (or pow) calls per trial. Both
+// edges rest on the slack invariant: a uniform at least
+// (1 + detail::kClockSlack) times another never gets the smaller computed
+// clock, and a fault threshold on the clock is decided on the uniform
+// except inside a thin band around it. fault_models.cpp derives the
+// invariant from the rounding error of log1p and pow; where it cannot hold
+// (Weibull shape outside [2^-4, 2^10]) the slack is infinite, the cut
+// admits every uniform and every clock is evaluated. Either way the draw
+// is bit-identical to evaluating every unit's clock and selecting the
 // (k+1)-st.
 #pragma once
 
@@ -125,13 +132,6 @@ namespace detail {
 /// rounding error of log1p and pow, so computed clocks of uniforms this far
 /// apart keep their exact-arithmetic order.
 inline constexpr double kClockSlack = 0x1p-20;
-
-/// The uniforms whose clock can reach the (rank+1)-st order statistic: the
-/// ascending indices v with u[v] <= T * (1 + slack), T the (rank+1)-st
-/// smallest entry of u. Empty when rank >= u.size(); every index when
-/// slack is +inf.
-std::vector<std::uint32_t> clock_candidates(const std::vector<double>& u, std::size_t rank,
-                                            double slack);
 
 }  // namespace detail
 

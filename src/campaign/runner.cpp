@@ -205,19 +205,25 @@ struct TopologyTarget {
 namespace {
 
 TopologyTarget build_target(const MetricSet& metrics, const TopologySpec& topology) {
+  // The diameters are closed forms, pinned against BFS by the
+  // TargetDiameters tests: h for B_{m,h} (the bus machine's target is
+  // B_{2,h}) and 2h - 1 for SE_h.
   TopologyTarget t;
+  const unsigned h = topology.digits;
   switch (topology.family) {
     case TopologyFamily::DeBruijn:
-      t.graph = debruijn_graph({.base = topology.base, .digits = topology.digits});
+      t.graph = debruijn_graph({.base = topology.base, .digits = h});
+      t.diameter = h;
       break;
     case TopologyFamily::ShuffleExchange:
-      t.graph = shuffle_exchange_graph(topology.digits);
+      t.graph = shuffle_exchange_graph(h);
+      t.diameter = 2 * h - 1;
       break;
     case TopologyFamily::Bus:
-      t.graph = debruijn_base2(topology.digits);
+      t.graph = debruijn_base2(h);
+      t.diameter = h;
       break;
   }
-  t.diameter = diameter(t.graph);
   if (metrics.collective && topology.family != TopologyFamily::Bus) {
     // Compile the schedule once and price the healthy machine — the
     // denominator of every trial's slowdown.

@@ -17,6 +17,7 @@
 #include <random>
 #include <regex>
 
+#include "campaign/clock_scan.hpp"
 #include "campaign/fault_models.hpp"
 #include "campaign/report.hpp"
 #include "campaign/rng.hpp"
@@ -1792,45 +1793,182 @@ TEST(FaultModelOracle, UniformsOnTheBandEdgesMatchTheReference) {
   }
 }
 
-TEST(ClockCandidates, KeepsEveryUniformWithinTheSlackOfTheOrderStatistic) {
-  using detail::clock_candidates;
+/// Replays chosen uniforms: the i-th next_u64() is the first draw of
+/// rng_starting_at(u[i]), so the i-th uniform is u[i] floored to the 2^-53
+/// grid.
+class ChosenStream {
+ public:
+  explicit ChosenStream(std::vector<double> u) : u_(std::move(u)) {}
+  std::uint64_t next_u64() { return rng_starting_at(u_.at(next_++)).next_u64(); }
+  std::size_t consumed() const { return next_; }
+
+ private:
+  std::vector<double> u_;
+  std::size_t next_ = 0;
+};
+
+/// The units scan_clocks keeps for `u` at `rank`, with no fault edge; checks
+/// that the scan took one draw per unit and reported each unit's uniform.
+std::vector<std::uint32_t> scanned(const std::vector<double>& u, std::size_t rank, double slack) {
+  ChosenStream rng(u);
+  const auto got =
+      detail::scan_clocks(rng, u.size(), rank, slack, -1.0, [](std::uint32_t, double) {});
+  EXPECT_EQ(rng.consumed(), u.size());
+  std::vector<std::uint32_t> units;
+  for (const detail::Candidate& c : got) {
+    EXPECT_EQ(c.u, u.at(c.unit)) << "unit " << c.unit;
+    units.push_back(c.unit);
+  }
+  return units;
+}
+
+TEST(ClockScan, KeepsEveryUniformWithinTheSlackOfTheOrderStatistic) {
   using detail::kClockSlack;
   const std::vector<double> u = {0.5, 0.25, 0.75, 0.25, 0.125, 0.5};
   // T = 0.125, 0.25 (tied), 0.25, 0.5 (tied) ...
-  EXPECT_EQ(clock_candidates(u, 0, kClockSlack), (std::vector<std::uint32_t>{4}));
-  EXPECT_EQ(clock_candidates(u, 1, kClockSlack), (std::vector<std::uint32_t>{1, 3, 4}));
-  EXPECT_EQ(clock_candidates(u, 2, kClockSlack), (std::vector<std::uint32_t>{1, 3, 4}));
-  EXPECT_EQ(clock_candidates(u, 3, kClockSlack), (std::vector<std::uint32_t>{0, 1, 3, 4, 5}));
-  EXPECT_EQ(clock_candidates(u, 5, kClockSlack),
-            (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(scanned(u, 0, kClockSlack), (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(scanned(u, 1, kClockSlack), (std::vector<std::uint32_t>{1, 3, 4}));
+  EXPECT_EQ(scanned(u, 2, kClockSlack), (std::vector<std::uint32_t>{1, 3, 4}));
+  EXPECT_EQ(scanned(u, 3, kClockSlack), (std::vector<std::uint32_t>{0, 1, 3, 4, 5}));
+  EXPECT_EQ(scanned(u, 5, kClockSlack), (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
   // Rank past the end: no order statistic, no candidates.
-  EXPECT_TRUE(clock_candidates(u, 6, kClockSlack).empty());
-  EXPECT_TRUE(clock_candidates({}, 0, kClockSlack).empty());
+  EXPECT_TRUE(scanned(u, 6, kClockSlack).empty());
+  EXPECT_TRUE(scanned({}, 0, kClockSlack).empty());
 }
 
-TEST(ClockCandidates, BandEdgeIsInclusive) {
-  using detail::clock_candidates;
+TEST(ClockScan, BandEdgeIsInclusive) {
   using detail::kClockSlack;
-  const double t = 0.3;
+  // In [0.5, 1) every double is on the 2^-53 grid, so each of these is a
+  // uniform the generator can draw.
+  const double t = 0.6;
   const double edge = t * (1.0 + kClockSlack);
   const double past = std::nextafter(edge, 1.0);
-  const std::vector<double> u = {past, 0.9, edge, t, 0.1, std::nextafter(t, 0.0)};
-  // rank 2: the three smallest are 0.1, t-, t; the band reaches exactly
+  const std::vector<double> u = {past, 0.9, edge, t, 0.125, std::nextafter(t, 0.0)};
+  // rank 2: the three smallest are 0.125, t-, t; the band reaches exactly
   // `edge` and no further.
-  EXPECT_EQ(clock_candidates(u, 2, kClockSlack), (std::vector<std::uint32_t>{2, 3, 4, 5}));
+  EXPECT_EQ(scanned(u, 2, kClockSlack), (std::vector<std::uint32_t>{2, 3, 4, 5}));
   // A zero order statistic admits only zeros.
   const std::vector<double> zeros = {0.0, 0x1p-53, 0.0, 0.5};
-  EXPECT_EQ(clock_candidates(zeros, 1, kClockSlack), (std::vector<std::uint32_t>{0, 2}));
-  EXPECT_EQ(clock_candidates(zeros, 2, kClockSlack), (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(scanned(zeros, 1, kClockSlack), (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(scanned(zeros, 2, kClockSlack), (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
-TEST(ClockCandidates, InfiniteSlackAdmitsEveryUniform) {
-  using detail::clock_candidates;
+TEST(ClockScan, InfiniteSlackAdmitsEveryUniform) {
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<double> u = {0.5, 0.0, 0.25};
-  EXPECT_EQ(clock_candidates(u, 0, inf), (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_EQ(clock_candidates(u, 2, inf), (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_TRUE(clock_candidates(u, 3, inf).empty());
+  EXPECT_EQ(scanned(u, 0, inf), (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(scanned(u, 2, inf), (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_TRUE(scanned(u, 3, inf).empty());
+}
+
+TEST(ClockScan, AdmitsEveryUniformAtOrBelowTheFaultEdge) {
+  const double edge = 0.625;
+  const std::vector<double> u = {0.5,   0.75, std::nextafter(edge, 1.0), edge, 0.125,
+                                 0.875, 0.0,  std::nextafter(edge, 0.0), 0.99};
+  const auto admitted = [&](std::size_t rank) {
+    ChosenStream rng(u);
+    std::vector<std::uint32_t> seen;
+    detail::scan_clocks(rng, u.size(), rank, detail::kClockSlack, edge,
+                        [&](std::uint32_t v, double x) {
+                          EXPECT_EQ(x, u.at(v));
+                          seen.push_back(v);
+                        });
+    EXPECT_EQ(rng.consumed(), u.size());
+    return seen;
+  };
+  const std::vector<std::uint32_t> below = {0, 3, 4, 6, 7};
+  // Unranked, only the fault edge cuts: exactly the uniforms at or below it.
+  EXPECT_EQ(admitted(u.size()), below);
+  // Ranked, the order-statistic band may admit more, in unit order.
+  for (const std::size_t rank : {0u, 1u, 4u, 8u}) {
+    const std::vector<std::uint32_t> seen = admitted(rank);
+    EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end())) << "rank " << rank;
+    EXPECT_TRUE(std::includes(seen.begin(), seen.end(), below.begin(), below.end()))
+        << "rank " << rank;
+  }
+}
+
+TEST(ClockScan, MantissaFloorSaturates) {
+  using detail::mantissa_floor;
+  constexpr std::int64_t kEvery = std::int64_t{1} << 53;
+  EXPECT_EQ(mantissa_floor(0.0), 0);
+  EXPECT_EQ(mantissa_floor(-0.0), 0);
+  EXPECT_EQ(mantissa_floor(std::numeric_limits<double>::denorm_min()), 0);
+  EXPECT_EQ(mantissa_floor(std::nextafter(0x1p-53, 0.0)), 0);
+  EXPECT_EQ(mantissa_floor(0x1p-53), 1);
+  EXPECT_EQ(mantissa_floor(0.1), 900719925474099);  // 0.1 * 2^53 = 900719925474099.2
+  EXPECT_EQ(mantissa_floor(1.0 - 0x1p-53), kEvery - 1);
+  EXPECT_EQ(mantissa_floor(1.0), kEvery);
+  EXPECT_EQ(mantissa_floor(std::numeric_limits<double>::infinity()), kEvery);
+  EXPECT_EQ(mantissa_floor(std::numeric_limits<double>::quiet_NaN()), kEvery);
+  EXPECT_EQ(mantissa_floor(-0x1p-1074), -1);
+  EXPECT_EQ(mantissa_floor(-1.0), -1);
+  EXPECT_EQ(mantissa_floor(-std::numeric_limits<double>::infinity()), -1);
+}
+
+TEST(FaultDraws, EveryClockedModelTakesOneDrawPerUnit) {
+  // Stretch pairs and traffic seeds come from the same stream after the
+  // fault draw, so their bytes depend on the draw consuming exactly n.
+  const FaultModelSpec specs[] = {
+      {FaultModelKind::IidBernoulli, 0.02, 1.0, 1.0, 1.0},
+      {FaultModelKind::Clustered, 0.02, 1.0, 1.0, 1.0},
+      {FaultModelKind::BusIid, 0.02, 1.0, 1.0, 1.0},
+      {FaultModelKind::BusClustered, 0.02, 1.0, 1.0, 1.0},
+      {FaultModelKind::Weibull, 0.0, 2.0, 100.0, 20.0},
+      {FaultModelKind::Weibull, 0.0, 1e6, 100.0, 20.0},  // unbanded: every clock
+  };
+  std::uint64_t cell = 5000;
+  for (const OracleFabric& f : oracle_fabrics()) {
+    const std::size_t n = f.graph.num_nodes();
+    for (const FaultModelSpec& spec : specs) {
+      for (const unsigned k : oracle_spares(n)) {
+        const auto model = prepared(spec, f, k);
+        ++cell;
+        for (std::uint64_t t = 0; t < 4; ++t) {
+          TrialRng drawn = TrialRng::for_trial(2024, cell, t);
+          TrialRng skipped = drawn;
+          (void)model->draw(f.graph, k, drawn);
+          for (std::size_t v = 0; v < n; ++v) (void)skipped.next_u64();
+          EXPECT_EQ(drawn.next_u64(), skipped.next_u64())
+              << model->name() << " on " << f.name << " k=" << k << " trial " << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(FaultDraws, ThresholdOnADrawnUniformMatchesTheReference) {
+  // p set to exactly the uniform some node draws, and to its grid
+  // neighbours: that node sits on the fault threshold, inside the slack
+  // band around it, and on either side of it.
+  const OracleFabric f{"B_{2,6}", debruijn_base2(6), std::nullopt};
+  const std::size_t n = f.graph.num_nodes();
+  const std::uint64_t cell = 6000;
+  std::vector<double> u(n);
+  TrialRng rng = TrialRng::for_trial(2024, cell, 0);
+  for (double& x : u) x = rng.next_unit();
+  const auto smallest = static_cast<std::size_t>(std::min_element(u.begin(), u.end()) - u.begin());
+  std::size_t checked = 0;
+  for (const std::size_t j : {smallest, n / 3, n - 1}) {
+    for (const double p : {u[j] - 0x1p-53, u[j], u[j] + 0x1p-53}) {
+      if (!(p > 0.0 && p < 1.0)) continue;
+      for (const unsigned k : {0u, 3u, 8u}) {
+        expect_matches_reference(
+            *prepared({FaultModelKind::IidBernoulli, p, 1.0, 1.0, 1.0}, f, k), f, k, cell, 1,
+            [p](const Graph& g, unsigned spares, TrialRng& r) {
+              return reference::iid(p, g, spares, r);
+            });
+        expect_matches_reference(
+            *prepared({FaultModelKind::Clustered, p, 1.0, 1.0, 1.0}, f, k), f, k, cell, 1,
+            [p](const Graph& g, unsigned spares, TrialRng& r) {
+              return reference::clustered(p, g, spares, r);
+            });
+        ++checked;
+        ASSERT_FALSE(HasFailure()) << "node " << j << " p=" << p << " k=" << k;
+      }
+    }
+  }
+  EXPECT_GE(checked, 24u);
 }
 
 // --- write_file_atomically ---------------------------------------------------

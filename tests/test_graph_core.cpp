@@ -604,14 +604,18 @@ TEST(MultiSourceRegimes, GraphLargerThanTheKernelThrows) {
 // ---------------------------------------------------------------------------
 
 TEST(TargetDiameters, DeBruijnIsH) {
-  for (unsigned h = 2; h <= 12; ++h) EXPECT_EQ(diameter(debruijn_base2(h)), h) << "h=" << h;
-  for (unsigned h = 2; h <= 7; ++h) {
-    EXPECT_EQ(diameter(debruijn_graph({.base = 3, .digits = h})), h) << "h=" << h;
+  // Every base 2..4 and every h with N = m^h <= 4096, from h = 1 (K_m).
+  for (std::uint64_t m = 2; m <= 4; ++m) {
+    std::uint64_t nodes = m;
+    for (unsigned h = 1; nodes <= 4096; ++h, nodes *= m) {
+      EXPECT_EQ(diameter(debruijn_graph({.base = m, .digits = h})), h) << "m=" << m << " h=" << h;
+    }
   }
+  for (unsigned h = 1; h <= 12; ++h) EXPECT_EQ(diameter(debruijn_base2(h)), h) << "h=" << h;
 }
 
 TEST(TargetDiameters, ShuffleExchangeIsTwoHMinusOne) {
-  for (unsigned h = 2; h <= 12; ++h) {
+  for (unsigned h = 1; h <= 13; ++h) {
     EXPECT_EQ(diameter(shuffle_exchange_graph(h)), 2 * h - 1) << "h=" << h;
   }
 }

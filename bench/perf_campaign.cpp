@@ -7,7 +7,6 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <random>
 #include <sstream>
 #include <vector>
 
@@ -167,7 +166,7 @@ constexpr unsigned kProofSpares = 8;
 FTDB_BENCH(survives_scan, "perf_campaign/survives_b2h12_k8") {
   const ftdb::Graph target = ftdb::debruijn_base2(kProofH);
   const ftdb::Graph fabric = ftdb::ft_debruijn_base2(kProofH, kProofSpares);
-  std::mt19937_64 rng(99);
+  ftdb::SplitMix64 rng(99);
   std::vector<ftdb::FaultSet> sets;
   for (int i = 0; i < 64; ++i) {
     sets.push_back(ftdb::FaultSet::random(fabric.num_nodes(), kProofSpares, rng));

@@ -4,7 +4,6 @@
 // worth pinning (reconfiguration is a table scan, not a search). Each
 // benchmark runs a fixed iteration count and reports it, so per-op time is
 // wall_seconds / iterations.
-#include <random>
 
 #include "analysis/bench_registry.hpp"
 #include "ft/ft_debruijn.hpp"

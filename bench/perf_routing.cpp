@@ -101,8 +101,8 @@ void next_hop_bench(BenchContext& ctx, const ftdb::Graph& g, const Router& route
   std::uint64_t checksum = 0;
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < pairs; ++i) {
-    const auto src = static_cast<ftdb::NodeId>(ctx.rng()() % n);
-    const auto dst = static_cast<ftdb::NodeId>(ctx.rng()() % n);
+    const auto src = static_cast<ftdb::NodeId>(ctx.rng().next_u64() % n);
+    const auto dst = static_cast<ftdb::NodeId>(ctx.rng().next_u64() % n);
     ftdb::NodeId cur = src;
     while (cur != dst) {
       cur = router.next_hop(dst, cur);
@@ -167,8 +167,8 @@ FTDB_BENCH(route_many_h18, "perf_routing/route_many_implicit_b2_h18") {
   std::vector<ftdb::sim::RouteHint> hints(pairs);
   for (std::size_t i = 0; i < pairs; ++i) {
     do {
-      cur[i] = static_cast<ftdb::NodeId>(ctx.rng()() % n);
-      dests[i] = static_cast<ftdb::NodeId>(ctx.rng()() % n);
+      cur[i] = static_cast<ftdb::NodeId>(ctx.rng().next_u64() % n);
+      dests[i] = static_cast<ftdb::NodeId>(ctx.rng().next_u64() % n);
     } while (cur[i] == dests[i]);
   }
 
@@ -209,14 +209,14 @@ FTDB_BENCH(step_kernel_h18, "perf_routing/step_kernel_b2_h18") {
   // the rescan cost. The ratio is the win the batched router banks per hop.
   const ftdb::DeBruijnParams params{.base = 2, .digits = 18};
   const std::uint64_t n = 1ull << 18;
-  ftdb::DebruijnDistanceStepper st(params, static_cast<ftdb::NodeId>(ctx.rng()() % n));
+  ftdb::DebruijnDistanceStepper st(params, static_cast<ftdb::NodeId>(ctx.rng().next_u64() % n));
 
   const std::size_t steps = 200000;
-  std::uint64_t checksum = st.reset(static_cast<ftdb::NodeId>(ctx.rng()() % n));
+  std::uint64_t checksum = st.reset(static_cast<ftdb::NodeId>(ctx.rng().next_u64() % n));
   auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < steps; ++i) {
     const std::uint64_t v = st.node();
-    const std::uint64_t r = ctx.rng()();
+    const std::uint64_t r = ctx.rng().next_u64();
     ftdb::NodeId next;  // one of the four algebraic de Bruijn neighbors
     switch (r & 3) {
       case 0: next = static_cast<ftdb::NodeId>((v << 1) & (n - 1)); break;
@@ -233,7 +233,7 @@ FTDB_BENCH(step_kernel_h18, "perf_routing/step_kernel_b2_h18") {
   const std::size_t resets = 20000;
   start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < resets; ++i) {
-    checksum += st.reset(static_cast<ftdb::NodeId>(ctx.rng()() % n));
+    checksum += st.reset(static_cast<ftdb::NodeId>(ctx.rng().next_u64() % n));
   }
   elapsed = std::chrono::steady_clock::now() - start;
   const double reset_ns =

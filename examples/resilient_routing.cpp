@@ -9,9 +9,9 @@
 // unchanged latency.
 #include <cstdlib>
 #include <iostream>
-#include <random>
 
 #include "ft/ft_debruijn.hpp"
+#include "ft/rng.hpp"
 #include "sim/engine.hpp"
 #include "sim/traffic.hpp"
 #include "topology/debruijn.hpp"
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   const auto base = sim::run_packets(healthy, target, packets);
   print("healthy", base);
 
-  std::mt19937_64 rng(33);
+  SplitMix64 rng(33);
   const FaultSet bare_faults = FaultSet::random(target.num_nodes(), k, rng);
   std::cout << "\n=== bare target, " << k << " faults (no spares) ===\nfaulty:";
   for (NodeId f : bare_faults.nodes()) std::cout << ' ' << f;

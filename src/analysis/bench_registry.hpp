@@ -17,10 +17,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <random>
 #include <utility>
 #include <vector>
 
+#include "ft/rng.hpp"
 #include "sim/engine.hpp"
 
 namespace ftdb::analysis {
@@ -31,7 +31,7 @@ class BenchContext {
 
   /// Deterministic per-benchmark RNG: seeded from the runner seed and the
   /// benchmark name, independent of which worker thread runs the benchmark.
-  std::mt19937_64& rng() { return rng_; }
+  SplitMix64& rng() { return rng_; }
 
   /// Records a named scalar result (cycle counts, latencies, iteration
   /// counts...). Later reports with the same key overwrite earlier ones.
@@ -43,7 +43,7 @@ class BenchContext {
   const std::vector<std::pair<std::string, double>>& metrics() const { return metrics_; }
 
  private:
-  std::mt19937_64 rng_;
+  SplitMix64 rng_;
   std::vector<std::pair<std::string, double>> metrics_;
 };
 

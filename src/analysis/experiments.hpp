@@ -41,8 +41,9 @@ Table table2_comparison_basem(unsigned h = 4, unsigned k_max = 4);
 /// TAB3: measured max degree vs the corollary bounds across constructions.
 Table table3_degree_bounds(unsigned h = 5, unsigned k_max = 5);
 
-/// TAB4: tolerance verification summary (exhaustive for small, Monte Carlo
-/// for large instances). `mc_trials` random fault sets per large instance.
-Table table4_tolerance_verification(std::uint64_t mc_trials = 2000, std::uint64_t seed = 42);
+/// TAB4: tolerance verification summary: every C(N+k, k) fault set
+/// enumerated for small instances, the pairwise proof (ft/tolerance.hpp)
+/// for large ones.
+Table table4_tolerance_verification();
 
 }  // namespace ftdb::analysis

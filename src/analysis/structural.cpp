@@ -1,6 +1,5 @@
 #include "analysis/structural.hpp"
 
-#include <random>
 #include <sstream>
 
 #include "analysis/parallel_all_pairs.hpp"
@@ -57,7 +56,7 @@ std::string reconfigured_diameter_report(unsigned h, unsigned k, unsigned trials
   const Graph target = debruijn_base2(h);
   const Graph ft = ft_debruijn_base2(h, k);
   const std::uint32_t target_diameter = parallel_diameter(target);
-  std::mt19937_64 rng(seed);
+  SplitMix64 rng(seed);
   unsigned matches = 0;
   for (unsigned t = 0; t < trials; ++t) {
     const FaultSet faults = FaultSet::random(ft.num_nodes(), k, rng);

@@ -10,21 +10,16 @@
 
 #include <cstdint>
 
+#include "ft/rng.hpp"
+
 namespace ftdb::campaign {
 
-/// splitmix64 output/finalizer function (Steele, Lea, Flood 2014). Bijective
-/// on 64 bits with full avalanche; also usable as a standalone hash.
-inline constexpr std::uint64_t splitmix64_mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
+using ftdb::splitmix64_mix;
 
-/// Tiny splitmix64 generator. Not cryptographic; statistically solid for the
-/// Monte Carlo workloads here and 3 instructions per draw.
-class TrialRng {
+/// The library generator (ft/rng.hpp), seeded per trial.
+class TrialRng : public SplitMix64 {
  public:
-  explicit TrialRng(std::uint64_t state) : state_(state) {}
+  using SplitMix64::SplitMix64;
 
   /// The canonical campaign derivation: mix the seed and the two counters in
   /// stages so that neighboring (scenario, trial) pairs get uncorrelated
@@ -36,19 +31,6 @@ class TrialRng {
     s = splitmix64_mix(s ^ (trial_idx + 0x9e3779b97f4a7c15ull));
     return TrialRng(s);
   }
-
-  std::uint64_t next_u64() {
-    state_ += 0x9e3779b97f4a7c15ull;
-    return splitmix64_mix(state_);
-  }
-
-  /// Uniform double in [0, 1) with 53 random bits.
-  double next_unit() {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-  }
-
- private:
-  std::uint64_t state_;
 };
 
 }  // namespace ftdb::campaign

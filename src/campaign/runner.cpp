@@ -577,9 +577,8 @@ void fold_histogram(ScenarioResult& acc, const BlockScratch& scratch) {
 /// independently with probability p per step: summing the survival function,
 /// E = sum_{t >= 0} P[at most k of n failed by step t], with per-node
 /// failure probability 1 - (1-p)^t by step t. This is the true expectation
-/// of the empirical draw (simultaneous failures allowed) — deliberately not
-/// sim::analytic_mttf, which models failures one at a time and overshoots
-/// once n*p stops being small.
+/// of the empirical draw (simultaneous failures allowed); a model that lets
+/// failures arrive one at a time overshoots once n*p stops being small.
 ///
 /// The sum needs on the order of the MTTF itself in iterations, so a cap
 /// bounds the work; past it we return NaN (report renders "-") rather than a

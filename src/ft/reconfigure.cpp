@@ -15,14 +15,13 @@ FaultSet::FaultSet(std::size_t universe, std::vector<NodeId> faulty)
   }
 }
 
-FaultSet FaultSet::random(std::size_t universe, std::size_t count, std::mt19937_64& rng) {
+FaultSet FaultSet::random(std::size_t universe, std::size_t count, SplitMix64& rng) {
   if (count > universe) throw std::invalid_argument("FaultSet::random: count > universe");
   // Floyd's algorithm: uniform sample of `count` distinct values.
   std::vector<NodeId> chosen;
   chosen.reserve(count);
   for (std::size_t j = universe - count; j < universe; ++j) {
-    std::uniform_int_distribution<std::size_t> dist(0, j);
-    const NodeId t = static_cast<NodeId>(dist(rng));
+    const NodeId t = static_cast<NodeId>(rng.next_below(j + 1));
     if (std::find(chosen.begin(), chosen.end(), t) == chosen.end()) {
       chosen.push_back(t);
     } else {

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <vector>
 
+#include "ft/rng.hpp"
 #include "graph/graph.hpp"
 
 namespace ftdb {
@@ -24,7 +24,7 @@ class FaultSet {
   FaultSet(std::size_t universe, std::vector<NodeId> faulty);
 
   /// k faults drawn uniformly without replacement (deterministic given rng).
-  static FaultSet random(std::size_t universe, std::size_t count, std::mt19937_64& rng);
+  static FaultSet random(std::size_t universe, std::size_t count, SplitMix64& rng);
 
   std::size_t universe() const { return universe_; }
   std::size_t count() const { return faulty_.size(); }

@@ -118,26 +118,6 @@ ToleranceReport check_tolerance_exhaustive(const Graph& target, const Graph& ft_
   return total;
 }
 
-ToleranceReport check_tolerance_monte_carlo(const Graph& target, const Graph& ft_graph,
-                                            unsigned k, std::uint64_t trials,
-                                            std::uint64_t seed) {
-  ToleranceReport report;
-  std::mt19937_64 rng(seed);
-  const std::size_t n = ft_graph.num_nodes();
-  for (std::uint64_t t = 0; t < trials; ++t) {
-    FaultSet faults = FaultSet::random(n, k, rng);
-    ++report.fault_sets_checked;
-    Edge violation{};
-    if (!monotone_embedding_survives(target, ft_graph, faults, &violation)) {
-      report.tolerant = false;
-      report.counterexample_faults = faults.nodes();
-      report.violated_edge = violation;
-      return report;
-    }
-  }
-  return report;
-}
-
 ToleranceReport check_tolerance_pairwise(const Graph& target, const Graph& ft_graph,
                                          unsigned k) {
   ToleranceReport report;

@@ -4,11 +4,11 @@
 // surviving nodes, the induced subgraph contains G. For the paper's
 // constructions the witness embedding is always the monotone rank embedding,
 // so the check is: for every fault set F (|F| <= k) and every edge (x, y) of
-// G, (phi(x), phi(y)) must be an edge of G'. We provide an exhaustive checker
-// (all C(N+k, k) fault sets) for small instances, a seeded Monte Carlo
-// checker for large ones, a pairwise proof that covers every fault set at
-// once, and a general checker that uses VF2 search instead of the monotone
-// witness (for baselines with different reconfiguration).
+// G, (phi(x), phi(y)) must be an edge of G'. We provide a pairwise proof that
+// covers every fault set at once, an exhaustive checker (all C(N+k, k) fault
+// sets) that serves as its reference on small instances, and a general
+// checker that uses VF2 search instead of the monotone witness (for
+// baselines with different reconfiguration).
 //
 // The pairwise proof. Let G' have at least N + k nodes and take a target edge
 // (x, y) with x < y and a fault set F with |F| <= k. The witness maps
@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -57,11 +56,6 @@ struct ToleranceReport {
 /// `check_all_sizes` to test that claim directly).
 ToleranceReport check_tolerance_exhaustive(const Graph& target, const Graph& ft_graph,
                                            unsigned k, bool check_all_sizes = false);
-
-/// Monte Carlo: `trials` random fault sets of size k (seeded, reproducible).
-ToleranceReport check_tolerance_monte_carlo(const Graph& target, const Graph& ft_graph,
-                                            unsigned k, std::uint64_t trials,
-                                            std::uint64_t seed);
 
 /// The pairwise proof (see the header comment): decides, without enumerating
 /// fault sets, whether the monotone witness survives every fault set of size

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ft/rng.hpp"
 #include "topology/labels.hpp"
 
 namespace ftdb::sim {
@@ -13,13 +14,12 @@ std::vector<Packet> uniform_traffic(std::size_t logical_nodes, std::size_t count
                                     std::uint64_t packets_per_cycle, std::uint64_t seed) {
   if (logical_nodes == 0) throw std::invalid_argument("uniform_traffic: empty machine");
   if (packets_per_cycle == 0) packets_per_cycle = 1;
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<NodeId> pick(0, static_cast<NodeId>(logical_nodes - 1));
+  SplitMix64 rng(seed);
   std::vector<Packet> packets(count);
   for (std::size_t i = 0; i < count; ++i) {
     packets[i].id = i;
-    packets[i].src = pick(rng);
-    packets[i].dst = pick(rng);
+    packets[i].src = static_cast<NodeId>(rng.next_below(logical_nodes));
+    packets[i].dst = static_cast<NodeId>(rng.next_below(logical_nodes));
     packets[i].inject_cycle = i / packets_per_cycle;
   }
   return packets;
@@ -69,78 +69,6 @@ std::vector<NodeId> shuffle_permutation(unsigned h) {
   return perm;
 }
 
-std::vector<Packet> hotspot_traffic(std::size_t logical_nodes, std::size_t count,
-                                    const std::vector<NodeId>& hot_nodes, double fraction_hot,
-                                    std::uint64_t seed, std::uint64_t packets_per_cycle) {
-  if (logical_nodes == 0) throw std::invalid_argument("hotspot_traffic: empty machine");
-  if (hot_nodes.empty()) throw std::invalid_argument("hotspot_traffic: no hot nodes");
-  for (NodeId hot : hot_nodes) {
-    if (hot >= logical_nodes) throw std::out_of_range("hotspot_traffic: hot node out of range");
-  }
-  // Negated comparison so NaN is rejected too.
-  if (!(fraction_hot >= 0.0 && fraction_hot <= 1.0)) {
-    throw std::invalid_argument("hotspot_traffic: fraction_hot must be in [0, 1]");
-  }
-  if (packets_per_cycle == 0) {
-    packets_per_cycle = std::max<std::uint64_t>(logical_nodes / 4, 1);
-  }
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<NodeId> pick(0, static_cast<NodeId>(logical_nodes - 1));
-  std::bernoulli_distribution hot(fraction_hot);
-  // The hot-index draw happens only for >1 hot node, so the single-node path
-  // consumes the exact historical RNG stream.
-  std::uniform_int_distribution<std::size_t> hot_pick(0, hot_nodes.size() - 1);
-  std::vector<Packet> packets(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    packets[i].id = i;
-    packets[i].src = pick(rng);
-    if (hot(rng)) {
-      packets[i].dst = hot_nodes.size() == 1 ? hot_nodes[0] : hot_nodes[hot_pick(rng)];
-    } else {
-      packets[i].dst = pick(rng);
-    }
-    packets[i].inject_cycle = i / packets_per_cycle;
-  }
-  return packets;
-}
-
-std::vector<Packet> hotspot_traffic(std::size_t logical_nodes, std::size_t count,
-                                    NodeId hot_node, double fraction_hot, std::uint64_t seed,
-                                    std::uint64_t packets_per_cycle) {
-  return hotspot_traffic(logical_nodes, count, std::vector<NodeId>{hot_node}, fraction_hot,
-                         seed, packets_per_cycle);
-}
-
-namespace {
-
-// Local splitmix64 so the skewed generators are bit-identical across
-// platforms (std::uniform_int_distribution's draw algorithm is
-// implementation-defined). Matches the campaign's counter-based discipline
-// without introducing a sim -> campaign dependency.
-struct SplitMix {
-  std::uint64_t state;
-
-  std::uint64_t next() {
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
-  /// Uniform double in [0, 1), 53 bits of precision.
-  double next_unit() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
-
-  /// Uniform integer in [0, bound) via 128-bit multiply (no modulo bias worth
-  /// caring about at these bounds, and exactly one draw per call).
-  std::uint64_t next_below(std::uint64_t bound) {
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(next()) * bound) >> 64);
-  }
-};
-
-}  // namespace
-
 std::vector<Packet> zipf_traffic(std::size_t logical_nodes, std::size_t count, double theta,
                                  std::uint64_t seed, std::uint64_t packets_per_cycle) {
   if (logical_nodes == 0) throw std::invalid_argument("zipf_traffic: empty machine");
@@ -158,7 +86,7 @@ std::vector<Packet> zipf_traffic(std::size_t logical_nodes, std::size_t count, d
     cumulative[r] = total;
   }
 
-  SplitMix rng{seed};
+  SplitMix64 rng(seed);
   std::vector<Packet> packets(count);
   for (std::size_t i = 0; i < count; ++i) {
     packets[i].id = i;
@@ -196,7 +124,7 @@ std::vector<Packet> hotspot_burst_traffic(std::size_t logical_nodes, std::size_t
     packets_per_cycle = std::max<std::uint64_t>(logical_nodes / 4, 1);
   }
 
-  SplitMix rng{seed};
+  SplitMix64 rng(seed);
   std::vector<Packet> packets(count);
   for (std::size_t i = 0; i < count; ++i) {
     packets[i].id = i;

@@ -1,10 +1,11 @@
 // Traffic workloads for the routing experiments: uniform random traffic,
 // the classic adversarial permutations (bit reversal, transpose, perfect
-// shuffle), and hotspot traffic. All generators are seeded and deterministic.
+// shuffle), Zipf-skewed and hotspot-burst traffic, and packet traces. The
+// random generators draw from one seeded splitmix64 stream (ft/rng.hpp), so
+// their packets are bit-identical across platforms and standard libraries.
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -30,36 +31,18 @@ std::vector<NodeId> transpose_permutation(unsigned h);
 /// Perfect-shuffle permutation (rotate left one bit).
 std::vector<NodeId> shuffle_permutation(unsigned h);
 
-/// Uniform traffic where `fraction_hot` of packets target a hot node drawn
-/// uniformly from `hot_nodes`. `fraction_hot` must lie in [0, 1] (it seeds a
-/// bernoulli_distribution, which is UB outside that range).
-/// `packets_per_cycle` controls the injection rate; 0 keeps the historical
-/// default of max(logical_nodes / 4, 1). With a single hot node the generated
-/// stream is byte-identical to the historical single-node overload below.
-std::vector<Packet> hotspot_traffic(std::size_t logical_nodes, std::size_t count,
-                                    const std::vector<NodeId>& hot_nodes, double fraction_hot,
-                                    std::uint64_t seed, std::uint64_t packets_per_cycle = 0);
-
-/// Single-hot-node compatibility overload; forwards to the vector form.
-std::vector<Packet> hotspot_traffic(std::size_t logical_nodes, std::size_t count,
-                                    NodeId hot_node, double fraction_hot, std::uint64_t seed,
-                                    std::uint64_t packets_per_cycle = 0);
-
 /// Zipf-skewed traffic: sources are uniform, destination ranks follow a
 /// Zipf(theta) law with node id r drawn with probability proportional to
 /// 1 / (r + 1)^theta (node 0 hottest; theta = 0 degenerates to uniform).
-/// Unlike the std::mt19937_64-based generators above, draws come from an
-/// explicit splitmix64 stream, so the packet vector is bit-identical across
-/// platforms and standard libraries. `packets_per_cycle` = 0 means 1.
+/// `packets_per_cycle` = 0 means 1.
 std::vector<Packet> zipf_traffic(std::size_t logical_nodes, std::size_t count, double theta,
                                  std::uint64_t seed, std::uint64_t packets_per_cycle = 0);
 
 /// Multi-hotspot burst trains: hotspots take turns being hot. A packet
 /// injected in burst window w (cycles [w*burst_cycles, (w+1)*burst_cycles))
 /// targets hot_nodes[w % hot_nodes.size()] with probability `fraction_hot`,
-/// otherwise a uniform destination. Sources are uniform. splitmix64-based and
-/// platform-stable, like zipf_traffic. `packets_per_cycle` = 0 keeps the
-/// hotspot default of max(logical_nodes / 4, 1).
+/// otherwise a uniform destination. Sources are uniform. `packets_per_cycle`
+/// = 0 means max(logical_nodes / 4, 1).
 std::vector<Packet> hotspot_burst_traffic(std::size_t logical_nodes, std::size_t count,
                                           const std::vector<NodeId>& hot_nodes,
                                           double fraction_hot, std::uint64_t burst_cycles,

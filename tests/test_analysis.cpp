@@ -93,7 +93,7 @@ TEST(Table3, EveryRowWithinBound) {
 }
 
 TEST(Table4, EveryInstanceTolerant) {
-  const Table t = table4_tolerance_verification(200, 1);
+  const Table t = table4_tolerance_verification();
   ASSERT_GT(t.num_rows(), 0u);
   for (std::size_t i = 0; i < t.num_rows(); ++i) {
     EXPECT_EQ(t.row(i).back(), "yes") << "row " << i;

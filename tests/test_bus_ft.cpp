@@ -4,7 +4,6 @@
 // the realized graph.
 #include <gtest/gtest.h>
 
-#include <random>
 
 #include "ft/bus_ft.hpp"
 #include "ft/ft_debruijn.hpp"
@@ -223,12 +222,12 @@ TEST(BusSurvival, MatchesRealizedGraphCheckOnSeededFaultSets) {
   const unsigned k = 4;
   const BusGraph bus = bus_ft_debruijn_base2(h, k);
   const Graph realized = bus.realized_graph();
-  std::mt19937_64 rng(2718);
+  SplitMix64 rng(2718);
   const Graph targets[] = {debruijn_base2(h), debruijn_with_wide_edges(h)};
   SurvivalTally tally[2];
   for (int t = 0; t < 2; ++t) {
     for (int i = 0; i < 10000; ++i) {
-      const std::size_t size = rng() % (k + 2);  // 0 .. k+1 faults
+      const std::size_t size = rng.next_u64() % (k + 2);  // 0 .. k+1 faults
       expect_same_survival(targets[t], bus, realized, k,
                            FaultSet::random(bus.num_nodes(), size, rng), tally[t]);
       ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "set " << i;

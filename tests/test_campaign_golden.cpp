@@ -13,9 +13,10 @@
 // spare-exhaustion clock where the fabrics are large enough for the clocks
 // to spread.
 //
-// The grid avoids the `uniform` and `hotspot_burst` traffic patterns: they
-// draw through std:: distributions whose algorithms differ between standard
-// libraries. Every draw here comes from the counter-based splitmix64 streams.
+// The fourth runs the traffic metric alone once per remaining pattern —
+// `uniform`, `hotspot_burst` and `trace` — so with the zipf grids above every
+// traffic pattern is pinned. Every draw comes from the counter-based
+// splitmix64 streams, so the bytes hold on every standard library.
 //
 // To regenerate after a deliberate format change:
 //   FTDB_UPDATE_GOLDEN=1 ./build/tests/test_campaign_golden
@@ -113,6 +114,23 @@ ScenarioSpec survival_golden_spec() {
     ],
     "metrics": ["mttf"]
   })");
+}
+
+/// B_{2,4} and SE_4; k=1; iid; 64 trials; the traffic metric alone, with
+/// `traffic` as the pattern object.
+ScenarioSpec traffic_golden_spec(const std::string& traffic) {
+  return parse_scenario_spec(R"({
+    "name": "golden_traffic",
+    "seed": 777,
+    "trials": 64,
+    "topologies": [
+      {"family": "debruijn", "base": 2, "digits": 4},
+      {"family": "shuffle_exchange", "digits": 4}
+    ],
+    "spares": [1],
+    "fault_models": [{"kind": "iid", "p": 0.03}],
+    "metrics": ["traffic"],
+    "traffic": )" + traffic + "}");
 }
 
 std::string golden_path(const std::string& leaf) {
@@ -273,6 +291,24 @@ TEST(CampaignGolden, SurvivalScaleFixtureSpreadsEveryClock) {
     EXPECT_GT(r.reconfig_success, 0u) << r.label;
     EXPECT_LT(r.reconfig_success, r.trials) << r.label;
     EXPECT_GT(r.mttf.count, 0u) << r.label;
+  }
+}
+
+TEST(CampaignGolden, TrafficPatternReportsMatchFixtures) {
+  const struct {
+    const char* leaf;
+    const char* traffic;
+  } patterns[] = {
+      {"traffic_uniform_report.json", R"({"pattern": "uniform", "packets_per_node": 2})"},
+      {"traffic_hotspot_burst_report.json",
+       R"({"pattern": "hotspot_burst", "hotspots": 2, "fraction_hot": 0.5,
+           "burst_cycles": 4, "packets_per_node": 2})"},
+      {"traffic_trace_report.json",
+       R"({"pattern": "trace", "trace": "0 0 5\n0 3 12\n1 7 2\n2 15 0\n2 9 9\n4 1 14\n"})"},
+  };
+  for (const auto& p : patterns) {
+    SCOPED_TRACE(p.leaf);
+    expect_golden(p.leaf, campaign_report_json(run_golden(traffic_golden_spec(p.traffic)).result));
   }
 }
 

@@ -1,7 +1,6 @@
 // Tests for embedding quality metrics (dilation / congestion / expansion).
 #include <gtest/gtest.h>
 
-#include <random>
 
 #include "ft/ft_debruijn.hpp"
 #include "ft/ft_shuffle_exchange.hpp"
@@ -71,7 +70,7 @@ TEST(MeasureEmbedding, ReconfigurationIsDilationOne) {
   const unsigned k = 3;
   const Graph target = debruijn_base2(h);
   const Graph ft = ft_debruijn_base2(h, k);
-  std::mt19937_64 rng(9);
+  SplitMix64 rng(9);
   for (int trial = 0; trial < 20; ++trial) {
     const FaultSet faults = FaultSet::random(ft.num_nodes(), k, rng);
     const auto phi = monotone_embedding(faults);

@@ -67,7 +67,7 @@ TEST_P(ReconfEquivalence, AnyFaultSetAnyTrafficMatchesHealthyRun) {
   // reconfigured FT machine's statistics equal the healthy target's.
   const unsigned h = 5;
   const unsigned k = 4;
-  std::mt19937_64 rng(GetParam());
+  SplitMix64 rng(GetParam());
   const Graph target = debruijn_base2(h);
   const Graph ft = ft_debruijn_base2(h, k);
   const auto packets = uniform_traffic(target.num_nodes(), 250, 4, GetParam());

@@ -131,10 +131,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, NaturalTolerance,
                                            std::pair<unsigned, unsigned>{4, 2},
                                            std::pair<unsigned, unsigned>{5, 1}));
 
-TEST(NaturalTolerance, MonteCarloLarge) {
+TEST(NaturalTolerance, PairwiseProofLarge) {
   const Graph se = shuffle_exchange_graph(8);
   const auto machine = ft_shuffle_exchange_natural(8, 3);
-  const auto report = check_tolerance_monte_carlo(se, machine.ft_graph, 3, 300, 17);
+  const auto report = check_tolerance_pairwise(se, machine.ft_graph, 3);
   EXPECT_TRUE(report.tolerant);
 }
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
-#include <random>
 
 #include "ft/bus_ft.hpp"
 #include "ft/ft_debruijn.hpp"
@@ -29,7 +28,7 @@ TEST(EndToEnd, FullLifecycleDeBruijn) {
   const Graph target = debruijn_base2(h);
   const Graph ft = ft_debruijn_base2(h, k);
 
-  std::mt19937_64 rng(2024);
+  SplitMix64 rng(2024);
   for (int round = 0; round < 10; ++round) {
     const FaultSet faults = FaultSet::random(ft.num_nodes(), k, rng);
     // Structural guarantee.
@@ -78,7 +77,7 @@ TEST(EndToEnd, ShuffleExchangeBothRoutesAgree) {
   const auto via = ft_shuffle_exchange_via_debruijn(h, k);
   const auto natural = ft_shuffle_exchange_natural(h, k);
 
-  std::mt19937_64 rng(77);
+  SplitMix64 rng(77);
   for (int round = 0; round < 50; ++round) {
     const FaultSet faults_via = FaultSet::random(via.ft_graph.num_nodes(), k, rng);
     const auto phi_via = reconfigure(via, faults_via);
@@ -115,8 +114,8 @@ TEST(EndToEnd, BusMachineSurvivesMixedFaults) {
 }
 
 TEST(EndToEnd, SparePlanningMatchesToleranceBudget) {
-  // Choose k from the reliability model, then confirm the built machine
-  // tolerates exactly that budget on random fault draws.
+  // Choose k from the reliability model, then prove the built machine
+  // tolerates every fault set within that budget.
   const unsigned h = 6;
   const std::uint64_t n = 64;
   const long double p = 0.005L;
@@ -124,7 +123,7 @@ TEST(EndToEnd, SparePlanningMatchesToleranceBudget) {
   ASSERT_LE(k, 12u);
   const Graph target = debruijn_base2(h);
   const Graph ft = ft_debruijn_base2(h, k);
-  const auto report = check_tolerance_monte_carlo(target, ft, k, 200, 31);
+  const auto report = check_tolerance_pairwise(target, ft, k);
   EXPECT_TRUE(report.tolerant);
 }
 
@@ -140,7 +139,7 @@ TEST(EndToEnd, BaselineComparisonOnEqualBudget) {
   EXPECT_TRUE(check_tolerance_exhaustive(target, ours, k).tolerant);
 
   const Graph baseline = digit_copies_graph(m, h, k);
-  std::mt19937_64 rng(12);
+  SplitMix64 rng(12);
   for (int round = 0; round < 100; ++round) {
     const FaultSet faults = FaultSet::random(baseline.num_nodes(), k, rng);
     const auto phi = digit_copies_reconfigure(m, h, k, faults);

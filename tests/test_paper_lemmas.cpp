@@ -88,7 +88,7 @@ TEST(Theorem1, OffsetAlgebraExactlyAsInProof) {
   const std::int64_t n = 16;  // B_{2,4}
   for (unsigned k = 1; k <= 3; ++k) {
     const std::int64_t s_mod = n + k;
-    std::mt19937_64 rng(k);
+    SplitMix64 rng(k);
     for (int trial = 0; trial < 300; ++trial) {
       const FaultSet faults = FaultSet::random(static_cast<std::size_t>(s_mod), k, rng);
       const auto phi = monotone_embedding(faults);
@@ -123,7 +123,7 @@ TEST(Theorem2, OffsetAlgebraExactlyAsInProof) {
     const std::int64_t n = static_cast<std::int64_t>(labels::ipow_checked(m, h));
     for (unsigned k = 1; k <= 2; ++k) {
       const std::int64_t s_mod = n + k;
-      std::mt19937_64 rng(static_cast<std::uint64_t>(m * 100 + k));
+      SplitMix64 rng(static_cast<std::uint64_t>(m * 100 + k));
       for (int trial = 0; trial < 100; ++trial) {
         const FaultSet faults = FaultSet::random(static_cast<std::size_t>(s_mod), k, rng);
         const auto phi = monotone_embedding(faults);

@@ -185,7 +185,7 @@ TEST(RandomizedFaultInjection, ReconfigurationYieldsHealthyDeBruijn) {
   // sets of size <= k, the monotone embedding must map every edge of B_{m,h}
   // onto a surviving edge of B^k_{m,h}, and its offsets must obey Lemma 1
   // (non-decreasing, within [0, |faults|]).
-  std::mt19937_64 rng(20260729);
+  SplitMix64 rng(20260729);
   const struct {
     std::uint64_t m;
     unsigned h;
@@ -196,7 +196,7 @@ TEST(RandomizedFaultInjection, ReconfigurationYieldsHealthyDeBruijn) {
     const Graph ft = ft_debruijn_graph({.base = c.m, .digits = c.h, .spares = c.k});
     ASSERT_EQ(ft.num_nodes(), target.num_nodes() + c.k);
     for (int trial = 0; trial < 25; ++trial) {
-      const std::size_t f = rng() % (c.k + 1);
+      const std::size_t f = rng.next_u64() % (c.k + 1);
       const FaultSet faults = FaultSet::random(ft.num_nodes(), f, rng);
 
       Edge violation{};
@@ -226,7 +226,7 @@ TEST(RandomizedFaultInjection, ReconfiguredMachinePresentsFullTarget) {
   // Operational form of the same claim: after reconfiguration the simulated
   // machine's live logical connectivity is all of B_{m,h} — every logical
   // link is up, so routing sees a healthy machine.
-  std::mt19937_64 rng(777001);
+  SplitMix64 rng(777001);
   const struct {
     std::uint64_t m;
     unsigned h;
@@ -236,7 +236,7 @@ TEST(RandomizedFaultInjection, ReconfiguredMachinePresentsFullTarget) {
     const Graph target = debruijn_graph({.base = c.m, .digits = c.h});
     const Graph ft = ft_debruijn_graph({.base = c.m, .digits = c.h, .spares = c.k});
     for (int trial = 0; trial < 10; ++trial) {
-      const std::size_t f = rng() % (c.k + 1);
+      const std::size_t f = rng.next_u64() % (c.k + 1);
       const FaultSet faults = FaultSet::random(ft.num_nodes(), f, rng);
       const sim::Machine machine =
           sim::Machine::reconfigured(ft, faults, target.num_nodes());

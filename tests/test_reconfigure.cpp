@@ -2,7 +2,6 @@
 // embedding and its offset properties (Lemma 1).
 #include <gtest/gtest.h>
 
-#include <random>
 
 #include "ft/reconfigure.hpp"
 
@@ -25,7 +24,7 @@ TEST(FaultSet, SurvivorsComplement) {
 }
 
 TEST(FaultSet, RandomIsUniformSample) {
-  std::mt19937_64 rng(1);
+  SplitMix64 rng(1);
   for (int trial = 0; trial < 50; ++trial) {
     FaultSet f = FaultSet::random(20, 5, rng);
     EXPECT_EQ(f.count(), 5u);
@@ -34,7 +33,7 @@ TEST(FaultSet, RandomIsUniformSample) {
 }
 
 TEST(FaultSet, RandomTooManyThrows) {
-  std::mt19937_64 rng(1);
+  SplitMix64 rng(1);
   EXPECT_THROW(FaultSet::random(3, 4, rng), std::invalid_argument);
 }
 
@@ -59,7 +58,7 @@ TEST(MonotoneEmbedding, StrictlyIncreasing) {
 TEST(EmbeddingOffsets, Lemma1_NonDecreasingAndBounded) {
   // Lemma 1 in executable form: delta(x) = phi(x) - x is non-decreasing and
   // 0 <= delta(x) <= k for every fault set.
-  std::mt19937_64 rng(7);
+  SplitMix64 rng(7);
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t universe = 40;
     const std::size_t k = static_cast<std::size_t>(trial % 6);

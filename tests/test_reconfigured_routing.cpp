@@ -2,7 +2,6 @@
 // translation of logical routes onto the physical fabric.
 #include <gtest/gtest.h>
 
-#include <random>
 
 #include "ft/ft_debruijn.hpp"
 #include "ft/ft_shuffle_exchange.hpp"
@@ -46,7 +45,7 @@ TEST_P(RoutingOnReconfigured, EveryShiftRouteIsLiveOnEveryFaultSet) {
   const auto [h, k] = GetParam();
   const Graph ft = ft_debruijn_base2(h, k);
   const std::size_t n = std::size_t{1} << h;
-  std::mt19937_64 rng(h * 10 + k);
+  SplitMix64 rng(h * 10 + k);
   for (int trial = 0; trial < 10; ++trial) {
     const FaultSet faults = FaultSet::random(ft.num_nodes(), k, rng);
     const Machine m = Machine::reconfigured(ft, faults, n);
@@ -71,7 +70,7 @@ TEST(SeRouteOnMachine, LiveOnNaturalFtMachine) {
   const unsigned h = 4;
   const unsigned k = 2;
   const auto se_machine = ftdb::ft_shuffle_exchange_natural(h, k);
-  std::mt19937_64 rng(404);
+  SplitMix64 rng(404);
   for (int trial = 0; trial < 10; ++trial) {
     const FaultSet faults = FaultSet::random(se_machine.ft_graph.num_nodes(), k, rng);
     const Machine m = Machine::reconfigured(se_machine.ft_graph, faults, std::size_t{1} << h);
@@ -164,7 +163,7 @@ TEST(MaxRouteStretchSe, HopExactAgainstDoubleBfsOracle) {
   const unsigned h = 4;
   const unsigned k = 2;
   const auto se = ftdb::ft_shuffle_exchange_natural(h, k);
-  std::mt19937_64 rng(1992);
+  SplitMix64 rng(1992);
   for (int trial = 0; trial < 8; ++trial) {
     const FaultSet faults = FaultSet::random(se.ft_graph.num_nodes(), k, rng);
     const Machine m = Machine::reconfigured(se.ft_graph, faults, std::size_t{1} << h);
@@ -177,7 +176,7 @@ TEST(MaxRouteStretchSe, HopExactAgainstDoubleBfsOracle) {
 TEST(MaxRouteStretchSe, SampledOverAllPairsEqualsTheFullAudit) {
   const unsigned h = 4;
   const auto se = ftdb::ft_shuffle_exchange_natural(h, 2);
-  std::mt19937_64 rng(77);
+  SplitMix64 rng(77);
   const FaultSet faults = FaultSet::random(se.ft_graph.num_nodes(), 2, rng);
   const Machine m = Machine::reconfigured(se.ft_graph, faults, std::size_t{1} << h);
   std::vector<std::pair<NodeId, NodeId>> all_pairs;
@@ -193,7 +192,7 @@ TEST(MaxRouteStretchSe, SampledOverAllPairsEqualsTheFullAudit) {
 TEST(MaxRouteStretchDeBruijn, HopExactAgainstDoubleBfsOracle) {
   // Same oracle, de Bruijn family: pins the shared core from the other entry
   // point so a regression in either target builder shows up here.
-  std::mt19937_64 rng(42);
+  SplitMix64 rng(42);
   const Graph ft = ft_debruijn_base2(4, 2);
   for (int trial = 0; trial < 4; ++trial) {
     const FaultSet faults = FaultSet::random(ft.num_nodes(), 2, rng);

@@ -157,7 +157,7 @@ TEST_P(DeBruijnRouterGrid, ReconfiguredDilationOneKeepsImplicitRouting) {
   const unsigned k = 2;
   const Graph target = debruijn_graph({.base = m, .digits = h});
   const Graph ft = ft_debruijn_graph({.base = m, .digits = h, .spares = k});
-  std::mt19937_64 rng(1000 * m + h);
+  SplitMix64 rng(1000 * m + h);
   for (int trial = 0; trial < 3; ++trial) {
     const FaultSet faults = FaultSet::random(ft.num_nodes(), k, rng);
     const Machine machine = Machine::reconfigured(ft, faults, target.num_nodes());
@@ -177,7 +177,7 @@ TEST_P(DeBruijnRouterGrid, ReconfiguredDilationOneKeepsImplicitRouting) {
 TEST_P(DeBruijnRouterGrid, DegradedMachineFallsBackAndStaysEquivalent) {
   const auto [m, h] = GetParam();
   const Graph target = debruijn_graph({.base = m, .digits = h});
-  std::mt19937_64 rng(77 * m + h);
+  SplitMix64 rng(77 * m + h);
   const FaultSet faults = FaultSet::random(target.num_nodes(), 2, rng);
   const Machine machine = Machine::direct_with_faults(target, faults);
   const Graph live = machine.live_logical_graph(target);
@@ -230,7 +230,7 @@ TEST_P(SeRouterGrid, ReconfiguredNaturalFtSeKeepsImplicitRouting) {
   const unsigned k = 2;
   const Graph target = shuffle_exchange_graph(h);
   const auto ft = ft_shuffle_exchange_natural(h, k);
-  std::mt19937_64 rng(900 + h);
+  SplitMix64 rng(900 + h);
   const FaultSet faults = FaultSet::random(ft.ft_graph.num_nodes(), k, rng);
   const Machine machine = Machine::reconfigured(ft.ft_graph, faults, target.num_nodes());
   ASSERT_TRUE(machine.live_logical_graph(target).same_structure(target));

@@ -117,7 +117,7 @@ TEST(DigitCopies, MonteCarloLarger) {
   const unsigned k = 2;
   const Graph target = debruijn_graph({.base = m, .digits = h});
   const Graph big = digit_copies_graph(m, h, k);
-  std::mt19937_64 rng(3);
+  SplitMix64 rng(3);
   for (int trial = 0; trial < 200; ++trial) {
     const FaultSet faults = FaultSet::random(big.num_nodes(), k, rng);
     const auto phi = digit_copies_reconfigure(m, h, k, faults);

@@ -75,7 +75,8 @@ TEST(Engine, TimedOutAccountsEveryInFlightPacket) {
   // land in exactly one of delivered / undeliverable / timed_out.
   const Graph target = debruijn_base2(5);
   const Machine m = Machine::direct(target);
-  const auto packets = hotspot_traffic(32, 600, 0, 0.8, 11, /*packets_per_cycle=*/64);
+  const auto packets = hotspot_burst_traffic(32, 600, {0}, 0.8, /*burst_cycles=*/1, 11,
+                                             /*packets_per_cycle=*/64);
   for (const std::uint64_t cap : {1u, 3u, 7u, 20u, 0u}) {
     EngineOptions options;
     options.max_cycles = cap;

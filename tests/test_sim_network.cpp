@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -81,7 +80,7 @@ TEST(Machine, LiveLogicalGraph_ReconfiguredPresentsFullTarget) {
   // edge is a live physical link.
   const Graph target = debruijn_base2(4);
   const Graph ft = ft_debruijn_base2(4, 2);
-  std::mt19937_64 rng(11);
+  SplitMix64 rng(11);
   for (int trial = 0; trial < 25; ++trial) {
     const FaultSet faults = FaultSet::random(ft.num_nodes(), 2, rng);
     const Machine m = Machine::reconfigured(ft, faults, target.num_nodes());
@@ -120,9 +119,9 @@ void expect_success_runs_like_healthy(const Graph& target, const Graph& ft, unsi
   const ScheduleRunResult healthy_run =
       execute_schedule(Machine::direct(target), target, bruck, ranks);
   PacketSimulator healthy(Machine::direct(target), target);
-  std::mt19937_64 rng(2026);
+  SplitMix64 rng(2026);
   for (std::uint64_t draw = 0; draw < 100; ++draw) {
-    const FaultSet faults = FaultSet::random(ft.num_nodes(), rng() % (spares + 1), rng);
+    const FaultSet faults = FaultSet::random(ft.num_nodes(), rng.next_u64() % (spares + 1), rng);
     ASSERT_TRUE(monotone_embedding_survives(target, ft, faults)) << what << " draw " << draw;
     const Machine m = Machine::reconfigured(ft, faults, n);
     EXPECT_EQ(fields(execute_schedule(m, target, bruck, ranks)), fields(healthy_run))

@@ -81,9 +81,18 @@ TEST(ShufflePermutation, IsRotation) {
   for (std::size_t i = 0; i < sorted.size(); ++i) EXPECT_EQ(sorted[i], i);
 }
 
+/// hotspot_burst_traffic with one hot node: the burst window never changes
+/// the target, so it is plain hotspot traffic.
+std::vector<Packet> single_hotspot(std::size_t nodes, std::size_t count, NodeId hot,
+                                   double fraction_hot, std::uint64_t seed,
+                                   std::uint64_t packets_per_cycle = 0) {
+  return hotspot_burst_traffic(nodes, count, {hot}, fraction_hot, /*burst_cycles=*/1, seed,
+                               packets_per_cycle);
+}
+
 TEST(HotspotTraffic, FractionRoughlyHonored) {
   const NodeId hot = 3;
-  const auto packets = hotspot_traffic(64, 2000, hot, 0.5, 9);
+  const auto packets = single_hotspot(64, 2000, hot, 0.5, 9);
   const auto hits = static_cast<std::size_t>(
       std::count_if(packets.begin(), packets.end(), [&](const Packet& p) { return p.dst == hot; }));
   // 0.5 fraction plus ~1/64 background: expect between 40% and 65%.
@@ -92,61 +101,48 @@ TEST(HotspotTraffic, FractionRoughlyHonored) {
 }
 
 TEST(HotspotTraffic, BadHotNodeThrows) {
-  EXPECT_THROW(hotspot_traffic(8, 10, 8, 0.5, 1), std::out_of_range);
+  EXPECT_THROW(single_hotspot(8, 10, 8, 0.5, 1), std::out_of_range);
 }
 
 TEST(HotspotTraffic, EmptyMachineThrows) {
-  EXPECT_THROW(hotspot_traffic(0, 10, 0, 0.5, 1), std::invalid_argument);
+  EXPECT_THROW(single_hotspot(0, 10, 0, 0.5, 1), std::invalid_argument);
 }
 
 TEST(HotspotTraffic, FractionOutsideUnitIntervalThrows) {
-  // bernoulli_distribution is UB outside [0, 1]; the generator must reject
-  // such inputs (including NaN) instead of handing them to the distribution.
-  EXPECT_THROW(hotspot_traffic(8, 10, 0, -0.1, 1), std::invalid_argument);
-  EXPECT_THROW(hotspot_traffic(8, 10, 0, 1.5, 1), std::invalid_argument);
-  EXPECT_THROW(hotspot_traffic(8, 10, 0, std::nan(""), 1), std::invalid_argument);
+  // A probability outside [0, 1] (or NaN) is rejected, not silently clamped.
+  EXPECT_THROW(single_hotspot(8, 10, 0, -0.1, 1), std::invalid_argument);
+  EXPECT_THROW(single_hotspot(8, 10, 0, 1.5, 1), std::invalid_argument);
+  EXPECT_THROW(single_hotspot(8, 10, 0, std::nan(""), 1), std::invalid_argument);
   // The closed endpoints are legal.
-  EXPECT_EQ(hotspot_traffic(8, 10, 0, 0.0, 1).size(), 10u);
-  EXPECT_EQ(hotspot_traffic(8, 10, 0, 1.0, 1).size(), 10u);
+  EXPECT_EQ(single_hotspot(8, 10, 0, 0.0, 1).size(), 10u);
+  EXPECT_EQ(single_hotspot(8, 10, 0, 1.0, 1).size(), 10u);
 }
 
 TEST(HotspotTraffic, DefaultInjectionRatePreserved) {
-  // packets_per_cycle = 0 keeps the historical max(logical_nodes / 4, 1).
-  const auto legacy = hotspot_traffic(64, 100, 3, 0.5, 9);
-  const auto explicit_rate = hotspot_traffic(64, 100, 3, 0.5, 9, 16);
-  ASSERT_EQ(legacy.size(), explicit_rate.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].inject_cycle, i / 16);
-    EXPECT_EQ(legacy[i].inject_cycle, explicit_rate[i].inject_cycle);
-    EXPECT_EQ(legacy[i].src, explicit_rate[i].src);
-    EXPECT_EQ(legacy[i].dst, explicit_rate[i].dst);
+  // packets_per_cycle = 0 means max(logical_nodes / 4, 1).
+  const auto by_default = single_hotspot(64, 100, 3, 0.5, 9);
+  const auto explicit_rate = single_hotspot(64, 100, 3, 0.5, 9, 16);
+  ASSERT_EQ(by_default.size(), explicit_rate.size());
+  for (std::size_t i = 0; i < by_default.size(); ++i) {
+    EXPECT_EQ(by_default[i].inject_cycle, i / 16);
+    EXPECT_EQ(by_default[i].inject_cycle, explicit_rate[i].inject_cycle);
+    EXPECT_EQ(by_default[i].src, explicit_rate[i].src);
+    EXPECT_EQ(by_default[i].dst, explicit_rate[i].dst);
   }
 }
 
 TEST(HotspotTraffic, CustomInjectionRateHonored) {
-  const auto packets = hotspot_traffic(64, 10, 3, 0.5, 9, 2);
+  const auto packets = single_hotspot(64, 10, 3, 0.5, 9, 2);
   for (std::size_t i = 0; i < packets.size(); ++i) {
     EXPECT_EQ(packets[i].inject_cycle, i / 2);
   }
 }
 
-TEST(HotspotTraffic, VectorWithOneHotNodeMatchesTheLegacyStream) {
-  // The vector form must consume the RNG stream exactly like the historical
-  // single-node overload when only one hot node is given — campaign reports
-  // produced before the multi-hotspot extension stay byte-identical.
-  const auto legacy = hotspot_traffic(64, 500, NodeId{3}, 0.5, 9);
-  const auto vec = hotspot_traffic(64, 500, std::vector<NodeId>{3}, 0.5, 9);
-  ASSERT_EQ(legacy.size(), vec.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].src, vec[i].src);
-    EXPECT_EQ(legacy[i].dst, vec[i].dst);
-    EXPECT_EQ(legacy[i].inject_cycle, vec[i].inject_cycle);
-  }
-}
-
 TEST(HotspotTraffic, EveryHotNodeReceivesTraffic) {
+  // One-cycle bursts at 16 packets per cycle rotate through the hot list
+  // about 60 times over 3000 packets.
   const std::vector<NodeId> hot = {1, 10, 40};
-  const auto packets = hotspot_traffic(64, 3000, hot, 1.0, 7);
+  const auto packets = hotspot_burst_traffic(64, 3000, hot, 1.0, 1, 7);
   std::size_t hits[3] = {0, 0, 0};
   for (const Packet& p : packets) {
     // fraction_hot = 1: every destination is one of the hot nodes.
@@ -158,8 +154,8 @@ TEST(HotspotTraffic, EveryHotNodeReceivesTraffic) {
 }
 
 TEST(HotspotTraffic, EmptyHotSetThrows) {
-  EXPECT_THROW(hotspot_traffic(8, 10, std::vector<NodeId>{}, 0.5, 1), std::invalid_argument);
-  EXPECT_THROW(hotspot_traffic(8, 10, std::vector<NodeId>{3, 8}, 0.5, 1), std::out_of_range);
+  EXPECT_THROW(hotspot_burst_traffic(8, 10, {}, 0.5, 1, 1), std::invalid_argument);
+  EXPECT_THROW(hotspot_burst_traffic(8, 10, {3, 8}, 0.5, 1, 1), std::out_of_range);
 }
 
 TEST(ZipfTraffic, DeterministicAndInRange) {
@@ -218,7 +214,7 @@ TEST(HotspotBurstTraffic, DeterministicWithBackgroundTraffic) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].src, b[i].src);
     EXPECT_EQ(a[i].dst, b[i].dst);
-    // Default injection rate matches the hotspot generators: n/4 per cycle.
+    // Default injection rate: n/4 per cycle.
     EXPECT_EQ(a[i].inject_cycle, i / 4);
   }
 }

@@ -6,7 +6,7 @@
 //   ftdbtool se   <h>                     edge list of SE_h
 //   ftdbtool dot  <m> <h> <k>             Graphviz DOT of B^k_{m,h} (k=0 -> target)
 //   ftdbtool reconf <m> <h> <k> f1 f2 ..  logical->physical map after the faults
-//   ftdbtool verify <m> <h> <k> [trials]  Monte Carlo tolerance check (default 1000)
+//   ftdbtool verify <m> <h> <k>           prove B^k_{m,h} tolerates every <= k faults
 //   ftdbtool seq  <m> <n>                 a de Bruijn sequence B(m, n)
 #include <cstdlib>
 #include <iostream>
@@ -30,7 +30,7 @@ int usage() {
                "  ftdbtool se   <h>\n"
                "  ftdbtool dot  <m> <h> <k>\n"
                "  ftdbtool reconf <m> <h> <k> <fault>...\n"
-               "  ftdbtool verify <m> <h> <k> [trials]\n"
+               "  ftdbtool verify <m> <h> <k>\n"
                "  ftdbtool seq  <m> <n>\n";
   return 2;
 }
@@ -89,17 +89,24 @@ int main(int argc, char** argv) {
       std::cout << "# all target edges survive: " << (ok ? "yes" : "NO") << "\n";
       return ok ? 0 : 1;
     }
-    if (cmd == "verify" && (argc == 5 || argc == 6)) {
+    if (cmd == "verify" && argc == 5) {
       const std::uint64_t m = arg_u64(argv, 2);
       const auto h = static_cast<unsigned>(arg_u64(argv, 3));
       const auto k = static_cast<unsigned>(arg_u64(argv, 4));
-      const std::uint64_t trials = argc == 6 ? arg_u64(argv, 5) : 1000;
       const Graph target = debruijn_graph({.base = m, .digits = h});
       const Graph ft = ft_debruijn_graph({.base = m, .digits = h, .spares = k});
-      const auto report = check_tolerance_monte_carlo(target, ft, k, trials, 1);
-      std::cout << "checked " << report.fault_sets_checked << " random fault sets of size " << k
-                << ": " << (report.tolerant ? "all tolerated" : "VIOLATION FOUND") << "\n";
-      return report.tolerant ? 0 : 1;
+      const auto report = check_tolerance_pairwise(target, ft, k);
+      if (report.tolerant) {
+        std::cout << "proved: every fault set of size <= " << k << " is tolerated\n";
+        return 0;
+      }
+      std::cout << "VIOLATION: faults {";
+      for (std::size_t i = 0; i < report.counterexample_faults.size(); ++i) {
+        std::cout << (i == 0 ? "" : " ") << report.counterexample_faults[i];
+      }
+      std::cout << "} break target edge (" << report.violated_edge.u << ", "
+                << report.violated_edge.v << ")\n";
+      return 1;
     }
     if (cmd == "seq" && argc == 4) {
       const auto seq =

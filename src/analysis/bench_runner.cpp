@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <stdexcept>
 #include <thread>
 
@@ -47,7 +48,35 @@ BenchResult run_one(const std::string& name, const BenchFn& fn, const BenchRunOp
   return result;
 }
 
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    if (start != std::string::npos) return line.substr(start);
+  }
+  return "unknown";
+}
+
+std::string compiler() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 }  // namespace
+
+MachineStamp current_machine() {
+  // FTDB_BUILD_TYPE comes from src/analysis/CMakeLists.txt.
+  return {cpu_model(), std::thread::hardware_concurrency(), compiler(), FTDB_BUILD_TYPE};
+}
 
 double BenchResult::wall_min() const {
   return wall_seconds.empty() ? 0.0 : *std::min_element(wall_seconds.begin(), wall_seconds.end());
@@ -112,6 +141,14 @@ std::string bench_results_to_json(const std::vector<BenchResult>& results,
   w.value(static_cast<std::uint64_t>(std::max(1u, options.repetitions)));
   w.key("filter");
   w.value(options.filter);
+  const MachineStamp machine = current_machine();
+  w.key("machine");
+  w.begin_object();
+  w.key("cpu_model").value(machine.cpu_model);
+  w.key("nproc").value(machine.nproc);
+  w.key("compiler").value(machine.compiler);
+  w.key("build_type").value(machine.build_type);
+  w.end_object();
   w.key("benchmarks");
   w.begin_array();
   for (const BenchResult& r : results) {

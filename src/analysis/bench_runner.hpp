@@ -48,7 +48,23 @@ std::vector<BenchResult> run_benchmarks(const BenchRunOptions& options);
 /// job count. This is what the JSON reports, not the raw option.
 unsigned resolved_thread_count(const BenchRunOptions& options, std::size_t job_count);
 
-/// The BENCH_*.json document (schema "ftdb-bench-v1").
+/// The machine a BENCH_*.json was timed on. Wall times and ns_per_* metrics
+/// are compared only between files whose stamps are equal; the field names
+/// match perfbench's `stamp`.
+struct MachineStamp {
+  std::string cpu_model;   // /proc/cpuinfo "model name", or "unknown"
+  std::uint64_t nproc = 0;  // std::thread::hardware_concurrency()
+  std::string compiler;    // e.g. "gcc 12.2.0"
+  std::string build_type;  // CMake build type the library was compiled in
+
+  bool operator==(const MachineStamp&) const = default;
+};
+
+/// The stamp of the running binary on this machine.
+MachineStamp current_machine();
+
+/// The BENCH_*.json document (schema "ftdb-bench-v1"), stamped with
+/// current_machine() under "machine".
 std::string bench_results_to_json(const std::vector<BenchResult>& results,
                                   const BenchRunOptions& options);
 

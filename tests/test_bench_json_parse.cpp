@@ -1,11 +1,12 @@
 // The json_parse half of bench_json: round-trips documents produced by
-// JsonWriter (the bench_runner output format consumed by tools/bench_compare)
-// and rejects malformed input.
+// JsonWriter (the bench_runner output format consumed by tools/bench_compare),
+// rejects malformed input, and reads the machine stamp bench_runner writes.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "analysis/bench_json.hpp"
+#include "analysis/bench_runner.hpp"
 
 namespace {
 
@@ -74,6 +75,20 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(json_parse("\"unterminated"), std::runtime_error);
   EXPECT_THROW(json_parse("1 2"), std::runtime_error);
   EXPECT_THROW(json_parse("1..2"), std::runtime_error);
+}
+
+TEST(BenchJson, RunnerStampsTheCurrentMachine) {
+  using namespace ftdb::analysis;
+  const JsonValue doc = json_parse(bench_results_to_json({}, BenchRunOptions{}));
+  const JsonValue& m = doc.at("machine");
+  const MachineStamp here = current_machine();
+  EXPECT_EQ(m.at("cpu_model").string, here.cpu_model);
+  EXPECT_EQ(json_uint_at(m, "nproc"), here.nproc);
+  EXPECT_EQ(m.at("compiler").string, here.compiler);
+  EXPECT_EQ(m.at("build_type").string, here.build_type);
+  EXPECT_FALSE(here.cpu_model.empty());
+  EXPECT_FALSE(here.compiler.empty());
+  EXPECT_FALSE(here.build_type.empty());
 }
 
 }  // namespace

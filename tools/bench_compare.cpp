@@ -1,398 +1,31 @@
 // bench_compare — diffs two BENCH_*.json files produced by bench_runner and
-// emits a markdown table of per-benchmark wall-time ratios plus the geomean
-// speedup. Exits non-zero when any shared benchmark regressed beyond the
-// threshold, so CI can gate on it:
+// emits a markdown table of per-benchmark ratios of the wall-time minima plus
+// the geomean speedup. Exits non-zero when any shared benchmark regressed
+// beyond the threshold, or when the files share no benchmark. Timings are
+// gated only between files stamped with the same machine:
 //
-//   bench_compare BENCH_seed.json BENCH_ci.json --stat mean --threshold 1.15
+//   bench_compare BENCH_before.json BENCH_after.json --threshold 1.15
 //   bench_compare BENCH_pr2_pre.json BENCH_pr2.json --filter perf_construction
 //
-// --validate mode checks committed baselines instead of diffing: every given
-// file must json_parse as a well-formed ftdb-bench-v1 document (schema stamp,
-// benchmarks array shape, wall-time statistics present) — how CI fails fast
-// on a stale or hand-mangled BENCH_*.json:
+// --validate checks files instead of diffing: each must json_parse as a
+// well-formed ftdb-bench-v1 document:
 //
 //   bench_compare --validate BENCH_*.json
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <fstream>
+//
+// --gates evaluates the declarative perf gates (bench/gates.json) against the
+// head runs and, for the head-vs-parent timing gates, the parent runs built in
+// the same job:
+//
+//   bench_compare --gates bench/gates.json head_*.json vs parent_*.json
+//
+// The logic lives in analysis/bench_compare so the tests can drive it.
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "analysis/bench_json.hpp"
-
-namespace {
-
-using ftdb::analysis::JsonValue;
-
-struct Options {
-  std::string base_path;
-  std::string new_path;
-  std::string stat = "min";      // wall_seconds field to compare: min | mean | max
-  std::string filter;            // substring filter over benchmark names
-  double threshold = 1.15;       // regression flag when new > threshold * base
-  double metric_threshold = 1e-9;  // relative drift flag on reported metrics
-  bool fail_on_drift = false;    // metric drift also affects the exit code
-};
-
-void usage(const char* argv0) {
-  std::cout << "usage: " << argv0 << " BASE.json NEW.json [options]\n"
-            << "       " << argv0 << " --validate BENCH.json...\n"
-            << "  --stat min|mean|max   wall-time statistic to compare (default min)\n"
-            << "  --filter SUBSTR       only compare benchmarks whose name contains SUBSTR\n"
-            << "  --threshold R         flag a regression when new > R * base (default 1.15)\n"
-            << "  --metric-threshold R  flag metric drift when |new-base| > R * |base|\n"
-            << "                        (default 1e-9; metrics are seeded and should be exact)\n"
-            << "  --fail-on-drift       exit 1 on metric drift too, not just wall regressions\n"
-            << "\n"
-            << "Prints a markdown table (speedup = base/new; >1 is faster) plus a semantic\n"
-            << "drift section diffing the *reported metrics* (cycle counts, makespans,\n"
-            << "success rates...) of shared benchmarks, and exits 1 when any shared\n"
-            << "benchmark regressed beyond the threshold.\n";
-}
-
-std::optional<JsonValue> load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "bench_compare: cannot open " << path << "\n";
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  try {
-    JsonValue doc = ftdb::analysis::json_parse(buf.str());
-    const JsonValue* schema = doc.find("schema");
-    if (schema == nullptr || schema->string != "ftdb-bench-v1") {
-      std::cerr << "bench_compare: " << path << " is not an ftdb-bench-v1 document\n";
-      return std::nullopt;
-    }
-    return doc;
-  } catch (const std::exception& e) {
-    std::cerr << "bench_compare: " << path << ": " << e.what() << "\n";
-    return std::nullopt;
-  }
-}
-
-struct Sample {
-  std::string name;
-  double wall = 0.0;
-  bool ok = false;
-  std::vector<std::pair<std::string, double>> metrics;  // insertion order
-};
-
-std::vector<Sample> samples(const JsonValue& doc, const std::string& stat,
-                            const std::string& filter) {
-  std::vector<Sample> out;
-  for (const JsonValue& b : doc.at("benchmarks").array) {
-    Sample s;
-    s.name = b.at("name").string;
-    if (!filter.empty() && s.name.find(filter) == std::string::npos) continue;
-    s.ok = b.at("ok").boolean;
-    if (s.ok) {
-      s.wall = b.at("wall_seconds").at(stat).number;
-      if (const JsonValue* metrics = b.find("metrics")) {
-        for (const auto& [key, value] : metrics->object) {
-          if (value.kind == JsonValue::Kind::Number) s.metrics.emplace_back(key, value.number);
-        }
-      }
-    }
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-/// Timing-valued metrics (per-hop / per-step nanosecond rates) vary with the
-/// machine exactly like wall_seconds does, so holding them to the exact-match
-/// drift bar would flag every run. They get their own section, gated by the
-/// same --threshold ratio as the wall clock.
-bool is_timing_metric(const std::string& key) { return key.rfind("ns_per_", 0) == 0; }
-
-const double* find_metric(const Sample& s, const std::string& key) {
-  for (const auto& [k, v] : s.metrics) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-std::string fmt_g17(double v) {
-  std::ostringstream o;
-  o.precision(17);  // max_digits10: drifted values never render identically
-  o << v;
-  return o.str();
-}
-
-/// Diffs the reported metrics of the shared ok/ok benchmark pairs. Wall times
-/// drift with the machine; *metrics* are seeded simulation outputs (cycle
-/// counts, makespans, success rates) and a change means the code computes
-/// something different — semantic drift worth flagging even when timing gates
-/// pass. Returns the number of drifted/added/removed metric entries.
-std::size_t report_metric_drift(const std::vector<Sample>& base,
-                                const std::vector<Sample>& fresh, double rel_threshold) {
-  struct Row {
-    std::string bench, metric, base_v, new_v, status;
-  };
-  std::vector<Row> rows;
-  std::size_t compared = 0;
-  for (const Sample& b : base) {
-    const auto it = std::find_if(fresh.begin(), fresh.end(),
-                                 [&](const Sample& s) { return s.name == b.name; });
-    if (it == fresh.end() || !b.ok || !it->ok) continue;
-    for (const auto& [key, bv] : b.metrics) {
-      if (is_timing_metric(key)) continue;  // gated by --threshold, not exactness
-      const double* nv = find_metric(*it, key);
-      if (nv == nullptr) {
-        rows.push_back({b.name, key, fmt_g17(bv), "-", "removed"});
-        continue;
-      }
-      ++compared;
-      const double denom = std::max(std::abs(bv), 1e-300);
-      if (std::abs(*nv - bv) > rel_threshold * denom) {
-        rows.push_back({b.name, key, fmt_g17(bv), fmt_g17(*nv), "DRIFT"});
-      }
-    }
-    for (const auto& [key, nv] : it->metrics) {
-      if (is_timing_metric(key)) continue;
-      if (find_metric(b, key) == nullptr) {
-        rows.push_back({b.name, key, "-", fmt_g17(nv), "new"});
-      }
-    }
-  }
-  std::cout << "\n## metric drift\n\n";
-  if (rows.empty()) {
-    std::cout << "no semantic drift across " << compared << " shared metrics\n";
-    return 0;
-  }
-  std::cout << "| benchmark | metric | base | new | status |\n|---|---|---|---|---|\n";
-  for (const Row& r : rows) {
-    std::cout << "| " << r.bench << " | " << r.metric << " | " << r.base_v << " | "
-              << r.new_v << " | " << r.status << " |\n";
-  }
-  std::cout << "\n" << rows.size() << " metric change" << (rows.size() == 1 ? "" : "s")
-            << " across " << compared << " shared metrics\n";
-  return rows.size();
-}
-
-std::string fmt_ms(double seconds) {
-  std::ostringstream o;
-  o.setf(std::ios::fixed);
-  o.precision(3);
-  o << seconds * 1e3;
-  return o.str();
-}
-
-std::string fmt_ratio(double r) {
-  std::ostringstream o;
-  o.setf(std::ios::fixed);
-  o.precision(2);
-  o << r << "x";
-  return o.str();
-}
-
-/// Compares the timing-valued metrics (ns_per_*) of shared ok/ok pairs under
-/// the same ratio gate as wall_seconds. Returns the number of regressions.
-std::size_t report_timing_metrics(const std::vector<Sample>& base,
-                                  const std::vector<Sample>& fresh, double threshold) {
-  struct Row {
-    std::string bench, metric;
-    double base_v, new_v;
-    bool regressed;
-  };
-  std::vector<Row> rows;
-  for (const Sample& b : base) {
-    const auto it = std::find_if(fresh.begin(), fresh.end(),
-                                 [&](const Sample& s) { return s.name == b.name; });
-    if (it == fresh.end() || !b.ok || !it->ok) continue;
-    for (const auto& [key, bv] : b.metrics) {
-      if (!is_timing_metric(key)) continue;
-      const double* nv = find_metric(*it, key);
-      if (nv == nullptr) continue;
-      rows.push_back({b.name, key, bv, *nv, *nv > threshold * bv});
-    }
-  }
-  if (rows.empty()) return 0;
-  std::size_t regressions = 0;
-  std::cout << "\n## timing metrics (ns, threshold " << threshold << "x)\n\n"
-            << "| benchmark | metric | base | new | speedup | status |\n"
-            << "|---|---|---|---|---|---|\n";
-  for (const Row& r : rows) {
-    if (r.regressed) ++regressions;
-    const double speedup = r.new_v > 0.0 ? r.base_v / r.new_v : 0.0;
-    std::ostringstream bo, no;
-    bo.setf(std::ios::fixed);
-    bo.precision(2);
-    bo << r.base_v;
-    no.setf(std::ios::fixed);
-    no.precision(2);
-    no << r.new_v;
-    std::cout << "| " << r.bench << " | " << r.metric << " | " << bo.str() << " | "
-              << no.str() << " | "
-              << (speedup > 0.0 ? fmt_ratio(speedup) : std::string("-")) << " | "
-              << (r.regressed ? "REGRESSION" : "ok") << " |\n";
-  }
-  return regressions;
-}
-
-/// --validate: each file must be a well-formed ftdb-bench-v1 document whose
-/// every benchmark entry has the name/ok/wall_seconds shape the comparison
-/// path relies on. Returns the process exit code.
-int validate_files(const std::vector<std::string>& paths) {
-  if (paths.empty()) {
-    std::cerr << "bench_compare: --validate needs at least one file\n";
-    return 2;
-  }
-  int failures = 0;
-  for (const std::string& path : paths) {
-    const auto doc = load(path);  // json_parse + schema stamp
-    if (!doc) {
-      ++failures;
-      continue;
-    }
-    try {
-      const std::vector<Sample> all = samples(*doc, "mean", "");
-      // The wall statistics must all be present on ok entries, not just the
-      // one `samples` read.
-      for (const JsonValue& b : doc->at("benchmarks").array) {
-        if (!b.at("ok").boolean) continue;
-        for (const char* stat : {"min", "mean", "max"}) {
-          (void)b.at("wall_seconds").at(stat).number;
-        }
-      }
-      std::cout << path << ": valid ftdb-bench-v1, " << all.size() << " benchmarks\n";
-    } catch (const std::exception& e) {
-      std::cerr << "bench_compare: " << path << ": malformed bench document: " << e.what()
-                << "\n";
-      ++failures;
-    }
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-}  // namespace
+#include "analysis/bench_compare.hpp"
 
 int main(int argc, char** argv) {
-  Options opt;
-  bool validate = false;
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " requires an argument\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--stat") {
-      opt.stat = next("--stat");
-    } else if (arg == "--filter") {
-      opt.filter = next("--filter");
-    } else if (arg == "--threshold") {
-      try {
-        opt.threshold = std::stod(next("--threshold"));
-      } catch (const std::exception&) {
-        std::cerr << "--threshold expects a number\n";
-        return 2;
-      }
-    } else if (arg == "--metric-threshold") {
-      try {
-        opt.metric_threshold = std::stod(next("--metric-threshold"));
-      } catch (const std::exception&) {
-        std::cerr << "--metric-threshold expects a number\n";
-        return 2;
-      }
-    } else if (arg == "--fail-on-drift") {
-      opt.fail_on_drift = true;
-    } else if (arg == "--validate") {
-      validate = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown option: " << arg << "\n";
-      usage(argv[0]);
-      return 2;
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  if (validate) return validate_files(positional);
-  if (positional.size() != 2) {
-    usage(argv[0]);
-    return 2;
-  }
-  if (opt.stat != "min" && opt.stat != "mean" && opt.stat != "max") {
-    std::cerr << "--stat must be min, mean or max\n";
-    return 2;
-  }
-  opt.base_path = positional[0];
-  opt.new_path = positional[1];
-
-  const auto base_doc = load(opt.base_path);
-  const auto new_doc = load(opt.new_path);
-  if (!base_doc || !new_doc) return 2;
-
-  // JsonValue::at throws on shape mismatches (schema-valid file missing
-  // "benchmarks"/"name"/"wall_seconds"...); report them like any other
-  // malformed input instead of std::terminate-ing.
-  std::vector<Sample> base, fresh;
-  try {
-    base = samples(*base_doc, opt.stat, opt.filter);
-    fresh = samples(*new_doc, opt.stat, opt.filter);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_compare: malformed bench document: " << e.what() << "\n";
-    return 2;
-  }
-
-  std::cout << "| benchmark | base " << opt.stat << " (ms) | new " << opt.stat
-            << " (ms) | speedup | status |\n";
-  std::cout << "|---|---|---|---|---|\n";
-
-  double log_sum = 0.0;
-  std::size_t shared = 0;
-  std::size_t regressions = 0;
-  for (const Sample& b : base) {
-    const auto it = std::find_if(fresh.begin(), fresh.end(),
-                                 [&](const Sample& s) { return s.name == b.name; });
-    if (it == fresh.end()) {
-      std::cout << "| " << b.name << " | " << fmt_ms(b.wall) << " | - | - | removed |\n";
-      continue;
-    }
-    if (!b.ok || !it->ok) {
-      std::cout << "| " << b.name << " | - | - | - | "
-                << (it->ok ? "base failed" : "FAILED") << " |\n";
-      if (!it->ok) ++regressions;
-      continue;
-    }
-    const double speedup = it->wall > 0.0 ? b.wall / it->wall : 0.0;
-    const bool regressed = it->wall > opt.threshold * b.wall;
-    if (speedup > 0.0) {
-      log_sum += std::log(speedup);
-      ++shared;
-    }
-    if (regressed) ++regressions;
-    std::cout << "| " << b.name << " | " << fmt_ms(b.wall) << " | " << fmt_ms(it->wall)
-              << " | " << fmt_ratio(speedup) << " | " << (regressed ? "REGRESSION" : "ok")
-              << " |\n";
-  }
-  for (const Sample& s : fresh) {
-    const bool known = std::any_of(base.begin(), base.end(),
-                                   [&](const Sample& b) { return b.name == s.name; });
-    if (!known) {
-      std::cout << "| " << s.name << " | - | " << fmt_ms(s.wall) << " | - | new |\n";
-    }
-  }
-
-  const double geomean = shared > 0 ? std::exp(log_sum / static_cast<double>(shared)) : 1.0;
-  std::cout << "\ngeomean speedup over " << shared << " shared benchmarks: "
-            << fmt_ratio(geomean) << " (threshold " << opt.threshold << "x, "
-            << regressions << " regression" << (regressions == 1 ? "" : "s") << ")\n";
-
-  regressions += report_timing_metrics(base, fresh, opt.threshold);
-  const std::size_t drift = report_metric_drift(base, fresh, opt.metric_threshold);
-  if (regressions > 0) return 1;
-  if (opt.fail_on_drift && drift > 0) return 1;
-  return 0;
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  return ftdb::analysis::bench_compare_main(args, std::cout, std::cerr);
 }

@@ -2,22 +2,27 @@
 // latency, and the memory story that motivates the whole abstraction.
 //
 // The build_* entries construct each backend on B_{2,10} (1024 nodes; the
-// table slab is ~6 MB there, the compressed runs ~100 KB, the implicit
-// router 0 bytes). The next_hop_* entries walk full canonical routes for a
-// fixed random pair sample, so wall_seconds / hops is the per-hop latency of
-// the backend — the latency the engine's forwarding loop pays.
+// table slab is ~6 MB there, the compressed router's graph and empty
+// exception table ~20 KB, the implicit router 0 bytes). The next_hop_*
+// entries walk full canonical routes for a fixed random pair sample, so
+// wall_seconds / hops is the per-hop latency of the backend.
 //
 // implicit_b2_h18 is the scale demonstration: a healthy de Bruijn machine at
 // N = 2^18 routes through the auto-selected implicit backend with zero
 // router-owned memory, where the table backend's slab would be
 // N^2 * 6 bytes ≈ 412 GB (reported as table_equivalent_bytes). No N^2
-// allocation happens anywhere in the entry.
+// allocation happens anywhere in the entry. route_many_implicit_b2_h18 is
+// the same machine on the batched hinted path, and engine_implicit_b2_h18
+// the packet engine driving that path, queues included.
 #include <chrono>
 #include <span>
 #include <vector>
 
 #include "analysis/bench_registry.hpp"
+#include "sim/engine.hpp"
+#include "sim/network.hpp"
 #include "sim/router.hpp"
+#include "sim/traffic.hpp"
 #include "topology/debruijn.hpp"
 
 namespace {
@@ -61,35 +66,8 @@ FTDB_BENCH(build_compressed, "perf_routing/build_compressed_b2_h10") {
 FTDB_BENCH(build_implicit, "perf_routing/build_implicit_b2_h10") {
   // Forced implicit: the cost here is the shape detection plus an O(1)
   // object. (Auto would pick the table at this size — see
-  // RouterOptions::implicit_min_nodes.)
+  // ftdb::sim::kImplicitMinNodes.)
   build_bench(ctx, RouterOptions::Backend::Implicit, 5);
-}
-
-/// Destination-sharded build: same bit-identical table, build_threads-way
-/// parallel per-destination BFS. On a single-core runner this measures the
-/// sharding overhead (thread spawn + join); on real hardware the speedup.
-void build_sharded_bench(BenchContext& ctx, RouterOptions::Backend backend, unsigned threads,
-                         int iterations) {
-  const ftdb::Graph g = ftdb::debruijn_base2(kSmallH);
-  RouterOptions options = forced(backend);
-  options.build_threads = threads;
-  std::size_t memory = 0;
-  for (int i = 0; i < iterations; ++i) {
-    const auto router = ftdb::sim::make_router(g, options);
-    memory = router->memory_bytes();
-  }
-  ctx.report("iterations", iterations);
-  ctx.report("nodes", static_cast<double>(g.num_nodes()));
-  ctx.report("build_threads", static_cast<double>(threads));
-  ctx.report("router_memory_bytes", static_cast<double>(memory));
-}
-
-FTDB_BENCH(build_table_sharded, "perf_routing/build_table_b2_h10_threads0") {
-  build_sharded_bench(ctx, RouterOptions::Backend::Table, 0, 5);
-}
-
-FTDB_BENCH(build_compressed_sharded, "perf_routing/build_compressed_b2_h10_threads0") {
-  build_sharded_bench(ctx, RouterOptions::Backend::Compressed, 0, 5);
 }
 
 /// Routes `pairs` random (src, dst) pairs hop by hop through next_hop() —
@@ -202,9 +180,35 @@ FTDB_BENCH(route_many_h18, "perf_routing/route_many_implicit_b2_h18") {
   ctx.report("router_memory_bytes", static_cast<double>(router->memory_bytes()));
 }
 
+FTDB_BENCH(engine_h18, "perf_routing/engine_implicit_b2_h18") {
+  // The packet engine on the healthy machine at N = 2^18: every forwarding
+  // wave goes through the hinted route_many with one RouteHint per in-flight
+  // packet, so ns_per_hop here over route_many_implicit_b2_h18's is what the
+  // engine's queueing adds to the bare batched path.
+  const ftdb::Graph g = ftdb::debruijn_base2(18);  // N = 262144
+  const ftdb::sim::Machine machine = ftdb::sim::Machine::direct(g);
+  ftdb::sim::PacketSimulator sim(machine, g);  // auto: must go implicit
+  ctx.report("implicit_selected",
+             sim.router().backend() == RouterBackend::Implicit ? 1.0 : 0.0);
+  const std::vector<ftdb::sim::Packet> packets =
+      ftdb::sim::uniform_traffic(g.num_nodes(), 32768, 4096, ctx.rng().next_u64());
+
+  const auto start = std::chrono::steady_clock::now();
+  const ftdb::sim::SimStats stats = sim.run(packets);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  const double ns =
+      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+  ctx.report("packets", static_cast<double>(packets.size()));
+  ctx.report("delivered", static_cast<double>(stats.delivered));
+  ctx.report("hops", static_cast<double>(stats.total_hops));
+  ctx.report("cycles", static_cast<double>(stats.cycles));
+  ctx.report("ns_per_hop",
+             stats.total_hops == 0 ? 0.0 : ns / static_cast<double>(stats.total_hops));
+}
+
 FTDB_BENCH(step_kernel_h18, "perf_routing/step_kernel_b2_h18") {
   // The distance stepper's O(h) incremental step() against its full-rescan
-  // reset(), measured bare (no router, no memo cache): a long random walk
+  // reset(), measured bare (no router): a long random walk
   // over algebraic neighbors for the step cost, and a random node sample for
   // the rescan cost. The ratio is the win the batched router banks per hop.
   const ftdb::DeBruijnParams params{.base = 2, .digits = 18};

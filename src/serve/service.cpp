@@ -93,9 +93,6 @@ ReconfigurationService::ReconfigurationService(const ServeConfig& config)
   healthy_ = sim::make_router(target_);
 
   auto bare = std::make_shared<const sim::CompressedRouter>(target_);
-  if (!bare->uses_reference_shape()) {
-    throw std::logic_error("ReconfigurationService: healthy target not shape-detected");
-  }
   head_owner_ = build_epoch(std::move(bare));
   head_.store(head_owner_.get());
 

@@ -10,7 +10,9 @@ namespace ftdb::sim {
 
 PacketSimulator::PacketSimulator(const Machine& machine, const Graph& target,
                                  const RouterOptions& options)
-    : live_(machine.live_logical_graph(target)), router_(make_router(live_, options)) {
+    : live_(machine.live_logical_graph(target)),
+      router_(make_router(live_, options)),
+      hinted_(router_->backend() == RouterBackend::Implicit) {
   logical_live_.resize(machine.num_logical());
   for (std::size_t l = 0; l < logical_live_.size(); ++l) {
     logical_live_[l] = machine.dead[machine.to_physical[l]] ? 0 : 1;
@@ -92,7 +94,18 @@ std::uint32_t PacketSimulator::flush_enqueues() {
     route_dests_[i] = slab_[route_batch_[i].second].dst;
     route_nodes_[i] = route_batch_[i].first;
   }
-  router_->route_many(route_dests_, route_nodes_, route_hops_);
+  if (hinted_) {
+    // Slots are reused without clearing their hints: a hint is only trusted
+    // for the (dest, node) it was written for, which this router answers the
+    // same way whichever packet asks.
+    hints_.resize(slab_.size());
+    route_hints_.resize(k);
+    for (std::size_t i = 0; i < k; ++i) route_hints_[i] = hints_[route_batch_[i].second];
+    router_->route_many(route_dests_, route_nodes_, route_hops_, route_hints_);
+    for (std::size_t i = 0; i < k; ++i) hints_[route_batch_[i].second] = route_hints_[i];
+  } else {
+    router_->route_many(route_dests_, route_nodes_, route_hops_);
+  }
   std::uint32_t longest = 0;
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t link = link_id(route_batch_[i].first, route_hops_[i]);

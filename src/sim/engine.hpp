@@ -57,8 +57,8 @@ struct EngineOptions {
   /// injected == delivered + undeliverable + timed_out holds unconditionally.
   std::uint64_t max_cycles = 0;
   /// Routing backend selection for the live logical graph. The default Auto
-  /// sends every graph below RouterOptions::implicit_min_nodes to the table
-  /// router; at or above it, healthy (and dilation-1 reconfigured) de Bruijn /
+  /// sends every graph below kImplicitMinNodes (4096) to the table router; at
+  /// or above it, healthy (and dilation-1 reconfigured) de Bruijn /
   /// shuffle-exchange machines take the O(1)-memory implicit router, so
   /// simulations scale to N where a table slab would be gigabytes.
   RouterOptions router;
@@ -122,13 +122,15 @@ class PacketSimulator {
   std::uint32_t push(std::size_t link, Slot slot);
   Slot pop(std::size_t link);
   /// Routes every gathered (node, slot) one hop with a single route_many
-  /// call and appends each to its next link in gathering order; returns the
-  /// longest queue any append produced.
+  /// call (the hinted overload on the implicit backend) and appends each to
+  /// its next link in gathering order; returns the longest queue any append
+  /// produced.
   std::uint32_t flush_enqueues();
 
   std::vector<std::uint8_t> logical_live_;  // per logical node: 1 when its host is alive
   Graph live_;
   std::unique_ptr<Router> router_;
+  bool hinted_ = false;  // implicit backend: route through per-slot RouteHints
   // Directed link ids: node u's links to its sorted neighbors are
   // link_base_[u] .. link_base_[u + 1] - 1; link_to_ holds each link's head.
   std::vector<std::size_t> link_base_;
@@ -139,17 +141,20 @@ class PacketSimulator {
   // touching the idle ones.
   std::vector<std::uint64_t> busy_;
   std::vector<InFlight> slab_;
+  // One RouteHint per slab slot, used only when hinted_: the packet's
+  // implicit-routing state carried from one hop to the next.
+  std::vector<RouteHint> hints_;
   Slot free_ = kNoSlot;
   // Per-cycle scratch, kept across runs. Each wave (the injections, then
   // the forwarded arrivals) gathers its (node, slot) pairs and resolves them
   // with one route_many call, enqueuing in gathering order — hop-for-hop
-  // the stats match a scalar next_hop loop, while the implicit backend
-  // amortizes its incremental state across the wave.
+  // the stats match a scalar next_hop loop.
   std::vector<std::pair<NodeId, Slot>> arrivals_;
   std::vector<std::pair<NodeId, Slot>> route_batch_;
   std::vector<NodeId> route_dests_;
   std::vector<NodeId> route_nodes_;
   std::vector<NodeId> route_hops_;
+  std::vector<RouteHint> route_hints_;
 };
 
 /// Runs a batch of logical packets over the machine's *live* logical topology

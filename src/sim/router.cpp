@@ -1,14 +1,10 @@
 #include "sim/router.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <bit>
-#include <exception>
 #include <optional>
 #include <queue>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "graph/algorithms.hpp"
@@ -58,7 +54,7 @@ void Router::route_many(std::span<const NodeId> dests, std::span<const NodeId> n
   if (hints.size() != dests.size()) {
     throw std::invalid_argument("Router batch query: hint span size differs");
   }
-  route_many(dests, nodes, out);  // backends without incremental state: no-op hints
+  route_many(dests, nodes, out);  // backends without incremental state ignore hints
 }
 
 void Router::distance_many(std::span<const NodeId> dests, std::span<const NodeId> nodes,
@@ -120,258 +116,131 @@ bool subgraph_of_shape(const Graph& g, NeighborsOf&& neighbors_of) {
   return true;
 }
 
-/// Auto-sized (build_threads == 0) destination-sharded builds claim a thread
-/// only per this many destinations: below it, thread spawn + join overhead
-/// makes the "parallel" build *lose* to serial (as
-/// perf_routing/build_compressed_b2_h10_threads0 once showed).
-constexpr std::size_t kMinDestsPerBuildThread = 256;
+/// A B_{m,h} (debruijn) or SE_h reference shape.
+struct ReferenceShape {
+  bool debruijn = false;
+  DeBruijnParams db{};
+  unsigned se_h = 0;
+};
 
-/// Thread count for a destination-sharded build over n destinations:
-/// `requested` (0 = hardware concurrency), floored by the min-work rule when
-/// auto-sized, and never more than n. Both sharded builders (TableRouter,
-/// CompressedRouter) route through this so the policy stays in one place;
-/// the result is bit-identical for any value.
-unsigned sharded_build_threads(unsigned requested, std::size_t n) {
-  std::size_t threads =
-      requested == 0 ? std::max(1u, std::thread::hardware_concurrency()) : requested;
-  if (requested == 0) {
-    threads = std::min(threads, std::max<std::size_t>(n / kMinDestsPerBuildThread, 1));
-  }
-  return static_cast<unsigned>(std::min(threads, std::max<std::size_t>(n, 1)));
-}
-
-/// Runs fn(chunk_index, dest_lo, dest_hi) over `chunks` contiguous
-/// destination ranges, on `chunks` threads when more than one. Exceptions
-/// propagate (first one wins).
-template <class Fn>
-void for_each_dest_chunk(std::size_t n, unsigned chunks, Fn&& fn) {
-  if (chunks <= 1) {
-    fn(0u, std::size_t{0}, n);
-    return;
-  }
-  const std::size_t per = (n + chunks - 1) / chunks;
-  std::vector<std::exception_ptr> errors(chunks);
-  std::vector<std::thread> pool;
-  pool.reserve(chunks);
-  for (unsigned c = 0; c < chunks; ++c) {
-    pool.emplace_back([&, c] {
-      try {
-        fn(c, std::min(n, c * per), std::min(n, (c + 1) * per));
-      } catch (...) {
-        errors[c] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-}
-
-}  // namespace
-
-TableRouter::TableRouter(const Graph& g, unsigned build_threads)
-    : n_(g.num_nodes()), table_(n_ * n_, kInvalidNode), dist_(n_ * n_, kNoPath) {
-  // BFS from each destination, writing straight into this destination's slab
-  // row, then one canonical-descent pass assigning every node its lowest-id
-  // closer neighbor. Each destination touches only its own slab row, so the
-  // build shards over contiguous destination ranges with per-thread frontier
-  // scratch and stays bit-identical for any thread count.
-  for_each_dest_chunk(n_, sharded_build_threads(build_threads, n_),
-                      [&](unsigned, std::size_t dest_lo, std::size_t dest_hi) {
-    std::vector<NodeId> cur, next;
-    for (std::size_t dest = dest_lo; dest < dest_hi; ++dest) {
-      const std::size_t base = dest * n_;
-      dist_[base + dest] = 0;
-      table_[base + dest] = static_cast<NodeId>(dest);
-      cur.assign(1, static_cast<NodeId>(dest));
-      std::uint16_t level = 0;
-      while (!cur.empty()) {
-        if (level == kNoPath - 1) {
-          throw std::length_error("TableRouter: distance exceeds the uint16 slab");
-        }
-        ++level;
-        next.clear();
-        for (const NodeId u : cur) {
-          for (const NodeId v : g.neighbors(u)) {
-            if (dist_[base + v] == kNoPath) {
-              dist_[base + v] = level;
-              next.push_back(v);
-            }
-          }
-        }
-        cur.swap(next);
-      }
-      const auto dist_of = [&](NodeId w) { return static_cast<std::uint32_t>(dist_[base + w]); };
-      for (std::size_t v = 0; v < n_; ++v) {
-        if (v == dest || dist_[base + v] == kNoPath) continue;
-        table_[base + v] = canonical_descent_step(g, static_cast<NodeId>(v), dist_of);
-      }
-    }
-  });
-}
-
-CompressedRouter::CompressedRouter(const Graph& g, unsigned build_threads) : n_(g.num_nodes()) {
-  // Reference-shape search: any (m, h >= 2) factorization of N whose B_{m,h}
-  // contains g, else SE_h. h = 1 (the complete graph) is excluded — every
-  // graph embeds in K_N, but K_N's algebra shares nothing useful.
-  for (unsigned h = 63; h >= 2 && reference_ == Reference::None; --h) {
-    const std::uint64_t m = debruijn_exact_root(n_, h);
+/// The reference shape whose algebraic adjacency contains every adjacency
+/// of g: any (m, h >= 2) factorization of N whose B_{m,h} contains g, else
+/// SE_h. h = 1 (the complete graph) is excluded — every graph embeds in K_N,
+/// but K_N's algebra shares nothing useful. Empty when neither fits. Both
+/// make_router's Auto rule and the CompressedRouter constructor ask this.
+std::optional<ReferenceShape> reference_shape_of(const Graph& g) {
+  const std::size_t n = g.num_nodes();
+  for (unsigned h = 63; h >= 2; --h) {
+    const std::uint64_t m = debruijn_exact_root(n, h);
     if (m == 0) continue;
     const DeBruijnParams params{.base = m, .digits = h};
     if (subgraph_of_shape(
             g, [&](NodeId x, std::vector<NodeId>& out) { debruijn_neighbors(params, x, out); })) {
-      reference_ = Reference::DeBruijn;
-      db_ = params;
+      return ReferenceShape{.debruijn = true, .db = params};
     }
   }
-  if (reference_ == Reference::None && n_ >= 4 && (n_ & (n_ - 1)) == 0) {
-    const auto h = static_cast<unsigned>(std::countr_zero(static_cast<std::uint64_t>(n_)));
+  if (n >= 4 && (n & (n - 1)) == 0) {
+    const auto h = static_cast<unsigned>(std::countr_zero(static_cast<std::uint64_t>(n)));
     if (subgraph_of_shape(g, [&](NodeId x, std::vector<NodeId>& out) {
           shuffle_exchange_neighbors(h, x, out);
         })) {
-      reference_ = Reference::ShuffleExchange;
-      se_h_ = h;
+      return ReferenceShape{.se_h = h};
     }
   }
+  return std::nullopt;
+}
 
-  const unsigned threads = sharded_build_threads(build_threads, n_);
+}  // namespace
 
-  if (reference_ != Reference::None) {
-    // Shape-delta: per destination, diff the exact BFS row against a BFS of
-    // the reference shape (cheaper than N evaluations of the O(h^2) formula,
-    // and provably equal to it); only the deviations are kept. The graph
-    // itself is retained for the canonical descent at query time. Each
-    // destination's scan is independent, so contiguous destination chunks run
-    // on separate threads and their raw vectors concatenate in chunk order —
-    // the same dest-major sequence a serial scan produces.
-    graph_ = g;
-    const auto reference_neighbors = [&](NodeId x, std::vector<NodeId>& out) {
-      if (reference_ == Reference::DeBruijn) {
-        debruijn_neighbors(db_, x, out);
-      } else {
-        shuffle_exchange_neighbors(se_h_, x, out);
+TableRouter::TableRouter(const Graph& g)
+    : n_(g.num_nodes()), table_(n_ * n_, kInvalidNode), dist_(n_ * n_, kNoPath) {
+  // BFS from each destination, writing straight into this destination's slab
+  // row, then one canonical-descent pass assigning every node its lowest-id
+  // closer neighbor.
+  std::vector<NodeId> cur, next;
+  for (std::size_t dest = 0; dest < n_; ++dest) {
+    const std::size_t base = dest * n_;
+    dist_[base + dest] = 0;
+    table_[base + dest] = static_cast<NodeId>(dest);
+    cur.assign(1, static_cast<NodeId>(dest));
+    std::uint16_t level = 0;
+    while (!cur.empty()) {
+      if (level == kNoPath - 1) {
+        throw std::length_error("TableRouter: distance exceeds the uint16 slab");
       }
-    };
-    struct RawException {
-      NodeId node;
-      NodeId dest;
-      std::uint32_t dist;
-    };
-    std::vector<std::vector<RawException>> chunk_raw(threads);
-    for_each_dest_chunk(n_, threads, [&](unsigned chunk, std::size_t lo, std::size_t hi) {
-      std::vector<std::uint32_t> row(n_), ref_row(n_);
-      std::vector<NodeId> cur, next, scratch;
-      for (std::size_t dest = lo; dest < hi; ++dest) {
-        bfs_row_graph(g, static_cast<NodeId>(dest), row, cur, next);
-        // Same BFS over the algebraic adjacency (the shapes are symmetric, so
-        // rooting at dest gives distance-to-dest).
-        bfs_row(static_cast<NodeId>(dest), ref_row, cur, next, [&](NodeId u, auto&& visit) {
-          reference_neighbors(u, scratch);
-          for (const NodeId v : scratch) visit(v);
-        });
-        for (std::size_t v = 0; v < n_; ++v) {
-          if (row[v] != ref_row[v]) {
-            chunk_raw[chunk].push_back(
-                {static_cast<NodeId>(v), static_cast<NodeId>(dest), row[v]});
+      ++level;
+      next.clear();
+      for (const NodeId u : cur) {
+        for (const NodeId v : g.neighbors(u)) {
+          if (dist_[base + v] == kNoPath) {
+            dist_[base + v] = level;
+            next.push_back(v);
           }
         }
       }
-    });
-    std::vector<RawException> raw;
-    {
-      std::size_t total = 0;
-      for (const auto& c : chunk_raw) total += c.size();
-      raw.reserve(total);
-      for (auto& c : chunk_raw) raw.insert(raw.end(), c.begin(), c.end());
+      cur.swap(next);
     }
-    exception_offsets_.assign(n_ + 1, 0);
-    for (const RawException& e : raw) ++exception_offsets_[e.node + 1];
-    for (std::size_t v = 0; v < n_; ++v) exception_offsets_[v + 1] += exception_offsets_[v];
-    exception_dest_.resize(raw.size());
-    exception_dist_.resize(raw.size());
-    std::vector<std::size_t> cursor(exception_offsets_.begin(), exception_offsets_.end() - 1);
-    for (const RawException& e : raw) {  // dest-major input keeps per-node dests sorted
-      const std::size_t i = cursor[e.node]++;
-      exception_dest_[i] = e.dest;
-      exception_dist_[i] = e.dist;
+    const auto dist_of = [&](NodeId w) { return static_cast<std::uint32_t>(dist_[base + w]); };
+    for (std::size_t v = 0; v < n_; ++v) {
+      if (v == dest || dist_[base + v] == kNoPath) continue;
+      table_[base + v] = canonical_descent_step(g, static_cast<NodeId>(v), dist_of);
     }
-    // Nodes already isolated in the input graph are adopted as retired faults,
-    // so a router built from a degraded machine supports retract_fault too.
-    for (std::size_t u = 0; u < n_; ++u) {
-      if (graph_.degree(static_cast<NodeId>(u)) == 0) {
-        faulty_.push_back(static_cast<NodeId>(u));
-      }
-    }
-    return;
   }
+}
 
-  // Run-length fallback: a destination-major sweep; a new run whenever a
-  // node's canonical hop differs from its previous destination's. The full
-  // N^2 matrix is never materialized. The cross-destination `last` dependency
-  // is the only thing coupling the sweep, so each chunk scans independently
-  // (emitting a run for every node at its first destination) and the stitch
-  // drops each chunk's boundary runs that merely continue the previous
-  // chunk's final hop — reproducing the serial run sequence exactly.
-  struct RawRun {
+CompressedRouter::CompressedRouter(const Graph& g) : n_(g.num_nodes()), graph_(g) {
+  const std::optional<ReferenceShape> shape = reference_shape_of(g);
+  if (!shape) {
+    throw std::invalid_argument(
+        "CompressedRouter: graph is not inside a de Bruijn or shuffle-exchange shape");
+  }
+  reference_ = shape->debruijn ? Reference::DeBruijn : Reference::ShuffleExchange;
+  db_ = shape->db;
+  se_h_ = shape->se_h;
+
+  // Per destination, diff the exact BFS row against a BFS of the reference
+  // shape (cheaper than N evaluations of the O(h^2) formula, and provably
+  // equal to it); only the deviations are kept. The graph itself is retained
+  // for the canonical descent at query time.
+  struct RawException {
     NodeId node;
-    NodeId dest_lo;
-    NodeId hop;
+    NodeId dest;
+    std::uint32_t dist;
   };
-  struct RunChunk {
-    std::size_t dest_lo = 0;
-    std::vector<RawRun> raw;
-    std::vector<NodeId> final_hop;  // each node's hop at the chunk's last dest
-  };
-  std::vector<RunChunk> chunks(threads);
-  for_each_dest_chunk(n_, threads, [&](unsigned chunk, std::size_t lo, std::size_t hi) {
-    RunChunk& out = chunks[chunk];
-    out.dest_lo = lo;
-    std::vector<std::uint32_t> row(n_);
-    std::vector<NodeId> cur, next;
-    std::vector<NodeId> last(n_, kInvalidNode);
-    const auto dist_of = [&](NodeId w) { return row[w]; };
-    for (std::size_t dest = lo; dest < hi; ++dest) {
-      bfs_row_graph(g, static_cast<NodeId>(dest), row, cur, next);
-      for (std::size_t v = 0; v < n_; ++v) {
-        NodeId hop;
-        if (v == dest) {
-          hop = static_cast<NodeId>(dest);
-        } else if (row[v] == kUnreachable) {
-          hop = kInvalidNode;
-        } else {
-          hop = canonical_descent_step(g, static_cast<NodeId>(v), dist_of);
-        }
-        if (dest == lo || hop != last[v]) {
-          out.raw.push_back({static_cast<NodeId>(v), static_cast<NodeId>(dest), hop});
-        }
-        last[v] = hop;
+  std::vector<RawException> raw;
+  std::vector<std::uint32_t> row(n_), ref_row(n_);
+  std::vector<NodeId> cur, next, scratch;
+  for (std::size_t dest = 0; dest < n_; ++dest) {
+    bfs_row_graph(g, static_cast<NodeId>(dest), row, cur, next);
+    // Same BFS over the algebraic adjacency (the shapes are symmetric, so
+    // rooting at dest gives distance-to-dest).
+    bfs_row(static_cast<NodeId>(dest), ref_row, cur, next, [&](NodeId u, auto&& visit) {
+      reference_neighbors(u, scratch);
+      for (const NodeId v : scratch) visit(v);
+    });
+    for (std::size_t v = 0; v < n_; ++v) {
+      if (row[v] != ref_row[v]) {
+        raw.push_back({static_cast<NodeId>(v), static_cast<NodeId>(dest), row[v]});
       }
-    }
-    out.final_hop = std::move(last);
-  });
-  std::vector<RawRun> raw;
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    for (const RawRun& r : chunks[c].raw) {
-      if (c > 0 && r.dest_lo == chunks[c].dest_lo &&
-          r.hop == chunks[c - 1].final_hop[r.node]) {
-        continue;  // continuation of the previous chunk's open run
-      }
-      raw.push_back(r);
     }
   }
-  // Counting-sort the destination-major runs into per-node CSR order (stable,
-  // so each node's runs stay ascending in dest_lo).
-  run_offsets_.assign(n_ + 1, 0);
-  for (const RawRun& r : raw) ++run_offsets_[r.node + 1];
-  for (std::size_t v = 0; v < n_; ++v) run_offsets_[v + 1] += run_offsets_[v];
-  run_dest_lo_.resize(raw.size());
-  run_hop_.resize(raw.size());
-  std::vector<std::size_t> cursor(run_offsets_.begin(), run_offsets_.end() - 1);
-  for (const RawRun& r : raw) {
-    const std::size_t i = cursor[r.node]++;
-    run_dest_lo_[i] = r.dest_lo;
-    run_hop_[i] = r.hop;
+  exception_offsets_.assign(n_ + 1, 0);
+  for (const RawException& e : raw) ++exception_offsets_[e.node + 1];
+  for (std::size_t v = 0; v < n_; ++v) exception_offsets_[v + 1] += exception_offsets_[v];
+  exception_dest_.resize(raw.size());
+  exception_dist_.resize(raw.size());
+  std::vector<std::size_t> cursor(exception_offsets_.begin(), exception_offsets_.end() - 1);
+  for (const RawException& e : raw) {  // dest-major input keeps per-node dests sorted
+    const std::size_t i = cursor[e.node]++;
+    exception_dest_[i] = e.dest;
+    exception_dist_[i] = e.dist;
+  }
+  // Nodes already isolated in the input graph are adopted as retired faults,
+  // so a router built from a degraded machine supports retract_fault too.
+  for (std::size_t u = 0; u < n_; ++u) {
+    if (graph_.degree(static_cast<NodeId>(u)) == 0) {
+      faulty_.push_back(static_cast<NodeId>(u));
+    }
   }
 }
 
@@ -381,54 +250,30 @@ std::uint32_t CompressedRouter::reference_distance(NodeId dest, NodeId node) con
 }
 
 std::uint32_t CompressedRouter::distance(NodeId dest, NodeId node) const {
-  if (reference_ != Reference::None) {
-    const auto lo =
-        exception_dest_.begin() + static_cast<std::ptrdiff_t>(exception_offsets_[node]);
-    const auto hi =
-        exception_dest_.begin() + static_cast<std::ptrdiff_t>(exception_offsets_[node + 1]);
-    const auto it = std::lower_bound(lo, hi, dest);
-    if (it != hi && *it == dest) {
-      return exception_dist_[static_cast<std::size_t>(it - exception_dest_.begin())];
-    }
-    return reference_distance(dest, node);
+  const auto lo = exception_dest_.begin() + static_cast<std::ptrdiff_t>(exception_offsets_[node]);
+  const auto hi =
+      exception_dest_.begin() + static_cast<std::ptrdiff_t>(exception_offsets_[node + 1]);
+  const auto it = std::lower_bound(lo, hi, dest);
+  if (it != hi && *it == dest) {
+    return exception_dist_[static_cast<std::size_t>(it - exception_dest_.begin())];
   }
-  std::uint32_t hops = 0;
-  NodeId cur = node;
-  while (cur != dest) {
-    cur = next_hop(dest, cur);
-    if (cur == kInvalidNode) return static_cast<std::uint32_t>(-1);
-    ++hops;
-  }
-  return hops;
+  return reference_distance(dest, node);
 }
 
 NodeId CompressedRouter::next_hop(NodeId dest, NodeId node) const {
-  if (reference_ != Reference::None) {
-    if (node == dest) return dest;
-    const std::uint32_t here = distance(dest, node);
-    if (here == static_cast<std::uint32_t>(-1)) return kInvalidNode;
-    return canonical_descent_step(graph_, node,
-                                  [&](NodeId w) { return distance(dest, w); });
-  }
-  const auto lo = run_dest_lo_.begin() + static_cast<std::ptrdiff_t>(run_offsets_[node]);
-  const auto hi = run_dest_lo_.begin() + static_cast<std::ptrdiff_t>(run_offsets_[node + 1]);
-  const auto it = std::upper_bound(lo, hi, dest) - 1;  // last run starting <= dest
-  return run_hop_[static_cast<std::size_t>(it - run_dest_lo_.begin())];
+  if (node == dest) return dest;
+  const std::uint32_t here = distance(dest, node);
+  if (here == static_cast<std::uint32_t>(-1)) return kInvalidNode;
+  return canonical_descent_step(graph_, node, [&](NodeId w) { return distance(dest, w); });
 }
 
 std::size_t CompressedRouter::memory_bytes() const {
-  std::size_t bytes = 0;
-  if (reference_ != Reference::None) {
-    bytes += exception_offsets_.size() * sizeof(std::size_t) +
-             exception_dest_.size() * sizeof(NodeId) +
-             exception_dist_.size() * sizeof(std::uint32_t);
-    // The retained CSR: offsets + both half-edge arrays.
-    bytes += (graph_.num_nodes() + 1) * sizeof(std::size_t) +
-             graph_.num_edges() * 2 * sizeof(NodeId);
-  }
-  bytes += run_offsets_.size() * sizeof(std::size_t) +
-           run_dest_lo_.size() * sizeof(NodeId) + run_hop_.size() * sizeof(NodeId);
-  return bytes;
+  // The exception CSR plus the retained graph CSR (offsets + both half-edge
+  // arrays).
+  return exception_offsets_.size() * sizeof(std::size_t) +
+         exception_dest_.size() * sizeof(NodeId) +
+         exception_dist_.size() * sizeof(std::uint32_t) +
+         (graph_.num_nodes() + 1) * sizeof(std::size_t) + graph_.num_edges() * 2 * sizeof(NodeId);
 }
 
 // --- CompressedRouter incremental maintenance --------------------------------
@@ -444,21 +289,14 @@ void CompressedRouter::reference_neighbors(NodeId x, std::vector<NodeId>& out) c
 CompressedRouter::Stats CompressedRouter::stats() const {
   Stats s;
   s.exception_entries = exception_dest_.size();
-  s.run_entries = run_dest_lo_.size();
   s.bytes = memory_bytes();
-  switch (reference_) {
-    case Reference::DeBruijn:
-      s.reference = "debruijn";
-      s.reference_base = db_.base;
-      s.reference_digits = db_.digits;
-      break;
-    case Reference::ShuffleExchange:
-      s.reference = "shuffle_exchange";
-      s.reference_digits = se_h_;
-      break;
-    case Reference::None:
-      s.reference = "none";
-      break;
+  if (reference_ == Reference::DeBruijn) {
+    s.reference = "debruijn";
+    s.reference_base = db_.base;
+    s.reference_digits = db_.digits;
+  } else {
+    s.reference = "shuffle_exchange";
+    s.reference_digits = se_h_;
   }
   s.tracked_faults = faulty_.size();
   // FNV-1a over the logical routing state, so two routers answering
@@ -475,9 +313,6 @@ CompressedRouter::Stats CompressedRouter::stats() const {
   for (const std::size_t o : exception_offsets_) mix(o);
   for (const NodeId d : exception_dest_) mix(d);
   for (const std::uint32_t d : exception_dist_) mix(d);
-  for (const std::size_t o : run_offsets_) mix(o);
-  for (const NodeId d : run_dest_lo_) mix(d);
-  for (const NodeId hop : run_hop_) mix(hop);
   s.state_hash = h;
   return s;
 }
@@ -550,10 +385,6 @@ void CompressedRouter::merge_deltas(std::vector<DistDelta>& deltas) {
 }
 
 void CompressedRouter::apply_fault(NodeId v) {
-  if (reference_ == Reference::None) {
-    throw std::logic_error(
-        "CompressedRouter::apply_fault: run-length mode has no reference shape to patch");
-  }
   if (v >= n_) throw std::invalid_argument("CompressedRouter::apply_fault: node out of range");
   if (std::binary_search(faulty_.begin(), faulty_.end(), v)) {
     throw std::invalid_argument("CompressedRouter::apply_fault: node already retired");
@@ -675,10 +506,6 @@ void CompressedRouter::apply_fault(NodeId v) {
 }
 
 void CompressedRouter::retract_fault(NodeId v) {
-  if (reference_ == Reference::None) {
-    throw std::logic_error(
-        "CompressedRouter::retract_fault: run-length mode has no reference shape to patch");
-  }
   const auto it = std::lower_bound(faulty_.begin(), faulty_.end(), v);
   if (it == faulty_.end() || *it != v) {
     throw std::invalid_argument("CompressedRouter::retract_fault: node is not retired");
@@ -759,80 +586,6 @@ void CompressedRouter::retract_fault(NodeId v) {
 
 namespace {
 
-// Thread-local direct-mapped memo cache behind the batched implicit queries.
-// Keyed by (router id, dest, node); a full entry also knows the canonical
-// hop, a partial one (hop == kInvalidNode) only the distance + witness — the
-// forward-seeded state a route_many batch leaves for the next engine cycle,
-// when the same packet asks again from one hop closer. The slab is process
-// scratch shared by every ImplicitRouter: router ids come from a never-reused
-// counter, so a destroyed router's entries can never alias a new one, and
-// memory_bytes() legitimately stays 0.
-struct RouteCacheEntry {
-  std::uint32_t id = 0;  // 0 = empty (router ids start at 1)
-  NodeId dest = 0;
-  NodeId node = 0;
-  NodeId hop = 0;
-  std::uint32_t dist = 0;
-  std::int32_t wit = 0;
-  std::uint64_t opt = 0;  // optimal-offset mask at `node` (0 = unknown)
-};
-
-// 4-way set-associative: a route_many cohort keeps two live keys per packet
-// (the pending query and its forward-seed), and a direct-mapped table at
-// realistic cohort sizes evicts enough of them to pay a full rescan per
-// collision. Four ways push the overflow probability per set to ~1%.
-constexpr std::size_t kRouteCacheWays = 4;
-constexpr std::size_t kRouteCacheSets = 4096;  // x 4 ways x 32 B = 512 KiB
-using RouteCache = std::array<RouteCacheEntry, kRouteCacheSets * kRouteCacheWays>;
-
-RouteCache& route_cache() {
-  thread_local RouteCache cache{};
-  return cache;
-}
-
-inline std::uint64_t route_cache_hash(std::uint32_t id, NodeId dest, NodeId node) {
-  std::uint64_t k = (static_cast<std::uint64_t>(dest) << 32) | node;
-  k ^= static_cast<std::uint64_t>(id) * 0x9E3779B97F4A7C15ull;
-  k *= 0xBF58476D1CE4E5B9ull;
-  k ^= k >> 29;
-  k *= 0x94D049BB133111EBull;
-  k ^= k >> 32;
-  return k;
-}
-
-inline RouteCacheEntry* route_cache_find(RouteCache& cache, std::uint32_t id, NodeId dest,
-                                         NodeId node) {
-  const std::uint64_t k = route_cache_hash(id, dest, node);
-  RouteCacheEntry* set = &cache[(static_cast<std::size_t>(k) & (kRouteCacheSets - 1)) *
-                                kRouteCacheWays];
-  for (std::size_t w = 0; w < kRouteCacheWays; ++w) {
-    if (set[w].id == id && set[w].dest == dest && set[w].node == node) return &set[w];
-  }
-  return nullptr;
-}
-
-// The slot to (over)write for this key: its existing entry if present, else
-// an empty/foreign-id way, else a key-hashed victim (stateless pseudo-LRU —
-// two keys sharing a set pick different victims with high probability).
-inline RouteCacheEntry& route_cache_store(RouteCache& cache, std::uint32_t id, NodeId dest,
-                                          NodeId node) {
-  const std::uint64_t k = route_cache_hash(id, dest, node);
-  RouteCacheEntry* set = &cache[(static_cast<std::size_t>(k) & (kRouteCacheSets - 1)) *
-                                kRouteCacheWays];
-  for (std::size_t w = 0; w < kRouteCacheWays; ++w) {
-    if (set[w].id == id && set[w].dest == dest && set[w].node == node) return set[w];
-  }
-  for (std::size_t w = 0; w < kRouteCacheWays; ++w) {
-    if (set[w].id != id) return set[w];
-  }
-  return set[(k >> 32) & (kRouteCacheWays - 1)];
-}
-
-std::uint32_t next_route_cache_id() {
-  static std::atomic<std::uint32_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
 // The implicit backend's per-shape plumbing, shared by the scalar and batched
 // paths via templates over the topology steppers. Neighbor enumeration goes
 // into a fixed stack array — the algebraic degree is <= 2m <= 32 on every
@@ -884,67 +637,11 @@ NodeId scalar_next_hop(const Ops& ops, NodeId dest, NodeId node) {
   return canonical_hop(st, &w, &opt);
 }
 
-template <class Ops>
-void route_many_impl(const Ops& ops, std::uint32_t cache_id, std::uint64_t n,
-                     std::span<const NodeId> dests, std::span<const NodeId> nodes,
-                     std::span<NodeId> out) {
-  RouteCache& cache = route_cache();
-  std::optional<typename Ops::Stepper> st;
-  NodeId st_dest = kInvalidNode;
-  for (std::size_t i = 0; i < dests.size(); ++i) {
-    const NodeId dest = dests[i];
-    const NodeId node = nodes[i];
-    if (node >= n || dest >= n) throw std::out_of_range("ImplicitRouter: node out of range");
-    if (node == dest) {
-      out[i] = dest;
-      continue;
-    }
-    RouteCacheEntry* e = route_cache_find(cache, cache_id, dest, node);
-    if (e != nullptr && e->hop != kInvalidNode) {
-      out[i] = e->hop;
-      continue;
-    }
-    if (!st) {
-      st.emplace(ops.make(dest));
-      st_dest = dest;
-    } else if (st_dest != dest) {
-      st->retarget(dest);
-      st_dest = dest;
-    }
-    if (e != nullptr) {
-      // Partial hit: skip the full scan and restore the optimal-offset mask
-      // the previous hop's probe computed for free.
-      st->seed_opt(node, e->dist, DistanceWitness{e->wit}, e->opt);
-    } else {
-      st->reset(node);
-    }
-    DistanceWitness hop_wit{};
-    std::uint64_t hop_opt = 0;
-    const NodeId hop = canonical_hop(*st, &hop_wit, &hop_opt);
-    out[i] = hop;
-    if (hop == kInvalidNode) continue;
-    const std::uint32_t here = st->distance();
-    // A partial hit upgrades in place — no second hashed lookup.
-    RouteCacheEntry& full = e != nullptr ? *e : route_cache_store(cache, cache_id, dest, node);
-    full = {cache_id, dest, node, hop, here, st->witness().offset, st->opt_mask()};
-    if (hop != dest) {
-      // Forward-seed the hop's slot: next cycle this packet asks from `hop`
-      // at distance here-1, and the winner's witness + mask make that query
-      // O(popcount(mask)). Never downgrade a full entry that already knows
-      // its hop.
-      RouteCacheEntry& f = route_cache_store(cache, cache_id, dest, hop);
-      const bool keep =
-          f.id == cache_id && f.dest == dest && f.node == hop && f.hop != kInvalidNode;
-      if (!keep) f = {cache_id, dest, hop, kInvalidNode, here - 1, hop_wit.offset, hop_opt};
-    }
-  }
-}
-
-// The hinted batch: per-packet state rides in the caller's RouteHint array
-// instead of the hashed memo cache, so a warm packet costs one seed + the
-// adjacent-offset probes and touches no shared scratch at all. A hint is
-// trusted only when its (dest, node) matches the query — fresh or stale
-// entries fall back to a full positioning scan and are then overwritten.
+// The hinted batch: per-packet state rides in the caller's RouteHint array,
+// so a warm packet costs one seed + the adjacent-offset probes and touches
+// no shared scratch at all. A hint is trusted only when its (dest, node)
+// matches the query — fresh or stale entries fall back to a full positioning
+// scan and are then overwritten.
 template <class Ops>
 void route_many_hinted_impl(const Ops& ops, std::uint64_t n, std::span<const NodeId> dests,
                             std::span<const NodeId> nodes, std::span<NodeId> out,
@@ -982,40 +679,6 @@ void route_many_hinted_impl(const Ops& ops, std::uint64_t n, std::span<const Nod
 }
 
 template <class Ops>
-void distance_many_impl(const Ops& ops, std::uint32_t cache_id, std::uint64_t n,
-                        std::span<const NodeId> dests, std::span<const NodeId> nodes,
-                        std::span<std::uint32_t> out) {
-  RouteCache& cache = route_cache();
-  std::optional<typename Ops::Stepper> st;
-  NodeId st_dest = kInvalidNode;
-  for (std::size_t i = 0; i < dests.size(); ++i) {
-    const NodeId dest = dests[i];
-    const NodeId node = nodes[i];
-    if (node >= n || dest >= n) throw std::out_of_range("ImplicitRouter: node out of range");
-    if (node == dest) {
-      out[i] = 0;
-      continue;
-    }
-    const RouteCacheEntry* e = route_cache_find(cache, cache_id, dest, node);
-    if (e != nullptr) {
-      out[i] = e->dist;  // full and partial entries both know the distance
-      continue;
-    }
-    if (!st) {
-      st.emplace(ops.make(dest));
-      st_dest = dest;
-    } else if (st_dest != dest) {
-      st->retarget(dest);
-      st_dest = dest;
-    }
-    out[i] = st->reset(node);
-    route_cache_store(cache, cache_id, dest, node) = {
-        cache_id, dest, node, kInvalidNode, st->distance(), st->witness().offset,
-        st->opt_mask()};
-  }
-}
-
-template <class Ops>
 std::vector<NodeId> path_impl(const Ops& ops, NodeId from, NodeId dest) {
   typename Ops::Stepper st = ops.make(dest);
   st.reset(from);
@@ -1036,7 +699,7 @@ std::vector<NodeId> path_impl(const Ops& ops, NodeId from, NodeId dest) {
 }  // namespace
 
 ImplicitRouter::ImplicitRouter(Shape shape, DeBruijnParams db, unsigned se_h, std::uint64_t n)
-    : shape_(shape), db_(db), se_h_(se_h), n_(n), cache_id_(next_route_cache_id()) {}
+    : shape_(shape), db_(db), se_h_(se_h), n_(n) {}
 
 ImplicitRouter ImplicitRouter::for_debruijn(const DeBruijnParams& params) {
   return ImplicitRouter(Shape::DeBruijn, params, 0, debruijn_num_nodes(params));
@@ -1045,8 +708,6 @@ ImplicitRouter ImplicitRouter::for_debruijn(const DeBruijnParams& params) {
 ImplicitRouter ImplicitRouter::for_shuffle_exchange(unsigned h) {
   return ImplicitRouter(Shape::ShuffleExchange, {}, h, shuffle_exchange_num_nodes(h));
 }
-
-std::size_t ImplicitRouter::route_cache_bytes() { return sizeof(RouteCache); }
 
 std::uint32_t ImplicitRouter::distance(NodeId dest, NodeId node) const {
   return shape_ == Shape::DeBruijn ? debruijn_distance(db_, node, dest)
@@ -1078,20 +739,6 @@ NodeId ImplicitRouter::next_hop_wide(NodeId dest, NodeId node) const {
 }
 
 void ImplicitRouter::route_many(std::span<const NodeId> dests, std::span<const NodeId> nodes,
-                                std::span<NodeId> out) const {
-  check_batch_spans(dests.size(), nodes.size(), out.size());
-  if (shape_ == Shape::DeBruijn) {
-    if (2 * db_.base > kMaxFixedDegree) {
-      for (std::size_t i = 0; i < dests.size(); ++i) out[i] = next_hop(dests[i], nodes[i]);
-      return;
-    }
-    route_many_impl(DebruijnShapeOps{db_}, cache_id_, n_, dests, nodes, out);
-    return;
-  }
-  route_many_impl(ShuffleExchangeShapeOps{se_h_}, cache_id_, n_, dests, nodes, out);
-}
-
-void ImplicitRouter::route_many(std::span<const NodeId> dests, std::span<const NodeId> nodes,
                                 std::span<NodeId> out, std::span<RouteHint> hints) const {
   check_batch_spans(dests.size(), nodes.size(), out.size());
   if (hints.size() != dests.size()) {
@@ -1106,20 +753,6 @@ void ImplicitRouter::route_many(std::span<const NodeId> dests, std::span<const N
     return;
   }
   route_many_hinted_impl(ShuffleExchangeShapeOps{se_h_}, n_, dests, nodes, out, hints);
-}
-
-void ImplicitRouter::distance_many(std::span<const NodeId> dests, std::span<const NodeId> nodes,
-                                   std::span<std::uint32_t> out) const {
-  check_batch_spans(dests.size(), nodes.size(), out.size());
-  if (shape_ == Shape::DeBruijn) {
-    if (2 * db_.base > kMaxFixedDegree) {
-      for (std::size_t i = 0; i < dests.size(); ++i) out[i] = distance(dests[i], nodes[i]);
-      return;
-    }
-    distance_many_impl(DebruijnShapeOps{db_}, cache_id_, n_, dests, nodes, out);
-    return;
-  }
-  distance_many_impl(ShuffleExchangeShapeOps{se_h_}, cache_id_, n_, dests, nodes, out);
 }
 
 std::vector<NodeId> ImplicitRouter::path(NodeId from, NodeId dest) const {
@@ -1152,9 +785,9 @@ std::unique_ptr<Router> make_router(const Graph& g, const RouterOptions& options
   using Backend = RouterOptions::Backend;
   switch (options.backend) {
     case Backend::Table:
-      return std::make_unique<TableRouter>(g, options.build_threads);
+      return std::make_unique<TableRouter>(g);
     case Backend::Compressed:
-      return std::make_unique<CompressedRouter>(g, options.build_threads);
+      return std::make_unique<CompressedRouter>(g);
     case Backend::Implicit:
       if (auto implicit = implicit_router_for(g)) return implicit;
       throw std::invalid_argument(
@@ -1166,14 +799,10 @@ std::unique_ptr<Router> make_router(const Graph& g, const RouterOptions& options
   // faster than the compressed router and answers in O(1), so every small
   // graph — shaped, degraded or neither — gets the table. The canonical
   // hops are identical whichever backend answers.
-  if (options.implicit_min_nodes != 0 && g.num_nodes() < options.implicit_min_nodes) {
-    return std::make_unique<TableRouter>(g, options.build_threads);
-  }
+  if (g.num_nodes() < kImplicitMinNodes) return std::make_unique<TableRouter>(g);
   if (auto implicit = implicit_router_for(g)) return implicit;
-  if (g.max_degree() <= options.compressed_max_degree) {
-    return std::make_unique<CompressedRouter>(g, options.build_threads);
-  }
-  return std::make_unique<TableRouter>(g, options.build_threads);
+  if (reference_shape_of(g)) return std::make_unique<CompressedRouter>(g);
+  return std::make_unique<TableRouter>(g);
 }
 
 }  // namespace ftdb::sim

@@ -19,27 +19,25 @@
 //                       reconfiguration unchanged. This is what lets traffic
 //                       simulation and campaign sweeps run at N = 2^18..2^20,
 //                       where a table slab would be gigabytes.
-//  * CompressedRouter — destination-class sharing via shape-delta encoding.
-//                       When the graph sits inside a de Bruijn /
+//  * CompressedRouter — destination-class sharing via shape-delta encoding
+//                       for graphs that sit inside a de Bruijn /
 //                       shuffle-exchange reference shape (every adjacency a
 //                       subset of the algebraic one — the degraded-machine
-//                       case), all destinations share the reference algebra
+//                       case): all destinations share the reference algebra
 //                       and only the (dest, node) pairs whose exact BFS
 //                       distance deviates from it are stored: O(N + E +
 //                       exceptions) memory, with exceptions measured at a few
 //                       * f * h per node for f faults (0 on a healthy shape).
-//                       With no reference shape the full canonical next-hop
-//                       matrix is kept, run-length encoded per node over
-//                       destination id. Exact on any graph either way.
+//                       Any other graph is rejected at construction.
 //  * TableRouter      — O(N^2) memory, O(1) next-hop. A per-destination BFS
 //                       next-hop slab with uint16 distances, kept as the
 //                       general fallback and the oracle the others are
 //                       tested against.
 //
 // make_router() picks automatically: the table for any graph below
-// RouterOptions::implicit_min_nodes; at or above it, implicit when the graph
-// *is* a de Bruijn / shuffle-exchange shape (shape detection is O(N * m)),
-// compressed when the degree stays constant-ish, table otherwise.
+// kImplicitMinNodes; at or above it, implicit when the graph *is* a de Bruijn
+// / shuffle-exchange shape (shape detection is O(N * m)), compressed when it
+// sits inside one, table otherwise.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +60,7 @@ const char* router_backend_name(RouterBackend backend);
 /// hints are always safe — they just cost a fresh scan. Callers that keep
 /// one RouteHint per packet across cycles turn the implicit backend's
 /// per-hop work into a single adjacent-offset check (the witness, distance
-/// and optimal-offset mask ride along instead of round-tripping through the
-/// thread-local memo cache).
+/// and optimal-offset mask ride along with the packet).
 struct RouteHint {
   NodeId dest = kInvalidNode;
   NodeId node = kInvalidNode;
@@ -90,28 +87,25 @@ class Router {
   /// Hop count, or uint32(-1) when unreachable (the BFS convention).
   virtual std::uint32_t distance(NodeId dest, NodeId node) const = 0;
 
-  /// Batched next hops: out[i] = next_hop(dests[i], nodes[i]), hop-for-hop
-  /// identical to the scalar loop on every backend (that loop *is* the
-  /// default). ImplicitRouter overrides it with witness-reusing incremental
-  /// scans plus a thread-local memo cache, amortizing per-lookup setup over
-  /// thousands of in-flight packets. Spans must have equal length (throws
-  /// std::invalid_argument otherwise).
-  virtual void route_many(std::span<const NodeId> dests, std::span<const NodeId> nodes,
-                          std::span<NodeId> out) const;
+  /// Batched next hops: out[i] = next_hop(dests[i], nodes[i]), the scalar
+  /// loop. Spans must have equal length (throws std::invalid_argument
+  /// otherwise).
+  void route_many(std::span<const NodeId> dests, std::span<const NodeId> nodes,
+                  std::span<NodeId> out) const;
 
   /// route_many with caller-carried per-packet state: hints[i] is consulted
   /// when it matches (dests[i], nodes[i]) and rewritten with the state of
   /// the answered hop, so re-presenting the same packet one hop later skips
   /// the fresh scan entirely. Results are hop-for-hop identical to the
-  /// hint-less overload; backends without incremental state ignore the
-  /// hints. `hints` must match the query length.
+  /// hint-less overload; only ImplicitRouter has incremental state, the
+  /// other backends ignore the hints. `hints` must match the query length.
   virtual void route_many(std::span<const NodeId> dests, std::span<const NodeId> nodes,
                           std::span<NodeId> out, std::span<RouteHint> hints) const;
 
-  /// Batched distances: out[i] = distance(dests[i], nodes[i]); same contract
-  /// and override story as route_many.
-  virtual void distance_many(std::span<const NodeId> dests, std::span<const NodeId> nodes,
-                             std::span<std::uint32_t> out) const;
+  /// Batched distances: out[i] = distance(dests[i], nodes[i]), the scalar
+  /// loop; same span contract as route_many.
+  void distance_many(std::span<const NodeId> dests, std::span<const NodeId> nodes,
+                     std::span<std::uint32_t> out) const;
 
   virtual bool reachable(NodeId dest, NodeId node) const {
     return distance(dest, node) != static_cast<std::uint32_t>(-1);
@@ -136,11 +130,7 @@ class Router {
 /// exceeds 65534 hops rather than wrapping.
 class TableRouter final : public Router {
  public:
-  /// `build_threads` shards the per-destination BFS across that many threads
-  /// (0 = hardware concurrency): destinations write into disjoint slab rows,
-  /// so the table is bit-identical to a serial build. 1 (the default) builds
-  /// inline with no thread spawn.
-  explicit TableRouter(const Graph& g, unsigned build_threads = 1);
+  explicit TableRouter(const Graph& g);
 
   RouterBackend backend() const override { return RouterBackend::Table; }
   std::size_t num_nodes() const override { return n_; }
@@ -170,20 +160,16 @@ class TableRouter final : public Router {
   std::vector<std::uint16_t> dist_;
 };
 
-/// Exact canonical routing with destination-class sharing. Two internal
-/// strategies, chosen at build time:
+/// Exact canonical routing with destination-class sharing by shape-delta
+/// encoding: the graph's adjacencies are all subsets of a reference B_{m,h} /
+/// SE_h (h >= 2) on the same node count. Every destination shares the
+/// reference's algebraic distance; only the pairs whose exact BFS distance
+/// deviates (fault detours, unreachable rows) are stored in a per-node
+/// exception table. Correctness never depends on the reference — exceptions
+/// record the exact value wherever the algebra is wrong.
 ///
-///  * shape-delta — the graph's adjacencies are all subsets of a reference
-///    B_{m,h} / SE_h (h >= 2) on the same node count. Every destination
-///    shares the reference's algebraic distance; only the pairs whose exact
-///    BFS distance deviates (fault detours, unreachable rows) are stored in a
-///    per-node exception table. Correctness never depends on the reference —
-///    exceptions record the exact value wherever the algebra is wrong.
-///  * run-length — no reference shape: the canonical next-hop matrix is kept,
-///    run-length encoded per node over destination id.
-///
-/// Shape-delta routers additionally support *incremental* maintenance for the
-/// degraded-machine lifecycle (reference shape minus a set of failed nodes):
+/// The router supports *incremental* maintenance for the degraded-machine
+/// lifecycle (reference shape minus a set of failed nodes):
 /// `apply_fault` / `retract_fault` patch the exception table in place by
 /// recomputing only the (dest, node) pairs whose exact distance actually
 /// changed (a Ramalingam–Reps style affected-set sweep per destination),
@@ -192,49 +178,40 @@ class TableRouter final : public Router {
 /// graph — which is what the serving layer's equivalence oracle asserts.
 class CompressedRouter final : public Router {
  public:
-  /// `build_threads` destination-shards the per-destination BFS scans of the
-  /// build (0 = hardware concurrency). Both modes produce storage
-  /// bit-identical to a serial build: shape-delta chunks concatenate in
-  /// destination order, and run-length chunks stitch by dropping each chunk's
-  /// boundary runs that merely continue the previous chunk's final hop.
-  explicit CompressedRouter(const Graph& g, unsigned build_threads = 1);
+  /// Throws std::invalid_argument unless `g` sits inside a B_{m,h} or SE_h
+  /// reference shape on its node count.
+  explicit CompressedRouter(const Graph& g);
 
   RouterBackend backend() const override { return RouterBackend::Compressed; }
   std::size_t num_nodes() const override { return n_; }
   NodeId next_hop(NodeId dest, NodeId node) const override;
-  /// Shape-delta: O(log exceptions) lookup. Run-length: walks the canonical
-  /// path (exact because every canonical hop strictly decreases the true
-  /// distance).
+  /// O(log exceptions) lookup, else the reference algebra.
   std::uint32_t distance(NodeId dest, NodeId node) const override;
   bool reachable(NodeId dest, NodeId node) const override {
     return distance(dest, node) != static_cast<std::uint32_t>(-1);
   }
   std::size_t memory_bytes() const override;
 
-  bool uses_reference_shape() const { return reference_ != Reference::None; }
   std::size_t num_exceptions() const { return exception_dest_.size(); }
-  std::size_t num_runs() const { return run_dest_lo_.size(); }
 
   /// Observable size/shape facts, so the serving layer and the benches can
   /// assert the ~f*h per-node exception-growth bound instead of guessing.
   struct Stats {
-    std::size_t exception_entries = 0;  // shape-delta (node, dest) pairs stored
-    std::size_t run_entries = 0;        // run-length mode runs
+    std::size_t exception_entries = 0;  // (node, dest) pairs stored
     std::size_t bytes = 0;              // == memory_bytes()
-    const char* reference = "none";     // "debruijn" | "shuffle_exchange" | "none"
-    std::uint64_t reference_base = 0;   // m of the reference B_{m,h} (0 for SE/none)
+    const char* reference = "";         // "debruijn" | "shuffle_exchange"
+    std::uint64_t reference_base = 0;   // m of the reference B_{m,h} (0 for SE)
     unsigned reference_digits = 0;      // h of the reference shape
     std::size_t tracked_faults = 0;     // faults applied through apply_fault
-    std::uint64_t state_hash = 0;       // FNV-1a over the exception/run arrays
+    std::uint64_t state_hash = 0;       // FNV-1a over the exception arrays
   };
   Stats stats() const;
 
   /// Incrementally retires node `v`: removes its edges from the routed graph
   /// and patches the exception table so the router is exactly the router of
-  /// the degraded graph. Shape-delta mode only (throws std::logic_error in
-  /// run-length mode); throws std::invalid_argument when `v` is out of range
-  /// or already retired. Cost is O(changed pairs + N * deg^2), versus the
-  /// O(N * (N + E)) from-scratch rebuild.
+  /// the degraded graph. Throws std::invalid_argument when `v` is out of
+  /// range or already retired. Cost is O(changed pairs + N * deg^2), versus
+  /// the O(N * (N + E)) from-scratch rebuild.
   void apply_fault(NodeId v);
 
   /// Reverses `apply_fault(v)`: restores v's reference-shape edges towards
@@ -248,7 +225,7 @@ class CompressedRouter final : public Router {
   const std::vector<NodeId>& tracked_faults() const { return faulty_; }
 
  private:
-  enum class Reference { None, DeBruijn, ShuffleExchange };
+  enum class Reference { DeBruijn, ShuffleExchange };
 
   struct DistDelta {
     NodeId node;
@@ -262,22 +239,17 @@ class CompressedRouter final : public Router {
   void rebuild_graph(NodeId v, const std::vector<NodeId>& add_neighbors, bool removing);
 
   std::size_t n_ = 0;
-  Reference reference_ = Reference::None;
+  Reference reference_ = Reference::DeBruijn;
   DeBruijnParams db_{};
   unsigned se_h_ = 0;
 
-  // shape-delta storage: the graph (for the canonical descent) plus the
-  // per-node exception CSR, sorted by destination.
+  // The graph (for the canonical descent) plus the per-node exception CSR,
+  // sorted by destination.
   Graph graph_;
   std::vector<NodeId> faulty_;  // nodes retired via apply_fault, sorted
   std::vector<std::size_t> exception_offsets_;
   std::vector<NodeId> exception_dest_;
   std::vector<std::uint32_t> exception_dist_;
-
-  // run-length storage.
-  std::vector<std::size_t> run_offsets_;  // per node, into the run arrays
-  std::vector<NodeId> run_dest_lo_;       // first destination id of the run
-  std::vector<NodeId> run_hop_;           // canonical next hop for the run
 };
 
 /// O(1)-memory algebraic routing for de Bruijn / shuffle-exchange shapes:
@@ -285,12 +257,9 @@ class CompressedRouter final : public Router {
 /// (sorted) algebraic neighbors through the same canonical rule. The probes
 /// run on the incremental distance steppers (topology/*): a success-exit
 /// capped scan per neighbor, hinted by the current node's alignment witness,
-/// instead of a fresh O(h^2) scan each — and the batched route_many /
-/// distance_many / path overrides additionally carry the witness across hops
-/// through a small thread-local memo cache. The cache is process-wide
-/// per-thread scratch shared by every ImplicitRouter (epoch-stamped with a
-/// never-reused per-router id), not router state: memory_bytes() stays 0,
-/// and route_cache_bytes() reports the fixed per-thread slab.
+/// instead of a fresh O(h^2) scan each. The hinted route_many and path()
+/// carry the witness across hops, in the caller's RouteHint array and along
+/// the walk respectively; the router itself holds no per-query state.
 class ImplicitRouter final : public Router {
  public:
   static ImplicitRouter for_debruijn(const DeBruijnParams& params);
@@ -300,22 +269,14 @@ class ImplicitRouter final : public Router {
   std::size_t num_nodes() const override { return static_cast<std::size_t>(n_); }
   NodeId next_hop(NodeId dest, NodeId node) const override;
   std::uint32_t distance(NodeId dest, NodeId node) const override;
-  void route_many(std::span<const NodeId> dests, std::span<const NodeId> nodes,
-                  std::span<NodeId> out) const override;
+  using Router::route_many;
   void route_many(std::span<const NodeId> dests, std::span<const NodeId> nodes,
                   std::span<NodeId> out, std::span<RouteHint> hints) const override;
-  void distance_many(std::span<const NodeId> dests, std::span<const NodeId> nodes,
-                     std::span<std::uint32_t> out) const override;
   std::vector<NodeId> path(NodeId from, NodeId dest) const override;
   bool reachable(NodeId dest, NodeId node) const override {
     return node < n_ && dest < n_;  // both shapes are connected
   }
   std::size_t memory_bytes() const override { return 0; }
-
-  /// Fixed size of the per-thread memo cache slab backing the batched
-  /// overrides (reported separately from memory_bytes(): the slab is shared
-  /// process scratch, not owned by any router instance).
-  static std::size_t route_cache_bytes();
 
  private:
   enum class Shape { DeBruijn, ShuffleExchange };
@@ -328,36 +289,27 @@ class ImplicitRouter final : public Router {
   DeBruijnParams db_{};
   unsigned se_h_ = 0;
   std::uint64_t n_ = 0;
-  std::uint32_t cache_id_ = 0;  // memo-cache epoch stamp, unique per router
 };
+
+/// Auto's size rule: below this node count the table slab is cheap, so Auto
+/// picks the table (O(1) lookups, identical canonical hops) for *every* graph
+/// — shaped, degraded or neither. On a degraded B_{2,h} the table also builds
+/// over 2x faster than the compressed router.
+inline constexpr std::size_t kImplicitMinNodes = std::size_t{1} << 12;
 
 struct RouterOptions {
   enum class Backend { Auto, Table, Compressed, Implicit };
+  /// Forcing a backend bypasses the Auto policy of make_router.
   Backend backend = Backend::Auto;
-  /// Auto prefers the compressed backend over the table when the graph's max
-  /// degree stays within this bound (the constant-degree regime where the
-  /// run-length encoding provably has something to share).
-  std::size_t compressed_max_degree = 16;
-  /// Size-aware auto policy: below this node count the table slab is cheap,
-  /// so Auto picks the table (O(1) lookups, identical canonical hops) for
-  /// *every* graph — shaped, degraded or neither. On a degraded B_{2,h} the
-  /// table also builds over 2x faster than the compressed router. At or
-  /// above it, shaped graphs get the O(1)-memory algebra and the rest the
-  /// degree-based compressed/table choice. 0 turns the size rule off.
-  /// Forcing a backend bypasses the policy entirely.
-  std::size_t implicit_min_nodes = std::size_t{1} << 12;
-  /// Threads for the compressed/table build's destination-sharded BFS scans
-  /// (0 = hardware concurrency). The built router is bit-identical for any
-  /// value; 1 keeps construction inline (no thread spawn) — the right default
-  /// inside already-parallel campaign workers.
-  unsigned build_threads = 1;
 };
 
 /// Builds the right router for `g`. Auto order: the table below
-/// options.implicit_min_nodes (same canonical hops, O(1) lookups, affordable
-/// slab); otherwise implicit for a recognized B_{m,h} / SE_h shape,
-/// compressed for constant-ish degree, else table. Forcing Backend::Implicit
-/// on a graph of neither shape throws std::invalid_argument.
+/// kImplicitMinNodes (same canonical hops, O(1) lookups, affordable slab);
+/// at or above it, implicit for a recognized B_{m,h} / SE_h shape,
+/// compressed for a graph inside one (a degraded machine), else table.
+/// Forcing Backend::Implicit on a graph of neither shape, or
+/// Backend::Compressed on a graph inside neither, throws
+/// std::invalid_argument.
 std::unique_ptr<Router> make_router(const Graph& g, const RouterOptions& options = {});
 
 }  // namespace ftdb::sim

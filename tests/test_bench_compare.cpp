@@ -398,7 +398,7 @@ TEST_F(BenchCompare, CommittedGatesFileParsesAndNamesEveryGate) {
   const auto head = write("head.json", bench_doc({}));
   const Outcome o = run({"--gates", gates, head, "vs", head});
   EXPECT_EQ(o.code, 1) << o.err;  // nothing ran, so every gate fails
-  EXPECT_NE(o.out.find("20 of 20 gates failed"), std::string::npos) << o.out;
+  EXPECT_NE(o.out.find("21 of 21 gates failed"), std::string::npos) << o.out;
 }
 
 }  // namespace

@@ -45,6 +45,8 @@ void expect_same(const SimStats& a, const SimStats& b, const std::string& what) 
   EXPECT_EQ(format(row_of(a)), format(row_of(b))) << what;
 }
 
+RouterOptions forced(RouterOptions::Backend backend) { return RouterOptions{backend}; }
+
 /// Compares each run with its golden row; on a mismatch the message carries
 /// the actual row in table syntax.
 void expect_golden(const std::vector<SimStats>& runs, const std::vector<Row>& golden,
@@ -118,28 +120,35 @@ TEST(EnginePins, UnsortedBatchMatchesItsSortedCopy) {
 }
 
 TEST(EnginePins, TruncatedThenFullRunEqualsFreshRun) {
-  const Graph target = debruijn_base2(5);
-  const Machine m = Machine::direct(target);
+  // On the implicit backend every slab slot keeps the RouteHint of the last
+  // packet routed through it: the stragglers the cut leaves behind hand
+  // stale hints to the next run's packets.
   const std::vector<Packet> packets = zipf_traffic(32, 300, 0.9, 17, /*packets_per_cycle=*/8);
-  PacketSimulator reused(m, target);
-  const SimStats cut = reused.run(packets, 5);
-  ASSERT_GT(cut.timed_out, 0u);
-  const SimStats full = reused.run(packets);
-  PacketSimulator fresh(m, target);
-  expect_same(full, fresh.run(packets), "reused after truncation vs fresh");
+  for (const Graph& target : {debruijn_base2(5), shuffle_exchange_graph(5)}) {
+    const Machine m = Machine::direct(target);
+    for (const auto backend : {RouterOptions::Backend::Auto, RouterOptions::Backend::Implicit}) {
+      PacketSimulator reused(m, target, forced(backend));
+      const std::string what = std::string(debruijn_shape_of(target) ? "B(2,5)" : "SE_5") +
+                               " on the " + router_backend_name(reused.router().backend()) +
+                               " backend";
+      const SimStats cut = reused.run(packets, 5);
+      ASSERT_GT(cut.timed_out, 0u) << what;
+      expect_same(cut, PacketSimulator(m, target, forced(RouterOptions::Backend::Table))
+                           .run(packets, 5),
+                  "truncated run, " + what);
+      const SimStats full = reused.run(packets);
+      PacketSimulator fresh(m, target, forced(RouterOptions::Backend::Table));
+      expect_same(full, fresh.run(packets), "reused after truncation vs fresh, " + what);
+    }
+  }
 }
 
-TEST(EnginePins, OneSimulatorServesTrafficAndScheduleStepsLikeFreshOnes) {
-  // The campaign runner keeps one simulator per machine and feeds it a
-  // trial's collective steps and traffic in turn (and a block's healthy
-  // simulator serves many trials). Every run must match a simulator built
-  // for it alone, whatever ran before it.
-  const Graph target = debruijn_base2(6);
-  const Machine degraded = Machine::direct_with_faults(target, FaultSet(64, {5, 22, 41}));
-  std::vector<NodeId> survivors;
-  for (NodeId v = 0; v < 64; ++v) {
-    if (v != 5 && v != 22 && v != 41) survivors.push_back(v);
-  }
+/// Feeds one simulator a truncated zipf run, every step of the Bruck
+/// all-to-all among `survivors`, then a full zipf run, and checks each run
+/// against a fresh table-backed simulator built for it alone.
+void expect_reuse_like_fresh(const Machine& machine, const Graph& target,
+                             const std::vector<NodeId>& survivors,
+                             RouterOptions::Backend backend, const std::string& what) {
   const Schedule schedule =
       build_schedule(ScheduleKind::AllToAllBruck, static_cast<std::uint32_t>(survivors.size()));
   std::vector<std::vector<Packet>> steps;
@@ -153,18 +162,46 @@ TEST(EnginePins, OneSimulatorServesTrafficAndScheduleStepsLikeFreshOnes) {
     }
     steps.push_back(std::move(packets));
   }
-  const std::vector<Packet> truncated = zipf_traffic(64, 512, 1.2, 99, /*packets_per_cycle=*/64);
-  const std::vector<Packet> full = zipf_traffic(64, 256, 1.0, 4, /*packets_per_cycle=*/16);
+  const std::size_t n = target.num_nodes();
+  const std::vector<Packet> truncated = zipf_traffic(n, 512, 1.2, 99, /*packets_per_cycle=*/64);
+  const std::vector<Packet> full = zipf_traffic(n, 256, 1.0, 4, /*packets_per_cycle=*/16);
+  const auto fresh = [&] {
+    return PacketSimulator(machine, target, forced(RouterOptions::Backend::Table));
+  };
 
-  PacketSimulator reused(degraded, target);
+  PacketSimulator reused(machine, target, forced(backend));
   const SimStats cut = reused.run(truncated, /*max_cycles=*/6);
-  ASSERT_GT(cut.timed_out, 0u);
-  expect_same(cut, PacketSimulator(degraded, target).run(truncated, 6), "truncated zipf");
+  ASSERT_GT(cut.timed_out, 0u) << what;
+  expect_same(cut, fresh().run(truncated, 6), what + ": truncated zipf");
   for (std::size_t i = 0; i < steps.size(); ++i) {
-    expect_same(reused.run(steps[i]), PacketSimulator(degraded, target).run(steps[i]),
-                "survivors' Bruck step " + std::to_string(i));
+    expect_same(reused.run(steps[i]), fresh().run(steps[i]),
+                what + ": survivors' Bruck step " + std::to_string(i));
   }
-  expect_same(reused.run(full), PacketSimulator(degraded, target).run(full), "full zipf");
+  expect_same(reused.run(full), fresh().run(full), what + ": full zipf");
+}
+
+TEST(EnginePins, OneSimulatorServesTrafficAndScheduleStepsLikeFreshOnes) {
+  // The campaign runner keeps one simulator per machine and feeds it a
+  // trial's collective steps and traffic in turn (and a block's healthy
+  // simulator serves many trials). Every run must match a simulator built
+  // for it alone, whatever ran before it — also on the implicit backend,
+  // whose recycled slab slots hold the hints of earlier packets.
+  const Graph target = debruijn_base2(6);
+  const Machine degraded = Machine::direct_with_faults(target, FaultSet(64, {5, 22, 41}));
+  std::vector<NodeId> survivors;
+  for (NodeId v = 0; v < 64; ++v) {
+    if (v != 5 && v != 22 && v != 41) survivors.push_back(v);
+  }
+  expect_reuse_like_fresh(degraded, target, survivors, RouterOptions::Backend::Auto,
+                          "degraded B(2,6)");
+
+  for (const Graph& healthy : {debruijn_base2(5), shuffle_exchange_graph(5)}) {
+    std::vector<NodeId> all(healthy.num_nodes());
+    for (NodeId v = 0; v < all.size(); ++v) all[v] = v;
+    expect_reuse_like_fresh(Machine::direct(healthy), healthy, all,
+                            RouterOptions::Backend::Implicit,
+                            debruijn_shape_of(healthy) ? "implicit B(2,5)" : "implicit SE_5");
+  }
 }
 
 // Columns: injected, delivered, undeliverable, timed_out, cycles,

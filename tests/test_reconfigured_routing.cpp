@@ -2,6 +2,7 @@
 // translation of logical routes onto the physical fabric.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 
 #include "ft/ft_debruijn.hpp"
 #include "ft/ft_shuffle_exchange.hpp"
@@ -204,20 +205,19 @@ TEST(MaxRouteStretchDeBruijn, HopExactAgainstDoubleBfsOracle) {
 
 TEST(MachineLogicalRouter, PicksImplicitExactlyWhenDilationOneSurvives) {
   const Graph target = debruijn_base2(4);
-  // Size-aware auto policy disabled: the backend choice then tracks the
-  // machine's shape alone, which is what this test pins down. (With default
+  // Forcing the implicit backend succeeds exactly when the machine still
+  // presents the shape, which is what this test pins down. (With default
   // options a 16-node machine gets the table — see MakeRouter's policy test.)
-  RouterOptions shape_only;
-  shape_only.implicit_min_nodes = 0;
+  RouterOptions implicit;
+  implicit.backend = RouterOptions::Backend::Implicit;
   // Reconfigured within budget: implicit.
   const Machine ok = make_reconfigured(4, 2, {5, 11});
-  EXPECT_EQ(machine_logical_router(ok, target, shape_only)->backend(), RouterBackend::Implicit);
+  EXPECT_EQ(machine_logical_router(ok, target, implicit)->backend(), RouterBackend::Implicit);
   EXPECT_EQ(machine_logical_router(ok, target)->backend(), RouterBackend::Table);
-  // Degraded bare target: holes in the logical graph, fallback.
+  // Degraded bare target: holes in the logical graph, no shape to route by.
   const Machine degraded =
       Machine::direct_with_faults(debruijn_base2(4), FaultSet(16, {5, 11}));
-  EXPECT_NE(machine_logical_router(degraded, target, shape_only)->backend(),
-            RouterBackend::Implicit);
+  EXPECT_THROW(machine_logical_router(degraded, target, implicit), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 // accounting, degradation under faults, and full service after reconfiguration.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ft/ft_debruijn.hpp"
 #include "sim/engine.hpp"
 #include "sim/traffic.hpp"
 #include "topology/debruijn.hpp"
+#include "topology/shuffle_exchange.hpp"
 
 namespace ftdb::sim {
 namespace {
@@ -178,36 +181,40 @@ TEST(Engine, ReconfiguredLatencyMatchesHealthyTarget) {
 TEST(Engine, AllRouterBackendsProduceIdenticalTraffic) {
   // The backends share one canonical next-hop policy, so the cycle-accurate
   // simulation — queues, latencies, drain time — must be bit-identical no
-  // matter which backend routes it.
-  const Graph target = debruijn_base2(5);
+  // matter which backend routes it (the implicit one through per-slot
+  // RouteHints the engine recycles with the slots).
   const auto packets = uniform_traffic(32, 400, 4, 2024);
-  auto run_with = [&](const Machine& machine, RouterOptions::Backend backend) {
-    EngineOptions options;
-    options.router.backend = backend;
-    return run_packets(machine, target, packets, options);
-  };
-  auto expect_same = [](const SimStats& a, const SimStats& b, const char* what) {
-    EXPECT_EQ(a.delivered, b.delivered) << what;
-    EXPECT_EQ(a.undeliverable, b.undeliverable) << what;
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.total_latency, b.total_latency) << what;
-    EXPECT_EQ(a.max_latency, b.max_latency) << what;
-    EXPECT_EQ(a.total_hops, b.total_hops) << what;
-    EXPECT_EQ(a.max_queue_depth, b.max_queue_depth) << what;
-  };
+  for (const Graph& target : {debruijn_base2(5), shuffle_exchange_graph(5)}) {
+    const std::string shape = debruijn_shape_of(target) ? "B(2,5) " : "SE_5 ";
+    auto run_with = [&](const Machine& machine, RouterOptions::Backend backend) {
+      EngineOptions options;
+      options.router.backend = backend;
+      return run_packets(machine, target, packets, options);
+    };
+    auto expect_same = [&](const SimStats& a, const SimStats& b, const char* what) {
+      EXPECT_EQ(a.delivered, b.delivered) << shape << what;
+      EXPECT_EQ(a.undeliverable, b.undeliverable) << shape << what;
+      EXPECT_EQ(a.cycles, b.cycles) << shape << what;
+      EXPECT_EQ(a.total_latency, b.total_latency) << shape << what;
+      EXPECT_EQ(a.max_latency, b.max_latency) << shape << what;
+      EXPECT_EQ(a.total_hops, b.total_hops) << shape << what;
+      EXPECT_EQ(a.max_queue_depth, b.max_queue_depth) << shape << what;
+    };
 
-  const Machine healthy = Machine::direct(target);
-  const SimStats table = run_with(healthy, RouterOptions::Backend::Table);
-  expect_same(table, run_with(healthy, RouterOptions::Backend::Compressed), "healthy/compressed");
-  expect_same(table, run_with(healthy, RouterOptions::Backend::Implicit), "healthy/implicit");
-  expect_same(table, run_with(healthy, RouterOptions::Backend::Auto), "healthy/auto");
+    const Machine healthy = Machine::direct(target);
+    const SimStats table = run_with(healthy, RouterOptions::Backend::Table);
+    expect_same(table, run_with(healthy, RouterOptions::Backend::Compressed),
+                "healthy/compressed");
+    expect_same(table, run_with(healthy, RouterOptions::Backend::Implicit), "healthy/implicit");
+    expect_same(table, run_with(healthy, RouterOptions::Backend::Auto), "healthy/auto");
 
-  const FaultSet faults(32, {3, 17});
-  const Machine degraded = Machine::direct_with_faults(target, faults);
-  const SimStats dtable = run_with(degraded, RouterOptions::Backend::Table);
-  expect_same(dtable, run_with(degraded, RouterOptions::Backend::Compressed),
-              "degraded/compressed");
-  expect_same(dtable, run_with(degraded, RouterOptions::Backend::Auto), "degraded/auto");
+    const FaultSet faults(32, {3, 17});
+    const Machine degraded = Machine::direct_with_faults(target, faults);
+    const SimStats dtable = run_with(degraded, RouterOptions::Backend::Table);
+    expect_same(dtable, run_with(degraded, RouterOptions::Backend::Compressed),
+                "degraded/compressed");
+    expect_same(dtable, run_with(degraded, RouterOptions::Backend::Auto), "degraded/auto");
+  }
 }
 
 TEST(Engine, PermutationTrafficDrains) {

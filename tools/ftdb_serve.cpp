@@ -20,13 +20,19 @@
 //   checkpoint         compact the journal
 //   crash              exit immediately without cleanup (recovery testing)
 //   quit               exit cleanly
+//
+// Node ids are whole decimal numbers that fit a 32-bit NodeId. A command with
+// a missing or malformed id answers "error ..." and changes nothing.
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "serve/service.hpp"
@@ -46,6 +52,25 @@ int usage(const char* argv0) {
             << " [--family debruijn|shuffle_exchange] [--base M] [--digits H]"
                " [--spares K] [--journal PATH] [--no-fsync]\n";
   return 2;
+}
+
+/// `token` as a node id: a whole decimal number that fits NodeId. Throws
+/// std::invalid_argument otherwise, so no command acts on an id it did not
+/// parse.
+NodeId parse_id(const std::string& token) {
+  if (token.empty()) throw std::invalid_argument("missing node id");
+  NodeId id = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, id);
+  if (ec != std::errc{} || ptr != end) throw std::invalid_argument("not a node id: " + token);
+  return id;
+}
+
+/// The next whitespace-separated token of `in`, parsed by parse_id.
+NodeId read_id(std::istringstream& in) {
+  std::string token;
+  in >> token;
+  return parse_id(token);
 }
 
 void print_path(const std::vector<NodeId>& path) {
@@ -120,22 +145,22 @@ int main(int argc, char** argv) {
           in >> sub;
           if (sub == "link") {
             event.kind = FaultKind::kLink;
-            in >> event.node >> event.other;
+            event.node = read_id(in);
+            event.other = read_id(in);
           } else if (sub == "bus") {
             event.kind = FaultKind::kBus;
-            in >> event.node;
+            event.node = read_id(in);
           } else {
             event.kind = FaultKind::kNode;
-            event.node = static_cast<NodeId>(std::strtoul(sub.c_str(), nullptr, 10));
+            event.node = parse_id(sub);
           }
           std::cout << mutation_status_name(service.fault(event)) << '\n';
         } else if (cmd == "repair") {
-          NodeId node = 0;
-          in >> node;
+          const NodeId node = read_id(in);
           std::cout << mutation_status_name(service.repair(node)) << '\n';
         } else if (cmd == "route" || cmd == "bare-route") {
-          NodeId from = 0, to = 0;
-          in >> from >> to;
+          const NodeId from = read_id(in);
+          const NodeId to = read_id(in);
           print_path(cmd == "route" ? reader.route(from, to) : reader.bare_route(from, to));
         } else if (cmd == "stats") {
           const auto s = service.stats();

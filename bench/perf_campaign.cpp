@@ -17,6 +17,7 @@
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
 #include "ft/ft_debruijn.hpp"
+#include "ft/spares.hpp"
 #include "ft/tolerance.hpp"
 #include "topology/debruijn.hpp"
 
@@ -151,6 +152,18 @@ FTDB_BENCH(next_unit, "perf_campaign/next_unit_n4096") {
   ctx.report("ns_per_iteration", elapsed_ns(start) / kDrawIterations);
   ctx.report("calls_per_iteration", static_cast<double>(u.size()));
   ctx.report("checksum", checksum);
+}
+
+/// One analytic Weibull MTTF at a campaign_survival cell: B^8_{2,12}
+/// (4104 nodes), shape 2, scale 100. The campaign's finalize pays it once
+/// per Weibull cell.
+FTDB_BENCH(weibull_mttf, "perf_campaign/weibull_mttf_n4104_k8") {
+  constexpr int kIterations = 50;
+  double value = 0.0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kIterations; ++i) value = ftdb::weibull_mttf(4104, 8, 2.0, 100.0);
+  ctx.report("ns_per_iteration", elapsed_ns(start) / kIterations);
+  ctx.report("value", value);
 }
 
 // --- survival: one scan per trial vs one proof per cell -----------------------

@@ -573,30 +573,6 @@ void fold_histogram(ScenarioResult& acc, const BlockScratch& scratch) {
   }
 }
 
-/// Exact E[time of the (k+1)-st failure] when all n fabric nodes fail
-/// independently with probability p per step: summing the survival function,
-/// E = sum_{t >= 0} P[at most k of n failed by step t], with per-node
-/// failure probability 1 - (1-p)^t by step t. This is the true expectation
-/// of the empirical draw (simultaneous failures allowed); a model that lets
-/// failures arrive one at a time overshoots once n*p stops being small.
-///
-/// The sum needs on the order of the MTTF itself in iterations, so a cap
-/// bounds the work; past it we return NaN (report renders "-") rather than a
-/// silently truncated number next to the empirical column it validates.
-double exact_iid_mttf(std::uint64_t n, unsigned spares, double p) {
-  long double expectation = 0.0L;
-  long double log_alive = 0.0L;  // log of per-node survival prob (1-p)^t
-  const long double log_1mp = std::log1p(static_cast<long double>(-p));
-  for (std::uint64_t t = 0; t < 2000000; ++t) {
-    const long double q_fail = -std::expm1(log_alive);
-    const long double alive = binomial_cdf(n, spares, q_fail);
-    expectation += alive;
-    if (alive < 1e-13L && t > 0) return static_cast<double>(expectation);
-    log_alive += log_1mp;
-  }
-  return std::numeric_limits<double>::quiet_NaN();
-}
-
 // --- result (de)serialization ------------------------------------------------
 
 void write_stats(JsonWriter& w, const StreamingStats& s) {

@@ -43,95 +43,93 @@ std::uint64_t bus_port_cost(std::uint64_t target_nodes, unsigned spares) {
   return (target_nodes + spares) * (2ull * spares + 3);
 }
 
-namespace {
-
-/// The beta-function closed form, safe while the alternating sum keeps
-/// enough long-double digits (caller checks).
-long double weibull_mttf_closed_form(std::uint64_t n, unsigned k, long double shape,
-                                     long double scale) {
-  const std::uint64_t r = static_cast<std::uint64_t>(k) + 1;
-  const long double s = 1.0L + 1.0L / shape;
-  // log of r * C(n, r); the summands carry log C(k, j) - s*log(n-k+j).
-  const long double log_pref = std::log(static_cast<long double>(r)) +
-                               std::lgammal(static_cast<long double>(n) + 1.0L) -
-                               std::lgammal(static_cast<long double>(r) + 1.0L) -
-                               std::lgammal(static_cast<long double>(n - r) + 1.0L);
-  // Factor the largest summand magnitude out so exp() stays in range.
-  long double max_log = -std::numeric_limits<long double>::infinity();
-  for (unsigned j = 0; j <= k; ++j) {
-    const long double log_t = std::lgammal(static_cast<long double>(k) + 1.0L) -
-                              std::lgammal(static_cast<long double>(j) + 1.0L) -
-                              std::lgammal(static_cast<long double>(k - j) + 1.0L) -
-                              s * std::log(static_cast<long double>(n - k + j));
-    max_log = std::max(max_log, log_t);
+double exact_iid_mttf(std::uint64_t n, unsigned spares, double p) {
+  long double expectation = 0.0L;
+  long double log_alive = 0.0L;  // log of per-node survival prob (1-p)^t
+  const long double log_1mp = std::log1p(static_cast<long double>(-p));
+  for (std::uint64_t t = 0; t < 2000000; ++t) {
+    const long double q_fail = -std::expm1(log_alive);
+    const long double alive = binomial_cdf(n, spares, q_fail);
+    expectation += alive;
+    if (alive < 1e-13L && t > 0) return static_cast<double>(expectation);
+    log_alive += log_1mp;
   }
-  long double sum = 0.0L;
-  for (unsigned j = 0; j <= k; ++j) {
-    const long double log_t = std::lgammal(static_cast<long double>(k) + 1.0L) -
-                              std::lgammal(static_cast<long double>(j) + 1.0L) -
-                              std::lgammal(static_cast<long double>(k - j) + 1.0L) -
-                              s * std::log(static_cast<long double>(n - k + j));
-    const long double term = std::exp(log_t - max_log);
-    sum += (j % 2 == 0) ? term : -term;
-  }
-  return scale * std::tgammal(s) * std::exp(log_pref + max_log) * sum;
+  return std::numeric_limits<double>::quiet_NaN();
 }
 
-/// P[T_(k+1:n) > t] for Weibull(shape, scale) lifetimes.
-long double weibull_survival(std::uint64_t n, unsigned k, long double shape, long double scale,
-                             long double t) {
-  const long double u = std::pow(t / scale, shape);
-  const long double q = -std::expm1(-u);  // per-node failure probability by t
-  return binomial_cdf(n, k, q);
-}
-
-long double simpson(std::uint64_t n, unsigned k, long double shape, long double scale,
-                    long double a, long double fa, long double b, long double fb,
-                    long double fm, long double whole, int depth) {
-  const long double m = 0.5L * (a + b);
-  const long double lm = 0.5L * (a + m);
-  const long double rm = 0.5L * (m + b);
-  const long double flm = weibull_survival(n, k, shape, scale, lm);
-  const long double frm = weibull_survival(n, k, shape, scale, rm);
-  const long double left = (m - a) / 6.0L * (fa + 4.0L * flm + fm);
-  const long double right = (b - m) / 6.0L * (fm + 4.0L * frm + fb);
-  if (depth <= 0 || std::fabs(left + right - whole) < 1e-12L * (std::fabs(whole) + 1e-30L)) {
-    return left + right;
-  }
-  return simpson(n, k, shape, scale, a, fa, m, fm, flm, left, depth - 1) +
-         simpson(n, k, shape, scale, m, fm, b, fb, frm, right, depth - 1);
-}
-
-long double weibull_mttf_quadrature(std::uint64_t n, unsigned k, long double shape,
-                                    long double scale) {
-  // Upper limit: double past the (k+1)/n failure quantile until the survival
-  // function is numerically dead.
-  const long double q_star =
-      std::min(0.999L, static_cast<long double>(k + 1) / static_cast<long double>(n));
-  long double hi = scale * std::pow(-std::log1p(-q_star), 1.0L / shape);
-  hi = std::max(hi, scale * 1e-3L);
-  while (weibull_survival(n, k, shape, scale, hi) > 1e-18L && hi < scale * 1e9L) hi *= 2.0L;
-  const long double fa = weibull_survival(n, k, shape, scale, 0.0L);
-  const long double fb = weibull_survival(n, k, shape, scale, hi);
-  const long double fm = weibull_survival(n, k, shape, scale, 0.5L * hi);
-  const long double whole = hi / 6.0L * (fa + 4.0L * fm + fb);
-  return simpson(n, k, shape, scale, 0.0L, fa, hi, fb, fm, whole, 40);
-}
-
-}  // namespace
-
-double weibull_mttf(std::uint64_t n, unsigned k, double shape, double scale) {
-  if (n == 0 || k >= n || !(shape > 0.0) || !(scale > 0.0)) {
+double weibull_mttf(std::uint64_t n, unsigned k, double shape, double scale,
+                    unsigned intervals) {
+  if (n == 0 || k >= n || !(shape > 0.0) || !(scale > 0.0) || intervals < 2 ||
+      intervals % 2 != 0) {
     return std::numeric_limits<double>::quiet_NaN();
   }
-  // Cancellation estimate for the alternating sum: ~ n^k / k! of precision.
-  const long double loss =
-      static_cast<long double>(k) * std::log(static_cast<long double>(n)) -
-      std::lgammal(static_cast<long double>(k) + 1.0L);
-  const long double value =
-      loss < 20.0L ? weibull_mttf_closed_form(n, k, shape, scale)
-                   : weibull_mttf_quadrature(n, k, shape, scale);
-  return static_cast<double>(value);
+  // With u = e^s the integrand is exp(L(s)), L concave: its pieces are
+  // linear, -m e^s, and (r-1) log(1 - e^{-e^s}), whose slope e^s / (e^{e^s} - 1)
+  // falls as s grows.
+  const long double r = static_cast<long double>(k) + 1.0L;
+  const long double m = static_cast<long double>(n - k);
+  const long double power = 1.0L + 1.0L / static_cast<long double>(shape);
+  const auto log_integrand = [&](long double s) {
+    const long double u = std::exp(s);
+    const long double earlier = k == 0 ? 0.0L : (r - 1.0L) * std::log(-std::expm1(-u));
+    return power * s + earlier - m * u;
+  };
+  const auto slope = [&](long double s) {
+    const long double u = std::exp(s);
+    const long double earlier = k == 0 ? 0.0L : (r - 1.0L) * u / std::expm1(u);
+    return power + earlier - m * u;
+  };
+  // The envelope u^{r + 1/shape} e^{-m u} bounds the integrand and peaks at
+  // ln(a / m), a = r + 1/shape, where the true slope is already <= 0; the
+  // slope tends to `power + r - 1 > 0` on the left. Bisect for the peak.
+  long double hi = std::log((r - 1.0L + power) / m);
+  long double lo = hi - 1.0L;
+  for (long double step = 2.0L; !(slope(lo) > 0.0L); step *= 2.0L) {
+    hi = lo;
+    lo -= step;
+  }
+  for (int i = 0; i < 100 && hi - lo > 1e-12L; ++i) {
+    const long double mid = 0.5L * (lo + hi);
+    (slope(mid) > 0.0L ? lo : hi) = mid;
+  }
+  const long double peak = 0.5L * (lo + hi);
+  const long double top = log_integrand(peak);
+  // The window ends where the integrand is e^-kDrop of its peak on each
+  // side. By concavity the mass beyond an edge is at most e^-kDrop of the
+  // peak times the edge's distance to the peak over kDrop, far below 1e-16
+  // of the integral: this covers the linear left tail (about kDrop / a wide)
+  // and the Gaussian core (about sqrt(2 kDrop / a)) alike.
+  constexpr long double kDrop = 50.0L;
+  const auto edge = [&](long double direction) {
+    long double inside = peak;
+    long double step = 1.0L / 1024.0L;
+    long double outside = peak + direction * step;
+    while (log_integrand(outside) > top - kDrop) {
+      inside = outside;
+      step *= 2.0L;
+      outside = peak + direction * step;
+    }
+    for (int i = 0; i < 100 && std::fabs(outside - inside) > 1e-9L; ++i) {
+      const long double mid = 0.5L * (inside + outside);
+      (log_integrand(mid) > top - kDrop ? inside : outside) = mid;
+    }
+    return outside;
+  };
+  const long double left = edge(-1.0L);
+  const long double right = edge(1.0L);
+  // Simpson's rule on the peak-normalized integrand, which is smooth and
+  // negligible at both ends, so the rule converges far faster than h^4.
+  const long double h = (right - left) / static_cast<long double>(intervals);
+  long double sum = 0.0L;
+  for (unsigned i = 0; i <= intervals; ++i) {
+    const long double weight = i == 0 || i == intervals ? 1.0L : (i % 2 == 1 ? 4.0L : 2.0L);
+    sum += weight * std::exp(log_integrand(left + h * static_cast<long double>(i)) - top);
+  }
+  // C = n! / ((r - 1)! (n - r)!).
+  const long double log_c = std::lgamma(static_cast<long double>(n) + 1.0L) - std::lgamma(r) -
+                            std::lgamma(m);
+  return static_cast<double>(static_cast<long double>(scale) * std::exp(log_c + top) * sum * h /
+                             3.0L);
 }
 
 }  // namespace ftdb

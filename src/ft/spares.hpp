@@ -29,22 +29,40 @@ std::uint64_t ours_port_cost(std::uint64_t m, std::uint64_t target_nodes, unsign
 /// Port cost of the bus construction of Section V: (N+k) * (2k+3).
 std::uint64_t bus_port_cost(std::uint64_t target_nodes, unsigned spares);
 
+/// Exact E[time of the (k+1)-st failure] when all n fabric nodes fail
+/// independently with probability p per step: summing the survival function,
+/// E = sum_{t >= 0} P[at most k of n failed by step t], with per-node
+/// failure probability 1 - (1-p)^t by step t. This is the true expectation
+/// of the iid model's empirical draw (simultaneous failures allowed); a model
+/// that lets failures arrive one at a time overshoots once n*p stops being
+/// small.
+///
+/// The sum needs on the order of the MTTF itself in iterations, so a cap
+/// bounds the work; past it the result is NaN (a report renders "-") rather
+/// than a silently truncated number next to the empirical column it
+/// validates.
+double exact_iid_mttf(std::uint64_t n, unsigned spares, double p);
+
+/// Simpson intervals of weibull_mttf's rule (513 points).
+inline constexpr unsigned kWeibullMttfIntervals = 512;
+
 /// Analytic MTTF under Weibull wear-out: E[time of the (k+1)-st failure]
-/// when the n fabric nodes have iid Weibull(shape, scale) lifetimes — the
-/// closed-form order-statistic mean via the beta function,
+/// when the n fabric nodes have iid Weibull(shape, scale) lifetimes. With
+/// r = k+1, m = n-r+1 and u = (t/scale)^shape, the unit-rate exponential
+/// behind a lifetime, the order statistic's mean is
 ///
-///   E[T_(r:n)] = scale * Gamma(1 + 1/shape) * r * C(n, r) *
-///                sum_{j=0}^{r-1} (-1)^j C(r-1, j) (n - r + 1 + j)^{-(1+1/shape)}
+///   E[T_(r:n)] = scale * C * integral_0^inf u^{1/shape} (1 - e^{-u})^{r-1} e^{-m u} du,
+///   C = n! / ((r-1)! (n-r)!).
 ///
-/// with r = k+1 (each summand is a beta-integral moment of the j-th
-/// exceedance). The alternating sum cancels roughly n^k / k! of precision, so
-/// it is evaluated in long double only while that loss is far inside range;
-/// beyond it the same quantity is integrated without cancellation as
-/// E = integral of P[T_(k+1) > t] dt = integral of
-/// binomial_cdf(n, k, 1 - e^{-(t/scale)^shape}) dt by adaptive Simpson.
-/// Returns NaN when k >= n (spares can never be exhausted). This fills the
-/// analytic-MTTF column of the campaign report for the weibull fault model,
-/// companion to the iid model's exact expectation.
-double weibull_mttf(std::uint64_t n, unsigned k, double shape, double scale);
+/// It is one fixed rule: Simpson over `intervals` steps in s = ln u, summed
+/// in log space relative to the integrand's peak, over a window that ends
+/// where the integrand falls e^-50 below that peak. There is no cancellation
+/// and no adaptive refinement, so the cost is the same at every shape and the
+/// relative error stays near 1e-15. Returns NaN when k >= n (spares can never
+/// be exhausted) or for a non-positive shape or scale, or an odd or too small
+/// `intervals`. This fills the analytic-MTTF column of the campaign report
+/// for the weibull fault model, companion to exact_iid_mttf.
+double weibull_mttf(std::uint64_t n, unsigned k, double shape, double scale,
+                    unsigned intervals = kWeibullMttfIntervals);
 
 }  // namespace ftdb

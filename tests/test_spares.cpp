@@ -2,6 +2,7 @@
 // Weibull order-statistic MTTF.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "ft/spares.hpp"
@@ -109,20 +110,19 @@ TEST(WeibullMttf, ExponentialOrderStatisticHarmonicIdentity) {
 }
 
 TEST(WeibullMttf, QuadratureCrossCheck) {
-  // The closed form (small n, k) and the internal adaptive-Simpson fallback
-  // (large n forces it) must both match an independent fixed-step Simpson
-  // integration of the survival function.
+  // An independent fixed-step Simpson integration of the survival function,
+  // in t rather than ln u, on small and large fabrics.
   const struct {
     std::uint64_t n;
     unsigned k;
     double shape;
     double scale;
   } cases[] = {
-      {10, 2, 1.5, 400.0},  // closed form
-      {36, 4, 0.9, 120.0},  // closed form
-      {36, 8, 2.0, 75.0},   // near the cancellation switch
-      {600, 6, 1.5, 300.0},  // quadrature path
-      {5000, 3, 1.2, 800.0}, // quadrature path, big fabric
+      {10, 2, 1.5, 400.0},
+      {36, 4, 0.9, 120.0},
+      {36, 8, 2.0, 75.0},
+      {600, 6, 1.5, 300.0},
+      {5000, 3, 1.2, 800.0},
   };
   for (const auto& c : cases) {
     const double reference = weibull_mttf_reference(c.n, c.k, c.shape, c.scale);
@@ -130,6 +130,127 @@ TEST(WeibullMttf, QuadratureCrossCheck) {
     EXPECT_NEAR(value, reference, 5e-5 * reference)
         << "n=" << c.n << " k=" << c.k << " shape=" << c.shape;
   }
+}
+
+/// Relative distance of `value` from `reference`.
+double relative(double value, double reference) {
+  return std::fabs(value - reference) / std::fabs(reference);
+}
+
+TEST(WeibullMttf, ShapeOneIsTheHarmonicSumToTheLastDigits) {
+  for (const std::uint64_t n : {5ull, 40ull, 1028ull, 4104ull}) {
+    for (const unsigned k : {0u, 1u, 4u, 8u}) {
+      if (k >= n) continue;
+      long double expected = 0.0L;
+      for (unsigned i = 0; i <= k; ++i) expected += 100.0L / static_cast<long double>(n - i);
+      EXPECT_LE(relative(weibull_mttf(n, k, 1.0, 100.0), static_cast<double>(expected)), 1e-13)
+          << "n=" << n << " k=" << k;
+    }
+  }
+}
+
+/// The beta-function alternating sum in long double,
+///
+///   E[T_(r:n)] = scale * Gamma(1 + 1/shape) * r * C(n, r) *
+///                sum_{j=0}^{r-1} (-1)^j C(r-1, j) (n - r + 1 + j)^{-(1+1/shape)},
+///
+/// whose cancellation costs about `cancellation(n, k)` nats of precision.
+long double weibull_mttf_closed_form(std::uint64_t n, unsigned k, long double shape,
+                                     long double scale) {
+  const long double r = static_cast<long double>(k) + 1.0L;
+  const long double s = 1.0L + 1.0L / shape;
+  const long double log_pref = std::log(r) + std::lgamma(static_cast<long double>(n) + 1.0L) -
+                               std::lgamma(r + 1.0L) -
+                               std::lgamma(static_cast<long double>(n) - r + 1.0L);
+  const auto log_term = [&](unsigned j) {
+    return std::lgamma(static_cast<long double>(k) + 1.0L) -
+           std::lgamma(static_cast<long double>(j) + 1.0L) -
+           std::lgamma(static_cast<long double>(k - j) + 1.0L) -
+           s * std::log(static_cast<long double>(n - k + j));
+  };
+  long double max_log = log_term(0);
+  for (unsigned j = 1; j <= k; ++j) max_log = std::max(max_log, log_term(j));
+  long double sum = 0.0L;
+  for (unsigned j = 0; j <= k; ++j) {
+    const long double term = std::exp(log_term(j) - max_log);
+    sum += (j % 2 == 0) ? term : -term;
+  }
+  return scale * std::tgamma(s) * std::exp(log_pref + max_log) * sum;
+}
+
+long double cancellation(std::uint64_t n, unsigned k) {
+  return static_cast<long double>(k) * std::log(static_cast<long double>(n)) -
+         std::lgamma(static_cast<long double>(k) + 1.0L);
+}
+
+TEST(WeibullMttf, MatchesTheClosedFormWhereItsCancellationIsSmall) {
+  // Past about 12 nats the closed form itself drifts beyond 1e-13 (at 18
+  // nats, n = 36 and k = 8, it is 1e-9 off the exact value); the pins below
+  // cover that range.
+  std::size_t compared = 0;
+  for (const std::uint64_t n : {4ull, 10ull, 36ull, 100ull, 1028ull}) {
+    for (const unsigned k : {0u, 1u, 2u, 4u, 8u}) {
+      if (k >= n || cancellation(n, k) >= 12.0L) continue;
+      for (const double shape : {0.3, 0.9, 1.5, 2.0, 8.0}) {
+        const double reference =
+            static_cast<double>(weibull_mttf_closed_form(n, k, shape, 120.0L));
+        EXPECT_LE(relative(weibull_mttf(n, k, shape, 120.0), reference), 1e-13)
+            << "n=" << n << " k=" << k << " shape=" << shape;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GE(compared, 40u);
+}
+
+TEST(WeibullMttf, SixteenTimesThePointsAgrees) {
+  for (const std::uint64_t n : {20ull, 1028ull, 4104ull}) {
+    for (const unsigned k : {0u, 4u, 8u}) {
+      for (const double shape : {0.01, 0.05, 0.1, 0.5, 1.5, 2.0, 8.0, 1e3}) {
+        const double fine = weibull_mttf(n, k, shape, 100.0, 16 * kWeibullMttfIntervals);
+        EXPECT_LE(relative(weibull_mttf(n, k, shape, 100.0), fine), 1e-13)
+            << "n=" << n << " k=" << k << " shape=" << shape;
+      }
+    }
+  }
+}
+
+TEST(WeibullMttf, PinnedValuesAtSmallAndLargeShapes) {
+  // The exact alternating sum evaluated with mpmath at 300 digits. At shape
+  // <= 0.1 nearly all the mass sits where the lifetime is a tiny fraction of
+  // the scale.
+  const struct {
+    std::uint64_t n;
+    unsigned k;
+    double shape;
+    double scale;
+    double expected;
+  } cases[] = {
+      {1028, 8, 0.1, 100.0, 1.252740066746153822e-17},
+      {4100, 4, 0.05, 100.0, 1.4489654146496434772e-48},
+      {4100, 4, 0.2, 100.0, 1.3082548867663176864e-12},
+      {4100, 4, 0.01, 100.0, 2.3737608245567654315e-195},
+      {1028, 4, 0.5, 100.0, 0.0028498914666373129947},
+      {4104, 8, 2.0, 100.0, 4.6206240467747595998},
+      {4104, 8, 8.0, 100.0, 46.238891058082802367},
+      {4104, 8, 1e6, 100.0, 99.999382191874520188},
+      {20, 19, 1.5, 100.0, 231.81541374354294977},
+      {36, 8, 2.0, 75.0, 39.352147739483741823},
+      {5000, 3, 1.2, 800.0, 2.0659451960205167714},
+  };
+  for (const auto& c : cases) {
+    EXPECT_LE(relative(weibull_mttf(c.n, c.k, c.shape, c.scale), c.expected), 1e-13)
+        << "n=" << c.n << " k=" << c.k << " shape=" << c.shape;
+  }
+}
+
+TEST(ExactIidMttf, OneNodeIsTheGeometricMean) {
+  // n = 1, k = 0: the node's first failure step is geometric with mean 1/p.
+  for (const double p : {0.5, 0.1, 0.01}) {
+    EXPECT_NEAR(exact_iid_mttf(1, 0, p), 1.0 / p, 1e-9 / p) << "p=" << p;
+  }
+  // A cap keeps the sum bounded: p too small to converge in 2e6 steps.
+  EXPECT_TRUE(std::isnan(exact_iid_mttf(1, 0, 1e-9)));
 }
 
 TEST(WeibullMttf, MonotoneInSparesAndDegenerateInputs) {

@@ -86,10 +86,11 @@ FTDB_BENCH(campaign_grid, "perf_campaign/grid_2topo_x3k_x2models") {
 // --- fault draws ---------------------------------------------------------------
 
 /// Per-draw cost of the clocked fault models on B^4_{2,12} (4100 nodes), at
-/// the campaign_survival parameters. A draw takes one uniform per node, so
-/// next_unit_n4096 (4100 bare TrialRng::next_unit() calls) is its floor; CI
-/// holds each draw within a fixed multiple of that floor, measured in the
-/// same process so host load cancels.
+/// the campaign_survival parameters. A draw costs O(k + faults), so CI holds
+/// each well under next_unit_n4096 (4100 bare TrialRng::next_unit() calls,
+/// what a per-node draw would pay), and draw_iid_n65536, at 16x the nodes
+/// and the same expected fault count, within 2x draw_iid_n4096. Each ratio
+/// is measured in one process, so host load cancels.
 constexpr unsigned kDrawH = 12;
 constexpr unsigned kDrawSpares = 4;
 constexpr int kDrawIterations = 2000;
@@ -100,8 +101,8 @@ double elapsed_ns(std::chrono::steady_clock::time_point start) {
                                  .count());
 }
 
-void draw_bench(BenchContext& ctx, const FaultModelSpec& spec) {
-  const ftdb::Graph fabric = ftdb::ft_debruijn_base2(kDrawH, kDrawSpares);
+void draw_bench(BenchContext& ctx, const FaultModelSpec& spec, unsigned h = kDrawH) {
+  const ftdb::Graph fabric = ftdb::ft_debruijn_base2(h, kDrawSpares);
   const auto model = make_fault_model(spec);
   model->prepare(fabric, kDrawSpares);
   double faults = 0.0;
@@ -121,6 +122,11 @@ void draw_bench(BenchContext& ctx, const FaultModelSpec& spec) {
 
 FTDB_BENCH(draw_iid, "perf_campaign/draw_iid_n4096") {
   draw_bench(ctx, {FaultModelKind::IidBernoulli, 0.001, 1.0, 100.0, 1.0});
+}
+
+FTDB_BENCH(draw_iid_large, "perf_campaign/draw_iid_n65536") {
+  // p scaled by 4100 / 65540, so a trial expects the same 4.1 faults.
+  draw_bench(ctx, {FaultModelKind::IidBernoulli, 0.001 * 4100.0 / 65540.0, 1.0, 100.0, 1.0}, 16);
 }
 
 FTDB_BENCH(draw_clustered, "perf_campaign/draw_clustered_n4096") {

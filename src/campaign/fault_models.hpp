@@ -46,27 +46,19 @@
 //                    hanging on it). The snapshot is the step-1 seeds plus
 //                    their member-driven buses.
 //
-// Cost model. The clocked models (iid, bus_iid, weibull, clustered,
-// bus_clustered) share one pass over the units (detail::scan_clocks in clock_scan.hpp). Each
-// node or bus takes exactly one rng.next_u64(), in order, so a trial's
-// stream never depends on what was drawn. The pass compares each draw's
-// 53-bit mantissa, as an integer, against a running cut and skips every
-// uniform above it; nothing is stored per unit. The cut is the larger of
-// two edges: the fault test's (no uniform above it is a fault) and the
-// order-statistic band's (no uniform above it can reach the (k+1)-st
-// smallest clock). Only the few uniforms at or below the cut run the
-// double-precision work: the fault test, a bounded heap of the k+1
-// smallest uniforms, and the band check. Only the survivors of the final
-// band are turned into clocks, O(k) log1p (or pow) calls per trial. Both
-// edges rest on the slack invariant: a uniform at least
-// (1 + detail::kClockSlack) times another never gets the smaller computed
-// clock, and a fault threshold on the clock is decided on the uniform
-// except inside a thin band around it. fault_models.cpp derives the
-// invariant from the rounding error of log1p and pow; where it cannot hold
-// (Weibull shape outside [2^-4, 2^10]) the slack is infinite, the cut
-// admits every uniform and every clock is evaluated. Either way the draw
-// is bit-identical to evaluating every unit's clock and selecting the
-// (k+1)-st.
+// Cost model. A trial of a clocked model (iid, bus_iid, weibull, clustered,
+// bus_clustered) costs O(k + faults), not O(n): it draws the fault count
+// from a per-cell Binomial table built in prepare() (one 53-bit mantissa
+// compared as an integer), the faulty units by Floyd's algorithm, and the
+// (k+1)-st smallest clock as a sequential order statistic of the units on
+// the right side of the fault threshold, O(k) log1p (or pow) calls. The
+// cascading models draw the identities of their k+1 earliest seeds
+// uniformly without replacement, then expand the faults to S u N(S). How many
+// draws a trial takes depends on what it drew, but each trial's stream is
+// its own (campaign/rng.hpp), so the result is still a pure function of
+// (seed, cell, trial). kFaultDrawVersion (scenario.hpp) names this sampler
+// in every spec fingerprint. The adversarial budget comes from the same
+// Binomial table.
 #pragma once
 
 #include <cstddef>
@@ -104,7 +96,8 @@ class FaultModel {
   virtual std::string name() const = 0;
 
   /// Called once per scenario, single-threaded, before any draw(); models
-  /// precompute per-fabric state here (e.g. the adversarial attack order).
+  /// precompute per-fabric state here (the fault-count table, the
+  /// adversarial attack order).
   /// draw() may afterwards run concurrently from many threads.
   virtual void prepare(const Graph& fabric, unsigned spares) {
     (void)fabric;
@@ -125,15 +118,6 @@ class FaultModel {
   /// a pure function of its arguments and the rng stream.
   virtual FaultDraw draw(const Graph& fabric, unsigned spares, TrialRng& rng) const = 0;
 };
-
-namespace detail {
-
-/// Relative slack of the clock bands: 2^-20 dwarfs the few-ulp (2^-50)
-/// rounding error of log1p and pow, so computed clocks of uniforms this far
-/// apart keep their exact-arithmetic order.
-inline constexpr double kClockSlack = 0x1p-20;
-
-}  // namespace detail
 
 /// Factory from the declarative spec. Throws std::runtime_error on
 /// parameters the parser's validation should have rejected.

@@ -481,6 +481,8 @@ std::uint64_t spec_fingerprint(const ScenarioSpec& spec) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
   }
+  h ^= kFaultDrawVersion;
+  h *= 1099511628211ull;
   return splitmix64_mix(h);
 }
 

@@ -183,8 +183,15 @@ std::string scenario_spec_to_json(const ScenarioSpec& spec);
 /// the campaign report document).
 void write_scenario_spec(analysis::JsonWriter& w, const ScenarioSpec& spec);
 
-/// FNV-1a hash of the canonical JSON — the compatibility stamp checked when
-/// resuming from a checkpoint.
+/// Version of the fault draws (fault_models.hpp): a spec gives the same
+/// trials only under the same version. Fingerprints without a version are
+/// those of the per-unit scan; version 1 draws the fault count, the faulty
+/// units and the exhaustion clock directly.
+inline constexpr std::uint64_t kFaultDrawVersion = 1;
+
+/// FNV-1a hash of the canonical JSON and kFaultDrawVersion — the
+/// compatibility stamp checked when resuming from a checkpoint or block log
+/// and when merging shards, so none of them mixes trials of two samplers.
 std::uint64_t spec_fingerprint(const ScenarioSpec& spec);
 
 /// A small ready-to-run example spec (also used by the CI smoke job): two

@@ -1,6 +1,7 @@
 #include "ft/reconfigure.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 
@@ -17,16 +18,34 @@ FaultSet::FaultSet(std::size_t universe, std::vector<NodeId> faulty)
 
 FaultSet FaultSet::random(std::size_t universe, std::size_t count, SplitMix64& rng) {
   if (count > universe) throw std::invalid_argument("FaultSet::random: count > universe");
-  // Floyd's algorithm: uniform sample of `count` distinct values.
+  // Floyd's algorithm: uniform sample of `count` distinct values. Small
+  // samples test membership by a scan; larger ones in an open-addressed
+  // table of at least twice their size, so the draw stays O(count).
   std::vector<NodeId> chosen;
   chosen.reserve(count);
-  for (std::size_t j = universe - count; j < universe; ++j) {
-    const NodeId t = static_cast<NodeId>(rng.next_below(j + 1));
-    if (std::find(chosen.begin(), chosen.end(), t) == chosen.end()) {
-      chosen.push_back(t);
+  constexpr std::size_t kScanned = 32;
+  std::vector<NodeId> table;
+  int shift = 64;
+  if (count > kScanned) {
+    table.assign(std::bit_ceil(2 * count), kInvalidNode);
+    shift -= std::countr_zero(table.size());
+  }
+  const auto insert = [&](NodeId t) {
+    if (table.empty()) {
+      if (std::find(chosen.begin(), chosen.end(), t) != chosen.end()) return false;
     } else {
-      chosen.push_back(static_cast<NodeId>(j));
+      std::size_t slot = (t * 0x9e3779b97f4a7c15ull) >> shift;
+      for (; table[slot] != kInvalidNode; slot = (slot + 1) & (table.size() - 1)) {
+        if (table[slot] == t) return false;
+      }
+      table[slot] = t;
     }
+    chosen.push_back(t);
+    return true;
+  };
+  for (std::size_t j = universe - count; j < universe; ++j) {
+    // j exceeds every earlier candidate, so it is never taken yet.
+    if (!insert(static_cast<NodeId>(rng.next_below(j + 1)))) insert(static_cast<NodeId>(j));
   }
   return FaultSet(universe, std::move(chosen));
 }

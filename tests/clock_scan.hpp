@@ -1,8 +1,7 @@
-// The one pass behind every clocked fault model (see fault_models.hpp):
-// each unit's uniform is drawn, compared as a 53-bit integer against a
-// running cut, and skipped unless it can be a fault or reach the (k+1)-st
-// order statistic. Internal to the campaign layer; tests reach it to drive
-// the pass with chosen uniforms.
+// The per-unit pass the clocked fault models made before kFaultDrawVersion 1
+// (scenario.hpp), kept as the tests' statistical oracle: each unit's uniform
+// is drawn, compared as a 53-bit integer against a running cut, and skipped
+// unless it can be a fault or reach the (k+1)-st order statistic.
 #pragma once
 
 #include <algorithm>
@@ -11,6 +10,10 @@
 #include <vector>
 
 namespace ftdb::campaign::detail {
+
+/// The relative slack the models' clock bands used: 2^-20 dwarfs the
+/// few-ulp (2^-50) rounding error of log1p and pow.
+inline constexpr double kClockSlack = 0x1p-20;
 
 /// A cut no 53-bit mantissa exceeds.
 inline constexpr std::int64_t kEveryMantissa = std::int64_t{1} << 53;

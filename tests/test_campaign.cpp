@@ -17,7 +17,6 @@
 #include <random>
 #include <regex>
 
-#include "campaign/clock_scan.hpp"
 #include "campaign/fault_models.hpp"
 #include "campaign/report.hpp"
 #include "campaign/rng.hpp"
@@ -25,10 +24,13 @@
 #include "campaign/scenario.hpp"
 #include "ft/bus_ft.hpp"
 #include "ft/ft_debruijn.hpp"
+#include "ft/ft_shuffle_exchange.hpp"
 #include "ft/spares.hpp"
 #include "graph/algorithms.hpp"
 #include "topology/debruijn.hpp"
 #include "topology/shuffle_exchange.hpp"
+
+#include "clock_scan.hpp"
 
 namespace ftdb::campaign {
 namespace {
@@ -261,22 +263,6 @@ TEST(FaultModels, AdversarialTargetsHighestDegreesFirst) {
                                  order.begin() + static_cast<std::ptrdiff_t>(draw.faults.count()));
     std::sort(expected.begin(), expected.end());
     EXPECT_EQ(draw.faults.nodes(), expected);
-  }
-}
-
-TEST(FaultModels, WeibullHorizonMonotone) {
-  const Graph fabric = ft_debruijn_base2(4, 1);
-  const auto narrow = make_fault_model({FaultModelKind::Weibull, 0.0, 1.5, 100.0, 10.0});
-  const auto wide = make_fault_model({FaultModelKind::Weibull, 0.0, 1.5, 100.0, 60.0});
-  for (int t = 0; t < 50; ++t) {
-    TrialRng r1 = TrialRng::for_trial(6, 0, static_cast<std::uint64_t>(t));
-    TrialRng r2 = TrialRng::for_trial(6, 0, static_cast<std::uint64_t>(t));
-    const FaultDraw a = narrow->draw(fabric, 1, r1);
-    const FaultDraw b = wide->draw(fabric, 1, r2);
-    // Same lifetimes, wider window: the narrow fault set is contained in the
-    // wide one, and the exhaustion clock is identical.
-    for (const NodeId f : a.faults.nodes()) EXPECT_TRUE(b.faults.is_faulty(f));
-    EXPECT_EQ(a.spare_exhaustion_time, b.spare_exhaustion_time);
   }
 }
 
@@ -1405,281 +1391,12 @@ TEST(ScenarioSpec, FullExampleCoversEveryFamilyModelAndMetric) {
   EXPECT_EQ(spec_fingerprint(spec), spec_fingerprint(parse_scenario_spec(canon)));
 }
 
-// --- reference draws ----------------------------------------------------------
+// --- the per-unit scan, kept as the oracle ---------------------------------------
 //
-// The per-node draw loops the clocked models used before they learned to
-// evaluate only the clocks that can reach the (k+1)-st order statistic:
-// every node's clock is computed and the (k+1)-st is selected from all n.
-// Kept verbatim as the oracle; the models must reproduce them bit for bit.
-namespace reference {
-
-constexpr double kNever = std::numeric_limits<double>::infinity();
-
-double exhaustion_time(std::vector<double>& times, unsigned spares) {
-  const std::size_t rank = spares;  // 0-based index of the (k+1)-st smallest
-  if (rank >= times.size()) return kNever;
-  std::nth_element(times.begin(), times.begin() + static_cast<std::ptrdiff_t>(rank),
-                   times.end());
-  return times[rank];
-}
-
-double geometric_step(double u, double p) {
-  return std::floor(std::log1p(-u) / std::log1p(-p)) + 1.0;
-}
-
-FaultDraw iid(double p_, const Graph& fabric, unsigned spares, TrialRng& rng) {
-  const std::size_t n = fabric.num_nodes();
-  std::vector<NodeId> faulty;
-  std::vector<double> times(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const double u = rng.next_unit();
-    if (u < p_) faulty.push_back(static_cast<NodeId>(v));
-    times[v] = geometric_step(u, p_);
-  }
-  FaultDraw out;
-  out.faults = FaultSet(n, std::move(faulty));
-  out.spare_exhaustion_time = exhaustion_time(times, spares);
-  return out;
-}
-
-FaultDraw clustered(double p_, const Graph& fabric, unsigned spares, TrialRng& rng) {
-  const std::size_t n = fabric.num_nodes();
-  std::vector<double> seed_time(n);
-  for (std::size_t v = 0; v < n; ++v) seed_time[v] = geometric_step(rng.next_unit(), p_);
-  std::vector<double> times(n);
-  std::vector<NodeId> faulty;
-  for (std::size_t v = 0; v < n; ++v) {
-    double t = seed_time[v];
-    bool neighbor_seed_now = false;
-    for (const NodeId u : fabric.neighbors(static_cast<NodeId>(v))) {
-      t = std::min(t, seed_time[u] + 1.0);
-      neighbor_seed_now = neighbor_seed_now || seed_time[u] == 1.0;
-    }
-    times[v] = t;
-    if (seed_time[v] == 1.0 || neighbor_seed_now) faulty.push_back(static_cast<NodeId>(v));
-  }
-  FaultDraw out;
-  out.faults = FaultSet(n, std::move(faulty));
-  out.spare_exhaustion_time = exhaustion_time(times, spares);
-  return out;
-}
-
-FaultDraw weibull(double shape_, double scale_, double horizon_, const Graph& fabric,
-                  unsigned spares, TrialRng& rng) {
-  const std::size_t n = fabric.num_nodes();
-  std::vector<double> times(n);
-  std::vector<NodeId> faulty;
-  for (std::size_t v = 0; v < n; ++v) {
-    const double t = scale_ * std::pow(-std::log1p(-rng.next_unit()), 1.0 / shape_);
-    times[v] = t;
-    if (t <= horizon_) faulty.push_back(static_cast<NodeId>(v));
-  }
-  FaultDraw out;
-  out.faults = FaultSet(n, std::move(faulty));
-  out.spare_exhaustion_time = exhaustion_time(times, spares);
-  return out;
-}
-
-FaultDraw bus_iid(double p_, const Graph& fabric, unsigned spares, TrialRng& rng) {
-  const std::size_t n = fabric.num_nodes();
-  FaultDraw out;
-  std::vector<NodeId> faulty;
-  std::vector<double> times(n);
-  for (std::size_t b = 0; b < n; ++b) {
-    const double u = rng.next_unit();
-    if (u < p_) {
-      out.bus_faults.push_back(static_cast<std::uint32_t>(b));
-      faulty.push_back(static_cast<NodeId>(b));
-    }
-    times[b] = geometric_step(u, p_);
-  }
-  out.faults = FaultSet(n, std::move(faulty));
-  out.spare_exhaustion_time = exhaustion_time(times, spares);
-  return out;
-}
-
-/// carriers_[b]: buses that take b down (the point-to-point degeneration
-/// when `bus` is null, the true bus membership otherwise).
-std::vector<std::vector<NodeId>> carriers(const Graph& fabric, const BusGraph* bus) {
-  std::vector<std::vector<NodeId>> carriers_;
-  if (bus == nullptr) {
-    const std::size_t n = fabric.num_nodes();
-    carriers_.assign(n, {});
-    for (std::size_t b = 0; b < n; ++b) {
-      const auto nb = fabric.neighbors(static_cast<NodeId>(b));
-      carriers_[b].assign(nb.begin(), nb.end());
-    }
-    return carriers_;
-  }
-  carriers_.assign(bus->num_buses(), {});
-  for (std::size_t a = 0; a < bus->num_buses(); ++a) {
-    for (NodeId m : bus->bus(a).members) {
-      if (m != bus->bus(a).driver) carriers_[m].push_back(static_cast<NodeId>(a));
-    }
-  }
-  return carriers_;
-}
-
-FaultDraw bus_clustered(double p_, const std::vector<std::vector<NodeId>>& carriers_,
-                        const Graph& fabric, unsigned spares, TrialRng& rng) {
-  const std::size_t n = fabric.num_nodes();
-  std::vector<double> seed_time(n);
-  for (std::size_t b = 0; b < n; ++b) seed_time[b] = geometric_step(rng.next_unit(), p_);
-  std::vector<double> times(n);
-  FaultDraw out;
-  std::vector<NodeId> faulty;
-  for (std::size_t b = 0; b < n; ++b) {
-    double t = seed_time[b];
-    bool carrier_seed_now = false;
-    for (const NodeId a : carriers_[b]) {
-      t = std::min(t, seed_time[a] + 1.0);
-      carrier_seed_now = carrier_seed_now || seed_time[a] == 1.0;
-    }
-    times[b] = t;
-    if (seed_time[b] == 1.0 || carrier_seed_now) {
-      out.bus_faults.push_back(static_cast<std::uint32_t>(b));
-      faulty.push_back(static_cast<NodeId>(b));
-    }
-  }
-  out.faults = FaultSet(n, std::move(faulty));
-  out.spare_exhaustion_time = exhaustion_time(times, spares);
-  return out;
-}
-
-}  // namespace reference
-
-std::uint64_t bits(double x) {
-  std::uint64_t b = 0;
-  std::memcpy(&b, &x, sizeof b);
-  return b;
-}
-
-/// A fabric for the oracle, with the bus machine behind it when there is one.
-struct OracleFabric {
-  std::string name;
-  Graph graph;
-  std::optional<BusGraph> bus;
-};
-
-std::vector<OracleFabric> oracle_fabrics() {
-  std::vector<OracleFabric> out;
-  out.push_back({"B_{2,6}", debruijn_base2(6), std::nullopt});
-  out.push_back({"SE_6", shuffle_exchange_graph(6), std::nullopt});
-  out.push_back({"B_{2,12}", debruijn_base2(12), std::nullopt});
-  BusGraph bus = bus_ft_debruijn_base2(5, 2);
-  Graph realized = bus.realized_graph();
-  out.push_back({"bus(h=5,k=2)", std::move(realized), std::move(bus)});
-  return out;
-}
-
-/// Spare budgets: none, small, large, and at or past the node count (the
-/// clock is then +inf).
-std::vector<unsigned> oracle_spares(std::size_t n) {
-  return {0, 1, 3, 8, static_cast<unsigned>(n), static_cast<unsigned>(n) + 5};
-}
-
-/// Runs `trials` seeded trials of `model` against `ref` and counts the
-/// finite clocks seen, so a grid that only ever produced +inf would show.
-template <class Reference>
-std::size_t expect_matches_reference(const FaultModel& model, const OracleFabric& f,
-                                     unsigned spares, std::uint64_t cell, int trials,
-                                     Reference ref) {
-  std::size_t finite = 0;
-  for (int t = 0; t < trials; ++t) {
-    TrialRng a = TrialRng::for_trial(2024, cell, static_cast<std::uint64_t>(t));
-    TrialRng b = a;
-    const FaultDraw got = model.draw(f.graph, spares, a);
-    const FaultDraw want = ref(f.graph, spares, b);
-    EXPECT_EQ(got.faults.nodes(), want.faults.nodes())
-        << model.name() << " on " << f.name << " k=" << spares << " trial " << t;
-    EXPECT_EQ(got.bus_faults, want.bus_faults)
-        << model.name() << " on " << f.name << " k=" << spares << " trial " << t;
-    EXPECT_EQ(bits(got.spare_exhaustion_time), bits(want.spare_exhaustion_time))
-        << model.name() << " on " << f.name << " k=" << spares << " trial " << t << ": "
-        << got.spare_exhaustion_time << " vs " << want.spare_exhaustion_time;
-    // Both draws consumed the same stream.
-    EXPECT_EQ(a.next_u64(), b.next_u64());
-    if (std::isfinite(want.spare_exhaustion_time)) ++finite;
-  }
-  return finite;
-}
-
-int oracle_trials(const OracleFabric& f) { return f.graph.num_nodes() > 1000 ? 12 : 40; }
-
-const double kOracleP[] = {1e-4, 0.02, 0.5, 0.999};
-
-/// Prepares a model for a fabric the way the runner does.
-std::unique_ptr<FaultModel> prepared(const FaultModelSpec& spec, const OracleFabric& f,
-                                     unsigned spares) {
-  auto model = make_fault_model(spec);
-  model->prepare(f.graph, spares);
-  if (f.bus) model->prepare_bus(*f.bus, spares);
-  return model;
-}
-
-TEST(FaultModelOracle, GeometricModelsMatchThePerNodeReference) {
-  std::uint64_t cell = 0;
-  for (const FaultModelKind kind :
-       {FaultModelKind::IidBernoulli, FaultModelKind::Clustered, FaultModelKind::BusIid,
-        FaultModelKind::BusClustered}) {
-    std::size_t trials = 0;
-    std::size_t finite = 0;
-    for (const OracleFabric& f : oracle_fabrics()) {
-      const auto carriers =
-          reference::carriers(f.graph, kind == FaultModelKind::BusClustered && f.bus
-                                           ? &*f.bus
-                                           : nullptr);
-      for (const unsigned k : oracle_spares(f.graph.num_nodes())) {
-        for (const double p : kOracleP) {
-          const auto model = prepared({kind, p, 1.0, 1.0, 1.0}, f, k);
-          const auto ref = [&](const Graph& g, unsigned spares, TrialRng& rng) {
-            switch (kind) {
-              case FaultModelKind::IidBernoulli: return reference::iid(p, g, spares, rng);
-              case FaultModelKind::Clustered: return reference::clustered(p, g, spares, rng);
-              case FaultModelKind::BusIid: return reference::bus_iid(p, g, spares, rng);
-              default: return reference::bus_clustered(p, carriers, g, spares, rng);
-            }
-          };
-          finite += expect_matches_reference(*model, f, k, ++cell, oracle_trials(f), ref);
-          trials += static_cast<std::size_t>(oracle_trials(f));
-          ASSERT_FALSE(HasFailure()) << fault_model_kind_name(kind) << " p=" << p;
-        }
-      }
-    }
-    EXPECT_GE(trials, 2000u) << fault_model_kind_name(kind);
-    EXPECT_GT(finite, trials / 2) << fault_model_kind_name(kind);
-  }
-}
-
-TEST(FaultModelOracle, WeibullMatchesThePerNodeReference) {
-  // 2^-4 and 2^10 are the edges of the banded range; 0.05, 1e6 and 1e15
-  // fall outside it and evaluate every clock. At 1e15 rounding alone orders
-  // the clocks (every life is 100 to within a few ulps), so a band there
-  // would pick the wrong order statistic.
-  const double shapes[] = {0.5, 1.5, 2.0, 1e6, 1e15, 0x1p10, 0x1p-4, 0.05};
-  std::uint64_t cell = 1000;
-  std::size_t trials = 0;
-  std::size_t finite = 0;
-  for (const OracleFabric& f : oracle_fabrics()) {
-    for (const unsigned k : oracle_spares(f.graph.num_nodes())) {
-      for (const double shape : shapes) {
-        for (const double horizon : {3.0, 100.0}) {
-          FaultModelSpec spec{FaultModelKind::Weibull, 0.0, shape, 100.0, horizon};
-          const auto model = prepared(spec, f, k);
-          const auto ref = [&](const Graph& g, unsigned spares, TrialRng& rng) {
-            return reference::weibull(shape, 100.0, horizon, g, spares, rng);
-          };
-          const int n = oracle_trials(f) / 2;
-          finite += expect_matches_reference(*model, f, k, ++cell, n, ref);
-          trials += static_cast<std::size_t>(n);
-          ASSERT_FALSE(HasFailure()) << "shape=" << shape << " horizon=" << horizon;
-        }
-      }
-    }
-  }
-  EXPECT_GE(trials, 2000u);
-  EXPECT_GT(finite, trials / 2);
-}
+// The clocked models draw the fault count, the faulty units and the
+// exhaustion clock directly (fault_models.cpp). The per-unit scan they
+// replaced lives on in clock_scan.hpp; these tests pin its pass, and the
+// statistical tests further down compare the direct draws against it.
 
 /// x ^ (x >> shift), inverted.
 std::uint64_t unxorshift(std::uint64_t y, int shift) {
@@ -1704,93 +1421,6 @@ TrialRng rng_starting_at(double u) {
   z = unxorshift(z * odd_inverse(0x94d049bb133111ebull), 27);
   z = unxorshift(z * odd_inverse(0xbf58476d1ce4e5b9ull), 30);
   return TrialRng(z - 0x9e3779b97f4a7c15ull);
-}
-
-/// The uniforms a few grid steps (2^-53) around `x`, inside [0, 1).
-std::vector<double> grid_around(double x) {
-  std::vector<double> out;
-  const double m = std::floor(std::ldexp(x, 53));
-  for (double d = -3; d <= 3; ++d) {
-    const double g = std::ldexp(m + d, -53);
-    if (g >= 0.0 && g < 1.0) out.push_back(g);
-  }
-  return out;
-}
-
-/// The largest grid uniform with pred(u) true, for pred true at 0 and false
-/// near 1 — where a clock crosses its threshold.
-template <class Pred>
-double crossing(Pred pred) {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = (std::uint64_t{1} << 53) - 1;
-  while (hi - lo > 1) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    (pred(std::ldexp(static_cast<double>(mid), -53)) ? lo : hi) = mid;
-  }
-  return std::ldexp(static_cast<double>(lo), -53);
-}
-
-TEST(FaultModelOracle, UniformsOnTheBandEdgesMatchTheReference) {
-  // One node, one uniform, pinned at the clock's threshold crossing and at
-  // both edges of the slack band around it: every path of the threshold
-  // test runs (below the band, inside it, above it), and each must agree
-  // with the reference on the fault and on the clock.
-  const OracleFabric one{"one node", GraphBuilder(1).build(), std::nullopt};
-  const auto no_carriers = reference::carriers(one.graph, nullptr);
-  const double slack = detail::kClockSlack;
-  const auto check = [&](const FaultModel& model, double u, auto ref) {
-    for (const unsigned k : {0u, 1u}) {
-      TrialRng a = rng_starting_at(u);
-      TrialRng b = a;
-      const FaultDraw got = model.draw(one.graph, k, a);
-      const FaultDraw want = ref(one.graph, k, b);
-      EXPECT_EQ(got.faults.nodes(), want.faults.nodes()) << model.name() << " u=" << u;
-      EXPECT_EQ(got.bus_faults, want.bus_faults) << model.name() << " u=" << u;
-      EXPECT_EQ(bits(got.spare_exhaustion_time), bits(want.spare_exhaustion_time))
-          << model.name() << " u=" << u;
-    }
-  };
-  for (const double p : kOracleP) {
-    const double flip = crossing([&](double u) { return reference::geometric_step(u, p) == 1.0; });
-    std::vector<double> probes = grid_around(flip);
-    for (const double edge : {p * (1.0 - slack), p, p * (1.0 + slack)}) {
-      for (const double g : grid_around(edge)) probes.push_back(g);
-    }
-    for (const double u : probes) {
-      TrialRng probe = rng_starting_at(u);
-      ASSERT_EQ(probe.next_unit(), u);
-      const auto ref_p = [p](auto draw) {
-        return [p, draw](const Graph& g, unsigned k, TrialRng& rng) { return draw(p, g, k, rng); };
-      };
-      check(*make_fault_model({FaultModelKind::IidBernoulli, p, 1.0, 1.0, 1.0}), u,
-            ref_p(reference::iid));
-      check(*make_fault_model({FaultModelKind::BusIid, p, 1.0, 1.0, 1.0}), u,
-            ref_p(reference::bus_iid));
-      check(*make_fault_model({FaultModelKind::Clustered, p, 1.0, 1.0, 1.0}), u,
-            ref_p(reference::clustered));
-      check(*make_fault_model({FaultModelKind::BusClustered, p, 1.0, 1.0, 1.0}), u,
-            [&](const Graph& g, unsigned k, TrialRng& rng) {
-              return reference::bus_clustered(p, no_carriers, g, k, rng);
-            });
-    }
-  }
-  for (const double shape : {0.5, 1.5, 2.0, 0x1p10, 1e6, 1e15}) {
-    const double scale = 100.0;
-    const double horizon = 37.0;
-    const auto life = [&](double u) { return scale * std::pow(-std::log1p(-u), 1.0 / shape); };
-    const double edge = -std::expm1(-std::pow(horizon / scale, shape));
-    const double flip = crossing([&](double u) { return life(u) <= horizon; });
-    std::vector<double> probes = grid_around(flip);
-    for (const double e : {edge * (1.0 - slack), edge, edge * (1.0 + slack)}) {
-      for (const double g : grid_around(e)) probes.push_back(g);
-    }
-    const auto model = make_fault_model({FaultModelKind::Weibull, 0.0, shape, scale, horizon});
-    for (const double u : probes) {
-      check(*model, u, [&](const Graph& g, unsigned k, TrialRng& rng) {
-        return reference::weibull(shape, scale, horizon, g, k, rng);
-      });
-    }
-  }
 }
 
 /// Replays chosen uniforms: the i-th next_u64() is the first draw of
@@ -1906,69 +1536,486 @@ TEST(ClockScan, MantissaFloorSaturates) {
   EXPECT_EQ(mantissa_floor(-std::numeric_limits<double>::infinity()), -1);
 }
 
-TEST(FaultDraws, EveryClockedModelTakesOneDrawPerUnit) {
-  // Stretch pairs and traffic seeds come from the same stream after the
-  // fault draw, so their bytes depend on the draw consuming exactly n.
-  const FaultModelSpec specs[] = {
-      {FaultModelKind::IidBernoulli, 0.02, 1.0, 1.0, 1.0},
-      {FaultModelKind::Clustered, 0.02, 1.0, 1.0, 1.0},
-      {FaultModelKind::BusIid, 0.02, 1.0, 1.0, 1.0},
-      {FaultModelKind::BusClustered, 0.02, 1.0, 1.0, 1.0},
-      {FaultModelKind::Weibull, 0.0, 2.0, 100.0, 20.0},
-      {FaultModelKind::Weibull, 0.0, 1e6, 100.0, 20.0},  // unbanded: every clock
-  };
-  std::uint64_t cell = 5000;
-  for (const OracleFabric& f : oracle_fabrics()) {
+// --- the direct draws against exact laws and the per-unit scan --------------------
+//
+// Each check runs every model on three fabrics: B^4_{2,12} (4100 nodes),
+// the natural FT SE_5 with k = 2, and the realized h = 5, k = 2 bus
+// machine. The seeds, trial counts and thresholds below were fixed before
+// the tests first ran: a chi-square or KS statistic must have p >= 1e-6.
+
+constexpr double kAlpha = 1e-6;
+constexpr int kStatTrials = 4000;
+constexpr unsigned kStatSpares = 4;
+
+/// Q(a, x) = Gamma(a, x) / Gamma(a): a series below a + 1, Lentz's
+/// continued fraction above (Numerical Recipes, 6.2).
+double gamma_q(double a, double x) {
+  if (!(x > 0.0)) return 1.0;
+  const double front = std::exp(a * std::log(x) - x - std::lgamma(a));
+  if (x < a + 1.0) {
+    double term = 1.0 / a;
+    double sum = term;
+    for (int i = 1; i < 100000 && term > sum * 1e-17; ++i) {
+      term *= x / (a + i);
+      sum += term;
+    }
+    return 1.0 - sum * front;
+  }
+  constexpr double kTiny = 1e-300;
+  double b = x + 1.0 - a;
+  double c = 1.0 / kTiny;
+  double d = 1.0 / b;
+  double h = d;
+  for (int i = 1; i < 100000; ++i) {
+    const double an = -i * (i - a);
+    b += 2.0;
+    d = an * d + b;
+    if (std::fabs(d) < kTiny) d = kTiny;
+    c = b + an / c;
+    if (std::fabs(c) < kTiny) c = kTiny;
+    d = 1.0 / d;
+    const double delta = d * c;
+    h *= delta;
+    if (std::fabs(delta - 1.0) < 1e-16) break;
+  }
+  return front * h;
+}
+
+/// P[chi-square with df degrees of freedom >= stat].
+double chi_square_p(double stat, double df) { return gamma_q(df / 2.0, stat / 2.0); }
+
+/// Pearson's p-value of observed counts against expected ones, adjacent
+/// cells pooled until each expects at least 5.
+double pooled_chi_square_p(const std::vector<double>& observed,
+                           const std::vector<double>& expected) {
+  double stat = 0.0;
+  int cells = 0;
+  double o = 0.0;
+  double e = 0.0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    o += observed[i];
+    e += expected[i];
+    const bool last = i + 1 == expected.size();
+    if (e >= 5.0 || last) {
+      if (e > 0.0) {
+        stat += (o - e) * (o - e) / e;
+        ++cells;
+      }
+      o = 0.0;
+      e = 0.0;
+    }
+  }
+  return chi_square_p(stat, cells - 1);
+}
+
+/// Two-sample Kolmogorov-Smirnov: whether D exceeds its asymptotic critical
+/// value at level kAlpha. With ties (the geometric clocks) the test is
+/// conservative.
+::testing::AssertionResult same_distribution(std::vector<double> a, std::vector<double> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  double d = 0.0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const double x = std::min(a[i], b[j]);
+    while (i < a.size() && a[i] == x) ++i;
+    while (j < b.size() && b[j] == x) ++j;
+    d = std::max(d, std::fabs(static_cast<double>(i) / static_cast<double>(a.size()) -
+                              static_cast<double>(j) / static_cast<double>(b.size())));
+  }
+  const double na = static_cast<double>(a.size());
+  const double nb = static_cast<double>(b.size());
+  const double critical = std::sqrt(-std::log(kAlpha / 2.0) / 2.0) * std::sqrt((na + nb) / (na * nb));
+  if (d <= critical) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "KS D = " << d << " > " << critical;
+}
+
+/// A fabric with what a seed takes down on it: fabric neighbours, or on the
+/// bus machine the buses driven by a bus's other members.
+struct TestFabric {
+  std::string name;
+  Graph graph;
+  std::optional<BusGraph> bus;
+  std::vector<std::vector<NodeId>> takes_down;
+};
+
+std::vector<TestFabric> test_fabrics() {
+  std::vector<TestFabric> out;
+  out.push_back({"B^4_{2,12}", ft_debruijn_base2(12, 4), std::nullopt, {}});
+  out.push_back({"FT SE_5 k=2", ft_shuffle_exchange_natural(5, 2).ft_graph, std::nullopt, {}});
+  BusGraph bus = bus_ft_debruijn_base2(5, 2);
+  Graph realized = bus.realized_graph();
+  out.push_back({"bus(h=5,k=2)", std::move(realized), std::move(bus), {}});
+  for (TestFabric& f : out) {
     const std::size_t n = f.graph.num_nodes();
-    for (const FaultModelSpec& spec : specs) {
-      for (const unsigned k : oracle_spares(n)) {
-        const auto model = prepared(spec, f, k);
-        ++cell;
-        for (std::uint64_t t = 0; t < 4; ++t) {
-          TrialRng drawn = TrialRng::for_trial(2024, cell, t);
-          TrialRng skipped = drawn;
-          (void)model->draw(f.graph, k, drawn);
-          for (std::size_t v = 0; v < n; ++v) (void)skipped.next_u64();
-          EXPECT_EQ(drawn.next_u64(), skipped.next_u64())
-              << model->name() << " on " << f.name << " k=" << k << " trial " << t;
-        }
+    f.takes_down.assign(n, {});
+    for (std::size_t v = 0; v < n; ++v) {
+      const auto nb = f.graph.neighbors(static_cast<NodeId>(v));
+      f.takes_down[v].assign(nb.begin(), nb.end());
+    }
+  }
+  return out;
+}
+
+/// The cascade of `kind` on `f`: the bus members on the bus machine for
+/// bus_clustered, fabric neighbours for clustered, nothing otherwise.
+std::vector<std::vector<NodeId>> cascade(FaultModelKind kind, const TestFabric& f) {
+  const std::size_t n = f.graph.num_nodes();
+  if (kind == FaultModelKind::BusClustered && f.bus) {
+    std::vector<std::vector<NodeId>> out(n);
+    for (std::size_t a = 0; a < f.bus->num_buses(); ++a) {
+      for (const NodeId m : f.bus->bus(a).members) {
+        if (m != f.bus->bus(a).driver) out[a].push_back(m);
+      }
+    }
+    return out;
+  }
+  if (kind == FaultModelKind::Clustered || kind == FaultModelKind::BusClustered) {
+    return f.takes_down;
+  }
+  return std::vector<std::vector<NodeId>>(n);
+}
+
+/// The model parameters of the statistical tests on a fabric of n units:
+/// `faults` expected faults (a quarter as many expected seeds for the
+/// cascading models). The default 6 lands trials on both sides of k = 4.
+/// The Weibull shape varies with the fabric.
+FaultModelSpec stat_spec(FaultModelKind kind, std::size_t fabric_index, std::size_t n,
+                         double faults = 6.0) {
+  FaultModelSpec spec{kind, faults / static_cast<double>(n), 1.0, 100.0, 1.0};
+  if (kind == FaultModelKind::Clustered || kind == FaultModelKind::BusClustered) {
+    spec.p = faults / 4.0 / static_cast<double>(n);
+  }
+  if (kind == FaultModelKind::Weibull) {
+    const double shapes[] = {0.5, 1.5, 2.0};
+    spec.shape = shapes[fabric_index];
+    // (horizon / scale)^shape = faults / n.
+    spec.horizon = spec.scale * std::pow(faults / static_cast<double>(n), 1.0 / spec.shape);
+  }
+  return spec;
+}
+
+/// Prepares a model for a fabric the way the runner does.
+std::unique_ptr<FaultModel> prepared(const FaultModelSpec& spec, const TestFabric& f,
+                                     unsigned spares) {
+  auto model = make_fault_model(spec);
+  model->prepare(f.graph, spares);
+  if (f.bus) model->prepare_bus(*f.bus, spares);
+  return model;
+}
+
+/// P[a unit is faulty in the snapshot] of a model without cascade.
+double unit_fault_probability(const FaultModelSpec& spec) {
+  if (spec.kind == FaultModelKind::Weibull) {
+    return -std::expm1(-std::pow(spec.horizon / spec.scale, spec.shape));
+  }
+  return spec.p;
+}
+
+/// The per-unit scan's draw with no slack: one uniform per unit through
+/// detail::scan_clocks; a unit whose uniform is below `edge` is a fault and
+/// takes its cascade with it. With no slack the candidates are the units of
+/// the k+1 smallest uniforms (more only on exact ties), so they hold the k+1
+/// smallest seed clocks, and every death up to the largest of those comes
+/// from one of them or from its cascade one step later.
+template <class Clock>
+FaultDraw scan_draw(TrialRng& rng, std::size_t n, unsigned spares, double edge, Clock clock,
+                    const std::vector<std::vector<NodeId>>& takes_down) {
+  std::vector<NodeId> faulty;
+  const std::vector<detail::Candidate> candidates =
+      detail::scan_clocks(rng, n, spares, 0.0, edge, [&](std::uint32_t v, double u) {
+        if (!(u < edge)) return;
+        faulty.push_back(static_cast<NodeId>(v));
+        for (const NodeId w : takes_down[v]) faulty.push_back(w);
+      });
+  FaultDraw out;
+  out.faults = FaultSet(n, std::move(faulty));
+  out.spare_exhaustion_time = std::numeric_limits<double>::infinity();
+  if (candidates.empty()) return out;
+  double bound = 0.0;
+  for (const detail::Candidate& c : candidates) bound = std::max(bound, clock(c.u));
+  std::vector<std::pair<NodeId, double>> deaths;
+  for (const detail::Candidate& c : candidates) {
+    const double t = clock(c.u);
+    deaths.emplace_back(static_cast<NodeId>(c.unit), t);
+    if (t + 1.0 > bound) continue;
+    for (const NodeId w : takes_down[c.unit]) deaths.emplace_back(w, t + 1.0);
+  }
+  std::sort(deaths.begin(), deaths.end());
+  std::vector<double> times;
+  for (std::size_t i = 0; i < deaths.size(); ++i) {
+    if (i == 0 || deaths[i].first != deaths[i - 1].first) times.push_back(deaths[i].second);
+  }
+  std::nth_element(times.begin(), times.begin() + spares, times.end());
+  out.spare_exhaustion_time = times[spares];
+  return out;
+}
+
+/// One per-unit-scan trial of `spec` on `f`.
+FaultDraw oracle_draw(const FaultModelSpec& spec, const TestFabric& f, unsigned spares,
+                      TrialRng& rng) {
+  const std::size_t n = f.graph.num_nodes();
+  const std::vector<std::vector<NodeId>> takes_down = cascade(spec.kind, f);
+  if (spec.kind == FaultModelKind::Weibull) {
+    return scan_draw(rng, n, spares, unit_fault_probability(spec),
+                     [&](double u) {
+                       return spec.scale * std::pow(-std::log1p(-u), 1.0 / spec.shape);
+                     },
+                     takes_down);
+  }
+  return scan_draw(rng, n, spares, spec.p,
+                   [&](double u) { return std::floor(std::log1p(-u) / std::log1p(-spec.p)) + 1.0; },
+                   takes_down);
+}
+
+const FaultModelKind kClockedKinds[] = {FaultModelKind::IidBernoulli, FaultModelKind::BusIid,
+                                        FaultModelKind::Weibull, FaultModelKind::Clustered,
+                                        FaultModelKind::BusClustered};
+
+/// kStatTrials draws of a model on a fabric, from cell `cell` of seed 23.
+std::vector<FaultDraw> sample(const FaultModel& model, const TestFabric& f, std::uint64_t cell) {
+  std::vector<FaultDraw> out;
+  for (int t = 0; t < kStatTrials; ++t) {
+    TrialRng rng = TrialRng::for_trial(23, cell, static_cast<std::uint64_t>(t));
+    out.push_back(model.draw(f.graph, kStatSpares, rng));
+  }
+  return out;
+}
+
+TEST(FaultDraws, FaultCountsFollowTheBinomialLaw) {
+  const auto fabrics = test_fabrics();
+  std::uint64_t cell = 100;
+  for (std::size_t fi = 0; fi < fabrics.size(); ++fi) {
+    const TestFabric& f = fabrics[fi];
+    const std::size_t n = f.graph.num_nodes();
+    for (const FaultModelKind kind : {FaultModelKind::IidBernoulli, FaultModelKind::BusIid,
+                                      FaultModelKind::Weibull, FaultModelKind::Adversarial}) {
+      const FaultModelSpec spec = stat_spec(kind, fi, n);
+      const double q = unit_fault_probability(spec);
+      std::vector<double> observed(n + 1, 0.0);
+      for (const FaultDraw& d : sample(*prepared(spec, f, kStatSpares), f, ++cell)) {
+        observed[d.faults.count()] += 1.0;
+      }
+      std::vector<double> expected(n + 1);
+      for (std::size_t i = 0; i <= n; ++i) {
+        const long double log_pmf =
+            std::lgamma(n + 1.0L) - std::lgamma(i + 1.0L) - std::lgamma(n - i + 1.0L) +
+            static_cast<long double>(i) * std::log(static_cast<long double>(q)) +
+            static_cast<long double>(n - i) * std::log1p(-static_cast<long double>(q));
+        expected[i] = static_cast<double>(kStatTrials * std::exp(log_pmf));
+      }
+      EXPECT_GE(pooled_chi_square_p(observed, expected), kAlpha)
+          << fault_model_kind_name(kind) << " on " << f.name;
+    }
+  }
+}
+
+TEST(FaultDraws, EveryUnitFailsAtItsMarginalRate) {
+  const auto fabrics = test_fabrics();
+  std::uint64_t cell = 200;
+  for (std::size_t fi = 0; fi < fabrics.size(); ++fi) {
+    const TestFabric& f = fabrics[fi];
+    const std::size_t n = f.graph.num_nodes();
+    for (const FaultModelKind kind : kClockedKinds) {
+      const FaultModelSpec spec = stat_spec(kind, fi, n);
+      std::vector<double> hits(n, 0.0);
+      for (const FaultDraw& d : sample(*prepared(spec, f, kStatSpares), f, ++cell)) {
+        for (const NodeId v : d.faults.nodes()) hits[v] += 1.0;
+      }
+      // A unit is down when it or a unit whose cascade holds it seeds.
+      std::vector<std::vector<NodeId>> sources(n);
+      const auto takes_down = cascade(kind, f);
+      for (std::size_t v = 0; v < n; ++v) {
+        sources[v].push_back(static_cast<NodeId>(v));
+        for (const NodeId w : takes_down[v]) sources[w].push_back(static_cast<NodeId>(v));
+      }
+      const double q = unit_fault_probability(spec);
+      const bool cascading = kind == FaultModelKind::Clustered ||
+                             kind == FaultModelKind::BusClustered;
+      double stat = 0.0;
+      double worst = 1.0;
+      for (std::size_t v = 0; v < n; ++v) {
+        std::sort(sources[v].begin(), sources[v].end());
+        const auto reach = std::unique(sources[v].begin(), sources[v].end()) - sources[v].begin();
+        const double pv = -std::expm1(static_cast<double>(reach) * std::log1p(-q));
+        const double mean = kStatTrials * pv;
+        stat += (hits[v] - mean) * (hits[v] - mean) / (mean * (1.0 - pv));
+        // Exact two-sided binomial tail of this unit alone.
+        const auto o = static_cast<std::uint64_t>(hits[v]);
+        const long double below = binomial_cdf(kStatTrials, o, pv);
+        const long double above = o == 0 ? 1.0L : 1.0L - binomial_cdf(kStatTrials, o - 1, pv);
+        worst = std::min(worst, static_cast<double>(2.0L * std::min(below, above)));
+      }
+      if (cascading) {
+        // Neighbours share seeds, so the units are dependent and their
+        // chi-square sum has no chi-square law; a union bound over the
+        // units' exact tails holds regardless.
+        EXPECT_GE(worst, kAlpha / static_cast<double>(n))
+            << fault_model_kind_name(kind) << " on " << f.name;
+      } else {
+        EXPECT_GE(chi_square_p(stat, static_cast<double>(n)), kAlpha)
+            << fault_model_kind_name(kind) << " on " << f.name;
       }
     }
   }
 }
 
-TEST(FaultDraws, ThresholdOnADrawnUniformMatchesTheReference) {
-  // p set to exactly the uniform some node draws, and to its grid
-  // neighbours: that node sits on the fault threshold, inside the slack
-  // band around it, and on either side of it.
-  const OracleFabric f{"B_{2,6}", debruijn_base2(6), std::nullopt};
-  const std::size_t n = f.graph.num_nodes();
-  const std::uint64_t cell = 6000;
-  std::vector<double> u(n);
-  TrialRng rng = TrialRng::for_trial(2024, cell, 0);
-  for (double& x : u) x = rng.next_unit();
-  const auto smallest = static_cast<std::size_t>(std::min_element(u.begin(), u.end()) - u.begin());
-  std::size_t checked = 0;
-  for (const std::size_t j : {smallest, n / 3, n - 1}) {
-    for (const double p : {u[j] - 0x1p-53, u[j], u[j] + 0x1p-53}) {
-      if (!(p > 0.0 && p < 1.0)) continue;
-      for (const unsigned k : {0u, 3u, 8u}) {
-        expect_matches_reference(
-            *prepared({FaultModelKind::IidBernoulli, p, 1.0, 1.0, 1.0}, f, k), f, k, cell, 1,
-            [p](const Graph& g, unsigned spares, TrialRng& r) {
-              return reference::iid(p, g, spares, r);
-            });
-        expect_matches_reference(
-            *prepared({FaultModelKind::Clustered, p, 1.0, 1.0, 1.0}, f, k), f, k, cell, 1,
-            [p](const Graph& g, unsigned spares, TrialRng& r) {
-              return reference::clustered(p, g, spares, r);
-            });
-        ++checked;
-        ASSERT_FALSE(HasFailure()) << "node " << j << " p=" << p << " k=" << k;
+/// Two-sample KS of the direct draws against the per-unit scan, on the
+/// exhaustion time and the fault count, for every clocked model on every
+/// test fabric at `faults` expected faults; cells from `cell` up.
+void expect_matches_the_scan(double faults, std::uint64_t cell) {
+  const auto fabrics = test_fabrics();
+  for (std::size_t fi = 0; fi < fabrics.size(); ++fi) {
+    const TestFabric& f = fabrics[fi];
+    for (const FaultModelKind kind : kClockedKinds) {
+      const FaultModelSpec spec = stat_spec(kind, fi, f.graph.num_nodes(), faults);
+      std::vector<double> times;
+      std::vector<double> counts;
+      for (const FaultDraw& d : sample(*prepared(spec, f, kStatSpares), f, ++cell)) {
+        times.push_back(d.spare_exhaustion_time);
+        counts.push_back(static_cast<double>(d.faults.count()));
       }
+      std::vector<double> oracle_times;
+      std::vector<double> oracle_counts;
+      ++cell;
+      for (int t = 0; t < kStatTrials; ++t) {
+        TrialRng rng = TrialRng::for_trial(23, cell, static_cast<std::uint64_t>(t));
+        const FaultDraw d = oracle_draw(spec, f, kStatSpares, rng);
+        oracle_times.push_back(d.spare_exhaustion_time);
+        oracle_counts.push_back(static_cast<double>(d.faults.count()));
+      }
+      EXPECT_TRUE(same_distribution(times, oracle_times))
+          << "exhaustion time, " << fault_model_kind_name(kind) << " on " << f.name;
+      EXPECT_TRUE(same_distribution(counts, oracle_counts))
+          << "fault count, " << fault_model_kind_name(kind) << " on " << f.name;
     }
   }
-  EXPECT_GE(checked, 24u);
+}
+
+TEST(FaultDraws, ExhaustionTimesAndFaultCountsMatchThePerUnitScan) {
+  expect_matches_the_scan(6.0, 300);
+}
+
+TEST(FaultDraws, LateExhaustionTimesMatchThePerUnitScan) {
+  // At 0.3 expected faults nearly every clock comes from the units past
+  // the threshold, and the geometric clocks spread over a dozen steps, so
+  // the order-statistic branch is tested on a wide range rather than on
+  // steps 2 and 3.
+  expect_matches_the_scan(0.3, 600);
+}
+
+/// The mean exhaustion time of iid, bus_iid and weibull within 4 standard
+/// errors of exact_iid_mttf / weibull_mttf on every test fabric at
+/// `faults` expected faults; cells from `cell` up.
+void expect_mean_matches_the_mttf(double faults, std::uint64_t cell) {
+  const auto fabrics = test_fabrics();
+  for (std::size_t fi = 0; fi < fabrics.size(); ++fi) {
+    const TestFabric& f = fabrics[fi];
+    const std::size_t n = f.graph.num_nodes();
+    for (const FaultModelKind kind :
+         {FaultModelKind::IidBernoulli, FaultModelKind::BusIid, FaultModelKind::Weibull}) {
+      const FaultModelSpec spec = stat_spec(kind, fi, n, faults);
+      StreamingStats times;
+      for (const FaultDraw& d : sample(*prepared(spec, f, kStatSpares), f, ++cell)) {
+        times.add(d.spare_exhaustion_time);
+      }
+      const double analytic = kind == FaultModelKind::Weibull
+                                  ? weibull_mttf(n, kStatSpares, spec.shape, spec.scale)
+                                  : exact_iid_mttf(n, kStatSpares, spec.p);
+      const double standard_error = times.stddev() / std::sqrt(static_cast<double>(times.count));
+      EXPECT_NEAR(times.mean, analytic, 4.0 * standard_error)
+          << fault_model_kind_name(kind) << " on " << f.name;
+    }
+  }
+}
+
+TEST(FaultDraws, MeanExhaustionTimeMatchesTheAnalyticMttf) {
+  expect_mean_matches_the_mttf(6.0, 400);
+}
+
+TEST(FaultDraws, LateMeanExhaustionTimeMatchesTheAnalyticMttf) {
+  // Clocks spread over a dozen geometric steps here, so a mean off by a
+  // few percent is many standard errors away.
+  expect_mean_matches_the_mttf(0.3, 700);
+}
+
+TEST(FaultModels, WeibullHorizonLeavesTheExhaustionClockAlone) {
+  // The horizon only sets which lives count as faults: the (k+1)-st life
+  // has the same law whether it falls inside the horizon or past it.
+  const auto fabrics = test_fabrics();
+  const TestFabric& f = fabrics[1];
+  std::vector<double> narrow;
+  std::vector<double> wide;
+  for (const FaultDraw& d :
+       sample(*prepared({FaultModelKind::Weibull, 0.0, 1.5, 100.0, 3.0}, f, kStatSpares), f, 500)) {
+    narrow.push_back(d.spare_exhaustion_time);
+  }
+  for (const FaultDraw& d :
+       sample(*prepared({FaultModelKind::Weibull, 0.0, 1.5, 100.0, 60.0}, f, kStatSpares), f, 501)) {
+    wide.push_back(d.spare_exhaustion_time);
+  }
+  EXPECT_TRUE(same_distribution(narrow, wide));
+}
+
+TEST(FaultDraws, PinnedDraws) {
+  // Literal fault sets and exhaustion times for fixed (seed, cell, trial)
+  // keys on a 40-node cycle with k = 3, as tests/fault_draw_pins.py, an
+  // independent implementation of the same sampler, computes them. A
+  // compiler, standard library or libm that changes any draw fails here.
+  GraphBuilder builder(40);
+  for (NodeId v = 0; v < 40; ++v) builder.add_edge(v, (v + 1) % 40);
+  const TestFabric cycle{"40-cycle", builder.build(), std::nullopt, {}};
+  struct Pin {
+    std::vector<NodeId> faults;
+    double time;
+  };
+  const struct {
+    FaultModelSpec spec;
+    Pin trials[4];
+  } pins[] = {
+      {{FaultModelKind::IidBernoulli, 0.1, 1.0, 1.0, 1.0},
+       {{{6, 7, 11, 14, 19, 29, 37}, 1.0}, {{18, 25}, 2.0}, {{2, 3}, 3.0}, {{6, 13}, 2.0}}},
+      {{FaultModelKind::BusIid, 0.1, 1.0, 1.0, 1.0},
+       {{{5, 11, 36, 38}, 1.0},
+        {{2, 4, 5, 8, 12, 39}, 1.0},
+        {{17, 19, 22, 23, 33}, 1.0},
+        {{0, 4, 6, 31, 38}, 1.0}}},
+      {{FaultModelKind::Weibull, 0.0, 1.5, 100.0, 21.5},
+       {{{2, 6, 32}, 0x1.5f957c5bc0962p+4},
+        {{2, 17, 25, 26, 38}, 0x1.3414a5f4f4f73p+4},
+        {{3, 12, 24, 37, 39}, 0x1.2f59b358b4ed8p+4},
+        {{7, 19, 31, 35, 36, 37}, 0x1.21468e6578407p+4}}},
+      {{FaultModelKind::Clustered, 0.05, 1.0, 1.0, 1.0},
+       {{{}, 2.0}, {{21, 22, 23}, 2.0}, {{3, 4, 5, 18, 19, 20}, 2.0},
+        {{18, 19, 20, 37, 38, 39}, 2.0}}},
+      {{FaultModelKind::BusClustered, 0.05, 1.0, 1.0, 1.0},
+       {{{14, 15, 16}, 2.0},
+        {{}, 3.0},
+        {{8, 9, 10}, 2.0},
+        {{4, 5, 6, 23, 24, 25, 28, 29, 30, 31}, 1.0}}},
+  };
+  std::uint64_t cell = 0;
+  for (const auto& pin : pins) {
+    const auto model = prepared(pin.spec, cycle, 3);
+    for (std::uint64_t t = 0; t < 4; ++t) {
+      TrialRng rng = TrialRng::for_trial(2026, cell, t);
+      const FaultDraw d = model->draw(cycle.graph, 3, rng);
+      EXPECT_EQ(d.faults.nodes(), pin.trials[t].faults) << model->name() << " trial " << t;
+      EXPECT_EQ(d.spare_exhaustion_time, pin.trials[t].time) << model->name() << " trial " << t;
+      const bool buses = pin.spec.kind == FaultModelKind::BusIid ||
+                         pin.spec.kind == FaultModelKind::BusClustered;
+      EXPECT_EQ(d.bus_faults.size(), buses ? d.faults.count() : 0u) << model->name();
+    }
+    ++cell;
+  }
+  // The adversarial budget takes its count from the same Binomial table.
+  const auto adversarial = prepared({FaultModelKind::Adversarial, 0.1, 1.0, 1.0, 1.0}, cycle, 3);
+  const std::size_t budgets[] = {4, 7, 6, 4, 1, 9, 4, 5};
+  for (std::uint64_t t = 0; t < 8; ++t) {
+    TrialRng rng = TrialRng::for_trial(2026, 5, t);
+    EXPECT_EQ(adversarial->draw(cycle.graph, 3, rng).faults.count(), budgets[t]) << "trial " << t;
+  }
 }
 
 // --- write_file_atomically ---------------------------------------------------

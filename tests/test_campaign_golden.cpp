@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 
 #include "analysis/bench_json.hpp"
@@ -225,6 +226,47 @@ TEST(CampaignGolden, CheckpointRoundTripsThroughParseAndWrite) {
   const std::string text = slurp(golden_path("checkpoint.json"));
   ASSERT_FALSE(text.empty());
   EXPECT_EQ(checkpoint_to_json(golden_spec(), parse_checkpoint(text)), text);
+}
+
+/// Whether `call` throws a std::runtime_error naming a fingerprint mismatch.
+template <class Call>
+::testing::AssertionResult refused_by_fingerprint(Call call) {
+  try {
+    call();
+  } catch (const std::runtime_error& e) {
+    if (std::string(e.what()).find("fingerprint mismatch") != std::string::npos) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << "refused for another reason: " << e.what();
+  }
+  return ::testing::AssertionFailure() << "accepted";
+}
+
+TEST(CampaignGolden, CheckpointOfAnotherFaultDrawVersionIsRefused) {
+  // checkpoint_draw_v0.json is the golden spec's final checkpoint as the
+  // per-unit scan wrote it. Its trials are not this sampler's, so neither a
+  // resume nor a merge may take them.
+  const std::string old_text = slurp(golden_path("checkpoint_draw_v0.json"));
+  ASSERT_FALSE(old_text.empty());
+  const Checkpoint old = parse_checkpoint(old_text);
+  EXPECT_NE(old.fingerprint, spec_fingerprint(golden_spec()));
+
+  const std::string path = ::testing::TempDir() + "/ftdb_draw_v0_" +
+                           std::to_string(::getpid()) + ".ckpt";
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << old_text;
+  CampaignOptions options;
+  options.threads = 1;
+  options.checkpoint_path = path;
+  options.resume = true;
+  EXPECT_TRUE(refused_by_fingerprint([&] { run_campaign(golden_spec(), options); }));
+  // The refused resume left the old checkpoint as it was.
+  EXPECT_EQ(slurp(path), old_text);
+  std::remove(path.c_str());
+
+  EXPECT_TRUE(refused_by_fingerprint([&] { merge_checkpoints(golden_spec(), {old}); }));
+  // With this sampler's checkpoint beside it the merge is still refused.
+  const Checkpoint current = parse_checkpoint(golden_run().checkpoint);
+  EXPECT_TRUE(refused_by_fingerprint([&] { merge_checkpoints(golden_spec(), {current, old}); }));
 }
 
 TEST(CampaignGolden, SimScaleReportJsonMatchesFixture) {

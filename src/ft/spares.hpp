@@ -58,10 +58,12 @@ inline constexpr unsigned kWeibullMttfIntervals = 512;
 /// in log space relative to the integrand's peak, over a window that ends
 /// where the integrand falls e^-50 below that peak. There is no cancellation
 /// and no adaptive refinement, so the cost is the same at every shape and the
-/// relative error stays near 1e-15. Returns NaN when k >= n (spares can never
-/// be exhausted) or for a non-positive shape or scale, or an odd or too small
-/// `intervals`. This fills the analytic-MTTF column of the campaign report
-/// for the weibull fault model, companion to exact_iid_mttf.
+/// relative error stays near 1e-15. `intervals` exists for the convergence
+/// test (the same rule at 16x the points); the report uses the default.
+/// Returns NaN when k >= n (spares can never be exhausted), for a
+/// non-positive shape or scale, or for an odd or too small `intervals`.
+/// This fills the analytic-MTTF column of the campaign report for the
+/// weibull fault model, companion to exact_iid_mttf.
 double weibull_mttf(std::uint64_t n, unsigned k, double shape, double scale,
                     unsigned intervals = kWeibullMttfIntervals);
 

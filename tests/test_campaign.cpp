@@ -1811,6 +1811,43 @@ TEST(FaultDraws, FaultCountsFollowTheBinomialLaw) {
   }
 }
 
+TEST(FaultDraws, ExtremeProbabilitiesKeepTheBinomialLaw) {
+  // The table starts at the mode and never forms (1-p)^n, which underflows
+  // at n = 4100, p = 0.999. Large counts also take Floyd's hashed path.
+  const auto fabrics = test_fabrics();
+  const TestFabric& f = fabrics[0];
+  const std::size_t n = f.graph.num_nodes();
+  std::uint64_t cell = 150;
+  for (const double p : {1e-4, 0.5, 0.999}) {
+    const auto model = prepared({FaultModelKind::IidBernoulli, p, 1.0, 1.0, 1.0}, f, kStatSpares);
+    std::vector<double> observed(n + 1, 0.0);
+    for (const FaultDraw& d : sample(*model, f, ++cell)) observed[d.faults.count()] += 1.0;
+    std::vector<double> expected(n + 1);
+    for (std::size_t i = 0; i <= n; ++i) {
+      const long double log_pmf =
+          std::lgamma(n + 1.0L) - std::lgamma(i + 1.0L) - std::lgamma(n - i + 1.0L) +
+          static_cast<long double>(i) * std::log(static_cast<long double>(p)) +
+          static_cast<long double>(n - i) * std::log1p(-static_cast<long double>(p));
+      expected[i] = static_cast<double>(kStatTrials * std::exp(log_pmf));
+    }
+    EXPECT_GE(pooled_chi_square_p(observed, expected), kAlpha) << "p=" << p;
+  }
+  // A Weibull horizon far past or far before every life: all or no faults.
+  const auto all = prepared({FaultModelKind::Weibull, 0.0, 2.0, 1.0, 1e3}, f, kStatSpares);
+  const auto none = prepared({FaultModelKind::Weibull, 0.0, 2.0, 1.0, 1e-200}, f, kStatSpares);
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    TrialRng a = TrialRng::for_trial(23, 160, t);
+    TrialRng b = TrialRng::for_trial(23, 161, t);
+    const FaultDraw everything = all->draw(f.graph, kStatSpares, a);
+    const FaultDraw nothing = none->draw(f.graph, kStatSpares, b);
+    EXPECT_EQ(everything.faults.count(), n);
+    EXPECT_LE(everything.spare_exhaustion_time, 1e3);
+    EXPECT_EQ(nothing.faults.count(), 0u);
+    EXPECT_GT(nothing.spare_exhaustion_time, 1e-200);
+    EXPECT_TRUE(std::isfinite(nothing.spare_exhaustion_time));
+  }
+}
+
 TEST(FaultDraws, EveryUnitFailsAtItsMarginalRate) {
   const auto fabrics = test_fabrics();
   std::uint64_t cell = 200;

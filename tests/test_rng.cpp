@@ -4,7 +4,9 @@
 // rather than in a downstream report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ft/reconfigure.hpp"
@@ -53,6 +55,31 @@ TEST(FaultSetRandom, PinnedDraws) {
   EXPECT_TRUE(FaultSet::random(20, 0, rng).nodes().empty());
   EXPECT_EQ(FaultSet::random(6, 6, rng).nodes(), (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(FaultSet::random(1000, 4, rng).nodes(), (std::vector<NodeId>{280, 318, 643, 899}));
+}
+
+TEST(FaultSetRandom, LargeSamplesMatchFloydWithAScan) {
+  // Past 32 values the membership test hashes; the sample must be the one
+  // Floyd's algorithm with a plain scan draws from the same stream.
+  const auto scanned = [](std::size_t universe, std::size_t count, SplitMix64& rng) {
+    std::vector<NodeId> chosen;
+    for (std::size_t j = universe - count; j < universe; ++j) {
+      const auto t = static_cast<NodeId>(rng.next_below(j + 1));
+      const bool taken = std::find(chosen.begin(), chosen.end(), t) != chosen.end();
+      chosen.push_back(taken ? static_cast<NodeId>(j) : t);
+    }
+    std::sort(chosen.begin(), chosen.end());
+    return chosen;
+  };
+  for (const auto& [universe, count] : {std::pair<std::size_t, std::size_t>{40, 33},
+                                        {1000, 600},
+                                        {4100, 4096},
+                                        {100000, 50}}) {
+    SplitMix64 a(2026 + count);
+    SplitMix64 b = a;
+    EXPECT_EQ(FaultSet::random(universe, count, a).nodes(), scanned(universe, count, b))
+        << universe << " choose " << count;
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+  }
 }
 
 TEST(UniformTraffic, PinnedPackets) {

@@ -206,48 +206,4 @@ FTDB_BENCH(engine_h18, "perf_routing/engine_implicit_b2_h18") {
              stats.total_hops == 0 ? 0.0 : ns / static_cast<double>(stats.total_hops));
 }
 
-FTDB_BENCH(step_kernel_h18, "perf_routing/step_kernel_b2_h18") {
-  // The distance stepper's O(h) incremental step() against its full-rescan
-  // reset(), measured bare (no router): a long random walk
-  // over algebraic neighbors for the step cost, and a random node sample for
-  // the rescan cost. The ratio is the win the batched router banks per hop.
-  const ftdb::DeBruijnParams params{.base = 2, .digits = 18};
-  const std::uint64_t n = 1ull << 18;
-  ftdb::DebruijnDistanceStepper st(params, static_cast<ftdb::NodeId>(ctx.rng().next_u64() % n));
-
-  const std::size_t steps = 200000;
-  std::uint64_t checksum = st.reset(static_cast<ftdb::NodeId>(ctx.rng().next_u64() % n));
-  auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < steps; ++i) {
-    const std::uint64_t v = st.node();
-    const std::uint64_t r = ctx.rng().next_u64();
-    ftdb::NodeId next;  // one of the four algebraic de Bruijn neighbors
-    switch (r & 3) {
-      case 0: next = static_cast<ftdb::NodeId>((v << 1) & (n - 1)); break;
-      case 1: next = static_cast<ftdb::NodeId>(((v << 1) | 1) & (n - 1)); break;
-      case 2: next = static_cast<ftdb::NodeId>(v >> 1); break;
-      default: next = static_cast<ftdb::NodeId>((v >> 1) | (n >> 1)); break;
-    }
-    checksum += st.step(next);
-  }
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  const double step_ns =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-
-  const std::size_t resets = 20000;
-  start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < resets; ++i) {
-    checksum += st.reset(static_cast<ftdb::NodeId>(ctx.rng().next_u64() % n));
-  }
-  elapsed = std::chrono::steady_clock::now() - start;
-  const double reset_ns =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-
-  ctx.report("steps", static_cast<double>(steps));
-  ctx.report("ns_per_step", step_ns / static_cast<double>(steps));
-  ctx.report("resets", static_cast<double>(resets));
-  ctx.report("ns_per_reset", reset_ns / static_cast<double>(resets));
-  ctx.report("checksum", static_cast<double>(checksum));
-}
-
 }  // namespace

@@ -393,46 +393,13 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
       ctx.metrics.stretch && success &&
       (ctx.cell.topology.family == TopologyFamily::DeBruijn || se_family);
   const bool want_collective = ctx.topo->schedule.has_value();
-  if (success && (ctx.metrics.diameter || want_stretch)) {
-    // One reconfigured machine serves both metrics (Machine copies the fabric
-    // CSR, so building it twice per trial would double that cost).
-    const sim::Machine machine =
-        sim::Machine::reconfigured(ctx.fabric, draw.faults, ctx.target().num_nodes());
-    if (ctx.metrics.diameter) {
-      // Measure (not assume) the paper's claim: the reconfigured machine
-      // presents the intact target, so its logical diameter must equal the
-      // target's.
-      const std::uint32_t d = diameter(machine.live_logical_graph(ctx.target()));
-      if (d != kUnreachable) acc.reconfigured_diameter.add(static_cast<double>(d));
-    }
-    if (want_stretch) {
-      if (ctx.metrics.stretch_sample_pairs == 0) {
-        acc.route_stretch.add(
-            se_family
-                ? sim::max_route_stretch_se(machine, ctx.cell.topology.digits)
-                : sim::max_route_stretch(machine, ctx.cell.topology.base,
-                                         ctx.cell.topology.digits));
-      } else {
-        // Counter-based pair sample: drawn from the trial's own RNG stream
-        // (after the fault draw), so the report stays byte-identical across
-        // thread counts and checkpoint/resume. Self-pairs are dropped rather
-        // than redrawn to keep the stream consumption fixed.
-        const std::uint64_t n_nodes = ctx.target().num_nodes();
-        std::vector<std::pair<NodeId, NodeId>> pairs;
-        pairs.reserve(ctx.metrics.stretch_sample_pairs);
-        for (std::uint64_t i = 0; i < ctx.metrics.stretch_sample_pairs; ++i) {
-          const NodeId s = static_cast<NodeId>(rng.next_u64() % n_nodes);
-          const NodeId d = static_cast<NodeId>(rng.next_u64() % n_nodes);
-          if (s != d) pairs.emplace_back(s, d);
-        }
-        acc.route_stretch.add(
-            se_family
-                ? sim::max_route_stretch_se_sampled(machine, ctx.cell.topology.digits, pairs)
-                : sim::max_route_stretch_sampled(machine, ctx.cell.topology.base,
-                                                 ctx.cell.topology.digits, pairs));
-      }
-    }
-  } else if (!success && ctx.metrics.diameter) {
+  if (success && ctx.metrics.diameter) {
+    // A successful trial passed monotone_embedding_survives (checked, or
+    // proven for the cell): every target node sits on a live host and every
+    // target edge on a live link, so the reconfigured machine's live logical
+    // graph is the target, and its diameter is the target's closed form.
+    acc.reconfigured_diameter.add(static_cast<double>(ctx.topo->diameter));
+  } else if (ctx.metrics.diameter) {
     // Degraded machine: whatever the survivors still form.
     const InducedSubgraph survivors =
         induced_subgraph_excluding(ctx.fabric, draw.faults.nodes());
@@ -442,6 +409,34 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
       ++acc.degraded_disconnected;
     } else {
       acc.degraded_diameter.add(static_cast<double>(d));
+    }
+  }
+  if (want_stretch) {
+    const sim::Machine machine =
+        sim::Machine::reconfigured(ctx.fabric, draw.faults, ctx.target().num_nodes());
+    if (ctx.metrics.stretch_sample_pairs == 0) {
+      acc.route_stretch.add(
+          se_family ? sim::max_route_stretch_se(machine, ctx.cell.topology.digits)
+                    : sim::max_route_stretch(machine, ctx.cell.topology.base,
+                                             ctx.cell.topology.digits));
+    } else {
+      // Counter-based pair sample: drawn from the trial's own RNG stream
+      // (after the fault draw), so the report stays byte-identical across
+      // thread counts and checkpoint/resume. Self-pairs are dropped rather
+      // than redrawn to keep the stream consumption fixed.
+      const std::uint64_t n_nodes = ctx.target().num_nodes();
+      std::vector<std::pair<NodeId, NodeId>> pairs;
+      pairs.reserve(ctx.metrics.stretch_sample_pairs);
+      for (std::uint64_t i = 0; i < ctx.metrics.stretch_sample_pairs; ++i) {
+        const NodeId s = static_cast<NodeId>(rng.next_u64() % n_nodes);
+        const NodeId d = static_cast<NodeId>(rng.next_u64() % n_nodes);
+        if (s != d) pairs.emplace_back(s, d);
+      }
+      acc.route_stretch.add(
+          se_family
+              ? sim::max_route_stretch_se_sampled(machine, ctx.cell.topology.digits, pairs)
+              : sim::max_route_stretch_sampled(machine, ctx.cell.topology.base,
+                                               ctx.cell.topology.digits, pairs));
     }
   }
 

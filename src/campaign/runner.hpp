@@ -129,9 +129,10 @@ struct ScenarioResult {
   StreamingStats fault_count;          ///< faults per trial
 
   // diameter metric --------------------------------------------------------
-  /// Diameter of the live logical graph on successful trials — the paper
-  /// says this must equal target_diameter, and here it is measured, not
-  /// assumed.
+  /// Diameter of the live logical graph on successful trials. A successful
+  /// trial's live logical graph is the target (monotone_embedding_survives
+  /// held), so each sample is target_diameter, the closed form the
+  /// TargetDiameters tests pin against BFS.
   StreamingStats reconfigured_diameter;
   /// Diameter of the survivor-induced fabric subgraph on failed trials
   /// (finite values only)...

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "graph/algorithms.hpp"
+#include "graph/bfs_workspace.hpp"
 #include "topology/shuffle_exchange.hpp"
 
 namespace ftdb::sim {
@@ -67,9 +68,8 @@ void Router::distance_many(std::span<const NodeId> dests, std::span<const NodeId
 
 namespace {
 
-/// Reusable dest-rooted BFS into `row` (kUnreachable sentinel). The neighbor
-/// source is a functor so the same sweep serves the graph's CSR and the
-/// algebraic reference shapes.
+/// Reusable dest-rooted BFS into `row` (kUnreachable sentinel) over the
+/// algebraic reference shape's adjacency, supplied as a functor.
 template <class ForEachNeighbor>
 void bfs_row(NodeId dest, std::vector<std::uint32_t>& row, std::vector<NodeId>& cur,
              std::vector<NodeId>& next, ForEachNeighbor&& for_each_neighbor) {
@@ -90,14 +90,6 @@ void bfs_row(NodeId dest, std::vector<std::uint32_t>& row, std::vector<NodeId>& 
     }
     cur.swap(next);
   }
-}
-
-/// bfs_row over the graph's own adjacency.
-void bfs_row_graph(const Graph& g, NodeId dest, std::vector<std::uint32_t>& row,
-                   std::vector<NodeId>& cur, std::vector<NodeId>& next) {
-  bfs_row(dest, row, cur, next, [&](NodeId u, auto&& visit) {
-    for (const NodeId v : g.neighbors(u)) visit(v);
-  });
 }
 
 /// True when every adjacency list of g is a subset of the shape's algebraic
@@ -208,10 +200,11 @@ CompressedRouter::CompressedRouter(const Graph& g) : n_(g.num_nodes()), graph_(g
     std::uint32_t dist;
   };
   std::vector<RawException> raw;
-  std::vector<std::uint32_t> row(n_), ref_row(n_);
+  std::vector<std::uint32_t> row, ref_row(n_);
   std::vector<NodeId> cur, next, scratch;
+  BfsWorkspace ws;
   for (std::size_t dest = 0; dest < n_; ++dest) {
-    bfs_row_graph(g, static_cast<NodeId>(dest), row, cur, next);
+    ws.distances(g, static_cast<NodeId>(dest), row);
     // Same BFS over the algebraic adjacency (the shapes are symmetric, so
     // rooting at dest gives distance-to-dest).
     bfs_row(static_cast<NodeId>(dest), ref_row, cur, next, [&](NodeId u, auto&& visit) {
@@ -398,11 +391,8 @@ void CompressedRouter::apply_fault(NodeId v) {
   // Old distances v <-> d for every d in one BFS (the graph is undirected),
   // instead of N single-pair lookups that each pay the O(h^2) reference
   // algebra. Also serves as the dest-v row below.
-  std::vector<std::uint32_t> row_v(n_);
-  {
-    std::vector<NodeId> bfs_cur, bfs_next;
-    bfs_row_graph(graph_, v, row_v, bfs_cur, bfs_next);
-  }
+  std::vector<std::uint32_t> row_v;
+  BfsWorkspace().distances(graph_, v, row_v);
 
   // Scratch shared across destinations: era-stamped membership in the
   // affected set, era-stamped settled/tentative state for the repair
@@ -526,9 +516,8 @@ void CompressedRouter::retract_fault(NodeId v) {
 
   // Row of destination v: one BFS over the restored graph.
   {
-    std::vector<std::uint32_t> row(n_);
-    std::vector<NodeId> cur, next;
-    bfs_row_graph(graph_, v, row, cur, next);
+    std::vector<std::uint32_t> row;
+    BfsWorkspace().distances(graph_, v, row);
     for (NodeId u = 0; u < n_; ++u) {
       if (u != v && row[u] != distance(v, u)) deltas.push_back({u, v, row[u]});
     }
@@ -608,9 +597,9 @@ struct ShuffleExchangeShapeOps {
 // produces exactly the graph's sorted adjacency, so the first neighbor whose
 // capped probe proves dist-1 is the canonical (lowest-id) hop — and at
 // dist == 1 the only closer node is dest itself, no probes needed. The
-// winner's witness comes back so the caller can advance/memoize it without
+// winner's witness comes back so the caller can seed/memoize it without
 // another scan. Neighbors come pre-packaged from the stepper
-// (probe_neighbors/probe_pre): the shift classification and its modular
+// (probe_neighbors/probe): the shift classification and its modular
 // divisions happen once per hop, not once per probe.
 template <class Stepper>
 NodeId canonical_hop(const Stepper& st, DistanceWitness* hop_wit, std::uint64_t* hop_opt) {
@@ -623,7 +612,7 @@ NodeId canonical_hop(const Stepper& st, DistanceWitness* hop_wit, std::uint64_t*
   typename Stepper::ProbeNeighbor nbrs[kMaxFixedDegree];
   const int count = st.probe_neighbors(nbrs);
   for (int i = 0; i < count; ++i) {
-    if (st.probe_pre(nbrs[i], here - 1, hop_wit, hop_opt) == here - 1) return nbrs[i].id;
+    if (st.probe(nbrs[i], here - 1, hop_wit, hop_opt) == here - 1) return nbrs[i].id;
   }
   return kInvalidNode;  // unreachable on a connected shape: cannot happen
 }
@@ -665,7 +654,7 @@ void route_many_hinted_impl(const Ops& ops, std::uint64_t n, std::span<const Nod
     }
     RouteHint& hint = hints[i];
     if (hint.dest == dest && hint.node == node) {
-      st->seed_opt(node, hint.dist, DistanceWitness{hint.wit}, hint.opt);
+      st->seed(node, hint.dist, DistanceWitness{hint.wit}, hint.opt);
     } else {
       st->reset(node);
     }
@@ -688,9 +677,9 @@ std::vector<NodeId> path_impl(const Ops& ops, NodeId from, NodeId dest) {
     DistanceWitness hop_wit{};
     std::uint64_t hop_opt = 0;
     const NodeId hop = canonical_hop(st, &hop_wit, &hop_opt);
-    // seed_opt rather than advance: it repositions just as cheaply and keeps
-    // the winner's optimal-offset mask for the next hop's probes.
-    st.seed_opt(hop, st.distance() - 1, hop_wit, hop_opt);
+    // Seeding keeps the winner's optimal-offset mask for the next hop's
+    // probes.
+    st.seed(hop, st.distance() - 1, hop_wit, hop_opt);
     route.push_back(hop);
   }
   return route;

@@ -276,7 +276,7 @@ std::uint32_t packed_distance_scan(std::uint64_t px, std::uint64_t py, int h, in
 // nibble packing overflowing 64 bits). Same alignment/split math as the
 // packed scan, digit arrays instead of masks.
 std::uint32_t generic_distance_scan(std::uint64_t m, int h, std::uint64_t x, std::uint64_t y,
-                                    std::uint32_t cap, int* witness) {
+                                    std::uint32_t cap) {
   // MSB-first digit strings: sx[q] is digit x_{h-1-q}. Uninitialized on
   // purpose — only the first h entries are ever written and read, and this
   // sits on the implicit router's per-hop path.
@@ -293,7 +293,6 @@ std::uint32_t generic_distance_scan(std::uint64_t m, int h, std::uint64_t x, std
     }
   }
   std::uint32_t best = std::min(cap, kUncapped) + 1;
-  int wit = 0;
   std::array<int, 64> mismatches;
   for (int step = 0; step <= 2 * h; ++step) {
     const int f = (step % 2 == 1) ? (step + 1) / 2 : -(step / 2);
@@ -320,11 +319,9 @@ std::uint32_t generic_distance_scan(std::uint64_t m, int h, std::uint64_t x, std
       const int hops = 2 * (walk_max - walk_min) - std::abs(f);
       if (hops >= 0 && static_cast<std::uint32_t>(hops) < best) {
         best = static_cast<std::uint32_t>(hops);
-        wit = f;
       }
     }
   }
-  if (witness != nullptr) *witness = wit;
   return best;
 }
 
@@ -339,62 +336,18 @@ inline int packed_digit_bits(std::uint64_t m, int h) {
 }  // namespace
 
 std::uint32_t debruijn_distance(const DeBruijnParams& params, NodeId x, NodeId y) {
-  return debruijn_distance_witness(params, x, y, nullptr);
-}
-
-std::uint32_t debruijn_distance_witness(const DeBruijnParams& params, NodeId x, NodeId y,
-                                        DistanceWitness* witness) {
   const std::uint64_t n = debruijn_num_nodes(params);
   const std::uint64_t m = params.base;
   const int h = static_cast<int>(params.digits);
   if (x >= n || y >= n) throw std::out_of_range("debruijn_distance: node out of range");
-  if (witness != nullptr) witness->offset = 0;
   if (x == y) return 0;
   const int db = packed_digit_bits(m, h);
-  int* wit = witness != nullptr ? &witness->offset : nullptr;
-  if (db == 1) return packed_distance_scan(x, y, h, 1, kUncapped, 0, kNoHint, wit);
+  if (db == 1) return packed_distance_scan(x, y, h, 1, kUncapped, 0, kNoHint, nullptr);
   if (db == 4) {
     return packed_distance_scan(pack_digits(x, m, h), pack_digits(y, m, h), h, 4, kUncapped, 0,
-                                kNoHint, wit);
+                                kNoHint, nullptr);
   }
-  return generic_distance_scan(m, h, x, y, kUncapped, wit);
-}
-
-std::uint32_t debruijn_distance_step(const DeBruijnParams& params, NodeId x, NodeId x_next,
-                                     NodeId y, std::uint32_t dist, DistanceWitness* witness) {
-  DebruijnDistanceStepper stepper(params, y);
-  stepper.seed(x, dist, witness != nullptr ? *witness : DistanceWitness{});
-  const std::uint32_t d = stepper.step(x_next);
-  if (witness != nullptr) *witness = stepper.witness();
-  return d;
-}
-
-int debruijn_neighbors_fixed(const DeBruijnParams& params, NodeId x, NodeId* out, int capacity) {
-  const std::uint64_t n = debruijn_num_nodes(params);
-  const std::uint64_t m = params.base;
-  if (x >= n) throw std::out_of_range("debruijn_neighbors_fixed: node out of range");
-  if (capacity < 0 || static_cast<std::uint64_t>(capacity) < 2 * m) {
-    throw std::invalid_argument("debruijn_neighbors_fixed: capacity < 2*m");
-  }
-  const std::uint64_t high = n / m;  // m^{h-1}
-  int count = 0;
-  // Insertion sort with dedup: degree <= 2m <= 8 on the packed shapes, so
-  // this beats sort+unique+remove on a heap vector by a wide margin.
-  auto push = [&](std::uint64_t w) {
-    if (w == x) return;
-    const NodeId id = static_cast<NodeId>(w);
-    int i = count;
-    while (i > 0 && out[i - 1] > id) --i;
-    if (i > 0 && out[i - 1] == id) return;
-    for (int j = count; j > i; --j) out[j] = out[j - 1];
-    out[i] = id;
-    ++count;
-  };
-  for (std::uint64_t r = 0; r < m; ++r) {
-    push((static_cast<std::uint64_t>(x) * m + r) % n);
-    push(r * high + x / m);
-  }
-  return count;
+  return generic_distance_scan(m, h, x, y, kUncapped);
 }
 
 DebruijnDistanceStepper::DebruijnDistanceStepper(const DeBruijnParams& params, NodeId dest)
@@ -447,8 +400,7 @@ std::uint32_t DebruijnDistanceStepper::reset(NodeId node) {
   wit_.offset = 0;
   opt_valid_ = false;
   if (mode_ == Mode::kGeneric) {
-    dist_ = (node == dest_) ? 0 : generic_distance_scan(params_.base, h_, node, dest_, kUncapped,
-                                                        &wit_.offset);
+    dist_ = (node == dest_) ? 0 : generic_distance_scan(params_.base, h_, node, dest_, kUncapped);
     return dist_;
   }
   px_ = (mode_ == Mode::kBits) ? node : pack_digits(node, params_.base, h_);
@@ -456,95 +408,25 @@ std::uint32_t DebruijnDistanceStepper::reset(NodeId node) {
   return dist_;
 }
 
-void DebruijnDistanceStepper::seed(NodeId node, std::uint32_t dist, const DistanceWitness& witness) {
+void DebruijnDistanceStepper::seed(NodeId node, std::uint32_t dist,
+                                   const DistanceWitness& witness, std::uint64_t opt) {
   if (node >= n_) throw std::out_of_range("DebruijnDistanceStepper: node out of range");
   node_ = node;
   dist_ = dist;
   wit_ = witness;
-  opt_valid_ = false;
+  opt_ = opt;
+  opt_valid_ = use_opt_ && opt != 0;
   if (mode_ != Mode::kGeneric) {
     px_ = (mode_ == Mode::kBits) ? node : pack_digits(node, params_.base, h_);
   }
 }
 
-void DebruijnDistanceStepper::seed_opt(NodeId node, std::uint32_t dist,
-                                       const DistanceWitness& witness, std::uint64_t opt) {
-  seed(node, dist, witness);
-  opt_ = opt;
-  opt_valid_ = use_opt_ && opt != 0;
-}
-
-DebruijnDistanceStepper::Neighbor DebruijnDistanceStepper::derive(NodeId neighbor) const {
-  const std::uint64_t w = neighbor;
-  const std::uint64_t m = params_.base;
-  // Left shift: w == (node*m + r) mod n slides the digit window up, so the
-  // winning offset for w is the current one minus 1; right shift the
-  // opposite. Either derivation yields w's own packed label, so ties (a
-  // neighbor reachable both ways) can take the first match.
-  const std::uint64_t lm = (static_cast<std::uint64_t>(node_) * m) % n_;
-  const std::uint64_t r_left = (w + n_ - lm) % n_;
-  if (r_left < m) {
-    return {((px_ << db_) & lane_) | r_left, wit_.offset - 1};
-  }
-  const std::uint64_t r_right = w / high_;
-  if (r_right < m && w - r_right * high_ == static_cast<std::uint64_t>(node_) / m) {
-    return {(px_ >> db_) | (r_right << (db_ * (h_ - 1))), wit_.offset + 1};
-  }
-  throw std::invalid_argument("DebruijnDistanceStepper: not an algebraic neighbor");
-}
-
-std::uint32_t DebruijnDistanceStepper::step(NodeId neighbor) {
-  opt_valid_ = false;
-  if (mode_ == Mode::kGeneric) {
-    node_ = neighbor;
-    dist_ = (neighbor == dest_) ? 0 : generic_distance_scan(params_.base, h_, neighbor, dest_,
-                                                            kUncapped, &wit_.offset);
-    return dist_;
-  }
-  const Neighbor nb = derive(neighbor);
-  const std::uint32_t floor_stop = dist_ > 0 ? dist_ - 1 : 0;
-  // The cap dist_+1 never truncates: a neighbor is at most one hop farther.
-  dist_ = packed_distance_scan(nb.packed, py_, h_, db_, dist_ + 1, floor_stop, nb.hint,
-                               &wit_.offset);
-  node_ = neighbor;
-  px_ = nb.packed;
-  return dist_;
-}
-
-std::uint32_t DebruijnDistanceStepper::probe(NodeId neighbor, std::uint32_t cap) const {
-  return probe_witness(neighbor, cap, nullptr);
-}
-
-std::uint32_t DebruijnDistanceStepper::probe_witness(NodeId neighbor, std::uint32_t cap,
-                                                     DistanceWitness* witness) const {
-  if (mode_ == Mode::kGeneric) {
-    if (witness != nullptr) witness->offset = 0;
-    return (neighbor == dest_) ? 0 : generic_distance_scan(params_.base, h_, neighbor, dest_, cap,
-                                                           witness != nullptr ? &witness->offset
-                                                                              : nullptr);
-  }
-  const Neighbor nb = derive(neighbor);
-  const std::uint32_t floor_stop = dist_ > 0 ? dist_ - 1 : 0;
-  return packed_distance_scan(nb.packed, py_, h_, db_, cap, floor_stop, nb.hint,
-                              witness != nullptr ? &witness->offset : nullptr);
-}
-
-void DebruijnDistanceStepper::advance(NodeId neighbor, std::uint32_t dist,
-                                      const DistanceWitness& witness) {
-  if (mode_ != Mode::kGeneric) px_ = derive(neighbor).packed;
-  node_ = neighbor;
-  dist_ = dist;
-  wit_ = witness;
-  opt_valid_ = false;
-}
-
 int DebruijnDistanceStepper::probe_neighbors(ProbeNeighbor* out) const {
   const std::uint64_t m = params_.base;
   int count = 0;
-  // Insertion sort with dedup, like debruijn_neighbors_fixed. A node
-  // reachable as both a left and a right shift has one packed label (the
-  // packing is a function of the id), so the first derivation wins and its
-  // hint stays valid.
+  // Insertion sort with dedup (degree <= 2m). A node reachable as both a
+  // left and a right shift has one packed label (the packing is a function
+  // of the id), so the first derivation wins and its hint stays valid.
   auto push = [&](std::uint64_t w, std::uint64_t packed, int hint, int dir) {
     if (w == node_) return;
     const NodeId id = static_cast<NodeId>(w);
@@ -569,15 +451,13 @@ int DebruijnDistanceStepper::probe_neighbors(ProbeNeighbor* out) const {
   return count;
 }
 
-std::uint32_t DebruijnDistanceStepper::probe_pre(const ProbeNeighbor& nb, std::uint32_t cap,
-                                                 DistanceWitness* witness,
-                                                 std::uint64_t* opt_out) const {
+std::uint32_t DebruijnDistanceStepper::probe(const ProbeNeighbor& nb, std::uint32_t cap,
+                                             DistanceWitness* witness,
+                                             std::uint64_t* opt_out) const {
   if (opt_out != nullptr) *opt_out = 0;
   if (mode_ == Mode::kGeneric) {
     if (witness != nullptr) witness->offset = 0;
-    return (nb.id == dest_) ? 0 : generic_distance_scan(params_.base, h_, nb.id, dest_, cap,
-                                                        witness != nullptr ? &witness->offset
-                                                                           : nullptr);
+    return (nb.id == dest_) ? 0 : generic_distance_scan(params_.base, h_, nb.id, dest_, cap);
   }
   if (use_opt_ && dist_ > 0 && cap == dist_ - 1) {
     // Refutation probe: is this neighbor exactly one hop closer? A shortest
@@ -613,16 +493,6 @@ std::uint32_t DebruijnDistanceStepper::probe_pre(const ProbeNeighbor& nb, std::u
   const std::uint32_t floor_stop = dist_ > 0 ? dist_ - 1 : 0;
   return packed_distance_scan(nb.packed, py_, h_, db_, cap, floor_stop, nb.hint,
                               witness != nullptr ? &witness->offset : nullptr);
-}
-
-void DebruijnDistanceStepper::advance_pre(const ProbeNeighbor& nb, std::uint32_t dist,
-                                          const DistanceWitness& witness, std::uint64_t opt) {
-  if (mode_ != Mode::kGeneric) px_ = nb.packed;
-  node_ = nb.id;
-  dist_ = dist;
-  wit_ = witness;
-  opt_ = opt;
-  opt_valid_ = use_opt_ && opt != 0;
 }
 
 std::uint64_t debruijn_exact_root(std::uint64_t n, unsigned h) {

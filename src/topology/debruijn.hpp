@@ -62,37 +62,21 @@ void debruijn_neighbors(const DeBruijnParams& params, NodeId x, std::vector<Node
 /// B_{m,h} with m in {2,3,4} in the test suite.
 std::uint32_t debruijn_distance(const DeBruijnParams& params, NodeId x, NodeId y);
 
-/// debruijn_distance plus the witness: the window offset f of the winning
-/// alignment. Feeding the witness back as a hint (see the stepper) makes the
-/// next scan along a route O(h).
-std::uint32_t debruijn_distance_witness(const DeBruijnParams& params, NodeId x, NodeId y,
-                                        DistanceWitness* witness);
-
-/// O(h) incremental update: given d(x, y) == dist with `witness` from a
-/// previous *_witness/_step call, returns d(x_next, y) for x_next an
-/// algebraic neighbor of x, updating the witness. The neighbor's winning
-/// offset is almost always the current one shifted by the move direction, so
-/// the hinted scan confirms dist-1/dist/dist+1 without the full O(h^2)
-/// alignment sweep.
-std::uint32_t debruijn_distance_step(const DeBruijnParams& params, NodeId x, NodeId x_next,
-                                     NodeId y, std::uint32_t dist, DistanceWitness* witness);
-
-/// Sorted unique undirected neighbors of x written into the caller's fixed
-/// array (no allocation, no TLS — the router's hottest enumeration). Returns
-/// the count; requires capacity >= 2*m (throws otherwise).
-int debruijn_neighbors_fixed(const DeBruijnParams& params, NodeId x, NodeId* out, int capacity);
-
 /// Incremental distance oracle to a fixed destination — the route-following
 /// hot path behind ImplicitRouter. Maintains the current node's packed digit
 /// label (base-2 labels are their own packing; 2 < m <= 16 packs one digit
-/// per nibble) and the witness of the winning window alignment, so moving to
-/// a neighbor (step/advance) or testing one (probe) costs O(h): each hop
-/// shifts one digit, the packed label updates with one shift-and-or, and the
-/// hinted offset usually proves the bound immediately. Capped scans stop as
-/// soon as the triangle-inequality floor (dist-1) is met or every remaining
-/// offset is provably worse. Shapes outside the packed range (m > 16, or
-/// m > 2 with 4h > 64) fall back to the exact O(h^2) formula — identical
-/// results, no witness acceleration.
+/// per nibble) and the witness of the winning window alignment, so probing a
+/// neighbor costs O(h): each hop shifts one digit, the packed label updates
+/// with one shift-and-or, and the hinted offset usually proves the bound
+/// immediately. Capped scans stop as soon as the triangle-inequality floor
+/// (dist-1) is met or every remaining offset is provably worse. Shapes
+/// outside the packed range (m > 16, or m > 2 with 4h > 64) fall back to the
+/// exact O(h^2) formula — identical results, no witness acceleration.
+///
+/// One protocol: position with reset() (full scan) or seed() (a state an
+/// earlier probe() returned), enumerate the current node's neighbors with
+/// probe_neighbors(), test them with probe(), and move by seeding the chosen
+/// neighbor's (dist, witness, opt).
 class DebruijnDistanceStepper {
  public:
   DebruijnDistanceStepper(const DeBruijnParams& params, NodeId dest);
@@ -103,27 +87,18 @@ class DebruijnDistanceStepper {
   /// instead of a full reconstruction — the batched router's per-item path).
   /// Positional state is invalid until the next reset()/seed().
   void retarget(NodeId dest);
-  /// Restore a previously computed state without scanning. `dist` and
-  /// `witness` must come from an earlier scan of the same (node, dest) pair
-  /// (e.g. a memo-cache hit); garbage in, garbage out.
-  void seed(NodeId node, std::uint32_t dist, const DistanceWitness& witness);
-  /// Move to an algebraic neighbor of node(); returns the new distance.
-  std::uint32_t step(NodeId neighbor);
-  /// d(neighbor, dest) if it is <= cap, else some value > cap. Does not move
-  /// the stepper.
-  std::uint32_t probe(NodeId neighbor, std::uint32_t cap) const;
-  /// probe() that also reports the winning witness (meaningful only when the
-  /// result is <= cap).
-  std::uint32_t probe_witness(NodeId neighbor, std::uint32_t cap, DistanceWitness* witness) const;
-  /// Commit a previously probed neighbor: move there reusing the (dist,
-  /// witness) pair probe_witness returned — no scan at all.
-  void advance(NodeId neighbor, std::uint32_t dist, const DistanceWitness& witness);
+  /// Restore a previously computed state without scanning. `dist`, `witness`
+  /// and `opt` must come from an earlier scan of the same (node, dest) pair:
+  /// a probe() of node, or a memoized hint. `opt` is the optimal-offset mask
+  /// probe() reported (0 = unknown; recollected lazily). Garbage in, garbage
+  /// out.
+  void seed(NodeId node, std::uint32_t dist, const DistanceWitness& witness, std::uint64_t opt);
 
   /// One algebraic neighbor of the current node, pre-packaged for probing:
   /// id, packed label, and hinted window offset. probe_neighbors() builds
-  /// these once per hop from the current packed label; probe_pre() then
-  /// scans with no per-probe shift classification — the router's hot path
-  /// pays the modular divisions once per hop instead of once per probe.
+  /// these once per hop from the current packed label; probe() then scans
+  /// with no per-probe shift classification — the modular divisions are paid
+  /// once per hop instead of once per probe.
   struct ProbeNeighbor {
     NodeId id;
     std::uint64_t packed;
@@ -136,43 +111,22 @@ class DebruijnDistanceStepper {
   /// 2*base entries. Returns the count.
   int probe_neighbors(ProbeNeighbor* out) const;
 
-  /// probe_witness() for an entry of probe_neighbors(): identical result,
-  /// division-free. When cap == distance() - 1 (the router's refutation
-  /// probe) and the optimal-offset mask is available, only the offsets that
-  /// could possibly achieve distance() - 1 are evaluated (usually one); on
-  /// success the neighbor's own mask is written to *opt_out (0 = unknown).
-  std::uint32_t probe_pre(const ProbeNeighbor& nb, std::uint32_t cap, DistanceWitness* witness,
-                          std::uint64_t* opt_out = nullptr) const;
-
-  /// advance() for an entry of probe_neighbors(): commit the probed (dist,
-  /// witness) and reuse its packed label. `opt` is the neighbor's
-  /// optimal-offset mask from probe_pre (0 = unknown; recollected lazily).
-  void advance_pre(const ProbeNeighbor& nb, std::uint32_t dist, const DistanceWitness& witness,
-                   std::uint64_t opt = 0);
-
-  /// seed() that also restores the optimal-offset mask (0 = unknown).
-  void seed_opt(NodeId node, std::uint32_t dist, const DistanceWitness& witness,
-                std::uint64_t opt);
-
-  /// The set {f : cost of the winning walk constrained to window offset f
-  /// == distance()} as a bitmask (bit index f + h), or 0 when not currently
-  /// known. A neighbor one hop closer must win at an offset adjacent to one
-  /// of these, so refutation probes evaluate ~popcount(mask) offsets
-  /// (empirically ~1) instead of sweeping the parity half-window.
-  std::uint64_t opt_mask() const { return opt_valid_ ? opt_ : 0; }
+  /// d(nb.id, dest) if it is <= cap, else some value > cap, with the winning
+  /// witness (meaningful only when the result is <= cap). Does not move the
+  /// stepper. When cap == distance() - 1 (the router's refutation probe) in
+  /// packed mode, only the window offsets adjacent to the current node's
+  /// optimal set {f : cost at offset f == distance()} are evaluated (usually
+  /// one); on success the neighbor's own optimal set is written to *opt_out
+  /// (bit f + h; 0 = unknown).
+  std::uint32_t probe(const ProbeNeighbor& nb, std::uint32_t cap, DistanceWitness* witness,
+                      std::uint64_t* opt_out = nullptr) const;
 
   NodeId node() const { return node_; }
   NodeId dest() const { return dest_; }
   std::uint32_t distance() const { return dist_; }
-  const DistanceWitness& witness() const { return wit_; }
 
  private:
   enum class Mode : std::uint8_t { kBits, kNibbles, kGeneric };
-  struct Neighbor {
-    std::uint64_t packed;
-    int hint;
-  };
-  Neighbor derive(NodeId neighbor) const;
   void collect_opt() const;
 
   DeBruijnParams params_;
@@ -186,9 +140,9 @@ class DebruijnDistanceStepper {
   std::uint32_t dist_ = 0;
   DistanceWitness wit_{};
   // Optimal-offset mask for the current node (bit f + h_), maintained lazily:
-  // reset() computes it, advance_pre() carries the probe's mask forward, and
-  // anything that invalidates it (seed/step without a mask) just clears
-  // opt_valid_ — the next probe_pre recollects in O(dist) evaluations.
+  // seed() carries a probe's mask forward, and reset() or a seed without one
+  // clears opt_valid_ — the next refutation probe recollects in O(dist)
+  // evaluations.
   mutable std::uint64_t opt_ = 0;
   mutable bool opt_valid_ = false;
   bool use_opt_ = false;  // packed mode and h <= 31 (mask fits 2h+1 bits)

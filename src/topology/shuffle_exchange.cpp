@@ -150,43 +150,10 @@ std::uint32_t se_distance_scan(std::uint64_t x, std::uint64_t y, int h, std::uin
 }  // namespace
 
 std::uint32_t shuffle_exchange_distance(unsigned h, NodeId x, NodeId y) {
-  return shuffle_exchange_distance_witness(h, x, y, nullptr);
-}
-
-std::uint32_t shuffle_exchange_distance_witness(unsigned h, NodeId x, NodeId y,
-                                                DistanceWitness* witness) {
   const std::uint64_t n = shuffle_exchange_num_nodes(h);
   if (x >= n || y >= n) throw std::out_of_range("shuffle_exchange_distance: node out of range");
-  if (witness != nullptr) witness->offset = 0;
   if (x == y) return 0;
-  return se_distance_scan(x, y, static_cast<int>(h), kUncapped, 0, kNoHint,
-                          witness != nullptr ? &witness->offset : nullptr);
-}
-
-std::uint32_t shuffle_exchange_distance_step(unsigned h, NodeId x, NodeId x_next, NodeId y,
-                                             std::uint32_t dist, DistanceWitness* witness) {
-  ShuffleExchangeDistanceStepper stepper(h, y);
-  stepper.seed(x, dist, witness != nullptr ? *witness : DistanceWitness{});
-  const std::uint32_t d = stepper.step(x_next);
-  if (witness != nullptr) *witness = stepper.witness();
-  return d;
-}
-
-int shuffle_exchange_neighbors_fixed(unsigned h, NodeId x, NodeId* out) {
-  const std::uint64_t n = shuffle_exchange_num_nodes(h);
-  if (x >= n) throw std::out_of_range("shuffle_exchange_neighbors_fixed: node out of range");
-  NodeId cand[3] = {se_exchange(x), se_shuffle(x, h), se_unshuffle(x, h)};
-  int count = 0;
-  for (const NodeId w : cand) {
-    if (w == x) continue;
-    int i = count;
-    while (i > 0 && out[i - 1] > w) --i;
-    if (i > 0 && out[i - 1] == w) continue;
-    for (int j = count; j > i; --j) out[j] = out[j - 1];
-    out[i] = w;
-    ++count;
-  }
-  return count;
+  return se_distance_scan(x, y, static_cast<int>(h), kUncapped, 0, kNoHint, nullptr);
 }
 
 ShuffleExchangeDistanceStepper::ShuffleExchangeDistanceStepper(unsigned h, NodeId dest)
@@ -213,17 +180,11 @@ std::uint32_t ShuffleExchangeDistanceStepper::reset(NodeId node) {
 }
 
 void ShuffleExchangeDistanceStepper::seed(NodeId node, std::uint32_t dist,
-                                          const DistanceWitness& witness) {
+                                          const DistanceWitness& witness, std::uint64_t opt) {
   if (node >= n_) throw std::out_of_range("ShuffleExchangeDistanceStepper: node out of range");
   node_ = node;
   dist_ = dist;
   wit_ = witness;
-  opt_valid_ = false;
-}
-
-void ShuffleExchangeDistanceStepper::seed_opt(NodeId node, std::uint32_t dist,
-                                              const DistanceWitness& witness, std::uint64_t opt) {
-  seed(node, dist, witness);
   opt_ = opt;
   opt_valid_ = opt != 0;
 }
@@ -237,52 +198,6 @@ void ShuffleExchangeDistanceStepper::collect_opt() const {
     if (se_cost_at(node_, dest_, h_, rho) == d) opt_ |= std::uint64_t{1} << rho;
   }
   opt_valid_ = true;
-}
-
-int ShuffleExchangeDistanceStepper::hint_for(NodeId neighbor) const {
-  // Moving x by a shuffle (rotate-left) relabels alignment rho+1 of x as rho
-  // of x'; unshuffle the opposite; the exchange keeps the frame. The hint is
-  // only a guess (the winner can genuinely change), so ties between
-  // coinciding moves are harmless.
-  const unsigned h = static_cast<unsigned>(h_);
-  if (neighbor == se_exchange(node_)) return wit_.offset;
-  if (neighbor == se_shuffle(node_, h)) return (wit_.offset + h_ - 1) % h_;
-  if (neighbor == se_unshuffle(node_, h)) return (wit_.offset + 1) % h_;
-  throw std::invalid_argument("ShuffleExchangeDistanceStepper: not a neighbor");
-}
-
-std::uint32_t ShuffleExchangeDistanceStepper::step(NodeId neighbor) {
-  opt_valid_ = false;
-  const int hint = hint_for(neighbor);
-  const std::uint32_t floor_stop = dist_ > 0 ? dist_ - 1 : 0;
-  dist_ = (neighbor == dest_) ? 0 : se_distance_scan(neighbor, dest_, h_, dist_ + 1, floor_stop,
-                                                     hint, &wit_.offset);
-  node_ = neighbor;
-  return dist_;
-}
-
-std::uint32_t ShuffleExchangeDistanceStepper::probe(NodeId neighbor, std::uint32_t cap) const {
-  return probe_witness(neighbor, cap, nullptr);
-}
-
-std::uint32_t ShuffleExchangeDistanceStepper::probe_witness(NodeId neighbor, std::uint32_t cap,
-                                                            DistanceWitness* witness) const {
-  if (neighbor == dest_) {
-    if (witness != nullptr) witness->offset = 0;
-    return 0;
-  }
-  const int hint = hint_for(neighbor);
-  const std::uint32_t floor_stop = dist_ > 0 ? dist_ - 1 : 0;
-  return se_distance_scan(neighbor, dest_, h_, cap, floor_stop, hint,
-                          witness != nullptr ? &witness->offset : nullptr);
-}
-
-void ShuffleExchangeDistanceStepper::advance(NodeId neighbor, std::uint32_t dist,
-                                             const DistanceWitness& witness) {
-  node_ = neighbor;
-  dist_ = dist;
-  wit_ = witness;
-  opt_valid_ = false;
 }
 
 int ShuffleExchangeDistanceStepper::probe_neighbors(ProbeNeighbor* out) const {
@@ -303,9 +218,9 @@ int ShuffleExchangeDistanceStepper::probe_neighbors(ProbeNeighbor* out) const {
   return count;
 }
 
-std::uint32_t ShuffleExchangeDistanceStepper::probe_pre(const ProbeNeighbor& nb, std::uint32_t cap,
-                                                        DistanceWitness* witness,
-                                                        std::uint64_t* opt_out) const {
+std::uint32_t ShuffleExchangeDistanceStepper::probe(const ProbeNeighbor& nb, std::uint32_t cap,
+                                                    DistanceWitness* witness,
+                                                    std::uint64_t* opt_out) const {
   if (opt_out != nullptr) *opt_out = 0;
   if (nb.id == dest_) {
     if (witness != nullptr) witness->offset = 0;
@@ -349,16 +264,6 @@ std::uint32_t ShuffleExchangeDistanceStepper::probe_pre(const ProbeNeighbor& nb,
   const std::uint32_t floor_stop = dist_ > 0 ? dist_ - 1 : 0;
   return se_distance_scan(nb.id, dest_, h_, cap, floor_stop, nb.hint,
                           witness != nullptr ? &witness->offset : nullptr);
-}
-
-void ShuffleExchangeDistanceStepper::advance_pre(const ProbeNeighbor& nb, std::uint32_t dist,
-                                                 const DistanceWitness& witness,
-                                                 std::uint64_t opt) {
-  node_ = nb.id;
-  dist_ = dist;
-  wit_ = witness;
-  opt_ = opt;
-  opt_valid_ = opt != 0;
 }
 
 std::optional<unsigned> shuffle_exchange_shape_of(const Graph& g) {

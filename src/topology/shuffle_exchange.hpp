@@ -42,27 +42,10 @@ void shuffle_exchange_neighbors(unsigned h, NodeId x, std::vector<NodeId>& out);
 /// suite.
 std::uint32_t shuffle_exchange_distance(unsigned h, NodeId x, NodeId y);
 
-/// shuffle_exchange_distance plus the witness: the winning rotation rho.
-std::uint32_t shuffle_exchange_distance_witness(unsigned h, NodeId x, NodeId y,
-                                                DistanceWitness* witness);
-
-/// O(h) incremental update: given d(x, y) == dist with `witness` from a
-/// previous *_witness/_step call, returns d(x_next, y) for x_next a neighbor
-/// of x (exchange/shuffle/unshuffle), updating the witness. The winning
-/// rotation for the neighbor is the current one shifted by the move, so the
-/// hinted scan plus the flips + min(rho, h-rho) rejection confirms the new
-/// distance without re-deriving every alignment.
-std::uint32_t shuffle_exchange_distance_step(unsigned h, NodeId x, NodeId x_next, NodeId y,
-                                             std::uint32_t dist, DistanceWitness* witness);
-
-/// Sorted unique undirected neighbors of x written into the caller's array
-/// (needs 3 slots; no allocation, no TLS). Returns the count.
-int shuffle_exchange_neighbors_fixed(unsigned h, NodeId x, NodeId* out);
-
 /// Incremental distance oracle to a fixed destination in SE_h — the SE
-/// counterpart of DebruijnDistanceStepper: each hop rotates or flips one
-/// bit, so the winning rotation alignment shifts by at most one and a hinted
-/// capped scan replaces the O(h^2) per-rotation sweep.
+/// counterpart of DebruijnDistanceStepper, with the same protocol: each hop
+/// rotates or flips one bit, so the winning rotation alignment shifts by at
+/// most one and a hinted capped scan replaces the O(h^2) per-rotation sweep.
 class ShuffleExchangeDistanceStepper {
  public:
   ShuffleExchangeDistanceStepper(unsigned h, NodeId dest);
@@ -73,15 +56,9 @@ class ShuffleExchangeDistanceStepper {
   /// state is invalid until the next reset()/seed().
   void retarget(NodeId dest);
   /// Restore a previously computed state without scanning (see the de Bruijn
-  /// stepper's contract).
-  void seed(NodeId node, std::uint32_t dist, const DistanceWitness& witness);
-  /// Move to a neighbor of node(); returns the new distance.
-  std::uint32_t step(NodeId neighbor);
-  /// d(neighbor, dest) if it is <= cap, else some value > cap.
-  std::uint32_t probe(NodeId neighbor, std::uint32_t cap) const;
-  std::uint32_t probe_witness(NodeId neighbor, std::uint32_t cap, DistanceWitness* witness) const;
-  /// Commit a previously probed neighbor reusing its (dist, witness).
-  void advance(NodeId neighbor, std::uint32_t dist, const DistanceWitness& witness);
+  /// stepper's contract). `opt` is the optimal-rotation mask probe()
+  /// reported (0 = unknown; recollected lazily).
+  void seed(NodeId node, std::uint32_t dist, const DistanceWitness& witness, std::uint64_t opt);
 
   /// One neighbor of the current node pre-packaged for probing — same
   /// batching contract as DebruijnDistanceStepper::ProbeNeighbor so the
@@ -97,37 +74,20 @@ class ShuffleExchangeDistanceStepper {
   /// hints; `out` must hold at least 3 entries. Returns the count.
   int probe_neighbors(ProbeNeighbor* out) const;
 
-  /// probe_witness() for an entry of probe_neighbors(). When cap ==
-  /// distance() - 1 (the router's refutation probe) and the optimal-rotation
-  /// mask is available, only the rotations that could possibly achieve
-  /// distance() - 1 are evaluated; on success the neighbor's own mask is
-  /// written to *opt_out (0 = unknown).
-  std::uint32_t probe_pre(const ProbeNeighbor& nb, std::uint32_t cap, DistanceWitness* witness,
-                          std::uint64_t* opt_out = nullptr) const;
-
-  /// advance() for an entry of probe_neighbors(). `opt` is the neighbor's
-  /// optimal-rotation mask from probe_pre (0 = unknown; recollected lazily).
-  void advance_pre(const ProbeNeighbor& nb, std::uint32_t dist, const DistanceWitness& witness,
-                   std::uint64_t opt = 0);
-
-  /// seed() that also restores the optimal-rotation mask (0 = unknown).
-  void seed_opt(NodeId node, std::uint32_t dist, const DistanceWitness& witness,
-                std::uint64_t opt);
-
-  /// The set {rho : cost of the winning tour constrained to final alignment
-  /// rho == distance()} as a bitmask (bit index rho), or 0 when not
-  /// currently known. Each move remaps alignments by at most one rotation,
-  /// so a neighbor one hop closer must win inside this mask's move-shifted
-  /// image — refutation probes evaluate ~popcount(mask) rotations.
-  std::uint64_t opt_mask() const { return opt_valid_ ? opt_ : 0; }
+  /// d(nb.id, dest) if it is <= cap, else some value > cap, with the winning
+  /// rotation as witness. Does not move the stepper. When cap == distance() -
+  /// 1 (the router's refutation probe), only the rotations whose image under
+  /// the move lies in the current node's optimal set {rho : cost at rotation
+  /// rho == distance()} are evaluated; on success the neighbor's own optimal
+  /// set is written to *opt_out (bit rho; 0 = unknown).
+  std::uint32_t probe(const ProbeNeighbor& nb, std::uint32_t cap, DistanceWitness* witness,
+                      std::uint64_t* opt_out = nullptr) const;
 
   NodeId node() const { return node_; }
   NodeId dest() const { return dest_; }
   std::uint32_t distance() const { return dist_; }
-  const DistanceWitness& witness() const { return wit_; }
 
  private:
-  int hint_for(NodeId neighbor) const;
   void collect_opt() const;
 
   std::uint64_t n_ = 0;
@@ -136,7 +96,7 @@ class ShuffleExchangeDistanceStepper {
   std::uint32_t dist_ = 0;
   DistanceWitness wit_{};
   // Optimal-rotation mask for the current node (bit rho), maintained lazily:
-  // cleared by anything that moves without one, recollected on the next
+  // cleared by reset() or a seed without one, recollected on the next
   // refutation probe.
   mutable std::uint64_t opt_ = 0;
   mutable bool opt_valid_ = false;

@@ -6,6 +6,8 @@
 #include <random>
 
 #include "graph/algorithms.hpp"
+#include "graph/bfs_workspace.hpp"
+#include "stepper_protocol.hpp"
 #include "topology/debruijn.hpp"
 #include "topology/labels.hpp"
 
@@ -199,7 +201,7 @@ TEST(DeBruijn, EdgeIffShiftRelation) {
 }
 
 
-// --- incremental distance kernels (PR 9) ---
+// --- the distance stepper's routing protocol ---
 
 TEST(DeBruijn, StepperResetMatchesDistanceAllPairs) {
   // Exhaustive: reset() (packed bit/nibble scans with the O(1) offset
@@ -211,12 +213,12 @@ TEST(DeBruijn, StepperResetMatchesDistanceAllPairs) {
       for (std::uint64_t y = 0; y < n; ++y) {
         DebruijnDistanceStepper stepper(params, static_cast<NodeId>(y));
         for (std::uint64_t x = 0; x < n; ++x) {
-          DistanceWitness w;
           const std::uint32_t want =
-              debruijn_distance_witness(params, static_cast<NodeId>(x), static_cast<NodeId>(y), &w);
+              debruijn_distance(params, static_cast<NodeId>(x), static_cast<NodeId>(y));
           EXPECT_EQ(stepper.reset(static_cast<NodeId>(x)), want)
               << "m=" << m << " h=" << h << " x=" << x << " y=" << y;
-          EXPECT_EQ(stepper.witness().offset, w.offset);
+          EXPECT_EQ(stepper.distance(), want);
+          EXPECT_EQ(stepper.node(), static_cast<NodeId>(x));
         }
       }
     }
@@ -224,98 +226,79 @@ TEST(DeBruijn, StepperResetMatchesDistanceAllPairs) {
 }
 
 TEST(DeBruijn, StepperProbeRespectsCapAndExactness) {
-  const DeBruijnParams params{.base = 2, .digits = 8};
-  const std::uint64_t n = debruijn_num_nodes(params);
-  std::mt19937_64 rng(42);
-  std::vector<NodeId> nbrs;
-  for (int trial = 0; trial < 500; ++trial) {
-    const auto x = static_cast<NodeId>(rng() % n);
-    const auto y = static_cast<NodeId>(rng() % n);
-    DebruijnDistanceStepper stepper(params, y);
-    const std::uint32_t here = stepper.reset(x);
-    if (here == 0) continue;
-    debruijn_neighbors(params, x, nbrs);
-    for (const NodeId w : nbrs) {
-      const std::uint32_t want = debruijn_distance(params, w, y);
-      const std::uint32_t got = stepper.probe(w, here - 1);
-      if (want <= here - 1) {
-        EXPECT_EQ(got, want) << "x=" << x << " y=" << y << " w=" << w;
-      } else {
-        EXPECT_GT(got, here - 1) << "x=" << x << " y=" << y << " w=" << w;
-      }
+  // probe() from freshly reset positions (opt mask collected lazily), on a
+  // bit-packed and a nibble-packed shape.
+  for (const auto& params :
+       {DeBruijnParams{.base = 2, .digits = 8}, DeBruijnParams{.base = 3, .digits = 5}}) {
+    const std::uint64_t n = debruijn_num_nodes(params);
+    std::mt19937_64 rng(42);
+    for (int trial = 0; trial < 500; ++trial) {
+      const auto x = static_cast<NodeId>(rng() % n);
+      const auto y = static_cast<NodeId>(rng() % n);
+      DebruijnDistanceStepper stepper(params, y);
+      stepper.reset(x);
+      stepper_protocol::expect_probes_exact(
+          stepper, [&](NodeId w) { return debruijn_distance(params, w, y); });
+      ASSERT_FALSE(HasFailure()) << "m=" << params.base << " x=" << x << " y=" << y;
     }
   }
 }
 
 TEST(DeBruijn, StepperRandomWalkAgreesWithFormula) {
-  // 10k random-walk steps per shape: step() (hinted O(h) updates) must track
-  // the canonical formula exactly, including the nibble-packed bases.
+  // 10k seeded steps per shape, every neighbor probed at each, across the
+  // bit-packed, nibble-packed and generic (2 < m <= 16, h > 16) scans.
   for (const auto& params :
        {DeBruijnParams{.base = 2, .digits = 10}, DeBruijnParams{.base = 3, .digits = 5},
-        DeBruijnParams{.base = 4, .digits = 4}}) {
+        DeBruijnParams{.base = 4, .digits = 4}, DeBruijnParams{.base = 3, .digits = 17}}) {
     const std::uint64_t n = debruijn_num_nodes(params);
     std::mt19937_64 rng(1000 * params.base + params.digits);
     const auto dest = static_cast<NodeId>(rng() % n);
     DebruijnDistanceStepper stepper(params, dest);
-    NodeId cur = static_cast<NodeId>(rng() % n);
-    stepper.reset(cur);
-    std::vector<NodeId> nbrs;
-    for (int s = 0; s < 10000; ++s) {
-      debruijn_neighbors(params, cur, nbrs);
-      cur = nbrs[rng() % nbrs.size()];
-      const std::uint32_t got = stepper.step(cur);
-      ASSERT_EQ(got, debruijn_distance(params, cur, dest))
-          << "m=" << params.base << " h=" << params.digits << " step=" << s << " cur=" << cur;
-      ASSERT_EQ(stepper.distance(), got);
-      ASSERT_EQ(stepper.node(), cur);
-    }
+    stepper_protocol::walk(stepper, static_cast<NodeId>(rng() % n), 10000, rng(),
+                           [&](NodeId w) { return debruijn_distance(params, w, dest); });
+    ASSERT_FALSE(HasFailure()) << "m=" << params.base << " h=" << params.digits;
   }
-}
-
-TEST(DeBruijn, FreeStepFunctionMatchesFormula) {
-  const DeBruijnParams params{.base = 3, .digits = 4};
-  const std::uint64_t n = debruijn_num_nodes(params);
-  std::mt19937_64 rng(7);
-  std::vector<NodeId> nbrs;
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto y = static_cast<NodeId>(rng() % n);
-    auto x = static_cast<NodeId>(rng() % n);
-    DistanceWitness w;
-    std::uint32_t dist = debruijn_distance_witness(params, x, y, &w);
-    for (int s = 0; s < 20; ++s) {
-      debruijn_neighbors(params, x, nbrs);
-      const NodeId nxt = nbrs[rng() % nbrs.size()];
-      dist = debruijn_distance_step(params, x, nxt, y, dist, &w);
-      ASSERT_EQ(dist, debruijn_distance(params, nxt, y)) << "trial=" << trial << " s=" << s;
-      x = nxt;
-    }
-  }
-}
-
-TEST(DeBruijn, StepperRejectsNonNeighbor) {
-  const DeBruijnParams params{.base = 2, .digits = 6};
-  DebruijnDistanceStepper stepper(params, 5);
-  stepper.reset(0);  // neighbors of 0 are 1 and 32
-  EXPECT_THROW(stepper.step(7), std::invalid_argument);
 }
 
 TEST(DeBruijn, NeighborsFixedMatchesVector) {
+  // probe_neighbors, the router's fixed-array enumeration, lists exactly
+  // debruijn_neighbors, in order.
   for (std::uint64_t m = 2; m <= 4; ++m) {
     for (unsigned h = 2; h <= 4; ++h) {
       const DeBruijnParams params{.base = m, .digits = h};
       const std::uint64_t n = debruijn_num_nodes(params);
+      DebruijnDistanceStepper stepper(params, 0);
       std::vector<NodeId> expected;
-      NodeId fixed[32];
       for (std::uint64_t x = 0; x < n; ++x) {
+        stepper.reset(static_cast<NodeId>(x));
         debruijn_neighbors(params, static_cast<NodeId>(x), expected);
-        const int count = debruijn_neighbors_fixed(params, static_cast<NodeId>(x), fixed, 32);
-        ASSERT_EQ(static_cast<std::size_t>(count), expected.size()) << "m=" << m << " x=" << x;
-        for (int i = 0; i < count; ++i) EXPECT_EQ(fixed[i], expected[static_cast<std::size_t>(i)]);
+        EXPECT_EQ(stepper_protocol::neighbor_ids(stepper), expected) << "m=" << m << " x=" << x;
       }
     }
   }
-  EXPECT_THROW(debruijn_neighbors_fixed({.base = 2, .digits = 3}, 0, nullptr, 3),
-               std::invalid_argument);
+}
+
+TEST(DeBruijnDistance, WideBasesMatchBfs) {
+  // m = 17 leaves the packed scans for generic_distance_scan: every pair of
+  // B_{17,2}, and every 13th source of B_{17,3} (plus its last node) to
+  // every destination.
+  for (unsigned h : {2u, 3u}) {
+    const DeBruijnParams params{.base = 17, .digits = h};
+    const Graph g = debruijn_graph(params);
+    const std::uint64_t n = g.num_nodes();
+    const std::uint64_t stride = h == 2 ? 1 : 13;
+    std::vector<NodeId> sources;
+    for (std::uint64_t x = 0; x < n; x += stride) sources.push_back(static_cast<NodeId>(x));
+    if (sources.back() != n - 1) sources.push_back(static_cast<NodeId>(n - 1));
+    BfsWorkspace ws;
+    std::vector<std::uint32_t> dist;
+    for (const NodeId x : sources) {
+      ws.distances(g, x, dist);
+      for (NodeId y = 0; y < n; ++y) {
+        ASSERT_EQ(debruijn_distance(params, x, y), dist[y]) << "h=" << h << " " << +x << "->" << +y;
+      }
+    }
+  }
 }
 
 }  // namespace

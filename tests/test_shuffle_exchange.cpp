@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "graph/algorithms.hpp"
+#include "stepper_protocol.hpp"
 #include "topology/labels.hpp"
 #include "topology/shuffle_exchange.hpp"
 
@@ -115,7 +116,7 @@ TEST(ShuffleExchange, EdgeCountFormula) {
 }
 
 
-// --- incremental distance kernels (PR 9) ---
+// --- the distance stepper's routing protocol ---
 
 TEST(ShuffleExchange, StepperResetMatchesDistanceAllPairs) {
   // Exhaustive over SE_1..SE_7: the filtered, sort-free scan must equal the
@@ -125,88 +126,57 @@ TEST(ShuffleExchange, StepperResetMatchesDistanceAllPairs) {
     for (std::uint64_t y = 0; y < n; ++y) {
       ShuffleExchangeDistanceStepper stepper(h, static_cast<NodeId>(y));
       for (std::uint64_t x = 0; x < n; ++x) {
-        EXPECT_EQ(stepper.reset(static_cast<NodeId>(x)),
-                  shuffle_exchange_distance(h, static_cast<NodeId>(x), static_cast<NodeId>(y)))
+        const std::uint32_t want =
+            shuffle_exchange_distance(h, static_cast<NodeId>(x), static_cast<NodeId>(y));
+        EXPECT_EQ(stepper.reset(static_cast<NodeId>(x)), want)
             << "h=" << h << " x=" << x << " y=" << y;
+        EXPECT_EQ(stepper.distance(), want);
+        EXPECT_EQ(stepper.node(), static_cast<NodeId>(x));
       }
     }
   }
 }
 
 TEST(ShuffleExchange, StepperRandomWalkAgreesWithFormula) {
-  // 10k random-walk steps: hinted O(h) step() updates track the formula.
+  // 10k seeded steps per shape, every neighbor probed at each.
   for (unsigned h : {5u, 8u, 10u}) {
     const std::uint64_t n = shuffle_exchange_num_nodes(h);
     std::mt19937_64 rng(31 * h);
     const auto dest = static_cast<NodeId>(rng() % n);
     ShuffleExchangeDistanceStepper stepper(h, dest);
-    NodeId cur = static_cast<NodeId>(rng() % n);
-    stepper.reset(cur);
-    std::vector<NodeId> nbrs;
-    for (int s = 0; s < 10000; ++s) {
-      shuffle_exchange_neighbors(h, cur, nbrs);
-      cur = nbrs[rng() % nbrs.size()];
-      const std::uint32_t got = stepper.step(cur);
-      ASSERT_EQ(got, shuffle_exchange_distance(h, cur, dest))
-          << "h=" << h << " step=" << s << " cur=" << cur;
-    }
+    stepper_protocol::walk(stepper, static_cast<NodeId>(rng() % n), 10000, rng(),
+                           [&](NodeId w) { return shuffle_exchange_distance(h, w, dest); });
+    ASSERT_FALSE(HasFailure()) << "h=" << h;
   }
 }
 
 TEST(ShuffleExchange, StepperProbeRespectsCapAndExactness) {
+  // probe() from freshly reset positions (opt mask collected lazily).
   const unsigned h = 9;
   const std::uint64_t n = shuffle_exchange_num_nodes(h);
   std::mt19937_64 rng(99);
-  std::vector<NodeId> nbrs;
   for (int trial = 0; trial < 500; ++trial) {
     const auto x = static_cast<NodeId>(rng() % n);
     const auto y = static_cast<NodeId>(rng() % n);
     ShuffleExchangeDistanceStepper stepper(h, y);
-    const std::uint32_t here = stepper.reset(x);
-    if (here == 0) continue;
-    shuffle_exchange_neighbors(h, x, nbrs);
-    for (const NodeId w : nbrs) {
-      const std::uint32_t want = shuffle_exchange_distance(h, w, y);
-      const std::uint32_t got = stepper.probe(w, here - 1);
-      if (want <= here - 1) {
-        EXPECT_EQ(got, want) << "x=" << x << " y=" << y << " w=" << w;
-      } else {
-        EXPECT_GT(got, here - 1) << "x=" << x << " y=" << y << " w=" << w;
-      }
-    }
-  }
-}
-
-TEST(ShuffleExchange, FreeStepFunctionMatchesFormula) {
-  const unsigned h = 7;
-  const std::uint64_t n = shuffle_exchange_num_nodes(h);
-  std::mt19937_64 rng(13);
-  std::vector<NodeId> nbrs;
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto y = static_cast<NodeId>(rng() % n);
-    auto x = static_cast<NodeId>(rng() % n);
-    DistanceWitness w;
-    std::uint32_t dist = shuffle_exchange_distance_witness(h, x, y, &w);
-    for (int s = 0; s < 20; ++s) {
-      shuffle_exchange_neighbors(h, x, nbrs);
-      const NodeId nxt = nbrs[rng() % nbrs.size()];
-      dist = shuffle_exchange_distance_step(h, x, nxt, y, dist, &w);
-      ASSERT_EQ(dist, shuffle_exchange_distance(h, nxt, y)) << "trial=" << trial << " s=" << s;
-      x = nxt;
-    }
+    stepper.reset(x);
+    stepper_protocol::expect_probes_exact(
+        stepper, [&](NodeId w) { return shuffle_exchange_distance(h, w, y); });
+    ASSERT_FALSE(HasFailure()) << "x=" << x << " y=" << y;
   }
 }
 
 TEST(ShuffleExchange, NeighborsFixedMatchesVector) {
+  // probe_neighbors, the router's fixed-array enumeration, lists exactly
+  // shuffle_exchange_neighbors, in order.
   for (unsigned h = 1; h <= 6; ++h) {
     const std::uint64_t n = shuffle_exchange_num_nodes(h);
+    ShuffleExchangeDistanceStepper stepper(h, 0);
     std::vector<NodeId> expected;
-    NodeId fixed[3];
     for (std::uint64_t x = 0; x < n; ++x) {
+      stepper.reset(static_cast<NodeId>(x));
       shuffle_exchange_neighbors(h, static_cast<NodeId>(x), expected);
-      const int count = shuffle_exchange_neighbors_fixed(h, static_cast<NodeId>(x), fixed);
-      ASSERT_EQ(static_cast<std::size_t>(count), expected.size()) << "h=" << h << " x=" << x;
-      for (int i = 0; i < count; ++i) EXPECT_EQ(fixed[i], expected[static_cast<std::size_t>(i)]);
+      EXPECT_EQ(stepper_protocol::neighbor_ids(stepper), expected) << "h=" << h << " x=" << x;
     }
   }
 }

@@ -121,5 +121,30 @@ TEST(RouteIsWalk, RejectsBadRoutes) {
   EXPECT_FALSE(route_is_walk(g, {0, 5, 1}, 0, 1));  // 0-5 not an edge
 }
 
+TEST(ImplicitRouter, WideBaseMatchesTableHopForHop) {
+  // B_{17,2}: degree 2m = 34 overflows the distance steppers' fixed probe
+  // array, so next_hop, hinted route_many and path all take next_hop_wide's
+  // full-distance enumeration over the generic scan.
+  const Graph g = debruijn_graph({.base = 17, .digits = 2});
+  const auto implicit = make_router(g, {.backend = RouterOptions::Backend::Implicit});
+  ASSERT_EQ(implicit->backend(), RouterBackend::Implicit);
+  const TableRouter table(g);
+  const auto n = static_cast<NodeId>(g.num_nodes());
+  std::vector<NodeId> dests, nodes;
+  for (NodeId d = 0; d < n; ++d) {
+    for (NodeId s = 0; s < n; ++s) {
+      ASSERT_EQ(implicit->next_hop(d, s), table.next_hop(d, s)) << +s << "->" << +d;
+      ASSERT_EQ(implicit->path(s, d), table.path(s, d)) << +s << "->" << +d;
+      dests.push_back(d);
+      nodes.push_back(s);
+    }
+  }
+  std::vector<NodeId> got(dests.size()), want(dests.size());
+  std::vector<RouteHint> hints(dests.size());
+  implicit->route_many(dests, nodes, got, hints);
+  table.route_many(dests, nodes, want);
+  EXPECT_EQ(got, want);
+}
+
 }  // namespace
 }  // namespace ftdb::sim

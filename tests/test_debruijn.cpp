@@ -280,13 +280,13 @@ TEST(DeBruijn, NeighborsFixedMatchesVector) {
 
 TEST(DeBruijnDistance, WideBasesMatchBfs) {
   // m = 17 leaves the packed scans for generic_distance_scan: every pair of
-  // B_{17,2}, and every 13th source of B_{17,3} (plus its last node) to
+  // B_{17,2}, and every 31st source of B_{17,3} (plus its last node) to
   // every destination.
   for (unsigned h : {2u, 3u}) {
     const DeBruijnParams params{.base = 17, .digits = h};
     const Graph g = debruijn_graph(params);
     const std::uint64_t n = g.num_nodes();
-    const std::uint64_t stride = h == 2 ? 1 : 13;
+    const std::uint64_t stride = h == 2 ? 1 : 31;
     std::vector<NodeId> sources;
     for (std::uint64_t x = 0; x < n; x += stride) sources.push_back(static_cast<NodeId>(x));
     if (sources.back() != n - 1) sources.push_back(static_cast<NodeId>(n - 1));

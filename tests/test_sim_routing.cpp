@@ -124,7 +124,8 @@ TEST(RouteIsWalk, RejectsBadRoutes) {
 TEST(ImplicitRouter, WideBaseMatchesTableHopForHop) {
   // B_{17,2}: degree 2m = 34 overflows the distance steppers' fixed probe
   // array, so next_hop, hinted route_many and path all take next_hop_wide's
-  // full-distance enumeration over the generic scan.
+  // full-distance enumeration over the generic scan. Paths are compared
+  // for every 17th destination; their hops are next_hop's.
   const Graph g = debruijn_graph({.base = 17, .digits = 2});
   const auto implicit = make_router(g, {.backend = RouterOptions::Backend::Implicit});
   ASSERT_EQ(implicit->backend(), RouterBackend::Implicit);
@@ -134,7 +135,7 @@ TEST(ImplicitRouter, WideBaseMatchesTableHopForHop) {
   for (NodeId d = 0; d < n; ++d) {
     for (NodeId s = 0; s < n; ++s) {
       ASSERT_EQ(implicit->next_hop(d, s), table.next_hop(d, s)) << +s << "->" << +d;
-      ASSERT_EQ(implicit->path(s, d), table.path(s, d)) << +s << "->" << +d;
+      if (d % 17 == 0) ASSERT_EQ(implicit->path(s, d), table.path(s, d)) << +s << "->" << +d;
       dests.push_back(d);
       nodes.push_back(s);
     }

@@ -5,14 +5,10 @@
 // metrics thousands of times), so its per-trial cost is the number to watch.
 #include <chrono>
 #include <cmath>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "analysis/bench_registry.hpp"
 #include "campaign/fault_models.hpp"
-#include "campaign/report.hpp"
 #include "campaign/rng.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
@@ -285,36 +281,6 @@ FTDB_BENCH(campaign_ckpt, "perf_campaign/checkpoint_roundtrip_24cells") {
   ctx.report("roundtrips", 20.0);
   ctx.report("bytes", static_cast<double>(json.size()));
   ctx.report("cells_reparsed", static_cast<double>(cells));
-}
-
-/// The distributed path end to end: two shard runs plus the fingerprint- and
-/// coverage-checked merge, with the merged report's byte-identity to the
-/// single-machine run reported as a metric (1.0 = identical).
-FTDB_BENCH(campaign_shard, "perf_campaign/shard2_run_merge") {
-  ScenarioSpec spec = base_spec(512);
-  spec.topologies = {{TopologyFamily::DeBruijn, 2, 4},
-                     {TopologyFamily::ShuffleExchange, 2, 4}};
-  spec.spares = {0, 3};
-  spec.fault_models = {{FaultModelKind::IidBernoulli, 0.03, 1.0, 100.0, 1.0}};
-  const std::string reference = campaign_report_json(run_campaign(spec, {.threads = 1}));
-
-  const std::string dir = std::filesystem::temp_directory_path().string();
-  std::vector<Checkpoint> partials;
-  for (std::uint32_t s = 0; s < 2; ++s) {
-    CampaignOptions options;
-    options.threads = 1;
-    options.shard = {s, 2};
-    options.checkpoint_path = dir + "/ftdb_perf_shard" + std::to_string(s) + ".ckpt";
-    run_campaign(spec, options);
-    std::ifstream in(options.checkpoint_path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    partials.push_back(parse_checkpoint(buf.str()));
-  }
-  const CampaignResult merged = merge_checkpoints(spec, partials);
-  ctx.report("merge_byte_identical",
-             campaign_report_json(merged) == reference ? 1.0 : 0.0);
-  ctx.report("shards", 2.0);
 }
 
 }  // namespace

@@ -43,14 +43,15 @@ void validate_spec(const ScenarioSpec& spec, const std::vector<ScenarioCase>& ce
   if (spec.trials == 0) throw std::runtime_error("elastic: spec asks for zero trials");
 }
 
-/// Cell indices, most expensive predicted cell first (ties by index), so the
-/// campaign's long poles start earliest and the tail stays short.
+/// The indices of the cells `shard` owns, most expensive predicted cell
+/// first (ties by index), so the campaign's long poles start earliest and
+/// the tail stays short.
 std::vector<std::size_t> cost_order(const ScenarioSpec& spec,
-                                    const std::vector<ScenarioCase>& cells) {
+                                    const std::vector<ScenarioCase>& cells,
+                                    const ShardSpec& shard) {
   std::vector<std::pair<double, std::size_t>> keyed;
-  keyed.reserve(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    keyed.emplace_back(-predicted_cell_cost(spec, cells[i]), i);
+    if (shard.owns(i)) keyed.emplace_back(-predicted_cell_cost(spec, cells[i]), i);
   }
   std::sort(keyed.begin(), keyed.end());
   std::vector<std::size_t> order;
@@ -83,7 +84,8 @@ ScenarioSpec load_elastic_spec(const std::string& dir) {
   return parse_scenario_spec(read_text_file(spec_path(dir)));
 }
 
-ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::string& dir) {
+ElasticProgress load_elastic_progress(const ScenarioSpec& spec,
+                                      const std::vector<std::string>& dirs) {
   const std::vector<ScenarioCase> cells = expand_grid(spec);
   validate_spec(spec, cells);
   const std::uint64_t spec_fp = spec_fingerprint(spec);
@@ -97,12 +99,19 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::strin
     progress.cells[i].prefix.scenario_index = i;
   }
   // Blocks durable past each cell's prefix, deduped by block index. Lease
-  // races can make two logs carry the same (cell, block); the copies are
-  // byte-identical (counter-based trials), so first-wins is exact.
+  // races and several directories can carry the same (cell, block); the
+  // copies are byte-identical (counter-based trials), so first-wins is exact.
   std::vector<std::map<std::uint64_t, ScenarioResult>> extras(cells.size());
 
+  // Every checkpoint before any log, so the longest prefix is known when the
+  // logs are filtered against it.
   std::error_code ec;
-  if (fs::exists(ckpt_path(dir), ec)) {
+  for (const std::string& dir : dirs) {
+    if (spec_fingerprint(load_elastic_spec(dir)) != spec_fp) {
+      throw std::runtime_error("elastic: " + dir +
+                               " hosts a different campaign (spec fingerprint mismatch)");
+    }
+    if (!fs::exists(ckpt_path(dir), ec)) continue;
     const Checkpoint ckpt = parse_checkpoint(read_text_file(ckpt_path(dir)));
     if (ckpt.fingerprint != spec_fp) {
       throw std::runtime_error("elastic: " + ckpt_path(dir) +
@@ -118,17 +127,21 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::strin
                                  std::to_string(cp.scenario_index) + " is outside the grid");
       }
       check_cell_progress(cp, spec.trials, "elastic: " + ckpt_path(dir));
-      progress.cells[cp.scenario_index] = cp;
-      progress.finalized[cp.scenario_index] = cp.prefix_blocks == total_blocks ? 1 : 0;
+      CellProgress& best = progress.cells[cp.scenario_index];
+      if (cp.prefix_blocks > best.prefix_blocks) {
+        best.prefix_blocks = cp.prefix_blocks;
+        best.prefix = cp.prefix;
+        progress.finalized[cp.scenario_index] = cp.prefix_blocks == total_blocks ? 1 : 0;
+      }
       extras[cp.scenario_index].insert(cp.extra.begin(), cp.extra.end());
-      progress.cells[cp.scenario_index].extra.clear();  // re-drained below
     }
   }
 
-  // Every worker's log, in sorted filename order (determinism of the scan;
-  // the records themselves are order-independent thanks to dedup-by-block).
+  // Every worker's log, in sorted path order (determinism of the scan; the
+  // records themselves are order-independent thanks to dedup-by-block).
   std::vector<std::string> log_paths;
-  if (fs::exists(dir + "/logs", ec)) {
+  for (const std::string& dir : dirs) {
+    if (!fs::exists(dir + "/logs", ec)) continue;
     for (const auto& entry : fs::directory_iterator(dir + "/logs")) {
       if (entry.path().extension() == ".blk") log_paths.push_back(entry.path().string());
     }
@@ -155,6 +168,7 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::strin
   for (std::size_t i = 0; i < cells.size(); ++i) {
     CellProgress& cp = progress.cells[i];
     auto& pool = extras[i];
+    pool.erase(pool.begin(), pool.lower_bound(cp.prefix_blocks));  // inside a longer prefix
     while (!pool.empty() && pool.begin()->first == cp.prefix_blocks) {
       cp.prefix.merge(pool.begin()->second);
       ++cp.prefix_blocks;
@@ -174,7 +188,7 @@ bool compact_elastic_dir(const ScenarioSpec& spec, const std::string& dir,
 
   const std::vector<ScenarioCase> cells = expand_grid(spec);
   const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
-  ElasticProgress progress = load_elastic_progress(spec, dir);
+  ElasticProgress progress = load_elastic_progress(spec, {dir});
 
   Checkpoint ckpt;  // whole-campaign shard; stamps derived by the serializer
   TargetTable targets(spec, cells);
@@ -201,6 +215,7 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
   if (options.dir.empty()) throw std::runtime_error("elastic: no directory given");
   const std::vector<ScenarioCase> cells = expand_grid(spec);
   validate_spec(spec, cells);
+  validate_shard(options.shard, cells.size());
   const std::uint64_t spec_fp = spec_fingerprint(spec);
   const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
   const std::string worker_id =
@@ -213,21 +228,20 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
   // them (and anyone else's) forward before claiming anything.
   compact_elastic_dir(spec, options.dir, worker_id, &log, ttl, options.fsync);
 
-  const std::vector<std::size_t> order = cost_order(spec, cells);
+  const std::vector<std::size_t> order = cost_order(spec, cells, options.shard);
   unsigned threads = options.threads == 0
                          ? std::max(1u, std::thread::hardware_concurrency())
                          : options.threads;
 
   ElasticResult res;
   for (;;) {
-    ElasticProgress progress = load_elastic_progress(spec, options.dir);
-    bool all_complete = true;
-    for (const CellProgress& cp : progress.cells) {
-      all_complete = all_complete && cp.prefix_blocks == total_blocks;
-    }
+    ElasticProgress progress = load_elastic_progress(spec, {options.dir});
+    const bool all_complete = std::all_of(order.begin(), order.end(), [&](std::size_t idx) {
+      return progress.cells[idx].prefix_blocks == total_blocks;
+    });
     if (all_complete) {
       // Final fold: finalizes every completed-by-log cell and leaves one
-      // checkpoint that IS the campaign (merge reads it straight off).
+      // checkpoint that holds the shard's cells (merge reads it straight off).
       compact_elastic_dir(spec, options.dir, worker_id, &log, ttl, options.fsync);
       res.campaign_complete = true;
       return res;
@@ -246,7 +260,7 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
 
       // Re-read progress now that the cell is ours: a previous (possibly
       // dead) holder may have made more blocks durable than our last scan saw.
-      progress = load_elastic_progress(spec, options.dir);
+      progress = load_elastic_progress(spec, {options.dir});
       const CellProgress& cp = progress.cells[idx];
       std::vector<std::uint64_t> remaining;
       {

@@ -23,6 +23,11 @@
 // any block double-computed in a lease race is byte-identical, and merges
 // dedupe on (cell, block) — so the final report of any elastic history is
 // byte-identical to a serial run of the same spec.
+//
+// A static split is the same worker restricted to its cells: `--shard I/N`
+// leases only the cells ShardSpec::owns and stops once they are durable.
+// Shards may share one directory or, on machines without shared storage,
+// each use its own; the merge reads any number of directories of one spec.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +55,8 @@ struct ElasticOptions {
   /// WITHOUT releasing the held lease (the on-disk state a hard-killed
   /// worker leaves) and throw ElasticAborted. 0 disables.
   std::uint64_t stop_after_blocks = 0;
+  /// Lease only the cells this shard owns, and stop once they are durable.
+  ShardSpec shard;
   bool fsync = true;  ///< fsync block-log appends (tests may disable)
   std::ostream* progress = nullptr;  ///< optional one-line-per-cell sink
 };
@@ -59,7 +66,7 @@ struct ElasticResult {
   std::uint64_t blocks_skipped = 0;    ///< blocks of leased cells already durable
   std::uint64_t cells_leased = 0;
   std::uint64_t leases_reclaimed = 0;  ///< stale leases swept while claiming
-  bool campaign_complete = false;      ///< every cell durable when we left
+  bool campaign_complete = false;      ///< every owned cell durable when we left
 };
 
 /// Thrown by run_elastic_worker when options.stop_after_blocks fired. The
@@ -80,8 +87,9 @@ void ensure_elastic_dir(const ScenarioSpec& spec, const std::string& dir);
 /// Reads the spec.json of an existing elastic directory.
 ScenarioSpec load_elastic_spec(const std::string& dir);
 
-/// Durable progress of the whole campaign: compacted checkpoint + every
-/// worker log, deduped by (cell, block) and drained into per-cell prefixes.
+/// Durable progress of the whole campaign: every directory's compacted
+/// checkpoint + every worker log, deduped by (cell, block) and drained into
+/// per-cell prefixes.
 struct ElasticProgress {
   /// Index-aligned with expand_grid(spec). prefix_blocks == num_blocks means
   /// the cell's trials are all durable.
@@ -92,10 +100,15 @@ struct ElasticProgress {
   std::uint64_t durable_blocks = 0;  ///< distinct durable blocks, all cells
 };
 
-/// Loads and validates the directory's durable progress. Tolerates torn log
-/// tails (live appends elsewhere); throws on structural corruption or a
-/// fingerprint mismatch.
-ElasticProgress load_elastic_progress(const ScenarioSpec& spec, const std::string& dir);
+/// Loads and validates the durable progress of one or more directories of
+/// the same campaign (say, one per static shard). Where two directories hold
+/// the same cell, the longer compacted prefix wins and blocks are deduped by
+/// (cell, block): the copies are byte-identical, since trials are
+/// counter-based. Tolerates torn log tails (live appends elsewhere); throws
+/// on structural corruption or a fingerprint mismatch of any directory's
+/// spec.json, checkpoint or log.
+ElasticProgress load_elastic_progress(const ScenarioSpec& spec,
+                                      const std::vector<std::string>& dirs);
 
 /// Folds every log into compacted.ckpt (finalizing cells that completed),
 /// then empties `own_log` (whose records are now in the checkpoint). Other
@@ -106,11 +119,11 @@ bool compact_elastic_dir(const ScenarioSpec& spec, const std::string& dir,
                          const std::string& worker_id, BlockLog* own_log,
                          std::uint64_t lease_ttl_seconds, bool fsync);
 
-/// Joins the elastic campaign at `options.dir` and works until every cell is
-/// durable (or until nothing is claimable and someone else holds the rest —
-/// then keeps polling until the campaign completes). Throws ElasticAborted
-/// when the crash hook fires, std::runtime_error on unusable specs or a
-/// directory belonging to a different campaign.
+/// Joins the elastic campaign at `options.dir` and works until every cell its
+/// shard owns is durable (when nothing is claimable and someone else holds
+/// the rest, it keeps polling until they are). Throws ElasticAborted
+/// when the crash hook fires, std::runtime_error on unusable specs, bad shard
+/// coordinates or a directory belonging to a different campaign.
 ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions& options);
 
 }  // namespace ftdb::campaign::elastic

@@ -8,10 +8,10 @@ namespace ftdb::campaign::elastic {
 
 using analysis::JsonWriter;
 
-CampaignResult merge_elastic(const ScenarioSpec& spec, const std::string& dir) {
+CampaignResult merge_elastic(const ScenarioSpec& spec, const std::vector<std::string>& dirs) {
   const std::vector<ScenarioCase> cells = expand_grid(spec);
   const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
-  ElasticProgress progress = load_elastic_progress(spec, dir);
+  ElasticProgress progress = load_elastic_progress(spec, dirs);
 
   CampaignResult result;
   result.spec = spec;
@@ -39,10 +39,11 @@ CampaignResult merge_elastic(const ScenarioSpec& spec, const std::string& dir) {
   return result;
 }
 
-std::string partial_elastic_report_json(const ScenarioSpec& spec, const std::string& dir) {
+std::string partial_elastic_report_json(const ScenarioSpec& spec,
+                                        const std::vector<std::string>& dirs) {
   const std::vector<ScenarioCase> cells = expand_grid(spec);
   const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
-  ElasticProgress progress = load_elastic_progress(spec, dir);
+  ElasticProgress progress = load_elastic_progress(spec, dirs);
 
   std::uint64_t completed_trials = 0;
   std::uint64_t cells_complete = 0;

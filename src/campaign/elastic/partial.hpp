@@ -1,10 +1,11 @@
 // Live partial results and the final merge for elastic campaigns.
 //
 // `merge_elastic` is the end-of-campaign read: it requires every cell's
-// blocks to be durable and produces the CampaignResult a serial
-// run_campaign of the same spec would — byte-identical reports, including
-// across lease reclaims and crashed workers, because blocks are
-// counter-based deterministic and merges fold them in block order.
+// blocks to be durable in some directory and produces the CampaignResult a
+// serial run_campaign of the same spec would — byte-identical reports,
+// including across lease reclaims, crashed workers and static shards run in
+// separate directories, because blocks are counter-based deterministic and
+// merges fold them in block order.
 //
 // `partial_elastic_report_json` can be taken at ANY moment of a live
 // campaign: it emits a valid "ftdb-campaign-v1" document over whatever
@@ -17,19 +18,22 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "campaign/elastic/elastic.hpp"
 #include "campaign/runner.hpp"
 
 namespace ftdb::campaign::elastic {
 
-/// Merges a *complete* elastic directory into the campaign result. Throws
-/// std::runtime_error naming the first incomplete cell otherwise.
-CampaignResult merge_elastic(const ScenarioSpec& spec, const std::string& dir);
+/// Merges the elastic directories of one campaign (one, or say one per
+/// static shard; see load_elastic_progress) into the campaign result. Throws
+/// std::runtime_error naming the first cell no directory completes.
+CampaignResult merge_elastic(const ScenarioSpec& spec, const std::vector<std::string>& dirs);
 
 /// Point-in-time partial report over the durable blocks of a (possibly
-/// still running) elastic campaign. Always valid; never throws merely
-/// because the campaign is incomplete.
-std::string partial_elastic_report_json(const ScenarioSpec& spec, const std::string& dir);
+/// still running) elastic campaign spread over `dirs`. Always valid; never
+/// throws merely because the campaign is incomplete.
+std::string partial_elastic_report_json(const ScenarioSpec& spec,
+                                        const std::vector<std::string>& dirs);
 
 }  // namespace ftdb::campaign::elastic

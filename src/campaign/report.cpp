@@ -106,65 +106,6 @@ const CsvColumn kCsvColumns[] = {
 
 }  // namespace
 
-CampaignResult merge_checkpoints(const ScenarioSpec& spec,
-                                 const std::vector<Checkpoint>& partials) {
-  if (partials.empty()) throw std::runtime_error("campaign merge: no partials given");
-  const std::vector<ScenarioCase> cells = expand_grid(spec);
-  const std::uint64_t spec_fp = spec_fingerprint(spec);
-  const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
-
-  CampaignResult result;
-  result.spec = spec;
-  result.scenarios.resize(cells.size());
-  std::vector<bool> seen(cells.size(), false);
-
-  for (std::size_t p = 0; p < partials.size(); ++p) {
-    const Checkpoint& ckpt = partials[p];
-    const std::string who = "partial " + std::to_string(p) + " (shard " + ckpt.shard.label() + ")";
-    if (ckpt.fingerprint != spec_fp) {
-      throw std::runtime_error("campaign merge: " + who +
-                               " was produced by a different spec (fingerprint mismatch)");
-    }
-    if (ckpt.shard_stamp != shard_fingerprint(spec, ckpt.shard)) {
-      throw std::runtime_error("campaign merge: " + who +
-                               " carries a shard stamp that does not match its coordinates");
-    }
-    for (const CellProgress& cp : ckpt.cells) {
-      if (cp.scenario_index >= cells.size()) {
-        throw std::runtime_error("campaign merge: " + who + " has scenario index " +
-                                 std::to_string(cp.scenario_index) + " outside the grid");
-      }
-      if (!ckpt.shard.owns(cp.scenario_index)) {
-        throw std::runtime_error("campaign merge: " + who + " contains cell " +
-                                 std::to_string(cp.scenario_index) + " it does not own");
-      }
-      if (seen[cp.scenario_index]) {
-        throw std::runtime_error("campaign merge: overlapping shards — cell " +
-                                 std::to_string(cp.scenario_index) +
-                                 " appears in more than one partial");
-      }
-      if (cp.prefix_blocks != total_blocks) {
-        throw std::runtime_error("campaign merge: " + who + " cell " +
-                                 std::to_string(cp.scenario_index) + " is incomplete (" +
-                                 std::to_string(cp.prefix_blocks) + "/" +
-                                 std::to_string(total_blocks) + " blocks)");
-      }
-      // A cell can claim all its blocks yet carry a truncated accumulator
-      // (torn write, hand-mangled file); the same invariants resume checks.
-      check_cell_progress(cp, spec.trials, "campaign merge: " + who);
-      seen[cp.scenario_index] = true;
-      result.scenarios[cp.scenario_index] = cp.prefix;
-    }
-  }
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!seen[i]) {
-      throw std::runtime_error("campaign merge: cell " + std::to_string(i) + " (" +
-                               cells[i].label() + ") is covered by no partial");
-    }
-  }
-  return result;
-}
-
 std::string campaign_report_json(const CampaignResult& result) {
   JsonWriter w;
   w.begin_object();

@@ -9,30 +9,17 @@
 //    analytic-vs-empirical survival comparison from ft/spares.hpp.
 //
 // All three are pure functions of CampaignResult, which the runner produces
-// deterministically — so reports are byte-identical across thread counts and
-// across checkpoint/resume boundaries.
+// deterministically — so reports are byte-identical across thread counts,
+// checkpoint/resume boundaries and elastic workers.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "campaign/runner.hpp"
 
 namespace ftdb::campaign {
 
 std::string campaign_report_json(const CampaignResult& result);
-
-/// Fuses the partial checkpoints of a sharded campaign into the full result.
-/// Every partial must carry the spec's fingerprint (fingerprint-checked), no
-/// two partials may contribute the same grid cell (overlap-rejected), every
-/// cell of the expanded grid must be present and complete, and each partial's
-/// shard stamp must match its declared coordinates. The scenarios reassemble
-/// in grid order from the checkpoints' finalized accumulators — which
-/// round-trip bit-exactly through JSON — so the merged report is
-/// byte-identical to the report of a single-machine run of the same spec.
-/// Throws std::runtime_error describing the first violation.
-CampaignResult merge_checkpoints(const ScenarioSpec& spec,
-                                 const std::vector<Checkpoint>& partials);
 
 std::string campaign_report_csv(const CampaignResult& result);
 

@@ -144,7 +144,7 @@ constexpr ResultField kResultFields[] = {
 /// Merges two curves sorted by fault count; points at the same count fold
 /// through `add(into, from)`. The runner merges blocks in order, so the
 /// double additions happen in a fixed order and come out bit-identical for
-/// any thread count or shard split.
+/// any thread count or split across workers.
 template <class Point, class Add>
 std::vector<Point> merge_curves(const std::vector<Point>& a, const std::vector<Point>& b,
                                 Add add) {
@@ -861,7 +861,7 @@ void write_file_atomically(const std::string& path, const std::string& text, boo
 
 namespace {
 
-/// One schedulable unit: block `block` of the `slot`-th owned cell.
+/// One schedulable unit: block `block` of the `slot`-th cell.
 struct WorkUnit {
   std::uint32_t slot = 0;
   std::uint64_t block = 0;
@@ -880,6 +880,14 @@ struct WorkUnit {
 /// All units are enqueued before the workers start, so once a deque reads
 /// empty it stays empty: an empty sweep over every deque means no unstarted
 /// work remains.
+///
+/// The elastic worker's one shared atomic cursor would be simpler, but it
+/// measured slower here. Per-cell builds dominate a survival campaign, and a
+/// cursor makes workers block on one another's builds, while contiguous
+/// per-worker slices give each worker its own cells. One 5 s perfbench
+/// `campaign_survival` run per figure, seed 918273, 4-vCPU Xeon: deques
+/// 0.94-1.00 M trials/s; a cursor in cell-major order 0.41 M, in waves of 4
+/// cells 0.54-0.65 M, over 4 interleaved slices 0.77-0.80 M.
 class StealDeque {
  public:
   void seed(const std::vector<WorkUnit>& units) {
@@ -966,26 +974,21 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
   if (spec.trials == 0) throw std::runtime_error("campaign: trials must be positive");
   const std::vector<ScenarioCase> cells = expand_grid(spec);
   if (cells.empty()) throw std::runtime_error("campaign: empty scenario grid");
-  validate_shard(options.shard, cells.size());
 
   CampaignResult result;
   result.spec = spec;
-  result.shard = options.shard;
   result.scenarios.resize(cells.size());
 
-  // Owned cells, in grid order.
+  // One reduction state per cell, in grid order.
   std::vector<std::unique_ptr<CellState>> states;
   for (const ScenarioCase& cell : cells) {
-    if (!options.shard.owns(cell.index)) continue;
     auto st = std::make_unique<CellState>();
     st->cell = cell;
     st->num_blocks = num_trial_blocks(spec.trials);
     st->prefix.scenario_index = cell.index;
     states.push_back(std::move(st));
   }
-  std::vector<ScenarioCase> owned_cells;
-  for (const auto& st : states) owned_cells.push_back(st->cell);
-  TargetTable targets(spec, owned_cells);
+  TargetTable targets(spec, cells);
 
   // --- resume: seed the reduction states from the checkpoint ----------------
   if (options.resume && !options.checkpoint_path.empty()) {
@@ -996,20 +999,17 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
         throw std::runtime_error(
             "campaign: checkpoint was produced by a different spec (fingerprint mismatch)");
       }
-      if (ckpt.shard_stamp != shard_fingerprint(spec, options.shard)) {
+      if (ckpt.shard_stamp != shard_fingerprint(spec, ShardSpec{})) {
         throw std::runtime_error("campaign: checkpoint belongs to shard " + ckpt.shard.label() +
-                                 ", not " + options.shard.label());
+                                 "; only a whole-campaign checkpoint resumes (run shards as "
+                                 "elastic workers: --elastic DIR --shard I/N)");
       }
       for (const CellProgress& cp : ckpt.cells) {
-        auto it = std::find_if(states.begin(), states.end(), [&](const auto& st) {
-          return st->cell.index == cp.scenario_index;
-        });
-        if (it == states.end()) {
+        if (cp.scenario_index >= states.size()) {
           throw std::runtime_error("campaign: checkpoint scenario index " +
-                                   std::to_string(cp.scenario_index) +
-                                   " is not owned by this shard");
+                                   std::to_string(cp.scenario_index) + " is outside the grid");
         }
-        CellState& st = **it;
+        CellState& st = *states[cp.scenario_index];
         check_cell_progress(cp, spec.trials, "campaign: checkpoint");
         if (cp.prefix_blocks > 0) {
           st.prefix = cp.prefix;
@@ -1069,13 +1069,8 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
   std::mutex main_mu;  // guards `events` + `failure`; cv's companion
   std::condition_variable cv;
   std::vector<std::string> events;  // progress lines for finalized cells
-  std::size_t cells_done = 0;       // owned cells finalized (main thread only)
-
-  const std::size_t owned = states.size();
-  std::size_t owned_done_at_start = 0;
-  for (const auto& st : states) {
-    if (st->finalized) ++owned_done_at_start;
-  }
+  std::size_t cells_done = 0;       // cells finalized, resumed ones included (main thread only)
+  for (const auto& st : states) cells_done += st->finalized ? 1 : 0;
 
   auto run_unit = [&](const WorkUnit& u) {
     CellState& st = *states[u.slot];
@@ -1143,8 +1138,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
 
   // --- snapshotting ----------------------------------------------------------
   auto snapshot_checkpoint = [&]() -> std::string {
-    Checkpoint ckpt;
-    ckpt.shard = options.shard;  // stamps are derived from the spec by the serializer
+    Checkpoint ckpt;  // whole-campaign shard; stamps derived by the serializer
     for (const auto& stp : states) {
       CellState& st = *stp;
       const std::lock_guard<std::mutex> lock(st.mu);
@@ -1168,9 +1162,8 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
   auto print_progress = [&](const std::vector<std::string>& lines) {
     if (options.progress == nullptr) return;
     for (const std::string& line : lines) {
-      cells_done = std::min(owned, cells_done + 1);
-      (*options.progress) << "[" << (owned_done_at_start + cells_done) << "/" << owned << "] "
-                          << line << "\n";
+      cells_done = std::min(states.size(), cells_done + 1);
+      (*options.progress) << "[" << cells_done << "/" << states.size() << "] " << line << "\n";
     }
   };
 

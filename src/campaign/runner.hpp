@@ -20,10 +20,10 @@
 // trials are counter-based, finishes with exactly the report an uninterrupted
 // run would have produced.
 //
-// Sharding scales the same campaign across machines: shard i/n runs only the
-// cells it owns (round-robin by cell index) and writes a mergeable partial
-// checkpoint; merge_checkpoints (report.hpp) fuses the partials into a report
-// byte-identical to a single-machine run.
+// Splitting a campaign across machines is the elastic service's job
+// (campaign/elastic/): a static shard i/n is an elastic worker restricted to
+// the cells it owns, and merge_elastic fuses the workers' directories into a
+// report byte-identical to a single-machine run.
 #pragma once
 
 #include <cstdint>
@@ -232,11 +232,9 @@ struct CampaignOptions {
   /// Minimum seconds between checkpoint writes (0 = after every completed
   /// block — the tightest crash-replay bound).
   double checkpoint_every_seconds = 0.0;
-  /// Load checkpoint_path (if it exists) and skip its completed blocks.
+  /// Load checkpoint_path (if it exists) and skip its completed blocks. Only
+  /// a whole-campaign checkpoint (shard 0/1) resumes.
   bool resume = false;
-  /// Run only the cells this shard owns (see ShardSpec). The checkpoint then
-  /// carries the shard stamp and is a merge_checkpoints input.
-  ShardSpec shard;
   /// Test/CI hook simulating a mid-campaign crash: once this many blocks have
   /// completed, stop scheduling work, write a final checkpoint, and throw
   /// CampaignAborted. 0 disables.
@@ -247,8 +245,7 @@ struct CampaignOptions {
 
 struct CampaignResult {
   ScenarioSpec spec;
-  ShardSpec shard;                        ///< which slice this run executed
-  std::vector<ScenarioResult> scenarios;  ///< in grid order; unowned cells stay empty
+  std::vector<ScenarioResult> scenarios;  ///< in grid order
   std::uint64_t resumed_scenarios = 0;    ///< cells fully loaded from the checkpoint
   std::uint64_t resumed_blocks = 0;       ///< blocks skipped thanks to the checkpoint
 };
@@ -264,9 +261,9 @@ struct CampaignAborted : std::runtime_error {
   std::uint64_t blocks_completed = 0;
 };
 
-/// Runs the whole campaign (or one shard of it). Throws std::runtime_error on
-/// unusable specs or an incompatible checkpoint, CampaignAborted when the
-/// stop_after_blocks hook fires.
+/// Runs the whole campaign. Throws std::runtime_error on unusable specs or an
+/// incompatible checkpoint, CampaignAborted when the stop_after_blocks hook
+/// fires.
 CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& options = {});
 
 /// The part of a cell's context that depends only on its topology and the
@@ -361,7 +358,9 @@ struct CellProgress {
 /// the cell, with exactly one block's trials.
 void check_cell_progress(const CellProgress& cp, std::uint64_t trials, const std::string& where);
 
-/// "ftdb-campaign-checkpoint-v2": block-granular progress of one shard.
+/// "ftdb-campaign-checkpoint-v2": block-granular progress of a campaign.
+/// Every writer uses the whole-campaign shard 0/1; the field stays so the
+/// format keeps its bytes, and readers refuse any other shard.
 struct Checkpoint {
   std::uint64_t fingerprint = 0;        ///< spec_fingerprint of the producing spec
   std::uint64_t shard_stamp = 0;        ///< shard_fingerprint(spec, shard)

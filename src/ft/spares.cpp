@@ -44,17 +44,40 @@ std::uint64_t bus_port_cost(std::uint64_t target_nodes, unsigned spares) {
 }
 
 double exact_iid_mttf(std::uint64_t n, unsigned spares, double p) {
+  if (spares >= n || !(p > 0.0)) return std::numeric_limits<double>::quiet_NaN();
+  const long double log_1mp = std::log1p(static_cast<long double>(-p));
+  // Past kMaxSteps the closed forms take over. For k = 0 the sum is the
+  // geometric series 1 / (1 - (1-p)^n). For k >= 1, Euler-Maclaurin on
+  // S(t) = P[at most k of n failed by t], whose integral is the mean
+  // (k+1)-st order statistic of n Exp(lambda) lifetimes, lambda = -ln(1-p):
+  // the sum is that integral plus S(0)/2, and since S's first k derivatives
+  // vanish at 0 the first omitted term is O((n lambda)^(k+1)).
+  constexpr std::uint64_t kMaxSteps = 2000000;
+  const auto long_lifetime = [&]() -> double {
+    if (spares == 0) {
+      return static_cast<double>(
+          1.0L / -std::expm1(static_cast<long double>(n) * log_1mp));
+    }
+    long double harmonic = 0.0L;
+    for (unsigned i = 0; i <= spares; ++i) harmonic += 1.0L / static_cast<long double>(n - i);
+    return static_cast<double>(harmonic / -log_1mp + 0.5L);
+  };
+  // S falls monotonically, so when it still exceeds the step sum's exit
+  // threshold (with a margin for the rounding of the running log) at
+  // kMaxSteps, the sum could not stop in time.
+  const long double q_at_cap = -std::expm1(static_cast<long double>(kMaxSteps) * log_1mp);
+  if (binomial_cdf(n, spares, q_at_cap) >= 2e-13L) return long_lifetime();
+
   long double expectation = 0.0L;
   long double log_alive = 0.0L;  // log of per-node survival prob (1-p)^t
-  const long double log_1mp = std::log1p(static_cast<long double>(-p));
-  for (std::uint64_t t = 0; t < 2000000; ++t) {
+  for (std::uint64_t t = 0; t < kMaxSteps; ++t) {
     const long double q_fail = -std::expm1(log_alive);
     const long double alive = binomial_cdf(n, spares, q_fail);
     expectation += alive;
     if (alive < 1e-13L && t > 0) return static_cast<double>(expectation);
     log_alive += log_1mp;
   }
-  return std::numeric_limits<double>::quiet_NaN();
+  return long_lifetime();
 }
 
 double weibull_mttf(std::uint64_t n, unsigned k, double shape, double scale,

@@ -37,10 +37,12 @@ std::uint64_t bus_port_cost(std::uint64_t target_nodes, unsigned spares);
 /// that lets failures arrive one at a time overshoots once n*p stops being
 /// small.
 ///
-/// The sum needs on the order of the MTTF itself in iterations, so a cap
-/// bounds the work; past it the result is NaN (a report renders "-") rather
-/// than a silently truncated number next to the empirical column it
-/// validates.
+/// The sum needs on the order of the MTTF itself in iterations, so it runs
+/// only while it can stop within 2e6 steps. Longer lifetimes take closed
+/// forms: 1 / (1 - (1-p)^n) for k = 0, and for k >= 1 the Euler-Maclaurin
+/// value (1/lambda) * sum_{i <= k} 1/(n-i) + 1/2 with lambda = -ln(1-p),
+/// whose first omitted term is O((n lambda)^(k+1)). Finite for every p in
+/// (0, 1); NaN when k >= n (the spares are never exhausted) or p <= 0.
 double exact_iid_mttf(std::uint64_t n, unsigned spares, double p);
 
 /// Simpson intervals of weibull_mttf's rule (513 points).

@@ -101,13 +101,17 @@ void fsync_or_throw(int fd, const FramedLog::Format& format, const std::string& 
   if (::fsync(fd) != 0) throw std::runtime_error(errno_text(format, "fsync failed for " + path));
 }
 
-// Best-effort durability for a rename.
-void fsync_parent_dir(const std::string& path) {
+// A rename is durable only once the directory entry is.
+void fsync_parent_dir(const std::string& path, const FramedLog::Format& format) {
   const auto slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
   const int fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return;
-  ::fsync(fd);
+  if (fd < 0) throw std::runtime_error(errno_text(format, "cannot open directory " + dir));
+  if (::fsync(fd) != 0) {
+    const std::string why = errno_text(format, "fsync failed for directory " + dir);
+    ::close(fd);
+    throw std::runtime_error(why);
+  }
   ::close(fd);
 }
 
@@ -242,12 +246,14 @@ void FramedLog::rewrite(const std::vector<std::vector<unsigned char>>& bodies) {
     ::close(tmp_fd);
     throw;
   }
-  fsync_parent_dir(path_);
-  // After the rename, tmp_fd refers to the inode now linked at path_.
+  // After the rename, tmp_fd refers to the inode now linked at path_. Swap it
+  // in before the directory sync, so that a failed sync leaves the object
+  // describing the file at path_.
   if (fd_ >= 0) ::close(fd_);
   fd_ = tmp_fd;
   num_frames_ = bodies.size();
   size_bytes_ = file.size();
+  fsync_parent_dir(path_, format_);
 }
 
 void FramedLog::scan(const Format& format, const std::string& path, std::uint64_t fingerprint,

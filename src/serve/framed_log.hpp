@@ -77,7 +77,10 @@ class FramedLog {
   void append(std::span<const unsigned char> body);
 
   /// Atomically replaces the log with header + `bodies` (compaction): writes
-  /// a temp file, fsyncs it, and renames it over the log.
+  /// a temp file, fsyncs it, renames it over the log and fsyncs the
+  /// directory. Throws std::runtime_error when any step fails. A failed
+  /// directory sync throws after the rename: the object then already
+  /// describes the new file, whose rename may not survive a crash.
   void rewrite(const std::vector<std::vector<unsigned char>>& bodies);
 
   /// Bytes dropped from a torn tail at open time (0 for a clean log).

@@ -17,6 +17,9 @@
 #include <random>
 #include <regex>
 
+#include "campaign/elastic/elastic.hpp"
+#include "campaign/elastic/lease.hpp"
+#include "campaign/elastic/partial.hpp"
 #include "campaign/fault_models.hpp"
 #include "campaign/report.hpp"
 #include "campaign/rng.hpp"
@@ -558,7 +561,7 @@ TEST(Campaign, BusFamilyRunsAndBoundsDegree) {
   EXPECT_GT(r.reconfig_success, 0u);
 }
 
-// --- work-stealing scheduler, block checkpoints, shard/merge -----------------
+// --- work-stealing scheduler, block checkpoints, static shards ---------------
 
 /// 4 cells x 600 trials = 3 blocks per cell: enough blocks that stealing,
 /// out-of-order merges and mid-cell checkpoints all actually happen.
@@ -574,18 +577,71 @@ ScenarioSpec multiblock_spec() {
   return spec;
 }
 
-/// Runs one shard to completion and returns its parsed partial checkpoint.
-Checkpoint run_shard(const ScenarioSpec& spec, const ShardSpec& shard, unsigned threads,
-                     const std::string& tag) {
-  CampaignOptions options;
+/// An elastic worker of shard `shard` on `dir` that never waits on a clock:
+/// tests age leases out by backdating them.
+elastic::ElasticOptions shard_worker(const std::string& dir, const ShardSpec& shard,
+                                     unsigned threads) {
+  elastic::ElasticOptions options;
+  options.dir = dir;
+  options.worker_id = "worker";
   options.threads = threads;
   options.shard = shard;
-  options.checkpoint_path = ::testing::TempDir() + "/ftdb_shard_" + tag + ".ckpt";
-  run_campaign(spec, options);
-  std::ifstream in(options.checkpoint_path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_checkpoint(buf.str());
+  options.lease_ttl_seconds = 60;
+  options.poll_seconds = 0.01;
+  options.fsync = false;
+  return options;
+}
+
+/// An empty directory for one elastic shard.
+std::string fresh_shard_dir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "/ftdb_shard_" + tag;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// Backdates every lease in `dir` past its TTL, the state a hard-killed
+/// worker's lease reaches on the wall clock.
+void age_out_leases(const std::string& dir) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir + "/leases")) {
+    auto stamp = elastic::read_lease(entry.path().string());
+    if (!stamp.has_value()) continue;
+    stamp->heartbeat_secs = 1;
+    stamp->ttl_secs = 1;
+    std::ofstream(entry.path(), std::ios::trunc) << elastic::lease_stamp_json(*stamp);
+  }
+}
+
+/// Shard 1 of 2 killed by the crash hook after two blocks (inside its first
+/// cell, which has three), in a fresh directory.
+std::string killed_shard_dir(const ScenarioSpec& spec, const std::string& tag) {
+  const std::string dir = fresh_shard_dir(tag);
+  elastic::ElasticOptions killed = shard_worker(dir, {1, 2}, 1);
+  killed.stop_after_blocks = 2;
+  EXPECT_THROW(elastic::run_elastic_worker(spec, killed), elastic::ElasticAborted);
+  return dir;
+}
+
+/// Runs `spec` as two static shards, each an elastic worker in its own
+/// directory, as on machines without shared storage. Shard 1 is killed
+/// mid-cell and rerun. Returns the two complete directories.
+std::vector<std::string> run_two_shards(const ScenarioSpec& spec, const std::string& tag) {
+  const std::string d0 = fresh_shard_dir(tag + "0");
+  EXPECT_TRUE(elastic::run_elastic_worker(spec, shard_worker(d0, {0, 2}, 2)).campaign_complete);
+
+  const std::string d1 = killed_shard_dir(spec, tag + "1");
+  const std::uint64_t blocks = num_trial_blocks(spec.trials);
+  const elastic::ElasticProgress cut = elastic::load_elastic_progress(spec, {d1});
+  EXPECT_TRUE(std::any_of(cut.cells.begin(), cut.cells.end(), [&](const CellProgress& c) {
+    return c.prefix_blocks > 0 && c.prefix_blocks < blocks;
+  })) << "the kill should leave a cell part-done";
+
+  age_out_leases(d1);
+  const elastic::ElasticResult rerun =
+      elastic::run_elastic_worker(spec, shard_worker(d1, {1, 2}, 3));
+  EXPECT_TRUE(rerun.campaign_complete);
+  EXPECT_EQ(rerun.leases_reclaimed, 1u);
+  EXPECT_EQ(rerun.blocks_skipped, 2u);  // the killed worker's durable blocks
+  return {d0, d1};
 }
 
 TEST(Scheduler, WorkStealingIsByteIdenticalAcrossThreadCounts) {
@@ -660,69 +716,77 @@ TEST(Shard, TwoShardsMergeByteIdenticalToSingleMachineRun) {
   const ScenarioSpec spec = multiblock_spec();
   const std::string reference = campaign_report_json(run_campaign(spec, {.threads = 1}));
 
-  const Checkpoint s0 = run_shard(spec, {0, 2}, 3, "m0");
-  const Checkpoint s1 = run_shard(spec, {1, 2}, 2, "m1");
-  EXPECT_EQ(s0.shard.index, 0u);
-  EXPECT_EQ(s1.shard.count, 2u);
-  // Round-robin partition: each shard owns every second cell.
-  for (const CellProgress& c : s0.cells) EXPECT_EQ(c.scenario_index % 2, 0u);
-  for (const CellProgress& c : s1.cells) EXPECT_EQ(c.scenario_index % 2, 1u);
+  const std::vector<std::string> dirs = run_two_shards(spec, "m");
+  // Round-robin partition: each directory holds only its shard's cells.
+  for (std::size_t s = 0; s < 2; ++s) {
+    const elastic::ElasticProgress p = elastic::load_elastic_progress(spec, {dirs[s]});
+    for (std::size_t i = 0; i < p.cells.size(); ++i) {
+      EXPECT_EQ(p.cells[i].prefix_blocks, i % 2 == s ? 3u : 0u) << "dir " << s << " cell " << i;
+    }
+  }
 
-  const CampaignResult merged = merge_checkpoints(spec, {s0, s1});
+  const CampaignResult merged = elastic::merge_elastic(spec, dirs);
   EXPECT_EQ(campaign_report_json(merged), reference);
   EXPECT_EQ(campaign_report_csv(merged), campaign_report_csv(run_campaign(spec, {.threads = 2})));
 }
 
 TEST(Shard, MergeOfOnePartialIsIdentity) {
   const ScenarioSpec spec = small_spec();
-  const CampaignResult direct = run_campaign(spec, {.threads = 2});
-  const Checkpoint whole = run_shard(spec, {0, 1}, 2, "whole");
-  const CampaignResult merged = merge_checkpoints(spec, {whole});
-  EXPECT_EQ(campaign_report_json(merged), campaign_report_json(direct));
+  const std::string direct = campaign_report_json(run_campaign(spec, {.threads = 2}));
+  const std::string dir = fresh_shard_dir("whole");
+  elastic::run_elastic_worker(spec, shard_worker(dir, {0, 1}, 2));
+  EXPECT_EQ(campaign_report_json(elastic::merge_elastic(spec, {dir})), direct);
+  // Overlap is deduplicated by (cell, block), not rejected: the copies are
+  // byte-identical, so naming a directory twice changes nothing.
+  EXPECT_EQ(campaign_report_json(elastic::merge_elastic(spec, {dir, dir})), direct);
 }
 
-TEST(Shard, MergeRejectsOverlapFingerprintMismatchAndGaps) {
+TEST(Shard, MergeRejectsFingerprintMismatchAndGaps) {
   const ScenarioSpec spec = multiblock_spec();
-  const Checkpoint s0 = run_shard(spec, {0, 2}, 2, "r0");
-  const Checkpoint s1 = run_shard(spec, {1, 2}, 2, "r1");
+  const std::vector<std::string> dirs = run_two_shards(spec, "r");
 
-  // Overlap: the same cells arriving twice must be rejected, not averaged.
-  EXPECT_THROW(merge_checkpoints(spec, {s0, s1, s0}), std::runtime_error);
   // Coverage gap: a missing shard leaves cells uncovered.
-  EXPECT_THROW(merge_checkpoints(spec, {s0}), std::runtime_error);
-  // Fingerprint mismatch: partials of a different spec are rejected.
+  EXPECT_THROW(elastic::merge_elastic(spec, {dirs[0]}), std::runtime_error);
+  // Incomplete cell: a shard killed mid-cell and never rerun cannot be merged.
+  const std::string cut = killed_shard_dir(spec, "r_cut");
+  EXPECT_THROW(elastic::merge_elastic(spec, {dirs[0], cut}), std::runtime_error);
+  // Fingerprint mismatch: a directory of a different spec is refused, even
+  // one that holds nothing but its spec.json.
   ScenarioSpec other = spec;
   other.seed += 1;
-  const Checkpoint o0 = run_shard(other, {0, 2}, 2, "o0");
-  EXPECT_THROW(merge_checkpoints(spec, {o0, s1}), std::runtime_error);
-  // Incomplete cell: a crash-cut partial cannot be merged.
-  Checkpoint cut = s0;
-  ASSERT_FALSE(cut.cells.empty());
-  cut.cells.front().prefix_blocks -= 1;
-  EXPECT_THROW(merge_checkpoints(spec, {cut, s1}), std::runtime_error);
+  const std::string foreign = fresh_shard_dir("r_other");
+  elastic::ensure_elastic_dir(other, foreign);
+  EXPECT_THROW(elastic::merge_elastic(spec, {dirs[0], dirs[1], foreign}), std::runtime_error);
   // Torn accumulator: all blocks claimed but the prefix carries fewer trials
   // (a corrupted file must not merge into a silently wrong report).
-  Checkpoint torn = s0;
-  torn.cells.front().prefix.trials -= 1;
-  EXPECT_THROW(merge_checkpoints(spec, {torn, s1}), std::runtime_error);
+  const std::string torn = fresh_shard_dir("r_torn");
+  std::filesystem::copy(dirs[1], torn, std::filesystem::copy_options::recursive);
+  Checkpoint ckpt = parse_checkpoint(read_text_file(torn + "/compacted.ckpt"));
+  ASSERT_FALSE(ckpt.cells.empty());
+  ckpt.cells.front().prefix.trials -= 1;
+  write_file_atomically(torn + "/compacted.ckpt", checkpoint_to_json(spec, ckpt), false);
+  EXPECT_THROW(elastic::merge_elastic(spec, {dirs[0], torn}), std::runtime_error);
   // The intact pair still merges (the guards above rejected for real reasons).
-  EXPECT_EQ(merge_checkpoints(spec, {s0, s1}).scenarios.size(), 4u);
+  EXPECT_EQ(elastic::merge_elastic(spec, dirs).scenarios.size(), 4u);
 }
 
 TEST(Shard, ResumingUnderTheWrongShardCoordinatesIsRejected) {
+  // A checkpoint stamped with a static shard's coordinates cannot be resumed:
+  // only whole-campaign checkpoints are written or read.
   const ScenarioSpec spec = multiblock_spec();
   CampaignOptions options;
   options.threads = 1;
-  options.shard = {0, 2};
   options.checkpoint_path = ::testing::TempDir() + "/ftdb_wrongshard.ckpt";
-  run_campaign(spec, options);
-
-  CampaignOptions wrong = options;
-  wrong.resume = true;
-  wrong.shard = {1, 2};
-  EXPECT_THROW(run_campaign(spec, wrong), std::runtime_error);
-  wrong.shard = {0, 1};  // a whole-campaign run can't adopt a shard checkpoint either
-  EXPECT_THROW(run_campaign(spec, wrong), std::runtime_error);
+  options.resume = true;
+  Checkpoint ckpt;
+  for (const ShardSpec shard : {ShardSpec{0, 2}, ShardSpec{1, 2}}) {
+    ckpt.shard = shard;
+    write_file_atomically(options.checkpoint_path, checkpoint_to_json(spec, ckpt), false);
+    EXPECT_THROW(run_campaign(spec, options), std::runtime_error) << shard.label();
+  }
+  ckpt.shard = {};
+  write_file_atomically(options.checkpoint_path, checkpoint_to_json(spec, ckpt), false);
+  EXPECT_EQ(run_campaign(spec, options).scenarios.size(), 4u);
 }
 
 // --- one target per topology ------------------------------------------------
@@ -810,9 +874,8 @@ TEST(SharedTargets, ReportIsByteIdenticalAcrossThreadsShardsAndResume) {
         << threads << " threads";
   }
 
-  const Checkpoint s0 = run_shard(spec, {0, 2}, 2, "shared0");
-  const Checkpoint s1 = run_shard(spec, {1, 2}, 3, "shared1");
-  EXPECT_EQ(campaign_report_json(merge_checkpoints(spec, {s0, s1})), reference);
+  EXPECT_EQ(campaign_report_json(elastic::merge_elastic(spec, run_two_shards(spec, "shared"))),
+            reference);
 
   CampaignOptions crash;
   crash.threads = 2;
@@ -872,12 +935,13 @@ TEST(Checkpoint, BlockGranularProgressRoundTripsThroughJson) {
 
 TEST(Shard, ValidationRejectsBadCoordinates) {
   const ScenarioSpec spec = small_spec();
-  CampaignOptions options;
-  options.threads = 1;
-  options.shard = {3, 2};  // index out of range
-  EXPECT_THROW(run_campaign(spec, options), std::runtime_error);
-  options.shard = {0, 200};  // more shards than cells
-  EXPECT_THROW(run_campaign(spec, options), std::runtime_error);
+  const std::string dir = fresh_shard_dir("invalid");
+  // Index out of range, then more shards than cells.
+  EXPECT_THROW(elastic::run_elastic_worker(spec, shard_worker(dir, {3, 2}, 1)),
+               std::runtime_error);
+  EXPECT_THROW(elastic::run_elastic_worker(spec, shard_worker(dir, {0, 200}, 1)),
+               std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(dir));  // refused before touching the directory
 }
 
 TEST(CampaignReport, ValidateAcceptsOwnOutputAndRejectsGarbage) {
@@ -1035,9 +1099,8 @@ TEST(Collective, ReportIsByteIdenticalAcrossThreadsResumeAndShards) {
   EXPECT_EQ(campaign_report_json(resumed), serial);
 
   // Two shards merged: same bytes again.
-  const Checkpoint s0 = run_shard(spec, {0, 2}, 2, "coll0");
-  const Checkpoint s1 = run_shard(spec, {1, 2}, 3, "coll1");
-  EXPECT_EQ(campaign_report_json(merge_checkpoints(spec, {s0, s1})), serial);
+  EXPECT_EQ(campaign_report_json(elastic::merge_elastic(spec, run_two_shards(spec, "coll"))),
+            serial);
 
   // And the validator accepts the document, slowdown-curve invariants included.
   EXPECT_EQ(validate_campaign_report(serial), 4u);
@@ -1208,9 +1271,8 @@ TEST(BusFaults, ReportIsByteIdenticalAcrossThreadsResumeAndShards) {
   EXPECT_EQ(campaign_report_json(resumed), serial);
 
   // Two shards merged: same bytes again, and the validator accepts them.
-  const Checkpoint s0 = run_shard(spec, {0, 2}, 2, "bus0");
-  const Checkpoint s1 = run_shard(spec, {1, 2}, 3, "bus1");
-  EXPECT_EQ(campaign_report_json(merge_checkpoints(spec, {s0, s1})), serial);
+  EXPECT_EQ(campaign_report_json(elastic::merge_elastic(spec, run_two_shards(spec, "bus"))),
+            serial);
   EXPECT_EQ(validate_campaign_report(serial), 4u);
 }
 
@@ -1319,9 +1381,8 @@ TEST(Traffic, ReportIsByteIdenticalAcrossThreadsResumeAndShards) {
   EXPECT_GE(resumed.resumed_blocks, 2u);
   EXPECT_EQ(campaign_report_json(resumed), serial);
 
-  const Checkpoint s0 = run_shard(spec, {0, 2}, 2, "traf0");
-  const Checkpoint s1 = run_shard(spec, {1, 2}, 3, "traf1");
-  EXPECT_EQ(campaign_report_json(merge_checkpoints(spec, {s0, s1})), serial);
+  EXPECT_EQ(campaign_report_json(elastic::merge_elastic(spec, run_two_shards(spec, "traf"))),
+            serial);
   EXPECT_EQ(validate_campaign_report(serial), 4u);
 }
 

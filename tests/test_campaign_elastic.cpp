@@ -248,7 +248,7 @@ TEST(ElasticWorker, SingleWorkerMatchesSerialByteForByte) {
   EXPECT_EQ(r.blocks_run, 6u);  // 2 cells x 3 blocks
   EXPECT_EQ(r.cells_leased, 2u);
 
-  const CampaignResult elastic = merge_elastic(spec, dir.str());
+  const CampaignResult elastic = merge_elastic(spec, {dir.str()});
   const CampaignResult serial = run_campaign(spec, {});
   EXPECT_EQ(campaign_report_json(elastic), campaign_report_json(serial));
 }
@@ -285,7 +285,7 @@ TEST(ElasticWorker, CrashedWorkerLeavesLeaseAndRescuerMatchesSerial) {
   EXPECT_EQ(rescue.blocks_skipped, 2u);  // the crashed worker's durable blocks
   EXPECT_EQ(rescue.blocks_run, 4u);
 
-  const CampaignResult elastic = merge_elastic(spec, dir.str());
+  const CampaignResult elastic = merge_elastic(spec, {dir.str()});
   const CampaignResult serial = run_campaign(spec, {});
   EXPECT_EQ(campaign_report_json(elastic), campaign_report_json(serial));
 }
@@ -321,7 +321,7 @@ TEST(ElasticWorker, RestartedWorkerIdReusesItsLogSafely) {
   EXPECT_EQ(again.blocks_run + again.blocks_skipped, 6u);
   EXPECT_EQ(again.blocks_skipped, 1u);
 
-  const CampaignResult elastic = merge_elastic(spec, dir.str());
+  const CampaignResult elastic = merge_elastic(spec, {dir.str()});
   const CampaignResult serial = run_campaign(spec, {});
   EXPECT_EQ(campaign_report_json(elastic), campaign_report_json(serial));
 }
@@ -339,7 +339,7 @@ TEST(PartialReport, CoverageStampsMatchDurableBlocks) {
   crashy.threads = 1;
   EXPECT_THROW(run_elastic_worker(spec, crashy), ElasticAborted);
 
-  const std::string report = partial_elastic_report_json(spec, dir.str());
+  const std::string report = partial_elastic_report_json(spec, {dir.str()});
   // A partial document is a *valid* ftdb-campaign-v1 report.
   EXPECT_EQ(validate_campaign_report(report), 2u);
 
@@ -362,7 +362,7 @@ TEST(PartialReport, CoverageStampsMatchDurableBlocks) {
   EXPECT_EQ(doc.at("scenarios").array.size(), 2u);
 
   // While the full merge refuses the incomplete directory.
-  EXPECT_THROW(merge_elastic(spec, dir.str()), std::runtime_error);
+  EXPECT_THROW(merge_elastic(spec, {dir.str()}), std::runtime_error);
 }
 
 TEST(PartialReport, CompletedCellsAreByteIdenticalToTheFinalReport) {
@@ -372,7 +372,7 @@ TEST(PartialReport, CompletedCellsAreByteIdenticalToTheFinalReport) {
   opt.stop_after_blocks = 3;  // exactly one cell completed, one untouched
   EXPECT_THROW(run_elastic_worker(spec, opt), ElasticAborted);
 
-  const std::string partial = partial_elastic_report_json(spec, dir.str());
+  const std::string partial = partial_elastic_report_json(spec, {dir.str()});
   EXPECT_EQ(validate_campaign_report(partial), 2u);
 
   // Finish the campaign (the crashed lease must age out first).
@@ -384,7 +384,7 @@ TEST(PartialReport, CompletedCellsAreByteIdenticalToTheFinalReport) {
     std::ofstream(entry.path(), std::ios::trunc) << lease_stamp_json(*stamp);
   }
   run_elastic_worker(spec, quick_options(dir.str(), "w2"));
-  const std::string full = campaign_report_json(merge_elastic(spec, dir.str()));
+  const std::string full = campaign_report_json(merge_elastic(spec, {dir.str()}));
 
   // Every scenario the partial report showed as complete appears verbatim in
   // the final report: the serialized object is a byte-identical substring.
@@ -422,10 +422,10 @@ TEST(ElasticMerge, LogOnlyCellsFinalizeThroughSharedTargetsByteForByte) {
     }
   }
   const std::string serial = campaign_report_json(run_campaign(spec, {}));
-  EXPECT_EQ(campaign_report_json(merge_elastic(spec, dir.str())), serial);
+  EXPECT_EQ(campaign_report_json(merge_elastic(spec, {dir.str()})), serial);
 
   const analysis::JsonValue pdoc =
-      analysis::json_parse(partial_elastic_report_json(spec, dir.str()));
+      analysis::json_parse(partial_elastic_report_json(spec, {dir.str()}));
   ASSERT_EQ(pdoc.at("scenarios").array.size(), 6u);
   for (const analysis::JsonValue& cell : pdoc.at("scenarios").array) {
     analysis::JsonWriter w;
@@ -434,14 +434,44 @@ TEST(ElasticMerge, LogOnlyCellsFinalizeThroughSharedTargetsByteForByte) {
   }
 
   ASSERT_TRUE(compact_elastic_dir(spec, dir.str(), "compactor", nullptr, 60, false));
-  EXPECT_EQ(campaign_report_json(merge_elastic(spec, dir.str())), serial);
+  EXPECT_EQ(campaign_report_json(merge_elastic(spec, {dir.str()})), serial);
+}
+
+TEST(ElasticMerge, DirectoriesSharingACellKeepTheLongerPrefix) {
+  // One directory holds the whole campaign; another holds cell 0's block 0
+  // as its compacted prefix and block 2 parked past it. In either order the
+  // merge keeps the longer prefix and drops the shorter copy's blocks, which
+  // are byte-identical.
+  const ScenarioSpec spec = tiny_spec();
+  const ScratchDir whole("overlap-whole");
+  run_elastic_worker(spec, quick_options(whole.str(), "w"));
+  const ScratchDir cut("overlap-cut");
+  ensure_elastic_dir(spec, cut.str());
+  const CellRunner runner(spec, expand_grid(spec).front());
+  CellProgress cell;
+  cell.prefix_blocks = 1;
+  cell.prefix = runner.run_block(0);
+  cell.extra.emplace_back(2, runner.run_block(2));
+  Checkpoint ckpt;
+  ckpt.cells.push_back(cell);
+  write_file_atomically(cut.sub("compacted.ckpt"), checkpoint_to_json(spec, ckpt), false);
+  EXPECT_EQ(load_elastic_progress(spec, {cut.str()}).durable_blocks, 2u);
+
+  const std::string serial = campaign_report_json(run_campaign(spec, {}));
+  for (const std::vector<std::string>& dirs :
+       {std::vector<std::string>{cut.str(), whole.str()},
+        std::vector<std::string>{whole.str(), cut.str()}}) {
+    EXPECT_EQ(load_elastic_progress(spec, dirs).durable_blocks, 6u);
+    EXPECT_EQ(campaign_report_json(merge_elastic(spec, dirs)), serial);
+  }
+  EXPECT_THROW(merge_elastic(spec, {cut.str()}), std::runtime_error);
 }
 
 TEST(PartialReport, EmptyDirectoryIsAllZeroCoverage) {
   const ScratchDir dir("partial-empty");
   const ScenarioSpec spec = tiny_spec();
   ensure_elastic_dir(spec, dir.str());
-  const std::string report = partial_elastic_report_json(spec, dir.str());
+  const std::string report = partial_elastic_report_json(spec, {dir.str()});
   EXPECT_EQ(validate_campaign_report(report), 2u);
   const analysis::JsonValue doc = analysis::json_parse(report);
   EXPECT_EQ(static_cast<std::uint64_t>(doc.at("coverage").at("completed_trials").number), 0u);

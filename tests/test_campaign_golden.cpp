@@ -27,12 +27,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
 #include <string>
 
 #include "analysis/bench_json.hpp"
+#include "campaign/elastic/elastic.hpp"
+#include "campaign/elastic/partial.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
@@ -263,10 +266,26 @@ TEST(CampaignGolden, CheckpointOfAnotherFaultDrawVersionIsRefused) {
   EXPECT_EQ(slurp(path), old_text);
   std::remove(path.c_str());
 
-  EXPECT_TRUE(refused_by_fingerprint([&] { merge_checkpoints(golden_spec(), {old}); }));
-  // With this sampler's checkpoint beside it the merge is still refused.
-  const Checkpoint current = parse_checkpoint(golden_run().checkpoint);
-  EXPECT_TRUE(refused_by_fingerprint([&] { merge_checkpoints(golden_spec(), {current, old}); }));
+  // Nor may a merge: an elastic directory of the golden spec whose compacted
+  // checkpoint holds the old draws is refused, alone and beside a directory
+  // holding this sampler's checkpoint.
+  const auto elastic_dir = [](const std::string& tag, const std::string& checkpoint) {
+    const std::string dir = ::testing::TempDir() + "/ftdb_draw_" + tag + "_" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    elastic::ensure_elastic_dir(golden_spec(), dir);
+    write_file_atomically(dir + "/compacted.ckpt", checkpoint, false);
+    return dir;
+  };
+  const std::string old_dir = elastic_dir("v0", old_text);
+  const std::string current_dir = elastic_dir("current", golden_run().checkpoint);
+  EXPECT_TRUE(refused_by_fingerprint([&] { elastic::merge_elastic(golden_spec(), {old_dir}); }));
+  EXPECT_TRUE(refused_by_fingerprint(
+      [&] { elastic::merge_elastic(golden_spec(), {current_dir, old_dir}); }));
+  EXPECT_EQ(campaign_report_json(elastic::merge_elastic(golden_spec(), {current_dir})),
+            campaign_report_json(golden_run().result));
+  std::filesystem::remove_all(old_dir);
+  std::filesystem::remove_all(current_dir);
 }
 
 TEST(CampaignGolden, SimScaleReportJsonMatchesFixture) {

@@ -1,12 +1,15 @@
 // Tests for serve::FramedLog, the one framed-log implementation behind the
 // serve fault journal (FTDBJRN1) and the elastic campaign block logs
 // (FTDBBLK1): golden on-disk bytes for both owners, torn-tail and corrupt-
-// frame policy, append rollback under an injected short write + EFBIG, and
-// descriptor hygiene when construction fails.
+// frame policy, append rollback under an injected short write + EFBIG,
+// descriptor hygiene when construction fails, and a compaction whose
+// directory cannot be synced.
 #include <gtest/gtest.h>
 
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -422,6 +425,57 @@ TEST(FramedLog, FailedAppendRollsBackToTheAcknowledgedRecords) {
     EXPECT_EQ(reopened.truncated_bytes(), 0u);
     EXPECT_EQ(recovered, acknowledged);
   }
+}
+
+TEST(FramedLog, RewriteFailsWhenTheDirectoryCannotBeSynced) {
+  // A directory its writer may write and search but not read: the compacted
+  // file is written and renamed over the log, but the directory cannot be
+  // opened to flush the rename. The rewrite must say so, and the object must
+  // already describe the renamed file. Root ignores permission bits, so the
+  // check runs in a child that drops to an unprivileged uid when it can.
+  const FramedLog::Format fixed{"fixed", {'T', 'E', 'S', 'T', 'F', 'I', 'X', '1'}, 0,
+                                [](const unsigned char*) -> std::size_t { return 9; }};
+  const auto body = [](unsigned char tag) { return Bytes{tag, 1, 2, 3, 4, 5, 6, 7, 8}; };
+  const ScratchDir dir("wx-only");
+  const std::string path = dir.sub("compacted.log");
+  ASSERT_EQ(::chmod(dir.path.c_str(), 0333), 0);
+  const pid_t child = ::fork();
+  if (child == 0) {
+    if (::geteuid() == 0 && ::setuid(65534) != 0) ::_exit(2);
+    int code = 0;
+    try {
+      FramedLog log(fixed, path, 42, false, [](std::span<const unsigned char>) {});
+      for (unsigned char tag : {10, 11, 12}) log.append(body(tag));
+      try {
+        log.rewrite({body(20)});
+        code = 3;
+      } catch (const std::runtime_error& e) {
+        if (std::string(e.what()).find("directory") == std::string::npos) code = 4;
+      }
+      if (code == 0 && (log.num_frames() != 1 || log.size_bytes() != 24u + 13u)) code = 5;
+      if (code == 0) {
+        // The next append lands in the renamed file, after the kept frame.
+        log.append(body(21));
+        std::vector<Bytes> frames;
+        FramedLog::scan(fixed, path, 42, [&](std::span<const unsigned char> b) {
+          frames.emplace_back(b.begin(), b.end());
+        });
+        if (frames != std::vector<Bytes>{body(20), body(21)}) code = 6;
+      }
+    } catch (const std::exception&) {
+      code = 7;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ::chmod(dir.path.c_str(), 0755);
+  ASSERT_TRUE(WIFEXITED(status));
+  if (WEXITSTATUS(status) == 2) GTEST_SKIP() << "cannot drop root privileges here";
+  // 3: the rewrite claimed success; 4: it threw without naming the
+  // directory; 5: the object does not describe the renamed file; 6: the
+  // file holds the wrong frames; 7: an unexpected throw.
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace

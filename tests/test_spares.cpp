@@ -249,8 +249,20 @@ TEST(ExactIidMttf, OneNodeIsTheGeometricMean) {
   for (const double p : {0.5, 0.1, 0.01}) {
     EXPECT_NEAR(exact_iid_mttf(1, 0, p), 1.0 / p, 1e-9 / p) << "p=" << p;
   }
-  // A cap keeps the sum bounded: p too small to converge in 2e6 steps.
-  EXPECT_TRUE(std::isnan(exact_iid_mttf(1, 0, 1e-9)));
+  // p too small for the step sum to stop within its cap: the closed form.
+  EXPECT_NEAR(exact_iid_mttf(1, 0, 1e-9), 1e9, 1e9 * 1e-12);
+}
+
+TEST(ExactIidMttf, LongLifetimesMatchTheExactSum) {
+  // n = 5, k = 2, p = 1e-9: about 7.8e8 steps, far past the step sum's cap.
+  // The reference is the exact double sum
+  //   sum_{j <= k} sum_{i <= j} C(n,j) C(j,i) (-1)^i / (1 - (1-p)^(n-j+i))
+  // evaluated with mpmath at 80 digits.
+  EXPECT_NEAR(exact_iid_mttf(5, 2, 1e-9), 783333333.4416666178, 783333333.44 * 1e-12);
+  // Where the step sum converges it still runs: same reference formula.
+  EXPECT_NEAR(exact_iid_mttf(5, 2, 1e-3), 783.44160135614584, 783.44 * 1e-12);
+  // The spares of k >= n nodes are never exhausted.
+  EXPECT_TRUE(std::isnan(exact_iid_mttf(4, 4, 1e-3)));
 }
 
 TEST(WeibullMttf, MonotoneInSparesAndDegenerateInputs) {

@@ -3,17 +3,12 @@
 // x fault models; the engine runs 256-trial blocks of every cell through a
 // work-stealing thread pool and emits deterministic JSON/CSV/markdown
 // reports (byte-identical for any --threads value, across --checkpoint /
-// --resume boundaries, and across --shard / merge splits).
+// --resume boundaries, and across elastic workers and shards).
 //
 //   ftdb_campaign example-spec > demo.json
 //   ftdb_campaign run --spec demo.json --out report.json --md report.md
 //   ftdb_campaign run --spec big.json --checkpoint big.ckpt --checkpoint-every 30
 //   ftdb_campaign run --spec big.json --checkpoint big.ckpt --resume   # pick up
-//
-//   # distributed: one shard per machine, then fuse the partial checkpoints
-//   ftdb_campaign run --spec big.json --shard 0/2 --checkpoint s0.ckpt
-//   ftdb_campaign run --spec big.json --shard 1/2 --checkpoint s1.ckpt
-//   ftdb_campaign merge --spec big.json --out report.json s0.ckpt s1.ckpt
 //
 //   # elastic: any number of workers join/leave through a shared directory;
 //   # dead workers' cell leases age out and are reclaimed
@@ -22,12 +17,16 @@
 //   ftdb_campaign merge --elastic /shared/big --partial       # live snapshot
 //   ftdb_campaign merge --elastic /shared/big --out report.json
 //
+//   # static shards without shared storage: one directory per machine, then
+//   # one merge over all of them
+//   ftdb_campaign run --spec big.json --elastic d0 --shard 0/2   # machine A
+//   ftdb_campaign run --spec big.json --elastic d1 --shard 1/2   # machine B
+//   ftdb_campaign merge --elastic d0 d1 --out report.json
+//
 //   ftdb_campaign validate report.json
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,12 +38,14 @@
 
 namespace {
 
+using namespace ftdb::campaign;
+
 int usage() {
   std::cerr
       << "usage:\n"
          "  ftdb_campaign run --spec FILE [options]\n"
-         "  ftdb_campaign merge --spec FILE --out FILE [--csv FILE] [--md FILE] CKPT...\n"
-         "  ftdb_campaign merge --elastic DIR [--partial] [--out FILE] [--csv FILE] [--md FILE]\n"
+         "  ftdb_campaign merge --elastic DIR [DIR...] [--partial] [--out FILE] [--csv FILE]\n"
+         "                      [--md FILE]\n"
          "  ftdb_campaign example-spec [--full]\n"
          "  ftdb_campaign validate-spec SPEC.json\n"
          "  ftdb_campaign validate REPORT.json\n"
@@ -59,9 +60,6 @@ int usage() {
          "  --checkpoint-every SEC  min seconds between checkpoint writes\n"
          "                          (default 0 = after every completed block)\n"
          "  --resume                load --checkpoint and skip completed blocks\n"
-         "  --shard I/N             run only the cells shard I of N owns and write a\n"
-         "                          mergeable partial checkpoint (requires --checkpoint;\n"
-         "                          no report is emitted — `merge` produces it)\n"
          "  --stop-after-blocks N   crash-simulation hook: checkpoint and abort (exit 3)\n"
          "                          once N trial blocks completed (elastic: the held cell\n"
          "                          lease is left behind, like a hard-killed worker)\n"
@@ -71,36 +69,22 @@ int usage() {
          "  --elastic DIR           join the elastic campaign at DIR: lease cells, append\n"
          "                          completed blocks to DIR/logs/<worker>.blk, reclaim\n"
          "                          dead workers' leases (no report; `merge --elastic`\n"
-         "                          produces it). Excludes --checkpoint/--resume/--shard\n"
+         "                          produces it). Excludes --checkpoint/--resume\n"
+         "  --shard I/N             lease only the cells shard I of N owns (grid index\n"
+         "                          mod N == I) and stop once they are durable\n"
          "  --worker-id ID          stable worker name (default: <host>-<pid>)\n"
          "  --lease-ttl SEC         lease staleness horizon (default 30)\n"
          "  --no-fsync              skip fsync on block appends (tests only)\n"
          "\n"
-         "merge fuses the partial checkpoints of a sharded campaign into the full\n"
-         "report: fingerprints are checked, overlapping or missing cells rejected,\n"
-         "and the output is byte-identical to a single-machine run of the spec.\n"
-         "merge --elastic reads the campaign from DIR (spec.json + compacted.ckpt +\n"
-         "block logs); --partial emits a stamped JSON coverage snapshot of a still-\n"
+         "merge --elastic reads the campaign from each DIR (spec.json + compacted.ckpt\n"
+         "+ block logs). Directories of one spec, say one per shard, fold together,\n"
+         "deduplicated by (cell, block); the report is byte-identical to a single-\n"
+         "machine run. --partial emits a stamped JSON coverage snapshot of a still-\n"
          "running campaign instead of requiring completion.\n";
   return 2;
 }
 
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out.flush());
-}
-
-ftdb::campaign::ShardSpec parse_shard_arg(const std::string& s) {
+ShardSpec parse_shard_arg(const std::string& s) {
   unsigned index = 0;
   unsigned count = 0;
   char tail = '\0';
@@ -111,39 +95,39 @@ ftdb::campaign::ShardSpec parse_shard_arg(const std::string& s) {
   return {index, count};
 }
 
-/// Writes the three report renderings; returns false (with a message) on any
-/// I/O failure. An empty out_path sends the JSON to stdout.
-bool emit_reports(const ftdb::campaign::CampaignResult& result, const std::string& out_path,
+/// Writes one report file through a temp file and rename, so a crash or a
+/// full disk never leaves a torn report. The rename would replace a device
+/// such as /dev/null, so an existing path must be a regular file.
+void write_report(const std::string& path, const std::string& text) {
+  std::error_code ec;
+  if (std::filesystem::exists(path, ec) && !std::filesystem::is_regular_file(path, ec)) {
+    throw std::runtime_error("cannot replace " + path + ": not a regular file");
+  }
+  write_file_atomically(path, text, false);
+}
+
+/// Writes the three report renderings. An empty out_path sends the JSON to
+/// stdout.
+void emit_reports(const CampaignResult& result, const std::string& out_path,
                   const std::string& csv_path, const std::string& md_path) {
-  using namespace ftdb::campaign;
   const std::string report = campaign_report_json(result);
   if (out_path.empty()) {
     std::cout << report;
-  } else if (!write_file(out_path, report)) {
-    std::cerr << "ftdb_campaign: cannot write " << out_path << "\n";
-    return false;
+  } else {
+    write_report(out_path, report);
   }
-  if (!csv_path.empty() && !write_file(csv_path, campaign_report_csv(result))) {
-    std::cerr << "ftdb_campaign: cannot write " << csv_path << "\n";
-    return false;
-  }
-  if (!md_path.empty() && !write_file(md_path, campaign_report_markdown(result))) {
-    std::cerr << "ftdb_campaign: cannot write " << md_path << "\n";
-    return false;
-  }
-  return true;
+  if (!csv_path.empty()) write_report(csv_path, campaign_report_csv(result));
+  if (!md_path.empty()) write_report(md_path, campaign_report_markdown(result));
 }
 
 int run_command(const std::vector<std::string>& args) {
-  using namespace ftdb::campaign;
   std::string spec_path;
   std::string out_path;
   std::string csv_path;
   std::string md_path;
   CampaignOptions options;
-  ftdb::campaign::elastic::ElasticOptions elastic;
+  elastic::ElasticOptions elastic;
   bool quiet = false;
-  bool sharded = false;
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -171,8 +155,7 @@ int run_command(const std::vector<std::string>& args) {
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--shard") {
-      options.shard = parse_shard_arg(next());
-      sharded = !options.shard.whole_campaign();
+      elastic.shard = parse_shard_arg(next());
     } else if (arg == "--stop-after-blocks") {
       options.stop_after_blocks = std::stoull(next());
     } else if (arg == "--elastic") {
@@ -194,36 +177,40 @@ int run_command(const std::vector<std::string>& args) {
     std::cerr << "ftdb_campaign: run needs --spec\n";
     return usage();
   }
+  if (elastic.dir.empty() && !elastic.shard.whole_campaign()) {
+    std::cerr << "ftdb_campaign: --shard needs --elastic DIR (a shard is an elastic worker "
+                 "restricted to its cells; `merge --elastic` combines the directories)\n";
+    return usage();
+  }
   if (!elastic.dir.empty()) {
-    if (!options.checkpoint_path.empty() || options.resume || sharded) {
+    if (!options.checkpoint_path.empty() || options.resume) {
       std::cerr << "ftdb_campaign: --elastic has its own checkpointing; it excludes "
-                   "--checkpoint, --resume, and --shard\n";
+                   "--checkpoint and --resume\n";
       return usage();
     }
     if (!(out_path.empty() && csv_path.empty() && md_path.empty())) {
       std::cerr << "ftdb_campaign: --elastic does not emit reports; run `merge --elastic` "
-                   "on the shared directory instead\n";
+                   "on the directory instead\n";
       return usage();
     }
-    const auto spec_text = read_file(spec_path);
-    if (!spec_text) {
-      std::cerr << "ftdb_campaign: cannot read " << spec_path << "\n";
-      return 2;
-    }
-    using namespace ftdb::campaign::elastic;
     elastic.threads = options.threads;
     elastic.stop_after_blocks = options.stop_after_blocks;
     if (!quiet) elastic.progress = &std::cerr;
-    const ScenarioSpec spec = parse_scenario_spec(*spec_text);
+    const ScenarioSpec spec = parse_scenario_spec(read_text_file(spec_path));
     try {
-      const ElasticResult r = run_elastic_worker(spec, elastic);
+      const elastic::ElasticResult r = run_elastic_worker(spec, elastic);
       if (!quiet) {
         std::cerr << "elastic worker done: " << r.blocks_run << " blocks run, "
                   << r.blocks_skipped << " already durable, " << r.cells_leased
-                  << " cells leased, " << r.leases_reclaimed << " stale leases reclaimed"
-                  << (r.campaign_complete ? "; campaign complete\n" : "\n");
+                  << " cells leased, " << r.leases_reclaimed << " stale leases reclaimed";
+        if (r.campaign_complete) {
+          std::cerr << (elastic.shard.whole_campaign()
+                            ? "; campaign complete"
+                            : "; shard " + elastic.shard.label() + " complete");
+        }
+        std::cerr << "\n";
       }
-    } catch (const ElasticAborted& aborted) {
+    } catch (const elastic::ElasticAborted& aborted) {
       std::cerr << "ftdb_campaign: " << aborted.what() << "; durable blocks stay in "
                 << elastic.dir << "\n";
       return 3;
@@ -235,24 +222,9 @@ int run_command(const std::vector<std::string>& args) {
                  "would just discard the completed blocks)\n";
     return usage();
   }
-  if (sharded && options.checkpoint_path.empty()) {
-    std::cerr << "ftdb_campaign: --shard needs --checkpoint (the partial checkpoint is the "
-                 "shard's output; merge the shards to get the report)\n";
-    return usage();
-  }
-  if (sharded && !(out_path.empty() && csv_path.empty() && md_path.empty())) {
-    std::cerr << "ftdb_campaign: --shard does not emit reports; run `merge` on the partial "
-                 "checkpoints instead\n";
-    return usage();
-  }
-  const auto spec_text = read_file(spec_path);
-  if (!spec_text) {
-    std::cerr << "ftdb_campaign: cannot read " << spec_path << "\n";
-    return 2;
-  }
   if (!quiet) options.progress = &std::cerr;
 
-  const ScenarioSpec spec = parse_scenario_spec(*spec_text);
+  const ScenarioSpec spec = parse_scenario_spec(read_text_file(spec_path));
   CampaignResult result;
   try {
     result = run_campaign(spec, options);
@@ -262,13 +234,10 @@ int run_command(const std::vector<std::string>& args) {
     return 3;
   }
 
-  if (!sharded && !emit_reports(result, out_path, csv_path, md_path)) return 2;
+  emit_reports(result, out_path, csv_path, md_path);
   if (!quiet) {
-    std::size_t owned = 0;
-    for (const ScenarioResult& r : result.scenarios) owned += r.trials > 0 ? 1 : 0;
-    std::cerr << "campaign \"" << spec.name << "\": " << owned << " scenarios x " << spec.trials
-              << " trials done";
-    if (sharded) std::cerr << " (shard " << options.shard.label() << ")";
+    std::cerr << "campaign \"" << spec.name << "\": " << result.scenarios.size()
+              << " scenarios x " << spec.trials << " trials done";
     if (result.resumed_scenarios > 0 || result.resumed_blocks > 0) {
       std::cerr << " (" << result.resumed_scenarios << " scenarios / " << result.resumed_blocks
                 << " blocks resumed from checkpoint)";
@@ -279,14 +248,13 @@ int run_command(const std::vector<std::string>& args) {
 }
 
 int merge_command(const std::vector<std::string>& args) {
-  using namespace ftdb::campaign;
   std::string spec_path;
   std::string out_path;
   std::string csv_path;
   std::string md_path;
-  std::string elastic_dir;
+  std::vector<std::string> dirs;
+  bool elastic = false;
   bool partial_snapshot = false;
-  std::vector<std::string> partial_paths;
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -306,90 +274,46 @@ int merge_command(const std::vector<std::string>& args) {
     } else if (arg == "--md") {
       md_path = next();
     } else if (arg == "--elastic") {
-      elastic_dir = next();
+      elastic = true;
+      dirs.push_back(next());
     } else if (arg == "--partial") {
       partial_snapshot = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "ftdb_campaign: unknown option " << arg << "\n";
       return usage();
     } else {
-      partial_paths.push_back(arg);
+      dirs.push_back(arg);
     }
   }
-  if (!elastic_dir.empty()) {
-    if (!partial_paths.empty()) {
-      std::cerr << "ftdb_campaign: merge --elastic reads the shared directory; it takes no "
-                   "checkpoint arguments\n";
-      return usage();
-    }
-    // The directory carries its own canonical spec; an explicit --spec just
-    // has to agree with it.
-    ScenarioSpec spec = elastic::load_elastic_spec(elastic_dir);
-    if (!spec_path.empty()) {
-      const auto spec_text = read_file(spec_path);
-      if (!spec_text) {
-        std::cerr << "ftdb_campaign: cannot read " << spec_path << "\n";
-        return 2;
-      }
-      if (spec_fingerprint(parse_scenario_spec(*spec_text)) != spec_fingerprint(spec)) {
-        std::cerr << "ftdb_campaign: --spec disagrees with " << elastic_dir << "/spec.json\n";
-        return 1;
-      }
-    }
-    if (partial_snapshot) {
-      if (!csv_path.empty() || !md_path.empty()) {
-        std::cerr << "ftdb_campaign: --partial emits the JSON snapshot only\n";
-        return usage();
-      }
-      const std::string report = elastic::partial_elastic_report_json(spec, elastic_dir);
-      if (out_path.empty()) {
-        std::cout << report;
-      } else if (!write_file(out_path, report)) {
-        std::cerr << "ftdb_campaign: cannot write " << out_path << "\n";
-        return 2;
-      }
-      return 0;
-    }
-    const CampaignResult result = elastic::merge_elastic(spec, elastic_dir);
-    if (!emit_reports(result, out_path, csv_path, md_path)) return 2;
-    std::cerr << "merged elastic campaign " << elastic_dir << ": " << result.scenarios.size()
-              << " scenarios x " << spec.trials << " trials\n";
-    return 0;
+  if (!elastic) {
+    std::cerr << "ftdb_campaign: merge reads elastic directories: merge --elastic DIR [DIR...]\n";
+    return usage();
+  }
+  // The directories carry their own canonical spec; an explicit --spec just
+  // has to agree with it.
+  const ScenarioSpec spec = elastic::load_elastic_spec(dirs.front());
+  if (!spec_path.empty() &&
+      spec_fingerprint(parse_scenario_spec(read_text_file(spec_path))) != spec_fingerprint(spec)) {
+    std::cerr << "ftdb_campaign: --spec disagrees with " << dirs.front() << "/spec.json\n";
+    return 1;
   }
   if (partial_snapshot) {
-    std::cerr << "ftdb_campaign: --partial needs --elastic DIR\n";
-    return usage();
-  }
-  if (spec_path.empty() || partial_paths.empty()) {
-    std::cerr << "ftdb_campaign: merge needs --spec and at least one checkpoint\n";
-    return usage();
-  }
-  const auto spec_text = read_file(spec_path);
-  if (!spec_text) {
-    std::cerr << "ftdb_campaign: cannot read " << spec_path << "\n";
-    return 2;
-  }
-  const ScenarioSpec spec = parse_scenario_spec(*spec_text);
-
-  std::vector<Checkpoint> partials;
-  partials.reserve(partial_paths.size());
-  for (const std::string& path : partial_paths) {
-    const auto text = read_file(path);
-    if (!text) {
-      std::cerr << "ftdb_campaign: cannot read " << path << "\n";
-      return 2;
+    if (!csv_path.empty() || !md_path.empty()) {
+      std::cerr << "ftdb_campaign: --partial emits the JSON snapshot only\n";
+      return usage();
     }
-    try {
-      partials.push_back(parse_checkpoint(*text));
-    } catch (const std::exception& e) {
-      std::cerr << "ftdb_campaign: " << path << ": " << e.what() << "\n";
-      return 1;
+    const std::string report = elastic::partial_elastic_report_json(spec, dirs);
+    if (out_path.empty()) {
+      std::cout << report;
+    } else {
+      write_report(out_path, report);
     }
+    return 0;
   }
-  const CampaignResult result = merge_checkpoints(spec, partials);
-  if (!emit_reports(result, out_path, csv_path, md_path)) return 2;
-  std::cerr << "merged " << partials.size() << " partial checkpoint(s): "
-            << result.scenarios.size() << " scenarios x " << spec.trials << " trials\n";
+  const CampaignResult result = elastic::merge_elastic(spec, dirs);
+  emit_reports(result, out_path, csv_path, md_path);
+  std::cerr << "merged " << dirs.size() << " elastic dir(s): " << result.scenarios.size()
+            << " scenarios x " << spec.trials << " trials\n";
   return 0;
 }
 
@@ -401,26 +325,20 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 2, argv + argc);
   try {
     if (cmd == "example-spec" && args.empty()) {
-      std::cout << ftdb::campaign::example_spec_json();
+      std::cout << example_spec_json();
       return 0;
     }
     if (cmd == "example-spec" && args.size() == 1 && args[0] == "--full") {
       // The kitchen-sink spec: every family, fault model, metric and traffic
       // knob (see docs/SCENARIOS.md). CI round-trips it through validate-spec.
-      std::cout << ftdb::campaign::full_example_spec_json();
+      std::cout << full_example_spec_json();
       return 0;
     }
     if (cmd == "validate-spec" && args.size() == 1) {
-      const auto text = read_file(args[0]);
-      if (!text) {
-        std::cerr << "ftdb_campaign: cannot read " << args[0] << "\n";
-        return 2;
-      }
-      using namespace ftdb::campaign;
-      const ScenarioSpec spec = parse_scenario_spec(*text);
+      const ScenarioSpec spec = parse_scenario_spec(read_text_file(args[0]));
       // The canonical form must be a fixed point: parse -> write -> parse ->
       // write yields the same bytes (and hence the same fingerprint), or
-      // checkpoints and sharded merges could never agree on the stamp.
+      // checkpoints and elastic directories could never agree on the stamp.
       const std::string canon = scenario_spec_to_json(spec);
       const ScenarioSpec again = parse_scenario_spec(canon);
       if (scenario_spec_to_json(again) != canon) {
@@ -437,12 +355,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cmd == "validate" && args.size() == 1) {
-      const auto text = read_file(args[0]);
-      if (!text) {
-        std::cerr << "ftdb_campaign: cannot read " << args[0] << "\n";
-        return 2;
-      }
-      const std::size_t n = ftdb::campaign::validate_campaign_report(*text);
+      const std::size_t n = validate_campaign_report(read_text_file(args[0]));
       std::cout << args[0] << ": valid ftdb-campaign-v1 report, " << n << " scenarios\n";
       return 0;
     }

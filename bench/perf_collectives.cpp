@@ -1,9 +1,10 @@
-// PERF7: the collective-schedule layer — compile cost of the generators,
-// functional-executor throughput, and end-to-end packet-engine execution on
-// healthy and degraded machines. The campaign's collective metric runs
-// execute_schedule once (success) or three times (failure: degraded run +
-// matched healthy baseline + schedule rebuild) per trial, so these are the
-// inner loops of every collective-slowdown sweep.
+// PERF7: the collective-schedule layer — plan construction and send
+// counting, functional-executor throughput, and end-to-end packet-engine
+// execution on healthy and degraded machines. The campaign's collective
+// metric takes the cell's healthy run on success and runs execute_schedule
+// twice on failure (degraded run + matched healthy baseline of the
+// survivors' plan), so these are the inner loops of every
+// collective-slowdown sweep.
 #include "analysis/bench_registry.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
@@ -26,8 +27,9 @@ std::vector<NodeId> identity_ranks(std::size_t n) {
 }  // namespace
 
 FTDB_BENCH(collectives_build, "perf_collectives/build_schedules_n256") {
-  // Compile every generator at n = 256 (B_{2,8} / B_{4,4} scale), repeatedly:
-  // the degraded campaign path rebuilds a schedule per failed trial.
+  // Build every plan at n = 256 (B_{2,8} / B_{4,4} scale) and count its
+  // rounds and sends, repeatedly. Building is O(1); the count walks every
+  // (step, rank) of the plan.
   const int reps = 20;
   std::uint64_t sends = 0;
   std::size_t rounds = 0;
@@ -49,7 +51,7 @@ FTDB_BENCH(collectives_build, "perf_collectives/build_schedules_n256") {
 
 FTDB_BENCH(collectives_functional, "perf_collectives/functional_oracle_n243") {
   // The correctness layer at a non-power-of-two rank count (B_{3,5}): every
-  // generator verified against the serial oracle.
+  // plan verified against the serial oracle.
   for (const ScheduleKind kind :
        {ScheduleKind::AllToAllBruck, ScheduleKind::AllgatherRecursiveDoubling,
         ScheduleKind::AllgatherBruck, ScheduleKind::AllreduceRecursiveHalvingDoubling,

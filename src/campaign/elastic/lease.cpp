@@ -1,6 +1,7 @@
 #include "campaign/elastic/lease.hpp"
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -28,6 +29,15 @@ std::string host_name() {
   char buf[256] = {};
   if (::gethostname(buf, sizeof buf - 1) != 0) return "unknown-host";
   return buf;
+}
+
+/// True when `stamp` names `worker_id` on this host and a process that no
+/// longer exists: a rerun of a killed worker under the same id takes its
+/// own lease back without waiting out the TTL. EPERM from kill(2) means the
+/// pid belongs to a live process we may not signal, so only ESRCH counts.
+bool own_dead_stamp(const LeaseStamp& stamp, const std::string& worker_id) {
+  return stamp.worker == worker_id && stamp.host == host_name() && stamp.pid > 0 &&
+         ::kill(static_cast<pid_t>(stamp.pid), 0) != 0 && errno == ESRCH;
 }
 
 /// Writes `text` to `path` (O_TRUNC), fsyncs it, and reports the resulting
@@ -229,10 +239,11 @@ Lease Lease::try_acquire(const std::string& path, const std::string& worker_id,
       io_fail("link", path);
     }
 
-    // Held. Stale or garbled stamps are reclaimable; fresh ones are not.
+    // Held. Stale or garbled stamps are reclaimable, and so is our own
+    // stamp from a process that is gone; other fresh ones are not.
     const std::optional<LeaseStamp> holder = read_lease(path);
-    if (holder.has_value() &&
-        lease_now_secs() < holder->heartbeat_secs + holder->ttl_secs) {
+    if (holder.has_value() && lease_now_secs() < holder->heartbeat_secs + holder->ttl_secs &&
+        !own_dead_stamp(*holder, worker_id)) {
       return {};  // live holder
     }
     // ENOENT from read_lease: the holder released between our link and the

@@ -16,7 +16,11 @@
 //   reclaim    a claimant that finds a stamp whose heartbeat is older than
 //              its TTL rename(2)s the lease aside to a takeover relic —
 //              rename is atomic, so exactly one reclaimer wins (the losers
-//              see ENOENT) — unlinks the relic, and claims normally.
+//              see ENOENT) — unlinks the relic, and claims normally. A
+//              stamp with the claimant's own worker id and host whose pid
+//              is dead (kill(pid, 0) fails with ESRCH) is reclaimed the same
+//              way at once: a killed worker rerun under its id need not wait
+//              out the TTL.
 //
 // The protocol has benign TOCTOU windows (e.g. a holder heartbeats in the
 // instant between a reclaimer's staleness check and its rename). They are
@@ -85,13 +89,14 @@ class Lease {
 
   /// Drops ownership WITHOUT unlinking the file — what a crashed worker
   /// leaves behind. Used by the crash-simulation hook and by heartbeat-lost
-  /// paths; the abandoned file is reclaimed by the next claimant after TTL.
+  /// paths; the abandoned file is reclaimed by the next claimant after TTL,
+  /// or sooner by the same worker id once this process is gone.
   void abandon() { held_ = false; }
 
   /// Attempts to claim `path` for `worker_id`. Returns a non-held Lease when
   /// a live worker holds it; reclaims first (and sets *reclaimed) when the
-  /// current stamp is stale or garbled. Throws std::runtime_error on I/O
-  /// failure.
+  /// current stamp is stale or garbled, or names `worker_id` on this host
+  /// with a dead pid. Throws std::runtime_error on I/O failure.
   static Lease try_acquire(const std::string& path, const std::string& worker_id,
                            std::uint64_t ttl_secs, bool* reclaimed = nullptr);
 

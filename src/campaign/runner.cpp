@@ -225,8 +225,8 @@ TopologyTarget build_target(const MetricSet& metrics, const TopologySpec& topolo
       break;
   }
   if (metrics.collective && topology.family != TopologyFamily::Bus) {
-    // Compile the schedule once and price the healthy machine — the
-    // denominator of every trial's slowdown.
+    // Price the healthy machine once — the denominator of every trial's
+    // slowdown.
     const auto n = static_cast<std::uint32_t>(t.graph.num_nodes());
     t.schedule = sim::build_schedule(sim::schedule_kind_from_name(metrics.collective_schedule), n);
     std::vector<NodeId> identity_ranks(n);
@@ -471,10 +471,10 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
     // Run the collective through the packet engine: the reconfigured machine
     // runs the full-N schedule exactly as the healthy target does (the
     // operational dilation-1 claim — the slowdown is exactly 1.0), so it
-    // takes the cell's healthy run; a degraded bare target runs a schedule
-    // compiled over its survivors, priced against the *same survivors'
-    // schedule on the healthy target* so the slowdown isolates the rerouting
-    // cost instead of crediting the smaller job.
+    // takes the cell's healthy run; a degraded bare target runs the plan
+    // over its survivors (O(1) to build), priced against the *same
+    // survivors' plan on the healthy target* so the slowdown isolates the
+    // rerouting cost instead of crediting the smaller job.
     sim::ScheduleRunResult run;
     std::uint64_t baseline_cycles = ctx.topo->healthy_collective.total_cycles;
     if (success) {

@@ -1,6 +1,7 @@
 #include "sim/schedule.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -8,20 +9,18 @@ namespace ftdb::sim {
 
 namespace {
 
-std::uint32_t floor_pow2(std::uint32_t n) {
-  std::uint32_t p = 1;
-  while (p <= n / 2) p *= 2;
-  return p;
-}
+// ceil(log2 n) for n >= 1.
+unsigned ceil_log2(std::uint32_t n) { return static_cast<unsigned>(std::bit_width(n - 1)); }
 
-unsigned ceil_log2(std::uint32_t n) {
-  unsigned k = 0;
-  while ((std::uint64_t{1} << k) < n) ++k;
-  return k;
-}
+using Keys = std::vector<std::uint64_t>;
 
-void require_ranks(std::uint32_t num_ranks) {
-  if (num_ranks == 0) throw std::invalid_argument("build_schedule: num_ranks must be >= 1");
+// Every kind below is a function of (n, step, rank). When `keys` is given it
+// also lists the item keys the send carries; only the functional executor
+// asks for them, the engine needs the count alone.
+
+void add_range(Keys* keys, std::uint64_t lo, std::uint64_t hi) {
+  if (keys == nullptr) return;
+  for (std::uint64_t k = lo; k < hi; ++k) keys->push_back(k);
 }
 
 // ---- all-to-all -------------------------------------------------------------
@@ -30,119 +29,82 @@ void require_ranks(std::uint32_t num_ranks) {
 // moves item (i, j) through the binary expansion of its displacement
 // d = (j - i) mod n: after bits 0..k-1 are processed the item sits at rank
 // (i + (d mod 2^k)) mod n, and bit k (when set) ships it 2^k ranks forward.
+// So at step k every rank sends one item per d < n with bit k set.
 
-Schedule all_to_all_bruck(std::uint32_t n) {
-  Schedule sched{ScheduleKind::AllToAllBruck, n, {}};
-  const unsigned log_rounds = ceil_log2(n);
-  for (unsigned k = 0; k < log_rounds; ++k) {
-    ScheduleStep step;
-    const std::uint32_t stride = std::uint32_t{1} << k;
-    const std::uint32_t below = stride - 1;  // mask of already-processed bits
-    std::vector<std::vector<std::uint64_t>> outgoing(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      for (std::uint32_t j = 0; j < n; ++j) {
-        const std::uint32_t d = (j + n - i) % n;
-        if ((d & stride) == 0) continue;
-        const std::uint32_t at = (i + (d & below)) % n;
-        outgoing[at].push_back(std::uint64_t{i} * n + j);
-      }
+Send all_to_all_bruck(std::uint32_t n, std::size_t step, std::uint32_t r, Keys* keys) {
+  const std::uint32_t stride = std::uint32_t{1} << step;
+  // Each whole period of 2 * stride displacements has stride of them with
+  // bit k set; the partial last period has max(rest - stride, 0).
+  const std::uint64_t period = 2 * std::uint64_t{stride};
+  const auto count = static_cast<std::uint32_t>(
+      n / period * stride + std::max<std::uint64_t>(n % period, stride) - stride);
+  if (keys != nullptr) {
+    for (std::uint32_t d = stride; d < n; ++d) {
+      if ((d & stride) == 0) continue;
+      const std::uint32_t i = (r + n - (d & (stride - 1))) % n;
+      keys->push_back(std::uint64_t{i} * n + (i + d) % n);
     }
-    for (std::uint32_t r = 0; r < n; ++r) {
-      if (outgoing[r].empty()) continue;
-      std::sort(outgoing[r].begin(), outgoing[r].end());
-      step.transfers.push_back(
-          Transfer{r, (r + stride) % n, TransferOp::Move, std::move(outgoing[r])});
-    }
-    sched.steps.push_back(std::move(step));
   }
-  return sched;
+  return {(r + stride) % n, TransferOp::Move, count};
 }
 
-Schedule all_to_all_pairwise(std::uint32_t n) {
-  Schedule sched{ScheduleKind::AllToAllPairwise, n, {}};
-  const bool pow2 = (n & (n - 1)) == 0;
-  for (std::uint32_t s = 1; s < n; ++s) {
-    ScheduleStep step;
-    for (std::uint32_t r = 0; r < n; ++r) {
-      // XOR partners give a perfect pairing when n is a power of two; a ring
-      // offset keeps every rank busy every round otherwise.
-      const std::uint32_t peer = pow2 ? (r ^ s) : (r + s) % n;
-      step.transfers.push_back(
-          Transfer{r, peer, TransferOp::Move, {std::uint64_t{r} * n + peer}});
-    }
-    sched.steps.push_back(std::move(step));
-  }
-  return sched;
+Send all_to_all_pairwise(std::uint32_t n, std::size_t step, std::uint32_t r, Keys* keys) {
+  // XOR partners give a perfect pairing when n is a power of two; a ring
+  // offset keeps every rank busy every round otherwise.
+  const auto s = static_cast<std::uint32_t>(step + 1);
+  const std::uint32_t peer = std::has_single_bit(n) ? (r ^ s) : (r + s) % n;
+  if (keys != nullptr) keys->push_back(std::uint64_t{r} * n + peer);
+  return {peer, TransferOp::Move, 1};
 }
 
 // ---- allgather --------------------------------------------------------------
 //
 // Block keys are the origin ranks 0..n-1; rank r starts holding block r.
+// Recursive doubling runs on the p = 2^floor(log2 n) core ranks rest..n-1
+// (virtual ranks v = real - rest); ranks 0..rest-1 first fold their block
+// into rank + rest and finally get the whole vector back from it.
 
-Schedule allgather_recursive_doubling(std::uint32_t n) {
-  Schedule sched{ScheduleKind::AllgatherRecursiveDoubling, n, {}};
-  const std::uint32_t p = floor_pow2(n);
-  const std::uint32_t rest = n - p;  // ranks 0..rest-1 fold into rest..2*rest-1
-  if (rest > 0) {
-    ScheduleStep pre;
-    for (std::uint32_t i = 0; i < rest; ++i) {
-      pre.transfers.push_back(Transfer{i, i + rest, TransferOp::Copy, {i}});
-    }
-    sched.steps.push_back(std::move(pre));
+Send allgather_recursive_doubling(std::uint32_t n, std::size_t step, std::uint32_t r,
+                                  Keys* keys) {
+  const std::uint32_t rest = n - std::bit_floor(n);
+  if (rest > 0 && step == 0) {
+    if (r >= rest) return {};
+    add_range(keys, r, r + 1);
+    return {r + rest, TransferOp::Copy, 1};
   }
-  // Core recursive doubling over virtual ranks v = real - rest. held[v] is
-  // maintained explicitly: the pre-fold makes the initial sets non-uniform.
-  std::vector<std::vector<std::uint64_t>> held(p);
-  for (std::uint32_t v = 0; v < p; ++v) {
-    if (v < rest) held[v].push_back(v);  // the folded neighbor's block
-    held[v].push_back(v + rest);
+  const std::size_t core = step - (rest > 0 ? 1 : 0);
+  if (core == ceil_log2(n - rest)) {
+    if (r < rest || r >= 2 * rest) return {};
+    add_range(keys, 0, n);
+    return {r - rest, TransferOp::Copy, n};
   }
-  for (std::uint32_t stride = 1; stride < p; stride *= 2) {
-    ScheduleStep step;
-    for (std::uint32_t v = 0; v < p; ++v) {
-      std::vector<std::uint64_t> keys = held[v];
-      std::sort(keys.begin(), keys.end());
-      step.transfers.push_back(
-          Transfer{v + rest, (v ^ stride) + rest, TransferOp::Copy, std::move(keys)});
+  if (r < rest) return {};
+  // Before the step with stride s, v holds the blocks of its aligned size-s
+  // group: block u + rest of every member u, and block u of every member
+  // that absorbed a folded rank (u < rest).
+  const std::uint32_t v = r - rest;
+  const std::uint32_t stride = std::uint32_t{1} << core;
+  const std::uint32_t lo = v & ~(stride - 1);
+  if (keys != nullptr) {
+    for (std::uint32_t u = lo; u < lo + stride; ++u) {
+      keys->push_back(u + rest);
+      if (u < rest) keys->push_back(u);
     }
-    sched.steps.push_back(std::move(step));
-    std::vector<std::vector<std::uint64_t>> next = held;
-    for (std::uint32_t v = 0; v < p; ++v) {
-      const auto& in = held[v ^ stride];
-      next[v].insert(next[v].end(), in.begin(), in.end());
-    }
-    held = std::move(next);
   }
-  if (rest > 0) {
-    ScheduleStep post;
-    for (std::uint32_t i = 0; i < rest; ++i) {
-      std::vector<std::uint64_t> keys(n);
-      for (std::uint32_t b = 0; b < n; ++b) keys[b] = b;
-      post.transfers.push_back(Transfer{i + rest, i, TransferOp::Copy, std::move(keys)});
-    }
-    sched.steps.push_back(std::move(post));
-  }
-  return sched;
+  const std::uint32_t folded = lo < rest ? std::min(rest - lo, stride) : 0;
+  return {(v ^ stride) + rest, TransferOp::Copy, stride + folded};
 }
 
-Schedule allgather_bruck_steps(ScheduleKind kind, std::uint32_t n) {
+Send allgather_bruck(std::uint32_t n, std::size_t step, std::uint32_t r, Keys* keys) {
   // Dissemination: after step k rank r holds blocks {(r + o) mod n :
-  // o < min(2^(k+1), n)}; step k ships the top min(2^k, n - 2^k) of them
+  // o < min(2^(k+1), n)}; step k ships the first min(2^k, n - 2^k) of them
   // 2^k ranks backwards.
-  Schedule sched{kind, n, {}};
-  for (std::uint32_t stride = 1; stride < n; stride *= 2) {
-    ScheduleStep step;
-    const std::uint32_t count = std::min(stride, n - stride);
-    for (std::uint32_t r = 0; r < n; ++r) {
-      std::vector<std::uint64_t> keys(count);
-      for (std::uint32_t o = 0; o < count; ++o) keys[o] = (r + o) % n;
-      std::sort(keys.begin(), keys.end());
-      step.transfers.push_back(Transfer{r, (r + n - stride) % n, TransferOp::Copy,
-                                        std::move(keys)});
-    }
-    sched.steps.push_back(std::move(step));
+  const std::uint32_t stride = std::uint32_t{1} << step;
+  const std::uint32_t count = std::min(stride, n - stride);
+  if (keys != nullptr) {
+    for (std::uint32_t o = 0; o < count; ++o) keys->push_back((std::uint64_t{r} + o) % n);
   }
-  return sched;
+  return {(r + n - stride) % n, TransferOp::Copy, count};
 }
 
 // ---- allreduce --------------------------------------------------------------
@@ -152,92 +114,74 @@ Schedule allgather_bruck_steps(ScheduleKind kind, std::uint32_t n) {
 // block ranges, then allgather by recursive doubling; ranks beyond the
 // power-of-two core fold into a neighbor before and unfold after.
 
-Schedule allreduce_recursive_halving_doubling(std::uint32_t n) {
-  Schedule sched{ScheduleKind::AllreduceRecursiveHalvingDoubling, n, {}};
-  if (n == 1) return sched;
-  const std::uint32_t p = floor_pow2(n);
+Send allreduce_recursive_halving_doubling(std::uint32_t n, std::size_t step, std::uint32_t r,
+                                          Keys* keys) {
+  const std::uint32_t p = std::bit_floor(n);
   const std::uint32_t rest = n - p;
-  // boundary(v) splits the n blocks into p near-equal contiguous ranges.
-  auto boundary = [&](std::uint32_t v) -> std::uint32_t {
-    return v * (n / p) + std::min(v, n % p);
+  const std::size_t levels = ceil_log2(p);
+  // boundary(v) splits the n blocks into p near-equal contiguous ranges;
+  // virtual ranks [lo_v, hi_v) own blocks [boundary(lo_v), boundary(hi_v)).
+  const auto boundary = [&](std::uint32_t v) { return v * (n / p) + std::min(v, n % p); };
+  const auto ranges = [&](std::uint32_t peer, TransferOp op, std::uint32_t lo_v,
+                          std::uint32_t hi_v) {
+    add_range(keys, boundary(lo_v), boundary(hi_v));
+    return Send{peer, op, boundary(hi_v) - boundary(lo_v)};
   };
-  auto range_keys = [&](std::uint32_t lo_v, std::uint32_t hi_v) {
-    std::vector<std::uint64_t> keys;
-    for (std::uint32_t b = boundary(lo_v); b < boundary(hi_v); ++b) keys.push_back(b);
-    return keys;
-  };
-  auto full_vector = [&]() {
-    std::vector<std::uint64_t> keys(n);
-    for (std::uint32_t b = 0; b < n; ++b) keys[b] = b;
-    return keys;
-  };
-  if (rest > 0) {
-    ScheduleStep pre;
-    for (std::uint32_t i = 0; i < rest; ++i) {
-      pre.transfers.push_back(Transfer{i, i + rest, TransferOp::Reduce, full_vector()});
-    }
-    sched.steps.push_back(std::move(pre));
+  if (rest > 0 && step == 0) {
+    return r < rest ? ranges(r + rest, TransferOp::Reduce, 0, p) : Send{};
   }
-  // Recursive halving over virtual ranks v = real - rest. Groups of size g
-  // stay aligned (v's group starts at v & ~(g - 1)), so the partner is
-  // v ^ (g / 2) and each half sends the other half's block range.
-  const unsigned L = ceil_log2(p);
-  for (unsigned s = 0; s < L; ++s) {
-    const std::uint32_t g = p >> s;
-    ScheduleStep step;
-    for (std::uint32_t v = 0; v < p; ++v) {
-      const std::uint32_t lo = v & ~(g - 1);
-      const std::uint32_t mid = lo + g / 2;
-      std::vector<std::uint64_t> keys =
-          v < mid ? range_keys(mid, lo + g) : range_keys(lo, mid);
-      if (keys.empty()) continue;
-      step.transfers.push_back(
-          Transfer{v + rest, (v ^ (g / 2)) + rest, TransferOp::Reduce, std::move(keys)});
-    }
-    sched.steps.push_back(std::move(step));
+  const std::size_t core = step - (rest > 0 ? 1 : 0);
+  if (core == 2 * levels) {
+    return r >= rest && r < 2 * rest ? ranges(r - rest, TransferOp::Copy, 0, p) : Send{};
+  }
+  if (r < rest) return {};
+  const std::uint32_t v = r - rest;
+  if (core < levels) {
+    // Recursive halving. Groups of size g stay aligned (v's group starts at
+    // v & ~(g - 1)), so the partner is v ^ (g / 2) and each half sends the
+    // other half's block range.
+    const std::uint32_t g = p >> core;
+    const std::uint32_t lo = v & ~(g - 1);
+    const std::uint32_t mid = lo + g / 2;
+    const std::uint32_t peer = (v ^ (g / 2)) + rest;
+    return v < mid ? ranges(peer, TransferOp::Reduce, mid, lo + g)
+                   : ranges(peer, TransferOp::Reduce, lo, mid);
   }
   // Recursive doubling mirrors the halving steps in reverse: before the step
   // with group size g, v holds exactly its size-g/2 subgroup's range.
-  for (unsigned s = L; s-- > 0;) {
-    const std::uint32_t g = p >> s;
-    ScheduleStep step;
-    for (std::uint32_t v = 0; v < p; ++v) {
-      const std::uint32_t sub = v & ~(g / 2 - 1);
-      std::vector<std::uint64_t> keys = range_keys(sub, sub + g / 2);
-      if (keys.empty()) continue;
-      step.transfers.push_back(
-          Transfer{v + rest, (v ^ (g / 2)) + rest, TransferOp::Copy, std::move(keys)});
-    }
-    sched.steps.push_back(std::move(step));
-  }
-  if (rest > 0) {
-    ScheduleStep post;
-    for (std::uint32_t i = 0; i < rest; ++i) {
-      post.transfers.push_back(Transfer{i + rest, i, TransferOp::Copy, full_vector()});
-    }
-    sched.steps.push_back(std::move(post));
-  }
-  return sched;
+  const std::uint32_t g = p >> (2 * levels - 1 - core);
+  const std::uint32_t sub = v & ~(g / 2 - 1);
+  return ranges((v ^ (g / 2)) + rest, TransferOp::Copy, sub, sub + g / 2);
 }
 
-Schedule allreduce_reduce_scatter_allgather(std::uint32_t n) {
-  Schedule sched{ScheduleKind::AllreduceReduceScatterAllgather, n, {}};
-  if (n == 1) return sched;
+Send allreduce_reduce_scatter_allgather(std::uint32_t n, std::size_t step, std::uint32_t r,
+                                        Keys* keys) {
   // Ring reduce-scatter: at step s rank r ships block (r - s - 1) mod n one
   // rank forward with Reduce semantics — exactly the block it received last
   // step — so block b arrives fully reduced at rank b after n - 1 steps.
-  for (std::uint32_t s = 0; s + 1 < n; ++s) {
-    ScheduleStep step;
-    for (std::uint32_t r = 0; r < n; ++r) {
-      const std::uint64_t block = (r + 2u * n - s - 1) % n;
-      step.transfers.push_back(Transfer{r, (r + 1) % n, TransferOp::Reduce, {block}});
-    }
-    sched.steps.push_back(std::move(step));
+  if (step + 1 < n) {
+    const std::uint64_t block = (std::uint64_t{r} + 2 * std::uint64_t{n} - step - 1) % n;
+    add_range(keys, block, block + 1);
+    return {(r + 1) % n, TransferOp::Reduce, 1};
   }
-  // Bruck allgather of the reduced blocks (rank b now holds exactly block b).
-  Schedule gather = allgather_bruck_steps(sched.kind, n);
-  for (auto& step : gather.steps) sched.steps.push_back(std::move(step));
-  return sched;
+  // Then a Bruck allgather of the reduced blocks (rank b holds exactly block b).
+  return allgather_bruck(n, step - (n - 1), r, keys);
+}
+
+Send plan(const Schedule& schedule, std::size_t step, std::uint32_t rank, Keys* keys) {
+  const std::uint32_t n = schedule.num_ranks;
+  switch (schedule.kind) {
+    case ScheduleKind::AllToAllBruck: return all_to_all_bruck(n, step, rank, keys);
+    case ScheduleKind::AllToAllPairwise: return all_to_all_pairwise(n, step, rank, keys);
+    case ScheduleKind::AllgatherRecursiveDoubling:
+      return allgather_recursive_doubling(n, step, rank, keys);
+    case ScheduleKind::AllgatherBruck: return allgather_bruck(n, step, rank, keys);
+    case ScheduleKind::AllreduceRecursiveHalvingDoubling:
+      return allreduce_recursive_halving_doubling(n, step, rank, keys);
+    case ScheduleKind::AllreduceReduceScatterAllgather:
+      return allreduce_reduce_scatter_allgather(n, step, rank, keys);
+  }
+  throw std::invalid_argument("schedule: unknown kind");
 }
 
 }  // namespace
@@ -267,97 +211,40 @@ ScheduleKind schedule_kind_from_name(const std::string& name) {
   throw std::invalid_argument("unknown schedule kind \"" + name + "\"");
 }
 
-const char* transfer_op_name(TransferOp op) {
-  switch (op) {
-    case TransferOp::Copy: return "copy";
-    case TransferOp::Move: return "move";
-    case TransferOp::Reduce: return "reduce";
+std::size_t Schedule::rounds() const {
+  const std::uint32_t n = num_ranks;
+  if (n < 2) return 0;
+  const std::size_t core = ceil_log2(std::bit_floor(n));
+  const std::size_t folds = std::has_single_bit(n) ? 0 : 2;  // pre/post neighbor rounds
+  switch (kind) {
+    case ScheduleKind::AllToAllBruck:
+    case ScheduleKind::AllgatherBruck: return ceil_log2(n);
+    case ScheduleKind::AllToAllPairwise: return n - 1;
+    case ScheduleKind::AllgatherRecursiveDoubling: return core + folds;
+    case ScheduleKind::AllreduceRecursiveHalvingDoubling: return 2 * core + folds;
+    case ScheduleKind::AllreduceReduceScatterAllgather: return n - 1 + ceil_log2(n);
   }
-  return "?";
+  throw std::invalid_argument("schedule: unknown kind");
 }
 
 std::uint64_t Schedule::total_sends() const {
   std::uint64_t sends = 0;
-  for (const ScheduleStep& step : steps) {
-    for (const Transfer& t : step.transfers) sends += t.keys.size();
+  for (std::size_t step = 0; step < rounds(); ++step) {
+    for (std::uint32_t r = 0; r < num_ranks; ++r) sends += send(step, r).count;
   }
   return sends;
 }
 
+Send Schedule::send(std::size_t step, std::uint32_t rank) const {
+  return plan(*this, step, rank, nullptr);
+}
+
 Schedule build_schedule(ScheduleKind kind, std::uint32_t num_ranks) {
-  require_ranks(num_ranks);
-  switch (kind) {
-    case ScheduleKind::AllToAllBruck: return all_to_all_bruck(num_ranks);
-    case ScheduleKind::AllToAllPairwise: return all_to_all_pairwise(num_ranks);
-    case ScheduleKind::AllgatherRecursiveDoubling:
-      return allgather_recursive_doubling(num_ranks);
-    case ScheduleKind::AllgatherBruck:
-      return allgather_bruck_steps(ScheduleKind::AllgatherBruck, num_ranks);
-    case ScheduleKind::AllreduceRecursiveHalvingDoubling:
-      return allreduce_recursive_halving_doubling(num_ranks);
-    case ScheduleKind::AllreduceReduceScatterAllgather:
-      return allreduce_reduce_scatter_allgather(num_ranks);
-  }
-  throw std::invalid_argument("build_schedule: unknown kind");
+  if (num_ranks == 0) throw std::invalid_argument("build_schedule: num_ranks must be >= 1");
+  return Schedule{kind, num_ranks};
 }
 
 // ---- functional execution ---------------------------------------------------
-
-std::vector<RankState> run_schedule_functional(const Schedule& schedule,
-                                               std::vector<RankState> states) {
-  if (states.size() != schedule.num_ranks) {
-    throw std::invalid_argument("run_schedule_functional: state count != num_ranks");
-  }
-  // Scratch for one step's reads; hoisted so its capacity is reused.
-  struct PendingSend {
-    std::uint32_t src, dst;
-    TransferOp op;
-    std::uint64_t key;
-    std::int64_t value;
-  };
-  std::vector<PendingSend> pending;
-  for (std::size_t step_idx = 0; step_idx < schedule.steps.size(); ++step_idx) {
-    const ScheduleStep& step = schedule.steps[step_idx];
-    // Synchronous rounds: every transfer reads the sender state as of the
-    // step start, so paired exchanges (recursive doubling/halving) are
-    // well-defined. Reading only the sent keys up front — instead of
-    // snapshotting every rank's full state — keeps the pass linear in the
-    // step's send volume.
-    pending.clear();
-    for (const Transfer& t : step.transfers) {
-      if (t.src >= states.size() || t.dst >= states.size()) {
-        throw std::logic_error("schedule step " + std::to_string(step_idx) +
-                               ": transfer rank out of range");
-      }
-      const RankState& from = states[t.src];
-      for (const std::uint64_t key : t.keys) {
-        const auto it = from.find(key);
-        if (it == from.end()) {
-          throw std::logic_error("schedule step " + std::to_string(step_idx) + ": rank " +
-                                 std::to_string(t.src) + " does not hold key " +
-                                 std::to_string(key) + " it is scheduled to send");
-        }
-        pending.push_back({t.src, t.dst, t.op, key, it->second});
-      }
-    }
-    for (const PendingSend& p : pending) {
-      switch (p.op) {
-        case TransferOp::Copy:
-          states[p.dst][p.key] = p.value;
-          break;
-        case TransferOp::Move:
-          states[p.dst][p.key] = p.value;
-          states[p.src].erase(p.key);
-          break;
-        case TransferOp::Reduce:
-          states[p.dst][p.key] += p.value;
-          states[p.src].erase(p.key);
-          break;
-      }
-    }
-  }
-  return states;
-}
 
 namespace {
 
@@ -377,6 +264,59 @@ CollectiveClass class_of(ScheduleKind kind) {
   }
   throw std::invalid_argument("class_of: unknown kind");
 }
+
+}  // namespace
+
+FunctionalState run_schedule_functional(const Schedule& schedule, FunctionalState state) {
+  const std::uint64_t n = schedule.num_ranks;
+  if (state.holder.size() != n * n || state.value.size() != n * n) {
+    throw std::invalid_argument("run_schedule_functional: state is not num_ranks^2 cells");
+  }
+  // An all-to-all item keeps its cell wherever it travels; a block has one
+  // cell per rank.
+  const bool all_to_all = class_of(schedule.kind) == CollectiveClass::AllToAll;
+  const auto cell = [&](std::uint64_t rank, std::uint64_t key) {
+    return all_to_all ? key : rank * n + key;
+  };
+  // Scratch for one step's reads; hoisted so its capacity is reused.
+  struct PendingSend {
+    std::uint32_t src, dst;
+    TransferOp op;
+    std::uint64_t key;
+    std::int64_t value;
+  };
+  std::vector<PendingSend> pending;
+  Keys keys;
+  for (std::size_t step = 0; step < schedule.rounds(); ++step) {
+    // Synchronous rounds: every send reads the sender state as of the step
+    // start, so paired exchanges (recursive doubling/halving) are
+    // well-defined.
+    pending.clear();
+    for (std::uint32_t r = 0; r < n; ++r) {
+      keys.clear();
+      const Send send = plan(schedule, step, r, &keys);
+      for (const std::uint64_t key : keys) {
+        const std::uint64_t from = cell(r, key);
+        if (state.holder[from] != r) {
+          throw std::logic_error("schedule step " + std::to_string(step) + ": rank " +
+                                 std::to_string(r) + " does not hold key " +
+                                 std::to_string(key) + " it is scheduled to send");
+        }
+        pending.push_back({r, send.peer, send.op, key, state.value[from]});
+      }
+    }
+    for (const PendingSend& p : pending) {
+      if (p.op != TransferOp::Copy) state.holder[cell(p.src, p.key)] = FunctionalState::kNobody;
+      const std::uint64_t to = cell(p.dst, p.key);
+      const bool add = p.op == TransferOp::Reduce && state.holder[to] == p.dst;
+      state.value[to] = add ? state.value[to] + p.value : p.value;
+      state.holder[to] = p.dst;
+    }
+  }
+  return state;
+}
+
+namespace {
 
 // Distinct deterministic payloads so a misrouted item cannot masquerade as
 // the right one.
@@ -401,78 +341,86 @@ void check(bool ok, const Schedule& schedule, const std::string& what) {
 
 void verify_schedule_functional(const Schedule& schedule) {
   const std::uint64_t n = schedule.num_ranks;
-  std::vector<RankState> states(n);
   const CollectiveClass cls = class_of(schedule.kind);
+  // Rank r starts holding row r: all-to-all items (r, j), its own allgather
+  // block, or its whole allreduce vector.
+  FunctionalState state{std::vector<std::uint32_t>(n * n, FunctionalState::kNobody),
+                        std::vector<std::int64_t>(n * n, 0)};
+  std::vector<std::int64_t> block_sums(n, 0);
   for (std::uint64_t r = 0; r < n; ++r) {
-    switch (cls) {
-      case CollectiveClass::AllToAll:
-        for (std::uint64_t j = 0; j < n; ++j) states[r][r * n + j] = a2a_value(r, j);
-        break;
-      case CollectiveClass::Allgather:
-        states[r][r] = gather_value(r);
-        break;
-      case CollectiveClass::Allreduce:
-        for (std::uint64_t b = 0; b < n; ++b) states[r][b] = reduce_value(r, b);
-        break;
+    for (std::uint64_t b = 0; b < n; ++b) {
+      if (cls == CollectiveClass::Allgather && b != r) continue;
+      state.holder[r * n + b] = static_cast<std::uint32_t>(r);
+      switch (cls) {
+        case CollectiveClass::AllToAll: state.value[r * n + b] = a2a_value(r, b); break;
+        case CollectiveClass::Allgather: state.value[r * n + b] = gather_value(r); break;
+        case CollectiveClass::Allreduce:
+          state.value[r * n + b] = reduce_value(r, b);
+          block_sums[b] += reduce_value(r, b);
+          break;
+      }
     }
   }
-  states = run_schedule_functional(schedule, std::move(states));
+  state = run_schedule_functional(schedule, std::move(state));
+  std::vector<std::uint64_t> held(n, 0);
+  for (const std::uint32_t h : state.holder) {
+    if (h != FunctionalState::kNobody) ++held[h];
+  }
   for (std::uint64_t r = 0; r < n; ++r) {
-    const RankState& got = states[r];
-    check(got.size() == n, schedule,
-          "rank " + std::to_string(r) + " ends with " + std::to_string(got.size()) +
+    check(held[r] == n, schedule,
+          "rank " + std::to_string(r) + " ends with " + std::to_string(held[r]) +
               " items, want " + std::to_string(n));
     for (std::uint64_t o = 0; o < n; ++o) {
-      std::uint64_t key = 0;
-      std::int64_t want = 0;
-      switch (cls) {
-        case CollectiveClass::AllToAll:
-          key = o * n + r;  // item origin o destined for this rank
-          want = a2a_value(o, r);
-          break;
-        case CollectiveClass::Allgather:
-          key = o;
-          want = gather_value(o);
-          break;
-        case CollectiveClass::Allreduce: {
-          key = o;  // block o, fully reduced
-          std::int64_t sum = 0;
-          for (std::uint64_t src = 0; src < n; ++src) sum += reduce_value(src, o);
-          want = sum;
-          break;
-        }
-      }
-      const auto it = got.find(key);
-      check(it != got.end(), schedule,
+      // All-to-all: item (o, r), destined for this rank; otherwise block o.
+      const std::uint64_t key = cls == CollectiveClass::AllToAll ? o * n + r : o;
+      const std::uint64_t at = cls == CollectiveClass::AllToAll ? key : r * n + o;
+      const std::int64_t want = cls == CollectiveClass::AllToAll    ? a2a_value(o, r)
+                                : cls == CollectiveClass::Allgather ? gather_value(o)
+                                                                    : block_sums[o];
+      check(state.holder[at] == r, schedule,
             "rank " + std::to_string(r) + " is missing key " + std::to_string(key));
-      check(it->second == want, schedule,
+      check(state.value[at] == want, schedule,
             "rank " + std::to_string(r) + " key " + std::to_string(key) + " = " +
-                std::to_string(it->second) + ", want " + std::to_string(want));
+                std::to_string(state.value[at]) + ", want " + std::to_string(want));
     }
   }
 }
 
 // ---- operational execution --------------------------------------------------
 
-ScheduleRunResult execute_schedule(PacketSimulator& sim, const Schedule& schedule,
-                                   const std::vector<NodeId>& rank_to_logical,
-                                   std::uint64_t max_cycles_per_step) {
+namespace {
+
+void require_rank_map(const Schedule& schedule, const std::vector<NodeId>& rank_to_logical) {
   if (rank_to_logical.size() != schedule.num_ranks) {
     throw std::invalid_argument("execute_schedule: rank map size != num_ranks");
   }
+}
+
+}  // namespace
+
+void schedule_step_packets(const Schedule& schedule, std::size_t step,
+                           const std::vector<NodeId>& rank_to_logical,
+                           std::vector<Packet>& packets) {
+  require_rank_map(schedule, rank_to_logical);
+  packets.clear();
+  std::uint64_t id = 0;
+  for (std::uint32_t r = 0; r < schedule.num_ranks; ++r) {
+    const Send send = schedule.send(step, r);
+    for (std::uint32_t k = 0; k < send.count; ++k) {
+      packets.push_back(Packet{id++, rank_to_logical[r], rank_to_logical[send.peer], 0});
+    }
+  }
+}
+
+ScheduleRunResult execute_schedule(PacketSimulator& sim, const Schedule& schedule,
+                                   const std::vector<NodeId>& rank_to_logical,
+                                   std::uint64_t max_cycles_per_step) {
+  require_rank_map(schedule, rank_to_logical);
   ScheduleRunResult result;
   result.rounds = schedule.rounds();
   std::vector<Packet> packets;
-  for (const ScheduleStep& step : schedule.steps) {
-    packets.clear();
-    std::uint64_t id = 0;
-    for (const Transfer& t : step.transfers) {
-      const NodeId src = rank_to_logical[t.src];
-      const NodeId dst = rank_to_logical[t.dst];
-      for (std::size_t k = 0; k < t.keys.size(); ++k) {
-        packets.push_back(Packet{id++, src, dst, 0});
-      }
-    }
+  for (std::size_t step = 0; step < result.rounds; ++step) {
+    schedule_step_packets(schedule, step, rank_to_logical, packets);
     if (packets.empty()) continue;
     const SimStats stats = sim.run(packets, max_cycles_per_step);
     result.total_cycles += stats.cycles;

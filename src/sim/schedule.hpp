@@ -1,16 +1,18 @@
-// Collective-communication schedules compiled to explicit per-step
-// send/recv maps, and their execution on the packet engine.
+// Collective-communication schedules as arithmetic plans, and their
+// execution on the packet engine.
 //
 // This is the layer the paper's machines exist to serve: a collective
-// (all-to-all, allgather, allreduce) is compiled once into a `Schedule` —
-// a sequence of synchronous steps, each a list of (src rank, dst rank,
-// keys, op) transfers — and then executed either *functionally* (per-rank
-// key/value maps, for correctness against a serial oracle) or *operationally*
-// (every logical send becomes a routed multi-hop packet batch through
-// PacketSimulator on a machine's live logical graph). Running the same
-// schedule on a healthy machine, a dilation-1 reconfigured machine, and a
-// degraded bare-target machine turns the structural fault-tolerance story
-// into an end-to-end one: "how much does an allreduce slow down at f faults".
+// (all-to-all, allgather, allreduce) is a `Schedule` — its kind and rank
+// count, nothing more. Every synchronous step is a function of
+// (step, rank): rank r sends `count` items to one peer with one op, or
+// nothing. A plan is executed either *functionally* (flat per-item
+// holder/value arrays, for correctness against a serial oracle) or
+// *operationally* (every logical send becomes a routed multi-hop packet
+// batch through PacketSimulator on a machine's live logical graph). Running
+// the same schedule on a healthy machine, a dilation-1 reconfigured
+// machine, and a degraded bare-target machine turns the structural
+// fault-tolerance story into an end-to-end one: "how much does an
+// allreduce slow down at f faults".
 //
 // Algorithms (all correct for any rank count n, not just powers of two):
 //  * Bruck all-to-all        — ceil(log2 n) rounds; item (i -> j) rides the
@@ -36,7 +38,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -53,7 +54,7 @@ enum class ScheduleKind {
   AllreduceReduceScatterAllgather,
 };
 
-/// What a transfer does to the sender's and receiver's key sets.
+/// What a send does to the sender's and receiver's items.
 enum class TransferOp {
   Copy,    // receiver gets the value, sender keeps it (allgather)
   Move,    // receiver gets the value, sender drops it (all-to-all)
@@ -62,46 +63,48 @@ enum class TransferOp {
 
 const char* schedule_kind_name(ScheduleKind kind);
 ScheduleKind schedule_kind_from_name(const std::string& name);
-const char* transfer_op_name(TransferOp op);
 
-/// One logical send: every key travels src -> dst in the same round.
-struct Transfer {
-  std::uint32_t src = 0;  // rank
-  std::uint32_t dst = 0;  // rank
+/// One rank's part of one step: `count` items travel to `peer` with `op`.
+/// A rank that sits the step out has count 0.
+struct Send {
+  std::uint32_t peer = 0;
   TransferOp op = TransferOp::Copy;
-  std::vector<std::uint64_t> keys;
-};
-
-struct ScheduleStep {
-  std::vector<Transfer> transfers;
+  std::uint32_t count = 0;
 };
 
 struct Schedule {
   ScheduleKind kind = ScheduleKind::AllToAllBruck;
   std::uint32_t num_ranks = 0;
-  std::vector<ScheduleStep> steps;
 
-  std::size_t rounds() const { return steps.size(); }
+  std::size_t rounds() const;
   /// Total number of (key, hop-0) logical sends across all steps.
   std::uint64_t total_sends() const;
+  /// What `rank` sends at `step`; requires step < rounds() and
+  /// rank < num_ranks.
+  Send send(std::size_t step, std::uint32_t rank) const;
 };
 
-/// Compiles the schedule for `kind` over `num_ranks` ranks. Throws
-/// std::invalid_argument when num_ranks == 0.
+/// The plan for `kind` over `num_ranks` ranks. Throws std::invalid_argument
+/// when num_ranks == 0.
 Schedule build_schedule(ScheduleKind kind, std::uint32_t num_ranks);
 
 // --- Functional execution (correctness layer) -------------------------------
 
-/// Per-rank state: key -> value. Keys identify items (all-to-all item (i, j)
-/// has key i * n + j; allgather/allreduce block b has key b).
-using RankState = std::unordered_map<std::uint64_t, std::int64_t>;
+/// Flat item state of n ranks, n² cells. All-to-all item (i, j) has key
+/// i * n + j and lives in cell i * n + j wherever it travels; allgather and
+/// allreduce block b has key b, and rank r's copy of it is cell r * n + b.
+struct FunctionalState {
+  static constexpr std::uint32_t kNobody = 0xffffffffu;
+  std::vector<std::uint32_t> holder;  // the rank holding each cell, or kNobody
+  std::vector<std::int64_t> value;
+};
 
-/// Applies the schedule to per-rank key/value maps with synchronous-round
-/// semantics: every transfer in a step reads the sender state as of the step
-/// start. Throws std::logic_error if a sender does not hold a key it is
-/// scheduled to send — a malformed schedule must fail loudly, not drop data.
-std::vector<RankState> run_schedule_functional(const Schedule& schedule,
-                                               std::vector<RankState> states);
+/// Applies the schedule to the flat state with synchronous-round semantics:
+/// every send in a step reads the sender state as of the step start. Throws
+/// std::invalid_argument when the state is not n² cells, and
+/// std::logic_error if a sender does not hold a key it is scheduled to send —
+/// a malformed start state must fail loudly, not drop data.
+FunctionalState run_schedule_functional(const Schedule& schedule, FunctionalState state);
 
 /// Builds the canonical initial state for the schedule's collective class,
 /// runs it functionally, and checks the result against the serial oracle
@@ -137,13 +140,20 @@ struct ScheduleRunResult {
   bool completed() const { return undeliverable == 0 && timed_out == 0; }
 };
 
-/// Executes the schedule on the simulator's live logical graph: rank r lives
-/// at logical node rank_to_logical[r], each step's transfers become one
-/// packet per key injected at cycle 0, and the step runs to drain (or to
-/// max_cycles_per_step; 0 = drain). Every run() is independent, so one
-/// simulator can serve any number of schedules and traffic batches. Throws
+/// Replaces `packets` with step `step`'s batch: rank r lives at logical node
+/// rank_to_logical[r] and emits `count` packets to its peer, injected at
+/// cycle 0, senders in ascending rank order, ids 0, 1, 2, ... Throws
 /// std::invalid_argument when rank_to_logical does not match
 /// schedule.num_ranks.
+void schedule_step_packets(const Schedule& schedule, std::size_t step,
+                           const std::vector<NodeId>& rank_to_logical,
+                           std::vector<Packet>& packets);
+
+/// Executes the schedule on the simulator's live logical graph: each step's
+/// batch (schedule_step_packets) runs to drain (or to max_cycles_per_step;
+/// 0 = drain). Every run() is independent, so one simulator can serve any
+/// number of schedules and traffic batches. Throws std::invalid_argument
+/// when rank_to_logical does not match schedule.num_ranks.
 ScheduleRunResult execute_schedule(PacketSimulator& sim, const Schedule& schedule,
                                    const std::vector<NodeId>& rank_to_logical,
                                    std::uint64_t max_cycles_per_step = 0);

@@ -578,7 +578,7 @@ ScenarioSpec multiblock_spec() {
 }
 
 /// An elastic worker of shard `shard` on `dir` that never waits on a clock:
-/// tests age leases out by backdating them.
+/// its rerun takes back the leases of its own dead process at once.
 elastic::ElasticOptions shard_worker(const std::string& dir, const ShardSpec& shard,
                                      unsigned threads) {
   elastic::ElasticOptions options;
@@ -599,14 +599,18 @@ std::string fresh_shard_dir(const std::string& tag) {
   return dir;
 }
 
-/// Backdates every lease in `dir` past its TTL, the state a hard-killed
-/// worker's lease reaches on the wall clock.
-void age_out_leases(const std::string& dir) {
+/// Rewrites every lease in `dir` to name a reaped child's pid: the lease a
+/// hard-killed worker leaves, whose process is gone but whose heartbeat is
+/// still fresh.
+void kill_lease_holders(const std::string& dir) {
   for (const auto& entry : std::filesystem::directory_iterator(dir + "/leases")) {
     auto stamp = elastic::read_lease(entry.path().string());
     if (!stamp.has_value()) continue;
-    stamp->heartbeat_secs = 1;
-    stamp->ttl_secs = 1;
+    const pid_t child = ::fork();
+    if (child == 0) ::_exit(0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    stamp->pid = child;
     std::ofstream(entry.path(), std::ios::trunc) << elastic::lease_stamp_json(*stamp);
   }
 }
@@ -635,7 +639,7 @@ std::vector<std::string> run_two_shards(const ScenarioSpec& spec, const std::str
     return c.prefix_blocks > 0 && c.prefix_blocks < blocks;
   })) << "the kill should leave a cell part-done";
 
-  age_out_leases(d1);
+  kill_lease_holders(d1);
   const elastic::ElasticResult rerun =
       elastic::run_elastic_worker(spec, shard_worker(d1, {1, 2}, 3));
   EXPECT_TRUE(rerun.campaign_complete);

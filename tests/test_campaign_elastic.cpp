@@ -2,11 +2,14 @@
 // durability (torn tails, dedup), crash-and-reclaim byte-identity against a
 // serial run, and live partial reports.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "campaign/elastic/blocklog.hpp"
 #include "campaign/elastic/elastic.hpp"
@@ -55,6 +58,33 @@ ScenarioSpec tiny_spec() {
   spec.metrics.stretch = false;
   spec.metrics.mttf = true;
   return spec;
+}
+
+/// The pid of a child that has exited and been reaped: a process that is
+/// certainly gone.
+std::int64_t reaped_child_pid() {
+  const pid_t child = ::fork();
+  if (child == 0) ::_exit(0);
+  int status = 0;
+  EXPECT_EQ(::waitpid(child, &status, 0), child);
+  return child;
+}
+
+std::string this_host() {
+  char buf[256] = {};
+  EXPECT_EQ(::gethostname(buf, sizeof buf - 1), 0);
+  return buf;
+}
+
+/// Rewrites every lease in `dir` to name a process that is gone, as a
+/// hard-killed worker leaves it; its heartbeat stays fresh.
+void kill_lease_holders(const std::string& dir) {
+  for (const auto& entry : fs::directory_iterator(dir + "/leases")) {
+    auto stamp = read_lease(entry.path().string());
+    if (!stamp.has_value()) continue;
+    stamp->pid = reaped_child_pid();
+    std::ofstream(entry.path(), std::ios::trunc) << lease_stamp_json(*stamp);
+  }
 }
 
 ElasticOptions quick_options(const std::string& dir, const std::string& worker) {
@@ -129,6 +159,45 @@ TEST(Lease, StaleHeartbeatIsReclaimed) {
   const auto stamp = read_lease(path);
   ASSERT_TRUE(stamp.has_value());
   EXPECT_EQ(stamp->worker, "rescuer");
+}
+
+TEST(Lease, SameWorkerReclaimsItsDeadProcessLeaseAtOnce) {
+  const ScratchDir dir("lease-own-dead");
+  const std::string path = dir.sub("cell-0.lease");
+  // A fresh stamp, far inside its TTL, from this worker id on this host.
+  const auto write_stamp = [&](const std::string& worker, const std::string& host,
+                               std::int64_t pid) {
+    LeaseStamp stamp;
+    stamp.worker = worker;
+    stamp.pid = pid;
+    stamp.host = host;
+    stamp.heartbeat_secs = lease_now_secs();
+    stamp.ttl_secs = 3600;
+    std::ofstream(path, std::ios::trunc) << lease_stamp_json(stamp);
+  };
+
+  // Its process is gone: the rerun takes the lease back without waiting.
+  write_stamp("alpha", this_host(), reaped_child_pid());
+  bool reclaimed = false;
+  Lease taken = Lease::try_acquire(path, "alpha", 60, &reclaimed);
+  EXPECT_TRUE(taken.held());
+  EXPECT_TRUE(reclaimed);
+  taken.release();
+
+  // Alive (this very process), on another host, or another worker's: the
+  // stamp is fresh, so nobody may take it before the TTL.
+  for (const auto& [worker, host, pid] :
+       {std::tuple{std::string("alpha"), this_host(), std::int64_t{::getpid()}},
+        std::tuple{std::string("alpha"), std::string("elsewhere"), reaped_child_pid()},
+        std::tuple{std::string("beta"), this_host(), reaped_child_pid()}}) {
+    SCOPED_TRACE(worker + "@" + host + " pid " + std::to_string(pid));
+    write_stamp(worker, host, pid);
+    reclaimed = true;
+    Lease refused = Lease::try_acquire(path, "alpha", 60, &reclaimed);
+    EXPECT_FALSE(refused.held());
+    EXPECT_FALSE(reclaimed);
+    EXPECT_EQ(read_lease(path)->worker, worker);
+  }
 }
 
 TEST(Lease, GarbledStampCountsAsStale) {
@@ -308,16 +377,12 @@ TEST(ElasticWorker, RestartedWorkerIdReusesItsLogSafely) {
   EXPECT_THROW(run_elastic_worker(spec, crashy), ElasticAborted);
 
   // Same worker id, full run: its own pre-crash records must fold forward,
-  // not be lost or double-counted. The stale self-lease ages out first.
-  for (const auto& entry : fs::directory_iterator(dir.sub("leases"))) {
-    auto stamp = read_lease(entry.path().string());
-    if (!stamp.has_value()) continue;
-    stamp->heartbeat_secs = 1;
-    stamp->ttl_secs = 1;
-    std::ofstream(entry.path(), std::ios::trunc) << lease_stamp_json(*stamp);
-  }
+  // not be lost or double-counted. The dead process's self-lease is taken
+  // back at once, with no TTL to wait out.
+  kill_lease_holders(dir.str());
   const ElasticResult again = run_elastic_worker(spec, quick_options(dir.str(), "same-id"));
   EXPECT_TRUE(again.campaign_complete);
+  EXPECT_EQ(again.leases_reclaimed, 1u);
   EXPECT_EQ(again.blocks_run + again.blocks_skipped, 6u);
   EXPECT_EQ(again.blocks_skipped, 1u);
 

@@ -68,14 +68,13 @@ std::vector<SimStats> bruck_steps(const Graph& target) {
   const Machine machine = Machine::direct(target);
   const auto n = static_cast<std::uint32_t>(target.num_nodes());
   const Schedule schedule = build_schedule(ScheduleKind::AllToAllBruck, n);
+  std::vector<NodeId> ranks(n);
+  for (NodeId v = 0; v < n; ++v) ranks[v] = v;
   PacketSimulator sim(machine, target);
   std::vector<SimStats> runs;
-  for (const ScheduleStep& step : schedule.steps) {
-    std::vector<Packet> packets;
-    std::uint64_t id = 0;
-    for (const Transfer& t : step.transfers) {
-      for (std::size_t k = 0; k < t.keys.size(); ++k) packets.push_back({id++, t.src, t.dst, 0});
-    }
+  std::vector<Packet> packets;
+  for (std::size_t step = 0; step < schedule.rounds(); ++step) {
+    schedule_step_packets(schedule, step, ranks, packets);
     if (!packets.empty()) runs.push_back(sim.run(packets));
   }
   return runs;
@@ -151,16 +150,9 @@ void expect_reuse_like_fresh(const Machine& machine, const Graph& target,
                              RouterOptions::Backend backend, const std::string& what) {
   const Schedule schedule =
       build_schedule(ScheduleKind::AllToAllBruck, static_cast<std::uint32_t>(survivors.size()));
-  std::vector<std::vector<Packet>> steps;
-  for (const ScheduleStep& step : schedule.steps) {
-    std::vector<Packet> packets;
-    std::uint64_t id = 0;
-    for (const Transfer& t : step.transfers) {
-      for (std::size_t k = 0; k < t.keys.size(); ++k) {
-        packets.push_back({id++, survivors[t.src], survivors[t.dst], 0});
-      }
-    }
-    steps.push_back(std::move(packets));
+  std::vector<std::vector<Packet>> steps(schedule.rounds());
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    schedule_step_packets(schedule, i, survivors, steps[i]);
   }
   const std::size_t n = target.num_nodes();
   const std::vector<Packet> truncated = zipf_traffic(n, 512, 1.2, 99, /*packets_per_cycle=*/64);
@@ -180,7 +172,7 @@ void expect_reuse_like_fresh(const Machine& machine, const Graph& target,
   expect_same(reused.run(full), fresh().run(full), what + ": full zipf");
 }
 
-TEST(EnginePins, OneSimulatorServesTrafficAndScheduleStepsLikeFreshOnes) {
+TEST(EnginePins, OneSimulatorServesTrafficAndCollectiveRoundsLikeFreshOnes) {
   // The campaign runner keeps one simulator per machine and feeds it a
   // trial's collective steps and traffic in turn (and a block's healthy
   // simulator serves many trials). Every run must match a simulator built

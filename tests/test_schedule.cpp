@@ -1,4 +1,4 @@
-// Tests for the collective schedule generators (Bruck / pairwise all-to-all,
+// Tests for the collective schedule plans (Bruck / pairwise all-to-all,
 // recursive-doubling / Bruck allgather, Rabenseifner / ring+Bruck allreduce):
 // functional correctness against the serial oracle on every B_{m,h} and SE_h
 // node count, round-count guarantees, and operational execution on healthy,
@@ -38,8 +38,12 @@ const std::vector<std::uint32_t> kRankCounts = {1,  2,  3,   4,   5,   8,   9,  
                                                 27, 32, 64, 81, 243, 256, 1024};
 
 TEST(ScheduleFunctional, EveryKindMatchesSerialOracle) {
+  // 1000 = 512 + 488: a non-power-of-two whose folded ranks outnumber
+  // half the core.
+  std::vector<std::uint32_t> counts = kRankCounts;
+  counts.push_back(1000);
   for (const ScheduleKind kind : kAllKinds) {
-    for (const std::uint32_t n : kRankCounts) {
+    for (const std::uint32_t n : counts) {
       SCOPED_TRACE(std::string(schedule_kind_name(kind)) + " n=" + std::to_string(n));
       EXPECT_NO_THROW(verify_schedule_functional(build_schedule(kind, n)));
     }
@@ -60,17 +64,19 @@ TEST(ScheduleFunctional, ZeroRanksThrows) {
 }
 
 TEST(ScheduleFunctional, MalformedScheduleFailsLoudly) {
-  // A sender scheduled to send a key it does not hold must throw, not
-  // silently drop the item.
-  Schedule bad;
-  bad.kind = ScheduleKind::AllgatherBruck;
-  bad.num_ranks = 2;
-  bad.steps.resize(1);
-  bad.steps[0].transfers.push_back({0, 1, TransferOp::Copy, {99}});
-  std::vector<RankState> states(2);
-  states[0][0] = 1;
-  states[1][1] = 2;
-  EXPECT_THROW(run_schedule_functional(bad, std::move(states)), std::logic_error);
+  // A valid plan started from a state that lacks a key the plan sends must
+  // throw, not silently drop the item. Every rank r holds row r of the
+  // state except rank 0, which holds nothing yet sends at step 0.
+  for (const ScheduleKind kind : kAllKinds) {
+    SCOPED_TRACE(schedule_kind_name(kind));
+    const Schedule plan = build_schedule(kind, 4);
+    FunctionalState state{std::vector<std::uint32_t>(16, FunctionalState::kNobody),
+                          std::vector<std::int64_t>(16, 1)};
+    for (std::uint32_t cell = 4; cell < 16; ++cell) state.holder[cell] = cell / 4;
+    EXPECT_THROW(run_schedule_functional(plan, state), std::logic_error);
+  }
+  const Schedule plan = build_schedule(ScheduleKind::AllgatherBruck, 2);
+  EXPECT_THROW(run_schedule_functional(plan, FunctionalState{}), std::invalid_argument);
 }
 
 TEST(ScheduleRounds, BruckAllToAllIsCeilLog2) {
@@ -138,8 +144,7 @@ TEST(ScheduleExecute, ReconfiguredMachineMatchesHealthyExactly) {
   const Machine reconf = Machine::reconfigured(ft, faults, target.num_nodes());
   std::vector<NodeId> ranks(target.num_nodes());
   for (NodeId v = 0; v < target.num_nodes(); ++v) ranks[v] = v;
-  for (const ScheduleKind kind :
-       {ScheduleKind::AllToAllBruck, ScheduleKind::AllreduceRecursiveHalvingDoubling}) {
+  for (const ScheduleKind kind : kAllKinds) {
     SCOPED_TRACE(schedule_kind_name(kind));
     const Schedule s = build_schedule(kind, static_cast<std::uint32_t>(target.num_nodes()));
     const ScheduleRunResult base = execute_schedule(healthy, target, s, ranks);
@@ -224,7 +229,7 @@ TEST(ScheduleExecute, AllNodesDeadThrows) {
 }
 
 TEST(ScheduleExecute, BaseThreeMachineRunsNonPowerOfTwoSchedules) {
-  // B_{3,3}: 27 ranks — every generator's non-power-of-two path, executed
+  // B_{3,3}: 27 ranks — every plan's non-power-of-two path, executed
   // end to end on the matching machine.
   const Graph target = debruijn_graph({.base = 3, .digits = 3});
   const Machine m = Machine::direct(target);

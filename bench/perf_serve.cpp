@@ -8,6 +8,8 @@
 //    (journal append + reconfigure + router patch + epoch publish).
 //  * query_throughput — FT-surface and bare-surface reads through a pinned
 //    Reader while faults are outstanding.
+//  * bare_route — whole bare-surface paths (Reader::bare_route) on B_{2,10}
+//    with 8 faults outstanding, the query the serving benchmark times.
 //  * journal_replay — cold-start recovery of a journaled event stream.
 #include <unistd.h>
 
@@ -126,6 +128,31 @@ FTDB_BENCH(serve_query_throughput, "perf_serve/query_throughput_b2h12") {
   ctx.report("queries", 2 * kQueries);
   ctx.report("queries_per_second", 2 * kQueries / elapsed);
   ctx.report("sink", static_cast<double>(sink & 0xFFFF));
+}
+
+FTDB_BENCH(serve_bare_route, "perf_serve/bare_route_b2h10") {
+  ftdb::serve::ServeConfig config;
+  config.digits = 10;
+  config.spares = 8;
+  ftdb::serve::ReconfigurationService service(config);
+  const auto n = static_cast<NodeId>(service.num_logical_nodes());
+  for (NodeId i = 0; i < 8; ++i) service.fault({FaultKind::kNode, (i * 353 + 11) % n, 0});
+  auto reader = service.reader();
+
+  constexpr int kPaths = 20000;
+  std::uint64_t hops = 0;
+  std::uint64_t x = 88172645463325252ull;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kPaths; ++i) {
+    x ^= x << 13; x ^= x >> 7; x ^= x << 17;
+    const auto from = static_cast<NodeId>(x % n);
+    const auto dest = static_cast<NodeId>((x >> 32) % n);
+    hops += reader.bare_route(from, dest).size();
+  }
+  const double elapsed = seconds_since(start);
+  ctx.report("paths", kPaths);
+  ctx.report("ns_per_path", elapsed * 1e9 / kPaths);
+  ctx.report("nodes_per_path", static_cast<double>(hops) / kPaths);
 }
 
 FTDB_BENCH(serve_journal_replay, "perf_serve/journal_replay_b2h10") {

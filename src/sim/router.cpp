@@ -9,6 +9,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/bfs_workspace.hpp"
+#include "graph/multi_source_bfs.hpp"
 #include "topology/shuffle_exchange.hpp"
 
 namespace ftdb::sim {
@@ -142,6 +143,26 @@ std::optional<ReferenceShape> reference_shape_of(const Graph& g) {
   return std::nullopt;
 }
 
+// The stepper plumbing shared by the compressed and implicit backends.
+// Neighbor enumeration goes into a fixed stack array — the algebraic degree
+// is <= 2m <= 32 on every packed shape, and SE is <= 3; wider bases take a
+// heap buffer (compressed) or the next_hop_wide fallback (implicit).
+constexpr int kMaxFixedDegree = 32;
+
+struct DebruijnShapeOps {
+  using Stepper = DebruijnDistanceStepper;
+  DeBruijnParams params;
+  Stepper make(NodeId dest) const { return Stepper(params, dest); }
+  std::size_t max_degree() const { return 2 * params.base; }
+};
+
+struct ShuffleExchangeShapeOps {
+  using Stepper = ShuffleExchangeDistanceStepper;
+  unsigned h;
+  Stepper make(NodeId dest) const { return Stepper(h, dest); }
+  std::size_t max_degree() const { return 3; }
+};
+
 }  // namespace
 
 TableRouter::TableRouter(const Graph& g)
@@ -242,22 +263,106 @@ std::uint32_t CompressedRouter::reference_distance(NodeId dest, NodeId node) con
                                            : shuffle_exchange_distance(se_h_, node, dest);
 }
 
-std::uint32_t CompressedRouter::distance(NodeId dest, NodeId node) const {
+const std::uint32_t* CompressedRouter::exception_of(NodeId dest, NodeId node) const {
   const auto lo = exception_dest_.begin() + static_cast<std::ptrdiff_t>(exception_offsets_[node]);
   const auto hi =
       exception_dest_.begin() + static_cast<std::ptrdiff_t>(exception_offsets_[node + 1]);
   const auto it = std::lower_bound(lo, hi, dest);
-  if (it != hi && *it == dest) {
-    return exception_dist_[static_cast<std::size_t>(it - exception_dest_.begin())];
+  if (it == hi || *it != dest) return nullptr;
+  return &exception_dist_[static_cast<std::size_t>(it - exception_dest_.begin())];
+}
+
+std::uint32_t CompressedRouter::distance(NodeId dest, NodeId node) const {
+  const std::uint32_t* e = exception_of(dest, node);
+  return e != nullptr ? *e : reference_distance(dest, node);
+}
+
+// The canonical descent on the reference stepper. The stepper always sits at
+// the current node with that node's *reference* distance and witness; the
+// exact distance `here` is carried separately. A live neighbor's exact
+// distance is its exception entry when it has one, else its reference
+// distance, which a hinted probe capped at here - 1 confirms or refutes
+// (exact distances never drop below the reference, so <= here - 1 means ==).
+// A probed hop seeds the stepper with the probe's witness; a hop taken on an
+// exception entry has no witness and costs one full reset.
+template <class Ops>
+NodeId CompressedRouter::walk(const Ops& ops, NodeId from, NodeId dest,
+                              std::vector<NodeId>* route) const {
+  using Stepper = typename Ops::Stepper;
+  Stepper st = ops.make(dest);
+  st.reset(from);
+  const std::uint32_t* from_exception = exception_of(dest, from);
+  std::uint32_t here = from_exception != nullptr ? *from_exception : st.distance();
+  if (here == kUnreachable) return kInvalidNode;
+  if (route != nullptr) {
+    route->reserve(here + 1);
+    route->push_back(from);
   }
-  return reference_distance(dest, node);
+  typename Stepper::ProbeNeighbor fixed[kMaxFixedDegree];
+  std::vector<typename Stepper::ProbeNeighbor> wide;
+  typename Stepper::ProbeNeighbor* nbrs = fixed;
+  if (ops.max_degree() > kMaxFixedDegree) {
+    wide.resize(ops.max_degree());
+    nbrs = wide.data();
+  }
+  NodeId cur = from;
+  while (cur != dest) {
+    NodeId hop = dest;  // at distance 1 the only closer node is dest itself
+    bool probed = false;
+    DistanceWitness wit{};
+    std::uint64_t opt = 0;
+    if (here > 1) {
+      hop = kInvalidNode;
+      // Both lists are sorted; the live adjacency is a subset of the
+      // algebraic one, so one merge visits the live neighbors in id order.
+      const auto live = graph_.neighbors(cur);
+      auto li = live.begin();
+      const int count = st.probe_neighbors(nbrs);
+      for (int i = 0; i < count && li != live.end(); ++i) {
+        const NodeId w = nbrs[i].id;
+        while (li != live.end() && *li < w) ++li;
+        if (li == live.end() || *li != w) continue;  // the edge went with a fault
+        if (const std::uint32_t* e = exception_of(dest, w)) {
+          if (*e + 1 == here) {
+            hop = w;
+            break;
+          }
+        } else if (st.probe(nbrs[i], here - 1, &wit, &opt) == here - 1) {
+          hop = w;
+          probed = true;
+          break;
+        }
+      }
+      if (hop == kInvalidNode) return kInvalidNode;  // cannot happen: `here` is exact
+    }
+    if (route == nullptr) return hop;
+    route->push_back(hop);
+    --here;
+    if (probed) {
+      st.seed(hop, here, wit, opt);
+    } else if (hop != dest) {
+      st.reset(hop);
+    }
+    cur = hop;
+  }
+  return dest;
 }
 
 NodeId CompressedRouter::next_hop(NodeId dest, NodeId node) const {
   if (node == dest) return dest;
-  const std::uint32_t here = distance(dest, node);
-  if (here == static_cast<std::uint32_t>(-1)) return kInvalidNode;
-  return canonical_descent_step(graph_, node, [&](NodeId w) { return distance(dest, w); });
+  return reference_ == Reference::DeBruijn
+             ? walk(DebruijnShapeOps{db_}, node, dest, nullptr)
+             : walk(ShuffleExchangeShapeOps{se_h_}, node, dest, nullptr);
+}
+
+std::vector<NodeId> CompressedRouter::path(NodeId from, NodeId dest) const {
+  std::vector<NodeId> route;
+  if (reference_ == Reference::DeBruijn) {
+    walk(DebruijnShapeOps{db_}, from, dest, &route);
+  } else {
+    walk(ShuffleExchangeShapeOps{se_h_}, from, dest, &route);
+  }
+  return route;
 }
 
 std::size_t CompressedRouter::memory_bytes() const {
@@ -337,39 +442,25 @@ void CompressedRouter::merge_deltas(std::vector<DistDelta>& deltas) {
   std::vector<std::uint32_t> new_dist;
   new_dest.reserve(exception_dest_.size() + deltas.size());
   new_dist.reserve(exception_dist_.size() + deltas.size());
+  const auto keep = [&](NodeId dest, std::uint32_t dist) {
+    new_dest.push_back(dest);
+    new_dist.push_back(dist);
+  };
   std::size_t di = 0;
   for (NodeId u = 0; u < n_; ++u) {
     std::size_t oi = exception_offsets_[u];
     const std::size_t oe = exception_offsets_[u + 1];
-    while (oi < oe || (di < deltas.size() && deltas[di].node == u)) {
-      bool take_delta;
-      if (di >= deltas.size() || deltas[di].node != u) {
-        take_delta = false;
-      } else if (oi >= oe) {
-        take_delta = true;
-      } else if (deltas[di].dest < exception_dest_[oi]) {
-        take_delta = true;
-      } else if (deltas[di].dest > exception_dest_[oi]) {
-        take_delta = false;
-      } else {
-        take_delta = true;  // the delta overrides the stale entry
-        ++oi;
+    for (; di < deltas.size() && deltas[di].node == u; ++di) {
+      const DistDelta& dl = deltas[di];
+      for (; oi < oe && exception_dest_[oi] < dl.dest; ++oi) {
+        keep(exception_dest_[oi], exception_dist_[oi]);
       }
-      if (take_delta) {
-        const DistDelta& dl = deltas[di++];
-        // Canonical form: an exception exists exactly where the true distance
-        // deviates from the reference algebra. A delta that lands back on the
-        // reference value erases the entry.
-        if (dl.dist != reference_distance(dl.dest, dl.node)) {
-          new_dest.push_back(dl.dest);
-          new_dist.push_back(dl.dist);
-        }
-      } else {
-        new_dest.push_back(exception_dest_[oi]);
-        new_dist.push_back(exception_dist_[oi]);
-        ++oi;
-      }
+      if (oi < oe && exception_dest_[oi] == dl.dest) ++oi;  // the delta overrides it
+      // A delta only ever lengthens a distance that was at or above the
+      // reference, so it deviates from the reference: always an exception.
+      keep(dl.dest, dl.dist);
     }
+    for (; oi < oe; ++oi) keep(exception_dest_[oi], exception_dist_[oi]);
     new_offsets[u + 1] = new_dest.size();
   }
   exception_offsets_ = std::move(new_offsets);
@@ -383,23 +474,39 @@ void CompressedRouter::apply_fault(NodeId v) {
     throw std::invalid_argument("CompressedRouter::apply_fault: node already retired");
   }
 
-  const auto nb = graph_.neighbors(v);
-  const std::vector<NodeId> old_neighbors(nb.begin(), nb.end());
+  // Exact old rows of the closed 2-hop ball of v (v first), up to 64 rows per
+  // traversal: ball_rows[slot * n_ + d] = d(ball[slot], d) (the graph is
+  // undirected). The cascade below probes the ball for every destination;
+  // a probe outside it pays one distance() lookup.
+  constexpr std::uint32_t kNoSlot = kUnreachable;
+  std::vector<NodeId> ball{v};
+  std::vector<std::uint32_t> ball_slot(n_, kNoSlot);
+  ball_slot[v] = 0;
+  const auto join_ball = [&](NodeId x) {
+    if (ball_slot[x] != kNoSlot) return;
+    ball_slot[x] = static_cast<std::uint32_t>(ball.size());
+    ball.push_back(x);
+  };
+  for (const NodeId w : graph_.neighbors(v)) join_ball(w);
+  const std::size_t inner = ball.size();
+  for (std::size_t i = 1; i < inner; ++i) {
+    for (const NodeId x : graph_.neighbors(ball[i])) join_ball(x);
+  }
+  std::vector<std::uint32_t> ball_rows, batch;
+  MultiSourceBfs bfs(n_);
+  for (std::size_t lo = 0; lo < ball.size(); lo += MultiSourceBfs::kBatchWidth) {
+    const std::size_t width = std::min(MultiSourceBfs::kBatchWidth, ball.size() - lo);
+    bfs.run_batch(graph_, std::span<const NodeId>(ball).subspan(lo, width), &batch);
+    ball_rows.insert(ball_rows.end(), batch.begin(), batch.end());
+  }
+  const std::uint32_t* row_v = ball_rows.data();
 
   std::vector<DistDelta> deltas;
 
-  // Old distances v <-> d for every d in one BFS (the graph is undirected),
-  // instead of N single-pair lookups that each pay the O(h^2) reference
-  // algebra. Also serves as the dest-v row below.
-  std::vector<std::uint32_t> row_v;
-  BfsWorkspace().distances(graph_, v, row_v);
-
   // Scratch shared across destinations: era-stamped membership in the
   // affected set, era-stamped settled/tentative state for the repair
-  // Dijkstra, and an era-stamped memo of this destination's old distances —
-  // the cascade probes the same near-v nodes from several parents, and each
-  // raw distance() costs an O(h^2) algebra evaluation on non-exception
-  // pairs. No per-destination O(N) clearing anywhere.
+  // Dijkstra, and an era-stamped memo of this destination's old distances
+  // outside the ball. No per-destination O(N) clearing anywhere.
   std::vector<std::uint32_t> in_affected(n_, 0), settled(n_, 0);
   std::vector<std::uint32_t> tentative(n_);
   std::vector<std::uint32_t> memo_stamp(n_, 0), memo_dist(n_);
@@ -417,6 +524,8 @@ void CompressedRouter::apply_fault(NodeId v) {
     in_affected[v] = era;
     affected.clear();
     const auto dist = [&](NodeId x) {
+      const std::uint32_t slot = ball_slot[x];
+      if (slot != kNoSlot) return ball_rows[static_cast<std::size_t>(slot) * n_ + d];
       if (memo_stamp[x] == era) return memo_dist[x];
       memo_stamp[x] = era;
       return memo_dist[x] = distance(d, x);
@@ -433,7 +542,7 @@ void CompressedRouter::apply_fault(NodeId v) {
       }
       return false;
     };
-    for (const NodeId u : old_neighbors) {
+    for (const NodeId u : graph_.neighbors(v)) {
       const std::uint32_t du = dist(u);
       if (du != old_v + 1 || in_affected[u] == era) continue;
       if (has_live_parent(u, du)) continue;
@@ -508,90 +617,69 @@ void CompressedRouter::retract_fault(NodeId v) {
   std::erase_if(restored, [&](NodeId w) {
     return std::binary_search(faulty_.begin(), faulty_.end(), w);
   });
-  // Rebuild the graph first: the relaxation below walks the restored
-  // adjacency while distance() still answers from the pre-repair exceptions.
   rebuild_graph(v, restored, /*removing=*/false);
 
-  std::vector<DistDelta> deltas;
-
-  // Row of destination v: one BFS over the restored graph.
+  // Every path the repair adds runs through v, so the new distance of a pair
+  // is min(old, rv[u] + rv[d]), with rv the restored graph's distances from
+  // v. No distance drops below the reference shape's, so only pairs that
+  // already were exceptions can improve: one pass over the old exception CSR
+  // builds the new one, and the reference algebra runs only on improved
+  // entries, to tell whether they are back on it. v's own row and column
+  // (unreachable while v was retired) are rv against the reference shape's
+  // distances from v.
+  std::vector<std::uint32_t> rv, ref_v(n_);
+  BfsWorkspace().distances(graph_, v, rv);
   {
-    std::vector<std::uint32_t> row;
-    BfsWorkspace().distances(graph_, v, row);
-    for (NodeId u = 0; u < n_; ++u) {
-      if (u != v && row[u] != distance(v, u)) deltas.push_back({u, v, row[u]});
-    }
+    std::vector<NodeId> cur, next, scratch;
+    bfs_row(v, ref_v, cur, next, [&](NodeId u, auto&& visit) {
+      reference_neighbors(u, scratch);
+      for (const NodeId w : scratch) visit(w);
+    });
   }
 
-  // Every other destination: an edge insertion only ever shortens distances,
-  // and every shortened path runs through v, so relaxing outward from v with
-  // old distances as the cap touches exactly the improved nodes.
-  std::vector<std::uint32_t> stamp(n_, 0);
-  std::vector<std::uint32_t> best(n_);
-  std::vector<std::uint32_t> memo_stamp(n_, 0), memo_dist(n_);
-  std::uint32_t era = 0;
-  using QItem = std::pair<std::uint32_t, NodeId>;
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>> relax;
-  for (NodeId d = 0; d < n_; ++d) {
-    if (d == v) continue;
-    ++era;
-    // Era-stamped memo of this destination's pre-repair distances: the
-    // relaxation frontier probes shared neighbors repeatedly, and each raw
-    // distance() pays the O(h^2) reference algebra on non-exception pairs.
-    const auto dist = [&](NodeId x) {
-      if (memo_stamp[x] == era) return memo_dist[x];
-      memo_stamp[x] = era;
-      return memo_dist[x] = distance(d, x);
-    };
-    std::uint32_t nv = kUnreachable;
-    for (const NodeId w : graph_.neighbors(v)) {
-      const std::uint32_t dw = dist(w);
-      if (dw != kUnreachable && dw + 1 < nv) nv = dw + 1;
-    }
-    if (nv >= dist(v)) continue;  // no improvement for this destination
-    stamp[v] = era;
-    best[v] = nv;
-    relax.push({nv, v});
-    while (!relax.empty()) {
-      const auto [t, u] = relax.top();
-      relax.pop();
-      if (t != best[u] || stamp[u] != era) continue;  // stale entry
-      deltas.push_back({u, d, t});
-      for (const NodeId x : graph_.neighbors(u)) {
-        const std::uint32_t cur_x = stamp[x] == era ? best[x] : dist(x);
-        if (t + 1 < cur_x) {
-          stamp[x] = era;
-          best[x] = t + 1;
-          relax.push({t + 1, x});
-        }
+  std::vector<std::size_t> new_offsets(n_ + 1, 0);
+  std::vector<NodeId> new_dest;
+  std::vector<std::uint32_t> new_dist;
+  new_dest.reserve(exception_dest_.size());
+  new_dist.reserve(exception_dist_.size());
+  const auto keep = [&](NodeId dest, std::uint32_t dist) {
+    new_dest.push_back(dest);
+    new_dist.push_back(dist);
+  };
+  for (NodeId u = 0; u < n_; ++u) {
+    if (u == v) {
+      for (NodeId d = 0; d < n_; ++d) {
+        if (rv[d] != ref_v[d]) keep(d, rv[d]);
       }
+    } else {
+      const std::uint32_t ru = rv[u];
+      bool column = ru != ref_v[u];  // the (u, dest v) entry, placed in dest order
+      for (std::size_t i = exception_offsets_[u]; i < exception_offsets_[u + 1]; ++i) {
+        const NodeId d = exception_dest_[i];
+        if (d == v) continue;  // the stale unreachable entry
+        if (column && d > v) {
+          keep(v, ru);
+          column = false;
+        }
+        std::uint32_t dist = exception_dist_[i];
+        if (ru != kUnreachable && rv[d] != kUnreachable && ru + rv[d] < dist) {
+          dist = ru + rv[d];
+          if (dist == reference_distance(d, u)) continue;  // back on the reference
+        }
+        keep(d, dist);
+      }
+      if (column) keep(v, ru);
     }
+    new_offsets[u + 1] = new_dest.size();
   }
-
-  merge_deltas(deltas);
+  exception_offsets_ = std::move(new_offsets);
+  exception_dest_ = std::move(new_dest);
+  exception_dist_ = std::move(new_dist);
 }
 
 // --- ImplicitRouter ----------------------------------------------------------
 
 namespace {
-
-// The implicit backend's per-shape plumbing, shared by the scalar and batched
-// paths via templates over the topology steppers. Neighbor enumeration goes
-// into a fixed stack array — the algebraic degree is <= 2m <= 32 on every
-// packed shape (wider bases take the next_hop_wide fallback), and SE is <= 3.
-constexpr int kMaxFixedDegree = 32;
-
-struct DebruijnShapeOps {
-  using Stepper = DebruijnDistanceStepper;
-  DeBruijnParams params;
-  Stepper make(NodeId dest) const { return Stepper(params, dest); }
-};
-
-struct ShuffleExchangeShapeOps {
-  using Stepper = ShuffleExchangeDistanceStepper;
-  unsigned h;
-  Stepper make(NodeId dest) const { return Stepper(h, dest); }
-};
 
 // Canonical hop from the stepper's current node: the algebraic enumeration
 // produces exactly the graph's sorted adjacency, so the first neighbor whose

@@ -116,8 +116,9 @@ class Router {
   virtual std::size_t memory_bytes() const = 0;
 
   /// Full canonical path node -> dest (inclusive); empty when unreachable.
-  /// Identical across backends by the shared policy (ImplicitRouter walks it
-  /// with the witness-chained stepper instead of per-hop full scans).
+  /// Identical across backends by the shared policy (ImplicitRouter and
+  /// CompressedRouter walk it with the witness-chained stepper instead of
+  /// per-hop full scans).
   virtual std::vector<NodeId> path(NodeId from, NodeId dest) const;
 };
 
@@ -166,16 +167,20 @@ class TableRouter final : public Router {
 /// reference's algebraic distance; only the pairs whose exact BFS distance
 /// deviates (fault detours, unreachable rows) are stored in a per-node
 /// exception table. Correctness never depends on the reference — exceptions
-/// record the exact value wherever the algebra is wrong.
+/// record the exact value wherever the algebra is wrong. Queries walk the
+/// reference's distance stepper (as ImplicitRouter::path does) and consult
+/// the exception table before each probe.
 ///
 /// The router supports *incremental* maintenance for the degraded-machine
 /// lifecycle (reference shape minus a set of failed nodes):
-/// `apply_fault` / `retract_fault` patch the exception table in place by
-/// recomputing only the (dest, node) pairs whose exact distance actually
-/// changed (a Ramalingam–Reps style affected-set sweep per destination),
-/// instead of re-running the per-destination BFS rebuild. The patched state is
-/// canonical — bit-identical to a from-scratch build over the same degraded
-/// graph — which is what the serving layer's equivalence oracle asserts.
+/// `apply_fault` / `retract_fault` patch the exception table in place
+/// instead of re-running the per-destination BFS rebuild. A fault runs a
+/// Ramalingam–Reps affected-set sweep per destination, reading the closed
+/// 2-hop ball of the fault from exact BFS rows; a repair applies the
+/// insertion formula new(u, d) = min(old(u, d), d(u, v) + d(v, d)) to the
+/// existing exceptions in one pass. The patched state is canonical —
+/// bit-identical to a from-scratch build over the same degraded graph — which
+/// is what the serving layer's equivalence oracle asserts.
 class CompressedRouter final : public Router {
  public:
   /// Throws std::invalid_argument unless `g` sits inside a B_{m,h} or SE_h
@@ -191,6 +196,9 @@ class CompressedRouter final : public Router {
     return distance(dest, node) != static_cast<std::uint32_t>(-1);
   }
   std::size_t memory_bytes() const override;
+  /// One stepper walk: the probes carry the reference witness from hop to
+  /// hop instead of evaluating the algebra afresh per hop.
+  std::vector<NodeId> path(NodeId from, NodeId dest) const override;
 
   std::size_t num_exceptions() const { return exception_dest_.size(); }
 
@@ -210,13 +218,16 @@ class CompressedRouter final : public Router {
   /// Incrementally retires node `v`: removes its edges from the routed graph
   /// and patches the exception table so the router is exactly the router of
   /// the degraded graph. Throws std::invalid_argument when `v` is out of
-  /// range or already retired. Cost is O(changed pairs + N * deg^2), versus
-  /// the O(N * (N + E)) from-scratch rebuild.
+  /// range or already retired. Cost is one BFS batch per 64 nodes of v's
+  /// 2-hop ball plus, per destination, the probes of the pairs whose
+  /// distance grows; versus the O(N * (N + E)) from-scratch rebuild.
   void apply_fault(NodeId v);
 
   /// Reverses `apply_fault(v)`: restores v's reference-shape edges towards
   /// every non-retired neighbor and retracts the now-stale exceptions.
-  /// Throws std::invalid_argument when `v` is not currently retired.
+  /// Throws std::invalid_argument when `v` is not currently retired. Cost is
+  /// two BFS from v plus one pass over the exceptions, with a reference
+  /// evaluation per improved entry.
   void retract_fault(NodeId v);
 
   /// Faults applied through apply_fault and not yet retracted, sorted.
@@ -234,6 +245,14 @@ class CompressedRouter final : public Router {
   };
 
   std::uint32_t reference_distance(NodeId dest, NodeId node) const;
+  /// The stored exact distance of (dest, node), or null when the pair
+  /// follows the reference.
+  const std::uint32_t* exception_of(NodeId dest, NodeId node) const;
+  /// The canonical descent from `from` to `dest` on the reference stepper of
+  /// `Ops`: appends the whole path to `route`, or returns the first hop when
+  /// `route` is null. kInvalidNode when dest is unreachable.
+  template <class Ops>
+  NodeId walk(const Ops& ops, NodeId from, NodeId dest, std::vector<NodeId>* route) const;
   void reference_neighbors(NodeId x, std::vector<NodeId>& out) const;
   void merge_deltas(std::vector<DistDelta>& deltas);
   void rebuild_graph(NodeId v, const std::vector<NodeId>& add_neighbors, bool removing);

@@ -7,7 +7,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <tuple>
 
@@ -36,13 +35,6 @@ struct ScratchDir {
   std::string str() const { return path.string(); }
   std::string sub(const std::string& leaf) const { return (path / leaf).string(); }
 };
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 /// Two cells, 3 blocks each (256 + 256 + 8 trials) — big enough to exercise
 /// partial prefixes, small enough to run in milliseconds.

@@ -624,9 +624,9 @@ void CompressedRouter::retract_fault(NodeId v) {
   // v. No distance drops below the reference shape's, so only pairs that
   // already were exceptions can improve: one pass over the old exception CSR
   // builds the new one, and the reference algebra runs only on improved
-  // entries, to tell whether they are back on it. v's own row and column
-  // (unreachable while v was retired) are rv against the reference shape's
-  // distances from v.
+  // entries above the diagonal, to tell whether they are back on it. v's
+  // own row and column (unreachable while v was retired) are rv against the
+  // reference shape's distances from v.
   std::vector<std::uint32_t> rv, ref_v(n_);
   BfsWorkspace().distances(graph_, v, rv);
   {
@@ -646,6 +646,11 @@ void CompressedRouter::retract_fault(NodeId v) {
     new_dest.push_back(dest);
     new_dist.push_back(dist);
   };
+  const auto kept_in_row = [&](NodeId row, NodeId dest) {  // `row` must be built
+    const auto first = new_dest.begin() + static_cast<std::ptrdiff_t>(new_offsets[row]);
+    const auto last = new_dest.begin() + static_cast<std::ptrdiff_t>(new_offsets[row + 1]);
+    return std::binary_search(first, last, dest);
+  };
   for (NodeId u = 0; u < n_; ++u) {
     if (u == v) {
       for (NodeId d = 0; d < n_; ++d) {
@@ -664,7 +669,9 @@ void CompressedRouter::retract_fault(NodeId v) {
         std::uint32_t dist = exception_dist_[i];
         if (ru != kUnreachable && rv[d] != kUnreachable && ru + rv[d] < dist) {
           dist = ru + rv[d];
-          if (dist == reference_distance(d, u)) continue;  // back on the reference
+          // Back on the reference: erased. Pairs and distances are symmetric,
+          // so below the diagonal the mirrored entry, already decided, answers.
+          if (d < u ? !kept_in_row(d, u) : dist == reference_distance(d, u)) continue;
         }
         keep(d, dist);
       }

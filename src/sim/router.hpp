@@ -227,7 +227,7 @@ class CompressedRouter final : public Router {
   /// every non-retired neighbor and retracts the now-stale exceptions.
   /// Throws std::invalid_argument when `v` is not currently retired. Cost is
   /// two BFS from v plus one pass over the exceptions, with a reference
-  /// evaluation per improved entry.
+  /// evaluation per improved entry above the diagonal.
   void retract_fault(NodeId v);
 
   /// Faults applied through apply_fault and not yet retracted, sorted.

@@ -429,6 +429,11 @@ TEST(CompressedRouter, PathMatchesNextHopWalkAndTable) {
   const std::vector<NodeId> split{2, 3, 4};
   expect_compressed_paths_match(degraded_graph(debruijn_base2(3), split), split, 64, 45,
                                 "disconnected B(2,3)");
+  // Out-of-range ids throw rather than read past the exception table.
+  const CompressedRouter small(debruijn_base2(3));
+  EXPECT_THROW(small.path(8, 0), std::out_of_range);
+  EXPECT_THROW(small.path(0, 8), std::out_of_range);
+  EXPECT_THROW(small.next_hop(0, 8), std::out_of_range);
 }
 
 TEST(CompressedRouter, RejectsGraphsOutsideEveryReferenceShape) {

@@ -9,12 +9,12 @@
 //   bench_runner --filter perf_routing --text
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "analysis/bench_registry.hpp"
 #include "analysis/bench_runner.hpp"
+#include "serve/durable_file.hpp"
 
 namespace {
 
@@ -110,13 +110,13 @@ int main(int argc, char** argv) {
   }
 
   if (want_json) {
-    const std::string doc = bench_results_to_json(results, options);
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "cannot open " << out_path << " for writing\n";
+    try {
+      ftdb::serve::write_file_atomically(out_path, bench_results_to_json(results, options) + "\n",
+                                         false);
+    } catch (const std::exception& e) {
+      std::cerr << "bench_runner: " << e.what() << "\n";
       return 1;
     }
-    out << doc << "\n";
     std::cout << "wrote " << out_path << " (" << results.size() << " benchmarks)\n";
   }
 

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <initializer_list>
 #include <optional>
 #include <ostream>
@@ -14,6 +13,7 @@
 
 #include "analysis/bench_json.hpp"
 #include "analysis/bench_runner.hpp"
+#include "serve/durable_file.hpp"
 
 namespace ftdb::analysis {
 namespace {
@@ -96,15 +96,8 @@ const std::string& string_at(const JsonValue& obj, const std::string& key) {
 }
 
 std::optional<JsonValue> read_json(const std::string& path, std::ostream& err) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    err << "bench_compare: cannot open " << path << "\n";
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
   try {
-    return json_parse(buf.str());
+    return json_parse(serve::read_file(path));
   } catch (const std::exception& e) {
     err << "bench_compare: " << path << ": " << e.what() << "\n";
     return std::nullopt;

@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "campaign/elastic/lease.hpp"
+#include "serve/durable_file.hpp"
 
 namespace ftdb::campaign::elastic {
 namespace {
@@ -68,7 +69,7 @@ void ensure_elastic_dir(const ScenarioSpec& spec, const std::string& dir) {
   const std::string canonical = scenario_spec_to_json(spec);
   std::error_code ec;
   if (fs::exists(spec_path(dir), ec)) {
-    const ScenarioSpec existing = parse_scenario_spec(read_text_file(spec_path(dir)));
+    const ScenarioSpec existing = parse_scenario_spec(serve::read_file(spec_path(dir)));
     if (spec_fingerprint(existing) != spec_fingerprint(spec)) {
       throw std::runtime_error("elastic: " + dir +
                                " already hosts a different campaign (spec fingerprint mismatch)");
@@ -77,11 +78,11 @@ void ensure_elastic_dir(const ScenarioSpec& spec, const std::string& dir) {
   }
   // Two workers racing here both write the canonical serialization of the
   // same spec, so last-rename-wins is byte-identical either way.
-  write_file_atomically(spec_path(dir), canonical, true);
+  serve::write_file_atomically(spec_path(dir), canonical, true);
 }
 
 ScenarioSpec load_elastic_spec(const std::string& dir) {
-  return parse_scenario_spec(read_text_file(spec_path(dir)));
+  return parse_scenario_spec(serve::read_file(spec_path(dir)));
 }
 
 ElasticProgress load_elastic_progress(const ScenarioSpec& spec,
@@ -112,7 +113,7 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec,
                                " hosts a different campaign (spec fingerprint mismatch)");
     }
     if (!fs::exists(ckpt_path(dir), ec)) continue;
-    const Checkpoint ckpt = parse_checkpoint(read_text_file(ckpt_path(dir)));
+    const Checkpoint ckpt = parse_checkpoint(serve::read_file(ckpt_path(dir)));
     if (ckpt.fingerprint != spec_fp) {
       throw std::runtime_error("elastic: " + ckpt_path(dir) +
                                " belongs to a different spec (fingerprint mismatch)");
@@ -205,7 +206,7 @@ bool compact_elastic_dir(const ScenarioSpec& spec, const std::string& dir,
   // Write the new snapshot BEFORE truncating any log: a crash between the
   // two leaves duplicate records, which dedup makes harmless; the reverse
   // order could lose blocks.
-  write_file_atomically(ckpt_path(dir), checkpoint_to_json(spec, ckpt), fsync);
+  serve::write_file_atomically(ckpt_path(dir), checkpoint_to_json(spec, ckpt), fsync);
   if (own_log != nullptr) own_log->truncate_all();
   lock.release();
   return true;

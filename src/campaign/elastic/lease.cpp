@@ -1,6 +1,5 @@
 #include "campaign/elastic/lease.hpp"
 
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -8,11 +7,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "analysis/bench_json.hpp"
+#include "serve/durable_file.hpp"
 
 namespace ftdb::campaign::elastic {
 namespace {
@@ -40,34 +38,6 @@ bool own_dead_stamp(const LeaseStamp& stamp, const std::string& worker_id) {
          ::kill(static_cast<pid_t>(stamp.pid), 0) != 0 && errno == ESRCH;
 }
 
-/// Writes `text` to `path` (O_TRUNC), fsyncs it, and reports the resulting
-/// inode — the identity witness the holder checks on every heartbeat.
-void write_stamp_file(const std::string& path, const std::string& text, std::uint64_t& dev,
-                      std::uint64_t& ino) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) io_fail("open", path);
-  const char* data = text.data();
-  std::size_t len = text.size();
-  while (len > 0) {
-    const ssize_t w = ::write(fd, data, len);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      io_fail("write", path);
-    }
-    data += w;
-    len -= static_cast<std::size_t>(w);
-  }
-  struct stat st {};
-  if (::fsync(fd) != 0 || ::fstat(fd, &st) != 0) {
-    ::close(fd);
-    io_fail("fsync", path);
-  }
-  ::close(fd);
-  dev = static_cast<std::uint64_t>(st.st_dev);
-  ino = static_cast<std::uint64_t>(st.st_ino);
-}
-
 /// True when the file at `path` exists, is the inode we recorded, AND still
 /// carries the exact stamp bytes we last wrote. The content check matters:
 /// after a reclaim the filesystem is free to hand the thief's fresh lease
@@ -80,11 +50,11 @@ bool still_ours(const std::string& path, std::uint64_t dev, std::uint64_t ino,
       static_cast<std::uint64_t>(st.st_ino) != ino) {
     return false;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str() == stamp_text;
+  try {
+    return serve::read_file(path) == stamp_text;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
 }
 
 }  // namespace
@@ -107,12 +77,8 @@ std::string lease_stamp_json(const LeaseStamp& stamp) {
 }
 
 std::optional<LeaseStamp> read_lease(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream text;
-  text << in.rdbuf();
   try {
-    const JsonValue doc = analysis::json_parse(text.str());
+    const JsonValue doc = analysis::json_parse(serve::read_file(path));
     LeaseStamp stamp;
     stamp.worker = doc.at("worker").string;
     stamp.pid = static_cast<std::int64_t>(analysis::json_uint_at(doc, "pid"));
@@ -121,7 +87,7 @@ std::optional<LeaseStamp> read_lease(const std::string& path) {
     stamp.ttl_secs = analysis::json_uint_at(doc, "ttl_secs");
     return stamp;
   } catch (const std::exception&) {
-    return std::nullopt;  // garbled stamp: treated like a stale lease by claimants
+    return std::nullopt;  // missing or garbled stamp: treated like a stale lease by claimants
   }
 }
 
@@ -176,9 +142,9 @@ void Lease::heartbeat() {
 
   const std::string tmp = path_ + "." + worker_ + ".hb";
   const std::string text = lease_stamp_json(stamp);
-  std::uint64_t dev = 0;
-  std::uint64_t ino = 0;
-  write_stamp_file(tmp, text, dev, ino);
+  // The written inode is the identity witness checked on every heartbeat.
+  struct stat written {};
+  if (::fstat(serve::write_new_file(tmp, text, true).get(), &written) != 0) io_fail("fstat", tmp);
   if (!still_ours(path_, dev_, ino_, stamp_text_)) {
     ::unlink(tmp.c_str());
     held_ = false;
@@ -188,8 +154,8 @@ void Lease::heartbeat() {
     ::unlink(tmp.c_str());
     io_fail("rename", path_);
   }
-  dev_ = dev;
-  ino_ = ino;
+  dev_ = written.st_dev;
+  ino_ = written.st_ino;
   stamp_text_ = text;
 }
 
@@ -216,9 +182,8 @@ Lease Lease::try_acquire(const std::string& path, const std::string& worker_id,
 
     const std::string tmp = path + "." + worker_id + ".tmp";
     const std::string text = lease_stamp_json(stamp);
-    std::uint64_t dev = 0;
-    std::uint64_t ino = 0;
-    write_stamp_file(tmp, text, dev, ino);
+    struct stat written {};
+    if (::fstat(serve::write_new_file(tmp, text, true).get(), &written) != 0) io_fail("fstat", tmp);
 
     if (::link(tmp.c_str(), path.c_str()) == 0) {
       ::unlink(tmp.c_str());
@@ -227,8 +192,8 @@ Lease Lease::try_acquire(const std::string& path, const std::string& worker_id,
       lease.worker_ = worker_id;
       lease.ttl_secs_ = ttl_secs;
       lease.held_ = true;
-      lease.dev_ = dev;
-      lease.ino_ = ino;
+      lease.dev_ = written.st_dev;
+      lease.ino_ = written.st_ino;
       lease.stamp_text_ = text;
       return lease;
     }

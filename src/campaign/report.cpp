@@ -147,9 +147,10 @@ std::string campaign_report_markdown(const CampaignResult& result) {
                      "E[faults]", "diam", "mttf", "analytic mttf", "slowdown", "delivered"});
   for (const ScenarioResult& r : result.scenarios) {
     const WilsonInterval ci = r.success_ci();
+    const std::string lo = fmt(ci.lo);
     t.add_row({r.label, analysis::fmt_u64(r.trials), analysis::fmt_u64(r.reconfig_success),
                fmt(r.success_rate()),
-               "[" + fmt(ci.lo) + ", " + fmt(ci.hi) + "]",
+               "[" + lo + ", " + fmt(ci.hi) + "]",
                fmt(r.analytic_survival), fmt_mean(r.fault_count),
                fmt_mean(r.reconfigured_diameter), fmt_mean(r.mttf, 1),
                fmt(r.analytic_mttf, 1), fmt_mean(r.collective_slowdown, 4),

@@ -1,21 +1,15 @@
 #include "campaign/runner.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -36,6 +30,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/bus_graph.hpp"
 #include "graph/subgraph.hpp"
+#include "serve/durable_file.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
 #include "sim/reconfigured_routing.hpp"
@@ -812,51 +807,6 @@ void check_cell_progress(const CellProgress& cp, std::uint64_t trials, const std
   }
 }
 
-// --- whole-file I/O ------------------------------------------------------------
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("campaign: cannot read " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-void write_file_atomically(const std::string& path, const std::string& text, bool fsync) {
-  const std::string tmp = path + ".tmp";
-  const auto fail = [&](const std::string& what, int fd) {
-    const std::string why = std::strerror(errno);
-    if (fd >= 0) ::close(fd);
-    throw std::runtime_error("campaign: " + what + ": " + why);
-  };
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) fail("cannot open " + tmp, -1);
-  const char* data = text.data();
-  std::size_t len = text.size();
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail("write failed for " + tmp, fd);
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  if (fsync && ::fsync(fd) != 0) fail("fsync failed for " + tmp, fd);
-  // close() can report a deferred write error; the fd is released either way.
-  if (::close(fd) != 0) fail("close failed for " + tmp, -1);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) fail("rename " + tmp + " -> " + path, -1);
-  if (fsync) {
-    // The rename is durable only once the directory entry is.
-    const auto slash = path.find_last_of('/');
-    const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
-    if (dfd < 0) fail("cannot open directory " + dir, -1);
-    if (::fsync(dfd) != 0) fail("fsync failed for directory " + dir, dfd);
-    if (::close(dfd) != 0) fail("close failed for directory " + dir, -1);
-  }
-}
-
 // --- the work-stealing campaign scheduler ------------------------------------
 
 namespace {
@@ -994,7 +944,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
   if (options.resume && !options.checkpoint_path.empty()) {
     std::error_code ec;
     if (std::filesystem::exists(options.checkpoint_path, ec)) {
-      const Checkpoint ckpt = parse_checkpoint(read_text_file(options.checkpoint_path));
+      const Checkpoint ckpt = parse_checkpoint(serve::read_file(options.checkpoint_path));
       if (ckpt.fingerprint != spec_fingerprint(spec)) {
         throw std::runtime_error(
             "campaign: checkpoint was produced by a different spec (fingerprint mismatch)");
@@ -1189,7 +1139,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
           // joinable pool — that would std::terminate. Record it like a
           // worker failure, drain the workers, and rethrow after the join.
           try {
-            write_file_atomically(options.checkpoint_path, snapshot_checkpoint(), false);
+            serve::write_file_atomically(options.checkpoint_path, snapshot_checkpoint(), false);
             checkpointed_blocks = done;
             last_checkpoint = now;
           } catch (...) {
@@ -1214,7 +1164,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
 
   const std::uint64_t done = blocks_completed.load();
   if (checkpointing && (done > checkpointed_blocks || (options.stop_after_blocks != 0 && done > 0))) {
-    write_file_atomically(options.checkpoint_path, snapshot_checkpoint(), false);
+    serve::write_file_atomically(options.checkpoint_path, snapshot_checkpoint(), false);
   }
   if (options.stop_after_blocks != 0 && stop.load()) {
     const bool all_done = std::all_of(states.begin(), states.end(),

@@ -228,7 +228,7 @@ struct CampaignOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency() (min 1).
   unsigned threads = 0;
   /// Checkpoint file; empty disables checkpointing.
-  std::string checkpoint_path;
+  std::string checkpoint_path{};
   /// Minimum seconds between checkpoint writes (0 = after every completed
   /// block — the tightest crash-replay bound).
   double checkpoint_every_seconds = 0.0;
@@ -373,15 +373,5 @@ std::string checkpoint_to_json(const ScenarioSpec& spec, const Checkpoint& ckpt)
 /// Parses a checkpoint document; throws std::runtime_error when malformed or
 /// when the trial-block size it was produced with differs from kTrialBlock.
 Checkpoint parse_checkpoint(const std::string& json_text);
-
-// --- whole-file I/O (shared with campaign/elastic/) ----------------------------
-
-/// The file's bytes; throws std::runtime_error when it cannot be read.
-std::string read_text_file(const std::string& path);
-
-/// Writes `path` through a temp file and rename(2), so readers see either
-/// the old bytes or the complete new ones, never a torn mix. With `fsync`,
-/// the data and the rename are also flushed to stable storage.
-void write_file_atomically(const std::string& path, const std::string& text, bool fsync);
 
 }  // namespace ftdb::campaign

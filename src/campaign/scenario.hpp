@@ -107,7 +107,7 @@ struct MetricSet {
   bool traffic = false;
   /// Workload shape for the traffic metric (only enters the canonical spec
   /// JSON when `traffic` is enabled).
-  TrafficSpec traffic_spec;
+  TrafficSpec traffic_spec{};
 };
 
 /// The full campaign: the cartesian grid topologies x spares x fault_models,

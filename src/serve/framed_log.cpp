@@ -5,7 +5,10 @@
 
 #include <cerrno>
 #include <cstring>
+#include <exception>
 #include <utility>
+
+#include "serve/durable_file.hpp"
 
 namespace ftdb::serve {
 namespace {
@@ -69,53 +72,11 @@ void encode_frame(std::vector<unsigned char>& out, std::span<const unsigned char
   put_u32(out.data() + at + body.size(), crc32(body.data(), body.size()));
 }
 
-void write_all(int fd, const unsigned char* data, std::size_t len,
-               const FramedLog::Format& format, const std::string& path) {
-  while (len > 0) {
-    const ssize_t w = ::write(fd, data, len);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(errno_text(format, "write failed for " + path));
-    }
-    data += w;
-    len -= static_cast<std::size_t>(w);
-  }
+std::span<const unsigned char> as_bytes(const std::string& file) {
+  return {reinterpret_cast<const unsigned char*>(file.data()), file.size()};
 }
 
-std::vector<unsigned char> read_all(int fd, const FramedLog::Format& format,
-                                    const std::string& path) {
-  std::vector<unsigned char> bytes;
-  unsigned char buf[1 << 16];
-  for (;;) {
-    const ssize_t r = ::read(fd, buf, sizeof buf);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(errno_text(format, "read failed for " + path));
-    }
-    if (r == 0) return bytes;
-    bytes.insert(bytes.end(), buf, buf + r);
-  }
-}
-
-void fsync_or_throw(int fd, const FramedLog::Format& format, const std::string& path) {
-  if (::fsync(fd) != 0) throw std::runtime_error(errno_text(format, "fsync failed for " + path));
-}
-
-// A rename is durable only once the directory entry is.
-void fsync_parent_dir(const std::string& path, const FramedLog::Format& format) {
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) throw std::runtime_error(errno_text(format, "cannot open directory " + dir));
-  if (::fsync(fd) != 0) {
-    const std::string why = errno_text(format, "fsync failed for directory " + dir);
-    ::close(fd);
-    throw std::runtime_error(why);
-  }
-  ::close(fd);
-}
-
-void check_header(const std::vector<unsigned char>& bytes, const FramedLog::Format& format,
+void check_header(std::span<const unsigned char> bytes, const FramedLog::Format& format,
                   std::uint64_t fingerprint, const std::string& path) {
   if (bytes.size() < kHeaderBytes ||
       std::memcmp(bytes.data(), format.magic.data(), format.magic.size()) != 0 ||
@@ -135,7 +96,7 @@ void check_header(const std::vector<unsigned char>& bytes, const FramedLog::Form
 
 /// Visits the intact frames after the header; returns the offset just past
 /// the last one (everything after it is a torn tail) and counts the frames.
-std::size_t scan_frames(const std::vector<unsigned char>& bytes, const FramedLog::Format& format,
+std::size_t scan_frames(std::span<const unsigned char> bytes, const FramedLog::Format& format,
                         const std::string& path, const FramedLog::FrameVisitor& visit,
                         std::size_t& frames) {
   std::size_t off = kHeaderBytes;
@@ -161,48 +122,41 @@ std::size_t scan_frames(const std::vector<unsigned char>& bytes, const FramedLog
 FramedLog::FramedLog(const Format& format, std::string path, std::uint64_t fingerprint,
                      bool fsync_writes, const FrameVisitor& visit)
     : format_(format), path_(std::move(path)), fingerprint_(fingerprint), fsync_(fsync_writes) {
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd_ < 0) throw std::runtime_error(errno_text(format_, "cannot open " + path_));
-  try {
-    const std::vector<unsigned char> bytes = read_all(fd_, format_, path_);
-    if (bytes.empty()) {
-      unsigned char header[kHeaderBytes];
-      encode_header(header, format_, fingerprint_);
-      try {
-        write_all(fd_, header, sizeof header, format_, path_);
-        if (fsync_) fsync_or_throw(fd_, format_, path_);
-      } catch (...) {
-        // Leave the file empty, not a partial header every later open would
-        // refuse as corrupt: the create stays retryable.
-        (void)::ftruncate(fd_, 0);
-        throw;
+  fd_ = open_file(path_, O_RDWR | O_CREAT);
+  const std::string file = read_file(path_);
+  if (file.empty()) {
+    unsigned char header[kHeaderBytes];
+    encode_header(header, format_, fingerprint_);
+    try {
+      write_all(fd_.get(), header, sizeof header, path_);
+      if (fsync_) {
+        sync_file(fd_.get(), path_);
+        sync_parent_dir(path_);  // the new file's directory entry
       }
-      size_bytes_ = kHeaderBytes;
-      return;
+    } catch (...) {
+      // Leave the file empty, not a partial header every later open would
+      // refuse as corrupt: the create stays retryable.
+      (void)::ftruncate(fd_.get(), 0);
+      throw;
     }
-    check_header(bytes, format_, fingerprint_, path_);
-    const std::size_t off = scan_frames(bytes, format_, path_, visit, num_frames_);
-    truncated_ = bytes.size() - off;
-    size_bytes_ = off;
-    if (truncated_ > 0 && ::ftruncate(fd_, static_cast<off_t>(off)) != 0) {
-      throw std::runtime_error(errno_text(format_, "cannot truncate torn tail of " + path_));
-    }
-    if (::lseek(fd_, static_cast<off_t>(off), SEEK_SET) < 0) {
-      throw std::runtime_error(errno_text(format_, "seek failed for " + path_));
-    }
-  } catch (...) {
-    ::close(fd_);
-    fd_ = -1;
-    throw;
+    size_bytes_ = kHeaderBytes;
+    return;
+  }
+  const std::span<const unsigned char> bytes = as_bytes(file);
+  check_header(bytes, format_, fingerprint_, path_);
+  const std::size_t off = scan_frames(bytes, format_, path_, visit, num_frames_);
+  truncated_ = bytes.size() - off;
+  size_bytes_ = off;
+  if (truncated_ > 0 && ::ftruncate(fd_.get(), static_cast<off_t>(off)) != 0) {
+    throw std::runtime_error(errno_text(format_, "cannot truncate torn tail of " + path_));
+  }
+  if (::lseek(fd_.get(), static_cast<off_t>(off), SEEK_SET) < 0) {
+    throw std::runtime_error(errno_text(format_, "seek failed for " + path_));
   }
 }
 
-FramedLog::~FramedLog() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
 void FramedLog::append(std::span<const unsigned char> body) {
-  if (fd_ < 0) {
+  if (!fd_) {
     throw std::runtime_error(error_text(
         format_, path_ + " is poisoned by an earlier failed write; reopen to recover"));
   }
@@ -212,16 +166,15 @@ void FramedLog::append(std::span<const unsigned char> body) {
   // torn tail, and a failed append rolls back (or poisons fd_).
   const off_t before = static_cast<off_t>(size_bytes_);
   try {
-    write_all(fd_, frame_.data(), frame_.size(), format_, path_);
-    if (fsync_) fsync_or_throw(fd_, format_, path_);
+    write_all(fd_.get(), frame_.data(), frame_.size(), path_);
+    if (fsync_) sync_file(fd_.get(), path_);
   } catch (...) {
     // Bytes may have reached the file before the failure; the caller observes
     // a failed append, so a post-crash replay must not see this frame. If the
     // rollback itself fails, poison the handle — every later append throws,
     // forcing a reopen instead of silently diverging from the file.
-    if (::ftruncate(fd_, before) != 0 || ::lseek(fd_, before, SEEK_SET) < 0) {
-      ::close(fd_);
-      fd_ = -1;
+    if (::ftruncate(fd_.get(), before) != 0 || ::lseek(fd_.get(), before, SEEK_SET) < 0) {
+      fd_.reset();
     }
     throw;
   }
@@ -230,46 +183,33 @@ void FramedLog::append(std::span<const unsigned char> body) {
 }
 
 void FramedLog::rewrite(const std::vector<std::vector<unsigned char>>& bodies) {
-  const std::string tmp = path_ + ".tmp";
-  const int tmp_fd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (tmp_fd < 0) throw std::runtime_error(errno_text(format_, "cannot open " + tmp));
   std::vector<unsigned char> file(kHeaderBytes);
+  encode_header(file.data(), format_, fingerprint_);
+  for (const std::vector<unsigned char>& body : bodies) encode_frame(file, body);
+  // Once the rename has happened, describe the file at path_, even when the
+  // directory sync after it failed.
+  UniqueFd renamed;
+  std::exception_ptr failure;
   try {
-    encode_header(file.data(), format_, fingerprint_);
-    for (const std::vector<unsigned char>& body : bodies) encode_frame(file, body);
-    write_all(tmp_fd, file.data(), file.size(), format_, tmp);
-    fsync_or_throw(tmp_fd, format_, tmp);
-    if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-      throw std::runtime_error(errno_text(format_, "rename " + tmp + " -> " + path_ + " failed"));
-    }
+    write_file_atomically(path_, {reinterpret_cast<const char*>(file.data()), file.size()}, true,
+                          &renamed);
   } catch (...) {
-    ::close(tmp_fd);
-    throw;
+    failure = std::current_exception();
   }
-  // After the rename, tmp_fd refers to the inode now linked at path_. Swap it
-  // in before the directory sync, so that a failed sync leaves the object
-  // describing the file at path_.
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = tmp_fd;
-  num_frames_ = bodies.size();
-  size_bytes_ = file.size();
-  fsync_parent_dir(path_, format_);
+  if (renamed) {
+    fd_ = std::move(renamed);
+    num_frames_ = bodies.size();
+    size_bytes_ = file.size();
+  }
+  if (failure) std::rethrow_exception(failure);
 }
 
 void FramedLog::scan(const Format& format, const std::string& path, std::uint64_t fingerprint,
                      const FrameVisitor& visit) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) throw std::runtime_error(errno_text(format, "cannot open " + path));
-  try {
-    const std::vector<unsigned char> bytes = read_all(fd, format, path);
-    check_header(bytes, format, fingerprint, path);
-    std::size_t frames = 0;
-    scan_frames(bytes, format, path, visit, frames);  // torn tail ignored, never truncated
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
+  const std::string file = read_file(path);
+  check_header(as_bytes(file), format, fingerprint, path);
+  std::size_t frames = 0;
+  scan_frames(as_bytes(file), format, path, visit, frames);  // torn tail ignored, never truncated
 }
 
 }  // namespace ftdb::serve

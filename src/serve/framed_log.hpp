@@ -38,6 +38,8 @@
 #include <string>
 #include <vector>
 
+#include "serve/durable_file.hpp"
+
 namespace ftdb::serve {
 
 /// A log whose header or CRC-clean frames cannot be decoded.
@@ -63,12 +65,13 @@ class FramedLog {
 
   /// Opens (creating if absent) the log at `path` for appending, visiting
   /// every intact frame in order and truncating a torn tail. A fresh file
-  /// gets a header. Throws CorruptLogError on a bad header or undecodable
+  /// gets a header; with `fsync_writes` the header and the file's directory
+  /// entry are synced, and a failed create leaves the file empty so that it
+  /// can be retried. Throws CorruptLogError on a bad header or undecodable
   /// frame, std::runtime_error on I/O failure or fingerprint mismatch; the
   /// file descriptor is closed on every throw.
   FramedLog(const Format& format, std::string path, std::uint64_t fingerprint,
             bool fsync_writes, const FrameVisitor& visit);
-  ~FramedLog();
 
   FramedLog(const FramedLog&) = delete;
   FramedLog& operator=(const FramedLog&) = delete;
@@ -99,7 +102,7 @@ class FramedLog {
   std::string path_;
   std::uint64_t fingerprint_ = 0;
   bool fsync_ = true;
-  int fd_ = -1;
+  UniqueFd fd_;
   std::size_t truncated_ = 0;
   std::size_t num_frames_ = 0;
   std::size_t size_bytes_ = 0;

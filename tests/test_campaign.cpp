@@ -4,11 +4,13 @@
 // survival back to the paper's binomial tail (ft/spares.hpp).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -30,6 +32,7 @@
 #include "ft/ft_shuffle_exchange.hpp"
 #include "ft/spares.hpp"
 #include "graph/algorithms.hpp"
+#include "serve/durable_file.hpp"
 #include "topology/debruijn.hpp"
 #include "topology/shuffle_exchange.hpp"
 
@@ -37,6 +40,9 @@
 
 namespace ftdb::campaign {
 namespace {
+
+using serve::read_file;
+using serve::write_file_atomically;
 
 ScenarioSpec small_spec() {
   ScenarioSpec spec;
@@ -765,7 +771,7 @@ TEST(Shard, MergeRejectsFingerprintMismatchAndGaps) {
   // (a corrupted file must not merge into a silently wrong report).
   const std::string torn = fresh_shard_dir("r_torn");
   std::filesystem::copy(dirs[1], torn, std::filesystem::copy_options::recursive);
-  Checkpoint ckpt = parse_checkpoint(read_text_file(torn + "/compacted.ckpt"));
+  Checkpoint ckpt = parse_checkpoint(read_file(torn + "/compacted.ckpt"));
   ASSERT_FALSE(ckpt.cells.empty());
   ckpt.cells.front().prefix.trials -= 1;
   write_file_atomically(torn + "/compacted.ckpt", checkpoint_to_json(spec, ckpt), false);
@@ -2120,7 +2126,7 @@ TEST(FaultDraws, PinnedDraws) {
   }
 }
 
-// --- write_file_atomically ---------------------------------------------------
+// --- durable files (serve/durable_file.hpp) ----------------------------------
 
 std::size_t open_fd_count() {
   std::size_t n = 0;
@@ -2136,7 +2142,7 @@ TEST(WriteFileAtomically, ReplacesTheFileAndLeavesNoTemporary) {
   for (const bool fsync : {false, true}) {
     write_file_atomically(path, "old", fsync);
     write_file_atomically(path, "new bytes", fsync);
-    EXPECT_EQ(read_text_file(path), "new bytes");
+    EXPECT_EQ(read_file(path), "new bytes");
     EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   }
   std::remove(path.c_str());
@@ -2188,6 +2194,61 @@ TEST(WriteFileAtomically, DurableWriteFailsWhenTheDirectoryCannotBeSynced) {
   // 3: the plain write failed; 4: the durable write claimed success;
   // 5: it threw without naming the directory; 6: an fd leaked.
   EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+/// A scratch directory holding one FIFO, removed on destruction.
+struct FifoDir {
+  std::string dir = ::testing::TempDir() + "ftdb_fifo_" + std::to_string(::getpid());
+  std::string fifo = dir + "/target";
+  FifoDir() {
+    std::filesystem::create_directories(dir);
+    EXPECT_EQ(::mkfifo(fifo.c_str(), 0644), 0);
+  }
+  ~FifoDir() { std::filesystem::remove_all(dir); }
+  bool fifo_intact() const {
+    struct stat st {};
+    return ::lstat(fifo.c_str(), &st) == 0 && S_ISFIFO(st.st_mode);
+  }
+};
+
+TEST(WriteFileAtomically, RefusesToReplaceAFifo) {
+  const FifoDir fifo;
+  for (const bool fsync : {false, true}) {
+    EXPECT_THROW(write_file_atomically(fifo.fifo, "x", fsync), std::runtime_error);
+    EXPECT_TRUE(fifo.fifo_intact());
+    EXPECT_FALSE(std::filesystem::exists(fifo.fifo + ".tmp"));
+  }
+}
+
+TEST(WriteFileAtomically, CampaignCheckpointRefusesAFifo) {
+  const FifoDir fifo;
+  CampaignOptions options;
+  options.threads = 1;
+  options.checkpoint_path = fifo.fifo;
+  EXPECT_THROW(run_campaign(small_spec(), options), std::runtime_error);
+  EXPECT_TRUE(fifo.fifo_intact());
+}
+
+TEST(DurableFile, WriteAllReportsEnospcAndThePath) {
+  // /dev/full accepts the open and fails every write with ENOSPC; it is
+  // opened for writing only, never created, replaced or renamed.
+  const serve::UniqueFd fd = serve::open_file("/dev/full", O_WRONLY);
+  try {
+    serve::write_all(fd.get(), "bytes", 5, "/dev/full");
+    ADD_FAILURE() << "a write to /dev/full succeeded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("/dev/full"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::strerror(ENOSPC)), std::string::npos) << what;
+  }
+}
+
+TEST(Lease, AcquireInAMissingDirectoryThrowsWithoutLeakingAnFd) {
+  const std::size_t before = open_fd_count();
+  EXPECT_THROW(elastic::Lease::try_acquire(::testing::TempDir() + "ftdb_no_such_dir/cell.lease",
+                                           "worker", 60),
+               std::runtime_error);
+  EXPECT_EQ(open_fd_count(), before);
 }
 
 }  // namespace

@@ -17,9 +17,12 @@
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
+#include "serve/durable_file.hpp"
 
 namespace ftdb::campaign::elastic {
 namespace {
+
+using serve::write_file_atomically;
 
 namespace fs = std::filesystem;
 

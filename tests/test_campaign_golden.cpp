@@ -39,6 +39,7 @@
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
+#include "serve/durable_file.hpp"
 
 #ifndef FTDB_GOLDEN_DIR
 #error "FTDB_GOLDEN_DIR must point at tests/golden"
@@ -46,6 +47,8 @@
 
 namespace ftdb::campaign {
 namespace {
+
+using serve::write_file_atomically;
 
 /// B_{2,3}, SE_3 and the h=3 bus machine; k=1; iid, weibull and bus_iid;
 /// 300 trials (a full block and a short one); all five metrics.

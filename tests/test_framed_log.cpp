@@ -354,7 +354,8 @@ TEST(BlockLog, HostileNumbersInACleanFrameAreCorruption) {
       R"({"cell":0,"block":"zero","partial":{}})",
   };
   for (std::size_t i = 0; i < payloads.size(); ++i) {
-    const std::string path = dir.sub("h" + std::to_string(i) + ".blk");
+    const std::string index = std::to_string(i);
+    const std::string path = dir.sub("h" + index + ".blk");
     {
       FramedLog raw(format, path, kBlockLogFingerprint, false, [](auto) {});
       Bytes body = {1, static_cast<unsigned char>(payloads[i].size()), 0, 0, 0};
@@ -476,6 +477,43 @@ TEST(FramedLog, RewriteFailsWhenTheDirectoryCannotBeSynced) {
   // directory; 5: the object does not describe the renamed file; 6: the
   // file holds the wrong frames; 7: an unexpected throw.
   EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(FramedLog, SyncedCreateFailsWhenTheDirectoryCannotBeSynced) {
+  // A fresh log's first records are durable only once its directory entry
+  // is, so a synced create must flush the directory too. In a directory its
+  // writer may write and search but not read, that flush fails: the create
+  // must say so and leave the file empty, so that a later open can retry it.
+  // Root ignores permission bits, so the check runs in a child that drops to
+  // an unprivileged uid when it can.
+  const FramedLog::Format fixed{"fixed", {'T', 'E', 'S', 'T', 'F', 'I', 'X', '1'}, 0,
+                                [](const unsigned char*) -> std::size_t { return 9; }};
+  const ScratchDir dir("wx-create");
+  const std::string path = dir.sub("fresh.log");
+  ASSERT_EQ(::chmod(dir.path.c_str(), 0333), 0);
+  const pid_t child = ::fork();
+  if (child == 0) {
+    if (::geteuid() == 0 && ::setuid(65534) != 0) ::_exit(2);
+    int code = 3;
+    try {
+      FramedLog log(fixed, path, 42, true, [](std::span<const unsigned char>) {});
+    } catch (const std::runtime_error& e) {
+      code = std::string(e.what()).find("directory") != std::string::npos ? 0 : 4;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ::chmod(dir.path.c_str(), 0755);
+  ASSERT_TRUE(WIFEXITED(status));
+  if (WEXITSTATUS(status) == 2) GTEST_SKIP() << "cannot drop root privileges here";
+  // 3: the create claimed success; 4: it threw without naming the directory.
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  ASSERT_TRUE(fs::exists(path));
+  EXPECT_EQ(fs::file_size(path), 0u);
+  // The empty file takes a header on the next open.
+  FramedLog retry(fixed, path, 42, true, [](std::span<const unsigned char>) {});
+  EXPECT_EQ(retry.size_bytes(), 24u);
 }
 
 }  // namespace

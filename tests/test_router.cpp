@@ -157,7 +157,9 @@ TEST_P(DeBruijnRouterGrid, HealthyBackendsMatchOracleHopForHop) {
   // with zero exceptions — O(N + E) memory, far under the N^2 slab.
   EXPECT_STREQ(compressed.stats().reference, "debruijn");
   EXPECT_EQ(compressed.num_exceptions(), 0u);
-  if (g.num_nodes() >= 64) EXPECT_LT(compressed.memory_bytes(), table.memory_bytes());
+  if (g.num_nodes() >= 64) {
+    EXPECT_LT(compressed.memory_bytes(), table.memory_bytes());
+  }
 }
 
 TEST_P(DeBruijnRouterGrid, ReconfiguredDilationOneKeepsImplicitRouting) {

@@ -71,8 +71,8 @@ INSTANTIATE_TEST_SUITE_P(AllSmallBases, RoutingEquivalence,
                                            Params{3, 2}, Params{3, 3}, Params{3, 4},
                                            Params{4, 2}, Params{4, 3}, Params{4, 4}),
                          [](const ::testing::TestParamInfo<Params>& info) {
-                           return "m" + std::to_string(info.param.m) + "_h" +
-                                  std::to_string(info.param.h);
+                           const std::string m = std::to_string(info.param.m);
+                           return "m" + m + "_h" + std::to_string(info.param.h);
                          });
 
 }  // namespace

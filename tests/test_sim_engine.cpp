@@ -86,7 +86,9 @@ TEST(Engine, TimedOutAccountsEveryInFlightPacket) {
     const SimStats stats = run_packets(m, target, packets, options);
     EXPECT_EQ(stats.injected, stats.delivered + stats.undeliverable + stats.timed_out)
         << "max_cycles=" << cap;
-    if (cap == 0) EXPECT_EQ(stats.timed_out, 0u);  // drained runs time nothing out
+    if (cap == 0) {
+      EXPECT_EQ(stats.timed_out, 0u);  // drained runs time nothing out
+    }
   }
 }
 

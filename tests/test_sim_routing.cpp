@@ -135,7 +135,9 @@ TEST(ImplicitRouter, WideBaseMatchesTableHopForHop) {
   for (NodeId d = 0; d < n; ++d) {
     for (NodeId s = 0; s < n; ++s) {
       ASSERT_EQ(implicit->next_hop(d, s), table.next_hop(d, s)) << +s << "->" << +d;
-      if (d % 17 == 0) ASSERT_EQ(implicit->path(s, d), table.path(s, d)) << +s << "->" << +d;
+      if (d % 17 == 0) {
+        ASSERT_EQ(implicit->path(s, d), table.path(s, d)) << +s << "->" << +d;
+      }
       dests.push_back(d);
       nodes.push_back(s);
     }

@@ -25,7 +25,6 @@
 //
 //   ftdb_campaign validate report.json
 #include <cstdio>
-#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -35,10 +34,13 @@
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
+#include "serve/durable_file.hpp"
 
 namespace {
 
 using namespace ftdb::campaign;
+using ftdb::serve::read_file;
+using ftdb::serve::write_file_atomically;
 
 int usage() {
   std::cerr
@@ -95,17 +97,6 @@ ShardSpec parse_shard_arg(const std::string& s) {
   return {index, count};
 }
 
-/// Writes one report file through a temp file and rename, so a crash or a
-/// full disk never leaves a torn report. The rename would replace a device
-/// such as /dev/null, so an existing path must be a regular file.
-void write_report(const std::string& path, const std::string& text) {
-  std::error_code ec;
-  if (std::filesystem::exists(path, ec) && !std::filesystem::is_regular_file(path, ec)) {
-    throw std::runtime_error("cannot replace " + path + ": not a regular file");
-  }
-  write_file_atomically(path, text, false);
-}
-
 /// Writes the three report renderings. An empty out_path sends the JSON to
 /// stdout.
 void emit_reports(const CampaignResult& result, const std::string& out_path,
@@ -114,10 +105,10 @@ void emit_reports(const CampaignResult& result, const std::string& out_path,
   if (out_path.empty()) {
     std::cout << report;
   } else {
-    write_report(out_path, report);
+    write_file_atomically(out_path, report, false);
   }
-  if (!csv_path.empty()) write_report(csv_path, campaign_report_csv(result));
-  if (!md_path.empty()) write_report(md_path, campaign_report_markdown(result));
+  if (!csv_path.empty()) write_file_atomically(csv_path, campaign_report_csv(result), false);
+  if (!md_path.empty()) write_file_atomically(md_path, campaign_report_markdown(result), false);
 }
 
 int run_command(const std::vector<std::string>& args) {
@@ -196,7 +187,7 @@ int run_command(const std::vector<std::string>& args) {
     elastic.threads = options.threads;
     elastic.stop_after_blocks = options.stop_after_blocks;
     if (!quiet) elastic.progress = &std::cerr;
-    const ScenarioSpec spec = parse_scenario_spec(read_text_file(spec_path));
+    const ScenarioSpec spec = parse_scenario_spec(read_file(spec_path));
     try {
       const elastic::ElasticResult r = run_elastic_worker(spec, elastic);
       if (!quiet) {
@@ -224,7 +215,7 @@ int run_command(const std::vector<std::string>& args) {
   }
   if (!quiet) options.progress = &std::cerr;
 
-  const ScenarioSpec spec = parse_scenario_spec(read_text_file(spec_path));
+  const ScenarioSpec spec = parse_scenario_spec(read_file(spec_path));
   CampaignResult result;
   try {
     result = run_campaign(spec, options);
@@ -293,7 +284,7 @@ int merge_command(const std::vector<std::string>& args) {
   // has to agree with it.
   const ScenarioSpec spec = elastic::load_elastic_spec(dirs.front());
   if (!spec_path.empty() &&
-      spec_fingerprint(parse_scenario_spec(read_text_file(spec_path))) != spec_fingerprint(spec)) {
+      spec_fingerprint(parse_scenario_spec(read_file(spec_path))) != spec_fingerprint(spec)) {
     std::cerr << "ftdb_campaign: --spec disagrees with " << dirs.front() << "/spec.json\n";
     return 1;
   }
@@ -306,7 +297,7 @@ int merge_command(const std::vector<std::string>& args) {
     if (out_path.empty()) {
       std::cout << report;
     } else {
-      write_report(out_path, report);
+      write_file_atomically(out_path, report, false);
     }
     return 0;
   }
@@ -335,7 +326,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cmd == "validate-spec" && args.size() == 1) {
-      const ScenarioSpec spec = parse_scenario_spec(read_text_file(args[0]));
+      const ScenarioSpec spec = parse_scenario_spec(read_file(args[0]));
       // The canonical form must be a fixed point: parse -> write -> parse ->
       // write yields the same bytes (and hence the same fingerprint), or
       // checkpoints and elastic directories could never agree on the stamp.
@@ -355,7 +346,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cmd == "validate" && args.size() == 1) {
-      const std::size_t n = validate_campaign_report(read_text_file(args[0]));
+      const std::size_t n = validate_campaign_report(read_file(args[0]));
       std::cout << args[0] << ": valid ftdb-campaign-v1 report, " << n << " scenarios\n";
       return 0;
     }

@@ -235,6 +235,33 @@ FTDB_BENCH(cell_setup_se_h12, "perf_campaign/cell_setup_se_h12_k8") {
   ctx.report("blocks", blocks / kIterations);
 }
 
+/// One serial run_campaign over SE_12 with k = 8 crossed with the four
+/// campaign_survival fault models, one trial per cell, mttf only: almost all
+/// of it is cell setup. The four cells share one target, one fabric and one
+/// tolerance proof, so CI holds this within 2x cell_setup_se_h12_k8 (one
+/// cell building all of them), measured in the same process; a fabric built
+/// per cell again reads about 4x. It reads about 1.7, not 1: the campaign
+/// builds on a fresh worker thread, whose first fabric build page-faults its
+/// scratch memory in, and cell_setup runs warm on the calling thread.
+FTDB_BENCH(grid_setup_se_h12, "perf_campaign/grid_setup_se_h12_k8_4models") {
+  ScenarioSpec spec = base_spec(1);
+  spec.topologies = {{TopologyFamily::ShuffleExchange, 2, 12}};
+  spec.spares = {8};
+  spec.fault_models = {{FaultModelKind::IidBernoulli, 0.001, 1.0, 100.0, 1.0},
+                       {FaultModelKind::Clustered, 0.0003, 1.0, 100.0, 1.0},
+                       {FaultModelKind::Weibull, 0.01, 2.0, 100.0, 3.5},
+                       {FaultModelKind::BusIid, 0.001, 1.0, 100.0, 1.0}};
+  spec.metrics.diameter = false;
+  constexpr int kIterations = 5;
+  double cells = 0.0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kIterations; ++i) {
+    cells += static_cast<double>(run_campaign(spec, {.threads = 1}).scenarios.size());
+  }
+  ctx.report("ns_per_iteration", elapsed_ns(start) / kIterations);
+  ctx.report("cells", cells / kIterations);
+}
+
 // --- work-stealing scheduler ------------------------------------------------
 
 /// A 12-cell grid of 1024-trial cells: 48 blocks through the global deques.

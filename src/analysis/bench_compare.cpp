@@ -96,8 +96,15 @@ const std::string& string_at(const JsonValue& obj, const std::string& key) {
 }
 
 std::optional<JsonValue> read_json(const std::string& path, std::ostream& err) {
+  std::string text;
   try {
-    return json_parse(serve::read_file(path));
+    text = serve::read_file(path);
+  } catch (const std::exception& e) {
+    err << "bench_compare: " << e.what() << "\n";  // the read error names the path
+    return std::nullopt;
+  }
+  try {
+    return json_parse(text);
   } catch (const std::exception& e) {
     err << "bench_compare: " << path << ": " << e.what() << "\n";
     return std::nullopt;

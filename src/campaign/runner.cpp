@@ -197,6 +197,15 @@ struct TopologyTarget {
   sim::ScheduleRunResult healthy_collective;
 };
 
+struct TopologyFabric {
+  Graph graph;                 // point-to-point FT graph / realized bus graph
+  std::optional<BusGraph> bus;  // set for the bus family
+  // check_tolerance_pairwise proved that the monotone embedding survives
+  // every fault set of at most `spares` faults on this fabric, so a
+  // within-budget draw needs no scan.
+  bool proven = false;
+};
+
 namespace {
 
 TopologyTarget build_target(const MetricSet& metrics, const TopologySpec& topology) {
@@ -232,20 +241,36 @@ TopologyTarget build_target(const MetricSet& metrics, const TopologySpec& topolo
   return t;
 }
 
+TopologyFabric build_fabric(const Graph& target, const TopologySpec& topology, unsigned k) {
+  TopologyFabric f;
+  const unsigned h = topology.digits;
+  switch (topology.family) {
+    case TopologyFamily::DeBruijn:
+      f.graph = ft_debruijn_graph({.base = topology.base, .digits = h, .spares = k});
+      break;
+    case TopologyFamily::ShuffleExchange:
+      // Route 2 (natural labeling): self-contained, no VF2 search needed.
+      f.graph = ft_shuffle_exchange_natural(h, k).ft_graph;
+      break;
+    case TopologyFamily::Bus:
+      f.bus = bus_ft_debruijn_base2(h, k);
+      // Fault models and graph metrics act on the point-to-point connectivity
+      // the restricted driver<->member discipline realizes.
+      f.graph = f.bus->realized_graph();
+      break;
+  }
+  f.proven = check_tolerance_pairwise(target, f.graph, k).tolerant;
+  return f;
+}
+
 /// Immutable per-scenario state shared (read-only) by all worker threads.
 struct ScenarioContext {
   ScenarioCase cell;
-  std::shared_ptr<const TopologyTarget> topo;  // shared by the topology's cells
-  Graph fabric;                     // point-to-point FT graph / realized bus graph
-  std::optional<BusGraph> bus;      // set for the bus family
-  std::unique_ptr<FaultModel> model;
+  std::shared_ptr<const TopologyTarget> topo;   // shared by the topology's cells
+  std::shared_ptr<const TopologyFabric> fab;    // shared by the (topology, spares)' cells
+  std::unique_ptr<FaultModel> model;            // the cell's own
   std::uint64_t seed = 0;
   MetricSet metrics;
-
-  // check_tolerance_pairwise proved that the monotone embedding survives
-  // every fault set of at most `spares` faults on this fabric, so a
-  // within-budget draw needs no scan.
-  bool proven = false;
 
   // bus-fault models: the cell draws bus faults that must be resolved onto
   // the realized graph (bus-family cells) before the survival check.
@@ -261,40 +286,27 @@ struct ScenarioContext {
   std::uint64_t traffic_max_cycles = 0;
 
   const Graph& target() const { return topo->graph; }
+  const Graph& fabric() const { return fab->graph; }
+  const std::optional<BusGraph>& bus() const { return fab->bus; }
 };
 
 ScenarioContext build_context(const ScenarioSpec& spec, const ScenarioCase& cell,
-                              std::shared_ptr<const TopologyTarget> topo) {
+                              std::shared_ptr<const TopologyTarget> topo,
+                              std::shared_ptr<const TopologyFabric> fab) {
   ScenarioContext ctx;
   ctx.cell = cell;
   ctx.topo = std::move(topo);
+  ctx.fab = std::move(fab);
   ctx.seed = spec.seed;
   ctx.metrics = spec.metrics;
-  const unsigned h = cell.topology.digits;
   const unsigned k = cell.spares;
-  switch (cell.topology.family) {
-    case TopologyFamily::DeBruijn:
-      ctx.fabric = ft_debruijn_graph({.base = cell.topology.base, .digits = h, .spares = k});
-      break;
-    case TopologyFamily::ShuffleExchange:
-      // Route 2 (natural labeling): self-contained, no VF2 search needed.
-      ctx.fabric = ft_shuffle_exchange_natural(h, k).ft_graph;
-      break;
-    case TopologyFamily::Bus:
-      ctx.bus = bus_ft_debruijn_base2(h, k);
-      // Fault models and graph metrics act on the point-to-point connectivity
-      // the restricted driver<->member discipline realizes.
-      ctx.fabric = ctx.bus->realized_graph();
-      break;
-  }
   ctx.model = make_fault_model(cell.fault_model);
-  ctx.model->prepare(ctx.fabric, k);
+  ctx.model->prepare(ctx.fabric(), k);
   // Bus-family cells additionally expose the bus structure: clustered bus
   // correlation follows shared-membership, not just realized adjacency.
-  if (ctx.bus) ctx.model->prepare_bus(*ctx.bus, k);
+  if (ctx.bus()) ctx.model->prepare_bus(*ctx.bus(), k);
   ctx.bus_model = cell.fault_model.kind == FaultModelKind::BusIid ||
                   cell.fault_model.kind == FaultModelKind::BusClustered;
-  ctx.proven = check_tolerance_pairwise(ctx.target(), ctx.fabric, k).tolerant;
   if (spec.metrics.traffic && cell.topology.family != TopologyFamily::Bus) {
     ctx.traffic = true;
     const TrafficSpec& ts = spec.metrics.traffic_spec;
@@ -345,7 +357,7 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
   std::vector<std::uint64_t>& dense_hist = scratch.hist;
   std::vector<std::uint64_t>& dense_survived = scratch.survived;
   TrialRng rng = TrialRng::for_trial(ctx.seed, ctx.cell.index, trial_idx);
-  const FaultDraw draw = ctx.model->draw(ctx.fabric, ctx.cell.spares, rng);
+  const FaultDraw draw = ctx.model->draw(ctx.fabric(), ctx.cell.spares, rng);
   const std::uint64_t faults = draw.faults.count();
 
   const bool within_budget = faults <= ctx.cell.spares;
@@ -355,15 +367,17 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
     // the pairs some bus lets communicate (driver <-> member), so the one
     // survival check serves every family. On a proven cell every fault set
     // within the budget survives, so only unproven fabrics scan.
-    if (ctx.bus && !draw.bus_faults.empty()) {
+    if (ctx.bus() && !draw.bus_faults.empty()) {
       // Section V discipline: bus faults resolve to driver-node faults on the
       // realized graph, and the merged set must still fit the spare budget.
       const std::optional<FaultSet> resolved = resolve_bus_faults(
-          *ctx.bus, ctx.cell.spares, draw.faults.nodes(), draw.bus_faults);
+          *ctx.bus(), ctx.cell.spares, draw.faults.nodes(), draw.bus_faults);
       success = resolved.has_value() &&
-                (ctx.proven || monotone_embedding_survives(ctx.target(), ctx.fabric, *resolved));
+                (ctx.fab->proven ||
+                 monotone_embedding_survives(ctx.target(), ctx.fabric(), *resolved));
     } else {
-      success = ctx.proven || monotone_embedding_survives(ctx.target(), ctx.fabric, draw.faults);
+      success = ctx.fab->proven ||
+                monotone_embedding_survives(ctx.target(), ctx.fabric(), draw.faults);
     }
   }
 
@@ -397,7 +411,7 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
   } else if (ctx.metrics.diameter) {
     // Degraded machine: whatever the survivors still form.
     const InducedSubgraph survivors =
-        induced_subgraph_excluding(ctx.fabric, draw.faults.nodes());
+        induced_subgraph_excluding(ctx.fabric(), draw.faults.nodes());
     const std::uint32_t d =
         survivors.graph.num_nodes() == 0 ? kUnreachable : diameter(survivors.graph);
     if (d == kUnreachable) {
@@ -408,7 +422,7 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
   }
   if (want_stretch) {
     const sim::Machine machine =
-        sim::Machine::reconfigured(ctx.fabric, draw.faults, ctx.target().num_nodes());
+        sim::Machine::reconfigured(ctx.fabric(), draw.faults, ctx.target().num_nodes());
     if (ctx.metrics.stretch_sample_pairs == 0) {
       acc.route_stretch.add(
           se_family ? sim::max_route_stretch_se(machine, ctx.cell.topology.digits)
@@ -1185,11 +1199,38 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
 
 // --- TargetTable ------------------------------------------------------------
 
-struct TargetTable::Entry {
-  TopologySpec topology;
+namespace {
+
+/// One shared value of a TargetTable: built on first use under its own lock,
+/// dropped once every counted cell of its key has been released.
+template <class T>
+struct SharedSlot {
   std::mutex mu;  // guards the two members below
   std::size_t unreleased = 0;  // counted cells not yet released
-  std::shared_ptr<const TopologyTarget> target;
+  std::shared_ptr<const T> value;
+
+  template <class Build>
+  std::shared_ptr<const T> acquire(Build build) {
+    // Built under the slot's lock: the key's other cells wait for this one
+    // build instead of racing their own; other keys proceed.
+    const std::lock_guard<std::mutex> lock(mu);
+    if (!value) value = std::make_shared<const T>(build());
+    return value;
+  }
+
+  void release() {
+    const std::lock_guard<std::mutex> lock(mu);
+    if (unreleased > 0 && --unreleased == 0) value.reset();
+  }
+};
+
+}  // namespace
+
+struct TargetTable::Entry {
+  TopologySpec topology;
+  SharedSlot<TopologyTarget> target;
+  // By spare budget; filled by the constructor only, so lookups need no lock.
+  std::map<unsigned, SharedSlot<TopologyFabric>> fabrics;
 };
 
 TargetTable::TargetTable(const ScenarioSpec& spec, std::span<const ScenarioCase> cells)
@@ -1200,7 +1241,8 @@ TargetTable::TargetTable(const ScenarioSpec& spec, std::span<const ScenarioCase>
       e = std::make_unique<Entry>();
       e->topology = cell.topology;
     }
-    ++e->unreleased;
+    ++e->target.unreleased;
+    ++e->fabrics[cell.spares].unreleased;
   }
 }
 
@@ -1208,7 +1250,7 @@ TargetTable::~TargetTable() = default;
 
 TargetTable::Entry& TargetTable::entry(const ScenarioCase& cell) const {
   const auto it = entries_.find(cell.topology.label());
-  if (it == entries_.end()) {
+  if (it == entries_.end() || it->second->fabrics.count(cell.spares) == 0) {
     throw std::logic_error("TargetTable: cell " + std::to_string(cell.index) +
                            " was not counted");
   }
@@ -1217,19 +1259,21 @@ TargetTable::Entry& TargetTable::entry(const ScenarioCase& cell) const {
 
 std::shared_ptr<const TopologyTarget> TargetTable::acquire(const ScenarioCase& cell) {
   Entry& e = entry(cell);
-  // Built under the entry's lock: the topology's other cells wait for this
-  // one build instead of racing their own; other topologies proceed.
-  const std::lock_guard<std::mutex> lock(e.mu);
-  if (!e.target) {
-    e.target = std::make_shared<const TopologyTarget>(build_target(metrics_, e.topology));
-  }
-  return e.target;
+  return e.target.acquire([&] { return build_target(metrics_, e.topology); });
+}
+
+std::shared_ptr<const TopologyFabric> TargetTable::acquire_fabric(const ScenarioCase& cell) {
+  Entry& e = entry(cell);
+  // The proof needs the target: the fabric's lock is taken before the
+  // target's, never the other way round.
+  return e.fabrics.at(cell.spares).acquire(
+      [&] { return build_fabric(acquire(cell)->graph, e.topology, cell.spares); });
 }
 
 void TargetTable::release(const ScenarioCase& cell) {
   Entry& e = entry(cell);
-  const std::lock_guard<std::mutex> lock(e.mu);
-  if (e.unreleased > 0 && --e.unreleased == 0) e.target.reset();
+  e.target.release();
+  e.fabrics.at(cell.spares).release();
 }
 
 // --- CellRunner -------------------------------------------------------------
@@ -1239,14 +1283,16 @@ struct CellRunner::Impl {
   ScenarioContext ctx;
 };
 
-CellRunner::CellRunner(const ScenarioSpec& spec, const ScenarioCase& cell)
-    : impl_(new Impl{spec.trials,
-                     build_context(spec, cell,
-                                   std::make_shared<const TopologyTarget>(
-                                       build_target(spec.metrics, cell.topology)))}) {}
+CellRunner::CellRunner(const ScenarioSpec& spec, const ScenarioCase& cell) {
+  auto topo = std::make_shared<const TopologyTarget>(build_target(spec.metrics, cell.topology));
+  auto fab = std::make_shared<const TopologyFabric>(
+      build_fabric(topo->graph, cell.topology, cell.spares));
+  impl_.reset(new Impl{spec.trials, build_context(spec, cell, std::move(topo), std::move(fab))});
+}
 
 CellRunner::CellRunner(const ScenarioSpec& spec, const ScenarioCase& cell, TargetTable& targets)
-    : impl_(new Impl{spec.trials, build_context(spec, cell, targets.acquire(cell))}) {}
+    : impl_(new Impl{spec.trials, build_context(spec, cell, targets.acquire(cell),
+                                                targets.acquire_fabric(cell))}) {}
 
 CellRunner::~CellRunner() = default;
 CellRunner::CellRunner(CellRunner&&) noexcept = default;
@@ -1275,7 +1321,7 @@ void CellRunner::finalize(ScenarioResult& r) const {
   r.scenario_index = cell.index;
   r.label = cell.label();
   r.target_nodes = ctx.target().num_nodes();
-  r.fabric_nodes = ctx.fabric.num_nodes();
+  r.fabric_nodes = ctx.fabric().num_nodes();
   r.target_diameter = ctx.topo->diameter;
   if (ctx.topo->schedule) {
     r.collective_rounds = ctx.topo->schedule->rounds();

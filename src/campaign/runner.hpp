@@ -271,14 +271,23 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
 /// healthy baseline. Defined in runner.cpp.
 struct TopologyTarget;
 
-/// The targets of one call's cells, one per distinct topology, each built on
-/// first use and shared by every cell of that topology. A table lives inside
-/// one call (run_campaign, an elastic merge or compaction); nothing is cached
-/// across calls. Safe to use from many threads.
+/// The part of a cell's context that depends only on its topology and spare
+/// budget k, never on the fault model: the fabric (B^k_{m,h}, SE^k_h, or the
+/// bus machine's realized graph with its BusGraph) and whether
+/// check_tolerance_pairwise proved that every fault set of at most k faults
+/// leaves the monotone embedding intact. Defined in runner.cpp.
+struct TopologyFabric;
+
+/// The targets and fabrics of one call's cells: one target per distinct
+/// topology and one fabric per distinct (topology, spares), each built on
+/// first use and shared by every cell of its key. A key's build holds only
+/// that key's lock, so cells of other keys are not blocked. A table lives
+/// inside one call (run_campaign, an elastic merge, compaction or partial
+/// report); nothing is cached across calls. Safe to use from many threads.
 class TargetTable {
  public:
   /// `cells` are the cells this call may build runners for; each counts
-  /// towards its topology's release().
+  /// towards its topology's and its (topology, spares)' release().
   TargetTable(const ScenarioSpec& spec, std::span<const ScenarioCase> cells);
   ~TargetTable();
   TargetTable(const TargetTable&) = delete;
@@ -287,9 +296,14 @@ class TargetTable {
   /// The shared target of `cell`'s topology, built on first use.
   std::shared_ptr<const TopologyTarget> acquire(const ScenarioCase& cell);
 
+  /// The shared fabric and proof of `cell`'s (topology, spares), built on
+  /// first use.
+  std::shared_ptr<const TopologyFabric> acquire_fabric(const ScenarioCase& cell);
+
   /// Marks `cell` finalized. The table drops its topology's target once
-  /// every counted cell of the topology has been released (runners still
-  /// holding it keep it alive).
+  /// every counted cell of the topology has been released, and its
+  /// (topology, spares)' fabric once every counted cell of that key has
+  /// (runners still holding either keep it alive).
   void release(const ScenarioCase& cell);
 
  private:
@@ -302,17 +316,20 @@ class TargetTable {
 
 /// Executes one grid cell's trial blocks outside the full scheduler — the
 /// unit the elastic campaign service (campaign/elastic/) leases and runs.
-/// The scenario context (graphs, fault model, collective baseline, and the
-/// pairwise proof that every within-budget draw survives) is built once in
-/// the constructor; run_block only reads it, so one CellRunner can serve many
-/// threads concurrently. Blocks produced here are bit-identical to the ones
+/// The scenario context (the target and collective baseline, the fabric and
+/// the pairwise proof that every within-budget draw survives, and the
+/// cell's own prepared fault model) is set up once in the constructor;
+/// run_block only reads it, so one CellRunner can serve many threads
+/// concurrently. Blocks produced here are bit-identical to the ones
 /// run_campaign's scheduler folds, because every trial's randomness is
 /// counter-based.
 class CellRunner {
  public:
-  /// Builds the cell's own target.
+  /// Builds the cell's own target and fabric.
   CellRunner(const ScenarioSpec& spec, const ScenarioCase& cell);
-  /// Shares the target of the cell's topology through `targets`.
+  /// Shares the target of the cell's topology and the fabric of its
+  /// (topology, spares) through `targets`; only the fault model is the
+  /// cell's own.
   CellRunner(const ScenarioSpec& spec, const ScenarioCase& cell, TargetTable& targets);
   ~CellRunner();
   CellRunner(CellRunner&&) noexcept;

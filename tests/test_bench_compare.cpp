@@ -169,6 +169,20 @@ TEST_F(BenchCompare, ValidateRejectsAMalformedStamp) {
   EXPECT_EQ(run({"--validate", bad}).code, 1);
 }
 
+TEST_F(BenchCompare, ReadErrorsNameThePathOnce) {
+  const std::string missing = (dir_ / "missing.json").string();
+  const Outcome absent = run({"--validate", missing});
+  EXPECT_NE(absent.code, 0);
+  const std::size_t first = absent.err.find(missing);
+  ASSERT_NE(first, std::string::npos) << absent.err;
+  EXPECT_EQ(absent.err.find(missing, first + 1), std::string::npos) << absent.err;
+
+  const auto malformed = write("malformed.json", "{\"schema\": ");
+  const Outcome bad = run({"--validate", malformed});
+  EXPECT_NE(bad.code, 0);
+  EXPECT_NE(bad.err.find(malformed), std::string::npos) << bad.err;
+}
+
 // ---------------------------------------------------------------------------
 // --threshold and empty comparisons
 // ---------------------------------------------------------------------------
@@ -398,7 +412,7 @@ TEST_F(BenchCompare, CommittedGatesFileParsesAndNamesEveryGate) {
   const auto head = write("head.json", bench_doc({}));
   const Outcome o = run({"--gates", gates, head, "vs", head});
   EXPECT_EQ(o.code, 1) << o.err;  // nothing ran, so every gate fails
-  EXPECT_NE(o.out.find("22 of 22 gates failed"), std::string::npos) << o.out;
+  EXPECT_NE(o.out.find("23 of 23 gates failed"), std::string::npos) << o.out;
 }
 
 }  // namespace

@@ -860,6 +860,29 @@ TEST(SharedTargets, OneTargetPerTopologyDroppedWithItsLastCell) {
   EXPECT_TRUE(watch.expired());
 }
 
+TEST(SharedTargets, OneFabricPerTopologyAndSparesDroppedWithItsLastCell) {
+  const ScenarioSpec spec = shared_target_spec();
+  const std::vector<ScenarioCase> cells = expand_grid(spec);
+  TargetTable table(spec, cells);
+  // Within a topology the grid is spares-major: cells 0 and 1 share k = 0,
+  // cells 2 and 3 share k = 1, and cell 6 opens the next topology at k = 0.
+  std::shared_ptr<const TopologyFabric> k0 = table.acquire_fabric(cells[0]);
+  EXPECT_EQ(table.acquire_fabric(cells[1]), k0);
+  std::shared_ptr<const TopologyFabric> k1 = table.acquire_fabric(cells[2]);
+  EXPECT_NE(k1, k0);
+  EXPECT_EQ(table.acquire_fabric(cells[3]), k1);
+  EXPECT_NE(table.acquire_fabric(cells[6]), k0);
+  const std::weak_ptr<const TopologyFabric> watch_k0 = k0;
+  const std::weak_ptr<const TopologyFabric> watch_k1 = k1;
+  k0.reset();
+  k1.reset();
+  table.release(cells[0]);
+  EXPECT_FALSE(watch_k0.expired());  // one cell of the key is still open
+  table.release(cells[1]);
+  EXPECT_TRUE(watch_k0.expired());
+  EXPECT_FALSE(watch_k1.expired());  // the topology's k = 1 cells are still open
+}
+
 TEST(SharedTargets, ReportMatchesRunnersThatBuildTheirOwnTargets) {
   // The public constructor builds the cell's own target; folding its blocks
   // in order must give the shared-target campaign's bytes.

@@ -5,6 +5,8 @@
 // twice on failure (degraded run + matched healthy baseline of the
 // survivors' plan), so these are the inner loops of every
 // collective-slowdown sweep.
+#include <chrono>
+
 #include "analysis/bench_registry.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/scenario.hpp"
@@ -127,4 +129,46 @@ FTDB_BENCH(collectives_campaign, "perf_collectives/campaign_collective_h5_k2") {
   ctx.report("slowdown_mean", r.collective_slowdown.mean);
   ctx.report("unreachable", static_cast<double>(r.collective_unreachable));
   ctx.report("baseline_cycles", static_cast<double>(r.collective_baseline_cycles));
+}
+
+FTDB_BENCH(collectives_campaign_sim_cell, "perf_collectives/campaign_sim_cell_b3h4_k2") {
+  // The costliest cell of the campaign_sim grid, trial path only: one
+  // run_block(0) (its 64 trials) of B_{3,4}, k = 2, iid p = 0.02 with every
+  // per-trial metric that grid prices — sampled stretch over 64 pairs, the
+  // Bruck all-to-all and zipf traffic. A failed trial builds a degraded
+  // simulator (its table router) and runs the collective twice; a successful
+  // one audits stretch on the block's healthy router and runs the traffic.
+  using namespace ftdb::campaign;
+  ScenarioSpec spec;
+  spec.name = "perf";
+  spec.seed = 7;
+  spec.trials = 64;
+  spec.topologies = {{TopologyFamily::DeBruijn, 3, 4}};
+  spec.spares = {2};
+  spec.fault_models = {{FaultModelKind::IidBernoulli, 0.02, 1.0, 100.0, 1.0}};
+  spec.metrics.diameter = true;
+  spec.metrics.stretch = true;
+  spec.metrics.stretch_sample_pairs = 64;
+  spec.metrics.mttf = false;
+  spec.metrics.collective = true;
+  spec.metrics.collective_schedule = "all_to_all_bruck";
+  spec.metrics.traffic = true;
+  spec.metrics.traffic_spec.pattern = "zipf";
+  spec.metrics.traffic_spec.theta = 1.0;
+  spec.metrics.traffic_spec.packets_per_node = 4;
+  const CellRunner runner(spec, expand_grid(spec).front());
+  constexpr int kIterations = 5;
+  ScenarioResult r;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kIterations; ++i) r = runner.run_block(0);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ctx.report("ns_per_iteration",
+             static_cast<double>(
+                 std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()) /
+                 kIterations);
+  ctx.report("trials", static_cast<double>(r.trials));
+  ctx.report("successes", static_cast<double>(r.reconfig_success));
+  ctx.report("stretch_max", r.route_stretch.max);
+  ctx.report("slowdown_mean", r.collective_slowdown.mean);
+  ctx.report("traffic_latency_mean", r.traffic_latency.mean);
 }

@@ -2,7 +2,7 @@
 // latency, and the memory story that motivates the whole abstraction.
 //
 // The build_* entries construct each backend on B_{2,10} (1024 nodes; the
-// table slab is ~6 MB there, the compressed router's graph and empty
+// table's two slabs are ~4 MB there, the compressed router's graph and empty
 // exception table ~20 KB, the implicit router 0 bytes). The next_hop_*
 // entries walk full canonical routes for a fixed random pair sample, so
 // wall_seconds / hops is the per-hop latency of the backend.
@@ -10,7 +10,7 @@
 // implicit_b2_h18 is the scale demonstration: a healthy de Bruijn machine at
 // N = 2^18 routes through the auto-selected implicit backend with zero
 // router-owned memory, where the table backend's slab would be
-// N^2 * 6 bytes ≈ 412 GB (reported as table_equivalent_bytes). No N^2
+// N^2 * 4 bytes ≈ 275 GB (reported as table_equivalent_bytes). No N^2
 // allocation happens anywhere in the entry. route_many_implicit_b2_h18 is
 // the same machine on the batched hinted path, and engine_implicit_b2_h18
 // the packet engine driving that path, queues included.
@@ -123,7 +123,7 @@ FTDB_BENCH(implicit_h18, "perf_routing/implicit_b2_h18") {
              router->backend() == RouterBackend::Implicit ? 1.0 : 0.0);
   const double n = static_cast<double>(g.num_nodes());
   ctx.report("nodes", n);
-  ctx.report("table_equivalent_bytes", n * n * 6.0);
+  ctx.report("table_equivalent_bytes", n * n * 4.0);
   next_hop_bench(ctx, g, *router, 2000);
 }
 

@@ -343,7 +343,8 @@ struct BlockScratch {
   std::vector<double> coll_slowdown_sum;
 
   /// The block's simulator of the healthy target, built on first use (a
-  /// cell whose trials run no collective or traffic never builds it).
+  /// cell whose trials run no collective, traffic or stretch never builds
+  /// it).
   sim::PacketSimulator& healthy(const ScenarioContext& ctx) {
     if (!healthy_sim) healthy_sim.emplace(sim::Machine::direct(ctx.target()), ctx.target());
     return *healthy_sim;
@@ -394,13 +395,11 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
   ++dense_hist[faults];
   if (success) ++dense_survived[faults];
 
-  // Stretch runs on both point-to-point families: de Bruijn via the shift
-  // algebra, shuffle-exchange via the exact SE distance (the bus machine has
-  // no logical routing engine to audit).
-  const bool se_family = ctx.cell.topology.family == TopologyFamily::ShuffleExchange;
-  const bool want_stretch =
-      ctx.metrics.stretch && success &&
-      (ctx.cell.topology.family == TopologyFamily::DeBruijn || se_family);
+  // Stretch runs on both point-to-point families (the bus machine has no
+  // logical routing engine to audit).
+  const bool want_stretch = ctx.metrics.stretch && success &&
+                            (ctx.cell.topology.family == TopologyFamily::DeBruijn ||
+                             ctx.cell.topology.family == TopologyFamily::ShuffleExchange);
   const bool want_collective = ctx.topo->schedule.has_value();
   if (success && ctx.metrics.diameter) {
     // A successful trial passed monotone_embedding_survives (checked, or
@@ -421,13 +420,14 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
     }
   }
   if (want_stretch) {
+    // Stretch runs only on a successful trial, whose live logical graph is
+    // the target (see the simulator below): the audit borrows the router of
+    // the block's healthy simulator, the one it would build.
     const sim::Machine machine =
         sim::Machine::reconfigured(ctx.fabric(), draw.faults, ctx.target().num_nodes());
+    const sim::Router& logical = scratch.healthy(ctx).router();
     if (ctx.metrics.stretch_sample_pairs == 0) {
-      acc.route_stretch.add(
-          se_family ? sim::max_route_stretch_se(machine, ctx.cell.topology.digits)
-                    : sim::max_route_stretch(machine, ctx.cell.topology.base,
-                                             ctx.cell.topology.digits));
+      acc.route_stretch.add(sim::max_route_stretch(machine, logical));
     } else {
       // Counter-based pair sample: drawn from the trial's own RNG stream
       // (after the fault draw), so the report stays byte-identical across
@@ -441,11 +441,7 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
         const NodeId d = static_cast<NodeId>(rng.next_u64() % n_nodes);
         if (s != d) pairs.emplace_back(s, d);
       }
-      acc.route_stretch.add(
-          se_family
-              ? sim::max_route_stretch_se_sampled(machine, ctx.cell.topology.digits, pairs)
-              : sim::max_route_stretch_sampled(machine, ctx.cell.topology.base,
-                                               ctx.cell.topology.digits, pairs));
+      acc.route_stretch.add(sim::max_route_stretch_sampled(machine, logical, pairs));
     }
   }
 

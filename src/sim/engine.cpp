@@ -12,7 +12,9 @@ PacketSimulator::PacketSimulator(const Machine& machine, const Graph& target,
                                  const RouterOptions& options)
     : live_(machine.live_logical_graph(target)),
       router_(make_router(live_, options)),
-      hinted_(router_->backend() == RouterBackend::Implicit) {
+      table_(router_->backend() == RouterBackend::Table
+                 ? static_cast<const TableRouter*>(router_.get())
+                 : nullptr) {
   logical_live_.resize(machine.num_logical());
   for (std::size_t l = 0; l < logical_live_.size(); ++l) {
     logical_live_[l] = machine.dead[machine.to_physical[l]] ? 0 : 1;
@@ -84,6 +86,19 @@ PacketSimulator::Slot PacketSimulator::pop(std::size_t link) {
   return slot;
 }
 
+std::uint32_t PacketSimulator::enqueue(NodeId node, Slot slot) {
+  if (table_ == nullptr) {
+    route_batch_.emplace_back(node, slot);
+    return 0;
+  }
+  // The router was built from live_, so a reachable (dest, node) has a port
+  // below node's live degree; the injection check and the canonical descent
+  // keep every queued packet reachable.
+  const std::uint16_t port = table_->next_port(slab_[slot].dst, node);
+  assert(port < live_.degree(node));
+  return push(link_base_[node] + port, slot);
+}
+
 std::uint32_t PacketSimulator::flush_enqueues() {
   const std::size_t k = route_batch_.size();
   if (k == 0) return 0;
@@ -94,18 +109,14 @@ std::uint32_t PacketSimulator::flush_enqueues() {
     route_dests_[i] = slab_[route_batch_[i].second].dst;
     route_nodes_[i] = route_batch_[i].first;
   }
-  if (hinted_) {
-    // Slots are reused without clearing their hints: a hint is only trusted
-    // for the (dest, node) it was written for, which this router answers the
-    // same way whichever packet asks.
-    hints_.resize(slab_.size());
-    route_hints_.resize(k);
-    for (std::size_t i = 0; i < k; ++i) route_hints_[i] = hints_[route_batch_[i].second];
-    router_->route_many(route_dests_, route_nodes_, route_hops_, route_hints_);
-    for (std::size_t i = 0; i < k; ++i) hints_[route_batch_[i].second] = route_hints_[i];
-  } else {
-    router_->route_many(route_dests_, route_nodes_, route_hops_);
-  }
+  // Slots are reused without clearing their hints: a hint is only trusted
+  // for the (dest, node) it was written for, which this router answers the
+  // same way whichever packet asks.
+  hints_.resize(slab_.size());
+  route_hints_.resize(k);
+  for (std::size_t i = 0; i < k; ++i) route_hints_[i] = hints_[route_batch_[i].second];
+  router_->route_many(route_dests_, route_nodes_, route_hops_, route_hints_);
+  for (std::size_t i = 0; i < k; ++i) hints_[route_batch_[i].second] = route_hints_[i];
   std::uint32_t longest = 0;
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t link = link_id(route_batch_[i].first, route_hops_[i]);
@@ -166,7 +177,7 @@ SimStats PacketSimulator::run(const std::vector<Packet>& packets, std::uint64_t 
         ++stats.delivered;
         continue;  // zero-latency self-delivery
       }
-      route_batch_.emplace_back(p.src, allocate(InFlight{p.dst, 0, p.inject_cycle}));
+      (void)enqueue(p.src, allocate(InFlight{p.dst, 0, p.inject_cycle}));
       ++in_flight;
     }
     // Injection depths are not sampled: every queue that holds a packet now
@@ -201,7 +212,7 @@ SimStats PacketSimulator::run(const std::vector<Packet>& packets, std::uint64_t 
         stats.total_hops += pkt.hops;
         release(slot);
       } else {
-        route_batch_.emplace_back(at, slot);
+        depth = std::max(depth, enqueue(at, slot));
       }
     }
     depth = std::max(depth, flush_enqueues());

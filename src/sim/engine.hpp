@@ -107,9 +107,10 @@ class PacketSimulator {
     std::uint32_t size = 0;
   };
 
-  /// Directed link id of the (from -> to) live edge. Fails loudly (assert in
-  /// debug, std::logic_error in release) when `to` is not a live neighbor of
-  /// `from` — a misrouted hop must never silently corrupt a sibling queue.
+  /// Directed link id of the (from -> to) live edge, for the hops route_many
+  /// answers. Fails loudly (assert in debug, std::logic_error in release)
+  /// when `to` is not a live neighbor of `from` — a misrouted hop must never
+  /// silently corrupt a sibling queue.
   std::size_t link_id(NodeId from, NodeId to) const;
 
   bool node_live(NodeId logical) const {
@@ -121,16 +122,22 @@ class PacketSimulator {
   /// Appends `slot` to the link's FIFO and returns the new queue length.
   std::uint32_t push(std::size_t link, Slot slot);
   Slot pop(std::size_t link);
-  /// Routes every gathered (node, slot) one hop with a single route_many
-  /// call (the hinted overload on the implicit backend) and appends each to
-  /// its next link in gathering order; returns the longest queue any append
-  /// produced.
+  /// Queues the packet in `slot`, now at `node`, on its next link. On the
+  /// table backend that link is node's first link plus the router's port,
+  /// appended at once, and the new queue length is returned. Every other
+  /// backend gathers the pair for flush_enqueues and 0 is returned.
+  std::uint32_t enqueue(NodeId node, Slot slot);
+  /// Routes every gathered (node, slot) one hop with a single hinted
+  /// route_many call and appends each to its next link in gathering order;
+  /// returns the longest queue any append produced.
   std::uint32_t flush_enqueues();
 
   std::vector<std::uint8_t> logical_live_;  // per logical node: 1 when its host is alive
   Graph live_;
   std::unique_ptr<Router> router_;
-  bool hinted_ = false;  // implicit backend: route through per-slot RouteHints
+  // router_ itself when it is a TableRouter: a hop is then a port into the
+  // live adjacency the router was built from, and needs no link_id search.
+  const TableRouter* table_ = nullptr;
   // Directed link ids: node u's links to its sorted neighbors are
   // link_base_[u] .. link_base_[u + 1] - 1; link_to_ holds each link's head.
   std::vector<std::size_t> link_base_;
@@ -141,14 +148,16 @@ class PacketSimulator {
   // touching the idle ones.
   std::vector<std::uint64_t> busy_;
   std::vector<InFlight> slab_;
-  // One RouteHint per slab slot, used only when hinted_: the packet's
-  // implicit-routing state carried from one hop to the next.
+  // One RouteHint per slab slot, off the table backend: the packet's
+  // implicit-routing state carried from one hop to the next (the compressed
+  // backend ignores it).
   std::vector<RouteHint> hints_;
   Slot free_ = kNoSlot;
-  // Per-cycle scratch, kept across runs. Each wave (the injections, then
-  // the forwarded arrivals) gathers its (node, slot) pairs and resolves them
-  // with one route_many call, enqueuing in gathering order — hop-for-hop
-  // the stats match a scalar next_hop loop.
+  // Per-cycle scratch, kept across runs. Off the table backend, each wave
+  // (the injections, then the forwarded arrivals) gathers its (node, slot)
+  // pairs and resolves them with one route_many call, enqueuing in gathering
+  // order — the order the table backend enqueues in directly, so hop for hop
+  // the stats match a scalar next_hop loop on every backend.
   std::vector<std::pair<NodeId, Slot>> arrivals_;
   std::vector<std::pair<NodeId, Slot>> route_batch_;
   std::vector<NodeId> route_dests_;

@@ -76,11 +76,12 @@ SurvivorView make_survivor_view(const Machine& machine) {
   return view;
 }
 
-/// The family-agnostic core of the full audit: the target graph is already
-/// built, everything else (the survivor BFS sweeps, the ratio) is shared
-/// between the de Bruijn and shuffle-exchange entry points.
-double max_route_stretch_on_target(const Machine& machine, const Graph& target) {
-  const std::unique_ptr<Router> router = machine_logical_router(machine, target);
+}  // namespace
+
+double max_route_stretch(const Machine& machine, const Router& router) {
+  if (router.num_nodes() != machine.num_logical()) {
+    throw std::invalid_argument("max_route_stretch: router and machine differ in node count");
+  }
   const SurvivorView view = make_survivor_view(machine);
 
   double worst = 1.0;
@@ -108,7 +109,7 @@ double max_route_stretch_on_target(const Machine& machine, const Graph& target) 
     for (NodeId src = base; src < end; ++src) {
       const std::uint32_t* row = dist.data() + static_cast<std::size_t>(src - base) * sn;
       std::fill(src_rep.begin(), src_rep.end(), src);
-      router->distance_many(all_dsts, src_rep, logical_row);
+      router.distance_many(all_dsts, src_rep, logical_row);
       for (NodeId dst = 0; dst < n; ++dst) {
         if (src == dst) continue;
         const std::uint32_t logical = logical_row[dst];
@@ -124,10 +125,12 @@ double max_route_stretch_on_target(const Machine& machine, const Graph& target) 
   return worst;
 }
 
-/// Sampled core over a prebuilt target, shared by both topology families.
-double max_route_stretch_sampled_on_target(const Machine& machine, const Graph& target,
-                                           const std::vector<std::pair<NodeId, NodeId>>& pairs) {
-  const std::unique_ptr<Router> router = machine_logical_router(machine, target);
+double max_route_stretch_sampled(const Machine& machine, const Router& router,
+                                 const std::vector<std::pair<NodeId, NodeId>>& pairs) {
+  if (router.num_nodes() != machine.num_logical()) {
+    throw std::invalid_argument(
+        "max_route_stretch_sampled: router and machine differ in node count");
+  }
   const SurvivorView view = make_survivor_view(machine);
 
   // Group the sample by source so that up to 64 distinct sources share one
@@ -177,7 +180,7 @@ double max_route_stretch_sampled_on_target(const Machine& machine, const Graph& 
       ld_srcs.push_back(sorted[p].first);
     }
     logical_row.resize(ld_dsts.size());
-    router->distance_many(ld_dsts, ld_srcs, logical_row);
+    router.distance_many(ld_dsts, ld_srcs, logical_row);
     for (std::size_t gi = 0; gi < groups.size(); ++gi) {
       const std::uint32_t* row = dist.data() + gi * sn;
       for (std::size_t p = groups[gi].begin; p < groups[gi].end; ++p) {
@@ -195,25 +198,25 @@ double max_route_stretch_sampled_on_target(const Machine& machine, const Graph& 
   return worst;
 }
 
-}  // namespace
-
 double max_route_stretch(const Machine& machine, std::uint64_t m, unsigned h) {
-  return max_route_stretch_on_target(machine, debruijn_graph({.base = m, .digits = h}));
+  return max_route_stretch(
+      machine, *machine_logical_router(machine, debruijn_graph({.base = m, .digits = h})));
 }
 
 double max_route_stretch_sampled(const Machine& machine, std::uint64_t m, unsigned h,
                                  const std::vector<std::pair<NodeId, NodeId>>& pairs) {
-  return max_route_stretch_sampled_on_target(machine, debruijn_graph({.base = m, .digits = h}),
-                                             pairs);
+  return max_route_stretch_sampled(
+      machine, *machine_logical_router(machine, debruijn_graph({.base = m, .digits = h})), pairs);
 }
 
 double max_route_stretch_se(const Machine& machine, unsigned h) {
-  return max_route_stretch_on_target(machine, shuffle_exchange_graph(h));
+  return max_route_stretch(machine, *machine_logical_router(machine, shuffle_exchange_graph(h)));
 }
 
 double max_route_stretch_se_sampled(const Machine& machine, unsigned h,
                                     const std::vector<std::pair<NodeId, NodeId>>& pairs) {
-  return max_route_stretch_sampled_on_target(machine, shuffle_exchange_graph(h), pairs);
+  return max_route_stretch_sampled(
+      machine, *machine_logical_router(machine, shuffle_exchange_graph(h)), pairs);
 }
 
 }  // namespace ftdb::sim

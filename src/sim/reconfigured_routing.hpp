@@ -47,29 +47,39 @@ std::vector<NodeId> se_route_on_machine(const Machine& machine, unsigned h,
 std::unique_ptr<Router> machine_logical_router(const Machine& machine, const Graph& target,
                                                const RouterOptions& options = {});
 
-/// Route-stretch audit: for every (src, dst) pair, compares the deployed
-/// routing engine's logical route length (machine_logical_router — implicit
-/// shift algebra on dilation-1 machines) against the shortest path in the
-/// *physical* survivor graph, which may cut through spare nodes the logical
-/// machine does not use. The logical route is never shorter than the physical
-/// shortest path; the maximum ratio quantifies the price of routing in
-/// logical space. Returns the maximum over all pairs (1.0 = the logical
-/// engine is physically optimal everywhere). Pairs with no live logical route
-/// are skipped.
-double max_route_stretch(const Machine& machine, std::uint64_t m, unsigned h);
+/// Route-stretch audit: for every (src, dst) pair, compares the route length
+/// of `logical` — the routing engine the machine runs over its live logical
+/// graph — against the shortest path in the *physical* survivor graph, which
+/// may cut through spare nodes the logical machine does not use. The logical
+/// route is never shorter than the physical shortest path; the maximum ratio
+/// quantifies the price of routing in logical space. Returns the maximum over
+/// all pairs (1.0 = the logical engine is physically optimal everywhere).
+/// Pairs with no live logical route are skipped. Throws
+/// std::invalid_argument when `logical` does not span the machine's logical
+/// nodes. A caller that already holds the router of the machine's live
+/// logical graph (say, of the target itself, which is that graph whenever
+/// the monotone embedding survived) passes it instead of rebuilding it.
+double max_route_stretch(const Machine& machine, const Router& logical);
 
 /// Sampled variant for big-N sweeps: the same ratio maximized over the given
 /// (logical src, logical dst) pairs only. Deterministic for a fixed pair
 /// list, so campaign reports stay byte-identical across thread counts and
 /// checkpoint/resume as long as the pairs are drawn from the trial's
 /// counter-based RNG. Self-pairs are ignored; returns 1.0 for an empty list.
+/// Throws std::out_of_range for a pair outside the machine.
+double max_route_stretch_sampled(const Machine& machine, const Router& logical,
+                                 const std::vector<std::pair<NodeId, NodeId>>& pairs);
+
+/// The audits over machine_logical_router(machine, B_{m,h}): the deployed
+/// engine, implicit shift algebra on dilation-1 machines.
+double max_route_stretch(const Machine& machine, std::uint64_t m, unsigned h);
 double max_route_stretch_sampled(const Machine& machine, std::uint64_t m, unsigned h,
                                  const std::vector<std::pair<NodeId, NodeId>>& pairs);
 
 /// Shuffle-exchange variants of the stretch audit: the machine carries SE_h
-/// as its logical target (everything past the target construction — the
-/// survivor-graph BFS sweeps and the ratio — is family-agnostic and shared
-/// with the de Bruijn versions above).
+/// as its logical target (everything past the router — the survivor-graph
+/// BFS sweeps and the ratio — is family-agnostic and shared with the de
+/// Bruijn versions above).
 double max_route_stretch_se(const Machine& machine, unsigned h);
 double max_route_stretch_se_sampled(const Machine& machine, unsigned h,
                                     const std::vector<std::pair<NodeId, NodeId>>& pairs);

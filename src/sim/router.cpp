@@ -163,40 +163,67 @@ struct ShuffleExchangeShapeOps {
   std::size_t max_degree() const { return 3; }
 };
 
+/// Refuses a graph whose ports would not fit the uint16 slab, before the
+/// router allocates anything.
+const Graph& port_checked(const Graph& g) {
+  if (g.max_degree() >= TableRouter::kNoPort) {
+    throw std::length_error("TableRouter: degree exceeds the uint16 port slab");
+  }
+  return g;
+}
+
 }  // namespace
 
 TableRouter::TableRouter(const Graph& g)
-    : n_(g.num_nodes()), table_(n_ * n_, kInvalidNode), dist_(n_ * n_, kNoPath) {
-  // BFS from each destination, writing straight into this destination's slab
-  // row, then one canonical-descent pass assigning every node its lowest-id
-  // closer neighbor.
-  std::vector<NodeId> cur, next;
-  for (std::size_t dest = 0; dest < n_; ++dest) {
-    const std::size_t base = dest * n_;
-    dist_[base + dest] = 0;
-    table_[base + dest] = static_cast<NodeId>(dest);
-    cur.assign(1, static_cast<NodeId>(dest));
+    : n_(g.num_nodes()),
+      graph_(port_checked(g)),
+      port_(n_ * n_, kNoPort),
+      dist_(n_ * n_, kNoPath) {
+  // One pull-direction, bit-parallel BFS per batch of 64 destinations (the
+  // scheme of MultiSourceBfs): bit j of a node's word stands for destination
+  // base + j. Each level, every node some destination has not reached yet
+  // scans its sorted adjacency once; the first neighbor on the previous
+  // level's frontier of a destination is its lowest-id closer neighbor
+  // (canonical_descent_step), so that neighbor's index is the port, found in
+  // the same scan.
+  constexpr std::size_t kWidth = 64;
+  std::vector<std::uint64_t> visited(n_), frontier(n_), fresh(n_);
+  for (std::size_t base = 0; base < n_; base += kWidth) {
+    const std::size_t width = std::min(kWidth, n_ - base);
+    const std::uint64_t all =
+        width == kWidth ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+    std::fill(visited.begin(), visited.end(), 0);
+    std::fill(frontier.begin(), frontier.end(), 0);
+    for (std::size_t j = 0; j < width; ++j) {
+      visited[base + j] = frontier[base + j] = std::uint64_t{1} << j;
+      dist_[(base + j) * n_ + base + j] = 0;
+    }
     std::uint16_t level = 0;
-    while (!cur.empty()) {
+    for (bool open = true; open;) {
       if (level == kNoPath - 1) {
         throw std::length_error("TableRouter: distance exceeds the uint16 slab");
       }
       ++level;
-      next.clear();
-      for (const NodeId u : cur) {
-        for (const NodeId v : g.neighbors(u)) {
-          if (dist_[base + v] == kNoPath) {
-            dist_[base + v] = level;
-            next.push_back(v);
+      open = false;
+      for (std::size_t v = 0; v < n_; ++v) {
+        const std::uint64_t unreached = all & ~visited[v];
+        std::uint64_t rem = unreached;
+        const auto nb = g.neighbors(static_cast<NodeId>(v));
+        for (std::size_t i = 0; i < nb.size() && rem != 0; ++i) {
+          std::uint64_t hit = frontier[nb[i]] & rem;
+          rem ^= hit;
+          for (; hit != 0; hit &= hit - 1) {
+            const std::size_t dest = base + static_cast<std::size_t>(std::countr_zero(hit));
+            const std::size_t at = dest * n_ + v;
+            dist_[at] = level;
+            port_[at] = static_cast<std::uint16_t>(i);
           }
         }
+        fresh[v] = unreached ^ rem;
+        open |= fresh[v] != 0;
       }
-      cur.swap(next);
-    }
-    const auto dist_of = [&](NodeId w) { return static_cast<std::uint32_t>(dist_[base + w]); };
-    for (std::size_t v = 0; v < n_; ++v) {
-      if (v == dest || dist_[base + v] == kNoPath) continue;
-      table_[base + v] = canonical_descent_step(g, static_cast<NodeId>(v), dist_of);
+      for (std::size_t v = 0; v < n_; ++v) visited[v] |= fresh[v];
+      frontier.swap(fresh);
     }
   }
 }

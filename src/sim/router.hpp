@@ -30,9 +30,9 @@
 //                       * f * h per node for f faults (0 on a healthy shape).
 //                       Any other graph is rejected at construction.
 //  * TableRouter      — O(N^2) memory, O(1) next-hop. A per-destination BFS
-//                       next-hop slab with uint16 distances, kept as the
-//                       general fallback and the oracle the others are
-//                       tested against.
+//                       slab of uint16 adjacency ports with uint16
+//                       distances, kept as the general fallback and the
+//                       oracle the others are tested against.
 //
 // make_router() picks automatically: the table for any graph below
 // kImplicitMinNodes; at or above it, implicit when the graph *is* a de Bruijn
@@ -124,18 +124,32 @@ class Router {
 
 /// Dense next-hop tables (general fallback and test oracle): next_hop(dest,
 /// node) is read straight out of an N^2 slab, filled by one BFS per
-/// destination plus a canonical-descent pass. Memory is N^2; intended for the
-/// simulator's N <= a few thousand. Distances live in a uint16 slab (half the
-/// N^2 footprint of the next-hop slab): hop counts on these machines are
-/// tiny, and the constructor throws std::length_error if a graph ever
-/// exceeds 65534 hops rather than wrapping.
+/// destination that also picks each node's lowest-id closer neighbor. Each
+/// entry is a uint16 *port* — the index of the canonical next hop in node's
+/// sorted adjacency — so the packet engine turns it into a link id with one
+/// add, and next_hop resolves it through the router's own copy of the
+/// adjacency. Distances live in a second uint16 slab: 4 * N^2 bytes in all,
+/// intended for the simulator's N <= a few thousand. Hop counts on these
+/// machines are tiny; the constructor throws std::length_error if a graph
+/// ever exceeds 65534 hops rather than wrapping, and refuses a graph of
+/// degree 0xffff or more (its ports would not fit) before allocating a slab.
 class TableRouter final : public Router {
  public:
+  /// The port of a self or unreachable (dest, node) entry.
+  static constexpr std::uint16_t kNoPort = 0xffff;
+
   explicit TableRouter(const Graph& g);
 
   RouterBackend backend() const override { return RouterBackend::Table; }
   std::size_t num_nodes() const override { return n_; }
-  NodeId next_hop(NodeId dest, NodeId node) const override { return table_[index(dest, node)]; }
+  NodeId next_hop(NodeId dest, NodeId node) const override {
+    const std::uint16_t port = next_port(dest, node);
+    if (port == kNoPort) return node == dest ? dest : kInvalidNode;
+    return graph_.neighbors(node)[port];
+  }
+  /// Index of next_hop(dest, node) in node's sorted adjacency, or kNoPort
+  /// when node == dest or dest is unreachable from node.
+  std::uint16_t next_port(NodeId dest, NodeId node) const { return port_[index(dest, node)]; }
   /// Hop count, or uint32(-1) when unreachable (the sentinel is widened from
   /// the internal uint16).
   std::uint32_t distance(NodeId dest, NodeId node) const override {
@@ -145,8 +159,10 @@ class TableRouter final : public Router {
   bool reachable(NodeId dest, NodeId node) const override {
     return dist_[index(dest, node)] != kNoPath;
   }
+  /// The two slabs plus the adjacency copy next_hop resolves ports through.
   std::size_t memory_bytes() const override {
-    return n_ * n_ * (sizeof(NodeId) + sizeof(std::uint16_t));
+    return n_ * n_ * 2 * sizeof(std::uint16_t) + (n_ + 1) * sizeof(std::size_t) +
+           2 * graph_.num_edges() * sizeof(NodeId);
   }
 
  private:
@@ -157,7 +173,8 @@ class TableRouter final : public Router {
   }
 
   std::size_t n_;
-  std::vector<NodeId> table_;
+  Graph graph_;
+  std::vector<std::uint16_t> port_;
   std::vector<std::uint16_t> dist_;
 };
 

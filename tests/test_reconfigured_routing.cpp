@@ -2,7 +2,10 @@
 // translation of logical routes onto the physical fabric.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "ft/ft_debruijn.hpp"
 #include "ft/ft_shuffle_exchange.hpp"
@@ -201,6 +204,63 @@ TEST(MaxRouteStretchDeBruijn, HopExactAgainstDoubleBfsOracle) {
     EXPECT_DOUBLE_EQ(max_route_stretch(m, 2, 4), stretch_oracle(m, debruijn_base2(4)))
         << "trial=" << trial;
   }
+}
+
+/// Every ordered pair of distinct logical nodes, the sample that makes the
+/// sampled audit the full one, plus a short subset with a self-pair.
+std::vector<std::pair<NodeId, NodeId>> audit_samples(std::size_t n, bool all) {
+  const auto last = static_cast<NodeId>(n - 1);
+  if (!all) return {{0, last}, {3, 3}, {7, 2}, {last, 1}};
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId d = 0; d < n; ++d) {
+      if (s != d) pairs.emplace_back(s, d);
+    }
+  }
+  return pairs;
+}
+
+TEST(MaxRouteStretch, TargetRouterEqualsTheSelfBuildingAuditsOnSurvivingFaultSets) {
+  // A fault set within the spare budget survives (Theorems 1/2), so the
+  // machine's live logical graph is the target and the target's own router —
+  // the one a campaign block's healthy simulator holds — is the one the
+  // self-building audits construct.
+  const unsigned h = 4;
+  const unsigned k = 2;
+  const Graph db_target = debruijn_base2(h);
+  const Graph db_ft = ft_debruijn_base2(h, k);
+  const auto se = ft_shuffle_exchange_natural(h, k);
+  const Graph se_target = shuffle_exchange_graph(h);
+  const std::unique_ptr<Router> db_router = make_router(db_target);
+  const std::unique_ptr<Router> se_router = make_router(se_target);
+  SplitMix64 rng(2027);
+  for (int trial = 0; trial < 6; ++trial) {
+    const Machine db = Machine::reconfigured(
+        db_ft, FaultSet::random(db_ft.num_nodes(), k, rng), db_target.num_nodes());
+    const Machine sm = Machine::reconfigured(
+        se.ft_graph, FaultSet::random(se.ft_graph.num_nodes(), k, rng), se_target.num_nodes());
+    ASSERT_TRUE(db.live_logical_graph(db_target).same_structure(db_target)) << trial;
+    ASSERT_TRUE(sm.live_logical_graph(se_target).same_structure(se_target)) << trial;
+    EXPECT_DOUBLE_EQ(max_route_stretch(db, *db_router), max_route_stretch(db, 2, h)) << trial;
+    EXPECT_DOUBLE_EQ(max_route_stretch(sm, *se_router), max_route_stretch_se(sm, h)) << trial;
+    for (const bool all : {true, false}) {
+      const auto db_pairs = audit_samples(db_target.num_nodes(), all);
+      const auto se_pairs = audit_samples(se_target.num_nodes(), all);
+      EXPECT_DOUBLE_EQ(max_route_stretch_sampled(db, *db_router, db_pairs),
+                       max_route_stretch_sampled(db, 2, h, db_pairs))
+          << trial << " all=" << all;
+      EXPECT_DOUBLE_EQ(max_route_stretch_sampled(sm, *se_router, se_pairs),
+                       max_route_stretch_se_sampled(sm, h, se_pairs))
+          << trial << " all=" << all;
+    }
+  }
+}
+
+TEST(MaxRouteStretch, RouterOfAnotherSizeIsRefused) {
+  const Machine m = make_reconfigured(4, 2, {5, 11});
+  const std::unique_ptr<Router> small = make_router(debruijn_base2(3));
+  EXPECT_THROW(max_route_stretch(m, *small), std::invalid_argument);
+  EXPECT_THROW(max_route_stretch_sampled(m, *small, {{0, 1}}), std::invalid_argument);
 }
 
 TEST(MachineLogicalRouter, PicksImplicitExactlyWhenDilationOneSurvives) {

@@ -112,6 +112,21 @@ void expect_equivalent(const Graph& g, const std::vector<const Router*>& routers
     }
   }
   for (const Router* r : routers) {
+    // The table backend's ports: a reachable pair steps through the port's
+    // entry of node's sorted adjacency; self and unreachable pairs have none.
+    if (r->backend() == RouterBackend::Table) {
+      const auto& table = static_cast<const TableRouter&>(*r);
+      for (std::size_t i = 0; i < dests.size(); ++i) {
+        const std::uint16_t port = table.next_port(dests[i], nodes[i]);
+        if (dests[i] == nodes[i] || !table.reachable(dests[i], nodes[i])) {
+          ASSERT_EQ(port, TableRouter::kNoPort) << context << " " << +nodes[i] << "->" << +dests[i];
+          continue;
+        }
+        ASSERT_LT(port, g.degree(nodes[i])) << context << " " << +nodes[i] << "->" << +dests[i];
+        ASSERT_EQ(g.neighbors(nodes[i])[port], table.next_hop(dests[i], nodes[i]))
+            << context << " " << +nodes[i] << "->" << +dests[i];
+      }
+    }
     std::vector<RouteHint> hints(n * n);
     r->route_many(dests, nodes, hops);
     r->route_many(dests, nodes, hinted, hints);

@@ -106,6 +106,42 @@ FTDB_BENCH(collectives_degraded, "perf_collectives/bruck_a2a_degraded_h7") {
   ctx.report("undeliverable", static_cast<double>(r.run.undeliverable));
 }
 
+FTDB_BENCH(collectives_engine_bruck, "perf_collectives/engine_bruck_b2_h6") {
+  // The engine's share of a failed campaign_sim trial, attributed per hop
+  // and per packet: the survivors' Bruck all-to-all on B_{2,6} with 3 target
+  // faults, run on the degraded machine and on the healthy one, the pair
+  // the trial prices its slowdown with. Both simulators are built once;
+  // only execute_schedule is timed.
+  const Graph target = ftdb::debruijn_base2(6);
+  const ftdb::FaultSet faults(target.num_nodes(), {5, 22, 41});
+  PacketSimulator degraded(Machine::direct_with_faults(target, faults), target);
+  PacketSimulator healthy(Machine::direct(target), target);
+  std::vector<NodeId> survivors;
+  for (NodeId v = 0; v < target.num_nodes(); ++v) {
+    if (!faults.is_faulty(v)) survivors.push_back(v);
+  }
+  const Schedule sched =
+      build_schedule(ScheduleKind::AllToAllBruck, static_cast<std::uint32_t>(survivors.size()));
+  constexpr int kIterations = 20;
+  ScheduleRunResult on_degraded;
+  ScheduleRunResult on_healthy;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kIterations; ++i) {
+    on_degraded = execute_schedule(degraded, sched, survivors);
+    on_healthy = execute_schedule(healthy, sched, survivors);
+  }
+  const double ns = static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                            std::chrono::steady_clock::now() - start)
+                                            .count()) /
+                    kIterations;
+  const double hops = static_cast<double>(on_degraded.total_hop_cycles + on_healthy.total_hop_cycles);
+  const double packets = static_cast<double>(on_degraded.logical_sends + on_healthy.logical_sends);
+  ctx.report("ns_per_hop", ns / hops);
+  ctx.report("ns_per_packet", ns / packets);
+  ctx.report("total_cycles", static_cast<double>(on_degraded.total_cycles + on_healthy.total_cycles));
+  ctx.report("total_hop_cycles", hops);
+}
+
 FTDB_BENCH(collectives_campaign, "perf_collectives/campaign_collective_h5_k2") {
   // The production shape: a campaign cell with the collective metric on —
   // per-trial schedule execution dominated by the degraded/baseline pair.

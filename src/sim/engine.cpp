@@ -46,33 +46,22 @@ std::size_t PacketSimulator::link_id(NodeId from, NodeId to) const {
   return link_base_[from] + static_cast<std::size_t>(it - nb.begin());
 }
 
-PacketSimulator::Slot PacketSimulator::allocate(const InFlight& pkt) {
-  if (free_ != kNoSlot) {
-    const Slot slot = free_;
-    free_ = slab_[slot].next;
-    slab_[slot] = pkt;
-    return slot;
+std::uint32_t PacketSimulator::append(std::size_t link, Slot first, Slot last,
+                                      std::uint32_t count) {
+  LinkQueue& q = queues_[link];
+  if (q.size == 0) {
+    q.head = first;
+    busy_[link / 64] |= std::uint64_t{1} << (link % 64);
+  } else {
+    slab_[q.tail].next = first;
   }
-  slab_.push_back(pkt);
-  return static_cast<Slot>(slab_.size() - 1);
-}
-
-void PacketSimulator::release(Slot slot) {
-  slab_[slot].next = free_;
-  free_ = slot;
+  q.tail = last;
+  return q.size += count;
 }
 
 std::uint32_t PacketSimulator::push(std::size_t link, Slot slot) {
-  LinkQueue& q = queues_[link];
   slab_[slot].next = kNoSlot;
-  if (q.size == 0) {
-    q.head = slot;
-    busy_[link / 64] |= std::uint64_t{1} << (link % 64);
-  } else {
-    slab_[q.tail].next = slot;
-  }
-  q.tail = slot;
-  return ++q.size;
+  return append(link, slot, slot, 1);
 }
 
 PacketSimulator::Slot PacketSimulator::pop(std::size_t link) {
@@ -86,17 +75,23 @@ PacketSimulator::Slot PacketSimulator::pop(std::size_t link) {
   return slot;
 }
 
-std::uint32_t PacketSimulator::enqueue(NodeId node, Slot slot) {
-  if (table_ == nullptr) {
-    route_batch_.emplace_back(node, slot);
-    return 0;
+void PacketSimulator::inject(NodeId src, NodeId dst, std::uint64_t inject_cycle,
+                             std::uint32_t count) {
+  // Each run gets fresh slots, so its slots are consecutive and already
+  // chained in queue order.
+  const Slot first = static_cast<Slot>(slab_.size());
+  const Slot last = first + count - 1;
+  for (Slot slot = first; slot <= last; ++slot) {
+    slab_.push_back(InFlight{dst, 0, inject_cycle, slot + 1});
   }
-  // The router was built from live_, so a reachable (dest, node) has a port
-  // below node's live degree; the injection check and the canonical descent
-  // keep every queued packet reachable.
-  const std::uint16_t port = table_->next_port(slab_[slot].dst, node);
-  assert(port < live_.degree(node));
-  return push(link_base_[node] + port, slot);
+  slab_.back().next = kNoSlot;
+  if (table_ == nullptr) {
+    for (Slot slot = first; slot <= last; ++slot) route_batch_.emplace_back(src, slot);
+    return;
+  }
+  const std::uint16_t port = table_->next_port(dst, src);
+  assert(port < live_.degree(src));
+  (void)append(link_base_[src] + port, first, last, count);
 }
 
 std::uint32_t PacketSimulator::flush_enqueues() {
@@ -109,9 +104,9 @@ std::uint32_t PacketSimulator::flush_enqueues() {
     route_dests_[i] = slab_[route_batch_[i].second].dst;
     route_nodes_[i] = route_batch_[i].first;
   }
-  // Slots are reused without clearing their hints: a hint is only trusted
-  // for the (dest, node) it was written for, which this router answers the
-  // same way whichever packet asks.
+  // Slots are reused across runs without clearing their hints: a hint is
+  // only trusted for the (dest, node) it was written for, which this router
+  // answers the same way whichever packet asks.
   hints_.resize(slab_.size());
   route_hints_.resize(k);
   for (std::size_t i = 0; i < k; ++i) route_hints_[i] = hints_[route_batch_[i].second];
@@ -139,7 +134,7 @@ SimStats PacketSimulator::run(const std::vector<Packet>& packets, std::uint64_t 
     busy_[w] = 0;
   }
   slab_.clear();
-  free_ = kNoSlot;
+  slab_.reserve(packets.size());
   route_batch_.clear();
 
   // Injection order is the stable inject-cycle order; collective steps and
@@ -165,54 +160,73 @@ SimStats PacketSimulator::run(const std::vector<Packet>& packets, std::uint64_t 
     if (!pending && in_flight == 0) break;
     if (max_cycles != 0 && cycle >= max_cycles) break;
 
-    // Inject this cycle's packets.
+    // Inject this cycle's packets, one run at a time: a run is a maximal
+    // stretch of consecutive packets with the same source, destination and
+    // inject cycle, such as the message a collective step sends to one peer.
+    // Its packets share one liveness check and one route.
     while (next_packet < batch->size() && (*batch)[next_packet].inject_cycle <= cycle) {
-      const Packet& p = (*batch)[next_packet++];
-      ++stats.injected;
+      const Packet& p = (*batch)[next_packet];
+      std::size_t end = next_packet + 1;
+      while (end < batch->size() && (*batch)[end].src == p.src && (*batch)[end].dst == p.dst &&
+             (*batch)[end].inject_cycle == p.inject_cycle) {
+        ++end;
+      }
+      const auto count = static_cast<std::uint32_t>(end - next_packet);
+      next_packet = end;
+      stats.injected += count;
       if (!node_live(p.src) || !node_live(p.dst) || !router_->reachable(p.dst, p.src)) {
-        ++stats.undeliverable;
+        stats.undeliverable += count;
         continue;
       }
       if (p.src == p.dst) {
-        ++stats.delivered;
+        stats.delivered += count;
         continue;  // zero-latency self-delivery
       }
-      (void)enqueue(p.src, allocate(InFlight{p.dst, 0, p.inject_cycle}));
-      ++in_flight;
+      inject(p.src, p.dst, p.inject_cycle, count);
+      in_flight += count;
     }
     // Injection depths are not sampled: every queue that holds a packet now
     // forwards one below, and depth is an end-of-cycle figure.
     (void)flush_enqueues();
 
-    // Phase 1: every busy directed link forwards its head packet, in
-    // ascending link id. A queue's end-of-cycle length is either what is
-    // left here or, if phase 2 appends to it, what that append leaves, so
-    // the two together give the end-of-cycle maximum over all links.
+    // Every link busy at the start of the cycle forwards its head packet, in
+    // ascending link id, and the packet is delivered or queued for its next
+    // hop at once. Only the table path appends during the pass, so it walks
+    // a snapshot of the busy links and no packet moves twice; the others
+    // append after it. Depth is an end-of-cycle figure: a queue's length
+    // after its own pop, or after an append once it has popped, so an
+    // append onto a link that is still due to forward this cycle counts one
+    // less.
     std::uint32_t depth = 0;
-    arrivals_.clear();
-    for (std::size_t w = 0; w < busy_.size(); ++w) {
-      for (std::uint64_t bits = busy_[w]; bits != 0; bits &= bits - 1) {
+    if (table_ != nullptr) forwarding_.assign(busy_.begin(), busy_.end());
+    const std::vector<std::uint64_t>& forwarding = table_ != nullptr ? forwarding_ : busy_;
+    for (std::size_t w = 0; w < forwarding.size(); ++w) {
+      for (std::uint64_t bits = forwarding[w]; bits != 0; bits &= bits - 1) {
         const std::size_t link = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
         const Slot slot = pop(link);
         depth = std::max(depth, queues_[link].size);
-        ++slab_[slot].hops;
-        arrivals_.emplace_back(link_to_[link], slot);
-      }
-    }
-
-    // Phase 2: arrivals either complete or queue for their next hop.
-    for (const auto& [at, slot] : arrivals_) {
-      const InFlight& pkt = slab_[slot];
-      if (at == pkt.dst) {
-        --in_flight;
-        ++stats.delivered;
-        const std::uint64_t latency = cycle + 1 - pkt.inject_cycle;
-        stats.total_latency += latency;
-        stats.max_latency = std::max(stats.max_latency, latency);
-        stats.total_hops += pkt.hops;
-        release(slot);
-      } else {
-        depth = std::max(depth, enqueue(at, slot));
+        InFlight& pkt = slab_[slot];
+        ++pkt.hops;
+        const NodeId at = link_to_[link];
+        if (at == pkt.dst) {
+          --in_flight;
+          ++stats.delivered;
+          const std::uint64_t latency = cycle + 1 - pkt.inject_cycle;
+          stats.total_latency += latency;
+          stats.max_latency = std::max(stats.max_latency, latency);
+          stats.total_hops += pkt.hops;
+        } else if (table_ == nullptr) {
+          route_batch_.emplace_back(at, slot);
+        } else {
+          // The router was built from live_, so a reachable (dest, node) has
+          // a port below node's live degree; the injection check and the
+          // canonical descent keep every queued packet reachable.
+          const std::uint16_t port = table_->next_port(pkt.dst, at);
+          assert(port < live_.degree(at));
+          const std::size_t next = link_base_[at] + port;
+          const bool due = next > link && ((forwarding[next / 64] >> (next % 64)) & 1) != 0;
+          depth = std::max(depth, push(next, slot) - (due ? 1 : 0));
+        }
       }
     }
     depth = std::max(depth, flush_enqueues());
@@ -221,7 +235,7 @@ SimStats PacketSimulator::run(const std::vector<Packet>& packets, std::uint64_t 
     ++cycle;
   }
   // Every injected packet is on exactly one queue when max_cycles cut the
-  // loop short (arrivals are fully drained each cycle), so the in-flight
+  // loop short (each cycle ends with route_batch_ flushed), so the in-flight
   // count is precisely the timed-out population.
   stats.timed_out = in_flight;
   stats.cycles = cycle;

@@ -91,8 +91,9 @@ class PacketSimulator {
   using Slot = std::uint32_t;
   static constexpr Slot kNoSlot = ~Slot{0};
 
-  /// One packet in the slab. `next` chains it behind its link's FIFO tail,
-  /// or onto the free list once delivered.
+  /// One packet in the slab. `next` chains it behind its link's FIFO tail.
+  /// A slot lives until the run ends: the slab is cleared per run, never
+  /// recycled within one.
   struct InFlight {
     NodeId dst = 0;
     std::uint32_t hops = 0;
@@ -117,16 +118,17 @@ class PacketSimulator {
     return logical < logical_live_.size() && logical_live_[logical] != 0;
   }
 
-  Slot allocate(const InFlight& pkt);
-  void release(Slot slot);
+  /// Appends the chain first..last of `count` slots, already linked through
+  /// `next` and ending in kNoSlot, to the link's FIFO in O(1); returns the
+  /// new queue length.
+  std::uint32_t append(std::size_t link, Slot first, Slot last, std::uint32_t count);
   /// Appends `slot` to the link's FIFO and returns the new queue length.
   std::uint32_t push(std::size_t link, Slot slot);
   Slot pop(std::size_t link);
-  /// Queues the packet in `slot`, now at `node`, on its next link. On the
-  /// table backend that link is node's first link plus the router's port,
-  /// appended at once, and the new queue length is returned. Every other
-  /// backend gathers the pair for flush_enqueues and 0 is returned.
-  std::uint32_t enqueue(NodeId node, Slot slot);
+  /// Injects `count` packets src -> dst into consecutive fresh slots. On the
+  /// table backend they are appended to src's next link as one chain; every
+  /// other backend gathers each slot for flush_enqueues.
+  void inject(NodeId src, NodeId dst, std::uint64_t inject_cycle, std::uint32_t count);
   /// Routes every gathered (node, slot) one hop with a single hinted
   /// route_many call and appends each to its next link in gathering order;
   /// returns the longest queue any append produced.
@@ -145,20 +147,21 @@ class PacketSimulator {
   std::vector<LinkQueue> queues_;
   // One bit per link, set while its queue is non-empty: a cycle visits the
   // busy links in ascending id — the order a full scan would — without
-  // touching the idle ones.
+  // touching the idle ones. On the table backend forwarding_ is its
+  // snapshot at the start of a cycle's forwarding pass: the links that
+  // forward this cycle.
   std::vector<std::uint64_t> busy_;
+  std::vector<std::uint64_t> forwarding_;
   std::vector<InFlight> slab_;
   // One RouteHint per slab slot, off the table backend: the packet's
   // implicit-routing state carried from one hop to the next (the compressed
   // backend ignores it).
   std::vector<RouteHint> hints_;
-  Slot free_ = kNoSlot;
   // Per-cycle scratch, kept across runs. Off the table backend, each wave
-  // (the injections, then the forwarded arrivals) gathers its (node, slot)
+  // (the injections, then the forwarded packets) gathers its (node, slot)
   // pairs and resolves them with one route_many call, enqueuing in gathering
   // order — the order the table backend enqueues in directly, so hop for hop
   // the stats match a scalar next_hop loop on every backend.
-  std::vector<std::pair<NodeId, Slot>> arrivals_;
   std::vector<std::pair<NodeId, Slot>> route_batch_;
   std::vector<NodeId> route_dests_;
   std::vector<NodeId> route_nodes_;

@@ -412,7 +412,7 @@ TEST_F(BenchCompare, CommittedGatesFileParsesAndNamesEveryGate) {
   const auto head = write("head.json", bench_doc({}));
   const Outcome o = run({"--gates", gates, head, "vs", head});
   EXPECT_EQ(o.code, 1) << o.err;  // nothing ran, so every gate fails
-  EXPECT_NE(o.out.find("23 of 23 gates failed"), std::string::npos) << o.out;
+  EXPECT_NE(o.out.find("24 of 24 gates failed"), std::string::npos) << o.out;
 }
 
 }  // namespace

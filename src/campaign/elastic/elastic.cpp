@@ -3,11 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -37,11 +34,6 @@ std::string default_worker_id() {
   char buf[256] = {};
   if (::gethostname(buf, sizeof buf - 1) != 0) std::strcpy(buf, "worker");
   return std::string(buf) + "-" + std::to_string(::getpid());
-}
-
-void validate_spec(const ScenarioSpec& spec, const std::vector<ScenarioCase>& cells) {
-  if (cells.empty()) throw std::runtime_error("elastic: spec expands to zero cells");
-  if (spec.trials == 0) throw std::runtime_error("elastic: spec asks for zero trials");
 }
 
 /// The indices of the cells `shard` owns, most expensive predicted cell
@@ -86,15 +78,15 @@ ScenarioSpec load_elastic_spec(const std::string& dir) {
 }
 
 ElasticProgress load_elastic_progress(const ScenarioSpec& spec,
-                                      const std::vector<std::string>& dirs) {
-  const std::vector<ScenarioCase> cells = expand_grid(spec);
-  validate_spec(spec, cells);
+                                      const std::vector<std::string>& dirs,
+                                      TargetTable* targets) {
+  const std::vector<ScenarioCase> cells = runnable_grid(spec);
   const std::uint64_t spec_fp = spec_fingerprint(spec);
   const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
 
   ElasticProgress progress;
   progress.cells.resize(cells.size());
-  progress.finalized.assign(cells.size(), 0);
+  std::vector<char> finalized(cells.size(), 0);  // the prefix is a complete compacted cell
   for (std::size_t i = 0; i < cells.size(); ++i) {
     progress.cells[i].scenario_index = i;
     progress.cells[i].prefix.scenario_index = i;
@@ -132,7 +124,7 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec,
       if (cp.prefix_blocks > best.prefix_blocks) {
         best.prefix_blocks = cp.prefix_blocks;
         best.prefix = cp.prefix;
-        progress.finalized[cp.scenario_index] = cp.prefix_blocks == total_blocks ? 1 : 0;
+        finalized[cp.scenario_index] = cp.prefix_blocks == total_blocks ? 1 : 0;
       }
       extras[cp.scenario_index].insert(cp.extra.begin(), cp.extra.end());
     }
@@ -170,10 +162,12 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec,
     CellProgress& cp = progress.cells[i];
     auto& pool = extras[i];
     pool.erase(pool.begin(), pool.lower_bound(cp.prefix_blocks));  // inside a longer prefix
-    while (!pool.empty() && pool.begin()->first == cp.prefix_blocks) {
-      cp.prefix.merge(pool.begin()->second);
-      ++cp.prefix_blocks;
-      pool.erase(pool.begin());
+    fold_in_order(cp.prefix, cp.prefix_blocks, pool);
+    if (targets != nullptr && cp.prefix_blocks == total_blocks) {
+      // A compacted complete prefix is finalized by convention; a cell
+      // completed by log records still carries raw accumulators.
+      if (finalized[i] == 0) CellRunner(spec, cells[i], *targets).finalize(cp.prefix);
+      targets->release(cells[i]);
     }
     for (auto& [block, partial] : pool) cp.extra.emplace_back(block, std::move(partial));
     progress.durable_blocks += cp.prefix_blocks + cp.extra.size();
@@ -181,27 +175,15 @@ ElasticProgress load_elastic_progress(const ScenarioSpec& spec,
   return progress;
 }
 
-bool compact_elastic_dir(const ScenarioSpec& spec, const std::string& dir,
+bool compact_elastic_dir(const ScenarioSpec& spec, TargetTable& targets, const std::string& dir,
                          const std::string& worker_id, BlockLog* own_log,
                          std::uint64_t lease_ttl_seconds, bool fsync) {
   Lease lock = Lease::try_acquire(compact_lease_path(dir), worker_id, lease_ttl_seconds);
   if (!lock.held()) return false;  // someone else is compacting; theirs covers our records
 
-  const std::vector<ScenarioCase> cells = expand_grid(spec);
-  const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
-  ElasticProgress progress = load_elastic_progress(spec, {dir});
-
   Checkpoint ckpt;  // whole-campaign shard; stamps derived by the serializer
-  TargetTable targets(spec, cells);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    CellProgress& cp = progress.cells[i];
-    if (cp.prefix_blocks == 0 && cp.extra.empty()) continue;
-    if (cp.prefix_blocks == total_blocks && progress.finalized[i] == 0) {
-      // A checkpointed complete prefix is finalized by convention; cells
-      // completed by log records still carry raw accumulators.
-      CellRunner(spec, cells[i], targets).finalize(cp.prefix);
-    }
-    ckpt.cells.push_back(std::move(cp));
+  for (CellProgress& cp : load_elastic_progress(spec, {dir}, &targets).cells) {
+    if (cp.prefix_blocks > 0 || !cp.extra.empty()) ckpt.cells.push_back(std::move(cp));
   }
   // Write the new snapshot BEFORE truncating any log: a crash between the
   // two leaves duplicate records, which dedup makes harmless; the reverse
@@ -214,26 +196,32 @@ bool compact_elastic_dir(const ScenarioSpec& spec, const std::string& dir,
 
 ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions& options) {
   if (options.dir.empty()) throw std::runtime_error("elastic: no directory given");
-  const std::vector<ScenarioCase> cells = expand_grid(spec);
-  validate_spec(spec, cells);
+  const std::vector<ScenarioCase> cells = runnable_grid(spec);
   validate_shard(options.shard, cells.size());
   const std::uint64_t spec_fp = spec_fingerprint(spec);
   const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
   const std::string worker_id =
       options.worker_id.empty() ? default_worker_id() : options.worker_id;
   const std::uint64_t ttl = std::max<std::uint64_t>(1, options.lease_ttl_seconds);
+  const auto beat_every = std::chrono::milliseconds(std::max<std::uint64_t>(ttl * 1000 / 3, 100));
 
   ensure_elastic_dir(spec, options.dir);
+  // One table for the whole run: the leases and compactions share each
+  // target and fabric, and a key is dropped once its cells are finalized.
+  // Cells of other shards count as released up front.
+  TargetTable targets(spec, cells);
+  for (const ScenarioCase& cell : cells) {
+    if (!options.shard.owns(cell.index)) targets.release(cell);
+  }
   BlockLog log(own_log_path(options.dir, worker_id), spec_fp, options.fsync);
+  const auto compact = [&] {
+    compact_elastic_dir(spec, targets, options.dir, worker_id, &log, ttl, options.fsync);
+  };
   // A restarted worker's own log may hold a dead predecessor's blocks; fold
   // them (and anyone else's) forward before claiming anything.
-  compact_elastic_dir(spec, options.dir, worker_id, &log, ttl, options.fsync);
+  compact();
 
   const std::vector<std::size_t> order = cost_order(spec, cells, options.shard);
-  unsigned threads = options.threads == 0
-                         ? std::max(1u, std::thread::hardware_concurrency())
-                         : options.threads;
-
   ElasticResult res;
   for (;;) {
     ElasticProgress progress = load_elastic_progress(spec, {options.dir});
@@ -243,7 +231,7 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
     if (all_complete) {
       // Final fold: finalizes every completed-by-log cell and leaves one
       // checkpoint that holds the shard's cells (merge reads it straight off).
-      compact_elastic_dir(spec, options.dir, worker_id, &log, ttl, options.fsync);
+      compact();
       res.campaign_complete = true;
       return res;
     }
@@ -263,101 +251,62 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
       // dead) holder may have made more blocks durable than our last scan saw.
       progress = load_elastic_progress(spec, {options.dir});
       const CellProgress& cp = progress.cells[idx];
-      std::vector<std::uint64_t> remaining;
-      {
-        std::size_t extra_at = 0;
-        for (std::uint64_t b = cp.prefix_blocks; b < total_blocks; ++b) {
-          while (extra_at < cp.extra.size() && cp.extra[extra_at].first < b) ++extra_at;
-          if (extra_at < cp.extra.size() && cp.extra[extra_at].first == b) continue;
-          remaining.push_back(b);
+      std::vector<WorkUnit> remaining;  // extra blocks are sorted, all past the prefix
+      auto extra = cp.extra.begin();
+      for (std::uint64_t b = cp.prefix_blocks; b < total_blocks; ++b) {
+        if (extra != cp.extra.end() && extra->first == b) {
+          ++extra;
+        } else {
+          remaining.push_back({0, b});
         }
       }
       res.blocks_skipped += total_blocks - remaining.size();
 
-      // Heartbeat from a dedicated thread at ttl/3, so long blocks cannot
-      // starve the lease into looking dead.
-      std::mutex hb_mu;
-      std::condition_variable hb_cv;
-      bool hb_stop = false;
-      std::atomic<bool> lost{false};
-      std::thread heartbeat([&] {
-        const auto interval = std::chrono::milliseconds(std::max<std::uint64_t>(ttl * 1000 / 3, 100));
-        std::unique_lock<std::mutex> lk(hb_mu);
-        while (!hb_cv.wait_for(lk, interval, [&] { return hb_stop; })) {
-          lk.unlock();
-          try {
-            lease.heartbeat();
-          } catch (...) {
-            // LeaseLost or I/O trouble: stop running this cell. Everything
-            // already appended is durable; duplicates by the reclaimer merge
-            // away.
-            lost.store(true);
-          }
-          lk.lock();
-          if (lost.load()) return;
-        }
-      });
-
-      CellRunner runner(spec, cells[idx]);
-      std::atomic<std::size_t> next{0};
-      std::atomic<bool> abort_all{false};
+      const CellRunner runner(spec, cells[idx], targets);
+      std::mutex log_mu;  // guards `log`, `cell_blocks_run` and `crashed`
       std::uint64_t cell_blocks_run = 0;
-      std::mutex log_mu;
-      std::mutex fail_mu;
-      std::exception_ptr block_failure;
-      auto block_worker = [&] {
-        try {
-          for (;;) {
-            if (lost.load() || abort_all.load()) return;
-            const std::size_t i = next.fetch_add(1);
-            if (i >= remaining.size()) return;
-            const ScenarioResult partial = runner.run_block(remaining[i]);
-            const std::lock_guard<std::mutex> lk(log_mu);
-            if (abort_all.load()) return;  // the crash hook fired mid-compute
-            log.append({idx, remaining[i], partial});
-            ++cell_blocks_run;
-            if (options.stop_after_blocks != 0 &&
-                res.blocks_run + cell_blocks_run >= options.stop_after_blocks) {
-              abort_all.store(true);
-            }
-          }
-        } catch (...) {
-          const std::lock_guard<std::mutex> lk(fail_mu);
-          if (!block_failure) block_failure = std::current_exception();
-          abort_all.store(true);
-        }
+      bool crashed = false;
+      const auto run_block = [&](const WorkUnit& u) {
+        const ScenarioResult partial = runner.run_block(u.block);
+        const std::lock_guard<std::mutex> lock(log_mu);
+        if (crashed) return false;  // the crash hook fired while this block ran
+        log.append({idx, u.block, partial});
+        ++cell_blocks_run;
+        crashed = options.stop_after_blocks != 0 &&
+                  res.blocks_run + cell_blocks_run >= options.stop_after_blocks;
+        return !crashed;
       };
-      {
-        const unsigned pool_size = static_cast<unsigned>(
-            std::min<std::size_t>(threads, std::max<std::size_t>(remaining.size(), 1)));
-        std::vector<std::thread> pool;
-        pool.reserve(pool_size);
-        for (unsigned t = 0; t < pool_size; ++t) pool.emplace_back(block_worker);
-        for (std::thread& t : pool) t.join();
-      }
-      {
-        const std::lock_guard<std::mutex> lk(hb_mu);
-        hb_stop = true;
-      }
-      hb_cv.notify_all();
-      heartbeat.join();
+      // Heartbeat at ttl/3, so long blocks cannot starve the lease into
+      // looking dead. LeaseLost or I/O trouble stops the cell: everything
+      // already appended is durable, and a reclaimer's duplicates merge away.
+      bool lost = false;
+      auto last_beat = std::chrono::steady_clock::now();
+      const auto heartbeat = [&] {
+        const auto now = std::chrono::steady_clock::now();
+        if (now - last_beat < beat_every) return true;
+        last_beat = now;
+        try {
+          lease.heartbeat();
+        } catch (...) {
+          lost = true;
+        }
+        return !lost;
+      };
+      // A failing block propagates; the lease's destructor releases it.
+      run_work_units(remaining, options.threads, run_block, heartbeat);
       res.blocks_run += cell_blocks_run;
 
-      if (block_failure) {
-        lease.release();  // let someone else take over; our blocks are durable
-        std::rethrow_exception(block_failure);
-      }
-      if (options.stop_after_blocks != 0 && res.blocks_run >= options.stop_after_blocks) {
+      if (crashed) {
         lease.abandon();  // simulated hard crash: the lease file stays behind
         throw ElasticAborted(res.blocks_run);
       }
-      if (lost.load()) {
+      if (lost) {
         lease.abandon();  // not ours anymore; rescan and move on
         break;
       }
 
       lease.release();
-      compact_elastic_dir(spec, options.dir, worker_id, &log, ttl, options.fsync);
+      compact();
       if (options.progress != nullptr) {
         *options.progress << "[" << worker_id << "] " << cells[idx].label() << ": ran "
                           << cell_blocks_run << "/" << total_blocks << " blocks\n";

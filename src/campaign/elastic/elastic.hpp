@@ -16,10 +16,13 @@
 //
 // Workers lease whole cells — expensive cells first, by predicted_cell_cost,
 // so the campaign's tail stays short — run the cell's not-yet-durable trial
-// blocks, and append each block to their own log before anything references
-// it. A worker that dies mid-cell leaves its lease behind; the next claimant
-// reclaims it after the TTL and re-runs only the blocks the dead worker
-// never made durable. Because every trial's randomness is counter-based,
+// blocks on run_campaign's executor (run_work_units, whose tick heartbeats
+// the lease), and append each block to their own log before anything
+// references it. One TargetTable per worker run serves every lease and
+// compaction, so each target and fabric is built once per worker. A worker
+// that dies mid-cell leaves its lease behind; the next claimant reclaims it
+// after the TTL and re-runs only the blocks the dead worker never made
+// durable. Because every trial's randomness is counter-based,
 // any block double-computed in a lease race is byte-identical, and merges
 // dedupe on (cell, block) — so the final report of any elastic history is
 // byte-identical to a serial run of the same spec.
@@ -94,9 +97,6 @@ struct ElasticProgress {
   /// Index-aligned with expand_grid(spec). prefix_blocks == num_blocks means
   /// the cell's trials are all durable.
   std::vector<CellProgress> cells;
-  /// Whether the cell's prefix carries finalized metadata (labels, analytic
-  /// columns) — true only for complete cells folded by compaction.
-  std::vector<char> finalized;
   std::uint64_t durable_blocks = 0;  ///< distinct durable blocks, all cells
 };
 
@@ -106,16 +106,21 @@ struct ElasticProgress {
 /// (cell, block): the copies are byte-identical, since trials are
 /// counter-based. Tolerates torn log tails (live appends elsewhere); throws
 /// on structural corruption or a fingerprint mismatch of any directory's
-/// spec.json, checkpoint or log.
+/// spec.json, checkpoint or log. With `targets` (a table over the whole
+/// grid), every complete cell comes back finalized through it (labels,
+/// analytic columns) and is released from it; without, a complete cell's
+/// prefix is finalized only when a compaction folded it.
 ElasticProgress load_elastic_progress(const ScenarioSpec& spec,
-                                      const std::vector<std::string>& dirs);
+                                      const std::vector<std::string>& dirs,
+                                      TargetTable* targets = nullptr);
 
-/// Folds every log into compacted.ckpt (finalizing cells that completed),
-/// then empties `own_log` (whose records are now in the checkpoint). Other
-/// workers' logs are never truncated — they compact their own. Serialized by
-/// leases/compact.lease; returns false (doing nothing) when another worker
-/// holds it. `own_log` may be null (merge-time compaction).
-bool compact_elastic_dir(const ScenarioSpec& spec, const std::string& dir,
+/// Folds every log into compacted.ckpt, finalizing the complete cells
+/// through `targets` (see load_elastic_progress), then empties `own_log`
+/// (whose records are now in the checkpoint). Other workers' logs are never
+/// truncated — they compact their own. Serialized by leases/compact.lease;
+/// returns false (doing nothing) when another worker holds it. `own_log` may
+/// be null.
+bool compact_elastic_dir(const ScenarioSpec& spec, TargetTable& targets, const std::string& dir,
                          const std::string& worker_id, BlockLog* own_log,
                          std::uint64_t lease_ttl_seconds, bool fsync);
 

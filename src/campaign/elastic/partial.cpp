@@ -11,12 +11,12 @@ using analysis::JsonWriter;
 CampaignResult merge_elastic(const ScenarioSpec& spec, const std::vector<std::string>& dirs) {
   const std::vector<ScenarioCase> cells = expand_grid(spec);
   const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
-  ElasticProgress progress = load_elastic_progress(spec, dirs);
+  TargetTable targets(spec, cells);
+  ElasticProgress progress = load_elastic_progress(spec, dirs, &targets);
 
   CampaignResult result;
   result.spec = spec;
   result.scenarios.resize(cells.size());
-  TargetTable targets(spec, cells);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     CellProgress& cp = progress.cells[i];
     if (cp.prefix_blocks != total_blocks) {
@@ -31,9 +31,6 @@ CampaignResult merge_elastic(const ScenarioSpec& spec, const std::vector<std::st
                                std::to_string(cp.prefix.trials) + " trials, expected " +
                                std::to_string(spec.trials));
     }
-    // Cells whose last blocks arrived after the final compaction (or when no
-    // compaction ran at all) still carry raw accumulators.
-    if (progress.finalized[i] == 0) CellRunner(spec, cells[i], targets).finalize(cp.prefix);
     result.scenarios[i] = std::move(cp.prefix);
   }
   return result;
@@ -43,19 +40,18 @@ std::string partial_elastic_report_json(const ScenarioSpec& spec,
                                         const std::vector<std::string>& dirs) {
   const std::vector<ScenarioCase> cells = expand_grid(spec);
   const std::uint64_t total_blocks = num_trial_blocks(spec.trials);
-  ElasticProgress progress = load_elastic_progress(spec, dirs);
+  // Completed cells come back finalized, exactly as the final report has them.
+  TargetTable targets(spec, cells);
+  ElasticProgress progress = load_elastic_progress(spec, dirs, &targets);
 
   std::uint64_t completed_trials = 0;
   std::uint64_t cells_complete = 0;
-  TargetTable targets(spec, cells);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     CellProgress& cp = progress.cells[i];
     completed_trials += cp.prefix.trials;
     for (const auto& [block, partial] : cp.extra) completed_trials += partial.trials;
     if (cp.prefix_blocks == total_blocks) {
       ++cells_complete;
-      // Emit completed cells exactly as the final report will: finalized.
-      if (progress.finalized[i] == 0) CellRunner(spec, cells[i], targets).finalize(cp.prefix);
     } else {
       // Incomplete cells: raw accumulators over the completed prefix, plus
       // the cheap identity fields (no graphs get built for a live snapshot).

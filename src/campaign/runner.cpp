@@ -817,37 +817,30 @@ void check_cell_progress(const CellProgress& cp, std::uint64_t trials, const std
   }
 }
 
-// --- the work-stealing campaign scheduler ------------------------------------
+// --- the block executor ------------------------------------------------------
 
 namespace {
 
-/// One schedulable unit: block `block` of the `slot`-th cell.
-struct WorkUnit {
-  std::uint32_t slot = 0;
-  std::uint64_t block = 0;
-};
-
 /// A lock-free Chase–Lev work-stealing deque, one per worker (memory-order
 /// formulation after Lê/Pop/Cohen/Nardelli, PPoPP'13). The owner pops from
-/// the bottom; thieves CAS the top. Two campaign-specific simplifications
-/// keep it simple and TSan-clean without the usual circular-buffer hazard:
-/// the buffer is bounded (every unit is seeded before any worker starts, so
-/// there is no owner push racing a thief's buffer read — the array is
-/// immutable once the pool spawns), and the seed is stored *reversed* so the
-/// owner's pop-bottom yields the original front order (cell-then-block,
-/// keeping the pending maps small and the scenario contexts warm) while
-/// thieves take the original back — exactly the old mutex deque's policy.
-/// All units are enqueued before the workers start, so once a deque reads
-/// empty it stays empty: an empty sweep over every deque means no unstarted
-/// work remains.
+/// the bottom; thieves CAS the top. Two simplifications keep it simple and
+/// TSan-clean without the usual circular-buffer hazard: the buffer is
+/// bounded (every unit is seeded before any worker starts, so there is no
+/// owner push racing a thief's buffer read — the array is immutable once the
+/// pool spawns), and the seed is stored *reversed* so the owner's pop-bottom
+/// yields the original front order (cell-then-block, keeping the pending
+/// maps small and the scenario contexts warm) while thieves take the
+/// original back. All units are enqueued before the workers start, so once a
+/// deque reads empty it stays empty: an empty sweep over every deque means
+/// no unstarted work remains.
 ///
-/// The elastic worker's one shared atomic cursor would be simpler, but it
-/// measured slower here. Per-cell builds dominate a survival campaign, and a
-/// cursor makes workers block on one another's builds, while contiguous
-/// per-worker slices give each worker its own cells. One 5 s perfbench
-/// `campaign_survival` run per figure, seed 918273, 4-vCPU Xeon: deques
-/// 0.94-1.00 M trials/s; a cursor in cell-major order 0.41 M, in waves of 4
-/// cells 0.54-0.65 M, over 4 interleaved slices 0.77-0.80 M.
+/// Contiguous per-worker slices measured faster than one shared atomic
+/// cursor. Per-cell builds dominate a survival campaign, and a cursor makes
+/// workers block on one another's builds, while contiguous slices give each
+/// worker its own cells. One 5 s perfbench `campaign_survival` run per
+/// figure, seed 918273, 4-vCPU Xeon: deques 0.94-1.00 M trials/s; a cursor
+/// in cell-major order 0.41 M, in waves of 4 cells 0.54-0.65 M, over 4
+/// interleaved slices 0.77-0.80 M.
 class StealDeque {
  public:
   void seed(const std::vector<WorkUnit>& units) {
@@ -899,6 +892,103 @@ class StealDeque {
   std::atomic<std::int64_t> bottom_{0};
 };
 
+}  // namespace
+
+void run_work_units(const std::vector<WorkUnit>& units, unsigned threads,
+                    const std::function<bool(const WorkUnit&)>& run,
+                    const std::function<bool()>& tick) {
+  unsigned workers = threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads;
+  workers = static_cast<unsigned>(
+      std::min<std::size_t>(workers, std::max<std::size_t>(units.size(), 1)));
+
+  std::vector<StealDeque> deques(workers);
+  const std::size_t per = (units.size() + workers - 1) / workers;
+  for (unsigned w = 0; w < workers; ++w) {
+    const std::size_t lo = std::min(units.size(), w * per);
+    const std::size_t hi = std::min(units.size(), lo + per);
+    deques[w].seed(std::vector<WorkUnit>(units.begin() + static_cast<std::ptrdiff_t>(lo),
+                                         units.begin() + static_cast<std::ptrdiff_t>(hi)));
+  }
+
+  std::atomic<bool> stop{false};
+  std::mutex mu;  // guards `alive` and `failure`; cv's companion
+  std::condition_variable cv;
+  unsigned alive = workers;
+  std::exception_ptr failure;
+  const auto fail = [&] {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (!failure) failure = std::current_exception();
+    }
+    stop.store(true);
+  };
+
+  auto worker_fn = [&](unsigned self) {
+    try {
+      while (!stop.load(std::memory_order_relaxed)) {
+        WorkUnit u;
+        if (!deques[self].pop_front(u)) {
+          bool stole = false;
+          for (unsigned d = 1; d < workers && !stole; ++d) {
+            stole = deques[(self + d) % workers].steal_back(u);
+          }
+          if (!stole) break;  // nothing left to start anywhere
+        }
+        if (!run(u)) stop.store(true);
+        cv.notify_all();
+      }
+    } catch (...) {
+      fail();
+    }
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      --alive;  // under the lock, so the tick loop cannot miss the last exit
+    }
+    cv.notify_all();
+  };
+
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker_fn, w);
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    while (alive > 0) {
+      cv.wait_for(lk, std::chrono::milliseconds(50));
+      lk.unlock();
+      // A throwing tick must not unwind past the joinable pool (that would
+      // std::terminate): it fails the run like a throwing unit.
+      try {
+        if (!tick()) stop.store(true);
+      } catch (...) {
+        fail();
+      }
+      lk.lock();
+    }
+  }
+  for (std::thread& t : pool) t.join();
+  if (failure) std::rethrow_exception(failure);
+}
+
+void fold_in_order(ScenarioResult& prefix, std::uint64_t& prefix_blocks,
+                   std::map<std::uint64_t, ScenarioResult>& pending) {
+  while (!pending.empty() && pending.begin()->first == prefix_blocks) {
+    prefix.merge(pending.begin()->second);
+    ++prefix_blocks;
+    pending.erase(pending.begin());
+  }
+}
+
+std::vector<ScenarioCase> runnable_grid(const ScenarioSpec& spec) {
+  if (spec.trials == 0) throw std::runtime_error("campaign: trials must be positive");
+  std::vector<ScenarioCase> cells = expand_grid(spec);
+  if (cells.empty()) throw std::runtime_error("campaign: empty scenario grid");
+  return cells;
+}
+
+// --- the campaign -------------------------------------------------------------
+
+namespace {
+
 /// Mutable per-cell reduction state. `mu` guards everything below it; the
 /// runner is built lazily on the first block that touches the cell and freed
 /// on finalization.
@@ -931,9 +1021,7 @@ void finalize_cell(const ScenarioSpec& spec, TargetTable& targets, CellState& st
 }  // namespace
 
 CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& options) {
-  if (spec.trials == 0) throw std::runtime_error("campaign: trials must be positive");
-  const std::vector<ScenarioCase> cells = expand_grid(spec);
-  if (cells.empty()) throw std::runtime_error("campaign: empty scenario grid");
+  const std::vector<ScenarioCase> cells = runnable_grid(spec);
 
   CampaignResult result;
   result.spec = spec;
@@ -978,11 +1066,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
         st.pending.insert(cp.extra.begin(), cp.extra.end());
         result.resumed_blocks += cp.prefix_blocks + cp.extra.size();
         // Drain any contiguity the snapshot (or a hand-edited file) left.
-        while (!st.pending.empty() && st.pending.begin()->first == st.merged_blocks) {
-          st.prefix.merge(st.pending.begin()->second);
-          ++st.merged_blocks;
-          st.pending.erase(st.pending.begin());
-        }
+        fold_in_order(st.prefix, st.merged_blocks, st.pending);
         if (st.merged_blocks == st.num_blocks) {
           if (cp.prefix_blocks == st.num_blocks) {
             st.prefix = cp.prefix;  // already finalized by the producing run
@@ -997,7 +1081,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
     }
   }
 
-  // --- enqueue the remaining work, dealt contiguously across workers --------
+  // --- the remaining work, in grid order --------------------------------------
   std::vector<WorkUnit> units;
   for (std::uint32_t slot = 0; slot < states.size(); ++slot) {
     const CellState& st = *states[slot];
@@ -1006,33 +1090,13 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
     }
   }
 
-  unsigned workers =
-      options.threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : options.threads;
-  workers = static_cast<unsigned>(std::min<std::size_t>(workers, std::max<std::size_t>(units.size(), 1)));
-
-  std::vector<StealDeque> deques(workers);
-  {
-    const std::size_t per = (units.size() + workers - 1) / std::max(1u, workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      const std::size_t lo = std::min(units.size(), w * per);
-      const std::size_t hi = std::min(units.size(), lo + per);
-      deques[w].seed(std::vector<WorkUnit>(units.begin() + static_cast<std::ptrdiff_t>(lo),
-                                           units.begin() + static_cast<std::ptrdiff_t>(hi)));
-    }
-  }
-
-  // --- shared coordination state --------------------------------------------
-  std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> blocks_completed{0};
-  std::atomic<unsigned> workers_alive{workers};
-  std::exception_ptr failure;
-  std::mutex main_mu;  // guards `events` + `failure`; cv's companion
-  std::condition_variable cv;
+  std::mutex events_mu;             // guards `events`
   std::vector<std::string> events;  // progress lines for finalized cells
-  std::size_t cells_done = 0;       // cells finalized, resumed ones included (main thread only)
+  std::size_t cells_done = 0;       // cells finalized, resumed ones included (tick only)
   for (const auto& st : states) cells_done += st->finalized ? 1 : 0;
 
-  auto run_unit = [&](const WorkUnit& u) {
+  const auto run_unit = [&](const WorkUnit& u) {
     CellState& st = *states[u.slot];
     std::call_once(st.runner_once, [&] {
       if (!st.runner) st.runner.emplace(spec, st.cell, targets);
@@ -1042,62 +1106,25 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
     bool completed_cell = false;
     {
       const std::lock_guard<std::mutex> lock(st.mu);
-      if (u.block == st.merged_blocks) {
-        st.prefix.merge(partial);
-        ++st.merged_blocks;
-        while (!st.pending.empty() && st.pending.begin()->first == st.merged_blocks) {
-          st.prefix.merge(st.pending.begin()->second);
-          ++st.merged_blocks;
-          st.pending.erase(st.pending.begin());
-        }
-      } else {
-        st.pending.emplace(u.block, std::move(partial));
-      }
+      st.pending.emplace(u.block, std::move(partial));
+      fold_in_order(st.prefix, st.merged_blocks, st.pending);
       if (st.merged_blocks == st.num_blocks && !st.finalized) {
         finalize_cell(spec, targets, st);
         completed_cell = true;
       }
     }
-
-    const std::uint64_t done = blocks_completed.fetch_add(1) + 1;
-    if (options.stop_after_blocks != 0 && done >= options.stop_after_blocks) stop.store(true);
     if (completed_cell) {
-      const std::lock_guard<std::mutex> lock(main_mu);
       std::ostringstream line;
-      const ScenarioResult& r = st.prefix;
-      line << st.cell.label() << ": success " << r.reconfig_success << "/" << r.trials;
+      line << st.cell.label() << ": success " << st.prefix.reconfig_success << "/"
+           << st.prefix.trials;
+      const std::lock_guard<std::mutex> lock(events_mu);
       events.push_back(line.str());
     }
-    cv.notify_all();
+    const std::uint64_t done = blocks_completed.fetch_add(1) + 1;
+    return options.stop_after_blocks == 0 || done < options.stop_after_blocks;
   };
 
-  auto worker_fn = [&](unsigned self) {
-    try {
-      for (;;) {
-        if (stop.load(std::memory_order_relaxed)) break;
-        WorkUnit u;
-        if (!deques[self].pop_front(u)) {
-          bool stole = false;
-          for (unsigned d = 1; d < workers && !stole; ++d) {
-            stole = deques[(self + d) % workers].steal_back(u);
-          }
-          if (!stole) break;  // nothing left to start anywhere
-        }
-        run_unit(u);
-      }
-    } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock(main_mu);
-        if (!failure) failure = std::current_exception();
-      }
-      stop.store(true);
-    }
-    workers_alive.fetch_sub(1);
-    cv.notify_all();
-  };
-
-  // --- snapshotting ----------------------------------------------------------
-  auto snapshot_checkpoint = [&]() -> std::string {
+  const auto snapshot_checkpoint = [&]() -> std::string {
     Checkpoint ckpt;  // whole-campaign shard; stamps derived by the serializer
     for (const auto& stp : states) {
       CellState& st = *stp;
@@ -1117,9 +1144,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
   auto last_checkpoint = std::chrono::steady_clock::now();
   std::uint64_t checkpointed_blocks = 0;
 
-  // Caller must NOT hold main_mu (the lines were already moved out of
-  // `events`); shared by the wait loop and the post-join final drain.
-  auto print_progress = [&](const std::vector<std::string>& lines) {
+  const auto print_progress = [&](const std::vector<std::string>& lines) {
     if (options.progress == nullptr) return;
     for (const std::string& line : lines) {
       cells_done = std::min(states.size(), cells_done + 1);
@@ -1127,59 +1152,37 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
     }
   };
 
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker_fn, w);
-
-  // The main thread runs progress + periodic checkpoints while workers churn.
-  {
-    std::unique_lock<std::mutex> lk(main_mu);
-    while (workers_alive.load() > 0) {
-      cv.wait_for(lk, std::chrono::milliseconds(50));
-      std::vector<std::string> drained;
+  // The calling thread prints progress and writes the periodic checkpoints
+  // while the workers run. A failed write fails the run after the join.
+  const auto tick = [&] {
+    std::vector<std::string> drained;
+    {
+      const std::lock_guard<std::mutex> lock(events_mu);
       drained.swap(events);
-      lk.unlock();
-      print_progress(drained);
-      if (checkpointing && !stop.load()) {
-        const std::uint64_t done = blocks_completed.load();
-        const auto now = std::chrono::steady_clock::now();
-        const double elapsed = std::chrono::duration<double>(now - last_checkpoint).count();
-        if (done > checkpointed_blocks && elapsed >= options.checkpoint_every_seconds) {
-          // A failed write (disk full, path deleted) must not unwind past the
-          // joinable pool — that would std::terminate. Record it like a
-          // worker failure, drain the workers, and rethrow after the join.
-          try {
-            serve::write_file_atomically(options.checkpoint_path, snapshot_checkpoint(), false);
-            checkpointed_blocks = done;
-            last_checkpoint = now;
-          } catch (...) {
-            {
-              const std::lock_guard<std::mutex> lock(main_mu);
-              if (!failure) failure = std::current_exception();
-            }
-            stop.store(true);
-          }
-        }
-      }
-      lk.lock();
     }
-  }
-  for (std::thread& t : pool) t.join();
+    print_progress(drained);
+    const std::uint64_t done = blocks_completed.load();
+    const auto now = std::chrono::steady_clock::now();
+    if (checkpointing && done > checkpointed_blocks &&
+        std::chrono::duration<double>(now - last_checkpoint).count() >=
+            options.checkpoint_every_seconds) {
+      serve::write_file_atomically(options.checkpoint_path, snapshot_checkpoint(), false);
+      checkpointed_blocks = done;
+      last_checkpoint = now;
+    }
+    return true;
+  };
 
-  // Final progress drain (workers joined, no contention left).
-  print_progress(events);
-  events.clear();
-
-  if (failure) std::rethrow_exception(failure);
+  run_work_units(units, options.threads, run_unit, tick);
+  print_progress(events);  // the workers have joined: no contention left
 
   const std::uint64_t done = blocks_completed.load();
-  if (checkpointing && (done > checkpointed_blocks || (options.stop_after_blocks != 0 && done > 0))) {
+  if (checkpointing && done > checkpointed_blocks) {
     serve::write_file_atomically(options.checkpoint_path, snapshot_checkpoint(), false);
   }
-  if (options.stop_after_blocks != 0 && stop.load()) {
-    const bool all_done = std::all_of(states.begin(), states.end(),
-                                      [](const auto& st) { return st->finalized; });
-    if (!all_done) throw CampaignAborted(done);
+  if (options.stop_after_blocks != 0 && done >= options.stop_after_blocks &&
+      !std::all_of(states.begin(), states.end(), [](const auto& st) { return st->finalized; })) {
+    throw CampaignAborted(done);
   }
 
   for (auto& stp : states) {
@@ -1214,9 +1217,12 @@ struct SharedSlot {
     return value;
   }
 
-  void release() {
+  /// `counted`: the first release of its cell. Only that one counts down,
+  /// but any release drops a value acquired again after the count reached 0.
+  void release(bool counted) {
     const std::lock_guard<std::mutex> lock(mu);
-    if (unreleased > 0 && --unreleased == 0) value.reset();
+    if (counted && unreleased > 0) --unreleased;
+    if (unreleased == 0) value.reset();
   }
 };
 
@@ -1268,8 +1274,13 @@ std::shared_ptr<const TopologyFabric> TargetTable::acquire_fabric(const Scenario
 
 void TargetTable::release(const ScenarioCase& cell) {
   Entry& e = entry(cell);
-  e.target.release();
-  e.fabrics.at(cell.spares).release();
+  bool first = false;
+  {
+    const std::lock_guard<std::mutex> lock(released_mu_);
+    first = released_.insert(cell.index).second;
+  }
+  e.target.release(first);
+  e.fabrics.at(cell.spares).release(first);
 }
 
 // --- CellRunner -------------------------------------------------------------

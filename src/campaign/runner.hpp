@@ -1,17 +1,14 @@
 // The campaign execution engine.
 //
-// Every (scenario, 256-trial block) pair of the whole grid is one work unit.
-// All units feed one work-stealing scheduler: each worker owns a deque seeded
-// with a deterministic contiguous slice of the units, pops its own work from
-// the front, and steals from the back of a sibling's deque when it runs dry —
-// so one slow cell no longer serializes the grid tail. Every trial's randomness is
-// counter-based — TrialRng::for_trial(seed, scenario, trial) — and per-block
-// partial statistics are merged *in block order* per cell (an out-of-order
-// block parks in a pending map until its predecessors land), so the result is
-// byte-identical for any thread count and any steal schedule. Statistics
-// stream through Welford accumulators (no per-trial storage), success rates
-// carry Wilson score intervals, and fault-count survival curves are recorded
-// per scenario.
+// Every (scenario, 256-trial block) pair of the grid is one work unit, and
+// run_work_units is the one executor of units: run_campaign feeds it the
+// whole grid, an elastic worker (campaign/elastic/) one leased cell at a time.
+// Every trial's randomness is counter-based — TrialRng::for_trial(seed,
+// scenario, trial) — and per-block partial statistics are merged *in block
+// order* per cell (fold_in_order), so the result is byte-identical for any
+// thread count and any steal schedule. Statistics stream through Welford
+// accumulators (no per-trial storage), success rates carry Wilson score
+// intervals, and fault-count survival curves are recorded per scenario.
 //
 // Long campaigns checkpoint at *block* granularity: the checkpoint stores,
 // per cell, the merged prefix of completed blocks plus any completed
@@ -27,10 +24,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <ostream>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -266,6 +266,34 @@ struct CampaignAborted : std::runtime_error {
 /// fires.
 CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& options = {});
 
+/// expand_grid(spec) for a spec an executor can run; throws
+/// std::runtime_error when it asks for zero trials or expands to no cells.
+std::vector<ScenarioCase> runnable_grid(const ScenarioSpec& spec);
+
+/// One schedulable unit: block `block` of the caller's `slot`-th cell.
+struct WorkUnit {
+  std::uint32_t slot = 0;
+  std::uint64_t block = 0;
+};
+
+/// The block executor. Runs `run(unit)` for every unit on `threads` workers
+/// (0 = hardware; never more than one per unit). Each worker runs its own
+/// contiguous slice of `units` in order, then steals from the back of the
+/// others'. While the pool runs, the calling thread calls `tick()` after
+/// units complete and at least every 50 ms. A callback that returns false
+/// stops the pool: running units finish and no other unit starts. The first
+/// exception either callback throws stops it too, and is rethrown once every
+/// worker has joined.
+void run_work_units(const std::vector<WorkUnit>& units, unsigned threads,
+                    const std::function<bool(const WorkUnit&)>& run,
+                    const std::function<bool()>& tick);
+
+/// Merges into `prefix` the blocks of `pending` that continue it (block
+/// `prefix_blocks`, then the next, up to the first gap), advancing
+/// `prefix_blocks` and erasing them from `pending`.
+void fold_in_order(ScenarioResult& prefix, std::uint64_t& prefix_blocks,
+                   std::map<std::uint64_t, ScenarioResult>& pending);
+
 /// The part of a cell's context that depends only on its topology and the
 /// spec's metrics: the target graph, its diameter and the collective's
 /// healthy baseline. Defined in runner.cpp.
@@ -282,8 +310,9 @@ struct TopologyFabric;
 /// topology and one fabric per distinct (topology, spares), each built on
 /// first use and shared by every cell of its key. A key's build holds only
 /// that key's lock, so cells of other keys are not blocked. A table lives
-/// inside one call (run_campaign, an elastic merge, compaction or partial
-/// report); nothing is cached across calls. Safe to use from many threads.
+/// for one run_campaign call, one elastic worker run (its leases and
+/// compactions) or one elastic merge or partial report; nothing is cached
+/// across them. Safe to use from many threads.
 class TargetTable {
  public:
   /// `cells` are the cells this call may build runners for; each counts
@@ -303,7 +332,8 @@ class TargetTable {
   /// Marks `cell` finalized. The table drops its topology's target once
   /// every counted cell of the topology has been released, and its
   /// (topology, spares)' fabric once every counted cell of that key has
-  /// (runners still holding either keep it alive).
+  /// (runners still holding either keep it alive). A repeated release counts
+  /// nothing, but drops what was rebuilt after the key's last release.
   void release(const ScenarioCase& cell);
 
  private:
@@ -312,17 +342,17 @@ class TargetTable {
 
   MetricSet metrics_;
   std::map<std::string, std::unique_ptr<Entry>> entries_;  // by TopologySpec::label()
+  std::mutex released_mu_;  // guards released_
+  std::set<std::size_t> released_;  // indices of the released cells
 };
 
-/// Executes one grid cell's trial blocks outside the full scheduler — the
-/// unit the elastic campaign service (campaign/elastic/) leases and runs.
-/// The scenario context (the target and collective baseline, the fabric and
-/// the pairwise proof that every within-budget draw survives, and the
-/// cell's own prepared fault model) is set up once in the constructor;
-/// run_block only reads it, so one CellRunner can serve many threads
-/// concurrently. Blocks produced here are bit-identical to the ones
-/// run_campaign's scheduler folds, because every trial's randomness is
-/// counter-based.
+/// Executes one grid cell's trial blocks: the runner behind run_campaign's
+/// units and an elastic worker's leased cell. The scenario context (the
+/// target and collective baseline, the fabric and the pairwise proof that
+/// every within-budget draw survives, and the cell's own prepared fault
+/// model) is set up once in the constructor; run_block only reads it, so one
+/// CellRunner can serve many threads concurrently. Every trial's randomness
+/// is counter-based, so a block is bit-identical whoever runs it.
 class CellRunner {
  public:
   /// Builds the cell's own target and fabric.

@@ -16,6 +16,18 @@ namespace {
   throw std::runtime_error(std::string(step) + " " + path + ": " + std::strerror(err));
 }
 
+std::string parent_dir(const std::string& path) {
+  const auto slash = path.find_last_of('/');
+  return slash == std::string::npos ? "." : path.substr(0, slash + 1);
+}
+
+void refuse_non_regular(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    throw std::runtime_error("cannot replace " + path + ": not a regular file");
+  }
+}
+
 }  // namespace
 
 void UniqueFd::reset(int fd) {
@@ -62,8 +74,7 @@ void sync_file(int fd, const std::string& path) {
 }
 
 void sync_parent_dir(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  const std::string dir = parent_dir(path);
   const UniqueFd fd(::open(dir.c_str(), O_RDONLY | O_CLOEXEC));
   if (!fd) fail("cannot open directory", dir);
   if (::fsync(fd.get()) != 0) fail("fsync failed for directory", dir);
@@ -78,16 +89,20 @@ UniqueFd write_new_file(const std::string& path, std::string_view bytes, bool sy
 
 void write_file_atomically(const std::string& path, std::string_view bytes, bool durable,
                            UniqueFd* renamed) {
-  struct stat st {};
-  if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
-    throw std::runtime_error("cannot replace " + path + ": not a regular file");
-  }
+  refuse_non_regular(path);
   const std::string tmp = path + ".tmp";
   UniqueFd fd = write_new_file(tmp, bytes, durable);
   if (renamed == nullptr && ::close(fd.release()) != 0) fail("close failed for", tmp);
   if (::rename(tmp.c_str(), path.c_str()) != 0) fail("cannot rename", tmp + " -> " + path);
   if (renamed != nullptr) *renamed = std::move(fd);
   if (durable) sync_parent_dir(path);
+}
+
+void check_replaceable(const std::string& path) {
+  refuse_non_regular(path);
+  // The temp file is created next to `path`: the failure its open would
+  // meet, with its message.
+  if (::access(parent_dir(path).c_str(), W_OK | X_OK) != 0) fail("cannot open", path + ".tmp");
 }
 
 }  // namespace ftdb::serve

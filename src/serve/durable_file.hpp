@@ -64,4 +64,10 @@ UniqueFd write_new_file(const std::string& path, std::string_view bytes, bool sy
 void write_file_atomically(const std::string& path, std::string_view bytes, bool durable,
                            UniqueFd* renamed = nullptr);
 
+/// Throws, with write_file_atomically's message, when `path` is certain to
+/// fail it: an existing `path` that is not a regular file, or a directory
+/// that cannot take the temp file (missing, not writable). Writes nothing;
+/// lets a long computation refuse its output path before it starts.
+void check_replaceable(const std::string& path);
+
 }  // namespace ftdb::serve

@@ -10,7 +10,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -18,6 +20,7 @@
 #include <limits>
 #include <random>
 #include <regex>
+#include <thread>
 
 #include "campaign/elastic/elastic.hpp"
 #include "campaign/elastic/lease.hpp"
@@ -722,6 +725,176 @@ TEST(Scheduler, PartialFinalBlockResumesCorrectly) {
   EXPECT_EQ(campaign_report_json(resumed), full);
 }
 
+// --- the block executor -------------------------------------------------------
+
+std::vector<WorkUnit> numbered_units(std::size_t n) {
+  std::vector<WorkUnit> units(n);
+  for (std::size_t i = 0; i < n; ++i) units[i] = {0, i};
+  return units;
+}
+
+const auto keep_going = [] { return true; };
+
+void sleep_ms(int ms) { std::this_thread::sleep_for(std::chrono::milliseconds(ms)); }
+
+/// Calls `done` every millisecond until it holds, for at most 5 s.
+template <class Done>
+void wait_until(const Done& done) {
+  for (int i = 0; i < 5000 && !done(); ++i) sleep_ms(1);
+}
+
+TEST(BlockExecutor, EveryUnitRunsExactlyOnceAndIdleWorkersSteal) {
+  constexpr std::size_t kUnits = 64;
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    // One slice per worker. Each slice's first unit waits until every
+    // worker holds its own first unit, so no slice is stolen before its
+    // owner starts. Then the first worker's unit 0 waits until another
+    // worker has run a unit of its slice, which only a steal from the
+    // slice's back can do; every other unit is instant.
+    const std::size_t slice = (kUnits + threads - 1) / threads;
+    std::vector<std::atomic<int>> runs(kUnits);
+    std::vector<std::thread::id> ran_by(kUnits);
+    std::atomic<unsigned> started_slices{0};
+    std::atomic<bool> stolen{false};
+    run_work_units(
+        numbered_units(kUnits), threads,
+        [&](const WorkUnit& u) {
+          runs[u.block].fetch_add(1);
+          ran_by[u.block] = std::this_thread::get_id();
+          if (u.block % slice == 0) {
+            started_slices.fetch_add(1);
+            wait_until([&] { return started_slices.load() == threads; });
+          }
+          if (u.block == 0 && threads > 1) {
+            wait_until([&] { return stolen.load(); });
+          } else if (u.block < slice) {
+            stolen.store(true);
+          }
+          return true;
+        },
+        keep_going);
+    for (std::size_t i = 0; i < kUnits; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "unit " << i << " at " << threads << " threads";
+    }
+    if (threads > 1) {
+      EXPECT_NE(ran_by[slice - 1], ran_by[0]) << threads << " threads";
+    }
+  }
+}
+
+TEST(BlockExecutor, FirstUnitExceptionIsRethrownAfterTheJoinAndNothingStartsAfterIt) {
+  // One worker runs its units in order: unit 3's exception is the first, and
+  // unit 5's is never reached.
+  std::vector<std::uint64_t> started;
+  try {
+    run_work_units(
+        numbered_units(10), 1,
+        [&](const WorkUnit& u) {
+          started.push_back(u.block);
+          if (u.block == 3) throw std::runtime_error("unit 3");
+          if (u.block == 5) throw std::runtime_error("unit 5");
+          return true;
+        },
+        keep_going);
+    ADD_FAILURE() << "the unit's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unit 3");
+  }
+  EXPECT_EQ(started, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+
+  // Four workers, each seeded with 100 units. Once every worker holds a
+  // unit, the first worker's unit 0 throws "first"; the second worker's unit
+  // 100 throws "second" 20 ms later, and the other two workers' units just
+  // take 20 ms each. The caller gets "first" once every started unit has
+  // ended, and the two workers that keep going start nothing more (one unit
+  // each at most, should the thrower stall before the stop lands).
+  std::atomic<bool> thrown{false};
+  std::atomic<int> started_units{0};
+  std::atomic<int> ended_units{0};
+  std::atomic<int> started_after_throw{0};
+  try {
+    run_work_units(
+        numbered_units(400), 4,
+        [&](const WorkUnit& u) {
+          if (thrown.load()) started_after_throw.fetch_add(1);
+          started_units.fetch_add(1);
+          if (u.block == 0) {
+            wait_until([&] { return started_units.load() >= 4; });
+            thrown.store(true);
+            ended_units.fetch_add(1);
+            throw std::runtime_error("first");
+          }
+          if (u.block == 100) {
+            wait_until([&] { return thrown.load(); });
+            sleep_ms(20);
+            ended_units.fetch_add(1);
+            throw std::runtime_error("second");
+          }
+          sleep_ms(20);
+          ended_units.fetch_add(1);
+          return true;
+        },
+        keep_going);
+    ADD_FAILURE() << "the units' exceptions were swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first");
+  }
+  EXPECT_EQ(ended_units.load(), started_units.load());
+  EXPECT_LE(started_after_throw.load(), 2);
+}
+
+TEST(BlockExecutor, CallbackReturningFalseHaltsThePool) {
+  // A unit that returns false: the one worker starts nothing after it.
+  std::vector<std::uint64_t> started;
+  run_work_units(
+      numbered_units(10), 1,
+      [&](const WorkUnit& u) {
+        started.push_back(u.block);
+        return u.block != 2;
+      },
+      keep_going);
+  EXPECT_EQ(started, (std::vector<std::uint64_t>{0, 1, 2}));
+
+  // A tick that returns false: 1000 units of 1 ms would take 0.5 s on two
+  // workers, but the pool stops at the second tick and returns normally.
+  std::atomic<int> started_units{0};
+  std::atomic<int> finished_units{0};
+  int ticks = 0;
+  run_work_units(
+      numbered_units(1000), 2,
+      [&](const WorkUnit&) {
+        started_units.fetch_add(1);
+        sleep_ms(1);
+        finished_units.fetch_add(1);
+        return true;
+      },
+      [&] { return ++ticks < 2; });
+  EXPECT_GE(ticks, 2);
+  EXPECT_EQ(finished_units.load(), started_units.load());
+  EXPECT_LT(started_units.load(), 1000);
+}
+
+TEST(BlockExecutor, ThrowingTickIsRethrownAfterTheJoin) {
+  std::atomic<int> started_units{0};
+  std::atomic<int> finished_units{0};
+  try {
+    run_work_units(
+        numbered_units(300), 3,
+        [&](const WorkUnit&) {
+          started_units.fetch_add(1);
+          sleep_ms(1);
+          finished_units.fetch_add(1);
+          return true;
+        },
+        []() -> bool { throw std::runtime_error("tick"); });
+    ADD_FAILURE() << "the tick's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "tick");
+  }
+  EXPECT_EQ(finished_units.load(), started_units.load());
+  EXPECT_LT(started_units.load(), 300);
+}
+
 TEST(Shard, TwoShardsMergeByteIdenticalToSingleMachineRun) {
   const ScenarioSpec spec = multiblock_spec();
   const std::string reference = campaign_report_json(run_campaign(spec, {.threads = 1}));
@@ -881,6 +1054,24 @@ TEST(SharedTargets, OneFabricPerTopologyAndSparesDroppedWithItsLastCell) {
   table.release(cells[1]);
   EXPECT_TRUE(watch_k0.expired());
   EXPECT_FALSE(watch_k1.expired());  // the topology's k = 1 cells are still open
+}
+
+TEST(SharedTargets, RepeatedReleaseCountsOnceAndDropsARebuild) {
+  const ScenarioSpec spec = shared_target_spec();
+  const std::vector<ScenarioCase> cells = expand_grid(spec);
+  TargetTable table(spec, cells);
+  std::weak_ptr<const TopologyTarget> watch = table.acquire(cells[0]);
+  for (int i = 0; i < 6; ++i) table.release(cells[0]);
+  EXPECT_FALSE(watch.expired());  // cells 1..5 of the topology are still open
+  for (std::size_t i = 1; i < 6; ++i) table.release(cells[i]);
+  EXPECT_TRUE(watch.expired());
+  // A cell finalized again after its key closed (as an elastic compaction
+  // may do for another worker's cell) rebuilds the target, and its repeated
+  // release drops the rebuild.
+  watch = table.acquire(cells[0]);
+  EXPECT_FALSE(watch.expired());
+  table.release(cells[0]);
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(SharedTargets, ReportMatchesRunnersThatBuildTheirOwnTargets) {

@@ -493,7 +493,8 @@ TEST(ElasticMerge, LogOnlyCellsFinalizeThroughSharedTargetsByteForByte) {
     EXPECT_NE(serial.find(w.str()), std::string::npos);
   }
 
-  ASSERT_TRUE(compact_elastic_dir(spec, dir.str(), "compactor", nullptr, 60, false));
+  TargetTable targets(spec, expand_grid(spec));
+  ASSERT_TRUE(compact_elastic_dir(spec, targets, dir.str(), "compactor", nullptr, 60, false));
   EXPECT_EQ(campaign_report_json(merge_elastic(spec, {dir.str()})), serial);
 }
 

@@ -214,6 +214,10 @@ int run_command(const std::vector<std::string>& args) {
     return usage();
   }
   if (!quiet) options.progress = &std::cerr;
+  // Refuse a report path the final write would refuse before any trial runs.
+  for (const std::string* path : {&out_path, &csv_path, &md_path}) {
+    if (!path->empty()) ftdb::serve::check_replaceable(*path);
+  }
 
   const ScenarioSpec spec = parse_scenario_spec(read_file(spec_path));
   CampaignResult result;

@@ -3,8 +3,10 @@
 // The campaign runner is the production workload multiplier (every scenario
 // re-runs construction, fault drawing, reconfiguration checks and survivor
 // metrics thousands of times), so its per-trial cost is the number to watch.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "analysis/bench_registry.hpp"
@@ -15,6 +17,7 @@
 #include "ft/ft_debruijn.hpp"
 #include "ft/spares.hpp"
 #include "ft/tolerance.hpp"
+#include "serve/durable_file.hpp"
 #include "topology/debruijn.hpp"
 
 namespace {
@@ -279,6 +282,35 @@ FTDB_BENCH(campaign_sched, "perf_campaign/steal_12cells_x4blocks_serial") {
   ctx.report("scenarios", static_cast<double>(result.scenarios.size()));
   ctx.report("blocks", static_cast<double>(result.scenarios.size() *
                                            num_trial_blocks(spec.trials)));
+}
+
+/// Parallel efficiency on the examples/specs/campaign_sim.json grid: 12
+/// one-block cells of 64 simulator trials, run whole at 1 worker thread and
+/// at 4, each the fastest of 3 runs. With fewer blocks than workers can keep
+/// busy, run_work_units cuts the blocks into trial chunks, so `speedup` is
+/// what that buys. Not serial, unlike the rest of this file: run it under
+/// `bench_runner --threads 1`, and read the ratio only on an otherwise idle
+/// machine of at least 4 cores. No gate reads it.
+FTDB_BENCH(campaign_sim_threads, "perf_campaign/sim_grid_threads") {
+  const ScenarioSpec spec = parse_scenario_spec(
+      ftdb::serve::read_file(std::string(FTDB_SOURCE_DIR) + "/examples/specs/campaign_sim.json"));
+  const double trials = static_cast<double>(spec.trials * expand_grid(spec).size());
+  const auto trials_per_s = [&](unsigned threads) {
+    double best = HUGE_VAL;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      (void)run_campaign(spec, {.threads = threads});
+      best = std::min(best, std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+                                .count());
+    }
+    return trials / best;
+  };
+  const double serial = trials_per_s(1);
+  const double parallel = trials_per_s(4);
+  ctx.report("trials", trials);
+  ctx.report("trials_per_s_1_thread", serial);
+  ctx.report("trials_per_s_4_threads", parallel);
+  ctx.report("speedup", parallel / serial);
 }
 
 /// Block-granular checkpoint serialization: snapshot -> JSON -> reparse for a

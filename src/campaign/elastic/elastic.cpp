@@ -266,11 +266,10 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
       std::mutex log_mu;  // guards `log`, `cell_blocks_run` and `crashed`
       std::uint64_t cell_blocks_run = 0;
       bool crashed = false;
-      const auto run_block = [&](const WorkUnit& u) {
-        const ScenarioResult partial = runner.run_block(u.block);
+      const auto append_block = [&](const WorkUnit& u, ScenarioResult&& partial) {
         const std::lock_guard<std::mutex> lock(log_mu);
         if (crashed) return false;  // the crash hook fired while this block ran
-        log.append({idx, u.block, partial});
+        log.append({idx, u.block, std::move(partial)});
         ++cell_blocks_run;
         crashed = options.stop_after_blocks != 0 &&
                   res.blocks_run + cell_blocks_run >= options.stop_after_blocks;
@@ -293,7 +292,9 @@ ElasticResult run_elastic_worker(const ScenarioSpec& spec, const ElasticOptions&
         return !lost;
       };
       // A failing block propagates; the lease's destructor releases it.
-      run_work_units(remaining, options.threads, run_block, heartbeat);
+      run_work_units(
+          remaining, spec.trials, options.threads,
+          [&](std::uint32_t) -> const CellRunner& { return runner; }, append_block, heartbeat);
       res.blocks_run += cell_blocks_run;
 
       if (crashed) {

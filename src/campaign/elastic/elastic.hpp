@@ -16,8 +16,9 @@
 //
 // Workers lease whole cells — expensive cells first, by predicted_cell_cost,
 // so the campaign's tail stays short — run the cell's not-yet-durable trial
-// blocks on run_campaign's executor (run_work_units, whose tick heartbeats
-// the lease), and append each block to their own log before anything
+// blocks on run_campaign's executor (run_work_units, which cuts a lease's few
+// blocks into trial chunks for its threads and whose tick heartbeats the
+// lease), and append each completed block to their own log before anything
 // references it. One TargetTable per worker run serves every lease and
 // compaction, so each target and fabric is built once per worker. A worker
 // that dies mid-cell leaves its lease behind; the next claimant reclaims it

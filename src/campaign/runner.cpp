@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -15,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -331,20 +333,11 @@ ScenarioContext build_context(const ScenarioSpec& spec, const ScenarioCase& cell
   return ctx;
 }
 
-/// Dense per-block accumulators, folded into the sparse curves once the
-/// block completes (fold_histogram). Keeping them dense makes the per-trial
-/// hot path an array index, and folding in block order keeps the report
-/// deterministic.
-struct BlockScratch {
-  std::vector<std::uint64_t> hist;            // trials by drawn fault count
-  std::vector<std::uint64_t> survived;        // successes by drawn fault count
-  std::vector<std::uint64_t> coll_trials;     // collective runs by fault count
-  std::vector<std::uint64_t> coll_unreachable;
-  std::vector<double> coll_slowdown_sum;
-
-  /// The block's simulator of the healthy target, built on first use (a
-  /// cell whose trials run no collective, traffic or stretch never builds
-  /// it).
+/// A worker's trial scratch: the simulator of the healthy target, built on
+/// first use (a cell whose trials run no collective, traffic or stretch never
+/// builds it). A CellRunner pools them, so a chunk borrows one instead of
+/// building its own.
+struct TrialScratch {
   sim::PacketSimulator& healthy(const ScenarioContext& ctx) {
     if (!healthy_sim) healthy_sim.emplace(sim::Machine::direct(ctx.target()), ctx.target());
     return *healthy_sim;
@@ -352,18 +345,24 @@ struct BlockScratch {
   std::optional<sim::PacketSimulator> healthy_sim;
 };
 
-/// Runs one trial and folds it straight into `acc`.
-void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResult& acc,
-               BlockScratch& scratch) {
-  std::vector<std::uint64_t>& dense_hist = scratch.hist;
-  std::vector<std::uint64_t>& dense_survived = scratch.survived;
+/// Stretch runs on successful trials of both point-to-point families (the
+/// bus machine has no logical routing engine to audit).
+bool wants_stretch(const ScenarioContext& ctx, bool success) {
+  return ctx.metrics.stretch && success &&
+         (ctx.cell.topology.family == TopologyFamily::DeBruijn ||
+          ctx.cell.topology.family == TopologyFamily::ShuffleExchange);
+}
+
+/// Runs one trial and records what it measured in `out`.
+void measure_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, TrialScratch& scratch,
+                   TrialOutcome& out) {
+  out = TrialOutcome{};
   TrialRng rng = TrialRng::for_trial(ctx.seed, ctx.cell.index, trial_idx);
   const FaultDraw draw = ctx.model->draw(ctx.fabric(), ctx.cell.spares, rng);
   const std::uint64_t faults = draw.faults.count();
 
-  const bool within_budget = faults <= ctx.cell.spares;
   bool success = false;
-  if (within_budget) {
+  if (faults <= ctx.cell.spares) {
     // On bus cells the fabric is the realized graph: an edge joins exactly
     // the pairs some bus lets communicate (driver <-> member), so the one
     // survival check serves every family. On a proven cell every fault set
@@ -381,53 +380,30 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
                 monotone_embedding_survives(ctx.target(), ctx.fabric(), draw.faults);
     }
   }
+  out.faults = faults;
+  out.bus_faults = draw.bus_faults.size();
+  out.success = success;
 
-  ++acc.trials;
-  acc.fault_count.add(static_cast<double>(faults));
-  if (ctx.bus_model) acc.bus_fault_count.add(static_cast<double>(draw.bus_faults.size()));
-  if (!within_budget) ++acc.over_budget;
-  if (success) ++acc.reconfig_success;
-
-  if (dense_hist.size() <= faults) {
-    dense_hist.resize(faults + 1, 0);
-    dense_survived.resize(faults + 1, 0);
-  }
-  ++dense_hist[faults];
-  if (success) ++dense_survived[faults];
-
-  // Stretch runs on both point-to-point families (the bus machine has no
-  // logical routing engine to audit).
-  const bool want_stretch = ctx.metrics.stretch && success &&
-                            (ctx.cell.topology.family == TopologyFamily::DeBruijn ||
-                             ctx.cell.topology.family == TopologyFamily::ShuffleExchange);
-  const bool want_collective = ctx.topo->schedule.has_value();
-  if (success && ctx.metrics.diameter) {
-    // A successful trial passed monotone_embedding_survives (checked, or
-    // proven for the cell): every target node sits on a live host and every
-    // target edge on a live link, so the reconfigured machine's live logical
-    // graph is the target, and its diameter is the target's closed form.
-    acc.reconfigured_diameter.add(static_cast<double>(ctx.topo->diameter));
-  } else if (ctx.metrics.diameter) {
-    // Degraded machine: whatever the survivors still form.
+  // A successful trial passed monotone_embedding_survives (checked, or
+  // proven for the cell): every target node sits on a live host and every
+  // target edge on a live link, so the reconfigured machine's live logical
+  // graph is the target, and its diameter is the target's closed form (the
+  // fold adds it). A degraded machine has whatever the survivors still form.
+  if (!success && ctx.metrics.diameter) {
     const InducedSubgraph survivors =
         induced_subgraph_excluding(ctx.fabric(), draw.faults.nodes());
-    const std::uint32_t d =
+    out.degraded_diameter =
         survivors.graph.num_nodes() == 0 ? kUnreachable : diameter(survivors.graph);
-    if (d == kUnreachable) {
-      ++acc.degraded_disconnected;
-    } else {
-      acc.degraded_diameter.add(static_cast<double>(d));
-    }
   }
-  if (want_stretch) {
+  if (wants_stretch(ctx, success)) {
     // Stretch runs only on a successful trial, whose live logical graph is
     // the target (see the simulator below): the audit borrows the router of
-    // the block's healthy simulator, the one it would build.
+    // the scratch's healthy simulator, the one it would build.
     const sim::Machine machine =
         sim::Machine::reconfigured(ctx.fabric(), draw.faults, ctx.target().num_nodes());
     const sim::Router& logical = scratch.healthy(ctx).router();
     if (ctx.metrics.stretch_sample_pairs == 0) {
-      acc.route_stretch.add(sim::max_route_stretch(machine, logical));
+      out.stretch = sim::max_route_stretch(machine, logical);
     } else {
       // Counter-based pair sample: drawn from the trial's own RNG stream
       // (after the fault draw), so the report stays byte-identical across
@@ -441,7 +417,7 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
         const NodeId d = static_cast<NodeId>(rng.next_u64() % n_nodes);
         if (s != d) pairs.emplace_back(s, d);
       }
-      acc.route_stretch.add(sim::max_route_stretch_sampled(machine, logical, pairs));
+      out.stretch = sim::max_route_stretch_sampled(machine, logical, pairs);
     }
   }
 
@@ -450,9 +426,10 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
   // every target node sits on a live host and every target edge on a live
   // link, so the live logical graph is the target and the engine cannot tell
   // the reconfigured machine from the healthy target — the trial borrows the
-  // block's healthy simulator. A failed trial's bare target with its faults
-  // marked dead gets its own, unless every target node died — then nothing
-  // runs.
+  // scratch's healthy simulator. A failed trial's bare target with its
+  // faults marked dead gets its own, unless every target node died — then
+  // nothing runs.
+  const bool want_collective = ctx.topo->schedule.has_value();
   const std::uint64_t n_nodes = ctx.target().num_nodes();
   std::optional<sim::PacketSimulator> degraded_sim;
   sim::PacketSimulator* engine = nullptr;
@@ -494,25 +471,15 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
       run = sim::execute_schedule(*engine, sched, survivors);
       baseline_cycles = sim::execute_schedule(scratch.healthy(ctx), sched, survivors).total_cycles;
     }
-    // else: every target node dead — counted unreachable below.
-    if (scratch.coll_trials.size() <= faults) {
-      scratch.coll_trials.resize(faults + 1, 0);
-      scratch.coll_unreachable.resize(faults + 1, 0);
-      scratch.coll_slowdown_sum.resize(faults + 1, 0.0);
-    }
-    ++scratch.coll_trials[faults];
-    if (engine != nullptr && run.completed()) {
-      const double slowdown =
+    // else: every target node dead — the fold counts it unreachable.
+    out.collective_completed = engine != nullptr && run.completed();
+    if (out.collective_completed) {
+      out.collective_slowdown =
           baseline_cycles == 0
               ? 1.0
               : static_cast<double>(run.total_cycles) / static_cast<double>(baseline_cycles);
-      acc.collective_slowdown.add(slowdown);
-      acc.collective_hop_cycles.add(static_cast<double>(run.total_hop_cycles));
-      acc.collective_congestion.add(static_cast<double>(run.max_link_congestion));
-      scratch.coll_slowdown_sum[faults] += slowdown;
-    } else {
-      ++acc.collective_unreachable;
-      ++scratch.coll_unreachable[faults];
+      out.collective_hop_cycles = run.total_hop_cycles;
+      out.collective_congestion = run.max_link_congestion;
     }
   }
 
@@ -541,36 +508,104 @@ void run_trial(const ScenarioContext& ctx, std::uint64_t trial_idx, ScenarioResu
       packets = sim::uniform_traffic(n_nodes, ctx.traffic_packets, 0, traffic_seed);
     }
     if (engine != nullptr) {
+      // Every target node dead otherwise: nothing can inject.
       const sim::SimStats stats = engine->run(packets, ctx.traffic_max_cycles);
-      acc.traffic_delivered.add(stats.delivered_fraction());
-      if (stats.delivered > 0) acc.traffic_latency.add(stats.average_latency());
-      acc.traffic_congestion.add(static_cast<double>(stats.max_queue_depth));
-      acc.traffic_timed_out += stats.timed_out;
-    } else {
-      acc.traffic_delivered.add(0.0);  // every target node dead: nothing can inject
+      out.traffic_ran = true;
+      out.traffic_delivered_packets = stats.delivered;
+      out.traffic_delivered = stats.delivered_fraction();
+      out.traffic_latency = stats.average_latency();
+      out.traffic_queue_depth = stats.max_queue_depth;
+      out.traffic_timed_out = stats.timed_out;
     }
   }
 
-  if (ctx.metrics.mttf) {
-    if (std::isfinite(draw.spare_exhaustion_time)) {
-      acc.mttf.add(draw.spare_exhaustion_time);
-    } else {
-      ++acc.mttf_censored;
-    }
-  }
+  out.spare_exhaustion_time = draw.spare_exhaustion_time;
 }
 
-/// Sparse survival and slowdown curves from the dense per-block counters.
-void fold_histogram(ScenarioResult& acc, const BlockScratch& scratch) {
-  for (std::size_t f = 0; f < scratch.hist.size(); ++f) {
-    if (scratch.hist[f] == 0) continue;
-    acc.survival_curve.push_back({f, scratch.hist[f], scratch.survived[f]});
+/// Grows a dense per-fault-count counter to cover `faults`.
+template <class T>
+T& at_faults(std::vector<T>& dense, std::uint64_t faults) {
+  if (dense.size() <= faults) dense.resize(faults + 1, T{});
+  return dense[faults];
+}
+
+/// A block's partial: replays each outcome's adds in trial order. The
+/// survival and slowdown curves count into dense arrays indexed by fault
+/// count (an array index per trial), folded into the sparse curves at the
+/// end.
+ScenarioResult fold_outcomes(const ScenarioContext& ctx, std::span<const TrialOutcome> outcomes) {
+  ScenarioResult acc;
+  acc.scenario_index = ctx.cell.index;
+  std::vector<std::uint64_t> hist;      // trials by drawn fault count
+  std::vector<std::uint64_t> survived;  // successes by drawn fault count
+  std::vector<std::uint64_t> coll_trials;  // collective runs by fault count
+  std::vector<std::uint64_t> coll_unreachable;
+  std::vector<double> coll_slowdown_sum;
+  const bool want_collective = ctx.topo->schedule.has_value();
+  for (const TrialOutcome& o : outcomes) {
+    ++acc.trials;
+    acc.fault_count.add(static_cast<double>(o.faults));
+    if (ctx.bus_model) acc.bus_fault_count.add(static_cast<double>(o.bus_faults));
+    if (o.faults > ctx.cell.spares) ++acc.over_budget;
+    if (o.success) ++acc.reconfig_success;
+    ++at_faults(hist, o.faults);
+    at_faults(survived, o.faults) += o.success ? 1 : 0;
+
+    if (ctx.metrics.diameter) {
+      if (o.success) {
+        acc.reconfigured_diameter.add(static_cast<double>(ctx.topo->diameter));
+      } else if (o.degraded_diameter == kUnreachable) {
+        ++acc.degraded_disconnected;
+      } else {
+        acc.degraded_diameter.add(static_cast<double>(o.degraded_diameter));
+      }
+    }
+    if (wants_stretch(ctx, o.success)) acc.route_stretch.add(o.stretch);
+
+    if (want_collective) {
+      ++at_faults(coll_trials, o.faults);
+      std::uint64_t& unreachable = at_faults(coll_unreachable, o.faults);
+      double& slowdown_sum = at_faults(coll_slowdown_sum, o.faults);
+      if (o.collective_completed) {
+        acc.collective_slowdown.add(o.collective_slowdown);
+        acc.collective_hop_cycles.add(static_cast<double>(o.collective_hop_cycles));
+        acc.collective_congestion.add(static_cast<double>(o.collective_congestion));
+        slowdown_sum += o.collective_slowdown;
+      } else {
+        ++acc.collective_unreachable;
+        ++unreachable;
+      }
+    }
+
+    if (ctx.traffic) {
+      if (o.traffic_ran) {
+        acc.traffic_delivered.add(o.traffic_delivered);
+        if (o.traffic_delivered_packets > 0) acc.traffic_latency.add(o.traffic_latency);
+        acc.traffic_congestion.add(static_cast<double>(o.traffic_queue_depth));
+        acc.traffic_timed_out += o.traffic_timed_out;
+      } else {
+        acc.traffic_delivered.add(0.0);
+      }
+    }
+
+    if (ctx.metrics.mttf) {
+      if (std::isfinite(o.spare_exhaustion_time)) {
+        acc.mttf.add(o.spare_exhaustion_time);
+      } else {
+        ++acc.mttf_censored;
+      }
+    }
   }
-  for (std::size_t f = 0; f < scratch.coll_trials.size(); ++f) {
-    if (scratch.coll_trials[f] == 0) continue;
-    acc.slowdown_curve.push_back(
-        {f, scratch.coll_trials[f], scratch.coll_unreachable[f], scratch.coll_slowdown_sum[f]});
+  for (std::size_t f = 0; f < hist.size(); ++f) {
+    if (hist[f] != 0) acc.survival_curve.push_back({f, hist[f], survived[f]});
   }
+  for (std::size_t f = 0; f < coll_trials.size(); ++f) {
+    if (coll_trials[f] != 0) {
+      acc.slowdown_curve.push_back(
+          {f, coll_trials[f], coll_unreachable[f], coll_slowdown_sum[f]});
+    }
+  }
+  return acc;
 }
 
 // --- result (de)serialization ------------------------------------------------
@@ -821,18 +856,18 @@ void check_cell_progress(const CellProgress& cp, std::uint64_t trials, const std
 
 namespace {
 
-/// A lock-free Chase–Lev work-stealing deque, one per worker (memory-order
-/// formulation after Lê/Pop/Cohen/Nardelli, PPoPP'13). The owner pops from
-/// the bottom; thieves CAS the top. Two simplifications keep it simple and
-/// TSan-clean without the usual circular-buffer hazard: the buffer is
-/// bounded (every unit is seeded before any worker starts, so there is no
-/// owner push racing a thief's buffer read — the array is immutable once the
-/// pool spawns), and the seed is stored *reversed* so the owner's pop-bottom
-/// yields the original front order (cell-then-block, keeping the pending
-/// maps small and the scenario contexts warm) while thieves take the
-/// original back. All units are enqueued before the workers start, so once a
-/// deque reads empty it stays empty: an empty sweep over every deque means
-/// no unstarted work remains.
+/// A lock-free Chase–Lev work-stealing deque of unit indices, one per
+/// worker (memory-order formulation after Lê/Pop/Cohen/Nardelli, PPoPP'13).
+/// The owner pops from the bottom; thieves CAS the top. Two simplifications
+/// keep it simple and TSan-clean without the usual circular-buffer hazard:
+/// the buffer is bounded (every unit is seeded before any worker starts, so
+/// there is no owner push racing a thief's buffer read — the array is
+/// immutable once the pool spawns), and the seed is stored *reversed* so
+/// the owner's pop-bottom yields the original front order (cell, then
+/// block, then chunk, keeping the pending maps small and the scenario
+/// contexts warm) while thieves take the original back. All units are
+/// enqueued before the workers start, so once a deque reads empty it stays
+/// empty: an empty sweep over every deque means no unstarted work remains.
 ///
 /// Contiguous per-worker slices measured faster than one shared atomic
 /// cursor. Per-cell builds dominate a survival campaign, and a cursor makes
@@ -843,14 +878,16 @@ namespace {
 /// interleaved slices 0.77-0.80 M.
 class StealDeque {
  public:
-  void seed(const std::vector<WorkUnit>& units) {
-    buf_.assign(units.rbegin(), units.rend());
+  /// Seeds units [lo, hi).
+  void seed(std::size_t lo, std::size_t hi) {
+    buf_.clear();
+    for (std::size_t u = hi; u > lo; --u) buf_.push_back(u - 1);
     top_.store(0, std::memory_order_relaxed);
     bottom_.store(static_cast<std::int64_t>(buf_.size()), std::memory_order_relaxed);
   }
 
   /// Owner-only: take the most recently seeded end (original front order).
-  bool pop_front(WorkUnit& out) {
+  bool pop_front(std::size_t& out) {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
     bottom_.store(b, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -872,7 +909,7 @@ class StealDeque {
 
   /// Thief: take the oldest-seeded end (original back). Retries internally on
   /// a lost CAS, so false means the deque was genuinely empty when observed.
-  bool steal_back(WorkUnit& out) {
+  bool steal_back(std::size_t& out) {
     for (;;) {
       std::int64_t t = top_.load(std::memory_order_acquire);
       std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -887,27 +924,27 @@ class StealDeque {
   }
 
  private:
-  std::vector<WorkUnit> buf_;  // immutable between seed() and the last pop
+  std::vector<std::size_t> buf_;  // immutable between seed() and the last pop
   std::atomic<std::int64_t> top_{0};
   std::atomic<std::int64_t> bottom_{0};
 };
 
-}  // namespace
+unsigned worker_count(unsigned threads) {
+  return threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads;
+}
 
-void run_work_units(const std::vector<WorkUnit>& units, unsigned threads,
-                    const std::function<bool(const WorkUnit&)>& run,
+/// The scheduler: runs `run(u)` for every unit index u in [0, count).
+void schedule_units(std::size_t count, unsigned threads,
+                    const std::function<bool(std::size_t)>& run,
                     const std::function<bool()>& tick) {
-  unsigned workers = threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads;
-  workers = static_cast<unsigned>(
-      std::min<std::size_t>(workers, std::max<std::size_t>(units.size(), 1)));
+  const auto workers = static_cast<unsigned>(
+      std::min<std::size_t>(worker_count(threads), std::max<std::size_t>(count, 1)));
 
   std::vector<StealDeque> deques(workers);
-  const std::size_t per = (units.size() + workers - 1) / workers;
+  const std::size_t per = (count + workers - 1) / workers;
   for (unsigned w = 0; w < workers; ++w) {
-    const std::size_t lo = std::min(units.size(), w * per);
-    const std::size_t hi = std::min(units.size(), lo + per);
-    deques[w].seed(std::vector<WorkUnit>(units.begin() + static_cast<std::ptrdiff_t>(lo),
-                                         units.begin() + static_cast<std::ptrdiff_t>(hi)));
+    const std::size_t lo = std::min(count, w * per);
+    deques[w].seed(lo, std::min(count, lo + per));
   }
 
   std::atomic<bool> stop{false};
@@ -926,7 +963,7 @@ void run_work_units(const std::vector<WorkUnit>& units, unsigned threads,
   auto worker_fn = [&](unsigned self) {
     try {
       while (!stop.load(std::memory_order_relaxed)) {
-        WorkUnit u;
+        std::size_t u = 0;
         if (!deques[self].pop_front(u)) {
           bool stole = false;
           for (unsigned d = 1; d < workers && !stole; ++d) {
@@ -967,6 +1004,68 @@ void run_work_units(const std::vector<WorkUnit>& units, unsigned threads,
   }
   for (std::thread& t : pool) t.join();
   if (failure) std::rethrow_exception(failure);
+}
+
+}  // namespace
+
+void run_work_units(const std::vector<WorkUnit>& units, unsigned threads,
+                    const std::function<bool(const WorkUnit&)>& run,
+                    const std::function<bool()>& tick) {
+  schedule_units(units.size(), threads, [&](std::size_t u) { return run(units[u]); }, tick);
+}
+
+std::uint64_t chunk_trials(std::uint64_t blocks, std::uint64_t trials, unsigned workers) {
+  if (workers <= 1 || blocks >= kBlocksPerWorker * workers) return kTrialBlock;
+  const std::uint64_t per_unit = trials / (kBlocksPerWorker * workers);
+  return std::clamp<std::uint64_t>(std::bit_floor(per_unit), 1, kTrialBlock);
+}
+
+void run_work_units(const std::vector<WorkUnit>& blocks, std::uint64_t trials, unsigned threads,
+                    const std::function<const CellRunner&(std::uint32_t slot)>& runner,
+                    const std::function<bool(const WorkUnit&, ScenarioResult&&)>& done,
+                    const std::function<bool()>& tick) {
+  std::uint64_t total = 0;
+  for (const WorkUnit& b : blocks) total += trials_in_block(trials, b.block);
+  const std::uint64_t chunk = chunk_trials(blocks.size(), total, worker_count(threads));
+
+  // One outcome record per trial of each block, allocated by the block's
+  // first chunk to start; the block's last chunk to finish (the one that
+  // counts `left` down to zero) folds and frees it. A whole-block chunk does
+  // exactly what CellRunner::run_block does.
+  struct Pending {
+    std::once_flag alloc;
+    std::vector<TrialOutcome> outcomes;
+    std::atomic<std::uint64_t> left{0};  // chunks not yet measured
+  };
+  struct Chunk {
+    std::size_t block;    // index into `blocks`
+    std::uint64_t first;  // offset of the chunk's first trial in the block
+  };
+  std::vector<Pending> pending(blocks.size());
+  std::vector<Chunk> chunks;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const std::uint64_t n = trials_in_block(trials, blocks[i].block);
+    for (std::uint64_t first = 0; first < n; first += chunk) chunks.push_back({i, first});
+    pending[i].left.store((n + chunk - 1) / chunk, std::memory_order_relaxed);
+  }
+
+  schedule_units(
+      chunks.size(), threads,
+      [&](std::size_t u) {
+        const Chunk& c = chunks[u];
+        const WorkUnit& b = blocks[c.block];
+        Pending& p = pending[c.block];
+        const std::uint64_t n = trials_in_block(trials, b.block);
+        std::call_once(p.alloc, [&] { p.outcomes.resize(n); });
+        const CellRunner& cell = runner(b.slot);
+        cell.measure(b.block * kTrialBlock + c.first,
+                     std::span(p.outcomes).subspan(c.first, std::min(chunk, n - c.first)));
+        if (p.left.fetch_sub(1, std::memory_order_acq_rel) != 1) return true;
+        ScenarioResult partial = cell.fold(p.outcomes);
+        std::vector<TrialOutcome>().swap(p.outcomes);
+        return done(b, std::move(partial));
+      },
+      tick);
 }
 
 void fold_in_order(ScenarioResult& prefix, std::uint64_t& prefix_blocks,
@@ -1096,13 +1195,15 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
   std::size_t cells_done = 0;       // cells finalized, resumed ones included (tick only)
   for (const auto& st : states) cells_done += st->finalized ? 1 : 0;
 
-  const auto run_unit = [&](const WorkUnit& u) {
-    CellState& st = *states[u.slot];
+  const auto runner = [&](std::uint32_t slot) -> const CellRunner& {
+    CellState& st = *states[slot];
     std::call_once(st.runner_once, [&] {
       if (!st.runner) st.runner.emplace(spec, st.cell, targets);
     });
-    ScenarioResult partial = st.runner->run_block(u.block);
-
+    return *st.runner;
+  };
+  const auto merge_block = [&](const WorkUnit& u, ScenarioResult&& partial) {
+    CellState& st = *states[u.slot];
     bool completed_cell = false;
     {
       const std::lock_guard<std::mutex> lock(st.mu);
@@ -1173,7 +1274,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
     return true;
   };
 
-  run_work_units(units, options.threads, run_unit, tick);
+  run_work_units(units, spec.trials, options.threads, runner, merge_block, tick);
   print_progress(events);  // the workers have joined: no contention left
 
   const std::uint64_t done = blocks_completed.load();
@@ -1286,20 +1387,27 @@ void TargetTable::release(const ScenarioCase& cell) {
 // --- CellRunner -------------------------------------------------------------
 
 struct CellRunner::Impl {
+  Impl(std::uint64_t cell_trials, ScenarioContext context)
+      : trials(cell_trials), ctx(std::move(context)) {}
+
   std::uint64_t trials;
   ScenarioContext ctx;
+  std::mutex scratch_mu;  // guards `scratch`
+  std::vector<std::unique_ptr<TrialScratch>> scratch;  // idle scratch, lent to measure()
 };
 
 CellRunner::CellRunner(const ScenarioSpec& spec, const ScenarioCase& cell) {
   auto topo = std::make_shared<const TopologyTarget>(build_target(spec.metrics, cell.topology));
   auto fab = std::make_shared<const TopologyFabric>(
       build_fabric(topo->graph, cell.topology, cell.spares));
-  impl_.reset(new Impl{spec.trials, build_context(spec, cell, std::move(topo), std::move(fab))});
+  impl_ = std::make_unique<Impl>(spec.trials,
+                                 build_context(spec, cell, std::move(topo), std::move(fab)));
 }
 
 CellRunner::CellRunner(const ScenarioSpec& spec, const ScenarioCase& cell, TargetTable& targets)
-    : impl_(new Impl{spec.trials, build_context(spec, cell, targets.acquire(cell),
-                                                targets.acquire_fabric(cell))}) {}
+    : impl_(std::make_unique<Impl>(
+          spec.trials,
+          build_context(spec, cell, targets.acquire(cell), targets.acquire_fabric(cell)))) {}
 
 CellRunner::~CellRunner() = default;
 CellRunner::CellRunner(CellRunner&&) noexcept = default;
@@ -1309,17 +1417,33 @@ std::uint64_t CellRunner::num_blocks() const { return num_trial_blocks(impl_->tr
 
 ScenarioResult CellRunner::run_block(std::uint64_t block) const {
   if (block >= num_blocks()) throw std::out_of_range("CellRunner::run_block: block out of range");
-  // Reads the context only, so any number of threads can run different
-  // blocks of the same cell concurrently.
-  const ScenarioContext& ctx = impl_->ctx;
-  ScenarioResult partial;
-  partial.scenario_index = ctx.cell.index;
-  BlockScratch scratch;
-  const std::uint64_t lo = block * kTrialBlock;
-  const std::uint64_t hi = std::min(impl_->trials, lo + kTrialBlock);
-  for (std::uint64_t t = lo; t < hi; ++t) run_trial(ctx, t, partial, scratch);
-  fold_histogram(partial, scratch);
-  return partial;
+  std::vector<TrialOutcome> outcomes(trials_in_block(impl_->trials, block));
+  measure(block * kTrialBlock, outcomes);
+  return fold(outcomes);
+}
+
+void CellRunner::measure(std::uint64_t first, std::span<TrialOutcome> out) const {
+  if (first > impl_->trials || out.size() > impl_->trials - first) {
+    throw std::out_of_range("CellRunner::measure: trials out of range");
+  }
+  // Reads the context only, so any number of threads can measure trials of
+  // the same cell concurrently, each on scratch of its own.
+  std::unique_ptr<TrialScratch> scratch;
+  {
+    const std::lock_guard<std::mutex> lock(impl_->scratch_mu);
+    if (!impl_->scratch.empty()) {
+      scratch = std::move(impl_->scratch.back());
+      impl_->scratch.pop_back();
+    }
+  }
+  if (!scratch) scratch = std::make_unique<TrialScratch>();
+  for (std::size_t i = 0; i < out.size(); ++i) measure_trial(impl_->ctx, first + i, *scratch, out[i]);
+  const std::lock_guard<std::mutex> lock(impl_->scratch_mu);
+  impl_->scratch.push_back(std::move(scratch));
+}
+
+ScenarioResult CellRunner::fold(std::span<const TrialOutcome> outcomes) const {
+  return fold_outcomes(impl_->ctx, outcomes);
 }
 
 void CellRunner::finalize(ScenarioResult& r) const {

@@ -1,13 +1,17 @@
 // The campaign execution engine.
 //
-// Every (scenario, 256-trial block) pair of the grid is one work unit, and
-// run_work_units is the one executor of units: run_campaign feeds it the
-// whole grid, an elastic worker (campaign/elastic/) one leased cell at a time.
-// Every trial's randomness is counter-based — TrialRng::for_trial(seed,
-// scenario, trial) — and per-block partial statistics are merged *in block
-// order* per cell (fold_in_order), so the result is byte-identical for any
-// thread count and any steal schedule. Statistics stream through Welford
-// accumulators (no per-trial storage), success rates carry Wilson score
+// Every (scenario, 256-trial block) pair of the grid is one block, and
+// run_work_units is the one block executor: run_campaign feeds it the whole
+// grid, an elastic worker (campaign/elastic/) one leased cell at a time. When
+// a call has too few blocks to keep every worker busy, the executor cuts them
+// into equal trial chunks; the chunk that completes a block folds the
+// block's per-trial outcomes in trial order, so a block's partial is the same
+// whoever measured its trials. Every trial's randomness is counter-based —
+// TrialRng::for_trial(seed, scenario, trial) — and per-block partial
+// statistics are merged *in block order* per cell (fold_in_order), so the
+// result is byte-identical for any thread count, chunk split and steal
+// schedule. Statistics stream through Welford accumulators (a block's
+// outcomes live only until it folds), success rates carry Wilson score
 // intervals, and fault-count survival curves are recorded per scenario.
 //
 // Long campaigns checkpoint at *block* granularity: the checkpoint stores,
@@ -42,7 +46,7 @@
 
 namespace ftdb::campaign {
 
-/// Trials per work unit. Fixed — the block partition is part of the
+/// Trials per block. Fixed — the block partition is part of the
 /// deterministic reduction order, so it must not depend on the thread count,
 /// the shard layout, or the steal schedule.
 inline constexpr std::uint64_t kTrialBlock = 256;
@@ -270,22 +274,50 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
 /// std::runtime_error when it asks for zero trials or expands to no cells.
 std::vector<ScenarioCase> runnable_grid(const ScenarioSpec& spec);
 
-/// One schedulable unit: block `block` of the caller's `slot`-th cell.
+/// One block of work: block `block` of the caller's `slot`-th cell.
 struct WorkUnit {
   std::uint32_t slot = 0;
   std::uint64_t block = 0;
 };
 
-/// The block executor. Runs `run(unit)` for every unit on `threads` workers
-/// (0 = hardware; never more than one per unit). Each worker runs its own
-/// contiguous slice of `units` in order, then steals from the back of the
-/// others'. While the pool runs, the calling thread calls `tick()` after
-/// units complete and at least every 50 ms. A callback that returns false
-/// stops the pool: running units finish and no other unit starts. The first
-/// exception either callback throws stops it too, and is rethrown once every
-/// worker has joined.
+/// The scheduler under the block executor. Runs `run(unit)` for every unit
+/// on `threads` workers (0 = hardware; never more than one per unit). Each
+/// worker runs its own contiguous slice of `units` in order, then steals
+/// from the back of the others'. While the pool runs, the calling thread
+/// calls `tick()` after units complete and at least every 50 ms. A callback
+/// that returns false stops the pool: running units finish and no other unit
+/// starts. The first exception either callback throws stops it too, and is
+/// rethrown once every worker has joined.
 void run_work_units(const std::vector<WorkUnit>& units, unsigned threads,
                     const std::function<bool(const WorkUnit&)>& run,
+                    const std::function<bool()>& tick);
+
+class CellRunner;
+
+/// Below this many blocks per worker, run_work_units cuts blocks into chunks.
+inline constexpr std::uint64_t kBlocksPerWorker = 16;
+
+/// Trials per unit when `blocks` blocks holding `trials` trials in all run on
+/// `workers` workers: kTrialBlock (whole blocks) for one worker or at least
+/// kBlocksPerWorker blocks per worker, else the largest power of two that
+/// gives each worker at least kBlocksPerWorker units (single trials when
+/// there are too few trials for that). A power of two divides kTrialBlock,
+/// so every chunk of a full block has the same size.
+std::uint64_t chunk_trials(std::uint64_t blocks, std::uint64_t trials, unsigned workers);
+
+/// The block executor: runs every block of `blocks` (each of a cell with
+/// `trials` trials) on the scheduler above, as whole blocks or as the trial
+/// chunks chunk_trials asks for. A unit measures its trials on
+/// `runner(slot)`, which may be called concurrently and must stay valid
+/// until the slot's last block is handed over. Once a block's trials are all
+/// measured, the worker that finished its last chunk folds the block and
+/// calls `done(block, partial)` with exactly what CellRunner::run_block
+/// returns, so the caller sees whole blocks only. `done` and `tick` stop and
+/// fail the pool as in the scheduler; a stopped pool drops the blocks it has
+/// not completed.
+void run_work_units(const std::vector<WorkUnit>& blocks, std::uint64_t trials, unsigned threads,
+                    const std::function<const CellRunner&(std::uint32_t slot)>& runner,
+                    const std::function<bool(const WorkUnit&, ScenarioResult&&)>& done,
                     const std::function<bool()>& tick);
 
 /// Merges into `prefix` the blocks of `pending` that continue it (block
@@ -346,13 +378,41 @@ class TargetTable {
   std::set<std::size_t> released_;  // indices of the released cells
 };
 
-/// Executes one grid cell's trial blocks: the runner behind run_campaign's
-/// units and an elastic worker's leased cell. The scenario context (the
-/// target and collective baseline, the fabric and the pairwise proof that
-/// every within-budget draw survives, and the cell's own prepared fault
-/// model) is set up once in the constructor; run_block only reads it, so one
+/// What one trial measured: every value the trial adds to its block's
+/// accumulator. CellRunner::fold replays those adds in trial order, so the
+/// block's partial does not depend on which worker measured which trial.
+struct TrialOutcome {
+  std::uint64_t faults = 0;      ///< faulty nodes the draw left
+  std::uint64_t bus_faults = 0;  ///< buses drawn faulty (bus-fault models)
+  bool success = false;          ///< the monotone embedding survived
+  /// Diameter of the degraded machine on a failed trial (diameter metric);
+  /// UINT32_MAX when its survivors are disconnected or there are none.
+  std::uint32_t degraded_diameter = 0;
+  double stretch = 0.0;  ///< max route stretch of a successful trial (stretch metric)
+  // collective metric
+  bool collective_completed = false;
+  double collective_slowdown = 0.0;
+  std::uint64_t collective_hop_cycles = 0;
+  std::uint64_t collective_congestion = 0;
+  // traffic metric
+  bool traffic_ran = false;  ///< some target node was alive to inject
+  std::uint64_t traffic_delivered_packets = 0;
+  double traffic_delivered = 0.0;  ///< fraction of the injected packets
+  double traffic_latency = 0.0;    ///< mean latency of the delivered packets
+  std::uint64_t traffic_queue_depth = 0;
+  std::uint64_t traffic_timed_out = 0;
+  /// Time of the (k+1)-st failure (mttf metric); infinite when censored.
+  double spare_exhaustion_time = 0.0;
+};
+
+/// Executes one grid cell's trials: the runner behind run_campaign's units
+/// and an elastic worker's leased cell. The scenario context (the target and
+/// collective baseline, the fabric and the pairwise proof that every
+/// within-budget draw survives, and the cell's own prepared fault model) is
+/// set up once in the constructor; measuring only reads it, so one
 /// CellRunner can serve many threads concurrently. Every trial's randomness
-/// is counter-based, so a block is bit-identical whoever runs it.
+/// is counter-based, so a trial's outcome is bit-identical whoever measures
+/// it.
 class CellRunner {
  public:
   /// Builds the cell's own target and fabric.
@@ -368,8 +428,17 @@ class CellRunner {
   std::uint64_t num_blocks() const;
 
   /// Runs block `block` (kTrialBlock trials; the last block may be short) and
-  /// returns its partial accumulator — exactly what the scheduler would merge.
+  /// returns its partial accumulator — exactly what the scheduler would
+  /// merge. The same as fold over measure of the block's trials.
   ScenarioResult run_block(std::uint64_t block) const;
+
+  /// Measures trials [first, first + out.size()) of the cell into `out`.
+  /// The trial scratch (a simulator of the healthy target) is borrowed from
+  /// a pool the runner keeps, so concurrent calls build at most one each.
+  void measure(std::uint64_t first, std::span<TrialOutcome> out) const;
+
+  /// A block's partial from its trials' outcomes, in trial order.
+  ScenarioResult fold(std::span<const TrialOutcome> outcomes) const;
 
   /// Fills the cell-level metadata and analytic companions on a fully-merged
   /// accumulator (the step that finalizes a completed cell for reporting).

@@ -18,8 +18,12 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <random>
 #include <regex>
+#include <span>
 #include <thread>
 
 #include "campaign/elastic/elastic.hpp"
@@ -893,6 +897,193 @@ TEST(BlockExecutor, ThrowingTickIsRethrownAfterTheJoin) {
   }
   EXPECT_EQ(finished_units.load(), started_units.load());
   EXPECT_LT(started_units.load(), 300);
+}
+
+// --- trial chunks -----------------------------------------------------------
+
+std::string result_bytes(const ScenarioResult& r) {
+  analysis::JsonWriter w;
+  write_scenario_result(w, r);
+  return w.str();
+}
+
+ScenarioSpec example_sim_spec() {
+  return parse_scenario_spec(read_file(std::string(FTDB_SOURCE_DIR) +
+                                       "/examples/specs/campaign_sim.json"));
+}
+
+/// Survival-only cells on every family, a bus-fault cell among them, and a
+/// full block followed by a 44-trial one.
+ScenarioSpec small_survival_spec() {
+  ScenarioSpec spec;
+  spec.name = "small_survival";
+  spec.seed = 23;
+  spec.trials = 300;
+  spec.topologies = {{TopologyFamily::DeBruijn, 2, 5},
+                     {TopologyFamily::ShuffleExchange, 2, 4},
+                     {TopologyFamily::Bus, 2, 3}};
+  spec.spares = {2};
+  spec.fault_models = {{FaultModelKind::IidBernoulli, 0.05, 1.0, 100.0, 1.0},
+                       {FaultModelKind::Weibull, 0.01, 2.0, 100.0, 60.0},
+                       {FaultModelKind::BusIid, 0.05, 1.0, 100.0, 1.0}};
+  spec.metrics.diameter = false;
+  spec.metrics.stretch = false;
+  spec.metrics.mttf = true;
+  return spec;
+}
+
+/// Every StreamingStats add of a block, replayed here from its outcomes in
+/// trial order: an oracle for the order the fold adds in, which the bytes of
+/// fold and run_block cannot check against each other.
+ScenarioResult replay_stats(const ScenarioSpec& spec, const ScenarioCase& cell,
+                            std::uint32_t target_diameter,
+                            std::span<const TrialOutcome> outcomes) {
+  const MetricSet& m = spec.metrics;
+  const bool p2p = cell.topology.family != TopologyFamily::Bus;
+  const bool bus_model = cell.fault_model.kind == FaultModelKind::BusIid ||
+                         cell.fault_model.kind == FaultModelKind::BusClustered;
+  ScenarioResult r;
+  for (const TrialOutcome& o : outcomes) {
+    r.fault_count.add(static_cast<double>(o.faults));
+    if (bus_model) r.bus_fault_count.add(static_cast<double>(o.bus_faults));
+    if (m.diameter && o.success) r.reconfigured_diameter.add(target_diameter);
+    if (m.diameter && !o.success && o.degraded_diameter != kUnreachable) {
+      r.degraded_diameter.add(o.degraded_diameter);
+    }
+    if (m.stretch && p2p && o.success) r.route_stretch.add(o.stretch);
+    if (m.mttf && std::isfinite(o.spare_exhaustion_time)) r.mttf.add(o.spare_exhaustion_time);
+    if (m.collective && p2p && o.collective_completed) {
+      r.collective_slowdown.add(o.collective_slowdown);
+      r.collective_hop_cycles.add(static_cast<double>(o.collective_hop_cycles));
+      r.collective_congestion.add(static_cast<double>(o.collective_congestion));
+    }
+    if (m.traffic && p2p) {
+      r.traffic_delivered.add(o.traffic_ran ? o.traffic_delivered : 0.0);
+      if (o.traffic_ran && o.traffic_delivered_packets > 0) r.traffic_latency.add(o.traffic_latency);
+      if (o.traffic_ran) r.traffic_congestion.add(static_cast<double>(o.traffic_queue_depth));
+    }
+  }
+  return r;
+}
+
+/// The StreamingStats fields of `got` bit-equal those of `want`.
+void expect_same_stats(const ScenarioResult& got, const ScenarioResult& want,
+                       const std::string& where) {
+  for (const ResultField& f : result_fields()) {
+    if (f.kind != ResultField::Kind::Stats) continue;
+    const StreamingStats& a = got.*f.stats;
+    const StreamingStats& b = want.*f.stats;
+    EXPECT_EQ(a.count, b.count) << where << " " << f.key;
+    EXPECT_EQ(std::memcmp(&a.mean, &b.mean, sizeof a.mean), 0) << where << " " << f.key << ".mean";
+    EXPECT_EQ(std::memcmp(&a.m2, &b.m2, sizeof a.m2), 0) << where << " " << f.key << ".m2";
+  }
+}
+
+TEST(TrialChunks, ChunkFoldsWriteTheBlockBytes) {
+  for (const ScenarioSpec& spec : {example_sim_spec(), small_survival_spec()}) {
+    const std::vector<ScenarioCase> cells = expand_grid(spec);
+    const bool has_bus_model = std::any_of(cells.begin(), cells.end(), [](const ScenarioCase& c) {
+      return c.fault_model.kind == FaultModelKind::BusIid;
+    });
+    EXPECT_TRUE(spec.metrics.traffic || has_bus_model) << spec.name;
+    for (const ScenarioCase& cell : cells) {
+      const CellRunner runner(spec, cell);
+      for (std::uint64_t block = 0; block < runner.num_blocks(); ++block) {
+        const std::string where = spec.name + " cell " + std::to_string(cell.index) +
+                                  " block " + std::to_string(block);
+        const std::string reference = result_bytes(runner.run_block(block));
+        const std::uint64_t n = trials_in_block(spec.trials, block);
+        for (const std::uint64_t chunk : {1u, 7u, 64u, 256u}) {
+          // Chunks measured last to first, so no trial's scratch has seen
+          // the trials run_block ran before it.
+          std::vector<TrialOutcome> outcomes(n);
+          for (std::uint64_t first = (n - 1) / chunk * chunk;; first -= chunk) {
+            runner.measure(block * kTrialBlock + first,
+                           std::span(outcomes).subspan(first, std::min(chunk, n - first)));
+            if (first == 0) break;
+          }
+          const ScenarioResult folded = runner.fold(outcomes);
+          EXPECT_EQ(result_bytes(folded), reference) << where << ", chunks of " << chunk;
+          if (chunk == 7) {
+            ScenarioResult finalized = folded;
+            runner.finalize(finalized);
+            expect_same_stats(
+                folded, replay_stats(spec, cell, finalized.target_diameter, outcomes), where);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TrialChunks, ChunkedCellIsByteIdenticalToOneThread) {
+  // One 64-trial cell of the example grid: at 4 threads its block runs as
+  // 64 one-trial chunks on four workers.
+  ScenarioSpec spec = example_sim_spec();
+  spec.topologies.resize(1);
+  spec.spares.resize(1);
+  spec.fault_models.resize(1);
+  ASSERT_EQ(spec.trials, 64u);
+  ASSERT_LT(chunk_trials(1, spec.trials, 4), kTrialBlock);
+  const std::string serial = campaign_report_json(run_campaign(spec, {.threads = 1}));
+  EXPECT_EQ(campaign_report_json(run_campaign(spec, {.threads = 4})), serial);
+
+  // The executor itself hands every block over once, folded to run_block's
+  // bytes, at any split.
+  for (const ScenarioSpec& grid : {example_sim_spec(), small_survival_spec()}) {
+    std::vector<CellRunner> runners;
+    std::vector<WorkUnit> blocks;
+    std::vector<std::string> reference;
+    for (const ScenarioCase& cell : expand_grid(grid)) {
+      runners.emplace_back(grid, cell);
+      for (std::uint64_t b = 0; b < runners.back().num_blocks(); ++b) {
+        blocks.push_back({static_cast<std::uint32_t>(runners.size() - 1), b});
+        reference.push_back(result_bytes(runners.back().run_block(b)));
+      }
+    }
+    for (const unsigned threads : {2u, 4u, 8u}) {
+      ASSERT_LT(chunk_trials(blocks.size(), blocks.size() * grid.trials, threads), kTrialBlock);
+      std::mutex mu;
+      std::map<std::pair<std::uint32_t, std::uint64_t>, std::string> got;
+      run_work_units(
+          blocks, grid.trials, threads,
+          [&](std::uint32_t slot) -> const CellRunner& { return runners[slot]; },
+          [&](const WorkUnit& b, ScenarioResult&& partial) {
+            const std::lock_guard<std::mutex> lock(mu);
+            EXPECT_TRUE(got.emplace(std::pair(b.slot, b.block), result_bytes(partial)).second);
+            return true;
+          },
+          keep_going);
+      ASSERT_EQ(got.size(), blocks.size()) << grid.name << ", " << threads << " threads";
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        EXPECT_EQ(got[std::pair(blocks[i].slot, blocks[i].block)], reference[i])
+            << grid.name << ", " << threads << " threads, cell " << blocks[i].slot << " block "
+            << blocks[i].block;
+      }
+    }
+  }
+}
+
+TEST(TrialChunks, OnlyFewBlockCallsAreSplit) {
+  // perfbench's campaign_survival grid: 24 cells x 1024 trials is 96 blocks,
+  // which run whole on 4 workers.
+  EXPECT_EQ(chunk_trials(96, 96 * kTrialBlock, 4), kTrialBlock);
+  // campaign_sim's 12 one-block cells of 64 trials become 96 8-trial chunks.
+  EXPECT_EQ(chunk_trials(12, 12 * 64, 4), 8u);
+  // One worker, or enough blocks per worker: whole blocks.
+  EXPECT_EQ(chunk_trials(1, 64, 1), kTrialBlock);
+  EXPECT_EQ(chunk_trials(kBlocksPerWorker * 8, kBlocksPerWorker * 8 * kTrialBlock, 8),
+            kTrialBlock);
+  // One 64-trial lease on 4 workers: one trial per unit, never fewer.
+  EXPECT_EQ(chunk_trials(1, 64, 4), 1u);
+  EXPECT_EQ(chunk_trials(1, 3, 64), 1u);
+  // A power of two, so it divides a full block.
+  for (unsigned workers = 2; workers <= 16; ++workers) {
+    for (std::uint64_t blocks = 1; blocks < kBlocksPerWorker * workers; blocks += 5) {
+      const std::uint64_t c = chunk_trials(blocks, blocks * kTrialBlock, workers);
+      EXPECT_EQ(kTrialBlock % c, 0u) << blocks << " blocks, " << workers << " workers";
+    }
+  }
 }
 
 TEST(Shard, TwoShardsMergeByteIdenticalToSingleMachineRun) {

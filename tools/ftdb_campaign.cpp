@@ -24,9 +24,13 @@
 //   ftdb_campaign merge --elastic d0 d1 --out report.json
 //
 //   ftdb_campaign validate report.json
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "campaign/elastic/elastic.hpp"
@@ -57,7 +61,7 @@ int usage() {
          "  --out FILE              write the JSON report (default: stdout)\n"
          "  --csv FILE              also write a CSV report\n"
          "  --md FILE               also write a markdown report\n"
-         "  --threads N             worker threads (0 = hardware, default 0)\n"
+         "  --threads N             worker threads, at most 1024 (0 = hardware, default 0)\n"
          "  --checkpoint FILE       write block-granular checkpoints to FILE\n"
          "  --checkpoint-every SEC  min seconds between checkpoint writes\n"
          "                          (default 0 = after every completed block)\n"
@@ -75,7 +79,7 @@ int usage() {
          "  --shard I/N             lease only the cells shard I of N owns (grid index\n"
          "                          mod N == I) and stop once they are durable\n"
          "  --worker-id ID          stable worker name (default: <host>-<pid>)\n"
-         "  --lease-ttl SEC         lease staleness horizon (default 30)\n"
+         "  --lease-ttl SEC         lease staleness horizon, 1 s to a year (default 30)\n"
          "  --no-fsync              skip fsync on block appends (tests only)\n"
          "\n"
          "merge --elastic reads the campaign from each DIR (spec.json + compacted.ckpt\n"
@@ -95,6 +99,42 @@ ShardSpec parse_shard_arg(const std::string& s) {
     std::exit(2);
   }
   return {index, count};
+}
+
+/// Most worker threads --threads accepts.
+constexpr std::uint64_t kMaxThreads = 1024;
+/// Longest --lease-ttl: a year. Stamps add it to a wall-clock second count.
+constexpr std::uint64_t kMaxLeaseTtl = 365ULL * 24 * 3600;
+
+[[noreturn]] void bad_value(const std::string& flag, const std::string& text,
+                            const std::string& wanted) {
+  std::cerr << "ftdb_campaign: " << flag << " wants " << wanted << ", got \"" << text << "\"\n";
+  std::exit(2);
+}
+
+/// `text` as a decimal integer in [lo, hi], with nothing before or after
+/// it; anything else exits 2 naming `flag`.
+std::uint64_t parse_count(const std::string& flag, const std::string& text, std::uint64_t lo,
+                          std::uint64_t hi) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end || value < lo || value > hi) {
+    bad_value(flag, text, "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return value;
+}
+
+/// `text` as a finite, non-negative number of seconds, with nothing before
+/// or after it; anything else exits 2 naming `flag`.
+double parse_seconds(const std::string& flag, const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end || !std::isfinite(value) || value < 0.0) {
+    bad_value(flag, text, "a finite, non-negative number of seconds");
+  }
+  return value;
 }
 
 /// Writes the three report renderings. An empty out_path sends the JSON to
@@ -138,23 +178,23 @@ int run_command(const std::vector<std::string>& args) {
     } else if (arg == "--md") {
       md_path = next();
     } else if (arg == "--threads") {
-      options.threads = static_cast<unsigned>(std::stoul(next()));
+      options.threads = static_cast<unsigned>(parse_count(arg, next(), 0, kMaxThreads));
     } else if (arg == "--checkpoint") {
       options.checkpoint_path = next();
     } else if (arg == "--checkpoint-every") {
-      options.checkpoint_every_seconds = std::stod(next());
+      options.checkpoint_every_seconds = parse_seconds(arg, next());
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--shard") {
       elastic.shard = parse_shard_arg(next());
     } else if (arg == "--stop-after-blocks") {
-      options.stop_after_blocks = std::stoull(next());
+      options.stop_after_blocks = parse_count(arg, next(), 0, UINT64_MAX);
     } else if (arg == "--elastic") {
       elastic.dir = next();
     } else if (arg == "--worker-id") {
       elastic.worker_id = next();
     } else if (arg == "--lease-ttl") {
-      elastic.lease_ttl_seconds = std::stoull(next());
+      elastic.lease_ttl_seconds = parse_count(arg, next(), 1, kMaxLeaseTtl);
     } else if (arg == "--no-fsync") {
       elastic.fsync = false;
     } else if (arg == "--quiet") {

@@ -243,9 +243,10 @@ FTDB_BENCH(cell_setup_se_h12, "perf_campaign/cell_setup_se_h12_k8") {
 /// of it is cell setup. The four cells share one target, one fabric and one
 /// tolerance proof, so CI holds this within 2x cell_setup_se_h12_k8 (one
 /// cell building all of them), measured in the same process; a fabric built
-/// per cell again reads about 4x. It reads about 1.7, not 1: the campaign
-/// builds on a fresh worker thread, whose first fabric build page-faults its
-/// scratch memory in, and cell_setup runs warm on the calling thread.
+/// per cell again reads about 4x. It reads 1.2-1.7 (1.0-1.5 ms for one
+/// cell, 1.6-2.0 ms for the grid, 4-vCPU Xeon, Release): on top of one
+/// cell's setup the grid prepares four fault models, runs four one-trial
+/// cells and writes their report.
 FTDB_BENCH(grid_setup_se_h12, "perf_campaign/grid_setup_se_h12_k8_4models") {
   ScenarioSpec spec = base_spec(1);
   spec.topologies = {{TopologyFamily::ShuffleExchange, 2, 12}};

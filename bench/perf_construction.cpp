@@ -6,7 +6,9 @@
 // wall_seconds / iterations.
 
 #include "analysis/bench_registry.hpp"
+#include "ft/bus_ft.hpp"
 #include "ft/ft_debruijn.hpp"
+#include "ft/ft_shuffle_exchange.hpp"
 #include "ft/reconfigure.hpp"
 #include "ft/tolerance.hpp"
 #include "topology/debruijn.hpp"
@@ -63,6 +65,33 @@ FTDB_BENCH(build_ft_basem, "perf_construction/build_ft_basem_m4_h5_k2") {
     edges = ftdb::ft_debruijn_graph({.base = 4, .digits = 5, .spares = 2}).num_edges();
   }
   ctx.report("iterations", kIterations);
+  ctx.report("edges", static_cast<double>(edges));
+}
+
+// The campaign's largest fabric: the natural SE^8_12 (4104 nodes), as the
+// runner builds it for a ShuffleExchange cell.
+FTDB_BENCH(build_ft_se_natural_h12_k8, "perf_construction/build_ft_se_natural_h12_k8") {
+  constexpr int kIterations = 20;
+  std::size_t edges = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    edges = ftdb::ft_shuffle_exchange_natural(12, 8).ft_graph.num_edges();
+  }
+  ctx.report("iterations", kIterations);
+  ctx.report("edges", static_cast<double>(edges));
+}
+
+// A campaign bus fabric: the bus machine for h = 10, k = 8 and its
+// point-to-point graph, which the runner builds as B^8_{2,10}.
+FTDB_BENCH(build_bus_fabric_h10_k8, "perf_construction/build_bus_fabric_h10_k8") {
+  constexpr int kIterations = 50;
+  std::size_t buses = 0;
+  std::size_t edges = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    buses = ftdb::bus_ft_debruijn_base2(10, 8).num_buses();
+    edges = ftdb::ft_debruijn_base2(10, 8).num_edges();
+  }
+  ctx.report("iterations", kIterations);
+  ctx.report("buses", static_cast<double>(buses));
   ctx.report("edges", static_cast<double>(edges));
 }
 

@@ -257,8 +257,10 @@ TopologyFabric build_fabric(const Graph& target, const TopologySpec& topology, u
     case TopologyFamily::Bus:
       f.bus = bus_ft_debruijn_base2(h, k);
       // Fault models and graph metrics act on the point-to-point connectivity
-      // the restricted driver<->member discipline realizes.
-      f.graph = f.bus->realized_graph();
+      // the restricted driver<->member discipline realizes, which is exactly
+      // B^k_{2,h}'s edge set (test_bus_ft pins the identity), so it is built
+      // by the row builder rather than from the buses.
+      f.graph = ft_debruijn_base2(h, k);
       break;
   }
   f.proven = check_tolerance_pairwise(target, f.graph, k).tolerant;

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ft/modmath.hpp"
-#include "graph/csr.hpp"
 #include "topology/labels.hpp"
 
 namespace ftdb {
@@ -25,35 +23,7 @@ Graph ft_debruijn_graph_custom_offsets(std::uint64_t base, unsigned digits, unsi
                                        OffsetRange offsets) {
   if (base < 2) throw std::invalid_argument("ft_debruijn: base must be >= 2");
   const std::uint64_t n = labels::ipow_checked(base, digits) + spares;
-  const auto s = static_cast<std::int64_t>(n);
-  const auto m = static_cast<std::int64_t>(base);
-  std::vector<csr::HalfEdge>& halves = csr::emission_buffer();
-  halves.reserve(static_cast<std::size_t>(n) *
-                 static_cast<std::size_t>(offsets.hi - offsets.lo + 1) * 2);
-  auto emit = [&](std::int64_t x, std::int64_t y) {
-    csr::emit_undirected(halves, static_cast<NodeId>(x), static_cast<NodeId>(y));
-  };
-  if (m >= s) {  // degenerate shapes (m^h + k <= m): keep the plain modulus
-    for (std::int64_t x = 0; x < s; ++x) {
-      for (std::int64_t r = offsets.lo; r <= offsets.hi; ++r) {
-        emit(x, ft::affine_mod(x, m, r, s));
-      }
-    }
-  } else {
-    // Fixed r, ascending x: y = X(x, m, r, s) advances by m per step, so the
-    // modulus reduces to a conditional subtract — one division per offset
-    // family instead of one per arc. Emission order is irrelevant; the
-    // counting-sort CSR canonicalizes it.
-    for (std::int64_t r = offsets.lo; r <= offsets.hi; ++r) {
-      std::int64_t y = ft::affine_mod(0, m, r, s);
-      for (std::int64_t x = 0; x < s; ++x) {
-        emit(x, y);
-        y += m;
-        if (y >= s) y -= s;
-      }
-    }
-  }
-  return GraphBuilder::from_half_edges(n, halves);
+  return GraphBuilder::from_offset_intervals(n, base, offsets.lo, offsets.hi);
 }
 
 Graph ft_debruijn_graph(const FtDeBruijnParams& params) {

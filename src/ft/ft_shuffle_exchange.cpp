@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "ft/ft_debruijn.hpp"
-#include "graph/csr.hpp"
-#include "ft/modmath.hpp"
 #include "topology/debruijn.hpp"
 #include "topology/labels.hpp"
 #include "topology/shuffle_exchange.hpp"
@@ -34,34 +32,14 @@ SeOffsets ft_se_natural_offsets(unsigned k) {
 
 Graph ft_se_natural_graph_custom(unsigned h, unsigned k, const SeOffsets& offsets) {
   const std::uint64_t n = labels::ipow_checked(2, h) + k;
-  const auto s = static_cast<std::int64_t>(n);
-  std::vector<csr::HalfEdge>& halves = csr::emission_buffer();
-  halves.reserve(static_cast<std::size_t>(n) *
-                 (static_cast<std::size_t>(offsets.shuffle_hi - offsets.shuffle_lo + 1) +
-                  static_cast<std::size_t>(offsets.exchange_hi)) *
-                 2);
-  auto emit = [&](std::int64_t x, std::int64_t y) {
-    csr::emit_undirected(halves, static_cast<NodeId>(x), static_cast<NodeId>(y));
-  };
   // Shuffle family: the SE shuffle edge is y = X(x, 2, msb(x), 2^h); after
   // reconfiguration the offset drifts exactly as in Theorem 1, so the same
-  // interval [-k, k+1] suffices. Fixed r, ascending x: the modulus reduces
-  // to a conditional subtract (s > 2 always since h >= 1).
-  for (std::int64_t r = offsets.shuffle_lo; r <= offsets.shuffle_hi; ++r) {
-    std::int64_t y = ft::affine_mod(0, 2, r, s);
-    for (std::int64_t x = 0; x < s; ++x) {
-      emit(x, y);
-      y += 2;
-      if (y >= s) y -= s;
-    }
-  }
-  // Exchange family: the SE exchange edge y = x ^ 1 never wraps, and under
-  // the monotone embedding the images differ by 1 + (delta_y - delta_x)
-  // in [1, k+1] (from the even endpoint). Plain integer edges, no modulus.
-  for (std::int64_t e = 1; e <= offsets.exchange_hi; ++e) {
-    for (std::int64_t x = 0; x + e < s; ++x) emit(x, x + e);
-  }
-  return GraphBuilder::from_half_edges(n, halves);
+  // interval [-k, k+1] suffices. Exchange family: the SE exchange edge
+  // y = x ^ 1 never wraps, and under the monotone embedding the images
+  // differ by 1 + (delta_y - delta_x) in [1, k+1] (from the even endpoint):
+  // the plain band |x - y| <= exchange_hi, no modulus.
+  return GraphBuilder::from_offset_intervals(n, 2, offsets.shuffle_lo, offsets.shuffle_hi,
+                                             offsets.exchange_hi);
 }
 
 FtShuffleExchange ft_shuffle_exchange_natural(unsigned h, unsigned k) {

@@ -70,6 +70,17 @@ class GraphBuilder {
   static Graph from_half_edges(std::size_t num_nodes,
                                std::vector<std::uint64_t>& half_edges);
 
+  /// The de Bruijn-family row builder: joins every node x to
+  /// (multiplier * x + r) mod num_nodes for each r in [lo, hi], and to every
+  /// y with |x - y| <= band. Row x is a union of a few intervals (the
+  /// out-interval, its preimages under y -> multiplier * y, and the band),
+  /// so each sorted, duplicate-free row is merged straight into the CSR with
+  /// no half-edge buffer and no sort. Self-loops are dropped.
+  ///
+  /// Throws std::invalid_argument when lo > hi or band < 0.
+  static Graph from_offset_intervals(std::size_t num_nodes, std::uint64_t multiplier,
+                                     std::int64_t lo, std::int64_t hi, std::int64_t band = 0);
+
   void clear() { raw_edges_.clear(); }
 
  private:

@@ -42,31 +42,10 @@ Graph debruijn_graph_digit_definition(const DeBruijnParams& params) {
 }
 
 Graph debruijn_graph(const DeBruijnParams& params) {
+  // B_{m,h} is B^0_{m,h}: x joined to (m*x + r) mod m^h for r in [0, m-1].
   const std::uint64_t n = debruijn_num_nodes(params);
-  const std::uint64_t m = params.base;
-  std::vector<csr::HalfEdge>& halves = csr::emission_buffer();
-  halves.reserve(static_cast<std::size_t>(n) * m * 2);
-  auto emit = [&](std::uint64_t x, std::uint64_t y) {
-    csr::emit_undirected(halves, static_cast<NodeId>(x), static_cast<NodeId>(y));
-  };
-  if (m >= n) {  // degenerate h = 1 shapes: fall back to the plain modulus
-    for (std::uint64_t x = 0; x < n; ++x) {
-      for (std::uint64_t r = 0; r < m; ++r) emit(x, (x * m + r) % n);
-    }
-  } else {
-    // Fixed r, ascending x: y = X(x, m, r, n) advances by m per step, so the
-    // modulus reduces to a conditional subtract — no division in the loop.
-    // Emission order is irrelevant; the counting-sort CSR canonicalizes it.
-    for (std::uint64_t r = 0; r < m; ++r) {
-      std::uint64_t y = r;
-      for (std::uint64_t x = 0; x < n; ++x) {
-        emit(x, y);
-        y += m;
-        if (y >= n) y -= n;
-      }
-    }
-  }
-  return GraphBuilder::from_half_edges(n, halves);
+  return GraphBuilder::from_offset_intervals(n, params.base, 0,
+                                             static_cast<std::int64_t>(params.base) - 1);
 }
 
 Graph debruijn_base2(unsigned h) { return debruijn_graph({.base = 2, .digits = h}); }

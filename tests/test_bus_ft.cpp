@@ -66,6 +66,19 @@ TEST(BusFtDeBruijn, BusBlockMatchesPointToPointNeighborhood) {
   }
 }
 
+TEST(BusFtDeBruijn, RealizedGraphIsTheFtDeBruijnCsr) {
+  // The campaign runner builds a bus fabric's point-to-point graph as
+  // ft_debruijn_base2(h, k) instead of from its buses; this pins that the
+  // two are the same CSR, byte for byte.
+  for (unsigned h = 1; h <= 10; ++h) {
+    for (unsigned k = 0; k <= 9; ++k) {
+      EXPECT_TRUE(bus_ft_debruijn_base2(h, k).realized_graph().same_structure(
+          ft_debruijn_base2(h, k)))
+          << "h=" << h << " k=" << k;
+    }
+  }
+}
+
 class BusDegree : public ::testing::TestWithParam<std::pair<unsigned, unsigned>> {};
 
 TEST_P(BusDegree, SectionV_DegreeAtMost2kPlus3) {
